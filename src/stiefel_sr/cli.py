@@ -9,15 +9,15 @@ invariant violation.
 
 Option precedence: command-line flags > --config file > built-in defaults.
 The config file is a JSON object whose keys mirror the long option names
-(with dashes or underscores), plus optional "grid" and "tolerances" records.
-The STIEFEL_SR_WORKERS environment variable sets the default worker count.
+(with dashes or underscores), plus optional "grid" and "tolerances" records;
+the tolerances record replaces the library-wide tolerances before the command
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, n=False, k=False, mode=True, seed=True):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
         if n:
@@ -296,7 +295,6 @@ def _cmd_cutlocus_search(args, cfg) -> int:
     if (target.n, target.k) != (n, k) or target.mode != mode:
         raise _UsageError("target does not match --n/--k/--mode")
     grid = _grid_from(args, cfg, n, k, mode, seed)
-    workers = _pick(args, cfg, "workers")
     eps_hit = _pick(args, cfg, "eps_hit")
     eps_v = _pick(args, cfg, "eps_v")
     report = search_minimizers(
@@ -304,7 +302,6 @@ def _cmd_cutlocus_search(args, cfg) -> int:
         grid,
         eps_hit=float(eps_hit) if eps_hit is not None else None,
         eps_v=float(eps_v) if eps_v is not None else None,
-        workers=int(workers) if workers is not None else None,
     )
     payload = report.to_json_dict()
     payload["pass"] = len(report.arrivals) > 0
@@ -362,8 +359,6 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _apply_tolerances(cfg)
-        if args.workers is None and os.environ.get("STIEFEL_SR_WORKERS"):
-            args.workers = int(os.environ["STIEFEL_SR_WORKERS"])
         return _HANDLERS[args.command](args, cfg)
     except _UsageError as err:
         sys.stderr.write(f"error: {err}\n")

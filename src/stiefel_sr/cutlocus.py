@@ -14,14 +14,12 @@ All experiments are deterministic given their seed and grid.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import qmc
 
-from . import matcore
+from . import matcore, tolerances
 from .matcore import COMPLEX, REAL, adjoint
 from .homspace import BlockVelocity, StiefelPoint, identity_point
 from .geodesic import (
@@ -35,7 +33,6 @@ from .geodesic import (
     sample_curve,
     speed_squared,
 )
-from .tolerances import TOL
 
 _LENGTH_SLACK = 1e-6  # arrivals within (1 + slack) of the minimum count as minimal
 _REFINE_FLOOR = 1e-10  # smallest coordinate-descent step
@@ -46,7 +43,7 @@ _REFINE_FLOOR = 1e-10  # smallest coordinate-descent step
 
 def in_block_diagonal_set(p: StiefelPoint, tol: float | None = None) -> bool:
     """True iff the lower (n-k) x k block vanishes and p is not the identity class."""
-    tol = TOL.eq if tol is None else tol
+    tol = tolerances.TOL.eq if tol is None else tol
     lower = p.cols[p.k :, :]
     if lower.size and float(np.max(np.abs(lower))) > tol:
         return False
@@ -55,7 +52,7 @@ def in_block_diagonal_set(p: StiefelPoint, tol: float | None = None) -> bool:
 
 def is_antidiagonal(p: StiefelPoint, tol: float | None = None) -> bool:
     """True iff n = 2k and the top k x k block vanishes (bottom block is then unitary)."""
-    tol = TOL.eq if tol is None else tol
+    tol = tolerances.TOL.eq if tol is None else tol
     if p.n != 2 * p.k:
         return False
     return float(np.max(np.abs(p.cols[: p.k, :]))) <= tol
@@ -318,15 +315,6 @@ def _make_family(grid: VelocityGrid):
 # -- search engine --------------------------------------------------------------
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("STIEFEL_SR_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _endpoint_residuals(family, x: np.ndarray, target_cols) -> np.ndarray:
     """Batched endpoint residual vectors for stacked (params, t) rows.
 
@@ -437,7 +425,6 @@ def search_minimizers(
     grid: VelocityGrid,
     eps_hit: float | None = None,
     eps_v: float | None = None,
-    workers: int | None = None,
 ) -> MinimizerReport:
     """Grid search + local refinement for minimizing arrivals at a target.
 
@@ -448,10 +435,11 @@ def search_minimizers(
     fixed grid (seed included); an exhausted search returns an empty-arrival
     report rather than raising.
     """
-    eps_hit = TOL.hit if eps_hit is None else float(eps_hit)
-    eps_v = TOL.vel if eps_v is None else float(eps_v)
-    if eps_hit < 10 * TOL.eq:
-        raise ValueError(f"eps_hit={eps_hit} must be >= 10 * {TOL.eq}")
+    tol = tolerances.TOL
+    eps_hit = tol.hit if eps_hit is None else float(eps_hit)
+    eps_v = tol.vel if eps_v is None else float(eps_v)
+    if eps_hit < 10 * tol.eq:
+        raise ValueError(f"eps_hit={eps_hit} must be >= 10 * {tol.eq}")
     if eps_v <= 10 * _REFINE_FLOOR:
         raise ValueError(f"eps_v={eps_v} must exceed the refinement resolution")
     if (target.n, target.k) != (grid.n, grid.k) or target.mode != grid.mode:
@@ -477,29 +465,16 @@ def search_minimizers(
     )
     gate = max(8 * speed * dt, 0.25) + eps_hit
 
+    # memory-bounded chunks of the velocity grid; the scan keeps every gated
+    # local minimum of the endpoint error along each velocity's time grid
     chunk_size = max(1, int(2**22 / (grid.t_count * grid.n * grid.k)))
-    chunks = [
-        (i, p0[i : i + chunk_size]) for i in range(0, len(p0), chunk_size)
-    ]
-    nworkers = _worker_count(workers)
-    results: dict[int, list] = {}
-    if nworkers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futs = {
-                pool.submit(_scan_chunk, family, chunk, ts, target.cols, gate): start
-                for start, chunk in chunks
-            }
-            for fut, start in futs.items():
-                results[start] = fut.result()
-    else:
-        for start, chunk in chunks:
-            results[start] = _scan_chunk(family, chunk, ts, target.cols, gate)
+    per_velocity: dict[int, list] = {}
+    for start in range(0, len(p0), chunk_size):
+        hits = _scan_chunk(family, p0[start : start + chunk_size], ts, target.cols, gate)
+        for c, tix, err in hits:
+            per_velocity.setdefault(start + c, []).append((err, tix))
 
     # candidate set: up to 3 best scanned minima per velocity, deterministic order
-    per_velocity: dict[int, list] = {}
-    for start in sorted(results):
-        for c, tix, err in results[start]:
-            per_velocity.setdefault(start + c, []).append((err, tix))
     cand_rows = []
     cand_ts = []
     for vix in sorted(per_velocity):
@@ -598,7 +573,7 @@ def first_block_diagonal_hit(
     cols = sample_curve(spec, ts)
     g = np.sqrt(np.sum(np.abs(cols[:, k:, :]) ** 2, axis=(1, 2)))
     peak = float(g.max())
-    if peak <= TOL.eq:
+    if peak <= tolerances.TOL.eq:
         return None  # curve never leaves the block-diagonal set
     risen = np.nonzero(g > 0.5 * peak)[0]
     if len(risen) == 0:
@@ -631,7 +606,7 @@ def first_block_diagonal_hit(
             c2 = lo + invphi * (hi - lo)
             f2 = gval(c2)
     t_hit = float((lo + hi) / 2.0)
-    return t_hit if gval(t_hit) <= TOL.eq else None
+    return t_hit if gval(t_hit) <= tolerances.TOL.eq else None
 
 
 @dataclass(frozen=True)
@@ -664,14 +639,15 @@ def verify_mirror_arrivals(
 
     For each sampled velocity, locate the first block-diagonal hit of its
     geodesic, mirror the transversal block (also through a random unitary
-    factor) and verify: same endpoint within eps_hit, same length to 1e-10,
-    and distinct velocity whenever the transversal block is nonzero.
+    factor) and verify for both twins: same endpoint within eps_hit and same
+    length to 1e-10.  The plain mirror (a, -b) must also be a distinct
+    velocity; its separation is ``min_velocity_separation``.
     Velocities with a vanishing transversal block never leave the identity
     class and are skipped, not counted.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
-    eps_hit = TOL.hit if eps_hit is None else float(eps_hit)
+    eps_hit = tolerances.TOL.hit if eps_hit is None else float(eps_hit)
     rng = np.random.default_rng(seed)
     pending = list(_velocities) if _velocities is not None else None
     checked = skipped = failures = 0
@@ -698,17 +674,21 @@ def verify_mirror_arrivals(
         if not in_block_diagonal_set(p):
             failures += 1
             continue
-        twins = [mirror_velocity(vel)]
-        twins.append(mirror_velocity(vel, matcore.random_unitary(rng, n - k, mode)))
+        mirrored = mirror_velocity(vel)
+        sep = float(np.linalg.norm(vel.embed() - mirrored.embed()))
+        min_sep = min(min_sep, sep)
+        if sep <= tolerances.TOL.vel:
+            failures += 1
+        # the twin through a random factor u may coincide with vel (u near -I),
+        # so only its endpoint and length are checked
+        twins = (mirrored, mirror_velocity(vel, matcore.random_unitary(rng, n - k, mode)))
         for twin in twins:
             q = normal_geodesic(GeodesicSpec(twin), t_hit)
             gap = float(np.max(np.abs(q.cols - p.cols)))
             max_end = max(max_end, gap)
             len_gap = abs(length(vel, t_hit) - length(twin, t_hit))
             max_len = max(max_len, len_gap)
-            sep = float(np.linalg.norm(vel.embed() - twin.embed()))
-            min_sep = min(min_sep, sep)
-            if gap > eps_hit or len_gap > 1e-10 or sep <= TOL.vel:
+            if gap > eps_hit or len_gap > 1e-10:
                 failures += 1
     return MirrorCheckSummary(
         n=n,

@@ -5,10 +5,11 @@ The generic curve through the identity class with initial block velocity
 
     t  ->  first k columns of  exp(t v) . blockdiag(exp(-t a), I)
 
-and is horizontal with constant speed.  Alongside the generic evaluator this
-module carries the closed forms available in special cases — V_{2,1}, V_{n,1}
-and the square-block Grassmann geodesics used for V_{2k,k} — plus speed,
-length, the first time a V_{n,1} geodesic returns to the block-diagonal set,
+and is horizontal with constant speed.  One batched kernel evaluates it for
+stacked velocities and times; ``sample_curve``, ``batch_geodesic_columns`` and
+``grid_geodesic_columns`` are views of it.  Alongside it this module carries
+the closed forms available in special cases — V_{2,1}, V_{n,1} and the
+square-block Grassmann geodesics used for V_{2k,k} — plus speed, length, the first time a V_{n,1} geodesic returns to the block-diagonal set,
 and the mirrored velocity that produces a second arrival at such points.
 
 Matrix functions of b b* are evaluated through the SVD of b, with the
@@ -22,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import matcore, tolerances
 from .matcore import COMPLEX, REAL, adjoint
 from .homspace import BlockVelocity, StiefelPoint
-from .tolerances import TOL
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,6 @@ class GeodesicSpec:
     @property
     def mode(self) -> str:
         return self.v.mode
-
-
-@dataclass(frozen=True)
-class GeodesicSample:
-    t: float
-    point: StiefelPoint
-    velocity_norm: float
 
 
 def speed_squared(v: BlockVelocity) -> float:
@@ -87,7 +80,7 @@ def mirror_velocity(v: BlockVelocity, u=None) -> BlockVelocity:
     if u.shape != (m, m):
         raise ValueError(f"expected a {m} x {m} factor, got {u.shape}")
     dev = float(np.max(np.abs(adjoint(u) @ u - np.eye(m)))) if m else 0.0
-    if dev > TOL.unit:
+    if dev > tolerances.TOL.unit:
         raise matcore.InvariantViolation(
             f"mirror factor deviates from unitarity by {dev:.3e}"
         )
@@ -95,36 +88,6 @@ def mirror_velocity(v: BlockVelocity, u=None) -> BlockVelocity:
 
 
 # -- generic evaluation -------------------------------------------------------
-
-
-def sample_curve(spec: GeodesicSpec, ts) -> np.ndarray:
-    """Canonical columns of the geodesic at each time; shape (len(ts), n, k)."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    k = spec.k
-    w, vv = np.linalg.eigh(1j * spec.v.embed())
-    phases = np.exp(-1j * np.multiply.outer(ts, w))
-    left = np.einsum("ij,tj,jk->tik", vv, phases, adjoint(vv)[:, :k], optimize=True)
-    wa, p = np.linalg.eigh(1j * spec.v.a_block)
-    aph = np.exp(1j * np.multiply.outer(ts, wa))  # exp(-t a) has reversed phases
-    right = np.einsum("ij,tj,jk->tik", p, aph, adjoint(p), optimize=True)
-    cols = left @ right
-    if spec.mode == REAL:
-        cols = cols.real.astype(np.complex128)
-    return cols
-
-
-def normal_geodesic(spec: GeodesicSpec, t: float) -> StiefelPoint:
-    """The geodesic point at time t (identity class at t = 0)."""
-    return StiefelPoint(sample_curve(spec, [float(t)])[0], spec.mode)
-
-
-def trace_curve(spec: GeodesicSpec, ts) -> list[GeodesicSample]:
-    norm = float(np.sqrt(speed_squared(spec.v)))
-    cols = sample_curve(spec, ts)
-    return [
-        GeodesicSample(float(t), StiefelPoint(c, spec.mode), norm)
-        for t, c in zip(np.atleast_1d(ts), cols)
-    ]
 
 
 def _sin_over(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -148,11 +111,27 @@ def _first_column_2x2(lam, b, ts):
     return np.stack([top, bottom], axis=-1)
 
 
-def batch_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX) -> np.ndarray:
-    """Vectorized evaluation: velocity i at time ts[i]; shape (c, n, k).
+def _spectral_flow(h: np.ndarray, ts: np.ndarray, k: int, rate: complex) -> np.ndarray:
+    """First k columns of exp(rate t h) for stacked Hermitian h (c, n, n).
 
-    Inputs are stacked blocks (c, k, k) and (c, k, n-k); no per-element
-    validation is performed (hot path for searches).
+    ``ts`` broadcasts to (c, T); one batched eigh, then a single matmul per
+    velocity over all T times.  Returns (c, T, n, k).
+    """
+    w, vecs = np.linalg.eigh(h)
+    c, n = w.shape
+    phases = np.exp(rate * ts[:, None, :] * w[:, :, None])  # (c, n, T)
+    scaled = phases[..., None] * adjoint(vecs)[:, :, None, :k]  # (c, n, T, k)
+    flow = vecs @ scaled.reshape(c, n, -1)
+    return flow.reshape(c, n, -1, k).transpose(0, 2, 1, 3)
+
+
+def _geodesic_columns(a_blocks, b_blocks, ts, mode: str) -> np.ndarray:
+    """The evaluation kernel: first k columns of exp(t v) . blockdiag(exp(-t a), I).
+
+    Stacked blocks (c, k, k) and (c, k, n-k); ``ts`` is 2-d and broadcasts to
+    (c, T).  Returns (c, T, n, k).  V_{2,1} takes the eigensolver-free closed
+    form; every other shape one batched eigh of the embedded velocity and one
+    of the fibre block.  No per-element validation (hot path for searches).
     """
     a_blocks = np.asarray(a_blocks, dtype=np.complex128)
     b_blocks = np.asarray(b_blocks, dtype=np.complex128)
@@ -160,63 +139,48 @@ def batch_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX) -> np.nd
     c, k, m = b_blocks.shape
     n = k + m
     if (n, k) == (2, 1):
-        cols = _first_column_2x2(a_blocks[:, 0, 0].imag, b_blocks[:, 0, 0], ts)
-        cols = cols[:, :, None]
+        lam = a_blocks[:, 0, :].imag
+        cols = _first_column_2x2(lam, b_blocks[:, 0, :], ts)[..., None]
     else:
         full = np.zeros((c, n, n), dtype=np.complex128)
         full[:, :k, :k] = a_blocks
         full[:, :k, k:] = b_blocks
         full[:, k:, :k] = -adjoint(b_blocks)
-        w, vv = np.linalg.eigh(1j * full)
-        ph = np.exp(-1j * ts[:, None] * w)
-        left = vv @ (ph[:, :, None] * adjoint(vv)[:, :, :k])
-        if k == 1:
-            right = np.exp(-ts * a_blocks[:, 0, 0])[:, None, None]
-            cols = left * right
-        else:
-            wa, p = np.linalg.eigh(1j * a_blocks)
-            pha = np.exp(1j * ts[:, None] * wa)
-            right = p @ (pha[:, :, None] * adjoint(p))
-            cols = left @ right
+        left = _spectral_flow(1j * full, ts, k, -1j)
+        right = _spectral_flow(1j * a_blocks, ts, k, 1j)  # exp(-t a)
+        cols = left @ right
     if mode == REAL:
         cols = cols.real.astype(np.complex128)
     return cols
+
+
+def sample_curve(spec: GeodesicSpec, ts) -> np.ndarray:
+    """Canonical columns of the geodesic at each time; shape (len(ts), n, k)."""
+    v, ts = spec.v, np.atleast_1d(ts)
+    return _geodesic_columns(v.a_block[None], v.b_block[None], ts[None], spec.mode)[0]
+
+
+def batch_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX) -> np.ndarray:
+    """Velocity i at time ts[i] for stacked blocks (c, k, k), (c, k, n-k); (c, n, k)."""
+    return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[:, None], mode)[:, 0]
 
 
 def grid_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX) -> np.ndarray:
-    """Vectorized evaluation of c velocities on a shared time grid; (c, t, n, k)."""
-    a_blocks = np.asarray(a_blocks, dtype=np.complex128)
-    b_blocks = np.asarray(b_blocks, dtype=np.complex128)
-    ts = np.asarray(ts, dtype=np.float64)
-    c, k, m = b_blocks.shape
-    n = k + m
-    if (n, k) == (2, 1):
-        cols = _first_column_2x2(
-            a_blocks[:, 0, 0].imag[:, None], b_blocks[:, 0, 0][:, None], ts[None, :]
-        )
-        cols = cols[:, :, :, None]
-    else:
-        full = np.zeros((c, n, n), dtype=np.complex128)
-        full[:, :k, :k] = a_blocks
-        full[:, :k, k:] = b_blocks
-        full[:, k:, :k] = -adjoint(b_blocks)
-        w, vv = np.linalg.eigh(1j * full)
-        ph = np.exp(-1j * ts[None, :, None] * w[:, None, :])  # (c, t, n)
-        left = np.einsum("cij,ctj,cjk->ctik", vv, ph, adjoint(vv)[:, :, :k], optimize=True)
-        if k == 1:
-            right = np.exp(-ts[None, :] * a_blocks[:, 0, 0][:, None])
-            cols = left * right[:, :, None, None]
-        else:
-            wa, p = np.linalg.eigh(1j * a_blocks)
-            pha = np.exp(1j * ts[None, :, None] * wa[:, None, :])
-            right = np.einsum("cij,ctj,cjk->ctik", p, pha, adjoint(p), optimize=True)
-            cols = left @ right
-    if mode == REAL:
-        cols = cols.real.astype(np.complex128)
-    return cols
+    """c velocities on a shared time grid; shape (c, t, n, k)."""
+    return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[None], mode)
+
+
+def normal_geodesic(spec: GeodesicSpec, t: float) -> StiefelPoint:
+    """The geodesic point at time t (identity class at t = 0)."""
+    return StiefelPoint(sample_curve(spec, [float(t)])[0], spec.mode)
 
 
 # -- closed forms -------------------------------------------------------------
+
+
+def _rate(x: float, b: np.ndarray) -> float:
+    """sqrt(x^2 + 4 bb*), computed without squaring so tiny rates do not underflow."""
+    return float(np.hypot.reduce(np.concatenate([[x], 2.0 * np.abs(b)])))
 
 
 def geodesic_v21_closed(lam: float, x2: complex, t: float, sign_flip: bool = False):
@@ -230,9 +194,9 @@ def geodesic_v21_closed(lam: float, x2: complex, t: float, sign_flip: bool = Fal
     """
     lam = float(lam)
     x2 = complex(x2)
-    if lam == 0.0 and x2 == 0:
+    s = _rate(lam, np.array([x2]))
+    if s == 0.0:
         return (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    s = np.sqrt(lam * lam + 4.0 * (x2 * np.conj(x2)).real)
 
     def mu(lam_arg: float, pm: float) -> complex:
         return np.exp(0.5j * t * (lam_arg + pm * s))
@@ -255,10 +219,9 @@ def geodesic_vn1_closed(x: float, b, t: float):
     """
     x = float(x)
     b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    bb = float(np.sum(np.abs(b) ** 2))
-    if x == 0.0 and bb == 0.0:
+    s = _rate(x, b)
+    if s == 0.0:
         return 1.0 + 0j, np.zeros_like(b)
-    s = np.sqrt(x * x + 4.0 * bb)
     e_full = np.exp(1j * t * s)
     pref = np.exp(-0.5j * t * (s + x))
     g1 = pref * (s * (e_full + 1.0) + x * (e_full - 1.0)) / (2.0 * s)
@@ -272,12 +235,10 @@ def first_vanishing_time(x: float, b) -> float:
     At this time the geodesic meets the block-diagonal set, an upper bound for
     the loss of optimality.
     """
-    x = float(x)
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    s2 = x * x + 4.0 * float(np.sum(np.abs(b) ** 2))
-    if s2 == 0.0:
+    s = _rate(float(x), np.asarray(b, dtype=np.complex128).reshape(-1))
+    if s == 0.0:
         raise ValueError("zero velocity has no vanishing time")
-    return float(2.0 * np.pi / np.sqrt(s2))
+    return 2.0 * np.pi / s
 
 
 def grassmann_geodesic_2kk(b, t: float):

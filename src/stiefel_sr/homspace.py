@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import matcore, tolerances
 from .matcore import COMPLEX, REAL, InvariantViolation, adjoint
-from .tolerances import TOL
 
 
 def _matrix_json(a: np.ndarray) -> dict:
@@ -81,7 +80,7 @@ class BlockVelocity:
         return out
 
     def is_horizontal(self, tol: float | None = None) -> bool:
-        tol = TOL.sym if tol is None else tol
+        tol = tolerances.TOL.sym if tol is None else tol
         return float(np.max(np.abs(self.a_block))) <= tol if self.k else True
 
     def is_zero(self, tol: float = 0.0) -> bool:
@@ -114,7 +113,7 @@ class StiefelPoint:
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got shape {c.shape}")
         dev = float(np.max(np.abs(adjoint(c) @ c - np.eye(k))))
-        if dev > TOL.unit:
+        if dev > tolerances.TOL.unit:
             raise InvariantViolation(
                 f"columns deviate from orthonormality by {dev:.3e}"
             )
@@ -131,7 +130,7 @@ class StiefelPoint:
 
     def same_class(self, other: "StiefelPoint", tol: float | None = None) -> bool:
         """Entrywise class equality at the canonical-representative tolerance."""
-        tol = TOL.eq if tol is None else tol
+        tol = tolerances.TOL.eq if tol is None else tol
         if (self.n, self.k, self.mode) != (other.n, other.k, other.mode):
             return False
         return float(np.max(np.abs(self.cols - other.cols))) <= tol
@@ -145,7 +144,7 @@ class StiefelPoint:
         if u.shape != (self.k, self.k):
             raise ValueError(f"expected a {self.k} x {self.k} factor, got {u.shape}")
         dev = float(np.max(np.abs(adjoint(u) @ u - np.eye(self.k))))
-        if dev > TOL.unit:
+        if dev > tolerances.TOL.unit:
             raise InvariantViolation(f"fibre factor deviates from unitarity by {dev:.3e}")
         return StiefelPoint(self.cols @ u, self.mode)
 
@@ -177,13 +176,13 @@ class GrassmannPoint:
         if n != m:
             raise ValueError(f"projector must be square, got {p.shape}")
         herm = float(np.max(np.abs(p - adjoint(p))))
-        if herm > TOL.unit:
+        if herm > tolerances.TOL.unit:
             raise InvariantViolation(f"projector deviates from Hermitian by {herm:.3e}")
         idem = float(np.max(np.abs(p @ p - p)))
-        if idem > TOL.eq:
+        if idem > tolerances.TOL.eq:
             raise InvariantViolation(f"projector deviates from idempotency by {idem:.3e}")
         tr = float(np.trace(p).real)
-        if abs(tr - self.k) > TOL.eq * max(1, n):
+        if abs(tr - self.k) > tolerances.TOL.eq * max(1, n):
             raise InvariantViolation(f"projector trace {tr} != rank {self.k}")
         p.setflags(write=False)
         object.__setattr__(self, "projector", p)
@@ -193,7 +192,7 @@ class GrassmannPoint:
         return self.projector.shape[0]
 
     def same_class(self, other: "GrassmannPoint", tol: float | None = None) -> bool:
-        tol = TOL.eq if tol is None else tol
+        tol = tolerances.TOL.eq if tol is None else tol
         if (self.n, self.k, self.mode) != (other.n, other.k, other.mode):
             return False
         return float(np.max(np.abs(self.projector - other.projector))) <= tol
@@ -261,7 +260,7 @@ def split_tangent(v, k: int, mode: str = COMPLEX) -> tuple[BlockVelocity, BlockV
         raise ValueError(f"k={k} out of range for n={n}")
     tail = a[k:, k:]
     dev = float(np.max(np.abs(tail))) if tail.size else 0.0
-    if dev > TOL.sym:
+    if dev > tolerances.TOL.sym:
         raise ValueError(
             f"lower-right block has norm {dev:.3e}: not tangent to the Stiefel manifold"
         )

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import TOL, Tolerances
+from . import tolerances
+from .tolerances import Tolerances
 
 COMPLEX = "complex"
 REAL = "real"
@@ -58,7 +59,7 @@ def as_matrix(x, mode: str = COMPLEX) -> np.ndarray:
         raise InvariantViolation("matrix has non-finite entries")
     if mode == REAL:
         imag_max = float(np.max(np.abs(a.imag))) if a.size else 0.0
-        if imag_max > TOL.sym:
+        if imag_max > tolerances.TOL.sym:
             raise InvariantViolation(
                 f"real-mode matrix has imaginary residue {imag_max:.3e}"
             )
@@ -73,7 +74,7 @@ def adjoint(x: np.ndarray) -> np.ndarray:
 
 def check_skew_hermitian(x, mode: str = COMPLEX, tol: Tolerances | None = None) -> np.ndarray:
     """Validate X = -X* (and a zero diagonal in real mode); return the array."""
-    tol = tol or TOL
+    tol = tol or tolerances.TOL
     a = as_matrix(x, mode)
     n, m = a.shape
     if n != m:
@@ -86,7 +87,7 @@ def check_skew_hermitian(x, mode: str = COMPLEX, tol: Tolerances | None = None) 
 
 def check_unitary(q, mode: str = COMPLEX, tol: Tolerances | None = None) -> np.ndarray:
     """Validate Q*Q = I (and det = +1 in real mode); return the array."""
-    tol = tol or TOL
+    tol = tol or tolerances.TOL
     a = as_matrix(q, mode)
     n, m = a.shape
     if n != m:

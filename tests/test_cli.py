@@ -4,8 +4,16 @@ import json
 import numpy as np
 import pytest
 
+from stiefel_sr import tolerances
 from stiefel_sr.cli import main
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint
+
+
+@pytest.fixture
+def default_tolerances():
+    """Restore the default tolerance record after a test that configures it."""
+    yield
+    tolerances.configure(**vars(tolerances.Tolerances()))
 
 
 def run(*args):
@@ -208,34 +216,35 @@ class TestConfigPrecedence:
         assert payload["samples"] == 6  # flag wins
         assert payload["n"] == 3  # config fills the gap
 
-    def test_config_tolerances_record(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tolerances": {"hit": 2e-8}, "n": 2, "k": 1}))
-        out = tmp_path / "out.json"
-        code = run(
-            "verify-L", "--config", str(cfg), "--samples", "2", "--seed", "3",
-            "--out", str(out),
-        )
-        assert code == 0
-        from stiefel_sr import tolerances
+    def test_config_tolerances_record(self, tmp_path, default_tolerances):
+        # the near-miss target is 1e-5 from the cut point e^{i pi/2} e1: a
+        # different class at eq = 1e-9, the same class at a configured 1e-4
+        near = np.array([[1j], [1e-5]]) / np.sqrt(1 + 1e-10)
+        cut = StiefelPoint(np.array([[1j], [0.0]]))
+        assert not StiefelPoint(near).same_class(cut)
+        grid = {"lambda_count": 12, "phase_count": 12, "t_count": 96}
+        before = tmp_path / "before.json"
+        args = [
+            "cutlocus-search", "--n", "2", "--k", "1",
+            "--target", target_json(near), "--grid", json.dumps(grid),
+        ]
+        assert run(*args, "--out", str(before)) == 0
+        assert json.loads(before.read_text())["clusters"] == 1
 
-        assert tolerances.TOL.hit == 2e-8
-        tolerances.configure(hit=1e-8)  # restore for other tests
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"hit": 5e-3, "eq": 1e-4}}))
+        after = tmp_path / "after.json"
+        assert run(*args, "--config", str(cfg), "--out", str(after)) == 0
+        assert StiefelPoint(near).same_class(cut)
+        payload = json.loads(after.read_text())
+        # with hit = 5e-3 every near arrival counts: the circle of minimizers
+        # of the nearby cut point reappears, and the target now classifies as
+        # block-diagonal
+        assert payload["clusters"] >= 2
+        assert payload["target"]["kind"] == "block_diagonal"
+        assert max(a["endpoint_error"] for a in payload["arrivals"]) > 1e-8
 
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
         assert run("verify-L", "--config", str(cfg), "--n", "2", "--k", "1") == 2
-
-
-class TestWorkersEnv:
-    def test_env_worker_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STIEFEL_SR_WORKERS", "2")
-        out = tmp_path / "r.json"
-        code = run(
-            "cutlocus-search", "--n", "2", "--k", "1",
-            "--target", target_json([[-1.0], [0.0]]),
-            "--lambda-count", "8", "--phase-count", "8", "--t-count", "64",
-            "--out", str(out),
-        )
-        assert code == 0
