@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import matcore, tolerances
 from .matcore import COMPLEX, REAL, adjoint
 from .homspace import BlockVelocity, StiefelPoint, identity_point
 from .geodesic import (
     GeodesicSpec,
+    _geodesic_jacobian,
     batch_geodesic_columns,
     grassmann_geodesic_2kk,
     grid_geodesic_columns,
@@ -35,7 +35,8 @@ from .geodesic import (
 )
 
 _LENGTH_SLACK = 1e-6  # arrivals within (1 + slack) of the minimum count as minimal
-_REFINE_FLOOR = 1e-10  # smallest coordinate-descent step
+_REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
+_CHUNK_ELEMENTS = 2**22  # element budget of one batch of scan or Jacobian temporaries
 
 
 # -- target classification ----------------------------------------------------
@@ -191,6 +192,14 @@ class _V21Family:
         b = np.exp(1j * ph).reshape(-1, 1, 1)
         return a, b
 
+    def tangents(self, params: np.ndarray):
+        """Derivatives of ``blocks`` along (fibre rate, phase): (c, 2, 1, 1) each."""
+        da = np.zeros((len(params), 2, 1, 1), dtype=np.complex128)
+        db = np.zeros_like(da)
+        da[:, 0] = 1j
+        db[:, 1, 0, 0] = 1j * np.exp(1j * params[:, 1])
+        return da, db
+
 
 class _SphereFamily:
     """k = 1 with a unit-norm transversal row; optional fibre-rate axis (complex)."""
@@ -208,6 +217,8 @@ class _SphereFamily:
         if not self.complex_mode and self.m == 2:
             ang = np.linspace(0.0, 2 * np.pi, g.direction_count, endpoint=False)
             return np.column_stack([np.cos(ang), np.sin(ang)])
+        from scipy.stats import qmc  # scipy.stats dominates import time otherwise
+
         sob = qmc.Sobol(self.dir_dim, scramble=True, seed=g.seed)
         u = sob.random(g.direction_count)
         raw = _inverse_gauss(u)
@@ -223,7 +234,8 @@ class _SphereFamily:
         d = np.tile(dirs, (len(lams), 1))
         return np.column_stack([lam, d])
 
-    def blocks(self, params: np.ndarray):
+    def _raw_blocks(self, params: np.ndarray):
+        """Fibre block and unnormalized transversal row; linear in the params."""
         if self.complex_mode:
             lam = params[:, 0]
             raw = params[:, 1:]
@@ -232,8 +244,17 @@ class _SphereFamily:
         else:
             b = params.astype(np.complex128)
             a = np.zeros((len(params), 1, 1), dtype=np.complex128)
-        norms = np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-30)
-        return a, (b / norms).reshape(-1, 1, self.m)
+        return a, b.reshape(-1, 1, self.m)
+
+    def blocks(self, params: np.ndarray):
+        a, b = self._raw_blocks(params)
+        norms = np.maximum(np.linalg.norm(b, axis=2, keepdims=True), 1e-30)
+        return a, b / norms
+
+    def tangents(self, params: np.ndarray):
+        """Derivatives of ``blocks`` along each parameter: (c, d, 1, 1), (c, d, 1, m)."""
+        _, b = self._raw_blocks(params)
+        return _unit_tangents(b, *self._raw_blocks(np.eye(params.shape[1])))
 
 
 class _GeneralFamily:
@@ -249,6 +270,8 @@ class _GeneralFamily:
         self.b_dim = (2 if self.complex_mode else 1) * k * self.m
 
     def initial_params(self) -> np.ndarray:
+        from scipy.stats import qmc
+
         g = self.grid
         sob = qmc.Sobol(self.a_dim + self.b_dim, scramble=True, seed=g.seed)
         u = sob.random(g.sample_count)
@@ -258,7 +281,8 @@ class _GeneralFamily:
         out[:, self.a_dim :] = _inverse_gauss(u[:, self.a_dim :])
         return out
 
-    def blocks(self, params: np.ndarray):
+    def _raw_blocks(self, params: np.ndarray):
+        """Fibre block and unnormalized transversal block; linear in the params."""
         c = len(params)
         k, m = self.k, self.m
         a = np.zeros((c, k, k), dtype=np.complex128)
@@ -284,11 +308,34 @@ class _GeneralFamily:
             b = pb[:, : k * m] + 1j * pb[:, k * m :]
         else:
             b = pb.astype(np.complex128)
-        b = b.reshape(c, k, m)
+        return a, b.reshape(c, k, m)
+
+    def blocks(self, params: np.ndarray):
+        a, b = self._raw_blocks(params)
         norms = np.maximum(
             np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2), keepdims=True)), 1e-30
         )
         return a, b / norms
+
+    def tangents(self, params: np.ndarray):
+        """Derivatives of ``blocks`` along each parameter: (c, d, k, k), (c, d, k, m)."""
+        _, b = self._raw_blocks(params)
+        return _unit_tangents(b, *self._raw_blocks(np.eye(params.shape[1])))
+
+
+def _unit_tangents(b, da, db):
+    """Tangents of (a, b / |b|) for a linear parameter map.
+
+    ``b`` (c, k, m) is the unnormalized transversal block at each row; da
+    (d, k, k) and db (d, k, m) are the images of the d unit parameter vectors
+    (constant, since the map is linear).  The normalization contributes its
+    projection d(b/|b|) = (db - u Re<u, db>) / |b| with u = b / |b|.
+    """
+    norms = np.maximum(np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2))), 1e-30)
+    unit = (b / norms[:, None, None])[:, None]
+    radial = np.sum((np.conj(unit) * db).real, axis=(2, 3), keepdims=True)
+    dunit = (db - radial * unit) / norms[:, None, None, None]
+    return np.broadcast_to(da, (len(b),) + da.shape), dunit
 
 
 def _inverse_gauss(u: np.ndarray) -> np.ndarray:
@@ -353,6 +400,20 @@ def _scan_chunk(family, chunk, ts, target_cols, gate):
     return hits
 
 
+def _residual_jacobian(family, x: np.ndarray, target_cols) -> np.ndarray:
+    """Jacobian (c, rows, dim) of ``_endpoint_residuals`` at finite rows with t >= 0.
+
+    Analytic: the family's block tangents pushed through the geodesic's
+    endpoint derivatives, the time derivative as the last column.
+    """
+    params, ts = x[:, :-1], x[:, -1]
+    a, b = family.blocks(params)
+    da, db = family.tangents(params)
+    _, dcols, dcols_dt = _geodesic_jacobian(a, b, ts, da, db, family.grid.mode)
+    d = np.concatenate([dcols, dcols_dt[:, None]], axis=1).reshape(len(x), x.shape[1], -1)
+    return np.concatenate([d.real, d.imag], axis=2).swapaxes(1, 2)
+
+
 def _refine(
     family,
     params: np.ndarray,
@@ -364,14 +425,18 @@ def _refine(
 ):
     """Batched Levenberg-Marquardt on the endpoint residuals over (params, t).
 
-    Candidates march in lockstep: one forward-difference Jacobian column and
-    one trial step per iteration are each a single batched geodesic
+    Candidates march in lockstep: each iteration forms the normal equations
+    from the analytic Jacobian and tries one step, a single batched geodesic
     evaluation.  Per-candidate damping adapts in the usual way; candidates
     are frozen once their residual is far below the hit radius or their
     damping has blown up (a genuine local minimum away from the target).
     """
     x = np.column_stack([params, ts]).astype(np.float64)
     n_cand, dim = x.shape
+    n = target_cols.shape[0]
+    # a Jacobian chunk holds up to about four (chunk, dim, n, n) complex
+    # temporaries at once, so it takes a quarter of the scan's element budget
+    chunk = max(1, _CHUNK_ELEMENTS // (4 * dim * n * n))
     r = _endpoint_residuals(family, x, target_cols)
     f = np.sum(r * r, axis=1)
     mu = np.full(n_cand, 1e-3)
@@ -382,20 +447,20 @@ def _refine(
         if len(ai) == 0:
             break
         xa, ra = x[ai], r[ai]
-        h = 1e-7 * np.maximum(1.0, np.abs(xa))
-        jac = np.empty((len(ai), ra.shape[1], dim))
-        for j in range(dim):
-            xp = xa.copy()
-            xp[:, j] += h[:, j]
-            jac[:, :, j] = (_endpoint_residuals(family, xp, target_cols) - ra) / h[:, j][:, None]
-        jtj = np.einsum("crd,cre->cde", jac, jac)
-        jtr = np.einsum("crd,cr->cd", jac, ra)
+        jtj = np.empty((len(ai), dim, dim))
+        jtr = np.empty((len(ai), dim, 1))
+        for lo in range(0, len(ai), chunk):
+            part = slice(lo, lo + chunk)
+            jac = _residual_jacobian(family, xa[part], target_cols)
+            jt = jac.swapaxes(1, 2)
+            jtj[part] = jt @ jac
+            jtr[part] = jt @ ra[part, :, None]
         lhs = jtj + mu[ai, None, None] * eye[None]
         try:
-            step = np.linalg.solve(lhs, -jtr[..., None])[..., 0]
+            step = np.linalg.solve(lhs, -jtr)[..., 0]
         except np.linalg.LinAlgError:
             lhs = lhs + 1e-8 * eye[None]
-            step = np.linalg.solve(lhs, -jtr[..., None])[..., 0]
+            step = np.linalg.solve(lhs, -jtr)[..., 0]
         xt = xa + step
         rt = _endpoint_residuals(family, xt, target_cols)
         ft = np.sum(rt * rt, axis=1)
@@ -467,7 +532,7 @@ def search_minimizers(
 
     # memory-bounded chunks of the velocity grid; the scan keeps every gated
     # local minimum of the endpoint error along each velocity's time grid
-    chunk_size = max(1, int(2**22 / (grid.t_count * grid.n * grid.k)))
+    chunk_size = max(1, int(_CHUNK_ELEMENTS / (grid.t_count * grid.n * grid.k)))
     per_velocity: dict[int, list] = {}
     for start in range(0, len(p0), chunk_size):
         hits = _scan_chunk(family, p0[start : start + chunk_size], ts, target.cols, gate)
@@ -501,23 +566,30 @@ def search_minimizers(
     kept = [e for e in arrivals if e[0] <= min_len * (1 + _LENGTH_SLACK)]
     kept.sort(key=lambda e: (e[0], e[1], e[2].embed().tobytes()))
 
-    final: list[Arrival] = []
+    unique: list[tuple] = []
     final_embeds: list[np.ndarray] = []
     for ln, t, vel in kept:
         emb = vel.embed()
         dup = any(
-            np.linalg.norm(emb - e) <= 1e-6 and abs(t - f.t) <= 1e-6
-            for e, f in zip(final_embeds, final)
+            np.linalg.norm(emb - e) <= 1e-6 and abs(t - u[1]) <= 1e-6
+            for e, u in zip(final_embeds, unique)
         )
-        if dup:
-            continue
-        err = float(
-            np.sqrt(np.sum(np.abs(sample_curve(GeodesicSpec(vel), [t])[0] - target.cols) ** 2))
-        )
-        final.append(Arrival(velocity=vel, t=t, length=ln, endpoint_error=err))
-        final_embeds.append(emb)
+        if not dup:
+            unique.append((ln, t, vel))
+            final_embeds.append(emb)
+    ends = batch_geodesic_columns(
+        np.stack([vel.a_block for _, _, vel in unique]),
+        np.stack([vel.b_block for _, _, vel in unique]),
+        np.array([t for _, t, _ in unique]),
+        grid.mode,
+    )
+    errs = np.sqrt(np.sum(np.abs(ends - target.cols) ** 2, axis=(1, 2)))
+    final = tuple(
+        Arrival(velocity=vel, t=t, length=ln, endpoint_error=float(err))
+        for (ln, t, vel), err in zip(unique, errs)
+    )
     clusters = _cluster_count(final_embeds, eps_v)
-    return MinimizerReport(tclass, grid, tuple(final), clusters, min_len)
+    return MinimizerReport(tclass, grid, final, clusters, min_len)
 
 
 # -- mirrored arrivals at block-diagonal targets ---------------------------------

@@ -7,7 +7,9 @@ The generic curve through the identity class with initial block velocity
 
 and is horizontal with constant speed.  One batched kernel evaluates it for
 stacked velocities and times; ``sample_curve``, ``batch_geodesic_columns`` and
-``grid_geodesic_columns`` are views of it.  Alongside it this module carries
+``grid_geodesic_columns`` are views of it, and a companion returns the
+endpoint's derivatives in the velocity blocks and in t for the minimizer
+search's refinement.  Alongside it this module carries
 the closed forms available in special cases — V_{2,1}, V_{n,1} and the
 square-block Grassmann geodesics used for V_{2k,k} — plus speed, length, the first time a V_{n,1} geodesic returns to the block-diagonal set,
 and the mirrored velocity that produces a second arrival at such points.
@@ -18,6 +20,7 @@ sin(x)/x limit handled spectrally so singular directions are fine.
 
 from __future__ import annotations
 
+import cmath
 import csv
 from dataclasses import dataclass
 
@@ -125,6 +128,16 @@ def _spectral_flow(h: np.ndarray, ts: np.ndarray, k: int, rate: complex) -> np.n
     return flow.reshape(c, n, -1, k).transpose(0, 2, 1, 3)
 
 
+def _embed_velocities(a_blocks: np.ndarray, b_blocks: np.ndarray) -> np.ndarray:
+    """Stacked [[a, b], [-b*, 0]] for blocks (..., k, k) and (..., k, n-k)."""
+    k, m = b_blocks.shape[-2:]
+    full = np.zeros(b_blocks.shape[:-2] + (k + m, k + m), dtype=np.complex128)
+    full[..., :k, :k] = a_blocks
+    full[..., :k, k:] = b_blocks
+    full[..., k:, :k] = -adjoint(b_blocks)
+    return full
+
+
 def _geodesic_columns(a_blocks, b_blocks, ts, mode: str) -> np.ndarray:
     """The evaluation kernel: first k columns of exp(t v) . blockdiag(exp(-t a), I).
 
@@ -142,16 +155,82 @@ def _geodesic_columns(a_blocks, b_blocks, ts, mode: str) -> np.ndarray:
         lam = a_blocks[:, 0, :].imag
         cols = _first_column_2x2(lam, b_blocks[:, 0, :], ts)[..., None]
     else:
-        full = np.zeros((c, n, n), dtype=np.complex128)
-        full[:, :k, :k] = a_blocks
-        full[:, :k, k:] = b_blocks
-        full[:, k:, :k] = -adjoint(b_blocks)
+        full = _embed_velocities(a_blocks, b_blocks)
         left = _spectral_flow(1j * full, ts, k, -1j)
         right = _spectral_flow(1j * a_blocks, ts, k, 1j)  # exp(-t a)
         cols = left @ right
     if mode == REAL:
         cols = cols.real.astype(np.complex128)
     return cols
+
+
+def _left_multiply(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """p @ x[:, j] for every direction j: p (c, r, s), x (c, d, s, q) -> (c, d, r, q).
+
+    Transposed so the d directions stack along the matmul axis, (c, d q, s) @
+    (c, s, r), instead of c d separate tiny products.
+    """
+    c, d, s, q = x.shape
+    xt = x.swapaxes(-1, -2).reshape(c, d * q, s)
+    return (xt @ p.swapaxes(-1, -2)).reshape(c, d, q, -1).swapaxes(-1, -2)
+
+
+def _exp_derivatives(w, q, rotated, ts, rate, cols):
+    """exp(rate t h)[:, :cols] and its derivatives along h' = i x, x skew-Hermitian.
+
+    h = Q diag(w) Q* (c, n, n) from eigh; ``rotated`` = Q* x Q (c, d, n, n) is
+    overwritten; ts (c,).  The Frechet derivative is Q (F o Q* h' Q) Q*
+    (Daleckii-Krein; Higham, Functions of Matrices, 2008, Thm 3.11) with F the
+    first divided differences of exp(rate t .) on w, written as
+    rate t exp(rate t (w_p + w_q) / 2) sinc(t (w_p - w_q) / 2 pi) so equal or
+    close eigenvalues need no branch.  Returns (c, n, cols), (c, d, n, cols).
+    """
+    c, d, n, _ = rotated.shape
+    tt = ts[:, None, None]
+    mid = 0.5 * (w[:, :, None] + w[:, None, :])
+    gap = w[:, :, None] - w[:, None, :]
+    divided = rate * tt * np.exp(rate * tt * mid) * np.sinc(tt * gap / (2.0 * np.pi))
+    rotated *= 1j * divided[:, None]  # Q* h' Q = i Q* x Q
+    q_rows = adjoint(q)[:, :, :cols]  # first cols columns of Q*
+    flow = (q * np.exp(rate * ts[:, None] * w)[:, None, :]) @ q_rows
+    inner = (rotated.reshape(c, d * n, n) @ q_rows).reshape(c, d, n, cols)
+    return flow, _left_multiply(q, inner)
+
+
+def _geodesic_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
+    """Endpoint columns and their first derivatives, the kernel's companion.
+
+    Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,), and
+    stacked block directions da (c, d, k, k), db (c, d, k, n-k).  With
+    L = first k columns of exp(t v) and R = exp(-t a) the endpoint is L R;
+    returns L R (c, n, k), its derivatives along (da, db) (c, d, n, k) and
+    d/dt (L R) = (v L - L a) R (c, n, k).  The same two batched eigh as the
+    kernel, on every shape.
+    """
+    a_blocks = np.asarray(a_blocks, dtype=np.complex128)
+    b_blocks = np.asarray(b_blocks, dtype=np.complex128)
+    ts = np.asarray(ts, dtype=np.float64)
+    c, d, k, m = np.shape(db)
+    n = k + m
+    full = _embed_velocities(a_blocks, b_blocks)
+    w, q = np.linalg.eigh(1j * full)
+    # Q* dv Q = M - M* with M = Q1* (da Q1 / 2 + db Q2), Q1 and Q2 the first
+    # k and last m rows of Q, for dv = [[da, db], [-db*, 0]]
+    q1 = q[:, :k]
+    half = (0.5 * da).reshape(c, d * k, k) @ q1 + np.reshape(db, (c, d * k, m)) @ q[:, k:]
+    rotated = _left_multiply(adjoint(q1), half.reshape(c, d, k, n))
+    rotated -= adjoint(rotated)
+    left, dleft = _exp_derivatives(w, q, rotated, ts, -1j, k)
+    wa, qa = np.linalg.eigh(1j * a_blocks)
+    fibre = (np.reshape(da, (c, d * k, k)) @ qa).reshape(c, d, k, k)
+    right, dright = _exp_derivatives(wa, qa, _left_multiply(adjoint(qa), fibre), ts, 1j, k)
+    cols = left @ right
+    dcols = (dleft.reshape(c, d * n, k) @ right).reshape(c, d, n, k)
+    dcols += _left_multiply(left, dright)
+    dcols_dt = (full @ left - left @ a_blocks) @ right
+    if mode == REAL:
+        cols, dcols, dcols_dt = (x.real.astype(np.complex128) for x in (cols, dcols, dcols_dt))
+    return cols, dcols, dcols_dt
 
 
 def sample_curve(spec: GeodesicSpec, ts) -> np.ndarray:
@@ -198,15 +277,17 @@ def geodesic_v21_closed(lam: float, x2: complex, t: float, sign_flip: bool = Fal
     if s == 0.0:
         return (1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
+    # Python complex scalars throughout: numpy's complex division forms 1/s,
+    # which overflows when the rate s is subnormal
     def mu(lam_arg: float, pm: float) -> complex:
-        return np.exp(0.5j * t * (lam_arg + pm * s))
+        return cmath.exp(0.5j * t * (lam_arg + pm * s))
 
     c_plus = lam / (2.0 * s) + 0.5
     c_minus = -lam / (2.0 * s) + 0.5
     lam1 = lam if sign_flip else -lam
     g1 = c_plus * mu(lam1, +1) + c_minus * mu(lam1, -1)
     g2 = (x2 * 1j / s) * (mu(lam, -1) - mu(lam, +1))
-    g3 = -(np.conj(x2) * 1j / s) * (mu(-lam, -1) - mu(-lam, +1))
+    g3 = -(x2.conjugate() * 1j / s) * (mu(-lam, -1) - mu(-lam, +1))
     g4 = (-mu(lam, +1) * (lam - s) + mu(lam, -1) * (lam + s)) / (2.0 * s)
     return (complex(g1), complex(g2), complex(g3), complex(g4))
 
@@ -222,8 +303,8 @@ def geodesic_vn1_closed(x: float, b, t: float):
     s = _rate(x, b)
     if s == 0.0:
         return 1.0 + 0j, np.zeros_like(b)
-    e_full = np.exp(1j * t * s)
-    pref = np.exp(-0.5j * t * (s + x))
+    e_full = cmath.exp(1j * t * s)  # Python complex: see geodesic_v21_closed
+    pref = cmath.exp(-0.5j * t * (s + x))
     g1 = pref * (s * (e_full + 1.0) + x * (e_full - 1.0)) / (2.0 * s)
     g3 = -np.conj(b) * (pref * (e_full - 1.0) / (1j * s))
     return complex(g1), g3

@@ -10,6 +10,9 @@ from stiefel_sr.geodesic import (
     normal_geodesic,
 )
 from stiefel_sr.cutlocus import (
+    _endpoint_residuals,
+    _make_family,
+    _residual_jacobian,
     ANTIDIAGONAL,
     BLOCK_DIAGONAL,
     GENERIC,
@@ -142,6 +145,49 @@ class TestSearchRealSphere:
         assert in_block_diagonal_set(p)
         with pytest.raises(ValueError):
             real_antipodal_cut_point(1)
+
+
+class TestResidualJacobian:
+    """Each family's analytic residual Jacobian against central differences.
+
+    With step h a central difference is off by h^2 / 6 times the third
+    derivative, plus rounding of order 1e-16 / h; at h = 1e-5 both stay near
+    1e-10 for these velocity scales, so 1e-7 (relative to the largest entry)
+    leaves a wide margin while a wrong tangent is off at order one.
+    """
+
+    @pytest.mark.parametrize(
+        "n, k, mode, family",
+        [
+            (2, 1, COMPLEX, "v21"),
+            (4, 1, REAL, "sphere"),
+            (3, 1, COMPLEX, "sphere"),
+            (5, 2, REAL, "general"),
+            (6, 3, COMPLEX, "general"),
+        ],
+    )
+    def test_matches_central_differences(self, n, k, mode, family):
+        grid = VelocityGrid(
+            n, k, mode, family=family, lambda_count=4, phase_count=4, direction_count=4,
+            sample_count=8, seed=3,
+        )
+        fam = _make_family(grid)
+        rng = np.random.default_rng(n + 10 * k)
+        params = fam.initial_params()[:6]
+        params = params + 0.1 * rng.standard_normal(params.shape)
+        x = np.column_stack([params, rng.uniform(0.3, 3.0, len(params))])
+        target = identity_point(n, k, mode).cols
+        jac = _residual_jacobian(fam, x, target)
+        assert jac.shape == (len(x), 2 * n * k, x.shape[1])
+        h = 1e-5
+        tol = 1e-7 * max(1.0, float(np.max(np.abs(jac))))
+        for j in range(x.shape[1]):
+            step = np.zeros_like(x)
+            step[:, j] = h
+            central = (
+                _endpoint_residuals(fam, x + step, target) - _endpoint_residuals(fam, x - step, target)
+            ) / (2 * h)
+            assert np.max(np.abs(jac[:, :, j] - central)) < tol
 
 
 class TestMirrorArrivals:

@@ -4,19 +4,21 @@
 share one kernel.  Each is checked against the definition -- the first k
 columns of expm(t v) . blockdiag(expm(-t a), I) -- and against the other two,
 at the V_{2,1} closed-form shape and at the spectral shapes, in both field
-modes, including degenerate velocities and t = 0.
+modes, including degenerate velocities and t = 0.  The kernel's Jacobian
+companion is checked against scipy's ``expm_frechet`` on the same inputs.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from stiefel_sr import matcore
 from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity
 from stiefel_sr.geodesic import (
     GeodesicSpec,
+    _geodesic_jacobian,
     batch_geodesic_columns,
     geodesic_v21_closed,
     geodesic_vn1_closed,
@@ -96,12 +98,69 @@ class TestKernelAgainstExpm:
             assert not np.any(grid.imag)
 
 
+def reference_derivatives(a, b, t, da, db, mode):
+    """Derivatives of expm(t v)[:, :k] . expm(-t a) along each (da[j], db[j]) and along t.
+
+    Built from scipy's expm_frechet; returns (d, n, k) and (n, k).
+    """
+    k = a.shape[0]
+    v = BlockVelocity(a, b, mode).embed()
+    left = expm(t * v)[:, :k]
+    right = expm(-t * a)
+
+    def along(dv, dfibre):
+        return expm_frechet(t * v, dv)[1][:, :k] @ right + left @ expm_frechet(-t * a, -dfibre)[1]
+
+    d_dir = np.stack(
+        [along(t * BlockVelocity(x, y, mode).embed(), t * x) for x, y in zip(da, db)]
+    )
+    d_t = along(v, a)
+    if mode == REAL:
+        return d_dir.real, d_t.real
+    return d_dir, d_t
+
+
+class TestJacobianAgainstExpmFrechet:
+    """The Daleckii-Krein companion of the kernel against scipy's Frechet derivative."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(SHAPES),
+        st.sampled_from(MODES),
+        st.sampled_from(KINDS),
+        st.lists(st.floats(0.0, 6.0), min_size=2, max_size=2).map(lambda ts: [0.0] + ts),
+    )
+    def test_directional_and_time_derivatives(self, seed, shape, mode, kind, ts):
+        n, k = shape
+        rng = np.random.default_rng(seed)
+        pairs = [velocity_blocks(rng, n, k, mode, kind) for _ in ts]
+        a = np.stack([p[0] for p in pairs])
+        b = np.stack([p[1] for p in pairs])
+        d = 3
+        da = np.stack([[matcore.random_skew_hermitian(rng, k, mode) for _ in range(d)] for _ in ts])
+        db = np.stack([[matcore.random_matrix(rng, k, n - k, mode) for _ in range(d)] for _ in ts])
+        ts = np.array(ts)
+        cols, dcols, dcols_dt = _geodesic_jacobian(a, b, ts, da, db, mode)
+        assert cols.shape == (len(ts), n, k)
+        assert dcols.shape == (len(ts), d, n, k)
+        assert dcols_dt.shape == (len(ts), n, k)
+        assert np.max(np.abs(cols - batch_geodesic_columns(a, b, ts, mode))) < SHARED_ATOL
+        for i, t in enumerate(ts):
+            ref_dir, ref_t = reference_derivatives(a[i], b[i], t, da[i], db[i], mode)
+            assert np.max(np.abs(dcols[i] - ref_dir)) < ATOL
+            assert np.max(np.abs(dcols_dt[i] - ref_t)) < ATOL
+        assert not np.any(dcols[0])  # every velocity starts at the identity class
+        if mode == REAL:
+            assert not np.any(dcols.imag) and not np.any(dcols_dt.imag)
+
+
 class TestClosedFormsAtTinyRates:
     """s = sqrt(x^2 + 4 bb*) -> 0: the closed forms must stay finite and exact."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from([1.0, 1e-4, 1e-9, 1e-170, 0.0]),
+        st.sampled_from([1.0, 1e-4, 1e-9, 1e-170, 1e-310, 0.0]),
         st.floats(-3.0, 3.0),
         st.floats(-2.0, 2.0),
         st.floats(-2.0, 2.0),
@@ -120,7 +179,7 @@ class TestClosedFormsAtTinyRates:
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(2, 6),
-        st.sampled_from([1.0, 1e-4, 1e-9, 1e-170, 0.0]),
+        st.sampled_from([1.0, 1e-4, 1e-9, 1e-170, 1e-310, 0.0]),
         st.floats(-3.0, 3.0),
         st.floats(0.0, 6.0),
     )
