@@ -23,7 +23,9 @@ from .matcore import COMPLEX, REAL, adjoint
 from .homspace import BlockVelocity, StiefelPoint, identity_point
 from .geodesic import (
     GeodesicSpec,
+    _embed_velocities,
     _geodesic_jacobian,
+    _speeds_squared,
     batch_geodesic_columns,
     grassmann_geodesic_2kk,
     grid_geodesic_columns,
@@ -477,12 +479,25 @@ def _refine(
     return x[:, :-1], x[:, -1], np.sqrt(f)
 
 
-def _cluster_count(embeds: list[np.ndarray], eps_v: float) -> int:
-    reps: list[np.ndarray] = []
-    for emb in embeds:
-        if all(np.linalg.norm(emb - r) > eps_v for r in reps):
-            reps.append(emb)
-    return len(reps)
+def _greedy_representatives(embeds: np.ndarray, radius: float, ts=None) -> np.ndarray:
+    """Indices of the stacked (N, n, n) embeds kept by one greedy pass in row order.
+
+    A row is dropped iff it lies within ``radius`` (Frobenius) of an earlier
+    kept row and, when ``ts`` is given, also within ``radius`` of it in time.
+    Each kept row marks the later rows near it with one vectorized norm, so
+    memory stays linear in the row count.
+    """
+    covered = np.zeros(len(embeds), dtype=bool)
+    reps = []
+    for i in range(len(embeds)):
+        if covered[i]:
+            continue
+        reps.append(i)
+        near = np.linalg.norm(embeds[i + 1 :] - embeds[i], axis=(1, 2)) <= radius
+        if ts is not None:
+            near &= np.abs(ts[i + 1 :] - ts[i]) <= radius
+        covered[i + 1 :] |= near
+    return np.array(reps, dtype=np.intp)
 
 
 def search_minimizers(
@@ -516,9 +531,7 @@ def search_minimizers(
         zero = BlockVelocity(
             np.zeros((grid.k, grid.k)), np.zeros((grid.k, grid.n - grid.k)), grid.mode
         )
-        err = float(
-            np.max(np.abs(target.cols - identity_point(grid.n, grid.k, grid.mode).cols))
-        )
+        err = float(np.linalg.norm(target.cols - identity_point(grid.n, grid.k, grid.mode).cols))
         arr = Arrival(velocity=zero, t=0.0, length=0.0, endpoint_error=err)
         return MinimizerReport(tclass, grid, (arr,), 1, 0.0)
 
@@ -558,37 +571,31 @@ def search_minimizers(
         return MinimizerReport(tclass, grid, (), 0, None)
 
     a_blk, b_blk = family.blocks(params[good])
-    arrivals = []
-    for a, b, t in zip(a_blk, b_blk, t_ref[good]):
-        vel = BlockVelocity(a, b, grid.mode)
-        arrivals.append((length(vel, float(t)), float(t), vel))
-    min_len = min(entry[0] for entry in arrivals)
-    kept = [e for e in arrivals if e[0] <= min_len * (1 + _LENGTH_SLACK)]
-    kept.sort(key=lambda e: (e[0], e[1], e[2].embed().tobytes()))
-
-    unique: list[tuple] = []
-    final_embeds: list[np.ndarray] = []
-    for ln, t, vel in kept:
-        emb = vel.embed()
-        dup = any(
-            np.linalg.norm(emb - e) <= 1e-6 and abs(t - u[1]) <= 1e-6
-            for e, u in zip(final_embeds, unique)
-        )
-        if not dup:
-            unique.append((ln, t, vel))
-            final_embeds.append(emb)
-    ends = batch_geodesic_columns(
-        np.stack([vel.a_block for _, _, vel in unique]),
-        np.stack([vel.b_block for _, _, vel in unique]),
-        np.array([t for _, t, _ in unique]),
-        grid.mode,
+    t_good = t_ref[good]
+    lengths = t_good * np.sqrt(_speeds_squared(b_blk, grid.n, grid.mode))
+    min_len = float(lengths.min())
+    kept = np.nonzero(lengths <= min_len * (1 + _LENGTH_SLACK))[0]
+    embeds = _embed_velocities(a_blk[kept], b_blk[kept])
+    order = sorted(
+        range(len(kept)),
+        key=lambda i: (lengths[kept[i]], t_good[kept[i]], embeds[i].tobytes()),
     )
+    kept, embeds = kept[order], embeds[order]
+
+    unique = _greedy_representatives(embeds, 1e-6, t_good[kept])
+    rows, embeds = kept[unique], embeds[unique]
+    ends = batch_geodesic_columns(a_blk[rows], b_blk[rows], t_good[rows], grid.mode)
     errs = np.sqrt(np.sum(np.abs(ends - target.cols) ** 2, axis=(1, 2)))
     final = tuple(
-        Arrival(velocity=vel, t=t, length=ln, endpoint_error=float(err))
-        for (ln, t, vel), err in zip(unique, errs)
+        Arrival(
+            velocity=BlockVelocity(a_blk[i], b_blk[i], grid.mode),
+            t=float(t_good[i]),
+            length=float(lengths[i]),
+            endpoint_error=float(err),
+        )
+        for i, err in zip(rows, errs)
     )
-    clusters = _cluster_count(final_embeds, eps_v)
+    clusters = len(_greedy_representatives(embeds, eps_v))
     return MinimizerReport(tclass, grid, final, clusters, min_len)
 
 
@@ -860,12 +867,8 @@ def verify_antidiagonal_arrivals(
             done += 1
             first_zero_bound = np.pi / (2.0 * sig[-1])
             min_margin = min(min_margin, float(first_zero_bound - t0))
-            ts = np.linspace(0.0, t0, 400)
-            floor = np.inf
-            for t in ts:
-                g1, _ = grassmann_geodesic_2kk(b, t)
-                floor = min(floor, float(np.linalg.norm(g1)))
-            min_floor = min(min_floor, floor)
+            g1, _ = grassmann_geodesic_2kk(b, np.linspace(0.0, t0, 400))
+            min_floor = min(min_floor, float(np.linalg.norm(g1, axis=(1, 2)).min()))
     passed = (
         max_dir_err <= 1e-9
         and max_roundtrip <= 1e-10

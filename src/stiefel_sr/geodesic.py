@@ -58,8 +58,13 @@ def speed_squared(v: BlockVelocity) -> float:
     of the horizontal part (4n tr(bb*) for the complex scaling, 2 tr(bb*)
     for the real one).
     """
-    bb = float(np.sum(np.abs(v.b_block) ** 2))
-    scale = 2 * v.n if v.mode == COMPLEX else 1
+    return float(_speeds_squared(v.b_block[None], v.n, v.mode)[0])
+
+
+def _speeds_squared(b_blocks: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """``speed_squared`` for stacked transversal blocks (c, k, n-k)."""
+    bb = np.sum(np.abs(b_blocks.reshape(len(b_blocks), -1)) ** 2, axis=1)
+    scale = 2 * n if mode == COMPLEX else 1
     return 2.0 * scale * bb
 
 
@@ -322,17 +327,19 @@ def first_vanishing_time(x: float, b) -> float:
     return 2.0 * np.pi / s
 
 
-def grassmann_geodesic_2kk(b, t: float):
+def grassmann_geodesic_2kk(b, t):
     """Square-block Grassmann geodesic: (cos(t r), -b* sin(t r) r^{-1}) with r = sqrt(bb*).
 
     Both blocks are k x k; singular b is fine (the sin(x)/x limit is taken
     spectrally).  Together they are the corner blocks of exp of the embedded
-    horizontal velocity in the 2k x 2k group.
+    horizontal velocity in the 2k x 2k group.  An array of times gives blocks
+    stacked along its shape, from one SVD of b.
     """
     b = np.asarray(b, dtype=np.complex128)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"expected a square block, got {b.shape}")
     u, sig, wh = np.linalg.svd(b)
+    t = np.asarray(t, dtype=np.float64)[..., None, None]
     g1 = (u * np.cos(t * sig)) @ adjoint(u)
     sinc = t * np.sinc(t * sig / np.pi)  # sin(t s)/s with the limit t at s = 0
     g3 = -adjoint(b) @ (u * sinc) @ adjoint(u)

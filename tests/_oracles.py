@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's computational paths: the exponential
-oracle is a truncated power series, the trace oracle a double loop, and the
-length oracle composite-Simpson quadrature of a finite-difference speed.
+oracle is a truncated power series, the trace oracle a double loop, the
+length oracle composite-Simpson quadrature of a finite-difference speed, and
+the dedup and cluster oracles the minimizer search's original pairwise loops.
 """
 
 import numpy as np
@@ -78,3 +79,26 @@ def simpson_curve_length(spec: GeodesicSpec, t_final: float, panels: int = 2048)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float((ts[1] - ts[0]) / 3.0 * np.sum(w * f))
+
+
+def greedy_dedup_loop(embeds, ts, radius: float) -> list[int]:
+    """Indices kept by pairwise greedy dedup: a row is dropped iff an earlier
+    kept row lies within ``radius`` of it both in embed (Frobenius) and in t."""
+    kept: list[int] = []
+    for i, (emb, t) in enumerate(zip(embeds, ts)):
+        dup = any(
+            np.linalg.norm(emb - embeds[j]) <= radius and abs(t - ts[j]) <= radius
+            for j in kept
+        )
+        if not dup:
+            kept.append(i)
+    return kept
+
+
+def greedy_cluster_count_loop(embeds, radius: float) -> int:
+    """Number of greedy representatives at Frobenius separation ``radius``."""
+    reps: list[np.ndarray] = []
+    for emb in embeds:
+        if all(np.linalg.norm(emb - r) > radius for r in reps):
+            reps.append(emb)
+    return len(reps)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stiefel_sr.matcore import COMPLEX, REAL
+from stiefel_sr import matcore
+from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint, identity_point
 from stiefel_sr.geodesic import (
     GeodesicSpec,
@@ -9,8 +12,10 @@ from stiefel_sr.geodesic import (
     length,
     normal_geodesic,
 )
+from stiefel_sr.tolerances import TOL
 from stiefel_sr.cutlocus import (
     _endpoint_residuals,
+    _greedy_representatives,
     _make_family,
     _residual_jacobian,
     ANTIDIAGONAL,
@@ -28,6 +33,8 @@ from stiefel_sr.cutlocus import (
     verify_antidiagonal_arrivals,
     verify_mirror_arrivals,
 )
+
+from _oracles import greedy_cluster_count_loop, greedy_dedup_loop
 
 
 def v21(lam, x2):
@@ -79,6 +86,19 @@ class TestSearchV21:
         arr = rep.arrivals[0]
         assert arr.t == 0.0 and arr.length == 0.0
         assert np.max(np.abs(arr.velocity.embed())) == 0.0
+
+    def test_perturbed_identity_target_reports_frobenius_error(self):
+        # entries within TOL.eq of e1, so the target is the identity class;
+        # the error is the Frobenius norm, as for every other arrival
+        eps = 0.5 * TOL.eq
+        cols = np.array([[np.cos(eps)], [0.6 * np.sin(eps)], [0.8 * np.sin(eps)]])
+        target = StiefelPoint(cols, REAL)
+        assert target.is_identity_class()
+        rep = search_minimizers(target, VelocityGrid(3, 1, REAL))
+        (arr,) = rep.arrivals
+        frob = float(np.linalg.norm(cols - identity_point(3, 1, REAL).cols))
+        assert arr.endpoint_error == frob
+        assert arr.endpoint_error > float(np.max(np.abs(cols - identity_point(3, 1).cols)))
 
     def test_deterministic_given_seed(self):
         target = StiefelPoint(np.array([[-1.0], [0.0]]))
@@ -145,6 +165,97 @@ class TestSearchRealSphere:
         assert in_block_diagonal_set(p)
         with pytest.raises(ValueError):
             real_antipodal_cut_point(1)
+
+
+def _assert_search_invariants(rep):
+    """Reported arrivals are deduplicated, counted and measured as the oracles say."""
+    embeds = np.stack([arr.velocity.embed() for arr in rep.arrivals])
+    ts = np.array([arr.t for arr in rep.arrivals])
+    for i in range(len(embeds)):
+        near = np.linalg.norm(embeds[i + 1 :] - embeds[i], axis=(1, 2)) <= 1e-6
+        assert not np.any(near & (np.abs(ts[i + 1 :] - ts[i]) <= 1e-6))
+    assert rep.clusters == greedy_cluster_count_loop(list(embeds), TOL.vel)
+    for arr in rep.arrivals:
+        assert arr.length == length(arr.velocity, arr.t)
+
+
+class TestSearchInvariants:
+    def test_block_diagonal_v21(self):
+        target = StiefelPoint(np.array([[-1.0], [0.0]]))
+        rep = search_minimizers(target, VelocityGrid(2, 1, COMPLEX, seed=1))
+        assert len(rep.arrivals) > 100 and rep.clusters >= 8
+        _assert_search_invariants(rep)
+
+    def test_real_antipode(self):
+        rep = search_minimizers(real_antipodal_cut_point(3), VelocityGrid(3, 1, REAL, seed=2))
+        assert rep.clusters >= 2
+        _assert_search_invariants(rep)
+
+
+# how a row relates to an earlier one: a fresh point, an exact copy, or a
+# copy moved by a multiple of the radius (a chain when its source was moved)
+FACTORS = [0.5, 0.999, 1.001]
+row_recipes = st.lists(
+    st.tuples(
+        st.sampled_from(["fresh", "copy", "near"]),
+        st.integers(0, 2**16),
+        st.sampled_from(FACTORS),
+        st.sampled_from([0.0] + FACTORS),
+    ),
+    max_size=24,
+)
+
+
+def _recipe_rows(recipes, radius, seed):
+    rng = np.random.default_rng(seed)
+    embeds, ts = [], []
+    for kind, src, factor, t_factor in recipes:
+        if kind == "fresh" or not embeds:
+            embeds.append(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            ts.append(rng.uniform(0.0, 4.0))
+            continue
+        j = src % len(embeds)
+        emb, t = embeds[j], ts[j]
+        if kind == "near":
+            step = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            emb = emb + factor * radius * step / np.linalg.norm(step)
+            t = t + t_factor * radius * rng.choice([-1.0, 1.0])
+        embeds.append(emb)
+        ts.append(t)
+    return np.array(embeds, dtype=np.complex128).reshape(-1, 2, 2), np.array(ts)
+
+
+class TestGreedyRepresentatives:
+    """The search's one-pass dedup and clustering against the pairwise loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_recipes, st.sampled_from([1e-6, 1e-3]), st.integers(0, 2**32 - 1))
+    def test_matches_pairwise_loops(self, recipes, radius, seed):
+        embeds, ts = _recipe_rows(recipes, radius, seed)
+        dedup = _greedy_representatives(embeds, radius, ts)
+        assert dedup.tolist() == greedy_dedup_loop(list(embeds), list(ts), radius)
+        assert len(_greedy_representatives(embeds, radius)) == greedy_cluster_count_loop(
+            list(embeds), radius
+        )
+
+    def test_empty_and_single_row(self):
+        none = np.zeros((0, 2, 2), dtype=np.complex128)
+        assert _greedy_representatives(none, 1e-3).tolist() == []
+        assert _greedy_representatives(none, 1e-3, np.zeros(0)).tolist() == []
+        one = np.ones((1, 2, 2), dtype=np.complex128)
+        assert _greedy_representatives(one, 1e-3, np.ones(1)).tolist() == [0]
+
+    def test_chain_keeps_both_ends(self):
+        # A ~ B and B ~ C but not A ~ C: B is dropped by A, so C survives
+        step = np.zeros((2, 2), dtype=np.complex128)
+        step[0, 1] = 0.999e-3
+        embeds = np.stack([np.zeros((2, 2), dtype=np.complex128), step, 2 * step])
+        assert _greedy_representatives(embeds, 1e-3).tolist() == [0, 2]
+        # time gaps chain the same way; a time gap alone separates rows
+        same = np.zeros((3, 2, 2), dtype=np.complex128)
+        ts = np.array([0.0, 0.999e-6, 1.998e-6])
+        assert _greedy_representatives(same, 1e-6, ts).tolist() == [0, 2]
+        assert _greedy_representatives(same, 1e-6).tolist() == [0]
 
 
 class TestResidualJacobian:
@@ -266,6 +377,31 @@ class TestAntidiagonalArrivals:
     def test_passes(self, k, mode):
         summ = verify_antidiagonal_arrivals(k, samples=10, seed=4, mode=mode)
         assert summ.passed, summ
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("k,seed", [(2, 4), (3, 11)])
+    def test_scan_floor_matches_pointwise_geodesic(self, k, seed, mode):
+        samples = 6
+        summ = verify_antidiagonal_arrivals(k, samples=samples, seed=seed, mode=mode)
+        # replay the summary's draws: the unitary directions (and, in real
+        # mode, their sign flips), then the accepted non-unitary directions
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            matcore.random_unitary(rng, k, mode)
+            if mode == REAL:
+                rng.uniform()
+        t0 = np.pi * np.sqrt(k) / 2.0
+        floors = []
+        while len(floors) < samples:
+            g = matcore.random_matrix(rng, k, k, mode)
+            b = g / np.linalg.norm(g)
+            sig = np.linalg.svd(b, compute_uv=False)
+            if sig[-1] < 0.05 or sig[0] / sig[-1] < 1.05:
+                continue
+            floors.append(
+                min(np.linalg.norm(grassmann_geodesic_2kk(b, t)[0]) for t in np.linspace(0.0, t0, 400))
+            )
+        assert abs(summ.min_scan_floor - min(floors)) <= 1e-14
 
 
 class TestUniquenessChecks:
