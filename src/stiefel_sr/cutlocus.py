@@ -14,6 +14,8 @@ All experiments are deterministic given their seed and grid.
 
 from __future__ import annotations
 
+import functools
+import mmap
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -38,7 +40,9 @@ from .geodesic import (
 
 _LENGTH_SLACK = 1e-6  # arrivals within (1 + slack) of the minimum count as minimal
 _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
-_CHUNK_ELEMENTS = 2**22  # element budget of one batch of scan or Jacobian temporaries
+# element budget of one batch of scan or Jacobian temporaries; a grid's scan
+# table (velocities x times x n x k) is cached only if it fits in one budget
+_CHUNK_ELEMENTS = 2**22
 
 
 # -- target classification ----------------------------------------------------
@@ -114,6 +118,20 @@ class VelocityGrid:
     t_count: int = 256
     seed: int = 0
     family: str = "auto"
+
+    def __post_init__(self):
+        # a tuple keeps the grid hashable (the scan table is cached per grid)
+        object.__setattr__(self, "lambda_range", tuple(self.lambda_range))
+        lo, hi = self.lambda_range
+        if not lo <= hi:
+            raise ValueError(f"lambda_range {self.lambda_range} must have lo <= hi")
+        for name in ("lambda_count", "phase_count", "direction_count", "sample_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
+        if self.t_count < 3:
+            raise ValueError(f"t_count={self.t_count} must be >= 3")
+        if self.t_max is not None and not self.t_max > 0:
+            raise ValueError(f"t_max={self.t_max} must be > 0")
 
     def resolved_family(self) -> str:
         if self.family != "auto":
@@ -387,19 +405,60 @@ def _endpoint_errors(family, params: np.ndarray, ts: np.ndarray, target_cols) ->
     return np.sqrt(np.sum(r * r, axis=1))
 
 
-def _scan_chunk(family, chunk, ts, target_cols, gate):
-    a, b = family.blocks(chunk)
-    cols = grid_geodesic_columns(a, b, ts, family.grid.mode)
+def _scan_times(grid: VelocityGrid) -> np.ndarray:
+    return np.linspace(0.0, grid.resolved_t_max(), grid.t_count)
+
+
+@functools.lru_cache(maxsize=1)
+def _scan_table(grid: VelocityGrid) -> np.ndarray:
+    """Read-only endpoint columns (c, T, n, k) of every grid velocity at every scan time.
+
+    Target- and tolerance-independent, so every search on one grid shares
+    it; callers only pass grids whose table fits ``_CHUNK_ELEMENTS``.
+    """
+    family = _make_family(grid)
+    p0 = family.initial_params()
+    ts = _scan_times(grid)
+    shape = (len(p0), grid.t_count, grid.n, grid.k)
+    # the table lives in an anonymous mapping of its own and is filled a few
+    # velocities per kernel call: a long-lived table on the malloc heap, or
+    # kernel temporaries as large as the table, leave the heap fragmented so
+    # that later large allocations grow the process's peak resident set
+    buf = mmap.mmap(-1, int(np.prod(shape)) * np.dtype(np.complex128).itemsize)
+    table = np.frombuffer(buf, dtype=np.complex128).reshape(shape)
+    for lo in range(0, len(p0), 16):
+        a, b = family.blocks(p0[lo : lo + 16])
+        table[lo : lo + 16] = grid_geodesic_columns(a, b, ts, grid.mode)
+    table.flags.writeable = False
+    return table
+
+
+def _scan_cols(cols, target_cols, gate):
+    """Gated interior local minima of the endpoint error along each row's time grid.
+
+    ``cols`` (c, T, n, k); returns the row indices, time indices and errors
+    of the hits, in row-major order.
+    """
     err = np.sqrt(np.sum(np.abs(cols - target_cols[None, None]) ** 2, axis=(2, 3)))
     interior = (
         (err[:, 1:-1] <= err[:, :-2])
         & (err[:, 1:-1] <= err[:, 2:])
         & (err[:, 1:-1] < gate)
     )
-    hits = []
-    for c, tix in zip(*np.nonzero(interior)):
-        hits.append((int(c), int(tix) + 1, float(err[c, tix + 1])))
-    return hits
+    vix, tix = np.nonzero(interior)
+    tix += 1
+    return vix, tix, err[vix, tix]
+
+
+def _best_hits(vix, tix, err) -> np.ndarray:
+    """Indices of the scan hits that become candidates, in candidate order.
+
+    Up to 3 hits per velocity, the lowest errors first (ties by time index),
+    velocities in grid order.
+    """
+    order = np.lexsort((tix, err, vix))
+    grouped = vix[order]
+    return order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < 3]
 
 
 def _residual_jacobian(family, x: np.ndarray, target_cols) -> np.ndarray:
@@ -514,6 +573,11 @@ def search_minimizers(
     counts velocity clusters at separation ``eps_v``.  Deterministic for a
     fixed grid (seed included); an exhausted search returns an empty-arrival
     report rather than raising.
+
+    The grid's endpoint columns do not depend on the target or tolerances,
+    so they are computed once per grid per process and reused; at most one
+    such table is resident, and only a grid whose table fits the chunk
+    budget is cached (a larger grid is streamed in chunks on every call).
     """
     tol = tolerances.TOL
     eps_hit = tol.hit if eps_hit is None else float(eps_hit)
@@ -536,36 +600,34 @@ def search_minimizers(
         return MinimizerReport(tclass, grid, (arr,), 1, 0.0)
 
     p0 = family.initial_params()
-    ts = np.linspace(0.0, grid.resolved_t_max(), grid.t_count)
+    ts = _scan_times(grid)
     dt = ts[1] - ts[0]
     speed = float(
         np.sqrt(speed_squared(BlockVelocity(*(blk[0] for blk in family.blocks(p0[:1])), grid.mode)))
     )
     gate = max(8 * speed * dt, 0.25) + eps_hit
 
-    # memory-bounded chunks of the velocity grid; the scan keeps every gated
-    # local minimum of the endpoint error along each velocity's time grid
-    chunk_size = max(1, int(_CHUNK_ELEMENTS / (grid.t_count * grid.n * grid.k)))
-    per_velocity: dict[int, list] = {}
-    for start in range(0, len(p0), chunk_size):
-        hits = _scan_chunk(family, p0[start : start + chunk_size], ts, target.cols, gate)
-        for c, tix, err in hits:
-            per_velocity.setdefault(start + c, []).append((err, tix))
+    # every gated local minimum of the endpoint error along each velocity's
+    # time grid; a table that fits the chunk budget is evaluated once per
+    # grid, a larger grid streams through memory-bounded chunks
+    row_elements = grid.t_count * grid.n * grid.k
+    if len(p0) * row_elements <= _CHUNK_ELEMENTS:
+        vix, tix, err = _scan_cols(_scan_table(grid), target.cols, gate)
+    else:
+        chunk_size = max(1, int(_CHUNK_ELEMENTS / row_elements))
+        hits = []
+        for start in range(0, len(p0), chunk_size):
+            a, b = family.blocks(p0[start : start + chunk_size])
+            cols = grid_geodesic_columns(a, b, ts, grid.mode)
+            v, t, e = _scan_cols(cols, target.cols, gate)
+            hits.append((v + start, t, e))
+        vix, tix, err = (np.concatenate(x) for x in zip(*hits))
 
-    # candidate set: up to 3 best scanned minima per velocity, deterministic order
-    cand_rows = []
-    cand_ts = []
-    for vix in sorted(per_velocity):
-        entries = sorted(per_velocity[vix])[:3]
-        for _, tix in entries:
-            cand_rows.append(p0[vix])
-            cand_ts.append(ts[tix])
-    if not cand_rows:
+    pick = _best_hits(vix, tix, err)
+    if len(pick) == 0:
         return MinimizerReport(tclass, grid, (), 0, None)
 
-    params, t_ref, errs = _refine(
-        family, np.array(cand_rows), np.array(cand_ts), target.cols, eps_hit
-    )
+    params, t_ref, errs = _refine(family, p0[vix[pick]], ts[tix[pick]], target.cols, eps_hit)
     good = (errs <= eps_hit) & (t_ref > 10 * _REFINE_FLOOR)
     if not good.any():
         return MinimizerReport(tclass, grid, (), 0, None)

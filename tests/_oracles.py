@@ -3,7 +3,8 @@
 These deliberately avoid the library's computational paths: the exponential
 oracle is a truncated power series, the trace oracle a double loop, the
 length oracle composite-Simpson quadrature of a finite-difference speed, and
-the dedup and cluster oracles the minimizer search's original pairwise loops.
+the dedup and cluster oracles the minimizer search's original pairwise loops,
+and the candidate oracle its original per-hit loop.
 """
 
 import numpy as np
@@ -102,3 +103,14 @@ def greedy_cluster_count_loop(embeds, radius: float) -> int:
         if all(np.linalg.norm(emb - r) > radius for r in reps):
             reps.append(emb)
     return len(reps)
+
+
+def best_hits_loop(vix, tix, err) -> list[tuple[int, int]]:
+    """(velocity, time index) of the candidates: per velocity in ascending
+    order, its hits sorted by (error, time index), the first three."""
+    per_velocity: dict[int, list] = {}
+    for v, t, e in zip(vix, tix, err):
+        per_velocity.setdefault(int(v), []).append((float(e), int(t)))
+    return [
+        (v, t) for v in sorted(per_velocity) for _, t in sorted(per_velocity[v])[:3]
+    ]

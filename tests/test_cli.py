@@ -4,16 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from stiefel_sr import tolerances
-from stiefel_sr.cli import main
+from stiefel_sr.cli import EXIT_USAGE, main
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint
-
-
-@pytest.fixture
-def default_tolerances():
-    """Restore the default tolerance record after a test that configures it."""
-    yield
-    tolerances.configure(**vars(tolerances.Tolerances()))
 
 
 def run(*args):
@@ -176,6 +168,15 @@ class TestCutlocusSearch:
 
     def test_missing_target(self):
         assert run("cutlocus-search", "--n", "2", "--k", "1") == 2
+
+    def test_degenerate_grid_is_usage_error(self, capsys):
+        code = run(
+            "cutlocus-search", "--n", "2", "--k", "1", "--t-count", "1",
+            "--target", target_json([[-1.0], [0.0]]),
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "t_count" in err and "Traceback" not in err
 
     def test_inline_grid_record(self, tmp_path):
         out = tmp_path / "r.json"

@@ -1,23 +1,29 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefel_sr import matcore
+from stiefel_sr import cutlocus, matcore, tolerances
 from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint, identity_point
 from stiefel_sr.geodesic import (
     GeodesicSpec,
     grassmann_geodesic_2kk,
+    grid_geodesic_columns,
     length,
     normal_geodesic,
 )
 from stiefel_sr.tolerances import TOL
 from stiefel_sr.cutlocus import (
+    _best_hits,
     _endpoint_residuals,
     _greedy_representatives,
     _make_family,
     _residual_jacobian,
+    _scan_table,
+    _scan_times,
     ANTIDIAGONAL,
     BLOCK_DIAGONAL,
     GENERIC,
@@ -34,7 +40,7 @@ from stiefel_sr.cutlocus import (
     verify_mirror_arrivals,
 )
 
-from _oracles import greedy_cluster_count_loop, greedy_dedup_loop
+from _oracles import best_hits_loop, greedy_cluster_count_loop, greedy_dedup_loop
 
 
 def v21(lam, x2):
@@ -258,6 +264,27 @@ class TestGreedyRepresentatives:
         assert _greedy_representatives(same, 1e-6).tolist() == [0]
 
 
+class TestBestHits:
+    """The vectorized candidate choice against the per-hit loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(1, 30), st.sampled_from([0.0, 0.1, 0.2])),
+            unique_by=lambda h: h[:2],
+            max_size=60,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_per_hit_loop(self, hits, rnd):
+        # a scan yields hits in row-major order; the choice must not rely on it
+        rnd.shuffle(hits)
+        rows = np.array(hits, dtype=np.float64).reshape(-1, 3)
+        vix, tix, err = rows[:, 0].astype(np.intp), rows[:, 1].astype(np.intp), rows[:, 2]
+        pick = _best_hits(vix, tix, err)
+        assert list(zip(vix[pick].tolist(), tix[pick].tolist())) == best_hits_loop(vix, tix, err)
+
+
 class TestResidualJacobian:
     """Each family's analytic residual Jacobian against central differences.
 
@@ -416,7 +443,132 @@ class TestUniquenessChecks:
         assert abs(np.tan(0.5) / 0.5 - np.tan(1.0) / 1.0) > 1e-9
 
 
+def _report_bytes(target, grid, **kwargs) -> str:
+    return json.dumps(search_minimizers(target, grid, **kwargs).to_json_dict())
+
+
+_SMALL_V21 = VelocityGrid(2, 1, COMPLEX, seed=7, lambda_count=16, phase_count=16, t_count=96)
+
+
+def _cut_v21():
+    return StiefelPoint(np.array([[-1.0], [0.0]]))
+
+
+def _generic_v21():
+    return normal_geodesic(GeodesicSpec(v21(1.0, 1.0)), 0.3)
+
+
+class TestScanTable:
+    @pytest.mark.parametrize(
+        "target, grid",
+        [
+            (_cut_v21(), VelocityGrid(2, 1, COMPLEX, seed=1)),
+            (_generic_v21(), VelocityGrid(2, 1, COMPLEX, seed=1)),
+            (real_antipodal_cut_point(3), VelocityGrid(3, 1, REAL, seed=2)),
+        ],
+        ids=["block_diagonal_v21", "generic_v21", "real_antipode"],
+    )
+    def test_cold_and_warm_reports_identical(self, target, grid):
+        _scan_table.cache_clear()
+        cold = _report_bytes(target, grid)
+        assert _scan_table.cache_info().misses == 1
+        warm = _report_bytes(target, grid)
+        assert _scan_table.cache_info().hits == 1
+        assert cold == warm
+
+    @pytest.mark.parametrize(
+        "target, grid",
+        [
+            (_cut_v21(), _SMALL_V21),
+            (_generic_v21(), _SMALL_V21),
+            (real_antipodal_cut_point(3), VelocityGrid(3, 1, REAL, seed=2, t_count=96)),
+            (
+                normal_geodesic(GeodesicSpec(BlockVelocity(
+                    np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]])
+                )), 0.8),
+                VelocityGrid(4, 2, COMPLEX, family="general", sample_count=32, t_count=64, seed=4),
+            ),
+        ],
+        ids=["block_diagonal_v21", "generic_v21", "real_antipode", "general_v42"],
+    )
+    def test_cached_and_streamed_reports_identical(self, target, grid, monkeypatch):
+        _scan_table.cache_clear()
+        cached = _report_bytes(target, grid)
+        assert _scan_table.cache_info().currsize == 1
+        _scan_table.cache_clear()
+        # a budget of 20 velocities: the same grid now streams in several chunks
+        monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
+        streamed = _report_bytes(target, grid)
+        assert _scan_table.cache_info().currsize == 0
+        assert cached == streamed
+
+    def test_over_budget_grid_leaves_cache_empty(self):
+        _scan_table.cache_clear()
+        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=129, phase_count=64)
+        assert 129 * 64 * grid.t_count * 2 > cutlocus._CHUNK_ELEMENTS
+        rep = search_minimizers(_generic_v21(), grid)
+        assert rep.clusters == 1
+        info = _scan_table.cache_info()
+        assert info.currsize == 0 and info.misses == 0
+
+    def test_table_is_read_only_and_matches_one_kernel_call(self):
+        grid = VelocityGrid(3, 1, COMPLEX, direction_count=16, lambda_count=8, t_count=32, seed=3)
+        table = _scan_table(grid)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 0.0
+        family = _make_family(grid)
+        a, b = family.blocks(family.initial_params())
+        assert np.array_equal(table, grid_geodesic_columns(a, b, _scan_times(grid), grid.mode))
+
+    def test_list_and_tuple_range_share_one_entry(self):
+        _scan_table.cache_clear()
+        counts = {"lambda_count": 16, "phase_count": 16}
+        listed = VelocityGrid(2, 1, COMPLEX, lambda_range=[-2.0, 2.0], **counts)
+        tupled = VelocityGrid(2, 1, COMPLEX, lambda_range=(-2.0, 2.0), **counts)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert json.dumps(listed.to_json_dict()) == json.dumps(tupled.to_json_dict())
+        assert _report_bytes(_cut_v21(), listed) == _report_bytes(_cut_v21(), tupled)
+        info = _scan_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_configured_tolerances_apply_with_a_warm_cache(self, default_tolerances):
+        # the near-miss target is 1e-5 from the cut point e^{i pi/2} e1
+        near = StiefelPoint(np.array([[1j], [1e-5]]) / np.sqrt(1 + 1e-10))
+        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=12, phase_count=12, t_count=96)
+        _scan_table.cache_clear()
+        default = search_minimizers(near, grid)
+        assert default.clusters == 1
+        assert search_minimizers(near, grid, eps_hit=5e-3).clusters >= 2
+        tolerances.configure(hit=5e-3, eq=1e-4)
+        configured = search_minimizers(near, grid)
+        assert configured.clusters >= 2
+        assert configured.target.kind == BLOCK_DIAGONAL
+        assert max(a.endpoint_error for a in configured.arrivals) > 1e-8
+        info = _scan_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
 class TestGridValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_count", 1),
+            ("t_count", 2),
+            ("lambda_count", 0),
+            ("phase_count", 0),
+            ("direction_count", 0),
+            ("sample_count", -1),
+            ("t_max", 0.0),
+            ("t_max", -1.0),
+            ("t_max", float("nan")),
+            ("lambda_range", (1.0, -1.0)),
+        ],
+    )
+    def test_degenerate_grid_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            VelocityGrid(2, 1, COMPLEX, **{field: value})
+
     def test_target_grid_mismatch(self):
         with pytest.raises(ValueError):
             search_minimizers(identity_point(3, 1), VelocityGrid(2, 1, COMPLEX))
