@@ -33,7 +33,6 @@ from .geodesic import (
     grid_geodesic_columns,
     length,
     mirror_velocity,
-    normal_geodesic,
     sample_curve,
     speed_squared,
 )
@@ -43,6 +42,10 @@ _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
 # element budget of one batch of scan or Jacobian temporaries; a grid's scan
 # table (velocities x times x n x k) is cached only if it fits in one budget
 _CHUNK_ELEMENTS = 2**22
+# Gauss-Newton refinement of a block-diagonal hit: at most this many steps,
+# stopping early once a step moves t by at most the floor times t_upper
+_HIT_GN_ITERS = 6
+_HIT_STEP_FLOOR = 1e-15
 
 
 # -- target classification ----------------------------------------------------
@@ -399,12 +402,6 @@ def _endpoint_residuals(family, x: np.ndarray, target_cols) -> np.ndarray:
     return out
 
 
-def _endpoint_errors(family, params: np.ndarray, ts: np.ndarray, target_cols) -> np.ndarray:
-    """Batched endpoint error (Frobenius norm) for candidate i at time ts[i]."""
-    r = _endpoint_residuals(family, np.column_stack([params, ts]), target_cols)
-    return np.sqrt(np.sum(r * r, axis=1))
-
-
 def _scan_times(grid: VelocityGrid) -> np.ndarray:
     return np.linspace(0.0, grid.resolved_t_max(), grid.t_count)
 
@@ -701,15 +698,18 @@ def sample_block_diagonal_hitting_velocity(
 
 
 def first_block_diagonal_hit(
-    spec: GeodesicSpec, t_upper: float, scan_points: int = 1200, refine_iters: int = 60
+    spec: GeodesicSpec, t_upper: float, scan_points: int = 1200
 ) -> float | None:
     """First strictly positive time the lower block vanishes, or None.
 
     Scans the lower-block norm on a dense grid (skipping the initial rise out
     of the identity class, where the norm is trivially small) and refines the
-    first dip by golden-section minimization.
+    first dip by Gauss-Newton steps on the lower block r(t) = P(t)[k:] of the
+    endpoint P, with dP/dt = v P - P a (exp(-t a) commutes with a), clamped to
+    the dip's scan bracket.  A dip whose norm does not reach TOL.eq is no hit.
     """
     k = spec.k
+    a, b = spec.v.a_block, spec.v.b_block
     ts = np.linspace(0.0, t_upper, scan_points)
     cols = sample_curve(spec, ts)
     g = np.sqrt(np.sum(np.abs(cols[:, k:, :]) ** 2, axis=(1, 2)))
@@ -719,35 +719,30 @@ def first_block_diagonal_hit(
     risen = np.nonzero(g > 0.5 * peak)[0]
     if len(risen) == 0:
         return None
-    start = risen[0]
-    idx = None
-    for i in range(start + 1, scan_points - 1):
-        if g[i] <= g[i - 1] and g[i] <= g[i + 1] and g[i] < 0.2 * peak:
-            idx = i
-            break
-    if idx is None:
+    mid = g[1:-1]
+    dips = (mid <= g[:-2]) & (mid <= g[2:]) & (mid < 0.2 * peak)
+    dips[: risen[0]] = False  # mid[j] is g[j + 1]; dips must come after the rise
+    found = np.flatnonzero(dips)
+    if len(found) == 0:
         return None
-
-    def gval(t):
-        c = sample_curve(spec, [t])[0]
-        return float(np.sqrt(np.sum(np.abs(c[k:, :]) ** 2)))
-
+    idx = int(found[0]) + 1
     lo, hi = ts[idx - 1], ts[idx + 1]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c1 = hi - invphi * (hi - lo)
-    c2 = lo + invphi * (hi - lo)
-    f1, f2 = gval(c1), gval(c2)
-    for _ in range(refine_iters):
-        if f1 <= f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - invphi * (hi - lo)
-            f1 = gval(c1)
-        else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + invphi * (hi - lo)
-            f2 = gval(c2)
-    t_hit = float((lo + hi) / 2.0)
-    return t_hit if gval(t_hit) <= tolerances.TOL.eq else None
+    t = float(ts[idx])
+    for _ in range(_HIT_GN_ITERS):
+        p = sample_curve(spec, [t])[0]
+        r = p[k:]
+        d = -adjoint(b) @ p[:k] - r @ a  # lower block of v P - P a
+        dd = float(np.sum(np.abs(d) ** 2))
+        if dd == 0.0:
+            break
+        t_next = float(np.clip(t - np.sum(d.conj() * r).real / dd, lo, hi))
+        if abs(t_next - t) <= _HIT_STEP_FLOOR * t_upper:
+            break
+        t = t_next
+    else:
+        p = sample_curve(spec, [t])[0]
+    gap = float(np.sqrt(np.sum(np.abs(p[k:]) ** 2)))
+    return t if gap <= tolerances.TOL.eq else None
 
 
 @dataclass(frozen=True)
@@ -811,23 +806,29 @@ def verify_mirror_arrivals(
         if t_hit is None:
             failures += 1
             continue
-        p = normal_geodesic(spec, t_hit)
-        if not in_block_diagonal_set(p):
+        # the twin through a random factor u may coincide with vel (u near -I),
+        # so only its endpoint and length are checked
+        mirrored = mirror_velocity(vel)
+        twins = (mirrored, mirror_velocity(vel, matcore.random_unitary(rng, n - k, mode)))
+        blocks = (vel,) + twins
+        ends = batch_geodesic_columns(
+            np.stack([w.a_block for w in blocks]),
+            np.stack([w.b_block for w in blocks]),
+            np.full(len(blocks), t_hit),
+            mode,
+        )
+        if not in_block_diagonal_set(StiefelPoint(ends[0], mode)):
             failures += 1
             continue
-        mirrored = mirror_velocity(vel)
         sep = float(np.linalg.norm(vel.embed() - mirrored.embed()))
         min_sep = min(min_sep, sep)
         if sep <= tolerances.TOL.vel:
             failures += 1
-        # the twin through a random factor u may coincide with vel (u near -I),
-        # so only its endpoint and length are checked
-        twins = (mirrored, mirror_velocity(vel, matcore.random_unitary(rng, n - k, mode)))
-        for twin in twins:
-            q = normal_geodesic(GeodesicSpec(twin), t_hit)
-            gap = float(np.max(np.abs(q.cols - p.cols)))
+        vel_len = length(vel, t_hit)
+        for twin, q in zip(twins, ends[1:]):
+            gap = float(np.max(np.abs(q - ends[0])))
             max_end = max(max_end, gap)
-            len_gap = abs(length(vel, t_hit) - length(twin, t_hit))
+            len_gap = abs(vel_len - length(twin, t_hit))
             max_len = max(max_len, len_gap)
             if gap > eps_hit or len_gap > 1e-10:
                 failures += 1
@@ -909,12 +910,14 @@ def verify_antidiagonal_arrivals(
         endpoints.append(g3)
 
     # injectivity across distinct directions only (small direction sets repeat)
-    min_gap = np.inf
-    for i in range(len(endpoints)):
-        for j in range(i + 1, len(endpoints)):
-            if float(np.linalg.norm(directions[i] - directions[j])) <= 1e-6:
-                continue
-            min_gap = min(min_gap, float(np.linalg.norm(endpoints[i] - endpoints[j])))
+    pairs = np.triu_indices(samples, 1)
+
+    def pair_gaps(blocks):
+        flat = np.reshape(blocks, (samples, k * k))
+        return np.linalg.norm(flat[:, None] - flat[None], axis=-1)[pairs]
+
+    ends_gap = pair_gaps(endpoints)[pair_gaps(directions) > 1e-6]
+    min_gap = float(ends_gap.min()) if ends_gap.size else np.inf
 
     min_margin = np.inf
     min_floor = np.inf

@@ -193,9 +193,3 @@ def random_unitary(rng: np.random.Generator, n: int, mode: str = COMPLEX) -> np.
         q = q.astype(np.complex128)
     return q
 
-
-def random_co_isometry(rng: np.random.Generator, k: int, m: int, mode: str = COMPLEX) -> np.ndarray:
-    """Random k x m matrix with orthonormal rows (requires k <= m)."""
-    if k > m:
-        raise ValueError(f"co-isometry needs k <= m, got k={k}, m={m}")
-    return random_unitary(rng, m, mode)[:k, :]

@@ -4,11 +4,13 @@ These deliberately avoid the library's computational paths: the exponential
 oracle is a truncated power series, the trace oracle a double loop, the
 length oracle composite-Simpson quadrature of a finite-difference speed, and
 the dedup and cluster oracles the minimizer search's original pairwise loops,
-and the candidate oracle its original per-hit loop.
+the candidate oracle its original per-hit loop, and the hit oracle the
+original golden-section refinement of the first block-diagonal dip.
 """
 
 import numpy as np
 
+from stiefel_sr import tolerances
 from stiefel_sr.geodesic import GeodesicSpec, sample_curve
 from stiefel_sr.matcore import COMPLEX
 
@@ -114,3 +116,49 @@ def best_hits_loop(vix, tix, err) -> list[tuple[int, int]]:
     return [
         (v, t) for v in sorted(per_velocity) for _, t in sorted(per_velocity[v])[:3]
     ]
+
+
+def golden_section_hit(
+    spec: GeodesicSpec, t_upper: float, scan_points: int = 1200, refine_iters: int = 60
+) -> float | None:
+    """First block-diagonal hit by a per-index dip search and golden-section
+    minimization of the lower-block norm, one point per evaluation."""
+    k = spec.k
+    ts = np.linspace(0.0, t_upper, scan_points)
+    cols = sample_curve(spec, ts)
+    g = np.sqrt(np.sum(np.abs(cols[:, k:, :]) ** 2, axis=(1, 2)))
+    peak = float(g.max())
+    if peak <= tolerances.TOL.eq:
+        return None
+    risen = np.nonzero(g > 0.5 * peak)[0]
+    if len(risen) == 0:
+        return None
+    start = risen[0]
+    idx = None
+    for i in range(start + 1, scan_points - 1):
+        if g[i] <= g[i - 1] and g[i] <= g[i + 1] and g[i] < 0.2 * peak:
+            idx = i
+            break
+    if idx is None:
+        return None
+
+    def gval(t):
+        c = sample_curve(spec, [t])[0]
+        return float(np.sqrt(np.sum(np.abs(c[k:, :]) ** 2)))
+
+    lo, hi = ts[idx - 1], ts[idx + 1]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c1 = hi - invphi * (hi - lo)
+    c2 = lo + invphi * (hi - lo)
+    f1, f2 = gval(c1), gval(c2)
+    for _ in range(refine_iters):
+        if f1 <= f2:
+            hi, c2, f2 = c2, c1, f1
+            c1 = hi - invphi * (hi - lo)
+            f1 = gval(c1)
+        else:
+            lo, c1, f1 = c1, c2, f2
+            c2 = lo + invphi * (hi - lo)
+            f2 = gval(c2)
+    t_hit = float((lo + hi) / 2.0)
+    return t_hit if gval(t_hit) <= tolerances.TOL.eq else None

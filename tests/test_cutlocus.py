@@ -40,7 +40,12 @@ from stiefel_sr.cutlocus import (
     verify_mirror_arrivals,
 )
 
-from _oracles import best_hits_loop, greedy_cluster_count_loop, greedy_dedup_loop
+from _oracles import (
+    best_hits_loop,
+    golden_section_hit,
+    greedy_cluster_count_loop,
+    greedy_dedup_loop,
+)
 
 
 def v21(lam, x2):
@@ -328,6 +333,69 @@ class TestResidualJacobian:
             assert np.max(np.abs(jac[:, :, j] - central)) < tol
 
 
+HIT_SHAPES = [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)]
+
+
+class TestFirstBlockDiagonalHit:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n,k", HIT_SHAPES)
+    def test_matches_golden_section_and_analytic_time(self, n, k, mode):
+        rng = np.random.default_rng(60 + 10 * n + k)
+        for _ in range(10):
+            vel, t_exp = sample_block_diagonal_hitting_velocity(rng, n, k, mode)
+            spec = GeodesicSpec(vel)
+            t_hit = first_block_diagonal_hit(spec, 1.15 * t_exp)
+            t_ref = golden_section_hit(spec, 1.15 * t_exp)
+            assert t_hit is not None and t_ref is not None
+            assert abs(t_hit - t_ref) <= 1e-12
+            assert abs(t_hit - t_exp) <= 1e-12 * t_exp
+
+    @pytest.mark.parametrize("n,k,mode", [(3, 1, COMPLEX), (4, 2, REAL), (6, 3, COMPLEX)])
+    def test_first_of_several_hits(self, n, k, mode):
+        # the common rate s brings every hit back at multiples of t_exp
+        rng = np.random.default_rng(n + k)
+        for _ in range(3):
+            vel, t_exp = sample_block_diagonal_hitting_velocity(rng, n, k, mode)
+            spec = GeodesicSpec(vel)
+            t_hit = first_block_diagonal_hit(spec, 2.5 * t_exp)
+            assert t_hit == pytest.approx(t_exp, rel=1e-12)
+            assert t_hit == pytest.approx(golden_section_hit(spec, 2.5 * t_exp), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "diag,expected", [((1.0, 1.02), None), ((1.0, 1.0), np.pi)]
+    )
+    def test_near_miss_is_no_hit(self, diag, expected):
+        # a = 0, b = diag(s1, s2): the lower block is -b* sin(t r) / r, whose
+        # singular values vanish at pi / s_j; unequal ones leave a dip near pi
+        # of about 0.06 that never reaches zero
+        vel = BlockVelocity(np.zeros((2, 2)), np.diag(diag).astype(complex))
+        spec = GeodesicSpec(vel)
+        for hit in (first_block_diagonal_hit(spec, 4.0), golden_section_hit(spec, 4.0)):
+            if expected is None:
+                assert hit is None
+            else:
+                assert hit == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_few_kernel_calls_per_hit(self, mode, monkeypatch):
+        calls = []  # points per sample_curve call
+        real = cutlocus.sample_curve
+
+        def counted(spec, ts):
+            calls.append(len(np.atleast_1d(ts)))
+            return real(spec, ts)
+
+        monkeypatch.setattr(cutlocus, "sample_curve", counted)
+        rng = np.random.default_rng(7)
+        for n, k in HIT_SHAPES:
+            for _ in range(4):
+                vel, t_exp = sample_block_diagonal_hitting_velocity(rng, n, k, mode)
+                calls.clear()
+                assert first_block_diagonal_hit(GeodesicSpec(vel), 1.15 * t_exp) is not None
+                assert calls[0] == 1200 and len(calls) <= 8
+                assert all(c == 1 for c in calls[1:])
+
+
 class TestMirrorArrivals:
     def test_sampled_velocities_hit(self):
         rng = np.random.default_rng(3)
@@ -381,6 +449,33 @@ class TestMirrorArrivals:
         )
         assert summ.skipped == 1 and summ.samples == 1 and summ.passed
 
+    @pytest.mark.parametrize("n,k,mode", [(2, 1, COMPLEX), (5, 2, REAL)])
+    def test_one_batched_endpoint_call_per_sample(self, n, k, mode, monkeypatch):
+        batches = []
+        real = cutlocus.batch_geodesic_columns
+
+        def counted(a, b, ts, mode=COMPLEX):
+            batches.append(len(ts))
+            return real(a, b, ts, mode)
+
+        monkeypatch.setattr(cutlocus, "batch_geodesic_columns", counted)
+        summ = verify_mirror_arrivals(n, k, samples=6, seed=9, mode=mode)
+        assert summ.passed
+        assert batches == [3] * 6  # the velocity and its two twins, once per sample
+
+    def test_shifted_twin_endpoint_fails(self, monkeypatch):
+        real = cutlocus.batch_geodesic_columns
+
+        def shifted(a, b, ts, mode=COMPLEX):
+            cols = real(a, b, ts, mode)
+            cols[2] *= np.exp(1e-6j)  # the random twin lands 1e-6 away
+            return cols
+
+        monkeypatch.setattr(cutlocus, "batch_geodesic_columns", shifted)
+        summ = verify_mirror_arrivals(3, 1, samples=4, seed=2)
+        assert not summ.passed and summ.failures == 4
+        assert summ.max_endpoint_gap > 1e-7
+
 
 class TestAntidiagonalArrivals:
     def test_k1_time(self):
@@ -429,6 +524,33 @@ class TestAntidiagonalArrivals:
                 min(np.linalg.norm(grassmann_geodesic_2kk(b, t)[0]) for t in np.linspace(0.0, t0, 400))
             )
         assert abs(summ.min_scan_floor - min(floors)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "k,mode,seed", [(1, REAL, 3), (1, COMPLEX, 5), (2, COMPLEX, 4), (3, REAL, 11)]
+    )
+    def test_endpoint_gap_matches_pairwise_loop(self, k, mode, seed):
+        samples = 12
+        summ = verify_antidiagonal_arrivals(k, samples=samples, seed=seed, mode=mode)
+        rng = np.random.default_rng(seed)
+        t0 = np.pi * np.sqrt(k) / 2.0
+        directions, endpoints = [], []
+        for _ in range(samples):
+            q = matcore.random_unitary(rng, k, mode)
+            if mode == REAL and rng.uniform() < 0.5:
+                q = np.array(q)
+                q[:, 0] = -q[:, 0]
+            b = q / np.sqrt(k)
+            directions.append(b)
+            endpoints.append(grassmann_geodesic_2kk(b, t0)[1])
+        gap = np.inf
+        for i in range(samples):
+            for j in range(i + 1, samples):
+                if np.linalg.norm(directions[i] - directions[j]) > 1e-6:
+                    gap = min(gap, np.linalg.norm(endpoints[i] - endpoints[j]))
+        if np.isfinite(gap):
+            assert summ.min_endpoint_gap == pytest.approx(gap, rel=1e-15)
+        else:
+            assert summ.min_endpoint_gap == np.inf
 
 
 class TestUniquenessChecks:
