@@ -11,7 +11,7 @@ Option precedence: command-line flags > --config file > built-in defaults.
 The config file is a JSON object whose keys mirror the long option names
 (with dashes or underscores), plus optional "grid" and "tolerances" records;
 the tolerances record replaces the library-wide tolerances before the command
-runs.
+runs and is the only way to set them.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, *, n=False, k=False, mode=True, seed=True):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
         if n:
             p.add_argument("--n", type=int, default=None)
         if k:
@@ -100,8 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, n=True, k=True)
     p.add_argument("--target", type=str, default=None, help="inline target JSON")
     p.add_argument("--target-file", type=str, default=None)
-    p.add_argument("--eps-hit", type=float, default=None)
-    p.add_argument("--eps-v", type=float, default=None)
     p.add_argument("--grid", type=str, default=None, help="inline grid JSON record")
     for key in _GRID_KEYS:
         if key == "lambda_range":
@@ -149,9 +146,6 @@ def _pick(args, cfg: dict, name: str, default=None):
 
 
 def _emit(args, cfg, payload: dict) -> None:
-    fmt = _pick(args, cfg, "format", "json")
-    if fmt != "json":
-        raise _UsageError("this command emits JSON reports; --format csv applies to geodesic-eval")
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out = _pick(args, cfg, "out", "-")
     if out == "-":
@@ -199,39 +193,56 @@ def _require(args, cfg, name: str):
     return val
 
 
+def _record(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise _UsageError(f"the {name} record must be a JSON object, got {value!r}")
+    return value
+
+
 def _apply_tolerances(cfg: dict) -> None:
     tol_cfg = cfg.get("tolerances")
-    if tol_cfg:
-        tolerances.configure(**{str(k): float(v) for k, v in tol_cfg.items()})
+    if tol_cfg is not None:
+        tolerances.configure(**_record(tol_cfg, "tolerances"))
 
 
 def _grid_from(args, cfg, n: int, k: int, mode: str, seed: int) -> VelocityGrid:
-    grid_cfg = dict(cfg.get("grid") or {})
+    grid_cfg = dict(_record(cfg.get("grid") or {}, "grid"))
     inline = getattr(args, "grid", None)
     if inline:  # inline record overrides the config file, flags override both
         try:
-            grid_cfg.update(json.loads(inline))
+            grid_cfg.update(_record(json.loads(inline), "grid"))
         except json.JSONDecodeError as err:
             raise _UsageError(f"malformed grid JSON: {err}") from err
     kwargs = {"n": n, "k": k, "mode": mode, "seed": seed}
-    lam_lo = _pick(args, grid_cfg, "lambda_min")
-    lam_hi = _pick(args, grid_cfg, "lambda_max")
+
+    def number(key: str, kind):
+        val = _pick(args, grid_cfg, key)
+        try:
+            return None if val is None else kind(val)
+        except (TypeError, ValueError) as err:
+            raise _UsageError(f"grid {key} must be a number, got {val!r}") from err
+
     rng_cfg = grid_cfg.get("lambda_range")
     if rng_cfg is not None:
+        if not (
+            isinstance(rng_cfg, list)
+            and len(rng_cfg) == 2
+            and all(isinstance(x, (int, float)) for x in rng_cfg)
+        ):
+            raise _UsageError(f"grid lambda_range must be two numbers, got {rng_cfg!r}")
         kwargs["lambda_range"] = (float(rng_cfg[0]), float(rng_cfg[1]))
+    lam_lo, lam_hi = number("lambda_min", float), number("lambda_max", float)
     if lam_lo is not None or lam_hi is not None:
         base = kwargs.get("lambda_range", VelocityGrid(n, k).lambda_range)
         kwargs["lambda_range"] = (
-            float(lam_lo) if lam_lo is not None else base[0],
-            float(lam_hi) if lam_hi is not None else base[1],
+            lam_lo if lam_lo is not None else base[0],
+            lam_hi if lam_hi is not None else base[1],
         )
-    for key in ("lambda_count", "phase_count", "direction_count", "sample_count", "t_count"):
-        val = _pick(args, grid_cfg, key)
+    counts = ("lambda_count", "phase_count", "direction_count", "sample_count", "t_count")
+    for key in counts + ("t_max",):
+        val = number(key, float if key == "t_max" else int)
         if val is not None:
-            kwargs[key] = int(val)
-    t_max = _pick(args, grid_cfg, "t_max")
-    if t_max is not None:
-        kwargs["t_max"] = float(t_max)
+            kwargs[key] = val
     family = _pick(args, grid_cfg, "family")
     if family is not None:
         kwargs["family"] = str(family)
@@ -252,9 +263,6 @@ def _cmd_geodesic_eval(args, cfg) -> int:
     samples = int(_pick(args, cfg, "samples", 64))
     if samples < 1:
         raise _UsageError("--samples must be positive")
-    fmt = _pick(args, cfg, "format", "csv")
-    if fmt != "csv":
-        raise _UsageError("geodesic-eval emits CSV curves")
     ts = np.linspace(0.0, t_max, samples)
     out = _pick(args, cfg, "out", "geodesic.csv")
     if out == "-":
@@ -294,15 +302,7 @@ def _cmd_cutlocus_search(args, cfg) -> int:
     target = _parse_target(args, cfg)
     if (target.n, target.k) != (n, k) or target.mode != mode:
         raise _UsageError("target does not match --n/--k/--mode")
-    grid = _grid_from(args, cfg, n, k, mode, seed)
-    eps_hit = _pick(args, cfg, "eps_hit")
-    eps_v = _pick(args, cfg, "eps_v")
-    report = search_minimizers(
-        target,
-        grid,
-        eps_hit=float(eps_hit) if eps_hit is not None else None,
-        eps_v=float(eps_v) if eps_v is not None else None,
-    )
+    report = search_minimizers(target, _grid_from(args, cfg, n, k, mode, seed))
     payload = report.to_json_dict()
     payload["pass"] = len(report.arrivals) > 0
     _emit(args, cfg, payload)

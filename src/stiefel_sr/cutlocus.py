@@ -34,7 +34,6 @@ from .geodesic import (
     length,
     mirror_velocity,
     sample_curve,
-    speed_squared,
 )
 
 _LENGTH_SLACK = 1e-6  # arrivals within (1 + slack) of the minimum count as minimal
@@ -51,21 +50,19 @@ _HIT_STEP_FLOOR = 1e-15
 # -- target classification ----------------------------------------------------
 
 
-def in_block_diagonal_set(p: StiefelPoint, tol: float | None = None) -> bool:
+def in_block_diagonal_set(p: StiefelPoint) -> bool:
     """True iff the lower (n-k) x k block vanishes and p is not the identity class."""
-    tol = tolerances.TOL.eq if tol is None else tol
     lower = p.cols[p.k :, :]
-    if lower.size and float(np.max(np.abs(lower))) > tol:
+    if lower.size and float(np.max(np.abs(lower))) > tolerances.TOL.eq:
         return False
-    return not p.is_identity_class(tol)
+    return not p.is_identity_class()
 
 
-def is_antidiagonal(p: StiefelPoint, tol: float | None = None) -> bool:
+def is_antidiagonal(p: StiefelPoint) -> bool:
     """True iff n = 2k and the top k x k block vanishes (bottom block is then unitary)."""
-    tol = tolerances.TOL.eq if tol is None else tol
     if p.n != 2 * p.k:
         return False
-    return float(np.max(np.abs(p.cols[: p.k, :]))) <= tol
+    return float(np.max(np.abs(p.cols[: p.k, :]))) <= tolerances.TOL.eq
 
 
 BLOCK_DIAGONAL = "block_diagonal"
@@ -83,10 +80,10 @@ class TargetClass:
         return {"kind": self.kind, "point": self.point.to_json_dict()}
 
 
-def classify_target(p: StiefelPoint, tol: float | None = None) -> TargetClass:
-    if in_block_diagonal_set(p, tol):
+def classify_target(p: StiefelPoint) -> TargetClass:
+    if in_block_diagonal_set(p):
         kind = BLOCK_DIAGONAL
-    elif is_antidiagonal(p, tol):
+    elif is_antidiagonal(p):
         kind = ANTIDIAGONAL
     else:
         kind = GENERIC
@@ -477,7 +474,7 @@ def _refine(
     params: np.ndarray,
     ts: np.ndarray,
     target_cols,
-    eps_hit: float,
+    hit: float,
     *,
     iters: int = 60,
 ):
@@ -529,7 +526,7 @@ def _refine(
         f[rows] = ft[good]
         mu[ai[good]] = np.maximum(mu[ai[good]] * 0.3, 1e-12)
         mu[ai[~good]] = mu[ai[~good]] * 10.0
-        converged = f[ai] < (0.01 * eps_hit) ** 2
+        converged = f[ai] < (0.01 * hit) ** 2
         stuck = mu[ai] > 1e8
         active[ai[converged | stuck]] = False
     return x[:, :-1], x[:, -1], np.sqrt(f)
@@ -556,18 +553,13 @@ def _greedy_representatives(embeds: np.ndarray, radius: float, ts=None) -> np.nd
     return np.array(reps, dtype=np.intp)
 
 
-def search_minimizers(
-    target: StiefelPoint,
-    grid: VelocityGrid,
-    eps_hit: float | None = None,
-    eps_v: float | None = None,
-) -> MinimizerReport:
+def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerReport:
     """Grid search + local refinement for minimizing arrivals at a target.
 
     Evaluates the geodesic flow over the velocity grid, refines every
     near-arrival by damped least squares on the endpoint residual, keeps
     arrivals whose length is within a 1e-6 relative band of the best, and
-    counts velocity clusters at separation ``eps_v``.  Deterministic for a
+    counts velocity clusters at separation ``TOL.vel``.  Deterministic for a
     fixed grid (seed included); an exhausted search returns an empty-arrival
     report rather than raising.
 
@@ -577,12 +569,10 @@ def search_minimizers(
     budget is cached (a larger grid is streamed in chunks on every call).
     """
     tol = tolerances.TOL
-    eps_hit = tol.hit if eps_hit is None else float(eps_hit)
-    eps_v = tol.vel if eps_v is None else float(eps_v)
-    if eps_hit < 10 * tol.eq:
-        raise ValueError(f"eps_hit={eps_hit} must be >= 10 * {tol.eq}")
-    if eps_v <= 10 * _REFINE_FLOOR:
-        raise ValueError(f"eps_v={eps_v} must exceed the refinement resolution")
+    if tol.hit < 10 * tol.eq:
+        raise ValueError(f"tolerance hit={tol.hit} must be >= 10 * eq={tol.eq}")
+    if tol.vel <= 10 * _REFINE_FLOOR:
+        raise ValueError(f"tolerance vel={tol.vel} must exceed the refinement resolution")
     if (target.n, target.k) != (grid.n, grid.k) or target.mode != grid.mode:
         raise ValueError("target and grid disagree on (n, k, mode)")
 
@@ -599,10 +589,8 @@ def search_minimizers(
     p0 = family.initial_params()
     ts = _scan_times(grid)
     dt = ts[1] - ts[0]
-    speed = float(
-        np.sqrt(speed_squared(BlockVelocity(*(blk[0] for blk in family.blocks(p0[:1])), grid.mode)))
-    )
-    gate = max(8 * speed * dt, 0.25) + eps_hit
+    speed = float(np.sqrt(_speeds_squared(family.blocks(p0[:1])[1], grid.n, grid.mode)[0]))
+    gate = max(8 * speed * dt, 0.25) + tol.hit
 
     # every gated local minimum of the endpoint error along each velocity's
     # time grid; a table that fits the chunk budget is evaluated once per
@@ -624,8 +612,8 @@ def search_minimizers(
     if len(pick) == 0:
         return MinimizerReport(tclass, grid, (), 0, None)
 
-    params, t_ref, errs = _refine(family, p0[vix[pick]], ts[tix[pick]], target.cols, eps_hit)
-    good = (errs <= eps_hit) & (t_ref > 10 * _REFINE_FLOOR)
+    params, t_ref, errs = _refine(family, p0[vix[pick]], ts[tix[pick]], target.cols, tol.hit)
+    good = (errs <= tol.hit) & (t_ref > 10 * _REFINE_FLOOR)
     if not good.any():
         return MinimizerReport(tclass, grid, (), 0, None)
 
@@ -654,7 +642,7 @@ def search_minimizers(
         )
         for i, err in zip(rows, errs)
     )
-    clusters = len(_greedy_representatives(embeds, eps_v))
+    clusters = len(_greedy_representatives(embeds, tol.vel))
     return MinimizerReport(tclass, grid, final, clusters, min_len)
 
 
@@ -768,14 +756,13 @@ def verify_mirror_arrivals(
     samples: int = 50,
     seed: int = 0,
     mode: str = COMPLEX,
-    eps_hit: float | None = None,
     _velocities=None,
 ) -> MirrorCheckSummary:
     """Check that block-diagonal arrivals admit a distinct equal-length twin.
 
     For each sampled velocity, locate the first block-diagonal hit of its
     geodesic, mirror the transversal block (also through a random unitary
-    factor) and verify for both twins: same endpoint within eps_hit and same
+    factor) and verify for both twins: same endpoint within TOL.hit and same
     length to 1e-10.  The plain mirror (a, -b) must also be a distinct
     velocity; its separation is ``min_velocity_separation``.
     Velocities with a vanishing transversal block never leave the identity
@@ -783,7 +770,7 @@ def verify_mirror_arrivals(
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
-    eps_hit = tolerances.TOL.hit if eps_hit is None else float(eps_hit)
+    tol = tolerances.TOL
     rng = np.random.default_rng(seed)
     pending = list(_velocities) if _velocities is not None else None
     checked = skipped = failures = 0
@@ -822,7 +809,7 @@ def verify_mirror_arrivals(
             continue
         sep = float(np.linalg.norm(vel.embed() - mirrored.embed()))
         min_sep = min(min_sep, sep)
-        if sep <= tolerances.TOL.vel:
+        if sep <= tol.vel:
             failures += 1
         vel_len = length(vel, t_hit)
         for twin, q in zip(twins, ends[1:]):
@@ -830,7 +817,7 @@ def verify_mirror_arrivals(
             max_end = max(max_end, gap)
             len_gap = abs(vel_len - length(twin, t_hit))
             max_len = max(max_len, len_gap)
-            if gap > eps_hit or len_gap > 1e-10:
+            if gap > tol.hit or len_gap > 1e-10:
                 failures += 1
     return MirrorCheckSummary(
         n=n,

@@ -79,12 +79,8 @@ class BlockVelocity:
         out[k:, :k] = -adjoint(self.b_block)
         return out
 
-    def is_horizontal(self, tol: float | None = None) -> bool:
-        tol = tolerances.TOL.sym if tol is None else tol
-        return float(np.max(np.abs(self.a_block))) <= tol if self.k else True
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return float(np.max(np.abs(self.embed()))) <= tol
+    def is_horizontal(self) -> bool:
+        return float(np.max(np.abs(self.a_block))) <= tolerances.TOL.sym if self.k else True
 
     def to_json_dict(self) -> dict:
         d = {"n": self.n, "k": self.k, "mode": self.mode}
@@ -128,15 +124,14 @@ class StiefelPoint:
     def k(self) -> int:
         return self.cols.shape[1]
 
-    def same_class(self, other: "StiefelPoint", tol: float | None = None) -> bool:
+    def same_class(self, other: "StiefelPoint") -> bool:
         """Entrywise class equality at the canonical-representative tolerance."""
-        tol = tolerances.TOL.eq if tol is None else tol
         if (self.n, self.k, self.mode) != (other.n, other.k, other.mode):
             return False
-        return float(np.max(np.abs(self.cols - other.cols))) <= tol
+        return float(np.max(np.abs(self.cols - other.cols))) <= tolerances.TOL.eq
 
-    def is_identity_class(self, tol: float | None = None) -> bool:
-        return self.same_class(identity_point(self.n, self.k, self.mode), tol)
+    def is_identity_class(self) -> bool:
+        return self.same_class(identity_point(self.n, self.k, self.mode))
 
     def right_multiply(self, u) -> "StiefelPoint":
         """Act by an element of the fibre group U(k) (O(k)-compatible in real mode)."""
@@ -191,11 +186,10 @@ class GrassmannPoint:
     def n(self) -> int:
         return self.projector.shape[0]
 
-    def same_class(self, other: "GrassmannPoint", tol: float | None = None) -> bool:
-        tol = tolerances.TOL.eq if tol is None else tol
+    def same_class(self, other: "GrassmannPoint") -> bool:
         if (self.n, self.k, self.mode) != (other.n, other.k, other.mode):
             return False
-        return float(np.max(np.abs(self.projector - other.projector))) <= tol
+        return float(np.max(np.abs(self.projector - other.projector))) <= tolerances.TOL.eq
 
     def to_json_dict(self) -> dict:
         d = {"n": self.n, "k": self.k, "mode": self.mode}

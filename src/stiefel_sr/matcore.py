@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tolerances
-from .tolerances import Tolerances
 
 COMPLEX = "complex"
 REAL = "real"
@@ -72,32 +71,31 @@ def adjoint(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def check_skew_hermitian(x, mode: str = COMPLEX, tol: Tolerances | None = None) -> np.ndarray:
+def check_skew_hermitian(x, mode: str = COMPLEX) -> np.ndarray:
     """Validate X = -X* (and a zero diagonal in real mode); return the array."""
-    tol = tol or tolerances.TOL
     a = as_matrix(x, mode)
     n, m = a.shape
     if n != m:
         raise ValueError(f"skew-Hermitian matrix must be square, got {a.shape}")
     dev = float(np.max(np.abs(a + adjoint(a)))) if a.size else 0.0
-    if dev > tol.sym:
+    if dev > tolerances.TOL.sym:
         raise InvariantViolation(f"matrix deviates from skew symmetry by {dev:.3e}")
     return a
 
 
-def check_unitary(q, mode: str = COMPLEX, tol: Tolerances | None = None) -> np.ndarray:
+def check_unitary(q, mode: str = COMPLEX) -> np.ndarray:
     """Validate Q*Q = I (and det = +1 in real mode); return the array."""
-    tol = tol or tolerances.TOL
+    unit = tolerances.TOL.unit
     a = as_matrix(q, mode)
     n, m = a.shape
     if n != m:
         raise ValueError(f"unitary matrix must be square, got {a.shape}")
     dev = float(np.max(np.abs(adjoint(a) @ a - np.eye(n))))
-    if dev > tol.unit:
+    if dev > unit:
         raise InvariantViolation(f"matrix deviates from unitarity by {dev:.3e}")
     if mode == REAL:
         det = np.linalg.det(a.real)
-        if abs(det - 1.0) > max(tol.unit, 64 * n * np.finfo(float).eps):
+        if abs(det - 1.0) > max(unit, 64 * n * np.finfo(float).eps):
             raise InvariantViolation(f"real-mode determinant {det} != +1")
     return a
 
@@ -123,7 +121,7 @@ def trace_inner(x, y, scale_mode: str) -> float:
     return -scale * t
 
 
-def eig_skew(x, mode: str = COMPLEX, tol: Tolerances | None = None):
+def eig_skew(x, mode: str = COMPLEX):
     """Eigendecomposition X = V diag(w) V* of a skew-Hermitian matrix.
 
     Returns purely imaginary eigenvalues sorted by descending imaginary part
@@ -131,7 +129,7 @@ def eig_skew(x, mode: str = COMPLEX, tol: Tolerances | None = None):
     eigensolver order and each eigenvector's first significantly nonzero
     component is rotated to be real positive.
     """
-    a = check_skew_hermitian(x, mode, tol)
+    a = check_skew_hermitian(x, mode)
     w, v = np.linalg.eigh(1j * a)  # iX is Hermitian; X has eigenvalues -i*w
     order = np.argsort(w, kind="stable")  # ascending w == descending Im(-i w)
     w = w[order]
@@ -146,13 +144,13 @@ def eig_skew(x, mode: str = COMPLEX, tol: Tolerances | None = None):
     return vals, v
 
 
-def expm_skew(x, t: float = 1.0, mode: str = COMPLEX, tol: Tolerances | None = None) -> np.ndarray:
+def expm_skew(x, t: float = 1.0, mode: str = COMPLEX) -> np.ndarray:
     """exp(tX) for skew-Hermitian X, computed spectrally.
 
     exp(0*X) is the identity exactly.  In real mode the result is an SO(n)
     element stored with zero imaginary part.
     """
-    a = check_skew_hermitian(x, mode, tol)
+    a = check_skew_hermitian(x, mode)
     n = a.shape[0]
     if t == 0.0:
         return np.eye(n, dtype=np.complex128)

@@ -1,12 +1,14 @@
 """Shared numerical tolerances.
 
-A single read-only record drives every structural check in the library.  The
-defaults are tuned for double precision at matrix sizes up to ~32; the CLI may
-install a modified record once at startup via :func:`configure`, after which
-the record is treated as immutable.
+A single read-only record is the only tolerance input of the library: every
+structural check, class comparison and search radius reads ``TOL`` when it
+runs, and no function takes a tolerance argument.  The defaults are tuned for
+double precision at matrix sizes up to ~32; the CLI may install a modified
+record once at startup via :func:`configure` (its config ``tolerances``
+record), after which the record is treated as immutable.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,16 @@ TOL = Tolerances()
 def configure(**overrides) -> Tolerances:
     """Replace the global tolerance record (intended for program startup only)."""
     global TOL
-    for value in overrides.values():
-        if not value > 0:
-            raise ValueError("tolerances must be positive")
-    TOL = replace(TOL, **overrides)
+    names = tuple(f.name for f in fields(Tolerances))
+    values = {}
+    for name, value in overrides.items():
+        if name not in names:
+            raise ValueError(f"unknown tolerance {name!r}; expected one of {names}")
+        try:
+            values[name] = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"tolerance {name} must be a number, got {value!r}") from None
+        if not values[name] > 0:
+            raise ValueError(f"tolerance {name} must be positive, got {value!r}")
+    TOL = replace(TOL, **values)
     return TOL

@@ -17,17 +17,20 @@ from .matcore import COMPLEX, adjoint
 from .homspace import BlockVelocity
 from .geodesic import geodesic_v21_closed, geodesic_vn1_closed, grassmann_geodesic_2kk
 
+# a suite passes iff its worst closed-form discrepancy is below this bound
+CLOSED_FORM_BOUND = 1e-9
 
-def _suite_result(name: str, trials: int, max_error: float, tol: float) -> dict:
+
+def _suite_result(name: str, trials: int, max_error: float) -> dict:
     return {
         "suite": name,
         "trials": trials,
         "max_error": max_error,
-        "pass": bool(trials == 0 or max_error < tol),
+        "pass": bool(trials == 0 or max_error < CLOSED_FORM_BOUND),
     }
 
 
-def v21_suite(trials: int = 1000, seed: int = 0, sign_flip: bool = False, tol: float = 1e-9) -> dict:
+def v21_suite(trials: int = 1000, seed: int = 0, sign_flip: bool = False) -> dict:
     """All four closed-form V_{2,1} entries against exp(tv) . diag(e^{-i lam t}, 1)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -40,10 +43,10 @@ def v21_suite(trials: int = 1000, seed: int = 0, sign_flip: bool = False, tol: f
         g1, g2, g3, g4 = geodesic_v21_closed(lam, x2, t, sign_flip=sign_flip)
         closed = np.array([[g1, g2], [g3, g4]])
         worst = max(worst, float(np.max(np.abs(closed - full))))
-    return _suite_result("v21", trials, worst, tol)
+    return _suite_result("v21", trials, worst)
 
 
-def vn1_suite(trials: int = 1000, seed: int = 1, max_n: int = 8, tol: float = 1e-9) -> dict:
+def vn1_suite(trials: int = 1000, seed: int = 1, max_n: int = 8) -> dict:
     """Closed-form V_{n,1} first column against exp(tv) . blockdiag(e^{-i x t}, I)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -57,10 +60,10 @@ def vn1_suite(trials: int = 1000, seed: int = 1, max_n: int = 8, tol: float = 1e
         g1, g3 = geodesic_vn1_closed(x, row.reshape(-1), t)
         closed = np.concatenate([[g1], g3]).reshape(-1, 1)
         worst = max(worst, float(np.max(np.abs(closed - cols))))
-    return _suite_result("vn1", trials, worst, tol)
+    return _suite_result("vn1", trials, worst)
 
 
-def grassmann_2kk_suite(trials: int = 1000, seed: int = 2, max_k: int = 4, tol: float = 1e-9) -> dict:
+def grassmann_2kk_suite(trials: int = 1000, seed: int = 2, max_k: int = 4) -> dict:
     """Square-block Grassmann closed form against exp of the embedded velocity."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -78,7 +81,7 @@ def grassmann_2kk_suite(trials: int = 1000, seed: int = 2, max_k: int = 4, tol: 
             float(np.max(np.abs(g1 - e[:k, :k]))),
             float(np.max(np.abs(g3 - e[k:, :k]))),
         )
-    return _suite_result("grassmann_2kk", trials, worst, tol)
+    return _suite_result("grassmann_2kk", trials, worst)
 
 
 def closed_form_suites(trials: int = 1000, seed: int = 0, sign_flip: bool = False) -> list[dict]:

@@ -169,6 +169,13 @@ class TestCutlocusSearch:
     def test_missing_target(self):
         assert run("cutlocus-search", "--n", "2", "--k", "1") == 2
 
+    def test_help_lists_no_tolerance_or_format_flags(self, capsys):
+        assert run("cutlocus-search", "--help") == 0
+        out = capsys.readouterr().out
+        assert "--target" in out
+        for flag in ("--eps-hit", "--eps-v", "--format"):
+            assert flag not in out
+
     def test_degenerate_grid_is_usage_error(self, capsys):
         code = run(
             "cutlocus-search", "--n", "2", "--k", "1", "--t-count", "1",
@@ -249,3 +256,30 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
         assert run("verify-L", "--config", str(cfg), "--n", "2", "--k", "1") == 2
+
+    @pytest.mark.parametrize(
+        "config, extra",
+        [
+            ({"tolerances": {"foo": 1}}, []),
+            ({"tolerances": {"hit": [1]}}, []),
+            ({"tolerances": [1, 2]}, []),
+            ({"grid": {"lambda_range": 3}}, []),
+            ({"grid": [1]}, []),
+            ({}, ["--grid", "[1]"]),
+            ({"grid": {"t_count": [96]}}, []),
+            ({"grid": {"lambda_min": {}}}, []),
+        ],
+    )
+    def test_malformed_record_is_usage_error(
+        self, tmp_path, capsys, default_tolerances, config, extra
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run(
+            "cutlocus-search", "--n", "2", "--k", "1", "--config", str(cfg),
+            "--target", target_json([[-1.0], [0.0]]), *extra,
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -128,10 +128,11 @@ class TestSearchV21:
         rep = search_minimizers(target, grid)
         assert rep.arrivals == () and rep.clusters == 0 and rep.min_length is None
 
-    def test_eps_hit_floor_enforced(self):
+    def test_eps_hit_floor_enforced(self, default_tolerances):
         target = StiefelPoint(np.array([[-1.0], [0.0]]))
+        tolerances.configure(hit=1e-12)
         with pytest.raises(ValueError):
-            search_minimizers(target, VelocityGrid(2, 1, COMPLEX), eps_hit=1e-12)
+            search_minimizers(target, VelocityGrid(2, 1, COMPLEX))
 
     def test_general_family_smoke(self):
         # forcing the low-discrepancy family on V_{2,1} still finds the circle
@@ -661,7 +662,8 @@ class TestScanTable:
         _scan_table.cache_clear()
         default = search_minimizers(near, grid)
         assert default.clusters == 1
-        assert search_minimizers(near, grid, eps_hit=5e-3).clusters >= 2
+        tolerances.configure(hit=5e-3)
+        assert search_minimizers(near, grid).clusters >= 2
         tolerances.configure(hit=5e-3, eq=1e-4)
         configured = search_minimizers(near, grid)
         assert configured.clusters >= 2
