@@ -11,7 +11,10 @@ Option precedence: command-line flags > --config file > built-in defaults.
 The config file is a JSON object whose keys mirror the long option names
 (with dashes or underscores), plus optional "grid" and "tolerances" records;
 the tolerances record replaces the library-wide tolerances before the command
-runs and is the only way to set them.
+runs and is the only way to set them.  Config values go through the
+subcommand's own option types and choices (an integer option takes only
+integral numbers), and a key that names no option of any subcommand is a
+usage error.
 """
 
 from __future__ import annotations
@@ -123,7 +126,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_config(path: str | None) -> dict:
+_PARSER = _build_parser()
+# {subcommand: {dest: action}}: config values are converted by these actions
+_OPTIONS = {
+    name: {a.dest: a for a in p._actions}
+    for name, p in next(
+        a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices.items()
+}
+
+
+def _option_value(action: argparse.Action, name: str, value):
+    """A config value converted by the option's own type and checked against its choices."""
+    switch = action.nargs == 0  # a store_true flag takes a JSON boolean
+    try:
+        if isinstance(value, bool) != switch:
+            raise TypeError(name)
+        if action.type is int and not float(value).is_integer():
+            raise ValueError(name)
+        val = value if switch or action.type is None else action.type(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        kind = "true or false" if switch else getattr(action.type, "__name__", "a value")
+        raise _UsageError(f"{name} must be {kind}, got {value!r}") from err
+    if action.choices is not None and val not in action.choices:
+        raise _UsageError(f"{name} must be one of {', '.join(action.choices)}, got {value!r}")
+    return val
+
+
+def _load_config(path: str | None, command: str) -> dict:
     if not path:
         return {}
     try:
@@ -133,7 +163,19 @@ def _load_config(path: str | None) -> dict:
         raise _UsageError(f"cannot read config file {path}: {err}") from err
     if not isinstance(cfg, dict):
         raise _UsageError("config file must hold a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in cfg.items()}
+    # a key of another subcommand's option is accepted and unused, so one
+    # config file can serve several subcommands
+    known = {dest for acts in _OPTIONS.values() for dest in acts} - {"help", "config"}
+    out = {}
+    for key, value in cfg.items():
+        key = str(key).replace("-", "_")
+        if key not in known | {"grid", "tolerances"}:
+            raise _UsageError(f"unknown config key {key!r}")
+        if key in ("grid", "tolerances") or value is None:
+            out[key] = value
+        elif key in _OPTIONS[command]:
+            out[key] = _option_value(_OPTIONS[command][key], f"config {key}", value)
+    return out
 
 
 def _pick(args, cfg: dict, name: str, default=None):
@@ -215,12 +257,10 @@ def _grid_from(args, cfg, n: int, k: int, mode: str, seed: int) -> VelocityGrid:
             raise _UsageError(f"malformed grid JSON: {err}") from err
     kwargs = {"n": n, "k": k, "mode": mode, "seed": seed}
 
-    def number(key: str, kind):
+    def option(key: str):
         val = _pick(args, grid_cfg, key)
-        try:
-            return None if val is None else kind(val)
-        except (TypeError, ValueError) as err:
-            raise _UsageError(f"grid {key} must be a number, got {val!r}") from err
+        action = _OPTIONS["cutlocus-search"][key]
+        return None if val is None else _option_value(action, f"grid {key}", val)
 
     rng_cfg = grid_cfg.get("lambda_range")
     if rng_cfg is not None:
@@ -231,27 +271,23 @@ def _grid_from(args, cfg, n: int, k: int, mode: str, seed: int) -> VelocityGrid:
         ):
             raise _UsageError(f"grid lambda_range must be two numbers, got {rng_cfg!r}")
         kwargs["lambda_range"] = (float(rng_cfg[0]), float(rng_cfg[1]))
-    lam_lo, lam_hi = number("lambda_min", float), number("lambda_max", float)
+    lam_lo, lam_hi = option("lambda_min"), option("lambda_max")
     if lam_lo is not None or lam_hi is not None:
         base = kwargs.get("lambda_range", VelocityGrid(n, k).lambda_range)
         kwargs["lambda_range"] = (
             lam_lo if lam_lo is not None else base[0],
             lam_hi if lam_hi is not None else base[1],
         )
-    counts = ("lambda_count", "phase_count", "direction_count", "sample_count", "t_count")
-    for key in counts + ("t_max",):
-        val = number(key, float if key == "t_max" else int)
+    for key in _GRID_KEYS[1:]:
+        val = option(key)
         if val is not None:
             kwargs[key] = val
-    family = _pick(args, grid_cfg, "family")
-    if family is not None:
-        kwargs["family"] = str(family)
     return VelocityGrid(**kwargs)
 
 
 def _cmd_geodesic_eval(args, cfg) -> int:
-    n = int(_require(args, cfg, "n"))
-    k = int(_require(args, cfg, "k"))
+    n = _require(args, cfg, "n")
+    k = _require(args, cfg, "k")
     mode = _pick(args, cfg, "mode", COMPLEX)
     vel = _parse_velocity(args, cfg)
     if (vel.n, vel.k) != (n, k) or vel.mode != mode:
@@ -259,8 +295,8 @@ def _cmd_geodesic_eval(args, cfg) -> int:
             f"velocity is for (n={vel.n}, k={vel.k}, mode={vel.mode}), "
             f"flags say (n={n}, k={k}, mode={mode})"
         )
-    t_max = float(_pick(args, cfg, "t_max", np.pi))
-    samples = int(_pick(args, cfg, "samples", 64))
+    t_max = _pick(args, cfg, "t_max", np.pi)
+    samples = _pick(args, cfg, "samples", 64)
     if samples < 1:
         raise _UsageError("--samples must be positive")
     ts = np.linspace(0.0, t_max, samples)
@@ -272,11 +308,11 @@ def _cmd_geodesic_eval(args, cfg) -> int:
 
 
 def _cmd_verify_closed_forms(args, cfg) -> int:
-    trials = int(_pick(args, cfg, "trials", 1000))
+    trials = _pick(args, cfg, "trials", 1000)
     if trials < 0:
         raise _UsageError("--trials must be >= 0")
-    seed = int(_pick(args, cfg, "seed", 0))
-    flip = bool(_pick(args, cfg, "inject_sign_flip", False))
+    seed = _pick(args, cfg, "seed", 0)
+    flip = _pick(args, cfg, "inject_sign_flip", False)
     if trials == 0:
         sys.stderr.write("warning: 0 trials requested; verification is vacuous\n")
     suites = closed_form_suites(trials, seed, sign_flip=flip)
@@ -286,8 +322,8 @@ def _cmd_verify_closed_forms(args, cfg) -> int:
 
 
 def _cmd_bracket(args, cfg) -> int:
-    n = int(_require(args, cfg, "n"))
-    k = int(_require(args, cfg, "k"))
+    n = _require(args, cfg, "n")
+    k = _require(args, cfg, "k")
     mode = _pick(args, cfg, "mode", COMPLEX)
     report = bracket_generating_rank(n, k, mode)
     _emit(args, cfg, report.to_json_dict())
@@ -295,10 +331,10 @@ def _cmd_bracket(args, cfg) -> int:
 
 
 def _cmd_cutlocus_search(args, cfg) -> int:
-    n = int(_require(args, cfg, "n"))
-    k = int(_require(args, cfg, "k"))
+    n = _require(args, cfg, "n")
+    k = _require(args, cfg, "k")
     mode = _pick(args, cfg, "mode", COMPLEX)
-    seed = int(_pick(args, cfg, "seed", 0))
+    seed = _pick(args, cfg, "seed", 0)
     target = _parse_target(args, cfg)
     if (target.n, target.k) != (n, k) or target.mode != mode:
         raise _UsageError("target does not match --n/--k/--mode")
@@ -310,30 +346,30 @@ def _cmd_cutlocus_search(args, cfg) -> int:
 
 
 def _cmd_verify_l(args, cfg) -> int:
-    n = int(_require(args, cfg, "n"))
-    k = int(_require(args, cfg, "k"))
+    n = _require(args, cfg, "n")
+    k = _require(args, cfg, "k")
     mode = _pick(args, cfg, "mode", COMPLEX)
-    samples = int(_pick(args, cfg, "samples", 50))
-    seed = int(_pick(args, cfg, "seed", 0))
+    samples = _pick(args, cfg, "samples", 50)
+    seed = _pick(args, cfg, "seed", 0)
     summary = verify_mirror_arrivals(n, k, samples=samples, seed=seed, mode=mode)
     _emit(args, cfg, summary.to_json_dict())
     return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_verify_antidiagonal(args, cfg) -> int:
-    k = int(_require(args, cfg, "k"))
+    k = _require(args, cfg, "k")
     mode = _pick(args, cfg, "mode", COMPLEX)
-    samples = int(_pick(args, cfg, "samples", 20))
-    seed = int(_pick(args, cfg, "seed", 0))
+    samples = _pick(args, cfg, "samples", 20)
+    seed = _pick(args, cfg, "seed", 0)
     summary = verify_antidiagonal_arrivals(k, samples=samples, seed=seed, mode=mode)
     _emit(args, cfg, summary.to_json_dict())
     return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_uniqueness(args, cfg) -> int:
-    n = int(_require(args, cfg, "n"))
-    trials = int(_pick(args, cfg, "trials", 200))
-    seed = int(_pick(args, cfg, "seed", 0))
+    n = _require(args, cfg, "n")
+    trials = _pick(args, cfg, "trials", 200)
+    seed = _pick(args, cfg, "seed", 0)
     summary = uniqueness_case_checks(n, trials=trials, seed=seed)
     _emit(args, cfg, summary.to_json_dict())
     return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
@@ -351,13 +387,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
         _apply_tolerances(cfg)
         return _HANDLERS[args.command](args, cfg)
     except _UsageError as err:

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import matcore, tolerances
 from .matcore import COMPLEX, REAL, adjoint
-from .homspace import BlockVelocity, StiefelPoint, identity_point
+from .homspace import BlockVelocity, StiefelPoint, _embed_velocities, identity_point
 from .geodesic import (
     GeodesicSpec,
-    _embed_velocities,
     _geodesic_jacobian,
     _speeds_squared,
     batch_geodesic_columns,
@@ -101,9 +100,12 @@ class VelocityGrid:
     with nonzero transversal block can be reparametrized to that family), so
     arrival length is speed * time with a family-wide constant speed.
 
-    family: "auto" picks a structured grid for V_{2,1} (fibre-rate x phase)
-    and for k = 1 (sphere directions, with a fibre-rate axis in complex
-    mode); everything else uses low-discrepancy sampling of all blocks.
+    family: "v21" is a fibre-rate x phase grid on complex V_{2,1}.  "sphere"
+    (k = 1) and "general" are one parametrization, both blocks linear in the
+    params, and differ only in the initial sample: sphere directions (with a
+    fibre-rate axis in complex mode), or a low-discrepancy sample of every
+    coordinate.  "auto" picks "v21" on complex V_{2,1}, "sphere" for any
+    other k = 1 and "general" otherwise.
     """
 
     n: int
@@ -221,141 +223,87 @@ class _V21Family:
         return da, db
 
 
-class _SphereFamily:
-    """k = 1 with a unit-norm transversal row; optional fibre-rate axis (complex)."""
+class _LinearFamily:
+    """Blocks linear in the params; transversal block normalized to unit Frobenius norm.
+
+    Param layout: in complex mode the k diagonal fibre rates, then the real and
+    imaginary part of each fibre entry above the diagonal; in real mode only
+    those entries' real parts.  Then the real parts of the transversal
+    entries (row-major), and in complex mode their imaginary parts.  The
+    sphere family (k = 1) and the general family share this map and differ
+    only in their initial samples.
+    """
 
     def __init__(self, grid: VelocityGrid):
         self.grid = grid
-        self.m = grid.n - 1
-        self.complex_mode = grid.mode == COMPLEX
-        self.dir_dim = (2 if self.complex_mode else 1) * self.m
+        k, m = grid.k, grid.n - grid.k
+        units = (1.0, 1j) if grid.mode == COMPLEX else (1.0,)
+        fibre = [1j * np.outer(e, e) for e in np.eye(k)] if grid.mode == COMPLEX else []
+        for p, q in zip(*np.triu_indices(k, 1)):
+            for u in units:
+                e = np.zeros((k, k), dtype=np.complex128)
+                e[p, q], e[q, p] = u, -np.conj(u)
+                fibre.append(e)
+        self.a_dim = len(fibre)
+        d = self.a_dim + len(units) * k * m
+        # images of the d unit params: da (d, k, k), db (d, k, m)
+        self.da = np.zeros((d, k, k), dtype=np.complex128)
+        self.da[: self.a_dim] = np.reshape(fibre, (-1, k, k))
+        self.db = np.zeros((d, k, m), dtype=np.complex128)
+        self.db[self.a_dim :] = (np.reshape(units, (-1, 1, 1)) * np.eye(k * m)).reshape(-1, k, m)
 
-    def _directions(self) -> np.ndarray:
+    def initial_params(self) -> np.ndarray:
         g = self.grid
-        if not self.complex_mode and self.m == 1:
+        lo, hi = g.lambda_range
+        if g.resolved_family() == "general":
+            u = _sobol(len(self.da), g.sample_count, g.seed)
+            a_dim = self.a_dim
+            return np.column_stack([lo + (hi - lo) * u[:, :a_dim], _inverse_gauss(u[:, a_dim:])])
+        # sphere: transversal directions, crossed with a fibre-rate axis in complex mode
+        real = g.mode == REAL
+        if real and g.n == 2:
             return np.array([[1.0], [-1.0]])
-        if not self.complex_mode and self.m == 2:
+        if real and g.n == 3:
             ang = np.linspace(0.0, 2 * np.pi, g.direction_count, endpoint=False)
             return np.column_stack([np.cos(ang), np.sin(ang)])
-        from scipy.stats import qmc  # scipy.stats dominates import time otherwise
-
-        sob = qmc.Sobol(self.dir_dim, scramble=True, seed=g.seed)
-        u = sob.random(g.direction_count)
-        raw = _inverse_gauss(u)
-        return raw / np.linalg.norm(raw, axis=1, keepdims=True)
-
-    def initial_params(self) -> np.ndarray:
-        dirs = self._directions()
-        if not self.complex_mode:
+        raw = _inverse_gauss(_sobol(len(self.da) - self.a_dim, g.direction_count, g.seed))
+        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        if real:
             return dirs
-        lo, hi = self.grid.lambda_range
-        lams = np.linspace(lo, hi, self.grid.lambda_count)
-        lam = np.repeat(lams, len(dirs))
-        d = np.tile(dirs, (len(lams), 1))
-        return np.column_stack([lam, d])
+        lams = np.linspace(lo, hi, g.lambda_count)
+        return np.column_stack([np.repeat(lams, len(dirs)), np.tile(dirs, (len(lams), 1))])
 
     def _raw_blocks(self, params: np.ndarray):
-        """Fibre block and unnormalized transversal row; linear in the params."""
-        if self.complex_mode:
-            lam = params[:, 0]
-            raw = params[:, 1:]
-            b = raw[:, : self.m] + 1j * raw[:, self.m :]
-            a = (1j * lam).reshape(-1, 1, 1)
-        else:
-            b = params.astype(np.complex128)
-            a = np.zeros((len(params), 1, 1), dtype=np.complex128)
-        return a, b.reshape(-1, 1, self.m)
+        """Fibre block and unnormalized transversal block of each param row."""
+        return np.tensordot(params, self.da, axes=1), np.tensordot(params, self.db, axes=1)
 
     def blocks(self, params: np.ndarray):
         a, b = self._raw_blocks(params)
-        norms = np.maximum(np.linalg.norm(b, axis=2, keepdims=True), 1e-30)
-        return a, b / norms
+        return a, b / _frobenius(b)
 
     def tangents(self, params: np.ndarray):
-        """Derivatives of ``blocks`` along each parameter: (c, d, 1, 1), (c, d, 1, m)."""
+        """Derivatives of ``blocks`` along each parameter: (c, d, k, k), (c, d, k, m).
+
+        The normalization contributes its projection
+        d(b/|b|) = (db - u Re<u, db>) / |b| with u = b / |b|.
+        """
         _, b = self._raw_blocks(params)
-        return _unit_tangents(b, *self._raw_blocks(np.eye(params.shape[1])))
+        norms = _frobenius(b)[:, None]
+        unit = b[:, None] / norms
+        radial = np.sum((np.conj(unit) * self.db).real, axis=(2, 3), keepdims=True)
+        dunit = (self.db - radial * unit) / norms
+        return np.broadcast_to(self.da, (len(b),) + self.da.shape), dunit
 
 
-class _GeneralFamily:
-    """Low-discrepancy sampling of both blocks; transversal block normalized."""
-
-    def __init__(self, grid: VelocityGrid):
-        self.grid = grid
-        self.k = grid.k
-        self.m = grid.n - grid.k
-        self.complex_mode = grid.mode == COMPLEX
-        k = self.k
-        self.a_dim = k * k if self.complex_mode else k * (k - 1) // 2
-        self.b_dim = (2 if self.complex_mode else 1) * k * self.m
-
-    def initial_params(self) -> np.ndarray:
-        from scipy.stats import qmc
-
-        g = self.grid
-        sob = qmc.Sobol(self.a_dim + self.b_dim, scramble=True, seed=g.seed)
-        u = sob.random(g.sample_count)
-        lo, hi = g.lambda_range
-        out = np.empty_like(u)
-        out[:, : self.a_dim] = lo + (hi - lo) * u[:, : self.a_dim]
-        out[:, self.a_dim :] = _inverse_gauss(u[:, self.a_dim :])
-        return out
-
-    def _raw_blocks(self, params: np.ndarray):
-        """Fibre block and unnormalized transversal block; linear in the params."""
-        c = len(params)
-        k, m = self.k, self.m
-        a = np.zeros((c, k, k), dtype=np.complex128)
-        pa = params[:, : self.a_dim]
-        if self.complex_mode:
-            for j in range(k):
-                a[:, j, j] = 1j * pa[:, j]
-            idx = k
-        else:
-            idx = 0
-        for p in range(k):
-            for q in range(p + 1, k):
-                if self.complex_mode:
-                    val = pa[:, idx] + 1j * pa[:, idx + 1]
-                    idx += 2
-                else:
-                    val = pa[:, idx].astype(np.complex128)
-                    idx += 1
-                a[:, p, q] = val
-                a[:, q, p] = -np.conj(val)
-        pb = params[:, self.a_dim :]
-        if self.complex_mode:
-            b = pb[:, : k * m] + 1j * pb[:, k * m :]
-        else:
-            b = pb.astype(np.complex128)
-        return a, b.reshape(c, k, m)
-
-    def blocks(self, params: np.ndarray):
-        a, b = self._raw_blocks(params)
-        norms = np.maximum(
-            np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2), keepdims=True)), 1e-30
-        )
-        return a, b / norms
-
-    def tangents(self, params: np.ndarray):
-        """Derivatives of ``blocks`` along each parameter: (c, d, k, k), (c, d, k, m)."""
-        _, b = self._raw_blocks(params)
-        return _unit_tangents(b, *self._raw_blocks(np.eye(params.shape[1])))
+def _frobenius(b: np.ndarray) -> np.ndarray:
+    """Frobenius norms (c, 1, 1) of stacked blocks (c, k, m), floored away from 0."""
+    return np.maximum(np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2), keepdims=True)), 1e-30)
 
 
-def _unit_tangents(b, da, db):
-    """Tangents of (a, b / |b|) for a linear parameter map.
+def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc  # scipy.stats dominates import time otherwise
 
-    ``b`` (c, k, m) is the unnormalized transversal block at each row; da
-    (d, k, k) and db (d, k, m) are the images of the d unit parameter vectors
-    (constant, since the map is linear).  The normalization contributes its
-    projection d(b/|b|) = (db - u Re<u, db>) / |b| with u = b / |b|.
-    """
-    norms = np.maximum(np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2))), 1e-30)
-    unit = (b / norms[:, None, None])[:, None]
-    radial = np.sum((np.conj(unit) * db).real, axis=(2, 3), keepdims=True)
-    dunit = (db - radial * unit) / norms[:, None, None, None]
-    return np.broadcast_to(da, (len(b),) + da.shape), dunit
+    return qmc.Sobol(dim, scramble=True, seed=seed).random(count)
 
 
 def _inverse_gauss(u: np.ndarray) -> np.ndarray:
@@ -370,12 +318,10 @@ def _make_family(grid: VelocityGrid):
         if (grid.n, grid.k, grid.mode) != (2, 1, COMPLEX):
             raise ValueError("v21 family requires n=2, k=1, complex mode")
         return _V21Family(grid)
-    if name == "sphere":
-        if grid.k != 1:
-            raise ValueError("sphere family requires k=1")
-        return _SphereFamily(grid)
-    if name == "general":
-        return _GeneralFamily(grid)
+    if name == "sphere" and grid.k != 1:
+        raise ValueError("sphere family requires k=1")
+    if name in ("sphere", "general"):
+        return _LinearFamily(grid)
     raise ValueError(f"unknown velocity family {name!r}")
 
 
@@ -485,6 +431,8 @@ def _refine(
     evaluation.  Per-candidate damping adapts in the usual way; candidates
     are frozen once their residual is far below the hit radius or their
     damping has blown up (a genuine local minimum away from the target).
+    Returns the params, the times and the residual norms, which are the
+    endpoints' Frobenius distances to the target.
     """
     x = np.column_stack([params, ts]).astype(np.float64)
     n_cand, dim = x.shape
@@ -618,7 +566,7 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
         return MinimizerReport(tclass, grid, (), 0, None)
 
     a_blk, b_blk = family.blocks(params[good])
-    t_good = t_ref[good]
+    t_good, err_good = t_ref[good], errs[good]
     lengths = t_good * np.sqrt(_speeds_squared(b_blk, grid.n, grid.mode))
     min_len = float(lengths.min())
     kept = np.nonzero(lengths <= min_len * (1 + _LENGTH_SLACK))[0]
@@ -631,16 +579,14 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
 
     unique = _greedy_representatives(embeds, 1e-6, t_good[kept])
     rows, embeds = kept[unique], embeds[unique]
-    ends = batch_geodesic_columns(a_blk[rows], b_blk[rows], t_good[rows], grid.mode)
-    errs = np.sqrt(np.sum(np.abs(ends - target.cols) ** 2, axis=(1, 2)))
     final = tuple(
         Arrival(
             velocity=BlockVelocity(a_blk[i], b_blk[i], grid.mode),
             t=float(t_good[i]),
             length=float(lengths[i]),
-            endpoint_error=float(err),
+            endpoint_error=float(err_good[i]),
         )
-        for i, err in zip(rows, errs)
+        for i in rows
     )
     clusters = len(_greedy_representatives(embeds, tol.vel))
     return MinimizerReport(tclass, grid, final, clusters, min_len)
@@ -756,7 +702,6 @@ def verify_mirror_arrivals(
     samples: int = 50,
     seed: int = 0,
     mode: str = COMPLEX,
-    _velocities=None,
 ) -> MirrorCheckSummary:
     """Check that block-diagonal arrivals admit a distinct equal-length twin.
 
@@ -772,18 +717,12 @@ def verify_mirror_arrivals(
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
     tol = tolerances.TOL
     rng = np.random.default_rng(seed)
-    pending = list(_velocities) if _velocities is not None else None
     checked = skipped = failures = 0
     max_end = 0.0
     max_len = 0.0
     min_sep = np.inf
     while checked < samples:
-        if pending is not None:
-            if not pending:
-                break
-            vel, t_exp = pending.pop(0)
-        else:
-            vel, t_exp = sample_block_diagonal_hitting_velocity(rng, n, k, mode)
+        vel, t_exp = sample_block_diagonal_hitting_velocity(rng, n, k, mode)
         if float(np.linalg.norm(vel.b_block)) <= 1e-12:
             skipped += 1
             continue

@@ -128,9 +128,7 @@ def bracket_generating_rank(n: int, k: int, mode: str = COMPLEX) -> BracketRepor
     )
 
 
-def strongly_bracket_check_vn1(
-    n: int, samples: int = 100, seed: int = 0, _sections=None
-) -> bool:
+def strongly_bracket_check_vn1(n: int, samples: int = 100, seed: int = 0) -> bool:
     """Check the strong bracket-generating property of V_{n,1} by sampling.
 
     For each nonzero horizontal row b, the span of the horizontal space and
@@ -145,14 +143,9 @@ def strongly_bracket_check_vn1(
     embedded = [bv.embed() for bv in basis]
     target = stiefel_tangent_dim(n, 1, COMPLEX)
 
-    def draw():
-        if _sections is not None:
-            return np.asarray(_sections.pop(0), dtype=np.complex128).reshape(1, -1)
-        return matcore.random_matrix(rng, 1, n - 1, COMPLEX)
-
     checked = 0
     while checked < samples:
-        b = draw()
+        b = matcore.random_matrix(rng, 1, n - 1, COMPLEX)
         if float(np.linalg.norm(b)) <= 1e-12:
             continue  # zero section: rejected, not counted
         z = BlockVelocity(np.zeros((1, 1)), b, COMPLEX).embed()

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import matcore, tolerances
 from .matcore import COMPLEX, REAL, adjoint
-from .homspace import BlockVelocity, StiefelPoint
+from .homspace import BlockVelocity, StiefelPoint, _embed_velocities
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,6 @@ def _spectral_flow(h: np.ndarray, ts: np.ndarray, k: int, rate: complex) -> np.n
     scaled = phases[..., None] * adjoint(vecs)[:, :, None, :k]  # (c, n, T, k)
     flow = vecs @ scaled.reshape(c, n, -1)
     return flow.reshape(c, n, -1, k).transpose(0, 2, 1, 3)
-
-
-def _embed_velocities(a_blocks: np.ndarray, b_blocks: np.ndarray) -> np.ndarray:
-    """Stacked [[a, b], [-b*, 0]] for blocks (..., k, k) and (..., k, n-k)."""
-    k, m = b_blocks.shape[-2:]
-    full = np.zeros(b_blocks.shape[:-2] + (k + m, k + m), dtype=np.complex128)
-    full[..., :k, :k] = a_blocks
-    full[..., :k, k:] = b_blocks
-    full[..., k:, :k] = -adjoint(b_blocks)
-    return full
 
 
 def _geodesic_columns(a_blocks, b_blocks, ts, mode: str) -> np.ndarray:

@@ -42,6 +42,16 @@ def _matrix_from_json(d: dict) -> np.ndarray:
     return re + 1j * im
 
 
+def _embed_velocities(a_blocks: np.ndarray, b_blocks: np.ndarray) -> np.ndarray:
+    """Stacked [[a, b], [-b*, 0]] for blocks (..., k, k) and (..., k, n-k)."""
+    k, m = b_blocks.shape[-2:]
+    full = np.zeros(b_blocks.shape[:-2] + (k + m, k + m), dtype=np.complex128)
+    full[..., :k, :k] = a_blocks
+    full[..., :k, k:] = b_blocks
+    full[..., k:, :k] = -adjoint(b_blocks)
+    return full
+
+
 @dataclass(frozen=True, eq=False)
 class BlockVelocity:
     """Tangent vector at the identity class of the Stiefel manifold V_{n,k}."""
@@ -72,12 +82,7 @@ class BlockVelocity:
 
     def embed(self) -> np.ndarray:
         """The full n x n skew-Hermitian matrix [[a, b], [-b*, 0]]."""
-        k, n = self.k, self.n
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[:k, :k] = self.a_block
-        out[:k, k:] = self.b_block
-        out[k:, :k] = -adjoint(self.b_block)
-        return out
+        return _embed_velocities(self.a_block, self.b_block)
 
     def is_horizontal(self) -> bool:
         return float(np.max(np.abs(self.a_block))) <= tolerances.TOL.sym if self.k else True

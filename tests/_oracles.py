@@ -162,3 +162,81 @@ def golden_section_hit(
             f2 = gval(c2)
     t_hit = float((lo + hi) / 2.0)
     return t_hit if gval(t_hit) <= tolerances.TOL.eq else None
+
+
+def _sobol_gauss(dim: int, count: int, seed: int) -> np.ndarray:
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    u = qmc.Sobol(dim, scramble=True, seed=seed).random(count)
+    return u, ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+
+
+def separate_family_params(grid) -> np.ndarray:
+    """Initial params of the search's former sphere (k = 1) and general
+    families, sampled separately: sphere directions (with a fibre-rate axis in
+    complex mode), or a Sobol sample of every block coordinate."""
+    n, k = grid.n, grid.k
+    complex_mode = grid.mode == COMPLEX
+    lo, hi = grid.lambda_range
+    if grid.resolved_family() == "general":
+        a_dim = k * k if complex_mode else k * (k - 1) // 2
+        b_dim = (2 if complex_mode else 1) * k * (n - k)
+        u, gauss = _sobol_gauss(a_dim + b_dim, grid.sample_count, grid.seed)
+        out = np.empty_like(u)
+        out[:, :a_dim] = lo + (hi - lo) * u[:, :a_dim]
+        out[:, a_dim:] = gauss[:, a_dim:]
+        return out
+    m = n - 1
+    if not complex_mode and m == 1:
+        return np.array([[1.0], [-1.0]])
+    if not complex_mode and m == 2:
+        ang = np.linspace(0.0, 2 * np.pi, grid.direction_count, endpoint=False)
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    _, raw = _sobol_gauss((2 if complex_mode else 1) * m, grid.direction_count, grid.seed)
+    dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    if not complex_mode:
+        return dirs
+    lams = np.linspace(lo, hi, grid.lambda_count)
+    return np.column_stack([np.repeat(lams, len(dirs)), np.tile(dirs, (len(lams), 1))])
+
+
+def separate_family_raw_blocks(grid, params: np.ndarray):
+    """Fibre block and unnormalized transversal block of each param row, by
+    the former general family's per-entry loops (at k = 1 the sphere family
+    gave the same blocks)."""
+    c = len(params)
+    k, m = grid.k, grid.n - grid.k
+    complex_mode = grid.mode == COMPLEX
+    a_dim = k * k if complex_mode else k * (k - 1) // 2
+    a = np.zeros((c, k, k), dtype=np.complex128)
+    pa = params[:, :a_dim]
+    idx = 0
+    if complex_mode:
+        for j in range(k):
+            a[:, j, j] = 1j * pa[:, j]
+        idx = k
+    for p in range(k):
+        for q in range(p + 1, k):
+            if complex_mode:
+                val = pa[:, idx] + 1j * pa[:, idx + 1]
+                idx += 2
+            else:
+                val = pa[:, idx].astype(np.complex128)
+                idx += 1
+            a[:, p, q] = val
+            a[:, q, p] = -np.conj(val)
+    pb = params[:, a_dim:]
+    b = pb[:, : k * m] + 1j * pb[:, k * m :] if complex_mode else pb.astype(np.complex128)
+    return a, b.reshape(c, k, m)
+
+
+def unit_block_tangents(b, da, db):
+    """Tangents of (a, b / |b|) for a linear parameter map: ``b`` (c, k, m)
+    unnormalized, da (d, k, k) and db (d, k, m) the images of the unit
+    params; d(b/|b|) = (db - u Re<u, db>) / |b| with u = b / |b|."""
+    norms = np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2)))
+    unit = (b / norms[:, None, None])[:, None]
+    radial = np.sum((np.conj(unit) * db).real, axis=(2, 3), keepdims=True)
+    dunit = (db - radial * unit) / norms[:, None, None, None]
+    return np.broadcast_to(da, (len(b),) + da.shape), dunit

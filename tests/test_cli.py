@@ -283,3 +283,34 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            (["bracket"], {"n": [2], "k": 1}, "config n must be int, got [2]"),
+            (["bracket"], {"n": 4.7, "k": 2}, "config n must be int, got 4.7"),
+            (
+                ["cutlocus-search", "--n", "2", "--k", "1"],
+                {"eps_v": 100, "format": "csv", "target": target_json([[-1.0], [0.0]])},
+                "unknown config key 'eps_v'",
+            ),
+        ],
+        ids=["list-value", "fractional-int", "unknown-key"],
+    )
+    def test_mistyped_or_unknown_config_key_is_usage_error(
+        self, tmp_path, capsys, command, config, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(*command, "--config", str(cfg)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: {message}\n"
+
+    def test_integral_config_values_convert(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4.0, "k": 2, "mode": "real", "trials": 3}))
+        out = tmp_path / "out.json"
+        assert run("bracket", "--config", str(cfg), "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["n"] == 4 and isinstance(payload["n"], int) and payload["mode"] == "real"

@@ -45,6 +45,9 @@ from _oracles import (
     golden_section_hit,
     greedy_cluster_count_loop,
     greedy_dedup_loop,
+    separate_family_params,
+    separate_family_raw_blocks,
+    unit_block_tangents,
 )
 
 
@@ -189,6 +192,13 @@ def _assert_search_invariants(rep):
     assert rep.clusters == greedy_cluster_count_loop(list(embeds), TOL.vel)
     for arr in rep.arrivals:
         assert arr.length == length(arr.velocity, arr.t)
+        # endpoint exp(t v) . blockdiag(exp(-t a), I), first k columns
+        v, mode = arr.velocity, arr.velocity.mode
+        right = np.eye(v.n, dtype=np.complex128)
+        right[: v.k, : v.k] = matcore.expm_skew(v.a_block, -arr.t, mode)
+        end = (matcore.expm_skew(v.embed(), arr.t, mode) @ right)[:, : v.k]
+        expected = np.linalg.norm(end - rep.target.point.cols)
+        assert abs(arr.endpoint_error - expected) <= 1e-12
 
 
 class TestSearchInvariants:
@@ -202,6 +212,61 @@ class TestSearchInvariants:
         rep = search_minimizers(real_antipodal_cut_point(3), VelocityGrid(3, 1, REAL, seed=2))
         assert rep.clusters >= 2
         _assert_search_invariants(rep)
+
+    def test_general_family_v42(self):
+        rng = np.random.default_rng(42)
+        vel = BlockVelocity(
+            matcore.random_skew_hermitian(rng, 2) * 0.5,
+            matcore.random_matrix(rng, 2, 2) / 2.0,
+        )
+        target = normal_geodesic(GeodesicSpec(vel), 0.4)
+        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=256, seed=1)
+        rep = search_minimizers(target, grid)
+        assert len(rep.arrivals) >= 1
+        _assert_search_invariants(rep)
+
+
+LINEAR_FAMILY_CASES = [
+    ("sphere", 2, 1, REAL),
+    ("sphere", 3, 1, REAL),
+    ("sphere", 4, 1, REAL),
+    ("sphere", 2, 1, COMPLEX),
+    ("sphere", 3, 1, COMPLEX),
+    ("general", 3, 1, REAL),
+    ("general", 4, 2, REAL),
+    ("general", 5, 2, REAL),
+    ("general", 2, 1, COMPLEX),
+    ("general", 4, 2, COMPLEX),
+    ("general", 6, 3, COMPLEX),
+]
+
+
+class TestLinearFamily:
+    """The one linear family against the separate sphere and general families.
+
+    The former sphere family divided b by ``np.linalg.norm``, which can round
+    differently in the last bit in complex mode; the merged family divides by
+    the Frobenius norm the general family and both tangents already used.
+    """
+
+    @pytest.mark.parametrize("family, n, k, mode", LINEAR_FAMILY_CASES)
+    def test_matches_separate_families(self, family, n, k, mode):
+        grid = VelocityGrid(
+            n, k, mode, family=family, lambda_count=5, direction_count=16, sample_count=32,
+            seed=4,
+        )
+        fam = _make_family(grid)
+        params = separate_family_params(grid)
+        assert np.array_equal(fam.initial_params(), params)
+        a_ref, b_ref = separate_family_raw_blocks(grid, params)
+        a, b = fam.blocks(params)
+        assert np.array_equal(a, a_ref)
+        norms = np.sqrt(np.sum(np.abs(b_ref) ** 2, axis=(1, 2), keepdims=True))
+        assert np.array_equal(b, b_ref / norms)
+        basis = separate_family_raw_blocks(grid, np.eye(params.shape[1]))
+        for got, ref in zip(fam.tangents(params), unit_block_tangents(b_ref, *basis)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15
 
 
 # how a row relates to an earlier one: a fresh point, an exact copy, or a
@@ -440,14 +505,16 @@ class TestMirrorArrivals:
         assert summ.max_length_gap < 1e-10
         assert summ.min_velocity_separation > 1e-3
 
-    def test_zero_transversal_sample_is_skipped(self):
+    def test_zero_transversal_sample_is_skipped(self, monkeypatch):
         quiet = BlockVelocity(np.array([[1j]]), np.zeros((1, 1)))
         mover, t_exp = sample_block_diagonal_hitting_velocity(
             np.random.default_rng(0), 2, 1, COMPLEX
         )
-        summ = verify_mirror_arrivals(
-            2, 1, samples=1, _velocities=[(quiet, 1.0), (mover, t_exp)]
+        draws = iter([(quiet, 1.0), (mover, t_exp)])
+        monkeypatch.setattr(
+            cutlocus, "sample_block_diagonal_hitting_velocity", lambda *args: next(draws)
         )
+        summ = verify_mirror_arrivals(2, 1, samples=1)
         assert summ.skipped == 1 and summ.samples == 1 and summ.passed
 
     @pytest.mark.parametrize("n,k,mode", [(2, 1, COMPLEX), (5, 2, REAL)])

@@ -132,11 +132,16 @@ class TestStronglyBracketGenerating:
     def test_holds_on_samples(self, n):
         assert strongly_bracket_check_vn1(n, samples=50, seed=n)
 
-    def test_zero_section_is_rejected_not_counted(self):
+    def test_zero_section_is_rejected_not_counted(self, monkeypatch):
         rng = np.random.default_rng(8)
         sections = [np.full(2, 1e-14)]  # near-zero: must be skipped
         sections += [matcore.random_matrix(rng, 1, 2).reshape(-1) for _ in range(10)]
-        assert strongly_bracket_check_vn1(3, samples=10, _sections=sections)
+        draws = iter(sections)
+        monkeypatch.setattr(
+            matcore, "random_matrix", lambda *args: np.asarray(next(draws)).reshape(1, -1)
+        )
+        assert strongly_bracket_check_vn1(3, samples=10)
+        assert next(draws, None) is None  # all 11 drawn: the zero one was not counted
 
 
 class TestMontgomeryCondition:
