@@ -7,14 +7,24 @@ sampling) and byte-identical across runs for a fixed configuration and seed.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 invariant violation.
 
-Option precedence: command-line flags > --config file > built-in defaults.
-The config file is a JSON object whose keys mirror the long option names
-(with dashes or underscores), plus optional "grid" and "tolerances" records;
-the tolerances record replaces the library-wide tolerances before the command
-runs and is the only way to set them.  Config values go through the
-subcommand's own option types and choices (an integer option takes only
-integral numbers), and a key that names no option of any subcommand is a
-usage error.
+Option precedence, the same for every option: command-line flags > inline
+--grid record > config "grid" record > top-level config keys > built-in
+defaults.  The config file is a JSON object whose keys mirror the long option
+names (with dashes or underscores), plus optional "grid" and "tolerances"
+records.  Config values go through the subcommand's own option types and
+choices (an integer option takes only integral numbers) and then become the
+subcommand parser's defaults, so a value takes effect wherever its flag
+would.  A key that names no option of any subcommand is a usage error; a key
+of another subcommand's option is accepted and unused.
+
+A grid record (config "grid", or cutlocus-search's inline --grid) holds the
+cutlocus-search grid options, which are also accepted at top level; a
+two-number "lambda_range" stands for lambda_min and lambda_max.  A grid record
+may also carry n, k, mode and seed, so a search report's own "grid" record,
+given back as the config "grid", reproduces that search byte for byte.  An
+unknown key in a grid record is a usage error, and only cutlocus-search reads
+grid records.  The tolerances record replaces the library-wide tolerances
+before the command runs and is the only way to set them.
 """
 
 from __future__ import annotations
@@ -44,8 +54,8 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 
-_GRID_KEYS = (
-    "lambda_range",
+# VelocityGrid fields that are cutlocus-search options of the same name
+_GRID_OPTIONS = (
     "lambda_count",
     "phase_count",
     "direction_count",
@@ -54,41 +64,45 @@ _GRID_KEYS = (
     "t_count",
     "family",
 )
+# the keys a grid record may hold: the keys of a report's "grid" record, with
+# lambda_range split into its two options
+_GRID_KEYS = ("n", "k", "mode", "seed", "lambda_min", "lambda_max") + _GRID_OPTIONS
 
 
 class _UsageError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     top = argparse.ArgumentParser(
         prog="stiefel-sr",
         description="Sub-Riemannian Stiefel geodesics: evaluation and experiments",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, n=False, k=False, mode=True, seed=True):
+    def common(p, *, n=False, k=False, mode=True, seed=True, out="-"):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
+        p.add_argument("--out", type=str, default=out, help="output path ('-' = stdout)")
         if n:
             p.add_argument("--n", type=int, default=None)
         if k:
             p.add_argument("--k", type=int, default=None)
         if mode:
-            p.add_argument("--mode", choices=MODES, default=None)
+            p.add_argument("--mode", choices=MODES, default=COMPLEX)
         if seed:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("geodesic-eval", help="sample a geodesic to CSV")
-    common(p, n=True, k=True)
+    common(p, n=True, k=True, out="geodesic.csv")
     p.add_argument("--velocity", type=str, default=None, help="inline velocity JSON")
     p.add_argument("--velocity-file", type=str, default=None)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--t-max", type=float, default=np.pi)
+    p.add_argument("--samples", type=int, default=64)
 
     p = sub.add_parser("verify-closed-forms", help="closed forms vs generic evaluator")
     common(p)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=1000)
     p.add_argument(
         "--inject-sign-flip",
         action="store_true",
@@ -103,37 +117,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=str, default=None, help="inline target JSON")
     p.add_argument("--target-file", type=str, default=None)
     p.add_argument("--grid", type=str, default=None, help="inline grid JSON record")
-    for key in _GRID_KEYS:
-        if key == "lambda_range":
-            p.add_argument("--lambda-min", type=float, default=None)
-            p.add_argument("--lambda-max", type=float, default=None)
-        elif key == "family":
-            p.add_argument("--family", choices=("auto", "v21", "sphere", "general"), default=None)
+    lam_lo, lam_hi = VelocityGrid.lambda_range
+    p.add_argument("--lambda-min", type=float, default=lam_lo)
+    p.add_argument("--lambda-max", type=float, default=lam_hi)
+    for key in _GRID_OPTIONS:
+        flag, default = f"--{key.replace('_', '-')}", getattr(VelocityGrid, key)
+        if key == "family":
+            p.add_argument(flag, choices=("auto", "v21", "sphere", "general"), default=default)
         else:
-            p.add_argument(f"--{key.replace('_', '-')}", type=float if key == "t_max" else int, default=None)
+            p.add_argument(flag, type=float if key == "t_max" else int, default=default)
 
     p = sub.add_parser("verify-L", help="mirrored arrivals at block-diagonal targets")
     common(p, n=True, k=True)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=50)
 
     p = sub.add_parser("verify-antidiagonal", help="unique arrivals at antidiagonal targets")
     common(p, k=True)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=20)
 
     p = sub.add_parser("uniqueness", help="scalar facts behind the uniqueness argument")
     common(p, n=True)
-    p.add_argument("--trials", type=int, default=None)
-    return top
-
-
-_PARSER = _build_parser()
-# {subcommand: {dest: action}}: config values are converted by these actions
-_OPTIONS = {
-    name: {a.dest: a for a in p._actions}
-    for name, p in next(
-        a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices.items()
-}
+    p.add_argument("--trials", type=int, default=200)
+    return top, sub.choices
 
 
 def _option_value(action: argparse.Action, name: str, value):
@@ -153,225 +158,165 @@ def _option_value(action: argparse.Action, name: str, value):
     return val
 
 
-def _load_config(path: str | None, command: str) -> dict:
-    if not path:
-        return {}
+def _record(value, name: str) -> dict:
+    """A JSON object's entries, with underscores for dashes in its keys."""
+    if not isinstance(value, dict):
+        raise _UsageError(f"the {name} must be a JSON object, got {value!r}")
+    return {str(key).replace("-", "_"): val for key, val in value.items()}
+
+
+def _grid_record(value) -> dict:
+    grid = _record(value, "grid record")
+    rng = grid.pop("lambda_range", None)
+    if rng is not None:
+        if not (isinstance(rng, list) and len(rng) == 2):
+            raise _UsageError(f"grid lambda_range must be two numbers, got {rng!r}")
+        grid = {"lambda_min": rng[0], "lambda_max": rng[1], **grid}
+    for key in grid:
+        if key not in _GRID_KEYS:
+            raise _UsageError(f"unknown grid key {key!r}")
+    return grid
+
+
+def _load_json(text: str | None, path: str | None, name: str):
+    """JSON given inline or in a file, exactly one of the two."""
+    if text and path:
+        raise _UsageError(f"give either --{name} or --{name}-file, not both")
+    if not text and not path:
+        raise _UsageError(f"a {name} is required (--{name} or --{name}-file)")
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        if path:
+            with open(path) as fh:
+                text = fh.read()
+        return json.loads(text)
     except (OSError, json.JSONDecodeError) as err:
-        raise _UsageError(f"cannot read config file {path}: {err}") from err
-    if not isinstance(cfg, dict):
-        raise _UsageError("config file must hold a JSON object")
+        raise _UsageError(f"cannot read {name} JSON: {err}") from err
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv with the config and grid values as the subcommand's defaults."""
+    top, subs = _build_parser()
+    args = top.parse_args(argv)  # learns the subcommand, --config and --grid
+    options = {a.dest: a for a in subs[args.command]._actions}
+    cfg = _load_json(None, args.config, "config") if args.config else {}
+    cfg = {key: val for key, val in _record(cfg, "config file").items() if val is not None}
+    tol = _record(cfg.pop("tolerances", {}), "tolerances record")
+    records = [_grid_record(cfg.pop("grid"))] if "grid" in cfg else []
+    if getattr(args, "grid", None):
+        records.append(_grid_record(_load_json(args.grid, None, "grid")))
     # a key of another subcommand's option is accepted and unused, so one
     # config file can serve several subcommands
-    known = {dest for acts in _OPTIONS.values() for dest in acts} - {"help", "config"}
-    out = {}
-    for key, value in cfg.items():
-        key = str(key).replace("-", "_")
-        if key not in known | {"grid", "tolerances"}:
+    known = {a.dest for p in subs.values() for a in p._actions} - {"help", "config"}
+    for key in cfg:
+        if key not in known:
             raise _UsageError(f"unknown config key {key!r}")
-        if key in ("grid", "tolerances") or value is None:
-            out[key] = value
-        elif key in _OPTIONS[command]:
-            out[key] = _option_value(_OPTIONS[command][key], f"config {key}", value)
-    return out
+    layers = [("config", cfg)]
+    if "grid" in options:  # only cutlocus-search reads grid records
+        layers += [("grid", record) for record in records]
+    defaults = {}
+    for name, layer in layers:
+        for key, value in layer.items():
+            if key in options and value is not None:
+                defaults[key] = _option_value(options[key], f"{name} {key}", value)
+    subs[args.command].set_defaults(**defaults)
+    args = top.parse_args(argv)
+    for name in ("n", "k"):
+        if name in options and getattr(args, name) is None:
+            raise _UsageError(f"missing required option --{name}")
+    tolerances.configure(**tol)
+    return args
 
 
-def _pick(args, cfg: dict, name: str, default=None):
-    val = getattr(args, name, None)
-    if val is not None and val is not False:
-        return val
-    if name in cfg and cfg[name] is not None:
-        return cfg[name]
-    return default
-
-
-def _emit(args, cfg, payload: dict) -> None:
+def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = _pick(args, cfg, "out", "-")
-    if out == "-":
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
 
 
-def _parse_velocity(args, cfg) -> BlockVelocity:
-    inline = _pick(args, cfg, "velocity")
-    path = _pick(args, cfg, "velocity_file")
-    if inline and path:
-        raise _UsageError("give either --velocity or --velocity-file, not both")
-    if not inline and not path:
-        raise _UsageError("a velocity is required (--velocity or --velocity-file)")
+def _from_json(args, name: str, build):
+    """``build`` applied to the JSON of --NAME or --NAME-file."""
+    data = _load_json(getattr(args, name), getattr(args, f"{name}_file"), name)
     try:
-        raw = inline if inline else open(path).read()
-        data = json.loads(raw)
-        return BlockVelocity.from_json_dict(data)
+        return build(data)
     except InvariantViolation:
         raise
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as err:
-        raise _UsageError(f"malformed velocity JSON: {err}") from err
+    except (KeyError, ValueError, TypeError) as err:
+        raise _UsageError(f"malformed {name} JSON: {err}") from err
 
 
-def _parse_target(args, cfg) -> StiefelPoint:
-    inline = _pick(args, cfg, "target")
-    path = _pick(args, cfg, "target_file")
-    if not inline and not path:
-        raise _UsageError("a target is required (--target or --target-file)")
-    try:
-        raw = inline if inline else open(path).read()
-        return StiefelPoint.from_json_dict(json.loads(raw))
-    except InvariantViolation:
-        raise
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as err:
-        raise _UsageError(f"malformed target JSON: {err}") from err
-
-
-def _require(args, cfg, name: str):
-    val = _pick(args, cfg, name)
-    if val is None:
-        raise _UsageError(f"missing required option --{name.replace('_', '-')}")
-    return val
-
-
-def _record(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise _UsageError(f"the {name} record must be a JSON object, got {value!r}")
-    return value
-
-
-def _apply_tolerances(cfg: dict) -> None:
-    tol_cfg = cfg.get("tolerances")
-    if tol_cfg is not None:
-        tolerances.configure(**_record(tol_cfg, "tolerances"))
-
-
-def _grid_from(args, cfg, n: int, k: int, mode: str, seed: int) -> VelocityGrid:
-    grid_cfg = dict(_record(cfg.get("grid") or {}, "grid"))
-    inline = getattr(args, "grid", None)
-    if inline:  # inline record overrides the config file, flags override both
-        try:
-            grid_cfg.update(_record(json.loads(inline), "grid"))
-        except json.JSONDecodeError as err:
-            raise _UsageError(f"malformed grid JSON: {err}") from err
-    kwargs = {"n": n, "k": k, "mode": mode, "seed": seed}
-
-    def option(key: str):
-        val = _pick(args, grid_cfg, key)
-        action = _OPTIONS["cutlocus-search"][key]
-        return None if val is None else _option_value(action, f"grid {key}", val)
-
-    rng_cfg = grid_cfg.get("lambda_range")
-    if rng_cfg is not None:
-        if not (
-            isinstance(rng_cfg, list)
-            and len(rng_cfg) == 2
-            and all(isinstance(x, (int, float)) for x in rng_cfg)
-        ):
-            raise _UsageError(f"grid lambda_range must be two numbers, got {rng_cfg!r}")
-        kwargs["lambda_range"] = (float(rng_cfg[0]), float(rng_cfg[1]))
-    lam_lo, lam_hi = option("lambda_min"), option("lambda_max")
-    if lam_lo is not None or lam_hi is not None:
-        base = kwargs.get("lambda_range", VelocityGrid(n, k).lambda_range)
-        kwargs["lambda_range"] = (
-            lam_lo if lam_lo is not None else base[0],
-            lam_hi if lam_hi is not None else base[1],
-        )
-    for key in _GRID_KEYS[1:]:
-        val = option(key)
-        if val is not None:
-            kwargs[key] = val
-    return VelocityGrid(**kwargs)
-
-
-def _cmd_geodesic_eval(args, cfg) -> int:
-    n = _require(args, cfg, "n")
-    k = _require(args, cfg, "k")
-    mode = _pick(args, cfg, "mode", COMPLEX)
-    vel = _parse_velocity(args, cfg)
-    if (vel.n, vel.k) != (n, k) or vel.mode != mode:
+def _cmd_geodesic_eval(args) -> int:
+    vel = _from_json(args, "velocity", BlockVelocity.from_json_dict)
+    if (vel.n, vel.k) != (args.n, args.k) or vel.mode != args.mode:
         raise _UsageError(
             f"velocity is for (n={vel.n}, k={vel.k}, mode={vel.mode}), "
-            f"flags say (n={n}, k={k}, mode={mode})"
+            f"flags say (n={args.n}, k={args.k}, mode={args.mode})"
         )
-    t_max = _pick(args, cfg, "t_max", np.pi)
-    samples = _pick(args, cfg, "samples", 64)
-    if samples < 1:
+    if args.samples < 1:
         raise _UsageError("--samples must be positive")
-    ts = np.linspace(0.0, t_max, samples)
-    out = _pick(args, cfg, "out", "geodesic.csv")
-    if out == "-":
+    if args.out == "-":
         raise _UsageError("geodesic-eval writes a CSV file; give --out PATH")
-    write_curve_csv(out, GeodesicSpec(vel), ts)
+    write_curve_csv(args.out, GeodesicSpec(vel), np.linspace(0.0, args.t_max, args.samples))
     return EXIT_OK
 
 
-def _cmd_verify_closed_forms(args, cfg) -> int:
-    trials = _pick(args, cfg, "trials", 1000)
-    if trials < 0:
+def _cmd_verify_closed_forms(args) -> int:
+    if args.trials < 0:
         raise _UsageError("--trials must be >= 0")
-    seed = _pick(args, cfg, "seed", 0)
-    flip = _pick(args, cfg, "inject_sign_flip", False)
-    if trials == 0:
+    if args.trials == 0:
         sys.stderr.write("warning: 0 trials requested; verification is vacuous\n")
-    suites = closed_form_suites(trials, seed, sign_flip=flip)
+    suites = closed_form_suites(args.trials, args.seed, sign_flip=args.inject_sign_flip)
     ok = all(s["pass"] for s in suites)
-    _emit(args, cfg, {"suites": suites, "pass": ok})
+    _emit(args, {"suites": suites, "pass": ok})
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_bracket(args, cfg) -> int:
-    n = _require(args, cfg, "n")
-    k = _require(args, cfg, "k")
-    mode = _pick(args, cfg, "mode", COMPLEX)
-    report = bracket_generating_rank(n, k, mode)
-    _emit(args, cfg, report.to_json_dict())
+def _cmd_bracket(args) -> int:
+    report = bracket_generating_rank(args.n, args.k, args.mode)
+    _emit(args, report.to_json_dict())
     return EXIT_OK if report.generating else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_cutlocus_search(args, cfg) -> int:
-    n = _require(args, cfg, "n")
-    k = _require(args, cfg, "k")
-    mode = _pick(args, cfg, "mode", COMPLEX)
-    seed = _pick(args, cfg, "seed", 0)
-    target = _parse_target(args, cfg)
-    if (target.n, target.k) != (n, k) or target.mode != mode:
+def _cmd_cutlocus_search(args) -> int:
+    target = _from_json(args, "target", StiefelPoint.from_json_dict)
+    if (target.n, target.k) != (args.n, args.k) or target.mode != args.mode:
         raise _UsageError("target does not match --n/--k/--mode")
-    report = search_minimizers(target, _grid_from(args, cfg, n, k, mode, seed))
+    grid = VelocityGrid(
+        args.n,
+        args.k,
+        args.mode,
+        lambda_range=(args.lambda_min, args.lambda_max),
+        seed=args.seed,
+        **{key: getattr(args, key) for key in _GRID_OPTIONS},
+    )
+    report = search_minimizers(target, grid)
     payload = report.to_json_dict()
     payload["pass"] = len(report.arrivals) > 0
-    _emit(args, cfg, payload)
+    _emit(args, payload)
     return EXIT_OK if payload["pass"] else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_verify_l(args, cfg) -> int:
-    n = _require(args, cfg, "n")
-    k = _require(args, cfg, "k")
-    mode = _pick(args, cfg, "mode", COMPLEX)
-    samples = _pick(args, cfg, "samples", 50)
-    seed = _pick(args, cfg, "seed", 0)
-    summary = verify_mirror_arrivals(n, k, samples=samples, seed=seed, mode=mode)
-    _emit(args, cfg, summary.to_json_dict())
+def _cmd_verify_l(args) -> int:
+    summary = verify_mirror_arrivals(
+        args.n, args.k, samples=args.samples, seed=args.seed, mode=args.mode
+    )
+    _emit(args, summary.to_json_dict())
     return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_verify_antidiagonal(args, cfg) -> int:
-    k = _require(args, cfg, "k")
-    mode = _pick(args, cfg, "mode", COMPLEX)
-    samples = _pick(args, cfg, "samples", 20)
-    seed = _pick(args, cfg, "seed", 0)
-    summary = verify_antidiagonal_arrivals(k, samples=samples, seed=seed, mode=mode)
-    _emit(args, cfg, summary.to_json_dict())
+def _cmd_verify_antidiagonal(args) -> int:
+    summary = verify_antidiagonal_arrivals(
+        args.k, samples=args.samples, seed=args.seed, mode=args.mode
+    )
+    _emit(args, summary.to_json_dict())
     return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_uniqueness(args, cfg) -> int:
-    n = _require(args, cfg, "n")
-    trials = _pick(args, cfg, "trials", 200)
-    seed = _pick(args, cfg, "seed", 0)
-    summary = uniqueness_case_checks(n, trials=trials, seed=seed)
-    _emit(args, cfg, summary.to_json_dict())
+def _cmd_uniqueness(args) -> int:
+    summary = uniqueness_case_checks(args.n, trials=args.trials, seed=args.seed)
+    _emit(args, summary.to_json_dict())
     return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
 
 
@@ -388,13 +333,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as err:
+        args = _parse(argv)
+        return _HANDLERS[args.command](args)
+    except SystemExit as err:  # argparse: --help, or a malformed command line
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
-    try:
-        cfg = _load_config(args.config, args.command)
-        _apply_tolerances(cfg)
-        return _HANDLERS[args.command](args, cfg)
     except _UsageError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE

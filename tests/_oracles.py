@@ -4,14 +4,17 @@ These deliberately avoid the library's computational paths: the exponential
 oracle is a truncated power series, the trace oracle a double loop, the
 length oracle composite-Simpson quadrature of a finite-difference speed, and
 the dedup and cluster oracles the minimizer search's original pairwise loops,
-the candidate oracle its original per-hit loop, and the hit oracle the
-original golden-section refinement of the first block-diagonal dip.
+the candidate oracle its original per-hit loop, the hit oracle the
+original golden-section refinement of the first block-diagonal dip, and the
+bracket-span oracles the rank tests' original one-bracket-at-a-time loops.
 """
 
 import numpy as np
 
-from stiefel_sr import tolerances
+from stiefel_sr import matcore, tolerances
+from stiefel_sr.distribution import horizontal_basis, stiefel_tangent_dim
 from stiefel_sr.geodesic import GeodesicSpec, sample_curve
+from stiefel_sr.homspace import BlockVelocity
 from stiefel_sr.matcore import COMPLEX
 
 
@@ -240,3 +243,42 @@ def unit_block_tangents(b, da, db):
     radial = np.sum((np.conj(unit) * db).real, axis=(2, 3), keepdims=True)
     dunit = (db - radial * unit) / norms[:, None, None, None]
     return np.broadcast_to(da, (len(b),) + da.shape), dunit
+
+
+def _stacked_rank_loop(mats, k: int, mode: str) -> int:
+    """Rank of matrices projected one at a time, each flattened to one real row."""
+    rows = []
+    for m in mats:
+        m = np.array(m, dtype=np.complex128)
+        m[k:, k:] = 0.0
+        parts = [m.real.ravel(), m.imag.ravel()] if mode == COMPLEX else [m.real.ravel()]
+        rows.append(np.concatenate(parts))
+    s = np.linalg.svd(np.array(rows), compute_uv=False)
+    return int(np.sum(s > 1e-8 * s[0])) if s[0] > 0.0 else 0
+
+
+def bracket_rank_loop(n: int, k: int, mode: str) -> int:
+    """The horizontal basis plus the bracket of every basis pair, one pair at a time."""
+    embedded = [bv.embed() for bv in horizontal_basis(n, k, mode)]
+    mats = list(embedded)
+    for i in range(len(embedded)):
+        for j in range(i + 1, len(embedded)):
+            mats.append(embedded[i] @ embedded[j] - embedded[j] @ embedded[i])
+    return _stacked_rank_loop(mats, k, mode)
+
+
+def strong_bracket_check_loop(n: int, samples: int, seed: int) -> bool:
+    """The strong bracket check of V_{n,1}, one bracket with the section at a time."""
+    rng = np.random.default_rng(seed)
+    embedded = [bv.embed() for bv in horizontal_basis(n, 1, COMPLEX)]
+    checked = 0
+    while checked < samples:
+        b = matcore.random_matrix(rng, 1, n - 1, COMPLEX)
+        if float(np.linalg.norm(b)) <= 1e-12:
+            continue
+        z = BlockVelocity(np.zeros((1, 1)), b, COMPLEX).embed()
+        mats = embedded + [z @ e - e @ z for e in embedded]
+        if _stacked_rank_loop(mats, 1, COMPLEX) != stiefel_tangent_dim(n, 1, COMPLEX):
+            return False
+        checked += 1
+    return True

@@ -1,11 +1,20 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stiefel_sr import cli
 from stiefel_sr.cli import EXIT_USAGE, main
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+GRID_OPTIONS = {
+    "lambda_min", "lambda_max", "lambda_count", "phase_count", "direction_count",
+    "sample_count", "t_max", "t_count", "family",
+}
 
 
 def run(*args):
@@ -149,6 +158,21 @@ class TestExperiments:
     def test_unknown_command(self):
         assert run("no-such-command") == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-L", "--n", "3", "--k", "1", "--samples", "-1"],
+            ["verify-antidiagonal", "--k", "2", "--samples", "0"],
+            ["verify-antidiagonal", "--k", "2", "--samples", "-2"],
+            ["uniqueness", "--n", "3", "--trials", "0"],
+            ["uniqueness", "--n", "3", "--trials", "-5"],
+        ],
+    )
+    def test_nothing_to_check_is_usage_error(self, capsys, argv):
+        assert run(*argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCutlocusSearch:
     def test_reproducible_bytes(self, tmp_path):
@@ -268,6 +292,9 @@ class TestConfigPrecedence:
             ({}, ["--grid", "[1]"]),
             ({"grid": {"t_count": [96]}}, []),
             ({"grid": {"lambda_min": {}}}, []),
+            ({"grid": {"foo": 1}}, []),
+            ({}, ["--grid", json.dumps({"foo": 1})]),
+            ({}, ["--target-file", "target.json"]),  # given with --target
         ],
     )
     def test_malformed_record_is_usage_error(
@@ -314,3 +341,105 @@ class TestConfigPrecedence:
         assert run("bracket", "--config", str(cfg), "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         assert payload["n"] == 4 and isinstance(payload["n"], int) and payload["mode"] == "real"
+
+
+def _config_and_flag_values(action):
+    """A config value and a flag value for an option, each unlike what it overrides."""
+    if action.nargs == 0:
+        return True, True  # a switch: the flag can only repeat the config value
+    if action.choices:
+        config = next(c for c in action.choices if c != action.default)
+        return config, next(c for c in action.choices if c != config)
+    if action.type is int:
+        return 7, 9
+    if action.type is float:
+        return 0.5, 0.25
+    return "from-config", "from-flag"
+
+
+class TestOneParsePath:
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_config_value_lands_and_flag_beats_it(self, tmp_path, command):
+        _, subs = cli._build_parser()
+        actions = [a for a in subs[command]._actions if a.dest not in ("help", "config", "grid")]
+        values = {a.dest: _config_and_flag_values(a) for a in actions}
+        assert command != "cutlocus-search" or GRID_OPTIONS <= values.keys()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({dest: pair[0] for dest, pair in values.items()}))
+        args = cli._parse([command, "--config", str(cfg)])
+        assert {dest: getattr(args, dest) for dest in values} == {
+            dest: pair[0] for dest, pair in values.items()
+        }
+        for action in actions:
+            flag = values[action.dest][1]
+            argv = [command, "--config", str(cfg), action.option_strings[0]]
+            argv += [] if action.nargs == 0 else [str(flag)]
+            assert getattr(cli._parse(argv), action.dest) == flag, action.dest
+
+    def test_grid_option_precedence_chain(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        base = ["cutlocus-search", "--config", str(cfg)]
+        cfg.write_text(json.dumps({"n": 2, "k": 1}))
+        assert cli._parse(base).t_count == 256
+        cfg.write_text(json.dumps({"n": 2, "k": 1, "t_count": 10}))
+        assert cli._parse(base).t_count == 10
+        cfg.write_text(json.dumps({"n": 2, "k": 1, "t_count": 10, "grid": {"t_count": 20}}))
+        assert cli._parse(base).t_count == 20
+        inline = ["--grid", json.dumps({"t_count": 30})]
+        assert cli._parse(base + inline).t_count == 30
+        assert cli._parse(base + inline + ["--t-count", "40"]).t_count == 40
+
+    def test_only_the_search_reads_grid_records(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3, "k": 1, "grid": {"n": 5, "seed": 4}}))
+        args = cli._parse(["verify-L", "--config", str(cfg)])
+        assert (args.n, args.seed) == (3, 0)
+
+    def test_top_level_grid_keys_take_effect(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"n": 2, "k": 1, "t_count": 5000, "lambda_count": 4,
+                 "target": target_json([[-1.0], [0.0]])}
+            )
+        )
+        out = tmp_path / "r.json"
+        code = run("cutlocus-search", "--config", str(cfg), "--phase-count", "4", "--out", str(out))
+        assert code != EXIT_USAGE
+        grid = json.loads(out.read_text())["grid"]
+        assert (grid["t_count"], grid["lambda_count"], grid["phase_count"]) == (5000, 4, 4)
+
+    def test_report_grid_reproduces_the_search(self, tmp_path):
+        target = target_json([[-1.0], [0.0]])
+        first = tmp_path / "first.json"
+        code = run(
+            "cutlocus-search", "--n", "2", "--k", "1", "--seed", "5", "--lambda-min", "-2.5",
+            "--lambda-count", "12", "--phase-count", "12", "--t-count", "96",
+            "--target", target, "--out", str(first),
+        )
+        assert code == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": json.loads(first.read_text())["grid"], "target": target}))
+        again = tmp_path / "again.json"
+        assert run("cutlocus-search", "--config", str(cfg), "--out", str(again)) == 0
+        assert again.read_bytes() == first.read_bytes()
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The ``stiefel-sr`` command lines of README's CLI section, without the program name."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("stiefel-sr ")]
+
+
+def test_readme_documents_every_subcommand():
+    assert sorted(argv[0] for argv in readme_cli_commands()) == sorted(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_example_runs(tmp_path, argv):
+    argv = list(argv)
+    at = argv.index("--out") + 1
+    argv[at] = str(tmp_path / argv[at])
+    assert main(argv) == 0
+    assert Path(argv[at]).stat().st_size > 0

@@ -633,6 +633,22 @@ class TestUniquenessChecks:
         assert abs(np.tan(0.5) / 0.5 - np.tan(1.0) / 1.0) > 1e-9
 
 
+@pytest.mark.parametrize("count", [0, -2])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda count: verify_mirror_arrivals(3, 1, samples=count),
+        lambda count: verify_antidiagonal_arrivals(2, samples=count),
+        lambda count: uniqueness_case_checks(3, trials=count),
+    ],
+    ids=["mirror", "antidiagonal", "uniqueness"],
+)
+def test_nothing_to_check_is_rejected(check, count):
+    # a sampled verification with no samples would pass vacuously
+    with pytest.raises(ValueError, match=f">= 1, got {count}"):
+        check(count)
+
+
 def _report_bytes(target, grid, **kwargs) -> str:
     return json.dumps(search_minimizers(target, grid, **kwargs).to_json_dict())
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from _oracles import bracket_rank_loop, strong_bracket_check_loop
+
 from stiefel_sr import matcore
 from stiefel_sr.matcore import COMPLEX, REAL, random_skew_hermitian
 from stiefel_sr.homspace import BlockVelocity
@@ -126,11 +128,23 @@ class TestBracketGeneratingRank:
         with pytest.raises(ValueError):
             bracket_generating_rank(3, 3, COMPLEX)
 
+    @pytest.mark.parametrize("mode", [COMPLEX, REAL])
+    def test_rank_matches_pairwise_loop(self, mode):
+        for n in range(2, 7):
+            for k in range(1, n):
+                rank = bracket_generating_rank(n, k, mode).dim_h_plus_brackets
+                assert rank == bracket_rank_loop(n, k, mode), (n, k)
+
 
 class TestStronglyBracketGenerating:
     @pytest.mark.parametrize("n", [2, 5])
     def test_holds_on_samples(self, n):
         assert strongly_bracket_check_vn1(n, samples=50, seed=n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_matches_per_bracket_loop(self, n):
+        for seed in range(3):
+            assert strongly_bracket_check_vn1(n, 20, seed) == strong_bracket_check_loop(n, 20, seed)
 
     def test_zero_section_is_rejected_not_counted(self, monkeypatch):
         rng = np.random.default_rng(8)
