@@ -142,13 +142,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _option_value(action: argparse.Action, name: str, value):
-    """A config value converted by the option's own type and checked against its choices."""
+    """A config value converted by the option's own type and checked against its choices.
+
+    A string option takes only a string; an inline JSON option also takes the object.
+    """
     switch = action.nargs == 0  # a store_true flag takes a JSON boolean
+    if action.dest in ("velocity", "target") and isinstance(value, dict):
+        return json.dumps(value)  # the JSON text the inline flag would carry
     try:
         if isinstance(value, bool) != switch:
             raise TypeError(name)
         if action.type is int and not float(value).is_integer():
             raise ValueError(name)
+        if action.type is str and not isinstance(value, str):
+            raise TypeError(name)
         val = value if switch or action.type is None else action.type(value)
     except (TypeError, ValueError, OverflowError) as err:
         kind = "true or false" if switch else getattr(action.type, "__name__", "a value")

@@ -28,6 +28,7 @@ from .geodesic import (
     _geodesic_jacobian,
     _speeds_squared,
     batch_geodesic_columns,
+    geodesic_vn1_closed,
     grassmann_geodesic_2kk,
     grid_geodesic_columns,
     length,
@@ -40,6 +41,10 @@ _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
 # element budget of one batch of scan or Jacobian temporaries; a grid's scan
 # table (velocities x times x n x k) is cached only if it fits in one budget
 _CHUNK_ELEMENTS = 2**22
+# Levenberg-Marquardt iterations of the arrival refinement
+_LM_ITERS = 60
+# the first block-diagonal hit is looked for on a grid of this many times
+_HIT_SCAN_POINTS = 1200
 # Gauss-Newton refinement of a block-diagonal hit: at most this many steps,
 # stopping early once a step moves t by at most the floor times t_upper
 _HIT_GN_ITERS = 6
@@ -421,8 +426,6 @@ def _refine(
     ts: np.ndarray,
     target_cols,
     hit: float,
-    *,
-    iters: int = 60,
 ):
     """Batched Levenberg-Marquardt on the endpoint residuals over (params, t).
 
@@ -445,7 +448,7 @@ def _refine(
     mu = np.full(n_cand, 1e-3)
     active = np.ones(n_cand, dtype=bool)
     eye = np.eye(dim)
-    for _ in range(iters):
+    for _ in range(_LM_ITERS):
         ai = np.nonzero(active)[0]
         if len(ai) == 0:
             break
@@ -631,9 +634,7 @@ def sample_block_diagonal_hitting_velocity(
     return BlockVelocity(a, b, mode), float(2.0 * np.pi / s)
 
 
-def first_block_diagonal_hit(
-    spec: GeodesicSpec, t_upper: float, scan_points: int = 1200
-) -> float | None:
+def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None:
     """First strictly positive time the lower block vanishes, or None.
 
     Scans the lower-block norm on a dense grid (skipping the initial rise out
@@ -644,7 +645,7 @@ def first_block_diagonal_hit(
     """
     k = spec.k
     a, b = spec.v.a_block, spec.v.b_block
-    ts = np.linspace(0.0, t_upper, scan_points)
+    ts = np.linspace(0.0, t_upper, _HIT_SCAN_POINTS)
     cols = sample_curve(spec, ts)
     g = np.sqrt(np.sum(np.abs(cols[:, k:, :]) ** 2, axis=(1, 2)))
     peak = float(g.max())
@@ -934,21 +935,18 @@ def uniqueness_case_checks(n: int, trials: int = 200, seed: int = 0) -> Uniquene
         gap = abs(np.tan(a) / a - np.tan(b) / b)
         min_gap = min(min_gap, float(gap))
 
-    from .geodesic import geodesic_vn1_closed
-
-    max_rec = 0.0
-    for _ in range(trials):
-        lam = rng.uniform(-2.0, 2.0)
+    lam, t = np.zeros(trials), np.zeros(trials)
+    rows = np.zeros((trials, n - 1), complex)
+    for i in range(trials):
+        lam[i] = rng.uniform(-2.0, 2.0)
         row = matcore.random_matrix(rng, 1, n - 1, COMPLEX).reshape(-1)
-        row = row / np.linalg.norm(row) * rng.uniform(0.3, 1.5)
-        s = np.sqrt(lam * lam + 4.0 * float(np.sum(np.abs(row) ** 2)))
-        t = rng.uniform(0.1, 0.9) * 2.0 * np.pi / s
-        _, g3 = geodesic_vn1_closed(lam, row, t)
-        factor = (
-            np.exp(-0.5j * t * (s + lam)) * (np.exp(1j * t * s) - 1.0) / (1j * s)
-        )
-        rec = np.conj(-g3 / factor)
-        max_rec = max(max_rec, float(np.max(np.abs(rec - row))))
+        rows[i] = row / np.linalg.norm(row) * rng.uniform(0.3, 1.5)
+        t[i] = rng.uniform(0.1, 0.9)
+    s = np.sqrt(lam * lam + 4.0 * np.sum(np.abs(rows) ** 2, axis=1))
+    t = t * 2.0 * np.pi / s
+    _, g3 = geodesic_vn1_closed(lam, rows, t)
+    factor = np.exp(-0.5j * t * (s + lam)) * (np.exp(1j * t * s) - 1.0) / (1j * s)
+    max_rec = float(np.max(np.abs(np.conj(-g3 / factor[:, None]) - rows)))
 
     passed = sin_monotone and min_gap > 1e-9 and max_rec <= 1e-10
     return UniquenessCheckSummary(

@@ -9,10 +9,13 @@ and is horizontal with constant speed.  One batched kernel evaluates it for
 stacked velocities and times; ``sample_curve``, ``batch_geodesic_columns`` and
 ``grid_geodesic_columns`` are views of it, and a companion returns the
 endpoint's derivatives in the velocity blocks and in t for the minimizer
-search's refinement.  Alongside it this module carries
-the closed forms available in special cases — V_{2,1}, V_{n,1} and the
-square-block Grassmann geodesics used for V_{2k,k} — plus speed, length, the first time a V_{n,1} geodesic returns to the block-diagonal set,
-and the mirrored velocity that produces a second arrival at such points.
+search's refinement.  For k = 1 the kernel runs one closed form of the V_{n,1}
+column, and the public closed forms ``geodesic_vn1_closed`` and
+``geodesic_v21_closed`` (V_{2,1} is its n = 2 case) are views of the same
+formula.  Alongside them this module carries the square-block Grassmann
+geodesics used for V_{2k,k}, plus speed, length, the first time a V_{n,1}
+geodesic returns to the block-diagonal set, and the mirrored velocity that
+produces a second arrival at such points.
 
 Matrix functions of b b* are evaluated through the SVD of b, with the
 sin(x)/x limit handled spectrally so singular directions are fine.
@@ -20,7 +23,6 @@ sin(x)/x limit handled spectrally so singular directions are fine.
 
 from __future__ import annotations
 
-import cmath
 import csv
 from dataclasses import dataclass
 
@@ -103,20 +105,21 @@ def _sin_over(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return x * np.sinc(x * omega / np.pi)
 
 
-def _first_column_2x2(lam, b, ts):
-    """Canonical column of the V_{2,1} geodesic, eigensolver-free.
+def _vn1_column(lam, b, ts):
+    """First column of the V_{n,1} geodesic, eigensolver-free: top (...), bottom (..., n-1).
 
-    For the 2x2 skew-Hermitian velocity the traceless part squares to a
-    negative scalar, so exp is a cosine/sine combination; broadcasting shapes
-    of (lam, b, ts) decide the output shape (..., 2).
+    Fibre rates ``lam`` (a = i lam) and times ``ts`` broadcast with the stack of
+    transversal rows ``b`` (..., n-1).  The traceless part of the velocity squares to
+    a negative scalar, so exp is a cosine/sine combination; nothing divides by the
+    rate, so tiny rates need no special case.
     """
-    s_half = 0.5 * np.sqrt(lam * lam + 4.0 * np.abs(b) ** 2)
+    s_half = 0.5 * np.sqrt(lam * lam + 4.0 * np.sum(np.abs(b) ** 2, axis=-1))
     cosw = np.cos(ts * s_half)
     sincw = _sin_over(ts, s_half)
     phase = np.exp(-0.5j * lam * ts)  # e^{i lam t / 2} from exp, times e^{-i lam t}
     top = phase * (cosw + 0.5j * lam * sincw)
-    bottom = phase * (-np.conj(b) * sincw)
-    return np.stack([top, bottom], axis=-1)
+    bottom = phase[..., None] * (-np.conj(b) * sincw[..., None])
+    return top, bottom
 
 
 def _spectral_flow(h: np.ndarray, ts: np.ndarray, k: int, rate: complex) -> np.ndarray:
@@ -137,18 +140,19 @@ def _geodesic_columns(a_blocks, b_blocks, ts, mode: str) -> np.ndarray:
     """The evaluation kernel: first k columns of exp(t v) . blockdiag(exp(-t a), I).
 
     Stacked blocks (c, k, k) and (c, k, n-k); ``ts`` is 2-d and broadcasts to
-    (c, T).  Returns (c, T, n, k).  V_{2,1} takes the eigensolver-free closed
-    form; every other shape one batched eigh of the embedded velocity and one
-    of the fibre block.  No per-element validation (hot path for searches).
+    (c, T).  Returns (c, T, n, k).  Every k = 1 shape takes the V_{n,1}
+    closed form, with no eigensolver; k >= 2 takes one batched eigh of the
+    embedded velocity and one of the fibre block.  No per-element validation
+    (hot path for searches).
     """
     a_blocks = np.asarray(a_blocks, dtype=np.complex128)
     b_blocks = np.asarray(b_blocks, dtype=np.complex128)
     ts = np.asarray(ts, dtype=np.float64)
-    c, k, m = b_blocks.shape
-    n = k + m
-    if (n, k) == (2, 1):
-        lam = a_blocks[:, 0, :].imag
-        cols = _first_column_2x2(lam, b_blocks[:, 0, :], ts)[..., None]
+    k = b_blocks.shape[1]
+    if k == 1:
+        # the (c, 1) stack of rows b_blocks meets lam (c, 1) and ts (c, T)
+        top, bottom = _vn1_column(a_blocks[:, :, 0].imag, b_blocks, ts)
+        cols = np.concatenate([top[..., None], bottom], axis=-1)[..., None]
     else:
         full = _embed_velocities(a_blocks, b_blocks)
         left = _spectral_flow(1j * full, ts, k, -1j)
@@ -257,52 +261,41 @@ def _rate(x: float, b: np.ndarray) -> float:
     return float(np.hypot.reduce(np.concatenate([[x], 2.0 * np.abs(b)])))
 
 
-def geodesic_v21_closed(lam: float, x2: complex, t: float, sign_flip: bool = False):
+def geodesic_v21_closed(lam, x2, t, sign_flip: bool = False):
     """Closed-form V_{2,1} geodesic; returns the four matrix entries.
 
-    The entries assemble to the unitary exp(tv) . diag(e^{-i lam t}, 1) for
-    v = [[i lam, x2], [-conj(x2), 0]]; the first column is the canonical
-    Stiefel representative.  ``sign_flip`` intentionally mis-groups the
-    phase arguments of the first entry (a mutation hook for the oracle
-    verification suite) and must stay False for correct results.
+    The entries assemble to the SU(2) element exp(tv) . diag(e^{-i lam t}, 1)
+    for v = [[i lam, x2], [-conj(x2), 0]]: the first column, the canonical
+    Stiefel representative, and the second that follows from it.  Arguments
+    may be stacked arrays that broadcast together.  ``sign_flip`` mis-groups
+    the phase of the first entry by a factor e^{i lam t} (a mutation hook for
+    the oracle verification suite) and must stay False for correct results.
     """
-    lam = float(lam)
-    x2 = complex(x2)
-    s = _rate(lam, np.array([x2]))
-    if s == 0.0:
-        return (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-
-    # Python complex scalars throughout: numpy's complex division forms 1/s,
-    # which overflows when the rate s is subnormal
-    def mu(lam_arg: float, pm: float) -> complex:
-        return cmath.exp(0.5j * t * (lam_arg + pm * s))
-
-    c_plus = lam / (2.0 * s) + 0.5
-    c_minus = -lam / (2.0 * s) + 0.5
-    lam1 = lam if sign_flip else -lam
-    g1 = c_plus * mu(lam1, +1) + c_minus * mu(lam1, -1)
-    g2 = (x2 * 1j / s) * (mu(lam, -1) - mu(lam, +1))
-    g3 = -(x2.conjugate() * 1j / s) * (mu(-lam, -1) - mu(-lam, +1))
-    g4 = (-mu(lam, +1) * (lam - s) + mu(lam, -1) * (lam + s)) / (2.0 * s)
-    return (complex(g1), complex(g2), complex(g3), complex(g4))
+    lam, x2, t = np.asarray(lam, float), np.asarray(x2, complex), np.asarray(t, float)
+    if lam.ndim + x2.ndim + t.ndim == 0:  # a stack of one, as in geodesic_vn1_closed
+        stacked = geodesic_v21_closed(lam[None], x2[None], t[None], sign_flip)
+        return tuple(g[0] for g in stacked)
+    g1, g3 = _vn1_column(lam, x2[..., None], t)
+    g3 = g3[..., 0]
+    g2, g4 = -np.conj(g3), np.conj(g1)
+    if sign_flip:
+        g1 = g1 * np.exp(1j * lam * t)
+    return g1, g2, g3, g4
 
 
-def geodesic_vn1_closed(x: float, b, t: float):
+def geodesic_vn1_closed(x, b, t):
     """Closed-form V_{n,1} geodesic: first column (scalar, length-(n-1) vector).
 
     ``x`` is the fibre rate (the k=1 block is i x) and ``b`` the transversal
-    row.  The column satisfies |g1|^2 + ||g3||^2 = 1.
+    row; stacked rates and times broadcast with the stack of rows (..., n-1).
+    The column satisfies |g1|^2 + ||g3||^2 = 1.
     """
-    x = float(x)
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    s = _rate(x, b)
-    if s == 0.0:
-        return 1.0 + 0j, np.zeros_like(b)
-    e_full = cmath.exp(1j * t * s)  # Python complex: see geodesic_v21_closed
-    pref = cmath.exp(-0.5j * t * (s + x))
-    g1 = pref * (s * (e_full + 1.0) + x * (e_full - 1.0)) / (2.0 * s)
-    g3 = -np.conj(b) * (pref * (e_full - 1.0) / (1j * s))
-    return complex(g1), g3
+    x, b, t = np.asarray(x, float), np.asarray(b, complex), np.asarray(t, float)
+    if x.ndim + t.ndim + b.ndim == 1:
+        # run as a stack of one: numpy's 0-d loops round differently from its
+        # vector loops, and a scalar call should equal its entry of a stacked call
+        return tuple(g[0] for g in _vn1_column(x[None], b[None], t[None]))
+    return _vn1_column(x, b, t)
 
 
 def first_vanishing_time(x: float, b) -> float:
@@ -331,8 +324,7 @@ def grassmann_geodesic_2kk(b, t):
     u, sig, wh = np.linalg.svd(b)
     t = np.asarray(t, dtype=np.float64)[..., None, None]
     g1 = (u * np.cos(t * sig)) @ adjoint(u)
-    sinc = t * np.sinc(t * sig / np.pi)  # sin(t s)/s with the limit t at s = 0
-    g3 = -adjoint(b) @ (u * sinc) @ adjoint(u)
+    g3 = -adjoint(b) @ (u * _sin_over(t, sig)) @ adjoint(u)
     return g1, g3
 
 

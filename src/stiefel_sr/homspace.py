@@ -95,10 +95,11 @@ class BlockVelocity:
     @classmethod
     def from_json_dict(cls, d: dict) -> "BlockVelocity":
         full = _matrix_from_json(d)
-        n, k = int(d["n"]), int(d["k"])
+        n, k, mode = int(d["n"]), int(d["k"]), str(d["mode"])
         if full.shape != (n, n):
             raise ValueError(f"velocity block is {full.shape}, expected ({n}, {n})")
-        return cls(full[:k, :k], full[:k, k:], str(d["mode"]))
+        vertical, horizontal = split_tangent(full, k, mode)  # checks the whole matrix
+        return cls(vertical.a_block, horizontal.b_block, mode)
 
 
 @dataclass(frozen=True, eq=False)

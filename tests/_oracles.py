@@ -5,8 +5,10 @@ oracle is a truncated power series, the trace oracle a double loop, the
 length oracle composite-Simpson quadrature of a finite-difference speed, and
 the dedup and cluster oracles the minimizer search's original pairwise loops,
 the candidate oracle its original per-hit loop, the hit oracle the
-original golden-section refinement of the first block-diagonal dip, and the
-bracket-span oracles the rank tests' original one-bracket-at-a-time loops.
+original golden-section refinement of the first block-diagonal dip, the
+bracket-span oracles the rank tests' original one-bracket-at-a-time loops,
+and the V_{2,1} column oracle the evaluator's original (2, 1)-only closed
+form.
 """
 
 import numpy as np
@@ -282,3 +284,14 @@ def strong_bracket_check_loop(n: int, samples: int, seed: int) -> bool:
             return False
         checked += 1
     return True
+
+
+def first_column_2x2(lam, b, ts):
+    """The evaluator's original V_{2,1} column: (lam, b, ts) broadcast, output (..., 2)."""
+    s_half = 0.5 * np.sqrt(lam * lam + 4.0 * np.abs(b) ** 2)
+    cosw = np.cos(ts * s_half)
+    sincw = ts * np.sinc(ts * s_half / np.pi)
+    phase = np.exp(-0.5j * lam * ts)
+    top = phase * (cosw + 0.5j * lam * sincw)
+    bottom = phase * (-np.conj(b) * sincw)
+    return np.stack([top, bottom], axis=-1)

@@ -83,6 +83,21 @@ class TestGeodesicEval:
         )
         assert run("geodesic-eval", "--n", "2", "--k", "1", "--velocity", bad) == 3
 
+    @pytest.mark.parametrize(
+        "im, code",
+        [([[0, 0], [0, 3]], 3), ([[0, 0], [0, 0.5]], EXIT_USAGE)],
+        ids=["not-skew", "lower-right-block"],
+    )
+    def test_full_velocity_matrix_is_checked(self, tmp_path, capsys, im, code):
+        # the lower row is part of the velocity: [[0, 1], [5, 7]] is not [[0, 1], [-1, 0]]
+        re = [[0, 1], [5, 7]] if code == 3 else [[0, 1], [-1, 0]]
+        bad = json.dumps({"n": 2, "k": 1, "mode": "complex", "re": re, "im": im})
+        out = tmp_path / "curve.csv"
+        argv = ["geodesic-eval", "--n", "2", "--k", "1", "--velocity", bad, "--out", str(out)]
+        assert run(*argv) == code
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_velocity_flag_mismatch(self):
         assert (
             run("geodesic-eval", "--n", "3", "--k", "1", "--velocity", velocity_json(0, 1))
@@ -334,6 +349,44 @@ class TestConfigPrecedence:
         assert "Traceback" not in err
         assert err == f"error: {message}\n"
 
+    def test_json_object_config_values(self, tmp_path):
+        # a config target or velocity may be the JSON object itself, and then
+        # gives the same report as the inline flag
+        target = target_json([[-1.0], [0.0]])
+        small = ["--t-count", "64", "--lambda-count", "8", "--phase-count", "8"]
+        inline, config = tmp_path / "inline.json", tmp_path / "config.json"
+        search = ["cutlocus-search", "--n", "2", "--k", "1", *small]
+        assert run(*search, "--target", target, "--out", str(inline)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": json.loads(target)}))
+        assert run(*search, "--config", str(cfg), "--out", str(config)) == 0
+        assert config.read_bytes() == inline.read_bytes()
+
+        velocity = velocity_json(0.4, 0.6 + 0.8j)
+        curves = [tmp_path / "inline.csv", tmp_path / "config.csv"]
+        curve = ["geodesic-eval", "--n", "2", "--k", "1", "--samples", "9"]
+        assert run(*curve, "--velocity", velocity, "--out", str(curves[0])) == 0
+        cfg.write_text(json.dumps({"velocity": json.loads(velocity)}))
+        assert run(*curve, "--config", str(cfg), "--out", str(curves[1])) == 0
+        assert curves[1].read_bytes() == curves[0].read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, command",
+        [
+            ("out", ["cutlocus-search", "--target", target_json([[-1.0], [0.0]])]),
+            ("target_file", ["cutlocus-search", "--target", target_json([[-1.0], [0.0]])]),
+            ("velocity_file", ["geodesic-eval", "--velocity", velocity_json(0.0, 1.0)]),
+        ],
+        ids=["out", "target_file", "velocity_file"],
+    )
+    def test_json_object_for_other_string_option_is_usage_error(
+        self, tmp_path, capsys, key, command
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: {"n": 2}}))
+        assert run(*command, "--n", "2", "--k", "1", "--config", str(cfg)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: config {key} must be str, got {{'n': 2}}\n"
+
     def test_integral_config_values_convert(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 4.0, "k": 2, "mode": "real", "trials": 3}))
@@ -443,3 +496,11 @@ def test_readme_cli_example_runs(tmp_path, argv):
     argv[at] = str(tmp_path / argv[at])
     assert main(argv) == 0
     assert Path(argv[at]).stat().st_size > 0
+
+
+def test_readme_library_quick_start_runs(capsys):
+    section = README.read_text().split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Library quick start)", "exec"), {})
+    out = capsys.readouterr().out.split()
+    assert out[0].startswith("[[") and float(out[-1]) > 0  # the columns, then the length

@@ -91,8 +91,8 @@ class TestV21ClosedForm:
             assert dev < 1e-9
 
     def test_matches_generic_evaluator(self):
-        # against the exponential, not sample_curve: at (2, 1) the evaluator
-        # is itself a closed form
+        # against the exponential, not sample_curve: at every k = 1 shape
+        # the evaluator runs this same closed form
         rng = np.random.default_rng(4)
         for _ in range(200):
             lam = rng.uniform(-3, 3)

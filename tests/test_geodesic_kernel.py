@@ -3,22 +3,28 @@
 ``batch_geodesic_columns``, ``grid_geodesic_columns`` and ``sample_curve``
 share one kernel.  Each is checked against the definition -- the first k
 columns of expm(t v) . blockdiag(expm(-t a), I) -- and against the other two,
-at the V_{2,1} closed-form shape and at the spectral shapes, in both field
-modes, including degenerate velocities and t = 0.  The kernel's Jacobian
+at the k = 1 shapes, which take the V_{n,1} closed form, and at the spectral
+shapes (k >= 2), in both field modes, including degenerate velocities and
+t = 0.  The closed form is also checked against the spectral path at every
+k = 1 shape, bit for bit against the former V_{2,1}-only column, and its
+public views stacked against one call per input.  The kernel's Jacobian
 companion is checked against scipy's ``expm_frechet`` on the same inputs.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
+from _oracles import first_column_2x2
 from stiefel_sr import matcore
 from stiefel_sr.matcore import COMPLEX, MODES, REAL
-from stiefel_sr.homspace import BlockVelocity
+from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.geodesic import (
     GeodesicSpec,
     _geodesic_jacobian,
+    _spectral_flow,
     batch_geodesic_columns,
     geodesic_v21_closed,
     geodesic_vn1_closed,
@@ -194,3 +200,79 @@ class TestClosedFormsAtTinyRates:
         assert np.max(np.abs(closed - ref)) < 1e-12
         kernel = batch_geodesic_columns(a[None], row[None], np.array([t]))[0]
         assert np.max(np.abs(kernel - ref)) < 1e-12
+
+
+def stacked_blocks(rng, n, k, mode, kinds, scale=1.0):
+    pairs = [velocity_blocks(rng, n, k, mode, kind) for kind in kinds]
+    return scale * np.stack([p[0] for p in pairs]), scale * np.stack([p[1] for p in pairs])
+
+
+class TestVn1ClosedFormKernel:
+    """The k = 1 path: one closed form behind the kernel and both public closed forms."""
+
+    TIMES = np.array([0.0, 0.4, 1.3, 2.9, 4.7, 6.0])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-310])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_spectral_composition(self, n, mode, scale):
+        rng = np.random.default_rng(100 * n + (mode == REAL))
+        a, b = stacked_blocks(rng, n, 1, mode, KINDS * 3, scale)
+        got = grid_geodesic_columns(a, b, self.TIMES, mode)
+        ts = self.TIMES[None]
+        ref = _spectral_flow(1j * _embed_velocities(a, b), ts, 1, -1j)
+        ref = ref @ _spectral_flow(1j * a, ts, 1, 1j)
+        if mode == REAL:
+            ref = ref.real.astype(np.complex128)
+        assert np.max(np.abs(got - ref)) < 1e-13
+        assert np.array_equal(got[:, 0], np.broadcast_to(np.eye(n, 1), got[:, 0].shape))
+        if mode == REAL:
+            assert not np.any(got.imag)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-310])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_v21_bit_identical_to_former_column(self, mode, scale):
+        rng = np.random.default_rng(7 + (mode == REAL))
+        a, b = stacked_blocks(rng, 2, 1, mode, KINDS * 4, scale)
+        got = grid_geodesic_columns(a, b, self.TIMES, mode)
+        old = first_column_2x2(a[:, 0, :].imag, b[:, 0, :], self.TIMES[None])[..., None]
+        if mode == REAL:
+            old = old.real.astype(np.complex128)
+        assert got.tobytes() == old.tobytes()
+        tix = np.arange(len(a)) % len(self.TIMES)
+        batch = batch_geodesic_columns(a, b, self.TIMES[tix], mode)
+        assert batch.tobytes() == old[np.arange(len(a)), tix].tobytes()
+
+    def test_stacked_closed_forms_equal_scalar_calls(self):
+        rng = np.random.default_rng(9)
+        c, m = 24, 5
+        lam = rng.uniform(-3.0, 3.0, c)
+        t = rng.uniform(0.0, 2.0 * np.pi, c)
+        t[:3] = 0.0
+        x2 = rng.uniform(-2.0, 2.0, c) + 1j * rng.uniform(-2.0, 2.0, c)
+        x2[3:6] = (0.0, 1e-310, 1e-170j)
+        rows = matcore.random_matrix(rng, c, m)
+        rows[6:12, 2:] = 0.0  # zero padding, as the V_{n,1} suite pads shorter rows
+        rows[12] = 0.0
+        for flip in (False, True):
+            stacked = geodesic_v21_closed(lam, x2, t, sign_flip=flip)
+            assert all(g.shape == (c,) for g in stacked)
+            for i in range(c):
+                single = geodesic_v21_closed(lam[i], x2[i], t[i], sign_flip=flip)
+                assert np.array(single).tobytes() == np.array([g[i] for g in stacked]).tobytes()
+        g1, g3 = geodesic_vn1_closed(lam, rows, t)
+        assert g1.shape == (c,) and g3.shape == (c, m)
+        for i in range(c):
+            s1, s3 = geodesic_vn1_closed(lam[i], rows[i], t[i])
+            assert np.shape(s1) == () and s3.shape == (m,)
+            assert np.array(s1).tobytes() == g1[i].tobytes()
+            assert s3.tobytes() == g3[i].tobytes()
+        short1, short3 = geodesic_vn1_closed(lam[6], rows[6, :2], t[6])
+        assert short1 == g1[6] and np.array_equal(short3, g3[6, :2]) and not np.any(g3[6, 2:])
+
+    def test_sign_flip_is_the_phase_factor_on_the_first_entry(self):
+        lam, x2, t = 1.3, 0.4 - 0.7j, 2.2
+        right = geodesic_v21_closed(lam, x2, t)
+        flipped = geodesic_v21_closed(lam, x2, t, sign_flip=True)
+        assert flipped[0] == right[0] * np.exp(1j * lam * t)
+        assert flipped[1:] == right[1:]

@@ -261,6 +261,22 @@ class TestInvariants:
         with pytest.raises(InvariantViolation):
             BlockVelocity(np.array([[1.0]]), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize(
+        "re, im, error",
+        [
+            ([[0, 1], [5, 7]], [[0, 0], [0, 3]], InvariantViolation),  # not skew-Hermitian
+            ([[0, 1, 0], [-1, 0, 2], [0, -2, 0]], [[0] * 3] * 3, ValueError),  # lower-right block
+        ],
+        ids=["not-skew", "lower-right-block"],
+    )
+    def test_velocity_json_checks_the_full_matrix(self, re, im, error):
+        d = {"n": len(re), "k": 1, "mode": COMPLEX, "re": re, "im": im}
+        with pytest.raises(error) as info:
+            BlockVelocity.from_json_dict(d)
+        if error is ValueError:
+            assert not isinstance(info.value, InvariantViolation)
+            assert "lower-right block" in str(info.value)
+
     def test_class_equality_tolerance(self):
         # nearby on-manifold points compare equal at the class tolerance
         p = identity_point(3, 1)

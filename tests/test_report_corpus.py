@@ -88,3 +88,33 @@ def test_missing_file_differs(tmp_path):
     b = tmp_path / "b"
     b.mkdir()
     assert report_corpus.main(["compare", str(a), str(b), "--mode", "equivalent"]) == 1
+
+
+def test_bytes_mode_names_the_differing_values(tmp_path, capsys):
+    changed = copy.deepcopy(REPORT)
+    changed["min_length"] = 6.000000000000001
+    changed["arrivals"][1]["velocity"]["im"][1][1] = -0.0  # a signed zero is a byte change
+    changed["grid"]["t_count"] = 96.0
+    changed["arrivals"].append(_arrival(0.5, 3.0))
+    for key in ("diagnostics", "extra", "more"):
+        changed[key] = 1
+    assert _compare(tmp_path, changed, "bytes") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:5] == [
+        "r.json: $.arrivals: length 2 vs 3",
+        "r.json: $.arrivals[1].velocity.im[1][1]: 0.0 vs -0.0",
+        "r.json: $.diagnostics: only in B",
+        "r.json: $.extra: only in B",
+        "r.json: $.grid.t_count: 96 vs 96.0",
+    ]
+    assert lines[5:] == ["1 files, 1 differing (bytes)"]  # at most 5 paths per file
+
+
+def test_bytes_mode_reports_a_difference_json_does_not_see(tmp_path, capsys):
+    a = _write(tmp_path / "a", REPORT)
+    b = tmp_path / "b"
+    b.mkdir()
+    (b / "r.json").write_text(json.dumps(REPORT, sort_keys=True) + "\n")  # no indent
+    assert report_corpus.main(["compare", str(a), str(b), "--mode", "bytes"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "r.json: bytes differ"
+    assert report_corpus.main(["compare", str(a), str(b), "--mode", "equivalent"]) == 0

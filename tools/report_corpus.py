@@ -19,7 +19,9 @@ benchmark.  ``stiefel_sr`` is imported from ``PYTHONPATH`` when it is there
 and from this repository's ``src`` otherwise.
 
 ``compare`` exits 0 when the corpora agree and 1 otherwise.  In ``bytes``
-mode the files must be identical.  In ``equivalent`` mode every search
+mode the files must be identical; for a file that differs it names up to 5
+JSON paths whose values differ, with both values (compared exactly, signed
+zeros included, arrivals by position).  In ``equivalent`` mode every search
 report (a JSON object with ``arrivals`` and ``clusters``) must have
 
 - the same ``clusters``;
@@ -180,10 +182,34 @@ def _compare_values(a, b, path: str, diffs: list, new_keys: list) -> None:
         diffs.append(f"{path}: {a!r} vs {b!r}")
 
 
+def _exact_diffs(a, b, path: str, diffs: list) -> None:
+    """Paths whose values differ at all: every key, item and number, by position."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                diffs.append(f"{path}.{key}: only in {'A' if key in a else 'B'}")
+            else:
+                _exact_diffs(a[key], b[key], f"{path}.{key}", diffs)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            diffs.append(f"{path}: length {len(a)} vs {len(b)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _exact_diffs(x, y, f"{path}[{i}]", diffs)
+    elif type(a) is not type(b) or repr(a) != repr(b):
+        diffs.append(f"{path}: {a!r} vs {b!r}")
+
+
 def compare_texts(a: str, b: str, mode: str) -> tuple[list, list]:
     """Differences and new keys between two report texts under ``mode``."""
     if mode == "bytes":
-        return ([] if a == b else ["bytes differ"]), []
+        if a == b:
+            return [], []
+        diffs = []
+        try:
+            _exact_diffs(json.loads(a), json.loads(b), "$", diffs)
+        except json.JSONDecodeError:
+            pass
+        return diffs or ["bytes differ"], []
     diffs, new_keys = [], []
     _compare_values(json.loads(a), json.loads(b), "$", diffs, new_keys)
     return diffs, new_keys
