@@ -3,6 +3,8 @@
 Subcommands: geodesic-eval, verify-closed-forms, bracket, cutlocus-search,
 verify-L, verify-antidiagonal, uniqueness.  Reports are JSON (CSV for curve
 sampling) and byte-identical across runs for a fixed configuration and seed.
+They are standard JSON: a bound that no sample reached (an infinite minimum)
+is written as null.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 invariant violation.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -234,8 +237,20 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
+def _finite_json(value):
+    """``value`` with every non-finite float replaced by None: RFC 8259 JSON has
+    no Infinity or NaN, and a bound with nothing to bound reads as null."""
+    if isinstance(value, dict):
+        return {key: _finite_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
     else:

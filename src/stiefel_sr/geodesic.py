@@ -10,12 +10,14 @@ stacked velocities and times; ``sample_curve``, ``batch_geodesic_columns`` and
 ``grid_geodesic_columns`` are views of it, and a companion returns the
 endpoint's derivatives in the velocity blocks and in t for the minimizer
 search's refinement.  For k = 1 the kernel runs one closed form of the V_{n,1}
-column, and the public closed forms ``geodesic_vn1_closed`` and
-``geodesic_v21_closed`` (V_{2,1} is its n = 2 case) are views of the same
-formula.  Alongside them this module carries the square-block Grassmann
-geodesics used for V_{2k,k}, plus speed, length, the first time a V_{n,1}
-geodesic returns to the block-diagonal set, and the mirrored velocity that
-produces a second arrival at such points.
+column, the companion differentiates that closed form term by term, and the
+public closed forms ``geodesic_vn1_closed`` and ``geodesic_v21_closed``
+(V_{2,1} is its n = 2 case) are views of the same formula, so no k = 1 path
+calls an eigensolver; k >= 2 goes through batched eigh, with Daleckii-Krein
+derivatives in the companion.  Alongside them this module carries the
+square-block Grassmann geodesics used for V_{2k,k}, plus speed, length, the
+first time a V_{n,1} geodesic returns to the block-diagonal set, and the
+mirrored velocity that produces a second arrival at such points.
 
 Matrix functions of b b* are evaluated through the SVD of b, with the
 sin(x)/x limit handled spectrally so singular directions are fine.
@@ -24,6 +26,7 @@ sin(x)/x limit handled spectrally so singular directions are fine.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +108,16 @@ def _sin_over(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return x * np.sinc(x * omega / np.pi)
 
 
+def _vn1_terms(lam, b, ts):
+    """The scalars of the V_{n,1} column: omega, cos(t omega), sin(t omega) / omega, phase.
+
+    omega = sqrt(lam^2 + 4 |b|^2) / 2 is half the rate; the phase is
+    e^{i lam t / 2} from exp, times e^{-i lam t}.  Shapes as in ``_vn1_column``.
+    """
+    omega = 0.5 * np.sqrt(lam * lam + 4.0 * np.sum(np.abs(b) ** 2, axis=-1))
+    return omega, np.cos(ts * omega), _sin_over(ts, omega), np.exp(-0.5j * lam * ts)
+
+
 def _vn1_column(lam, b, ts):
     """First column of the V_{n,1} geodesic, eigensolver-free: top (...), bottom (..., n-1).
 
@@ -113,10 +126,7 @@ def _vn1_column(lam, b, ts):
     a negative scalar, so exp is a cosine/sine combination; nothing divides by the
     rate, so tiny rates need no special case.
     """
-    s_half = 0.5 * np.sqrt(lam * lam + 4.0 * np.sum(np.abs(b) ** 2, axis=-1))
-    cosw = np.cos(ts * s_half)
-    sincw = _sin_over(ts, s_half)
-    phase = np.exp(-0.5j * lam * ts)  # e^{i lam t / 2} from exp, times e^{-i lam t}
+    _, cosw, sincw, phase = _vn1_terms(lam, b, ts)
     top = phase * (cosw + 0.5j * lam * sincw)
     bottom = phase[..., None] * (-np.conj(b) * sincw[..., None])
     return top, bottom
@@ -196,19 +206,64 @@ def _exp_derivatives(w, q, rotated, ts, rate, cols):
     return flow, _left_multiply(q, inner)
 
 
-def _geodesic_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
-    """Endpoint columns and their first derivatives, the kernel's companion.
+# Taylor coefficients of j1(x) / x in x^2, highest power first: the term of
+# x^(2j - 2) is (-1)^(j + 1) 2j / (2j + 1)! for j = 1..10.  Below the cutoff the
+# truncation is under 1e-19 relative, and above it the direct formula loses
+# at most a few ulps to cancellation.
+_J1_OVER_X_SERIES = [(-1) ** (j + 1) * 2 * j / math.factorial(2 * j + 1) for j in range(10, 0, -1)]
+_J1_OVER_X_CUTOFF = 1.0
 
-    Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,), and
-    stacked block directions da (c, d, k, k), db (c, d, k, n-k).  With
-    L = first k columns of exp(t v) and R = exp(-t a) the endpoint is L R;
-    returns L R (c, n, k), its derivatives along (da, db) (c, d, n, k) and
-    d/dt (L R) = (v L - L a) R (c, n, k).  The same two batched eigh as the
-    kernel, on every shape.
+
+def _j1_over_x(x: np.ndarray) -> np.ndarray:
+    """J(x) = (sin x - x cos x) / x^3 = j1(x) / x, elementwise; J(0) = 1/3.
+
+    -t^3 J(t omega) is the derivative of sin(t omega) / omega in omega^2 / 2.
     """
-    a_blocks = np.asarray(a_blocks, dtype=np.complex128)
-    b_blocks = np.asarray(b_blocks, dtype=np.complex128)
-    ts = np.asarray(ts, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    small = np.abs(x) < _J1_OVER_X_CUTOFF
+    series = np.polyval(_J1_OVER_X_SERIES, x * x)
+    xd = np.where(small, 1.0, x)  # the direct formula never sees small arguments
+    return np.where(small, series, (np.sin(xd) - xd * np.cos(xd)) / xd**3)
+
+
+def _vn1_jacobian(a_blocks, b_blocks, ts, da, db):
+    """``_geodesic_jacobian`` at k = 1, eigensolver-free; complex mode.
+
+    Differentiates ``_vn1_column`` term by term.  With g = omega d omega =
+    (lam d lam + 4 Re<b, db>) / 4 and S = sin(t omega) / omega, the terms move
+    by d cos(t omega) = -t S g, dS = -t^3 J(t omega) g and d phase =
+    -i t d lam / 2 . phase; in t by -omega^2 S, cos(t omega) and
+    -i lam / 2 . phase.  Nothing divides by the rate.  The columns are the
+    kernel's own, bit for bit.
+    """
+    cols = _geodesic_columns(a_blocks, b_blocks, ts[:, None], COMPLEX)[:, 0]
+    lam, row = a_blocks[:, 0, 0].imag, b_blocks[:, 0]  # (c,), (c, m)
+    omega, cosx, sincw, phase = _vn1_terms(lam, row, ts)
+    dlam = np.imag(da[:, :, 0, 0])  # (c, d)
+    drow = np.asarray(db, dtype=np.complex128)[:, :, 0]  # (c, d, m)
+    g = 0.25 * lam[:, None] * dlam + np.sum((np.conj(row[:, None]) * drow).real, axis=-1)
+    tt = ts[:, None]
+    # rates of change of (log phase, cos, S, lam, b) along the d directions
+    # and then along t, stacked (c, d + 1)
+    dphase = np.concatenate([-0.5j * tt * dlam, -0.5j * lam[:, None]], axis=1)
+    dcos = np.concatenate([-tt * sincw[:, None] * g, -(omega * omega * sincw)[:, None]], axis=1)
+    dsinc = np.concatenate([-(tt**3) * _j1_over_x(ts * omega)[:, None] * g, cosx[:, None]], axis=1)
+    dlam_t = np.concatenate([dlam, np.zeros_like(tt)], axis=1)
+    drow_t = np.concatenate([drow, np.zeros_like(drow[:, :1])], axis=1)
+    ph, lm, s = phase[:, None], lam[:, None], sincw[:, None]
+    dtop = ph * (dphase * (cosx[:, None] + 0.5j * lm * s) + dcos + 0.5j * (dlam_t * s + lm * dsinc))
+    dbottom = -ph[..., None] * (
+        np.conj(row[:, None]) * (dphase * s + dsinc)[..., None] + s[..., None] * np.conj(drow_t)
+    )
+    dall = np.concatenate([dtop[..., None], dbottom], axis=-1)[..., None]  # (c, d + 1, n, 1)
+    return cols, dall[:, :-1], dall[:, -1]
+
+
+def _spectral_jacobian(a_blocks, b_blocks, ts, da, db):
+    """``_geodesic_jacobian`` by Daleckii-Krein through two batched eigh; complex mode.
+
+    Valid at every k; the dispatch sends only k >= 2 here.
+    """
     c, d, k, m = np.shape(db)
     n = k + m
     full = _embed_velocities(a_blocks, b_blocks)
@@ -227,6 +282,27 @@ def _geodesic_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
     dcols = (dleft.reshape(c, d * n, k) @ right).reshape(c, d, n, k)
     dcols += _left_multiply(left, dright)
     dcols_dt = (full @ left - left @ a_blocks) @ right
+    return cols, dcols, dcols_dt
+
+
+def _geodesic_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
+    """Endpoint columns and their first derivatives, the kernel's companion.
+
+    Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,), and
+    stacked block directions da (c, d, k, k), db (c, d, k, n-k).  With
+    L = first k columns of exp(t v) and R = exp(-t a) the endpoint is L R;
+    returns L R (c, n, k), its derivatives along (da, db) (c, d, n, k) and
+    d/dt (L R) = (v L - L a) R (c, n, k).  The kernel's split: every k = 1
+    shape differentiates the V_{n,1} closed form, with no eigensolver; k >= 2
+    takes the same two batched eigh as the kernel and Daleckii-Krein passes.
+    """
+    a_blocks = np.asarray(a_blocks, dtype=np.complex128)
+    b_blocks = np.asarray(b_blocks, dtype=np.complex128)
+    ts = np.asarray(ts, dtype=np.float64)
+    if np.shape(db)[2] == 1:
+        cols, dcols, dcols_dt = _vn1_jacobian(a_blocks, b_blocks, ts, da, db)
+    else:
+        cols, dcols, dcols_dt = _spectral_jacobian(a_blocks, b_blocks, ts, da, db)
     if mode == REAL:
         cols, dcols, dcols_dt = (x.real.astype(np.complex128) for x in (cols, dcols, dcols_dt))
     return cols, dcols, dcols_dt

@@ -8,6 +8,7 @@ record once at startup via :func:`configure` (its config ``tolerances``
 record), after which the record is treated as immutable.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -45,7 +46,7 @@ def configure(**overrides) -> Tolerances:
             values[name] = float(value)
         except (TypeError, ValueError):
             raise ValueError(f"tolerance {name} must be a number, got {value!r}") from None
-        if not values[name] > 0:
-            raise ValueError(f"tolerance {name} must be positive, got {value!r}")
+        if not 0 < values[name] < math.inf:
+            raise ValueError(f"tolerance {name} must be positive and finite, got {value!r}")
     TOL = replace(TOL, **values)
     return TOL

@@ -4,7 +4,8 @@ These deliberately avoid the library's computational paths: the exponential
 oracle is a truncated power series, the trace oracle a double loop, the
 length oracle composite-Simpson quadrature of a finite-difference speed, and
 the dedup and cluster oracles the minimizer search's original pairwise loops,
-the candidate oracle its original per-hit loop, the hit oracle the
+the candidate oracle its original per-hit loop, the scan oracle its
+original subtraction pass over the scan table, the hit oracle the
 original golden-section refinement of the first block-diagonal dip, the
 bracket-span oracles the rank tests' original one-bracket-at-a-time loops,
 and the V_{2,1} column oracle the evaluator's original (2, 1)-only closed
@@ -295,3 +296,18 @@ def first_column_2x2(lam, b, ts):
     top = phase * (cosw + 0.5j * lam * sincw)
     bottom = phase * (-np.conj(b) * sincw)
     return np.stack([top, bottom], axis=-1)
+
+
+def scan_cols_subtraction(cols, target_cols, gate):
+    """The scan's original error pass: Frobenius norms of (point - target) over
+    the whole (c, T, n, k) table, then the gated interior local minima along
+    each row's time grid; returns row indices, time indices and errors."""
+    err = np.sqrt(np.sum(np.abs(cols - target_cols[None, None]) ** 2, axis=(2, 3)))
+    interior = (
+        (err[:, 1:-1] <= err[:, :-2])
+        & (err[:, 1:-1] <= err[:, 2:])
+        & (err[:, 1:-1] < gate)
+    )
+    vix, tix = np.nonzero(interior)
+    tix += 1
+    return vix, tix, err[vix, tix]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stiefel_sr import cli
+from stiefel_sr import cli, cutlocus
 from stiefel_sr.cli import EXIT_USAGE, main
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint
 
@@ -19,6 +19,10 @@ GRID_OPTIONS = {
 
 def run(*args):
     return main(list(args))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def velocity_json(lam, x2):
@@ -165,6 +169,29 @@ class TestExperiments:
         assert payload["passed"] is True
         assert payload["t_zero"] == pytest.approx(np.pi * np.sqrt(2) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv, nulls",
+        [
+            (["verify-antidiagonal", "--k", "1"], {"min_first_zero_margin", "min_scan_floor"}),
+            (["verify-antidiagonal", "--k", "2", "--samples", "1"], {"min_endpoint_gap"}),
+        ],
+    )
+    def test_unbounded_minima_are_standard_json_null(self, capsys, argv, nulls):
+        assert run(*argv) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert {key for key, value in payload.items() if value is None} == nulls
+
+    def test_verify_l_without_reached_checks_writes_null(self, capsys, monkeypatch):
+        # no sample reaches the mirror check: the minimum separation is unbounded
+        monkeypatch.setattr(cutlocus, "first_block_diagonal_hit", lambda spec, t: None)
+        assert run("verify-L", "--n", "3", "--k", "1", "--samples", "2") == 1
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert payload["min_velocity_separation"] is None and payload["failures"] == 2
+
+    def test_library_summary_keeps_its_float(self):
+        summary = cutlocus.verify_antidiagonal_arrivals(1, samples=2, seed=0)
+        assert summary.to_json_dict()["min_scan_floor"] == float("inf")
+
     def test_uniqueness(self, tmp_path):
         out = tmp_path / "u.json"
         assert run("uniqueness", "--n", "3", "--trials", "40", "--out", str(out)) == 0
@@ -290,6 +317,19 @@ class TestConfigPrecedence:
         assert payload["clusters"] >= 2
         assert payload["target"]["kind"] == "block_diagonal"
         assert max(a["endpoint_error"] for a in payload["arrivals"]) > 1e-8
+
+    def test_infinite_tolerances_are_usage_error(self, tmp_path, capsys, default_tolerances):
+        # Python's json reads Infinity; an infinite hit radius would accept
+        # any endpoint as an arrival
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tolerances": {"hit": Infinity, "vel": Infinity}}')
+        code = run(
+            "cutlocus-search", "--n", "2", "--k", "1", "--t-count", "16",
+            "--lambda-count", "4", "--phase-count", "4",
+            "--target", target_json([[0.6], [0.8]]), "--config", str(cfg),
+        )
+        assert code == EXIT_USAGE
+        assert "must be positive and finite" in capsys.readouterr().err
 
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -22,6 +22,7 @@ from stiefel_sr.cutlocus import (
     _greedy_representatives,
     _make_family,
     _residual_jacobian,
+    _scan_cols,
     _scan_table,
     _scan_times,
     ANTIDIAGONAL,
@@ -45,6 +46,7 @@ from _oracles import (
     golden_section_hit,
     greedy_cluster_count_loop,
     greedy_dedup_loop,
+    scan_cols_subtraction,
     separate_family_params,
     separate_family_raw_blocks,
     unit_block_tangents,
@@ -754,6 +756,125 @@ class TestScanTable:
         assert max(a.endpoint_error for a in configured.arrivals) > 1e-8
         info = _scan_table.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+
+def _assert_scan_matches_subtraction(cols, target_cols, gate):
+    vix, tix, err = _scan_cols(cols, target_cols, gate)
+    ref_v, ref_t, ref_e = scan_cols_subtraction(cols, target_cols, gate)
+    assert len(ref_v) > 0
+    assert np.array_equal(vix, ref_v) and np.array_equal(tix, ref_t)
+    assert np.max(np.abs(err - ref_e)) < 1e-7
+    return vix, tix, err
+
+
+def _search_gate(grid) -> float:
+    """The gate ``search_minimizers`` uses on a grid of unit transversal blocks."""
+    ts = _scan_times(grid)
+    speed = np.sqrt((2 * grid.n if grid.mode == COMPLEX else 1) * 2.0)
+    return max(8 * speed * (ts[1] - ts[0]), 0.25) + TOL.hit
+
+
+class TestScanByInnerProduct:
+    """The scan's inner-product error pass against the subtraction pass it replaced.
+
+    Squared errors from k + |Q|^2 - 2 Re tr(Q* P) are exact to about 1e-16, so
+    errors near 0 are resolved to about 1e-8: the hits must be identical and
+    their errors within 1e-7.
+    """
+
+    @pytest.mark.parametrize(
+        "target",
+        [_cut_v21(), _generic_v21()],
+        ids=["block_diagonal", "generic"],
+    )
+    def test_default_complex_v21_table(self, target):
+        grid = VelocityGrid(2, 1, COMPLEX, seed=1)
+        for gate in (_search_gate(grid), 1.0):
+            _assert_scan_matches_subtraction(_scan_table(grid), target.cols, gate)
+
+    def test_real_v31_sphere_grid(self):
+        grid = VelocityGrid(3, 1, REAL, seed=2)
+        assert grid.resolved_family() == "sphere"
+        generic = normal_geodesic(
+            GeodesicSpec(BlockVelocity(np.zeros((1, 1)), np.array([[0.6, -0.8]]), REAL)), 1.7
+        )
+        for target in (real_antipodal_cut_point(3), generic):
+            _assert_scan_matches_subtraction(_scan_table(grid), target.cols, _search_gate(grid))
+
+    def test_streamed_complex_v42_general_grid(self, monkeypatch):
+        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=64, t_count=64, seed=4)
+        target = normal_geodesic(GeodesicSpec(BlockVelocity(
+            np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]])
+        )), 0.8)
+        chunks = []
+
+        def checked(cols, target_cols, gate):
+            chunks.append(len(cols))
+            return _assert_scan_matches_subtraction(cols, target_cols, gate)
+
+        _scan_table.cache_clear()
+        monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
+        monkeypatch.setattr(cutlocus, "_scan_cols", checked)
+        assert search_minimizers(target, grid).clusters == 1
+        assert chunks == [20, 20, 20, 4]
+        assert _scan_table.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["shrunk", "stretched"])
+    def test_target_off_orthonormality(self, sign):
+        grid = VelocityGrid(2, 1, COMPLEX, seed=1)
+        table = _scan_table(grid)
+        v, t = 1234, 101
+        # a grid point scaled so that |Q* Q - I| = 0.5 unit: accepted as a point
+        cols = table[v, t] * np.sqrt(1.0 + sign * 0.5 * TOL.unit)
+        target = StiefelPoint(cols)
+        dev = float(np.max(np.abs(np.conj(cols).T @ cols - np.eye(1))))
+        assert dev == pytest.approx(0.5 * TOL.unit, rel=1e-5)
+        vix, tix, err = _assert_scan_matches_subtraction(table, target.cols, _search_gate(grid))
+        hit = np.nonzero((vix == v) & (tix == t))[0]
+        assert len(hit) == 1 and err[hit[0]] < 1e-7
+
+
+class TestEigensolverFreeSearch:
+    """No k = 1 search -- scan table, scan, refinement -- calls an eigensolver."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "target, grid",
+        [
+            (_generic_v21(), _SMALL_V21),
+            (_cut_v21(), _SMALL_V21),
+            (real_antipodal_cut_point(3), VelocityGrid(3, 1, REAL, seed=2, t_count=96)),
+            (
+                normal_geodesic(GeodesicSpec(BlockVelocity(
+                    np.zeros((1, 1)), np.array([[0.6, -0.8]]), REAL
+                )), 1.7),
+                VelocityGrid(3, 1, REAL, seed=2, t_count=96),
+            ),
+        ],
+        ids=["generic_v21", "block_diagonal_v21", "real_antipode_v31", "generic_real_v31"],
+    )
+    def test_k1_search_makes_no_eigh_call(self, target, grid, eigh_calls):
+        _scan_table.cache_clear()  # the table fill runs inside the counted search
+        rep = search_minimizers(target, grid)
+        assert rep.arrivals
+        assert eigh_calls == []
+
+    def test_counter_sees_the_k2_search(self, eigh_calls):
+        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=16, t_count=32, seed=4)
+        _scan_table.cache_clear()
+        search_minimizers(StiefelPoint(np.eye(4, 2)[::-1].copy()), grid)
+        assert len(eigh_calls) > 0
 
 
 class TestGridValidation:

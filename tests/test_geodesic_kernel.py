@@ -8,9 +8,14 @@ shapes (k >= 2), in both field modes, including degenerate velocities and
 t = 0.  The closed form is also checked against the spectral path at every
 k = 1 shape, bit for bit against the former V_{2,1}-only column, and its
 public views stacked against one call per input.  The kernel's Jacobian
-companion is checked against scipy's ``expm_frechet`` on the same inputs.
+companion is checked against scipy's ``expm_frechet`` on the same inputs: its
+Daleckii-Krein path (k >= 2) and, at every k = 1 shape up to |t v| = 30, its
+differentiated V_{n,1} closed form, whose columns equal the kernel's bit for
+bit.  The closed form's J(x) = (sin x - x cos x) / x^3 is checked against a
+40-digit mpmath value.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +28,9 @@ from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.geodesic import (
     GeodesicSpec,
+    _J1_OVER_X_CUTOFF,
     _geodesic_jacobian,
+    _j1_over_x,
     _spectral_flow,
     batch_geodesic_columns,
     geodesic_v21_closed,
@@ -127,7 +134,7 @@ def reference_derivatives(a, b, t, da, db, mode):
 
 
 class TestJacobianAgainstExpmFrechet:
-    """The Daleckii-Krein companion of the kernel against scipy's Frechet derivative."""
+    """The kernel's Jacobian companion against scipy's Frechet derivative."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -159,6 +166,66 @@ class TestJacobianAgainstExpmFrechet:
         assert not np.any(dcols[0])  # every velocity starts at the identity class
         if mode == REAL:
             assert not np.any(dcols.imag) and not np.any(dcols_dt.imag)
+
+    # up to |t v| = 30, where the expm reference still holds to ATOL
+    VN1_TIMES = np.array([0.0, 0.4, 1.3, 2.9, 6.0, 12.5, 21.0, 30.0])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-310])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_vn1_closed_form_shapes(self, n, mode, scale):
+        # generic, lam = 0, b = 0 and repeated-spectrum velocities, scaled to
+        # |v| <= 1 and then by ``scale``
+        rng = np.random.default_rng(1000 + 10 * n + (mode == REAL))
+        a, b = stacked_blocks(rng, n, 1, mode, KINDS * 2)
+        norms = np.sqrt(np.abs(a[:, 0, 0]) ** 2 + 2.0 * np.sum(np.abs(b) ** 2, axis=(1, 2)))
+        shrink = scale / np.maximum(norms, 1.0)[:, None, None]
+        a, b = a * shrink, b * shrink
+        ts = self.VN1_TIMES
+        d = 3
+        da = np.stack([[matcore.random_skew_hermitian(rng, 1, mode) for _ in range(d)] for _ in ts])
+        db = np.stack([[matcore.random_matrix(rng, 1, n - 1, mode) for _ in range(d)] for _ in ts])
+        cols, dcols, dcols_dt = _geodesic_jacobian(a, b, ts, da, db, mode)
+        assert cols.tobytes() == batch_geodesic_columns(a, b, ts, mode).tobytes()
+        assert dcols.shape == (len(ts), d, n, 1) and dcols_dt.shape == (len(ts), n, 1)
+        for i, t in enumerate(ts):
+            ref_dir, ref_t = reference_derivatives(a[i], b[i], t, da[i], db[i], mode)
+            assert np.max(np.abs(dcols[i] - ref_dir)) < ATOL
+            assert np.max(np.abs(dcols_dt[i] - ref_t)) < ATOL
+        assert not np.any(dcols[0])
+        if mode == REAL:
+            assert not np.any(dcols.imag) and not np.any(dcols_dt.imag)
+
+
+def _j1_over_x_mpmath(x: float) -> mpmath.mpf:
+    """(sin x - x cos x) / x^3 = sqrt(pi / 2x) J_{3/2}(x) / x at 40 digits."""
+    with mpmath.workdps(40):
+        if x == 0.0:
+            return mpmath.mpf(1) / 3
+        x = mpmath.mpf(x)
+        return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(1.5, x) / x
+
+
+class TestJ1OverX:
+    """J(x), the derivative of the closed form's sin(t omega) / omega, on both sides
+    of its series cutoff."""
+
+    POINTS = [
+        0.0, 1e-300, 1e-8, 0.5,
+        np.nextafter(_J1_OVER_X_CUTOFF, 0.0), _J1_OVER_X_CUTOFF,
+        np.nextafter(_J1_OVER_X_CUTOFF, 2.0), 1.0, 10.0, 1e3,
+    ]
+
+    def test_matches_mpmath(self):
+        xs = np.array(self.POINTS + [-x for x in self.POINTS])
+        got = _j1_over_x(xs)
+        for x, value in zip(xs, got):
+            ref = _j1_over_x_mpmath(abs(float(x)))
+            assert abs(value - float(ref)) <= 1e-14 * abs(float(ref)), x
+
+    def test_limit_is_exact(self):
+        assert _j1_over_x(np.array([0.0, 1e-300]))[0] == 1.0 / 3.0
+        assert _j1_over_x(np.array([0.0, 1e-300]))[1] == 1.0 / 3.0
 
 
 class TestClosedFormsAtTinyRates:

@@ -117,6 +117,10 @@ def test_configured_record_takes_effect(consumer, default_tolerances):
         ({"hit": [1]}, "tolerance hit must be a number"),
         ({"eq": "loose"}, "tolerance eq must be a number"),
         ({"vel": 0.0}, "tolerance vel must be positive"),
+        ({"hit": float("inf")}, "tolerance hit must be positive and finite"),
+        ({"vel": "Infinity"}, "tolerance vel must be positive and finite"),
+        ({"unit": -float("inf")}, "tolerance unit must be positive and finite"),
+        ({"sym": float("nan")}, "tolerance sym must be positive and finite"),
     ],
 )
 def test_configure_rejects_bad_records(overrides, message, default_tolerances):
