@@ -428,7 +428,7 @@ def _residual_jacobian(family, x: np.ndarray, target_cols) -> np.ndarray:
     params, ts = x[:, :-1], x[:, -1]
     a, b = family.blocks(params)
     da, db = family.tangents(params)
-    _, dcols, dcols_dt = _geodesic_jacobian(a, b, ts, da, db, family.grid.mode)
+    dcols, dcols_dt = _geodesic_jacobian(a, b, ts, da, db, family.grid.mode)
     d = np.concatenate([dcols, dcols_dt[:, None]], axis=1).reshape(len(x), x.shape[1], -1)
     return np.concatenate([d.real, d.imag], axis=2).swapaxes(1, 2)
 
@@ -496,25 +496,27 @@ def _refine(
     return x[:, :-1], x[:, -1], np.sqrt(f)
 
 
-def _greedy_representatives(embeds: np.ndarray, radius: float, ts=None) -> np.ndarray:
-    """Indices of the stacked (N, n, n) embeds kept by one greedy pass in row order.
+def _representatives(embeds: np.ndarray, ts, dup: float, cluster: float):
+    """One greedy pass over the sorted (N, n, n) embeds: (kept indices, cluster count).
 
-    A row is dropped iff it lies within ``radius`` (Frobenius) of an earlier
-    kept row and, when ``ts`` is given, also within ``radius`` of it in time.
-    Each kept row marks the later rows near it with one vectorized norm, so
-    memory stays linear in the row count.
+    A row is dropped iff an earlier kept row lies within ``dup`` of it both
+    in embed (Frobenius) and in ``ts``.  Each kept row takes its distances to
+    the later rows once, with one vectorized norm, so memory stays linear in
+    the row count; if no earlier kept row has marked it, it opens a cluster
+    and marks the later rows within ``cluster``.
     """
-    covered = np.zeros(len(embeds), dtype=bool)
-    reps = []
+    dropped, marked = np.zeros((2, len(embeds)), dtype=bool)
+    reps, clusters = [], 0
     for i in range(len(embeds)):
-        if covered[i]:
+        if dropped[i]:
             continue
         reps.append(i)
-        near = np.linalg.norm(embeds[i + 1 :] - embeds[i], axis=(1, 2)) <= radius
-        if ts is not None:
-            near &= np.abs(ts[i + 1 :] - ts[i]) <= radius
-        covered[i + 1 :] |= near
-    return np.array(reps, dtype=np.intp)
+        dist = np.linalg.norm(embeds[i + 1 :] - embeds[i], axis=(1, 2))
+        dropped[i + 1 :] |= (dist <= dup) & (np.abs(ts[i + 1 :] - ts[i]) <= dup)
+        if not marked[i]:
+            clusters += 1
+            marked[i + 1 :] |= dist <= cluster
+    return np.array(reps, dtype=np.intp), clusters
 
 
 def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerReport:
@@ -593,8 +595,7 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     )
     kept, embeds = kept[order], embeds[order]
 
-    unique = _greedy_representatives(embeds, 1e-6, t_good[kept])
-    rows, embeds = kept[unique], embeds[unique]
+    unique, clusters = _representatives(embeds, t_good[kept], 1e-6, tol.vel)
     final = tuple(
         Arrival(
             velocity=BlockVelocity(a_blk[i], b_blk[i], grid.mode),
@@ -602,9 +603,8 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
             length=float(lengths[i]),
             endpoint_error=float(err_good[i]),
         )
-        for i in rows
+        for i in kept[unique]
     )
-    clusters = len(_greedy_representatives(embeds, tol.vel))
     return MinimizerReport(tclass, grid, final, clusters, min_len)
 
 

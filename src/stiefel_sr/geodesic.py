@@ -233,10 +233,8 @@ def _vn1_jacobian(a_blocks, b_blocks, ts, da, db):
     (lam d lam + 4 Re<b, db>) / 4 and S = sin(t omega) / omega, the terms move
     by d cos(t omega) = -t S g, dS = -t^3 J(t omega) g and d phase =
     -i t d lam / 2 . phase; in t by -omega^2 S, cos(t omega) and
-    -i lam / 2 . phase.  Nothing divides by the rate.  The columns are the
-    kernel's own, bit for bit.
+    -i lam / 2 . phase.  Nothing divides by the rate.
     """
-    cols = _geodesic_columns(a_blocks, b_blocks, ts[:, None], COMPLEX)[:, 0]
     lam, row = a_blocks[:, 0, 0].imag, b_blocks[:, 0]  # (c,), (c, m)
     omega, cosx, sincw, phase = _vn1_terms(lam, row, ts)
     dlam = np.imag(da[:, :, 0, 0])  # (c, d)
@@ -256,7 +254,7 @@ def _vn1_jacobian(a_blocks, b_blocks, ts, da, db):
         np.conj(row[:, None]) * (dphase * s + dsinc)[..., None] + s[..., None] * np.conj(drow_t)
     )
     dall = np.concatenate([dtop[..., None], dbottom], axis=-1)[..., None]  # (c, d + 1, n, 1)
-    return cols, dall[:, :-1], dall[:, -1]
+    return dall[:, :-1], dall[:, -1]
 
 
 def _spectral_jacobian(a_blocks, b_blocks, ts, da, db):
@@ -278,20 +276,19 @@ def _spectral_jacobian(a_blocks, b_blocks, ts, da, db):
     wa, qa = np.linalg.eigh(1j * a_blocks)
     fibre = (np.reshape(da, (c, d * k, k)) @ qa).reshape(c, d, k, k)
     right, dright = _exp_derivatives(wa, qa, _left_multiply(adjoint(qa), fibre), ts, 1j, k)
-    cols = left @ right
     dcols = (dleft.reshape(c, d * n, k) @ right).reshape(c, d, n, k)
     dcols += _left_multiply(left, dright)
     dcols_dt = (full @ left - left @ a_blocks) @ right
-    return cols, dcols, dcols_dt
+    return dcols, dcols_dt
 
 
 def _geodesic_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
-    """Endpoint columns and their first derivatives, the kernel's companion.
+    """The endpoint's first derivatives, the kernel's companion.
 
     Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,), and
     stacked block directions da (c, d, k, k), db (c, d, k, n-k).  With
     L = first k columns of exp(t v) and R = exp(-t a) the endpoint is L R;
-    returns L R (c, n, k), its derivatives along (da, db) (c, d, n, k) and
+    returns its derivatives along (da, db) (c, d, n, k) and
     d/dt (L R) = (v L - L a) R (c, n, k).  The kernel's split: every k = 1
     shape differentiates the V_{n,1} closed form, with no eigensolver; k >= 2
     takes the same two batched eigh as the kernel and Daleckii-Krein passes.
@@ -299,13 +296,11 @@ def _geodesic_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
     a_blocks = np.asarray(a_blocks, dtype=np.complex128)
     b_blocks = np.asarray(b_blocks, dtype=np.complex128)
     ts = np.asarray(ts, dtype=np.float64)
-    if np.shape(db)[2] == 1:
-        cols, dcols, dcols_dt = _vn1_jacobian(a_blocks, b_blocks, ts, da, db)
-    else:
-        cols, dcols, dcols_dt = _spectral_jacobian(a_blocks, b_blocks, ts, da, db)
+    jacobian = _vn1_jacobian if np.shape(db)[2] == 1 else _spectral_jacobian
+    dcols, dcols_dt = jacobian(a_blocks, b_blocks, ts, da, db)
     if mode == REAL:
-        cols, dcols, dcols_dt = (x.real.astype(np.complex128) for x in (cols, dcols, dcols_dt))
-    return cols, dcols, dcols_dt
+        dcols, dcols_dt = dcols.real.astype(np.complex128), dcols_dt.real.astype(np.complex128)
+    return dcols, dcols_dt
 
 
 def sample_curve(spec: GeodesicSpec, ts) -> np.ndarray:

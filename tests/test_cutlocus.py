@@ -10,6 +10,7 @@ from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint, identity_point
 from stiefel_sr.geodesic import (
     GeodesicSpec,
+    first_vanishing_time,
     grassmann_geodesic_2kk,
     grid_geodesic_columns,
     length,
@@ -19,8 +20,8 @@ from stiefel_sr.tolerances import TOL
 from stiefel_sr.cutlocus import (
     _best_hits,
     _endpoint_residuals,
-    _greedy_representatives,
     _make_family,
+    _representatives,
     _residual_jacobian,
     _scan_cols,
     _scan_table,
@@ -203,6 +204,41 @@ def _assert_search_invariants(rep):
         assert abs(arr.endpoint_error - expected) <= 1e-12
 
 
+class TestCutTime:
+    """The paper's V(n,1) picture along a geodesic: up to the first vanishing
+    time the generating velocity is the unique minimizer, and past it a
+    strictly shorter geodesic reaches the endpoint."""
+
+    CASES = {
+        "complex_v21_a": (0.7, [0.6 + 0.8j], COMPLEX),
+        "complex_v21_b": (-1.3, [0.5j], COMPLEX),
+        "complex_v41": (0.4, [0.3, 0.5j, -0.2 + 0.1j], COMPLEX),
+        "real_v31": (0.0, [0.6, 0.8], REAL),
+        "real_v41": (0.0, [0.6, 0.0, -0.8], REAL),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_unique_before_and_shorter_after(self, case):
+        lam, b, mode = self.CASES[case]
+        b = np.array([b], dtype=np.complex128)
+        a = np.array([[1j * lam]]) if mode == COMPLEX else np.zeros((1, 1))
+        vel = BlockVelocity(a, b, mode)
+        n = b.shape[1] + 1
+        t_cut = first_vanishing_time(lam, b)
+        grid = VelocityGrid(
+            n, 1, mode, lambda_count=16, direction_count=32, phase_count=32, t_count=128
+        )
+        for factor in (0.95, 0.99, 1.01, 1.05):
+            t = factor * t_cut
+            rep = search_minimizers(normal_geodesic(GeodesicSpec(vel), t), grid)
+            generating = length(vel, t)
+            if factor < 1:
+                assert rep.clusters == 1, factor
+                assert rep.min_length == pytest.approx(generating, rel=1e-9), factor
+            else:
+                assert rep.min_length <= (1 - 1e-3) * generating, factor
+
+
 class TestSearchInvariants:
     def test_block_diagonal_v21(self):
         target = StiefelPoint(np.array([[-1.0], [0.0]]))
@@ -311,30 +347,44 @@ class TestGreedyRepresentatives:
     @given(row_recipes, st.sampled_from([1e-6, 1e-3]), st.integers(0, 2**32 - 1))
     def test_matches_pairwise_loops(self, recipes, radius, seed):
         embeds, ts = _recipe_rows(recipes, radius, seed)
-        dedup = _greedy_representatives(embeds, radius, ts)
-        assert dedup.tolist() == greedy_dedup_loop(list(embeds), list(ts), radius)
-        assert len(_greedy_representatives(embeds, radius)) == greedy_cluster_count_loop(
-            list(embeds), radius
-        )
+        # one radius for both, and the search's pairing (dedup at 1e-6)
+        for dup in (radius, 1e-6):
+            kept, clusters = _representatives(embeds, ts, dup, radius)
+            assert kept.tolist() == greedy_dedup_loop(list(embeds), list(ts), dup)
+            assert clusters == greedy_cluster_count_loop(list(embeds[kept]), radius)
 
     def test_empty_and_single_row(self):
         none = np.zeros((0, 2, 2), dtype=np.complex128)
-        assert _greedy_representatives(none, 1e-3).tolist() == []
-        assert _greedy_representatives(none, 1e-3, np.zeros(0)).tolist() == []
+        kept, clusters = _representatives(none, np.zeros(0), 1e-6, 1e-3)
+        assert kept.tolist() == [] and clusters == 0
         one = np.ones((1, 2, 2), dtype=np.complex128)
-        assert _greedy_representatives(one, 1e-3, np.ones(1)).tolist() == [0]
+        kept, clusters = _representatives(one, np.ones(1), 1e-6, 1e-3)
+        assert kept.tolist() == [0] and clusters == 1
 
     def test_chain_keeps_both_ends(self):
         # A ~ B and B ~ C but not A ~ C: B is dropped by A, so C survives
         step = np.zeros((2, 2), dtype=np.complex128)
         step[0, 1] = 0.999e-3
         embeds = np.stack([np.zeros((2, 2), dtype=np.complex128), step, 2 * step])
-        assert _greedy_representatives(embeds, 1e-3).tolist() == [0, 2]
+        kept, clusters = _representatives(embeds, np.zeros(3), 1e-3, 1e-3)
+        assert kept.tolist() == [0, 2] and clusters == 2
         # time gaps chain the same way; a time gap alone separates rows
         same = np.zeros((3, 2, 2), dtype=np.complex128)
         ts = np.array([0.0, 0.999e-6, 1.998e-6])
-        assert _greedy_representatives(same, 1e-6, ts).tolist() == [0, 2]
-        assert _greedy_representatives(same, 1e-6).tolist() == [0]
+        kept, clusters = _representatives(same, ts, 1e-6, 1e-6)
+        assert kept.tolist() == [0, 2] and clusters == 1
+
+    def test_dropped_rows_neither_open_nor_mark_clusters(self):
+        # s is 0.9999e-3 from q, d is 0.5e-6 past s away from q, all at one t:
+        # d is s's duplicate and lies outside q's cluster, so counting over
+        # every row would give 2 clusters; over the kept rows q and s it is 1
+        q = np.zeros((2, 2), dtype=np.complex128)
+        s, d = q.copy(), q.copy()
+        s[0, 1], d[0, 1] = 0.9999e-3, 0.9999e-3 + 0.5e-6
+        embeds = np.stack([q, s, d])
+        kept, clusters = _representatives(embeds, np.ones(3), 1e-6, 1e-3)
+        assert kept.tolist() == [0, 1] and clusters == 1
+        assert greedy_cluster_count_loop(list(embeds), 1e-3) == 2
 
 
 class TestBestHits:

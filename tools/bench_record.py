@@ -3,19 +3,19 @@
     python tools/bench_record.py LABEL [--checkout DIR] [--seconds 25] [--seeds 1 2 3]
                                        [--out DIR]
 
-Runs the checkout's own, unmodified ``perfbench/run.py`` for every workload at
-every seed with ``--trace 0``, then the checkout's Tier-1 suite and its
-acceptance criterion 5 alone, each in a fresh process, one after another.
-Writes ``BENCH_<LABEL>.json`` into ``--out`` (default: this repository's
-root) with:
+Runs the checkout's own, unmodified ``perfbench/run.py`` for every workload
+of its ``BENCHMARK.json`` at every seed with ``--trace 0``, then the
+checkout's Tier-1 suite and its acceptance criteria 4, 5 and 8 each alone,
+each in a fresh process, one after another.  Writes ``BENCH_<LABEL>.json``
+into ``--out`` (default: this repository's root) with:
 
 - ``host``: the host record of the first benchmark run;
 - ``workloads``: per workload, each seed's run (correct, attempted, failed,
   metric values) and, per end-to-end metric of ``BENCHMARK.json``, the
   median and interquartile range over the seeds, with its unit;
 - ``tier1``: the suite's wall time and its summary line;
-- ``criterion_5``: the test's wall time as pytest reports it, and the wall
-  time of its whole process.
+- ``criteria``: per criterion test, its wall time as pytest reports it, and
+  the wall time of its whole process.
 
 ``--checkout`` (default: this repository) names the source tree to measure,
 so one copy of this tool can record another commit exported beside it.  The
@@ -36,13 +36,17 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("v21_dichotomy", "general_v63", "verify_round")
-CRITERION_5 = "tests/test_acceptance.py::test_criterion_5_v21_cluster_dichotomy"
+CRITERIA = (
+    "tests/test_acceptance.py::test_criterion_4_mirrored_arrivals_at_block_diagonal_targets",
+    "tests/test_acceptance.py::test_criterion_5_v21_cluster_dichotomy",
+    "tests/test_acceptance.py::test_criterion_8_real_case",
+)
 
 
-def _end_to_end_metrics() -> list[str]:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [m["name"] for m in spec["end_to_end"]]
+def _benchmark(checkout: Path) -> tuple[list[str], list[str]]:
+    """(workload names, end-to-end metric names) of the checkout's BENCHMARK.json."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]], [m["name"] for m in spec["end_to_end"]]
 
 
 def _spread(values: list[float]) -> dict:
@@ -65,8 +69,8 @@ def bench_runs(checkout: Path, seconds: float, seeds: list[int]) -> tuple[dict, 
     """(host record, per-workload runs and spreads) from perfbench/run.py."""
     host = None
     out = {}
-    names = _end_to_end_metrics()
-    for workload in WORKLOADS:
+    workloads, names = _benchmark(checkout)
+    for workload in workloads:
         runs = []
         for seed in seeds:
             argv = [
@@ -111,17 +115,22 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": wall, "summary": lines[-1] if lines else ""}
 
 
-def criterion_5(checkout: Path) -> dict:
-    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            "--durations=1", "--durations-min=0", CRITERION_5]
-    wall, stdout = _run(argv, checkout)
-    match = re.search(r"^([0-9.]+)s call\s", stdout, re.MULTILINE)
-    lines = stdout.strip().splitlines()
-    return {
-        "call_s": float(match.group(1)) if match else None,
-        "process_wall_s": wall,
-        "summary": lines[-1] if lines else "",
-    }
+def tests_alone(checkout: Path, test_ids) -> dict:
+    """Per test id, each run alone in a fresh process: pytest's call time,
+    the process's wall time and the summary line."""
+    out = {}
+    for test_id in test_ids:
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "--durations=1", "--durations-min=0", test_id]
+        wall, stdout = _run(argv, checkout)
+        match = re.search(r"^([0-9.]+)s call\s", stdout, re.MULTILINE)
+        lines = stdout.strip().splitlines()
+        out[test_id] = {
+            "call_s": float(match.group(1)) if match else None,
+            "process_wall_s": wall,
+            "summary": lines[-1] if lines else "",
+        }
+    return out
 
 
 def main(argv=None) -> int:
@@ -146,7 +155,7 @@ def main(argv=None) -> int:
         "host": host,
         "workloads": workloads,
         "tier1": tier1(checkout),
-        "criterion_5": criterion_5(checkout),
+        "criteria": tests_alone(checkout, CRITERIA),
     }
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
