@@ -15,14 +15,13 @@ All experiments are deterministic given their seed and grid.
 from __future__ import annotations
 
 import functools
-import mmap
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import matcore, tolerances
 from .matcore import COMPLEX, REAL, adjoint
-from .homspace import BlockVelocity, StiefelPoint, _embed_velocities, identity_point
+from .homspace import BlockVelocity, StiefelPoint, _embed_velocities
 from .geodesic import (
     GeodesicSpec,
     _geodesic_jacobian,
@@ -41,6 +40,8 @@ _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
 # element budget of one batch of scan or Jacobian temporaries; a grid's scan
 # table (velocities x times x n x k) is cached only if it fits in one budget
 _CHUNK_ELEMENTS = 2**22
+# velocities per kernel call when a scan table or chunk is filled
+_FILL_VELOCITIES = 16
 # Levenberg-Marquardt iterations of the arrival refinement
 _LM_ITERS = 60
 # the first block-diagonal hit is looked for on a grid of this many times
@@ -110,7 +111,9 @@ class VelocityGrid:
     params, and differ only in the initial sample: sphere directions (with a
     fibre-rate axis in complex mode), or a low-discrepancy sample of every
     coordinate.  "auto" picks "v21" on complex V_{2,1}, "sphere" for any
-    other k = 1 and "general" otherwise.
+    other k = 1 and "general" otherwise.  Construction resolves "auto" and
+    ``t_max=None`` (1.1 pi sqrt(k)), so ``family`` is one of the three names
+    and ``t_max`` a float, and rejects a family that does not fit the shape.
     """
 
     n: int
@@ -139,27 +142,23 @@ class VelocityGrid:
             raise ValueError(f"t_count={self.t_count} must be >= 3")
         if self.t_max is not None and not self.t_max > 0:
             raise ValueError(f"t_max={self.t_max} must be > 0")
-
-    def resolved_family(self) -> str:
-        if self.family != "auto":
-            return self.family
-        if self.k == 1:
-            if self.mode == COMPLEX and self.n == 2:
-                return "v21"
-            return "sphere"
-        return "general"
-
-    def resolved_t_max(self) -> float:
-        if self.t_max is not None:
-            return float(self.t_max)
-        return 1.1 * np.pi * np.sqrt(self.k)
+        t_max = 1.1 * np.pi * np.sqrt(self.k) if self.t_max is None else self.t_max
+        object.__setattr__(self, "t_max", float(t_max))
+        if self.family == "auto":
+            if self.k != 1:
+                family = "general"
+            else:
+                family = "v21" if (self.n, self.mode) == (2, COMPLEX) else "sphere"
+            object.__setattr__(self, "family", family)
+        if self.family == "v21" and (self.n, self.k, self.mode) != (2, 1, COMPLEX):
+            raise ValueError("v21 family requires n=2, k=1, complex mode")
+        if self.family == "sphere" and self.k != 1:
+            raise ValueError("sphere family requires k=1")
+        if self.family not in ("v21", "sphere", "general"):
+            raise ValueError(f"unknown velocity family {self.family!r}")
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["lambda_range"] = list(self.lambda_range)
-        d["family"] = self.resolved_family()
-        d["t_max"] = self.resolved_t_max()
-        return d
+        return {**asdict(self), "lambda_range": list(self.lambda_range)}
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,7 @@ class _LinearFamily:
     def initial_params(self) -> np.ndarray:
         g = self.grid
         lo, hi = g.lambda_range
-        if g.resolved_family() == "general":
+        if g.family == "general":
             u = _sobol(len(self.da), g.sample_count, g.seed)
             a_dim = self.a_dim
             return np.column_stack([lo + (hi - lo) * u[:, :a_dim], _inverse_gauss(u[:, a_dim:])])
@@ -318,16 +317,7 @@ def _inverse_gauss(u: np.ndarray) -> np.ndarray:
 
 
 def _make_family(grid: VelocityGrid):
-    name = grid.resolved_family()
-    if name == "v21":
-        if (grid.n, grid.k, grid.mode) != (2, 1, COMPLEX):
-            raise ValueError("v21 family requires n=2, k=1, complex mode")
-        return _V21Family(grid)
-    if name == "sphere" and grid.k != 1:
-        raise ValueError("sphere family requires k=1")
-    if name in ("sphere", "general"):
-        return _LinearFamily(grid)
-    raise ValueError(f"unknown velocity family {name!r}")
+    return _V21Family(grid) if grid.family == "v21" else _LinearFamily(grid)
 
 
 # -- search engine --------------------------------------------------------------
@@ -351,7 +341,19 @@ def _endpoint_residuals(family, x: np.ndarray, target_cols) -> np.ndarray:
 
 
 def _scan_times(grid: VelocityGrid) -> np.ndarray:
-    return np.linspace(0.0, grid.resolved_t_max(), grid.t_count)
+    return np.linspace(0.0, grid.t_max, grid.t_count)
+
+
+def _fill_scan(out: np.ndarray, family, params: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (c, T, n, k) with the endpoint columns of ``params`` at ``ts``.
+
+    One kernel call per ``_FILL_VELOCITIES`` velocities, so the kernel's
+    temporaries stay small whatever the size of ``out``.
+    """
+    for lo in range(0, len(params), _FILL_VELOCITIES):
+        a, b = family.blocks(params[lo : lo + _FILL_VELOCITIES])
+        out[lo : lo + _FILL_VELOCITIES] = grid_geodesic_columns(a, b, ts, family.grid.mode)
+    return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -363,17 +365,8 @@ def _scan_table(grid: VelocityGrid) -> np.ndarray:
     """
     family = _make_family(grid)
     p0 = family.initial_params()
-    ts = _scan_times(grid)
-    shape = (len(p0), grid.t_count, grid.n, grid.k)
-    # the table lives in an anonymous mapping of its own and is filled a few
-    # velocities per kernel call: a long-lived table on the malloc heap, or
-    # kernel temporaries as large as the table, leave the heap fragmented so
-    # that later large allocations grow the process's peak resident set
-    buf = mmap.mmap(-1, int(np.prod(shape)) * np.dtype(np.complex128).itemsize)
-    table = np.frombuffer(buf, dtype=np.complex128).reshape(shape)
-    for lo in range(0, len(p0), 16):
-        a, b = family.blocks(p0[lo : lo + 16])
-        table[lo : lo + 16] = grid_geodesic_columns(a, b, ts, grid.mode)
+    table = np.empty((len(p0), grid.t_count, grid.n, grid.k), dtype=np.complex128)
+    _fill_scan(table, family, p0, _scan_times(grid))
     table.flags.writeable = False
     return table
 
@@ -548,7 +541,7 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
         zero = BlockVelocity(
             np.zeros((grid.k, grid.k)), np.zeros((grid.k, grid.n - grid.k)), grid.mode
         )
-        err = float(np.linalg.norm(target.cols - identity_point(grid.n, grid.k, grid.mode).cols))
+        err = float(np.linalg.norm(target.cols - np.eye(grid.n, grid.k)))
         arr = Arrival(velocity=zero, t=0.0, length=0.0, endpoint_error=err)
         return MinimizerReport(tclass, grid, (arr,), 1, 0.0)
 
@@ -560,16 +553,17 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
 
     # every gated local minimum of the endpoint error along each velocity's
     # time grid; a table that fits the chunk budget is evaluated once per
-    # grid, a larger grid streams through memory-bounded chunks
+    # grid, a larger grid streams through one reused, memory-bounded chunk
     row_elements = grid.t_count * grid.n * grid.k
     if len(p0) * row_elements <= _CHUNK_ELEMENTS:
         vix, tix, err = _scan_cols(_scan_table(grid), target.cols, gate)
     else:
         chunk_size = max(1, int(_CHUNK_ELEMENTS / row_elements))
+        chunk = np.empty((chunk_size, grid.t_count, grid.n, grid.k), dtype=np.complex128)
         hits = []
         for start in range(0, len(p0), chunk_size):
-            a, b = family.blocks(p0[start : start + chunk_size])
-            cols = grid_geodesic_columns(a, b, ts, grid.mode)
+            part = p0[start : start + chunk_size]
+            cols = _fill_scan(chunk[: len(part)], family, part, ts)
             v, t, e = _scan_cols(cols, target.cols, gate)
             hits.append((v + start, t, e))
         vix, tix, err = (np.concatenate(x) for x in zip(*hits))
@@ -665,8 +659,6 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     if peak <= tolerances.TOL.eq:
         return None  # curve never leaves the block-diagonal set
     risen = np.nonzero(g > 0.5 * peak)[0]
-    if len(risen) == 0:
-        return None
     mid = g[1:-1]
     dips = (mid <= g[:-2]) & (mid <= g[2:]) & (mid < 0.2 * peak)
     dips[: risen[0]] = False  # mid[j] is g[j + 1]; dips must come after the rise

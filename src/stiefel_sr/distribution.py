@@ -9,13 +9,14 @@ equivalence, so it is projected out before counting dimensions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import matcore
 from .matcore import COMPLEX, REAL
-from .homspace import BlockVelocity
+from .homspace import BlockVelocity, _embed_velocities
 
 _RANK_RTOL = 1e-8
 
@@ -57,18 +58,20 @@ def horizontal_dim(n: int, k: int, mode: str = COMPLEX) -> int:
     return (2 if mode == COMPLEX else 1) * k * (n - k)
 
 
-def horizontal_basis(n: int, k: int, mode: str = COMPLEX) -> list[BlockVelocity]:
-    """Real basis of the horizontal space: one b-block entry at a time (and i times it)."""
+def _horizontal_embeds(n: int, k: int, mode: str) -> np.ndarray:
+    """The horizontal basis embedded as (d, n, n) matrices, with no value objects built."""
     matcore.check_mode(mode)
     units = [1.0] if mode == REAL else [1.0, 1j]
-    out = []
-    for p in range(k):
-        for q in range(n - k):
-            for unit in units:
-                b = np.zeros((k, n - k), dtype=np.complex128)
-                b[p, q] = unit
-                out.append(BlockVelocity(np.zeros((k, k)), b, mode))
-    return out
+    entries = list(itertools.product(range(k), range(n - k), units))
+    b = np.zeros((len(entries), k, n - k), dtype=np.complex128)
+    for i, (p, q, unit) in enumerate(entries):
+        b[i, p, q] = unit
+    return _embed_velocities(np.zeros((len(b), k, k)), b)
+
+
+def horizontal_basis(n: int, k: int, mode: str = COMPLEX) -> list[BlockVelocity]:
+    """Real basis of the horizontal space: one b-block entry at a time (and i times it)."""
+    return [BlockVelocity(e[:k, :k], e[:k, k:], mode) for e in _horizontal_embeds(n, k, mode)]
 
 
 def _span_rank(basis, left, right, k: int, mode: str) -> int:
@@ -96,7 +99,7 @@ def bracket_generating_rank(n: int, k: int, mode: str = COMPLEX) -> BracketRepor
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
-    basis = np.stack([bv.embed() for bv in horizontal_basis(n, k, mode)])
+    basis = _horizontal_embeds(n, k, mode)
     i, j = np.triu_indices(len(basis), 1)
     rank = _span_rank(basis, basis[i], basis[j], k, mode)
     target = stiefel_tangent_dim(n, k, mode)
@@ -122,7 +125,7 @@ def strongly_bracket_check_vn1(n: int, samples: int = 100, seed: int = 0) -> boo
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    basis = np.stack([bv.embed() for bv in horizontal_basis(n, 1, COMPLEX)])
+    basis = _horizontal_embeds(n, 1, COMPLEX)
     target = stiefel_tangent_dim(n, 1, COMPLEX)
 
     checked = 0
@@ -130,7 +133,7 @@ def strongly_bracket_check_vn1(n: int, samples: int = 100, seed: int = 0) -> boo
         b = matcore.random_matrix(rng, 1, n - 1, COMPLEX)
         if float(np.linalg.norm(b)) <= 1e-12:
             continue  # zero section: rejected, not counted
-        z = BlockVelocity(np.zeros((1, 1)), b, COMPLEX).embed()
+        z = _embed_velocities(np.zeros((1, 1)), b)
         if _span_rank(basis, z, basis, 1, COMPLEX) != target:
             return False
         checked += 1

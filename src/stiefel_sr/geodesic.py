@@ -332,25 +332,21 @@ def _rate(x: float, b: np.ndarray) -> float:
     return float(np.hypot.reduce(np.concatenate([[x], 2.0 * np.abs(b)])))
 
 
-def geodesic_v21_closed(lam, x2, t, sign_flip: bool = False):
+def geodesic_v21_closed(lam, x2, t):
     """Closed-form V_{2,1} geodesic; returns the four matrix entries.
 
     The entries assemble to the SU(2) element exp(tv) . diag(e^{-i lam t}, 1)
     for v = [[i lam, x2], [-conj(x2), 0]]: the first column, the canonical
     Stiefel representative, and the second that follows from it.  Arguments
-    may be stacked arrays that broadcast together.  ``sign_flip`` mis-groups
-    the phase of the first entry by a factor e^{i lam t} (a mutation hook for
-    the oracle verification suite) and must stay False for correct results.
+    may be stacked arrays that broadcast together.
     """
     lam, x2, t = np.asarray(lam, float), np.asarray(x2, complex), np.asarray(t, float)
     if lam.ndim + x2.ndim + t.ndim == 0:  # a stack of one, as in geodesic_vn1_closed
-        stacked = geodesic_v21_closed(lam[None], x2[None], t[None], sign_flip)
+        stacked = geodesic_v21_closed(lam[None], x2[None], t[None])
         return tuple(g[0] for g in stacked)
     g1, g3 = _vn1_column(lam, x2[..., None], t)
     g3 = g3[..., 0]
     g2, g4 = -np.conj(g3), np.conj(g1)
-    if sign_flip:
-        g1 = g1 * np.exp(1j * lam * t)
     return g1, g2, g3, g4
 
 

@@ -137,7 +137,7 @@ class StiefelPoint:
         return float(np.max(np.abs(self.cols - other.cols))) <= tolerances.TOL.eq
 
     def is_identity_class(self) -> bool:
-        return self.same_class(identity_point(self.n, self.k, self.mode))
+        return float(np.max(np.abs(self.cols - np.eye(self.n, self.k)))) <= tolerances.TOL.eq
 
     def right_multiply(self, u) -> "StiefelPoint":
         """Act by an element of the fibre group U(k) (O(k)-compatible in real mode)."""

@@ -5,8 +5,9 @@ matrix exponential of the embedded velocity (``matcore.expm_skew``; not the
 geodesic evaluator, whose k = 1 path is the V_{n,1} closed form itself) on the
 same data, and reports the worst discrepancy.  The exponentials are taken one
 trial at a time; the closed forms once per suite, over the stacked draws.  The
-v21 suite accepts a deliberate phase-misgrouping flag so the harness can
-demonstrate that the comparison actually bites.
+v21 suite accepts a deliberate phase-misgrouping flag, which multiplies the
+closed form's first entry by e^{i lam t}, so the harness can demonstrate that
+the comparison actually bites.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import matcore
 from .matcore import COMPLEX
-from .homspace import BlockVelocity, _embed_velocities
+from .homspace import _embed_velocities
 from .geodesic import geodesic_v21_closed, geodesic_vn1_closed, grassmann_geodesic_2kk
 
 # a suite passes iff its worst closed-form discrepancy is below this bound
@@ -46,7 +47,9 @@ def v21_suite(trials: int = 1000, seed: int = 0, sign_flip: bool = False) -> dic
         t[i] = rng.uniform(0.0, 2.0 * np.pi)
         v = np.array([[1j * lam[i], x2[i]], [-np.conj(x2[i]), 0.0]])
         full[i] = matcore.expm_skew(v, t[i]) @ np.diag([np.exp(-1j * lam[i] * t[i]), 1.0])
-    closed = np.stack(geodesic_v21_closed(lam, x2, t, sign_flip=sign_flip), axis=-1)
+    closed = np.stack(geodesic_v21_closed(lam, x2, t), axis=-1)
+    if sign_flip:
+        closed[:, 0] *= np.exp(1j * lam * t)
     return _suite_result("v21", trials, np.abs(closed.reshape(-1, 2, 2) - full))
 
 
@@ -65,7 +68,7 @@ def vn1_suite(trials: int = 1000, seed: int = 1) -> dict:
         xs[i] = rng.uniform(-3.0, 3.0)
         row = matcore.random_matrix(rng, 1, n - 1, COMPLEX)
         ts[i] = rng.uniform(0.0, 2.0 * np.pi)
-        v = BlockVelocity(np.array([[1j * xs[i]]]), row, COMPLEX).embed()
+        v = _embed_velocities(np.array([[1j * xs[i]]]), row)
         cols[i, :n] = matcore.expm_skew(v, ts[i])[:, 0] * np.exp(-1j * xs[i] * ts[i])
         rows[i, : n - 1] = row[0]
     g1, g3 = geodesic_vn1_closed(xs, rows, ts)

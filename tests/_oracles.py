@@ -185,7 +185,7 @@ def separate_family_params(grid) -> np.ndarray:
     n, k = grid.n, grid.k
     complex_mode = grid.mode == COMPLEX
     lo, hi = grid.lambda_range
-    if grid.resolved_family() == "general":
+    if grid.family == "general":
         a_dim = k * k if complex_mode else k * (k - 1) // 2
         b_dim = (2 if complex_mode else 1) * k * (n - k)
         u, gauss = _sobol_gauss(a_dim + b_dim, grid.sample_count, grid.seed)

@@ -844,7 +844,7 @@ class TestScanByInnerProduct:
 
     def test_real_v31_sphere_grid(self):
         grid = VelocityGrid(3, 1, REAL, seed=2)
-        assert grid.resolved_family() == "sphere"
+        assert grid.family == "sphere"
         generic = normal_geodesic(
             GeodesicSpec(BlockVelocity(np.zeros((1, 1)), np.array([[0.6, -0.8]]), REAL)), 1.7
         )
@@ -956,3 +956,90 @@ class TestGridValidation:
             search_minimizers(
                 identity_point(3, 2), VelocityGrid(3, 2, COMPLEX, family="v21")
             )
+
+
+class TestGridResolution:
+    """Construction resolves ``family="auto"`` and ``t_max=None`` and checks the family."""
+
+    @pytest.mark.parametrize(
+        "n, k, mode, family",
+        [
+            (2, 1, COMPLEX, "v21"),
+            (2, 1, REAL, "sphere"),
+            (3, 1, COMPLEX, "sphere"),
+            (4, 1, REAL, "sphere"),
+            (3, 2, COMPLEX, "general"),
+            (4, 2, REAL, "general"),
+            (6, 3, COMPLEX, "general"),
+        ],
+    )
+    def test_auto_family_resolves_per_shape(self, n, k, mode, family):
+        grid = VelocityGrid(n, k, mode)
+        assert grid.family == family
+        assert grid == VelocityGrid(n, k, mode, family=family)
+
+    def test_t_max_is_stored_as_a_float(self):
+        default = VelocityGrid(4, 2, COMPLEX)
+        assert type(default.t_max) is float and default.t_max == 1.1 * np.pi * np.sqrt(2)
+        given = VelocityGrid(2, 1, COMPLEX, t_max=3)
+        assert type(given.t_max) is float and given.t_max == 3.0
+        assert json.dumps(given.to_json_dict()["t_max"]) == "3.0"
+
+    @pytest.mark.parametrize(
+        "n, k, mode, family, message",
+        [
+            (3, 1, COMPLEX, "v21", "v21 family requires n=2, k=1, complex mode"),
+            (2, 1, REAL, "v21", "v21 family requires n=2, k=1, complex mode"),
+            (3, 2, COMPLEX, "sphere", "sphere family requires k=1"),
+            (2, 1, COMPLEX, "circle", "unknown velocity family 'circle'"),
+        ],
+    )
+    def test_unfit_family_raises_at_construction(self, n, k, mode, family, message):
+        with pytest.raises(ValueError, match=message):
+            VelocityGrid(n, k, mode, family=family)
+
+    def test_auto_and_its_resolution_share_one_cache_entry(self):
+        _scan_table.cache_clear()
+        counts = {"lambda_count": 16, "phase_count": 16}
+        auto = VelocityGrid(2, 1, COMPLEX, **counts)
+        explicit = VelocityGrid(2, 1, COMPLEX, family="v21", t_max=1.1 * np.pi, **counts)
+        assert auto == explicit and hash(auto) == hash(explicit)
+        assert _report_bytes(_cut_v21(), auto) == _report_bytes(_cut_v21(), explicit)
+        info = _scan_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+class TestScanFill:
+    """Every scan kernel call, for the cached table or a streamed chunk, takes at
+    most 16 velocities, so the kernel's temporaries stay small."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = cutlocus.grid_geodesic_columns
+
+        def recording(a_blocks, b_blocks, ts, mode=COMPLEX):
+            calls.append(len(b_blocks))
+            return kernel(a_blocks, b_blocks, ts, mode)
+
+        monkeypatch.setattr(cutlocus, "grid_geodesic_columns", recording)
+        return calls
+
+    def test_cached_table(self, kernel_calls):
+        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=10, phase_count=10, t_count=32)
+        _scan_table.cache_clear()
+        search_minimizers(_cut_v21(), grid)
+        assert _scan_table.cache_info().currsize == 1
+        assert kernel_calls == [16] * 6 + [4]
+
+    def test_streamed_chunks(self, kernel_calls, monkeypatch):
+        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=64, t_count=64, seed=4)
+        target = normal_geodesic(GeodesicSpec(BlockVelocity(
+            np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]])
+        )), 0.8)
+        _scan_table.cache_clear()
+        # a budget of 40 velocities: chunks of 40 and 24, each filled 16 at a time
+        monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 40 * grid.t_count * grid.n * grid.k)
+        assert search_minimizers(target, grid).clusters == 1
+        assert _scan_table.cache_info().currsize == 0
+        assert kernel_calls == [16, 16, 8, 16, 8]

@@ -317,12 +317,11 @@ class TestVn1ClosedFormKernel:
         rows = matcore.random_matrix(rng, c, m)
         rows[6:12, 2:] = 0.0  # zero padding, as the V_{n,1} suite pads shorter rows
         rows[12] = 0.0
-        for flip in (False, True):
-            stacked = geodesic_v21_closed(lam, x2, t, sign_flip=flip)
-            assert all(g.shape == (c,) for g in stacked)
-            for i in range(c):
-                single = geodesic_v21_closed(lam[i], x2[i], t[i], sign_flip=flip)
-                assert np.array(single).tobytes() == np.array([g[i] for g in stacked]).tobytes()
+        stacked = geodesic_v21_closed(lam, x2, t)
+        assert all(g.shape == (c,) for g in stacked)
+        for i in range(c):
+            single = geodesic_v21_closed(lam[i], x2[i], t[i])
+            assert np.array(single).tobytes() == np.array([g[i] for g in stacked]).tobytes()
         g1, g3 = geodesic_vn1_closed(lam, rows, t)
         assert g1.shape == (c,) and g3.shape == (c, m)
         for i in range(c):
@@ -332,10 +331,3 @@ class TestVn1ClosedFormKernel:
             assert s3.tobytes() == g3[i].tobytes()
         short1, short3 = geodesic_vn1_closed(lam[6], rows[6, :2], t[6])
         assert short1 == g1[6] and np.array_equal(short3, g3[6, :2]) and not np.any(g3[6, 2:])
-
-    def test_sign_flip_is_the_phase_factor_on_the_first_entry(self):
-        lam, x2, t = 1.3, 0.4 - 0.7j, 2.2
-        right = geodesic_v21_closed(lam, x2, t)
-        flipped = geodesic_v21_closed(lam, x2, t, sign_flip=True)
-        assert flipped[0] == right[0] * np.exp(1j * lam * t)
-        assert flipped[1:] == right[1:]

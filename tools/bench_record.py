@@ -4,15 +4,21 @@
                                        [--out DIR]
 
 Runs the checkout's own, unmodified ``perfbench/run.py`` for every workload
-of its ``BENCHMARK.json`` at every seed with ``--trace 0``, then the
-checkout's Tier-1 suite and its acceptance criteria 4, 5 and 8 each alone,
-each in a fresh process, one after another.  Writes ``BENCH_<LABEL>.json``
-into ``--out`` (default: this repository's root) with:
+of its ``BENCHMARK.json`` at every seed with ``--trace 0`` and once at the
+first seed with ``--trace 1``, then a cold ``stiefel-sr bracket --n 4 --k 2``,
+the checkout's Tier-1 suite and its acceptance criteria 4, 5 and 8 each
+alone, each in a fresh process, one after another.  Writes
+``BENCH_<LABEL>.json`` into ``--out`` (default: this repository's root) with:
 
 - ``host``: the host record of the first benchmark run;
 - ``workloads``: per workload, each seed's run (correct, attempted, failed,
   metric values) and, per end-to-end metric of ``BENCHMARK.json``, the
   median and interquartile range over the seeds, with its unit;
+- ``traced``: per workload, the per-layer metrics (value and unit) of the
+  traced run at the first seed, with its correct/attempted/failed counts
+  (the run leaves its span file in the checkout's ``perfbench/out/``);
+- ``cold_start``: the wall times of ``COLD_STARTS`` fresh
+  ``stiefel-sr bracket --n 4 --k 2`` processes and their median;
 - ``tier1``: the suite's wall time and its summary line;
 - ``criteria``: per criterion test, its wall time as pytest reports it, and
   the wall time of its whole process.
@@ -20,7 +26,7 @@ into ``--out`` (default: this repository's root) with:
 ``--checkout`` (default: this repository) names the source tree to measure,
 so one copy of this tool can record another commit exported beside it.  The
 file reports; it gates nothing.  Exits 1 if a benchmark run fails to produce
-its JSON line, 0 otherwise.
+its JSON line or a cold start its report, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ CRITERIA = (
     "tests/test_acceptance.py::test_criterion_5_v21_cluster_dichotomy",
     "tests/test_acceptance.py::test_criterion_8_real_case",
 )
+COLD_START = ("-m", "stiefel_sr.cli", "bracket", "--n", "4", "--k", "2")
+COLD_STARTS = 3
 
 
 def _benchmark(checkout: Path) -> tuple[list[str], list[str]]:
@@ -65,6 +73,19 @@ def _run(argv: list[str], checkout: Path) -> tuple[float, str]:
     return time.perf_counter() - t0, proc.stdout
 
 
+def _perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
+    """(output lines, result JSON) of one perfbench/run.py process."""
+    argv = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace),
+    ]
+    _, stdout = _run(argv, checkout)
+    lines = stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise RuntimeError(f"{workload} seed {seed} trace {trace}: no JSON line in the output")
+    return lines, json.loads(lines[-1])
+
+
 def bench_runs(checkout: Path, seconds: float, seeds: list[int]) -> tuple[dict, dict]:
     """(host record, per-workload runs and spreads) from perfbench/run.py."""
     host = None
@@ -73,15 +94,7 @@ def bench_runs(checkout: Path, seconds: float, seeds: list[int]) -> tuple[dict, 
     for workload in workloads:
         runs = []
         for seed in seeds:
-            argv = [
-                sys.executable, "perfbench/run.py", "--workload", workload,
-                "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
-            ]
-            _, stdout = _run(argv, checkout)
-            lines = stdout.strip().splitlines()
-            if not lines or not lines[-1].startswith("{"):
-                raise RuntimeError(f"{workload} seed {seed}: no JSON line in the output")
-            result = json.loads(lines[-1])
+            lines, result = _perfbench(checkout, workload, seed, seconds, 0)
             if host is None:
                 host = next(
                     (json.loads(x[len("host "):]) for x in lines if x.startswith("host ")), {}
@@ -105,6 +118,32 @@ def bench_runs(checkout: Path, seconds: float, seeds: list[int]) -> tuple[dict, 
             },
         }
     return host or {}, out
+
+
+def traced_runs(checkout: Path, seconds: float, seed: int) -> dict:
+    """Per workload, the per-layer metrics of one ``--trace 1`` run."""
+    out = {}
+    for workload in _benchmark(checkout)[0]:
+        _, result = _perfbench(checkout, workload, seed, seconds, 1)
+        out[workload] = {
+            "seed": seed,
+            **{key: result[key] for key in ("correct", "attempted", "failed")},
+            "metrics": result["metrics"],
+        }
+        print(f"{workload} traced seed {seed}: {len(result['metrics'])} metrics", file=sys.stderr)
+    return out
+
+
+def cold_start(checkout: Path) -> dict:
+    """Wall seconds of fresh ``stiefel-sr bracket --n 4 --k 2`` processes."""
+    walls = []
+    for _ in range(COLD_STARTS):
+        wall, stdout = _run([sys.executable, *COLD_START], checkout)
+        if not stdout.startswith("{") or not json.loads(stdout)["generating"]:
+            raise RuntimeError("cold bracket start: no generating report in the output")
+        walls.append(wall)
+    return {"command": "stiefel-sr " + " ".join(COLD_START[2:]), "runs_s": walls,
+            "median_s": statistics.median(walls)}
 
 
 def tier1(checkout: Path) -> dict:
@@ -144,6 +183,8 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     try:
         host, workloads = bench_runs(checkout, args.seconds, args.seeds)
+        traced = traced_runs(checkout, args.seconds, args.seeds[0])
+        cold = cold_start(checkout)
     except RuntimeError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -154,6 +195,8 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "host": host,
         "workloads": workloads,
+        "traced": traced,
+        "cold_start": cold,
         "tier1": tier1(checkout),
         "criteria": tests_alone(checkout, CRITERIA),
     }
