@@ -8,13 +8,16 @@ the candidate oracle its original per-hit loop, the scan oracle its
 original subtraction pass over the scan table, the hit oracle the
 original golden-section refinement of the first block-diagonal dip, the
 bracket-span oracles the rank tests' original one-bracket-at-a-time loops,
-and the V_{2,1} column oracle the evaluator's original (2, 1)-only closed
-form.
+the V_{2,1} column oracle the evaluator's original (2, 1)-only closed
+form, the refinement oracle the arrival refinement's original loop, which
+forms every active candidate's Jacobian on every iteration, and the
+high-precision column oracle a 40-digit mpmath matrix exponential.
 """
 
+import mpmath
 import numpy as np
 
-from stiefel_sr import matcore, tolerances
+from stiefel_sr import cutlocus, matcore, tolerances
 from stiefel_sr.distribution import horizontal_basis, stiefel_tangent_dim
 from stiefel_sr.geodesic import GeodesicSpec, sample_curve
 from stiefel_sr.homspace import BlockVelocity
@@ -311,3 +314,72 @@ def scan_cols_subtraction(cols, target_cols, gate):
     vix, tix = np.nonzero(interior)
     tix += 1
     return vix, tix, err[vix, tix]
+
+
+def refine_every_iteration(family, params, ts, target_cols, hit: float):
+    """The arrival refinement's original batched Levenberg-Marquardt loop: every
+    iteration forms the Jacobian of every active candidate, also when the
+    candidate's last step was rejected and its point did not move.  Calls
+    ``cutlocus._residual_jacobian`` through the module, so a test can count
+    the rows it differentiates."""
+    x = np.column_stack([params, ts]).astype(np.float64)
+    n_cand, dim = x.shape
+    n = target_cols.shape[0]
+    chunk = max(1, cutlocus._CHUNK_ELEMENTS // (4 * dim * n * n))
+    r = cutlocus._endpoint_residuals(family, x, target_cols)
+    f = np.sum(r * r, axis=1)
+    mu = np.full(n_cand, 1e-3)
+    active = np.ones(n_cand, dtype=bool)
+    eye = np.eye(dim)
+    for _ in range(cutlocus._LM_ITERS):
+        ai = np.nonzero(active)[0]
+        if len(ai) == 0:
+            break
+        xa, ra = x[ai], r[ai]
+        jtj = np.empty((len(ai), dim, dim))
+        jtr = np.empty((len(ai), dim, 1))
+        for lo in range(0, len(ai), chunk):
+            part = slice(lo, lo + chunk)
+            jac = cutlocus._residual_jacobian(family, xa[part], target_cols)
+            jt = jac.swapaxes(1, 2)
+            jtj[part] = jt @ jac
+            jtr[part] = jt @ ra[part, :, None]
+        lhs = jtj + mu[ai, None, None] * eye[None]
+        try:
+            step = np.linalg.solve(lhs, -jtr)[..., 0]
+        except np.linalg.LinAlgError:
+            lhs = lhs + 1e-8 * eye[None]
+            step = np.linalg.solve(lhs, -jtr)[..., 0]
+        xt = xa + step
+        rt = cutlocus._endpoint_residuals(family, xt, target_cols)
+        ft = np.sum(rt * rt, axis=1)
+        good = ft < f[ai]
+        rows = ai[good]
+        x[rows] = xt[good]
+        r[rows] = rt[good]
+        f[rows] = ft[good]
+        mu[ai[good]] = np.maximum(mu[ai[good]] * 0.3, 1e-12)
+        mu[ai[~good]] = mu[ai[~good]] * 10.0
+        converged = f[ai] < (0.01 * hit) ** 2
+        stuck = mu[ai] > 1e8
+        active[ai[converged | stuck]] = False
+    return x[:, :-1], x[:, -1], np.sqrt(f)
+
+
+def geodesic_columns_mp(a, b, t: float, dps: int = 40) -> np.ndarray:
+    """First k columns of expm(t v) . blockdiag(expm(-t a), I), v = [[a, b], [-b*, 0]],
+    by mpmath's matrix exponential at ``dps`` digits, rounded to complex128.
+
+    The float inputs enter exactly; only the final rounding is at double
+    precision, so the result is the true endpoint of the given velocity.
+    """
+    k, m = b.shape
+    with mpmath.workdps(dps):
+        v = mpmath.matrix(BlockVelocity(a, b, COMPLEX).embed().tolist())
+        mt = mpmath.mpf(t)
+        left = mpmath.expm(mt * v)
+        right = mpmath.expm(-mt * mpmath.matrix(np.asarray(a, dtype=np.complex128).tolist()))
+        cols = left[:, :k] * right
+        return np.array(
+            [[complex(cols[i, j]) for j in range(k)] for i in range(k + m)], dtype=np.complex128
+        )

@@ -10,6 +10,7 @@ from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint, identity_point
 from stiefel_sr.geodesic import (
     GeodesicSpec,
+    batch_geodesic_columns,
     first_vanishing_time,
     grassmann_geodesic_2kk,
     grid_geodesic_columns,
@@ -21,6 +22,7 @@ from stiefel_sr.cutlocus import (
     _best_hits,
     _endpoint_residuals,
     _make_family,
+    _refine,
     _representatives,
     _residual_jacobian,
     _scan_cols,
@@ -47,6 +49,7 @@ from _oracles import (
     golden_section_hit,
     greedy_cluster_count_loop,
     greedy_dedup_loop,
+    refine_every_iteration,
     scan_cols_subtraction,
     separate_family_params,
     separate_family_raw_blocks,
@@ -449,6 +452,74 @@ class TestResidualJacobian:
                 _endpoint_residuals(fam, x + step, target) - _endpoint_residuals(fam, x - step, target)
             ) / (2 * h)
             assert np.max(np.abs(jac[:, :, j] - central)) < tol
+
+
+REFINE_GRIDS = {
+    "v63": VelocityGrid(6, 3, COMPLEX, family="general", sample_count=32),
+    "v52": VelocityGrid(5, 2, REAL, family="general", sample_count=32),
+    "v21": VelocityGrid(2, 1, COMPLEX, lambda_count=16, phase_count=16),
+    "sphere": VelocityGrid(3, 1, REAL, family="sphere", direction_count=32),
+}
+
+
+def _refine_case(name: str, seed: int = 5):
+    """Family, scan candidates (params, times) and target columns of a search
+    for the endpoint of a seeded random velocity at a time in [0.3, 0.6]."""
+    grid = REFINE_GRIDS[name]
+    fam = _make_family(grid)
+    p0 = fam.initial_params()
+    rng = np.random.default_rng(seed)
+    a, b = fam.blocks(rng.standard_normal((1, p0.shape[1])))
+    target = batch_geodesic_columns(a, b, rng.uniform(0.3, 0.6, 1), grid.mode)[0]
+    vix, tix, err = _scan_cols(_scan_table(grid), target, 1.0)
+    pick = _best_hits(vix, tix, err)
+    assert len(pick) > 0
+    return fam, p0[vix[pick]], _scan_times(grid)[tix[pick]], target
+
+
+def _record_jacobian_rows(monkeypatch) -> list:
+    """Make ``cutlocus._residual_jacobian`` append each (params, t) row it gets."""
+    rows = []
+    inner = cutlocus._residual_jacobian
+
+    def recording(family, x, target_cols):
+        rows.extend(x.copy())
+        return inner(family, x, target_cols)
+
+    monkeypatch.setattr(cutlocus, "_residual_jacobian", recording)
+    return rows
+
+
+class TestRefine:
+    """The refinement against its original loop, which formed every active
+    candidate's Jacobian on every iteration: keeping the normal equations of
+    a candidate whose step was rejected changes no arithmetic, so params,
+    times and residuals agree bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(REFINE_GRIDS))
+    def test_bit_identical_to_every_iteration_loop(self, name, monkeypatch):
+        fam, params, ts, target = _refine_case(name)
+        rows = _record_jacobian_rows(monkeypatch)
+        expected = refine_every_iteration(fam, params, ts, target, TOL.hit)
+        oracle_rows = len(rows)
+        rows.clear()
+        got = _refine(fam, params, ts, target, TOL.hit)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
+        if name == "v63":
+            # some candidate stayed active after a rejected step: the stored
+            # normal equations were solved again
+            assert len(rows) < oracle_rows
+
+    def test_each_point_differentiated_once(self, monkeypatch):
+        fam, params, ts, target = _refine_case("v63")
+        rows = _record_jacobian_rows(monkeypatch)
+        refine_every_iteration(fam, params, ts, target, TOL.hit)
+        active_rows = len(rows)  # the oracle's sum of active rows per iteration
+        rows.clear()
+        _refine(fam, params, ts, target, TOL.hit)
+        assert len({row.tobytes() for row in rows}) == len(rows)
+        assert len(rows) < active_rows
 
 
 HIT_SHAPES = [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)]

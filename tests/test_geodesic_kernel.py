@@ -11,7 +11,9 @@ public views stacked against one call per input.  The kernel's Jacobian
 companion is checked against scipy's ``expm_frechet`` on the same inputs: its
 Daleckii-Krein path (k >= 2) and, at every k = 1 shape up to |t v| = 30, its
 differentiated V_{n,1} closed form.  The closed form's J(x) = (sin x - x cos x) / x^3 is checked against a
-40-digit mpmath value.
+40-digit mpmath value, and the spectral path (k >= 2) against a 40-digit
+mpmath matrix exponential up to |t v| = 1e3, where the double-precision
+expm reference no longer holds.
 """
 
 import mpmath
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
-from _oracles import first_column_2x2
+from _oracles import first_column_2x2, geodesic_columns_mp
 from stiefel_sr import matcore
 from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
@@ -42,6 +44,7 @@ SHAPES = [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (5, 2), (6, 3)]
 KINDS = ["generic", "zero_a", "zero_b", "repeated"]
 ATOL = 1e-10  # kernel vs expm, |t v| up to about 30
 SHARED_ATOL = 1e-13  # the three entry points against each other
+MP_ERR = 32.0  # kernel vs 40-digit mpmath, in units of eps * (1 + |t v|)
 
 
 def reference_columns(a, b, t, mode):
@@ -200,6 +203,34 @@ def _j1_over_x_mpmath(x: float) -> mpmath.mpf:
             return mpmath.mpf(1) / 3
         x = mpmath.mpf(x)
         return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(1.5, x) / x
+
+
+class TestKernelAgainstMpmath:
+    """The k >= 2 kernel against 40-digit endpoints up to |t v| = 1e3 (Frobenius |v|).
+
+    The kernel takes t times each eigenvalue of v and of a in double
+    precision, so each phase carries an absolute error of order eps |t v|;
+    the rest of the evaluation adds a fixed number of roundings.  The
+    largest entry error is therefore bounded linearly in |t v|, here by
+    MP_ERR * eps * (1 + |t v|).  On six unit-b velocities each of complex
+    V(4,2) and V(6,3), at |t v| = 1, 30, 300 and 1e3, the measured error
+    stayed below 3.8 eps (1 + |t v|), and at |t v| = 1e3 between 4.9e-14
+    and 2.6e-13, so the bound leaves a factor of 8.
+    """
+
+    @pytest.mark.parametrize("n, k, seed", [(4, 2, 0), (4, 2, 1), (6, 3, 0)])
+    def test_error_grows_at_most_linearly_in_t_v(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        a = matcore.random_skew_hermitian(rng, k, COMPLEX)
+        b = matcore.random_matrix(rng, k, n - k, COMPLEX)
+        b = b / np.linalg.norm(b)
+        norm_v = float(np.linalg.norm(BlockVelocity(a, b, COMPLEX).embed()))
+        eps = np.finfo(np.float64).eps
+        for tv in (1.0, 30.0, 300.0, 1e3):
+            t = tv / norm_v
+            got = batch_geodesic_columns(a[None], b[None], np.array([t]), COMPLEX)[0]
+            ref = geodesic_columns_mp(a, b, t)
+            assert np.max(np.abs(got - ref)) <= MP_ERR * eps * (1.0 + tv), tv
 
 
 class TestJ1OverX:
