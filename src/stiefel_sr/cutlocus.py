@@ -24,6 +24,8 @@ from .matcore import COMPLEX, REAL, adjoint
 from .homspace import BlockVelocity, StiefelPoint, _embed_velocities
 from .geodesic import (
     GeodesicSpec,
+    _decompose,
+    _generator_jacobian,
     _geodesic_jacobian,
     _speeds_squared,
     batch_geodesic_columns,
@@ -255,6 +257,11 @@ class _LinearFamily:
         self.da[: self.a_dim] = np.reshape(fibre, (-1, k, k))
         self.db = np.zeros((d, k, m), dtype=np.complex128)
         self.db[self.a_dim :] = (np.reshape(units, (-1, 1, 1)) * np.eye(k * m)).reshape(-1, k, m)
+        # the generator i [[da, db], [-db*, 0]] of each unit param has one or
+        # two nonzero entries: their flat positions in an n x n matrix and values
+        gens = 1j * _embed_velocities(self.da, self.db).reshape(d, -1)
+        self.gen_index = np.argsort(gens == 0, axis=1, kind="stable")[:, :2]
+        self.gen_value = np.take_along_axis(gens, self.gen_index, axis=1)
 
     def initial_params(self) -> np.ndarray:
         g = self.grid
@@ -298,6 +305,23 @@ class _LinearFamily:
         dunit = (self.db - radial * unit) / norms
         return np.broadcast_to(self.da, (len(b),) + self.da.shape), dunit
 
+    def normalize(self, params: np.ndarray, along: np.ndarray) -> np.ndarray:
+        """Derivatives (c, d, n, k) along the unit param images (da, db) -> along the params.
+
+        ``tangents``' projection, applied in place to the derivatives instead
+        of the blocks.  The transversal params are the coordinates of b in
+        the orthonormal basis db, so Re<u, db_j> = params_j / |b|, the
+        derivative along u is sum_l Re<u, db_l> along_l, and a transversal
+        param's derivative is (along_j - Re<u, db_j> along_u) / |b|.
+        """
+        coords = params[:, self.a_dim :, None, None]
+        norm = np.maximum(np.sqrt(np.sum(coords * coords, axis=1, keepdims=True)), 1e-30)
+        radial = coords / norm
+        moving = along[:, self.a_dim :]
+        moving -= radial * np.sum(radial * moving, axis=1, keepdims=True)
+        moving /= norm
+        return along
+
 
 def _frobenius(b: np.ndarray) -> np.ndarray:
     """Frobenius norms (c, 1, 1) of stacked blocks (c, k, m), floored away from 0."""
@@ -323,21 +347,24 @@ def _make_family(grid: VelocityGrid):
 # -- search engine --------------------------------------------------------------
 
 
-def _endpoint_residuals(family, x: np.ndarray, target_cols) -> np.ndarray:
-    """Batched endpoint residual vectors for stacked (params, t) rows.
+def _endpoint_residuals(family, x: np.ndarray, target_cols):
+    """Batched endpoint residual vectors for stacked (params, t) rows, and the kernel's spectra.
 
     Row i is the real/imaginary parts of (endpoint_i - target) flattened;
     rows with non-finite entries or negative time get a large constant
-    residual so steps into them are always rejected.
+    residual so steps into them are always rejected.  The spectra are the
+    eigendecompositions the kernel evaluated the rows with (``_decompose``;
+    () at k = 1), which ``_residual_jacobian`` takes at the same rows.
     """
     params, ts = x[:, :-1], x[:, -1]
     bad = ~np.isfinite(x).all(axis=1) | (ts < 0)
     a, b = family.blocks(np.where(bad[:, None], 0.0, params))
-    cols = batch_geodesic_columns(a, b, np.where(bad, 0.0, ts), family.grid.mode)
+    spectra = _decompose(a, b)
+    cols = batch_geodesic_columns(a, b, np.where(bad, 0.0, ts), family.grid.mode, spectra)
     diff = (cols - target_cols[None]).reshape(len(x), -1)
     out = np.concatenate([diff.real, diff.imag], axis=1)
     out[bad] = 1e6
-    return out
+    return out, spectra
 
 
 def _scan_times(grid: VelocityGrid) -> np.ndarray:
@@ -412,16 +439,29 @@ def _best_hits(vix, tix, err) -> np.ndarray:
     return order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < 3]
 
 
-def _residual_jacobian(family, x: np.ndarray, target_cols) -> np.ndarray:
+def _residual_jacobian(family, x: np.ndarray, target_cols, spectra=None) -> np.ndarray:
     """Jacobian (c, rows, dim) of ``_endpoint_residuals`` at finite rows with t >= 0.
 
-    Analytic: the family's block tangents pushed through the geodesic's
-    endpoint derivatives, the time derivative as the last column.
+    Analytic, the time derivative as the last column.  At k = 1 the family's
+    block tangents are pushed through the geodesic's endpoint derivatives.
+    At k >= 2 (a ``_LinearFamily``) the derivatives along the unit params
+    are gathered from the endpoint's sensitivities to its generator, built
+    from ``spectra`` (the kernel's decompositions at these rows, as
+    ``_endpoint_residuals`` returns them; decomposed afresh if None), and
+    then projected through the normalization of b.
     """
     params, ts = x[:, :-1], x[:, -1]
     a, b = family.blocks(params)
-    da, db = family.tangents(params)
-    dcols, dcols_dt = _geodesic_jacobian(a, b, ts, da, db, family.grid.mode)
+    mode = family.grid.mode
+    if family.grid.k == 1:
+        da, db = family.tangents(params)
+        dcols, dcols_dt = _geodesic_jacobian(a, b, ts, da, db, mode)
+    else:
+        spectra = _decompose(a, b) if spectra is None else spectra
+        along, dcols_dt = _generator_jacobian(
+            a, b, ts, spectra, family.gen_index, family.gen_value, mode
+        )
+        dcols = family.normalize(params, along)
     d = np.concatenate([dcols, dcols_dt[:, None]], axis=1).reshape(len(x), x.shape[1], -1)
     return np.concatenate([d.real, d.imag], axis=2).swapaxes(1, 2)
 
@@ -440,22 +480,29 @@ def _refine(
     geodesic evaluation.  Each candidate keeps its normal equations J^T J and
     J^T r; the analytic Jacobian is formed again only for the candidates
     whose last step was accepted, since a rejected step changes only the
-    damping.  Per-candidate damping adapts in the usual way; a candidate is
-    frozen once its residual is far below the hit radius or its damping
-    exceeds 1e8.  The damping test catches few stalled candidates: in a
-    128-sample complex V(6,3) search about half of the candidates never
-    converge, and most of them keep lowering their residual slowly and stay
-    active until the iteration cap.
+    damping.  At k >= 2 each candidate also keeps the two eigendecompositions
+    that the evaluation of its accepted point made, and its Jacobian is built
+    from them (``_residual_jacobian``), so no Jacobian calls eigh.
+    Per-candidate damping adapts in the usual way; a candidate is frozen once
+    its residual is far below the hit radius or its damping exceeds 1e8.
+    The damping test catches few stalled candidates: in a 128-sample complex
+    V(6,3) search about half of the candidates never converge, and most of
+    them keep lowering their residual slowly and stay active until the
+    iteration cap.
     Returns the params, the times and the residual norms, which are the
     endpoints' Frobenius distances to the target.
     """
     x = np.column_stack([params, ts]).astype(np.float64)
     n_cand, dim = x.shape
-    n = target_cols.shape[0]
-    # a Jacobian chunk holds up to about four (chunk, dim, n, n) complex
-    # temporaries at once, so it takes a quarter of the scan's element budget
-    chunk = max(1, _CHUNK_ELEMENTS // (4 * dim * n * n))
-    r = _endpoint_residuals(family, x, target_cols)
+    n, k = target_cols.shape
+    # a Jacobian chunk's temporaries peak when the sensitivity K, (chunk, n,
+    # n, n, k) complex, meets the two (chunk, dim, n, k) arrays gathered from
+    # it: n k (n^2 + 2 dim) elements per candidate.  They come on top of the
+    # stored normal equations and spectra and the trial step's evaluation,
+    # and the peak RSS of a default-grid complex V(6,3) search grows with the
+    # chunk, so a chunk takes a quarter of the scan's element budget
+    chunk = max(1, _CHUNK_ELEMENTS // (4 * n * k * (n * n + 2 * dim)))
+    r, spectra = _endpoint_residuals(family, x, target_cols)
     f = np.sum(r * r, axis=1)
     mu = np.full(n_cand, 1e-3)
     active = np.ones(n_cand, dtype=bool)
@@ -464,6 +511,7 @@ def _refine(
     jtj = np.empty((n_cand, dim, dim))
     jtr = np.empty((n_cand, dim, 1))
     eye = np.eye(dim)
+    diag = np.arange(dim)
     for _ in range(_LM_ITERS):
         ai = np.nonzero(active)[0]
         if len(ai) == 0:
@@ -471,11 +519,12 @@ def _refine(
         fresh = ai[moved[ai]]
         for lo in range(0, len(fresh), chunk):
             part = fresh[lo : lo + chunk]
-            jac = _residual_jacobian(family, x[part], target_cols)
+            jac = _residual_jacobian(family, x[part], target_cols, [h[part] for h in spectra])
             jt = jac.swapaxes(1, 2)
             jtj[part] = jt @ jac
             jtr[part] = jt @ r[part, :, None]
-        lhs = jtj[ai] + mu[ai, None, None] * eye[None]
+        lhs = jtj[ai]  # a copy; the damping goes onto its diagonal in place
+        lhs[:, diag, diag] += mu[ai, None]
         rhs = -jtr[ai]
         try:
             step = np.linalg.solve(lhs, rhs)[..., 0]
@@ -483,13 +532,15 @@ def _refine(
             lhs = lhs + 1e-8 * eye[None]
             step = np.linalg.solve(lhs, rhs)[..., 0]
         xt = x[ai] + step
-        rt = _endpoint_residuals(family, xt, target_cols)
+        rt, spectra_t = _endpoint_residuals(family, xt, target_cols)
         ft = np.sum(rt * rt, axis=1)
         good = ft < f[ai]
         rows = ai[good]
         x[rows] = xt[good]
         r[rows] = rt[good]
         f[rows] = ft[good]
+        for held, trial in zip(spectra, spectra_t):
+            held[rows] = trial[good]
         moved[ai] = good
         mu[rows] = np.maximum(mu[rows] * 0.3, 1e-12)
         mu[ai[~good]] = mu[ai[~good]] * 10.0

@@ -13,11 +13,14 @@ search's refinement.  For k = 1 the kernel runs one closed form of the V_{n,1}
 column, the companion differentiates that closed form term by term, and the
 public closed forms ``geodesic_vn1_closed`` and ``geodesic_v21_closed``
 (V_{2,1} is its n = 2 case) are views of the same formula, so no k = 1 path
-calls an eigensolver; k >= 2 goes through batched eigh, with Daleckii-Krein
-derivatives in the companion.  Alongside them this module carries the
-square-block Grassmann geodesics used for V_{2k,k}, plus speed, length, the
-first time a V_{n,1} geodesic returns to the block-diagonal set, and the
-mirrored velocity that produces a second arrival at such points.
+calls an eigensolver.  k >= 2 goes through two batched eigh, split from the
+flows so a caller can keep the decompositions; the companion builds from them
+one Daleckii-Krein sensitivity array, the endpoint's derivative in every entry
+of its generator, and contracts it with the directions (or gathers from it,
+for directions with one or two generator entries).  Alongside them this
+module carries the square-block Grassmann geodesics used for V_{2k,k}, plus
+speed, length, the first time a V_{n,1} geodesic returns to the block-diagonal
+set, and the mirrored velocity that produces a second arrival at such points.
 
 Matrix functions of b b* are evaluated through the SVD of b, with the
 sin(x)/x limit handled spectrally so singular directions are fine.
@@ -132,13 +135,28 @@ def _vn1_column(lam, b, ts):
     return top, bottom
 
 
-def _spectral_flow(h: np.ndarray, ts: np.ndarray, k: int, rate: complex) -> np.ndarray:
-    """First k columns of exp(rate t h) for stacked Hermitian h (c, n, n).
+def _decompose(a_blocks, b_blocks):
+    """The k >= 2 kernel's two batched eigh: (w, q) of i v and (wa, qa) of i a.
 
-    ``ts`` broadcasts to (c, T); one batched eigh, then a single matmul per
-    velocity over all T times.  Returns (c, T, n, k).
+    ``batch_geodesic_columns`` and the Jacobian take them as ``spectra``, so a
+    caller that evaluates and later differentiates at the same velocities
+    decomposes once.  Returns () at k = 1, whose closed forms need none.
     """
-    w, vecs = np.linalg.eigh(h)
+    a_blocks = np.asarray(a_blocks, dtype=np.complex128)
+    b_blocks = np.asarray(b_blocks, dtype=np.complex128)
+    if b_blocks.shape[1] == 1:
+        return ()
+    w, q = np.linalg.eigh(1j * _embed_velocities(a_blocks, b_blocks))
+    wa, qa = np.linalg.eigh(1j * a_blocks)
+    return w, q, wa, qa
+
+
+def _spectral_flow(w, vecs, ts, k: int, rate: complex) -> np.ndarray:
+    """First k columns of exp(rate t h) for stacked h = vecs diag(w) vecs* (c, n, n).
+
+    ``ts`` broadcasts to (c, T); a single matmul per velocity over all T
+    times.  Returns (c, T, n, k).
+    """
     c, n = w.shape
     phases = np.exp(rate * ts[:, None, :] * w[:, :, None])  # (c, n, T)
     scaled = phases[..., None] * adjoint(vecs)[:, :, None, :k]  # (c, n, T, k)
@@ -146,14 +164,14 @@ def _spectral_flow(h: np.ndarray, ts: np.ndarray, k: int, rate: complex) -> np.n
     return flow.reshape(c, n, -1, k).transpose(0, 2, 1, 3)
 
 
-def _geodesic_columns(a_blocks, b_blocks, ts, mode: str) -> np.ndarray:
+def _geodesic_columns(a_blocks, b_blocks, ts, mode: str, spectra=None) -> np.ndarray:
     """The evaluation kernel: first k columns of exp(t v) . blockdiag(exp(-t a), I).
 
     Stacked blocks (c, k, k) and (c, k, n-k); ``ts`` is 2-d and broadcasts to
     (c, T).  Returns (c, T, n, k).  Every k = 1 shape takes the V_{n,1}
-    closed form, with no eigensolver; k >= 2 takes one batched eigh of the
-    embedded velocity and one of the fibre block.  No per-element validation
-    (hot path for searches).
+    closed form, with no eigensolver; k >= 2 takes the flows of the two
+    eigendecompositions ``_decompose`` gives, or of ``spectra`` if the caller
+    already holds them.  No per-element validation (hot path for searches).
     """
     a_blocks = np.asarray(a_blocks, dtype=np.complex128)
     b_blocks = np.asarray(b_blocks, dtype=np.complex128)
@@ -164,46 +182,64 @@ def _geodesic_columns(a_blocks, b_blocks, ts, mode: str) -> np.ndarray:
         top, bottom = _vn1_column(a_blocks[:, :, 0].imag, b_blocks, ts)
         cols = np.concatenate([top[..., None], bottom], axis=-1)[..., None]
     else:
-        full = _embed_velocities(a_blocks, b_blocks)
-        left = _spectral_flow(1j * full, ts, k, -1j)
-        right = _spectral_flow(1j * a_blocks, ts, k, 1j)  # exp(-t a)
-        cols = left @ right
+        w, q, wa, qa = _decompose(a_blocks, b_blocks) if spectra is None else spectra
+        # exp(t v), then exp(-t a)
+        cols = _spectral_flow(w, q, ts, k, -1j) @ _spectral_flow(wa, qa, ts, k, 1j)
     if mode == REAL:
         cols = cols.real.astype(np.complex128)
     return cols
 
 
-def _left_multiply(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """p @ x[:, j] for every direction j: p (c, r, s), x (c, d, s, q) -> (c, d, r, q).
+def _divided_differences(w, ts, rate: complex) -> np.ndarray:
+    """First divided differences (c, n, n) of x -> exp(rate t x) on stacked eigenvalues w.
 
-    Transposed so the d directions stack along the matmul axis, (c, d q, s) @
-    (c, s, r), instead of c d separate tiny products.
+    Written as rate t exp(rate t (w_p + w_q) / 2) sinc(t (w_p - w_q) / 2 pi),
+    so equal or close eigenvalues need no branch; ts (c,).
     """
-    c, d, s, q = x.shape
-    xt = x.swapaxes(-1, -2).reshape(c, d * q, s)
-    return (xt @ p.swapaxes(-1, -2)).reshape(c, d, q, -1).swapaxes(-1, -2)
-
-
-def _exp_derivatives(w, q, rotated, ts, rate, cols):
-    """exp(rate t h)[:, :cols] and its derivatives along h' = i x, x skew-Hermitian.
-
-    h = Q diag(w) Q* (c, n, n) from eigh; ``rotated`` = Q* x Q (c, d, n, n) is
-    overwritten; ts (c,).  The Frechet derivative is Q (F o Q* h' Q) Q*
-    (Daleckii-Krein; Higham, Functions of Matrices, 2008, Thm 3.11) with F the
-    first divided differences of exp(rate t .) on w, written as
-    rate t exp(rate t (w_p + w_q) / 2) sinc(t (w_p - w_q) / 2 pi) so equal or
-    close eigenvalues need no branch.  Returns (c, n, cols), (c, d, n, cols).
-    """
-    c, d, n, _ = rotated.shape
     tt = ts[:, None, None]
     mid = 0.5 * (w[:, :, None] + w[:, None, :])
     gap = w[:, :, None] - w[:, None, :]
-    divided = rate * tt * np.exp(rate * tt * mid) * np.sinc(tt * gap / (2.0 * np.pi))
-    rotated *= 1j * divided[:, None]  # Q* h' Q = i Q* x Q
-    q_rows = adjoint(q)[:, :, :cols]  # first cols columns of Q*
-    flow = (q * np.exp(rate * ts[:, None] * w)[:, None, :]) @ q_rows
-    inner = (rotated.reshape(c, d * n, n) @ q_rows).reshape(c, d, n, cols)
-    return flow, _left_multiply(q, inner)
+    return rate * tt * np.exp(rate * tt * mid) * np.sinc(tt * gap / (2.0 * np.pi))
+
+
+def _rotation_product(left, q, divided, right_rows):
+    """K[r, i, j, s] = sum_pq left_rp conj(q_ip) divided_pq q_jq right_rows_qs; (c, r, i, j, s).
+
+    Two stacked products per velocity: G = divided . W with W[q, (j, s)] =
+    q_jq right_rows_qs, then K = U . G with U[(r, i), p] = left_rp conj(q_ip).
+    """
+    c, r, p = left.shape
+    s = right_rows.shape[-1]
+    u = (left[:, :, None, :] * np.conj(q)[:, None, :, :]).reshape(c, r * p, p)
+    w = (np.swapaxes(q, 1, 2)[:, :, :, None] * right_rows[:, :, None, :]).reshape(c, p, p * s)
+    return (u @ (divided @ w)).reshape(c, r, p, p, s)
+
+
+def _sensitivity(a_blocks, b_blocks, ts, spectra):
+    """The endpoint's derivatives in the entries of its generator, at k >= 2; complex mode.
+
+    With h = i v = Q diag(w) Q* and i a = Qa diag(wa) Qa* (``spectra``), the
+    endpoint is L R with L = first k columns of exp(-i t h) and R =
+    exp(i t (i a)).  Daleckii-Krein (Higham, Functions of Matrices, 2008,
+    Thm 3.11) moves L by Q (F o Q* X Q) Q*[:, :k] when i v moves by X, and R
+    by Qa (Fa o Qa* X_a Qa) Qa* when i a moves by X_a, with F, Fa the divided
+    differences of the two flows.  Along a velocity direction (da, db) the
+    generator moves by X = i [[da, db], [-db*, 0]], and X_a is its top-left
+    block, so one array K holds both: K[:, r, (i, j), s] is the derivative
+    of endpoint entry (r, s) in generator entry (i, j).  It takes two stacked
+    products per velocity on each side, whatever the number of directions.
+    Returns K (c, n, n n, k) and the time derivative (v L - L a) R (c, n, k).
+    """
+    w, q, wa, qa = spectra
+    c, n = w.shape
+    k = wa.shape[1]
+    left = _spectral_flow(w, q, ts[:, None], k, -1j)[:, 0]
+    right = _spectral_flow(wa, qa, ts[:, None], k, 1j)[:, 0]
+    sens = _rotation_product(q, q, _divided_differences(w, ts, -1j), adjoint(q)[:, :, :k] @ right)
+    fibre = _divided_differences(wa, ts, 1j)
+    sens[:, :, :k, :k] += _rotation_product(left @ qa, qa, fibre, adjoint(qa))
+    dcols_dt = (_embed_velocities(a_blocks, b_blocks) @ left - left @ a_blocks) @ right
+    return sens.reshape(c, n, n * n, k), dcols_dt
 
 
 # Taylor coefficients of j1(x) / x in x^2, highest power first: the term of
@@ -257,31 +293,6 @@ def _vn1_jacobian(a_blocks, b_blocks, ts, da, db):
     return dall[:, :-1], dall[:, -1]
 
 
-def _spectral_jacobian(a_blocks, b_blocks, ts, da, db):
-    """``_geodesic_jacobian`` by Daleckii-Krein through two batched eigh; complex mode.
-
-    Valid at every k; the dispatch sends only k >= 2 here.
-    """
-    c, d, k, m = np.shape(db)
-    n = k + m
-    full = _embed_velocities(a_blocks, b_blocks)
-    w, q = np.linalg.eigh(1j * full)
-    # Q* dv Q = M - M* with M = Q1* (da Q1 / 2 + db Q2), Q1 and Q2 the first
-    # k and last m rows of Q, for dv = [[da, db], [-db*, 0]]
-    q1 = q[:, :k]
-    half = (0.5 * da).reshape(c, d * k, k) @ q1 + np.reshape(db, (c, d * k, m)) @ q[:, k:]
-    rotated = _left_multiply(adjoint(q1), half.reshape(c, d, k, n))
-    rotated -= adjoint(rotated)
-    left, dleft = _exp_derivatives(w, q, rotated, ts, -1j, k)
-    wa, qa = np.linalg.eigh(1j * a_blocks)
-    fibre = (np.reshape(da, (c, d * k, k)) @ qa).reshape(c, d, k, k)
-    right, dright = _exp_derivatives(wa, qa, _left_multiply(adjoint(qa), fibre), ts, 1j, k)
-    dcols = (dleft.reshape(c, d * n, k) @ right).reshape(c, d, n, k)
-    dcols += _left_multiply(left, dright)
-    dcols_dt = (full @ left - left @ a_blocks) @ right
-    return dcols, dcols_dt
-
-
 def _geodesic_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
     """The endpoint's first derivatives, the kernel's companion.
 
@@ -291,16 +302,44 @@ def _geodesic_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
     returns its derivatives along (da, db) (c, d, n, k) and
     d/dt (L R) = (v L - L a) R (c, n, k).  The kernel's split: every k = 1
     shape differentiates the V_{n,1} closed form, with no eigensolver; k >= 2
-    takes the same two batched eigh as the kernel and Daleckii-Krein passes.
+    takes the kernel's two batched eigh and contracts ``_sensitivity`` with
+    each direction's generator.
     """
     a_blocks = np.asarray(a_blocks, dtype=np.complex128)
     b_blocks = np.asarray(b_blocks, dtype=np.complex128)
     ts = np.asarray(ts, dtype=np.float64)
-    jacobian = _vn1_jacobian if np.shape(db)[2] == 1 else _spectral_jacobian
-    dcols, dcols_dt = jacobian(a_blocks, b_blocks, ts, da, db)
-    if mode == REAL:
-        dcols, dcols_dt = dcols.real.astype(np.complex128), dcols_dt.real.astype(np.complex128)
-    return dcols, dcols_dt
+    c, d, k, m = np.shape(db)
+    if k == 1:
+        dcols, dcols_dt = _vn1_jacobian(a_blocks, b_blocks, ts, da, db)
+    else:
+        sens, dcols_dt = _sensitivity(a_blocks, b_blocks, ts, _decompose(a_blocks, b_blocks))
+        gens = 1j * _embed_velocities(np.asarray(da), np.asarray(db)).reshape(c, 1, d, -1)
+        dcols = (gens @ sens).swapaxes(1, 2)  # (c, n, d, k) -> (c, d, n, k)
+    return _field(dcols, mode), _field(dcols_dt, mode)
+
+
+def _generator_jacobian(a_blocks, b_blocks, ts, spectra, index, value, mode: str):
+    """``_geodesic_jacobian`` at k >= 2 along d fixed directions, from ``spectra``.
+
+    Each direction's generator i [[da, db], [-db*, 0]] has at most two
+    nonzero entries: ``value`` (d, 2) at the flat positions ``index`` (d, 2)
+    of an n x n matrix (a zero value pads a single entry).  The derivatives
+    are then gathered entries of ``_sensitivity``'s K, with no eigh and no
+    product per direction.
+    """
+    sens, dcols_dt = _sensitivity(a_blocks, b_blocks, ts, spectra)
+    by_entry = sens.swapaxes(1, 2)  # (c, n n, n, k): the gathers give (c, d, n, k)
+    dcols = by_entry[:, index[:, 0]]
+    dcols *= value[:, 0, None, None]
+    second = by_entry[:, index[:, 1]]
+    second *= value[:, 1, None, None]
+    dcols += second
+    return _field(dcols, mode), _field(dcols_dt, mode)
+
+
+def _field(x: np.ndarray, mode: str) -> np.ndarray:
+    """x itself in complex mode, its real part (as complex) in real mode."""
+    return x.real.astype(np.complex128) if mode == REAL else x
 
 
 def sample_curve(spec: GeodesicSpec, ts) -> np.ndarray:
@@ -309,9 +348,13 @@ def sample_curve(spec: GeodesicSpec, ts) -> np.ndarray:
     return _geodesic_columns(v.a_block[None], v.b_block[None], ts[None], spec.mode)[0]
 
 
-def batch_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX) -> np.ndarray:
-    """Velocity i at time ts[i] for stacked blocks (c, k, k), (c, k, n-k); (c, n, k)."""
-    return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[:, None], mode)[:, 0]
+def batch_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX, spectra=None) -> np.ndarray:
+    """Velocity i at time ts[i] for stacked blocks (c, k, k), (c, k, n-k); (c, n, k).
+
+    ``spectra``: the velocities' eigendecompositions from ``_decompose``, if
+    the caller already holds them (k >= 2).
+    """
+    return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[:, None], mode, spectra)[:, 0]
 
 
 def grid_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX) -> np.ndarray:

@@ -10,8 +10,9 @@ original golden-section refinement of the first block-diagonal dip, the
 bracket-span oracles the rank tests' original one-bracket-at-a-time loops,
 the V_{2,1} column oracle the evaluator's original (2, 1)-only closed
 form, the refinement oracle the arrival refinement's original loop, which
-forms every active candidate's Jacobian on every iteration, and the
-high-precision column oracle a 40-digit mpmath matrix exponential.
+forms every active candidate's Jacobian on every iteration, the
+high-precision column oracle a 40-digit mpmath matrix exponential, and the
+high-precision Jacobian oracle its central differences at 40 digits.
 """
 
 import mpmath
@@ -326,7 +327,7 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
     n_cand, dim = x.shape
     n = target_cols.shape[0]
     chunk = max(1, cutlocus._CHUNK_ELEMENTS // (4 * dim * n * n))
-    r = cutlocus._endpoint_residuals(family, x, target_cols)
+    r, _ = cutlocus._endpoint_residuals(family, x, target_cols)
     f = np.sum(r * r, axis=1)
     mu = np.full(n_cand, 1e-3)
     active = np.ones(n_cand, dtype=bool)
@@ -351,7 +352,7 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
             lhs = lhs + 1e-8 * eye[None]
             step = np.linalg.solve(lhs, -jtr)[..., 0]
         xt = xa + step
-        rt = cutlocus._endpoint_residuals(family, xt, target_cols)
+        rt, _ = cutlocus._endpoint_residuals(family, xt, target_cols)
         ft = np.sum(rt * rt, axis=1)
         good = ft < f[ai]
         rows = ai[good]
@@ -366,6 +367,31 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
     return x[:, :-1], x[:, -1], np.sqrt(f)
 
 
+def _columns_mp(a, b, t):
+    """First k columns of expm(t v) . expm(-t a), v = [[a, b], [-b*, 0]], for
+    mpmath matrices a (k x k), b (k x m) and an mpmath time, at the working
+    precision; an mpmath matrix (k + m) x k."""
+    k, m = b.rows, b.cols
+    v = mpmath.zeros(k + m, k + m)
+    for i in range(k):
+        for j in range(k):
+            v[i, j] = a[i, j]
+        for j in range(m):
+            v[i, k + j] = b[i, j]
+            v[k + j, i] = -mpmath.conj(b[i, j])
+    return mpmath.expm(t * v)[:, :k] * mpmath.expm(-t * a)
+
+
+def _to_complex(x) -> np.ndarray:
+    return np.array(
+        [[complex(x[i, j]) for j in range(x.cols)] for i in range(x.rows)], dtype=np.complex128
+    )
+
+
+def _mp(x) -> mpmath.matrix:
+    return mpmath.matrix(np.asarray(x, dtype=np.complex128).tolist())
+
+
 def geodesic_columns_mp(a, b, t: float, dps: int = 40) -> np.ndarray:
     """First k columns of expm(t v) . blockdiag(expm(-t a), I), v = [[a, b], [-b*, 0]],
     by mpmath's matrix exponential at ``dps`` digits, rounded to complex128.
@@ -373,13 +399,33 @@ def geodesic_columns_mp(a, b, t: float, dps: int = 40) -> np.ndarray:
     The float inputs enter exactly; only the final rounding is at double
     precision, so the result is the true endpoint of the given velocity.
     """
-    k, m = b.shape
     with mpmath.workdps(dps):
-        v = mpmath.matrix(BlockVelocity(a, b, COMPLEX).embed().tolist())
-        mt = mpmath.mpf(t)
-        left = mpmath.expm(mt * v)
-        right = mpmath.expm(-mt * mpmath.matrix(np.asarray(a, dtype=np.complex128).tolist()))
-        cols = left[:, :k] * right
-        return np.array(
-            [[complex(cols[i, j]) for j in range(k)] for i in range(k + m)], dtype=np.complex128
-        )
+        return _to_complex(_columns_mp(_mp(a), _mp(b), mpmath.mpf(t)))
+
+
+def geodesic_jacobian_mp(a, b, t: float, da, db, step: float = 1e-12, dps: int = 40):
+    """Central differences of ``geodesic_columns_mp``'s endpoint, taken at ``dps``
+    digits before the final rounding: along each direction (da[j], db[j]) and
+    along t; (d, n, k) and (n, k).
+
+    At 40 digits a step of 1e-12 leaves a truncation error of order 1e-24
+    times the third derivative and a rounding error of order 1e-28, both far
+    below double precision for |t v| up to a few hundred.
+    """
+    with mpmath.workdps(dps):
+        a_mp, b_mp, t_mp, h = _mp(a), _mp(b), mpmath.mpf(t), mpmath.mpf(step)
+
+        def central(plus, minus):
+            return _to_complex((plus - minus) / (2 * h))
+
+        along = []
+        for x, y in zip(da, db):
+            x_mp, y_mp = _mp(x), _mp(y)
+            along.append(
+                central(
+                    _columns_mp(a_mp + h * x_mp, b_mp + h * y_mp, t_mp),
+                    _columns_mp(a_mp - h * x_mp, b_mp - h * y_mp, t_mp),
+                )
+            )
+        in_t = central(_columns_mp(a_mp, b_mp, t_mp + h), _columns_mp(a_mp, b_mp, t_mp - h))
+        return np.array(along), in_t

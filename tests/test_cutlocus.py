@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -449,7 +450,8 @@ class TestResidualJacobian:
             step = np.zeros_like(x)
             step[:, j] = h
             central = (
-                _endpoint_residuals(fam, x + step, target) - _endpoint_residuals(fam, x - step, target)
+                _endpoint_residuals(fam, x + step, target)[0]
+                - _endpoint_residuals(fam, x - step, target)[0]
             ) / (2 * h)
             assert np.max(np.abs(jac[:, :, j] - central)) < tol
 
@@ -478,13 +480,14 @@ def _refine_case(name: str, seed: int = 5):
 
 
 def _record_jacobian_rows(monkeypatch) -> list:
-    """Make ``cutlocus._residual_jacobian`` append each (params, t) row it gets."""
+    """Make ``cutlocus._residual_jacobian`` append each (params, t) row it gets;
+    any further arguments (the refinement's stored spectra) pass through."""
     rows = []
     inner = cutlocus._residual_jacobian
 
-    def recording(family, x, target_cols):
+    def recording(family, x, target_cols, *rest):
         rows.extend(x.copy())
-        return inner(family, x, target_cols)
+        return inner(family, x, target_cols, *rest)
 
     monkeypatch.setattr(cutlocus, "_residual_jacobian", recording)
     return rows
@@ -492,9 +495,11 @@ def _record_jacobian_rows(monkeypatch) -> list:
 
 class TestRefine:
     """The refinement against its original loop, which formed every active
-    candidate's Jacobian on every iteration: keeping the normal equations of
-    a candidate whose step was rejected changes no arithmetic, so params,
-    times and residuals agree bit for bit."""
+    candidate's Jacobian on every iteration and decomposed every Jacobian's
+    velocities afresh: keeping the normal equations of a candidate whose
+    step was rejected, and the eigendecompositions of its accepted point,
+    changes no arithmetic, so params, times and residuals agree bit for
+    bit."""
 
     @pytest.mark.parametrize("name", sorted(REFINE_GRIDS))
     def test_bit_identical_to_every_iteration_loop(self, name, monkeypatch):
@@ -520,6 +525,47 @@ class TestRefine:
         _refine(fam, params, ts, target, TOL.hit)
         assert len({row.tobytes() for row in rows}) == len(rows)
         assert len(rows) < active_rows
+
+
+    @pytest.mark.parametrize("name", ["v63", "v52"])
+    def test_stored_spectra_give_the_fresh_jacobian(self, name, monkeypatch):
+        fam, params, ts, target = _refine_case(name)
+        inner = cutlocus._residual_jacobian
+        same = []
+
+        def both(family, x, target_cols, spectra):
+            stored = inner(family, x, target_cols, spectra)
+            same.append(np.array_equal(stored, inner(family, x, target_cols)))
+            return stored
+
+        monkeypatch.setattr(cutlocus, "_residual_jacobian", both)
+        _refine(fam, params, ts, target, TOL.hit)
+        assert len(same) > 1 and all(same)
+
+    def test_only_the_residuals_reach_eigh(self, monkeypatch):
+        # every eigh of a V(6,3) refinement runs inside _endpoint_residuals,
+        # two stacked matrices per evaluated row
+        fam, params, ts, target = _refine_case("v63")
+        evaluated, inside, outside = [0], [0], [0]
+        residuals, eigh = cutlocus._endpoint_residuals, np.linalg.eigh
+
+        def counted_residuals(family, x, target_cols):
+            evaluated[0] += len(x)
+            return residuals(family, x, target_cols)
+
+        def counted_eigh(h, *args, **kwargs):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            (inside if "_endpoint_residuals" in names else outside)[0] += len(h)
+            return eigh(h, *args, **kwargs)
+
+        monkeypatch.setattr(cutlocus, "_endpoint_residuals", counted_residuals)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        _refine(fam, params, ts, target, TOL.hit)
+        assert outside[0] == 0
+        assert inside[0] == 2 * evaluated[0] > 0
 
 
 HIT_SHAPES = [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)]

@@ -9,11 +9,13 @@ t = 0.  The closed form is also checked against the spectral path at every
 k = 1 shape, bit for bit against the former V_{2,1}-only column, and its
 public views stacked against one call per input.  The kernel's Jacobian
 companion is checked against scipy's ``expm_frechet`` on the same inputs: its
-Daleckii-Krein path (k >= 2) and, at every k = 1 shape up to |t v| = 30, its
-differentiated V_{n,1} closed form.  The closed form's J(x) = (sin x - x cos x) / x^3 is checked against a
-40-digit mpmath value, and the spectral path (k >= 2) against a 40-digit
-mpmath matrix exponential up to |t v| = 1e3, where the double-precision
-expm reference no longer holds.
+sensitivity path (k >= 2) and, at every k = 1 shape up to |t v| = 30, its
+differentiated V_{n,1} closed form.  The closed form's J(x) = (sin x - x cos
+x) / x^3 is checked against a 40-digit mpmath value.  Beyond |t v| = 30, where
+the double-precision expm reference no longer holds, the spectral path
+(k >= 2) is checked against a 40-digit mpmath matrix exponential up to
+|t v| = 1e3, and its Jacobian against 40-digit central differences of that
+exponential up to |t v| = 300.
 """
 
 import mpmath
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
-from _oracles import first_column_2x2, geodesic_columns_mp
+from _oracles import first_column_2x2, geodesic_columns_mp, geodesic_jacobian_mp
 from stiefel_sr import matcore
 from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
@@ -45,6 +47,7 @@ KINDS = ["generic", "zero_a", "zero_b", "repeated"]
 ATOL = 1e-10  # kernel vs expm, |t v| up to about 30
 SHARED_ATOL = 1e-13  # the three entry points against each other
 MP_ERR = 32.0  # kernel vs 40-digit mpmath, in units of eps * (1 + |t v|)
+MP_JAC_ERR = 8.0  # k >= 2 Jacobian vs 40-digit differences, same units (see its test)
 
 
 def reference_columns(a, b, t, mode):
@@ -233,6 +236,50 @@ class TestKernelAgainstMpmath:
             assert np.max(np.abs(got - ref)) <= MP_ERR * eps * (1.0 + tv), tv
 
 
+class TestJacobianAgainstMpmath:
+    """The k >= 2 Jacobian against 40-digit central differences up to |t v| = 300.
+
+    Velocity and direction are scaled to unit Frobenius norm, so |t v| = t.
+    A directional derivative is t times the endpoint's sensitivity to its
+    generator, and each entry of that sensitivity carries the kernel's
+    phase error of order eps |t v|, so its error is bounded by
+    MP_JAC_ERR * eps * (1 + |t v|)^2, while the time derivative, which has
+    no factor t, meets MP_JAC_ERR * eps * (1 + |t v|).  Measured on
+    complex V(4,2) and V(6,3) (two seeds each, generic velocities) and on
+    nearly repeated spectra (a = 0 and b with equal singular values, so the
+    eigenvalues of i v agree in pairs up to rounding and those of i a are
+    all zero): the directional error stayed below 0.74 eps (1 + |t v|)^2
+    and the time derivative's below 0.76 eps (1 + |t v|), so the bound
+    leaves a factor of 10.
+    """
+
+    @pytest.mark.parametrize(
+        "n, k, kind", [(4, 2, "generic"), (6, 3, "generic"), (4, 2, "repeated")]
+    )
+    def test_error_bounds(self, n, k, kind):
+        rng = np.random.default_rng(0)
+        if kind == "generic":
+            a = matcore.random_skew_hermitian(rng, k, COMPLEX)
+            b = matcore.random_matrix(rng, k, n - k, COMPLEX)
+        else:
+            a = np.zeros((k, k), dtype=np.complex128)
+            b = matcore.random_unitary(rng, max(k, n - k), COMPLEX)[:k, : n - k]
+        da = matcore.random_skew_hermitian(rng, k, COMPLEX)
+        db = matcore.random_matrix(rng, k, n - k, COMPLEX)
+        scale = np.linalg.norm(BlockVelocity(a, b, COMPLEX).embed())
+        a, b = a / scale, b / scale
+        scale = np.linalg.norm(BlockVelocity(da, db, COMPLEX).embed())
+        da, db = da / scale, db / scale
+        eps = np.finfo(np.float64).eps
+        for tv in (1.0, 30.0, 300.0):
+            dcols, dcols_dt = _geodesic_jacobian(
+                a[None], b[None], np.array([tv]), da[None, None], db[None, None], COMPLEX
+            )
+            ref_dir, ref_t = geodesic_jacobian_mp(a, b, tv, da[None], db[None])
+            assert np.max(np.abs(dcols[0] - ref_dir)) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2, tv
+            assert np.max(np.abs(dcols_dt[0] - ref_t)) <= MP_JAC_ERR * eps * (1.0 + tv), tv
+
+
 class TestJ1OverX:
     """J(x), the derivative of the closed form's sin(t omega) / omega, on both sides
     of its series cutoff."""
@@ -314,8 +361,8 @@ class TestVn1ClosedFormKernel:
         a, b = stacked_blocks(rng, n, 1, mode, KINDS * 3, scale)
         got = grid_geodesic_columns(a, b, self.TIMES, mode)
         ts = self.TIMES[None]
-        ref = _spectral_flow(1j * _embed_velocities(a, b), ts, 1, -1j)
-        ref = ref @ _spectral_flow(1j * a, ts, 1, 1j)
+        ref = _spectral_flow(*np.linalg.eigh(1j * _embed_velocities(a, b)), ts, 1, -1j)
+        ref = ref @ _spectral_flow(*np.linalg.eigh(1j * a), ts, 1, 1j)
         if mode == REAL:
             ref = ref.real.astype(np.complex128)
         assert np.max(np.abs(got - ref)) < 1e-13
