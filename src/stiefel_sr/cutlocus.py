@@ -26,8 +26,8 @@ from .geodesic import (
     GeodesicSpec,
     _decompose,
     _generator_jacobian,
-    _geodesic_jacobian,
     _speeds_squared,
+    _vn1_jacobian,
     batch_geodesic_columns,
     geodesic_vn1_closed,
     grassmann_geodesic_2kk,
@@ -108,14 +108,16 @@ class VelocityGrid:
     with nonzero transversal block can be reparametrized to that family), so
     arrival length is speed * time with a family-wide constant speed.
 
-    family: "v21" is a fibre-rate x phase grid on complex V_{2,1}.  "sphere"
-    (k = 1) and "general" are one parametrization, both blocks linear in the
-    params, and differ only in the initial sample: sphere directions (with a
-    fibre-rate axis in complex mode), or a low-discrepancy sample of every
-    coordinate.  "auto" picks "v21" on complex V_{2,1}, "sphere" for any
-    other k = 1 and "general" otherwise.  Construction resolves "auto" and
-    ``t_max=None`` (1.1 pi sqrt(k)), so ``family`` is one of the three names
-    and ``t_max`` a float, and rejects a family that does not fit the shape.
+    family: "sphere" (k = 1) and "general" are one parametrization, both
+    blocks linear in the params, and differ only in the initial sample:
+    sphere directions (with a fibre-rate axis in complex mode), or a
+    low-discrepancy sample of every coordinate.  "v21", on complex V_{2,1},
+    takes a fibre-rate x phase grid and the params (fibre rate, phase).
+    "auto" picks "v21" on complex V_{2,1}, "sphere" for any other k = 1 and
+    "general" otherwise.  Construction resolves "auto" and ``t_max=None``
+    (1.1 pi sqrt(k)), so ``family`` is one of the three names and ``t_max`` a
+    float, and rejects an unknown mode, a shape without 1 <= k < n and a
+    family that does not fit the shape.
     """
 
     n: int
@@ -132,6 +134,9 @@ class VelocityGrid:
     family: str = "auto"
 
     def __post_init__(self):
+        matcore.check_mode(self.mode)
+        if not 1 <= self.k < self.n:
+            raise ValueError(f"need 1 <= k < n, got n={self.n}, k={self.k}")
         # a tuple keeps the grid hashable (the scan table is cached per grid)
         object.__setattr__(self, "lambda_range", tuple(self.lambda_range))
         lo, hi = self.lambda_range
@@ -200,35 +205,6 @@ class MinimizerReport:
 # -- velocity families ---------------------------------------------------------
 
 
-class _V21Family:
-    """Unit transversal block on V_{2,1}: params (fibre rate, phase)."""
-
-    def __init__(self, grid: VelocityGrid):
-        self.grid = grid
-        lo, hi = grid.lambda_range
-        self._lams = np.linspace(lo, hi, grid.lambda_count)
-        self._phases = np.linspace(0.0, 2 * np.pi, grid.phase_count, endpoint=False)
-
-    def initial_params(self) -> np.ndarray:
-        lam, ph = np.meshgrid(self._lams, self._phases, indexing="ij")
-        return np.column_stack([lam.ravel(), ph.ravel()])
-
-    def blocks(self, params: np.ndarray):
-        lam = params[:, 0]
-        ph = params[:, 1]
-        a = (1j * lam).reshape(-1, 1, 1)
-        b = np.exp(1j * ph).reshape(-1, 1, 1)
-        return a, b
-
-    def tangents(self, params: np.ndarray):
-        """Derivatives of ``blocks`` along (fibre rate, phase): (c, 2, 1, 1) each."""
-        da = np.zeros((len(params), 2, 1, 1), dtype=np.complex128)
-        db = np.zeros_like(da)
-        da[:, 0] = 1j
-        db[:, 1, 0, 0] = 1j * np.exp(1j * params[:, 1])
-        return da, db
-
-
 class _LinearFamily:
     """Blocks linear in the params; transversal block normalized to unit Frobenius norm.
 
@@ -238,6 +214,9 @@ class _LinearFamily:
     entries (row-major), and in complex mode their imaginary parts.  The
     sphere family (k = 1) and the general family share this map and differ
     only in their initial samples.
+
+    Every family is differentiated along these fixed unit images ``da``,
+    ``db`` and then through its own chain rule ``normalize``.
     """
 
     def __init__(self, grid: VelocityGrid):
@@ -284,35 +263,19 @@ class _LinearFamily:
         lams = np.linspace(lo, hi, g.lambda_count)
         return np.column_stack([np.repeat(lams, len(dirs)), np.tile(dirs, (len(lams), 1))])
 
-    def _raw_blocks(self, params: np.ndarray):
-        """Fibre block and unnormalized transversal block of each param row."""
-        return np.tensordot(params, self.da, axes=1), np.tensordot(params, self.db, axes=1)
-
     def blocks(self, params: np.ndarray):
-        a, b = self._raw_blocks(params)
-        return a, b / _frobenius(b)
-
-    def tangents(self, params: np.ndarray):
-        """Derivatives of ``blocks`` along each parameter: (c, d, k, k), (c, d, k, m).
-
-        The normalization contributes its projection
-        d(b/|b|) = (db - u Re<u, db>) / |b| with u = b / |b|.
-        """
-        _, b = self._raw_blocks(params)
-        norms = _frobenius(b)[:, None]
-        unit = b[:, None] / norms
-        radial = np.sum((np.conj(unit) * self.db).real, axis=(2, 3), keepdims=True)
-        dunit = (self.db - radial * unit) / norms
-        return np.broadcast_to(self.da, (len(b),) + self.da.shape), dunit
+        b = np.tensordot(params, self.db, axes=1)
+        return np.tensordot(params, self.da, axes=1), b / _frobenius(b)
 
     def normalize(self, params: np.ndarray, along: np.ndarray) -> np.ndarray:
         """Derivatives (c, d, n, k) along the unit param images (da, db) -> along the params.
 
-        ``tangents``' projection, applied in place to the derivatives instead
-        of the blocks.  The transversal params are the coordinates of b in
-        the orthonormal basis db, so Re<u, db_j> = params_j / |b|, the
-        derivative along u is sum_l Re<u, db_l> along_l, and a transversal
-        param's derivative is (along_j - Re<u, db_j> along_u) / |b|.
+        The normalization's projection d(b/|b|) = (db - u Re<u, db>) / |b|,
+        u = b / |b|, applied in place to the derivatives.  The transversal
+        params are the coordinates of b in the orthonormal basis db, so
+        Re<u, db_j> = params_j / |b|, the derivative along u is sum_l
+        Re<u, db_l> along_l, and a transversal param's derivative is
+        (along_j - Re<u, db_j> along_u) / |b|.
         """
         coords = params[:, self.a_dim :, None, None]
         norm = np.maximum(np.sqrt(np.sum(coords * coords, axis=1, keepdims=True)), 1e-30)
@@ -321,6 +284,34 @@ class _LinearFamily:
         moving -= radial * np.sum(radial * moving, axis=1, keepdims=True)
         moving /= norm
         return along
+
+
+class _V21Family(_LinearFamily):
+    """Unit transversal entry on complex V_{2,1}: blocks (i lam, e^{i phi}), params (lam, phi).
+
+    Differentiated along the inherited unit images of (lam, Re b, Im b).
+    """
+
+    def initial_params(self) -> np.ndarray:
+        g = self.grid
+        lam, ph = np.meshgrid(
+            np.linspace(*g.lambda_range, g.lambda_count),
+            np.linspace(0.0, 2 * np.pi, g.phase_count, endpoint=False),
+            indexing="ij",
+        )
+        return np.column_stack([lam.ravel(), ph.ravel()])
+
+    def blocks(self, params: np.ndarray):
+        return (1j * params[:, 0]).reshape(-1, 1, 1), np.exp(1j * params[:, 1]).reshape(-1, 1, 1)
+
+    def normalize(self, params: np.ndarray, along: np.ndarray) -> np.ndarray:
+        """Derivatives (c, 3, 2, 1) along (lam, Re b, Im b) -> (c, 2, 2, 1) along (lam, phi).
+
+        b moves by i e^{i phi} = -sin phi + i cos phi along phi.
+        """
+        ph = params[:, 1, None, None]
+        along[:, 1] = np.cos(ph) * along[:, 2] - np.sin(ph) * along[:, 1]
+        return along[:, :2]
 
 
 def _frobenius(b: np.ndarray) -> np.ndarray:
@@ -439,29 +430,27 @@ def _best_hits(vix, tix, err) -> np.ndarray:
     return order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < 3]
 
 
-def _residual_jacobian(family, x: np.ndarray, target_cols, spectra=None) -> np.ndarray:
+def _residual_jacobian(family, x: np.ndarray, target_cols, spectra) -> np.ndarray:
     """Jacobian (c, rows, dim) of ``_endpoint_residuals`` at finite rows with t >= 0.
 
-    Analytic, the time derivative as the last column.  At k = 1 the family's
-    block tangents are pushed through the geodesic's endpoint derivatives.
-    At k >= 2 (a ``_LinearFamily``) the derivatives along the unit params
-    are gathered from the endpoint's sensitivities to its generator, built
-    from ``spectra`` (the kernel's decompositions at these rows, as
-    ``_endpoint_residuals`` returns them; decomposed afresh if None), and
-    then projected through the normalization of b.
+    Analytic, the time derivative as the last column.  The endpoint is
+    differentiated along the family's fixed unit images (da, db): at k = 1
+    by the V_{n,1} closed form, at k >= 2 gathered from its sensitivities to
+    its generator, built from ``spectra`` (the kernel's decompositions at
+    these rows, as ``_endpoint_residuals`` returns them; () at k = 1).
+    ``family.normalize`` then takes the derivatives to the params.
     """
     params, ts = x[:, :-1], x[:, -1]
     a, b = family.blocks(params)
     mode = family.grid.mode
     if family.grid.k == 1:
-        da, db = family.tangents(params)
-        dcols, dcols_dt = _geodesic_jacobian(a, b, ts, da, db, mode)
+        da, db = (np.broadcast_to(u, (len(x),) + u.shape) for u in (family.da, family.db))
+        along, dcols_dt = _vn1_jacobian(a, b, ts, da, db, mode)
     else:
-        spectra = _decompose(a, b) if spectra is None else spectra
         along, dcols_dt = _generator_jacobian(
             a, b, ts, spectra, family.gen_index, family.gen_value, mode
         )
-        dcols = family.normalize(params, along)
+    dcols = family.normalize(params, along)
     d = np.concatenate([dcols, dcols_dt[:, None]], axis=1).reshape(len(x), x.shape[1], -1)
     return np.concatenate([d.real, d.imag], axis=2).swapaxes(1, 2)
 

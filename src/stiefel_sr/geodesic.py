@@ -7,20 +7,20 @@ The generic curve through the identity class with initial block velocity
 
 and is horizontal with constant speed.  One batched kernel evaluates it for
 stacked velocities and times; ``sample_curve``, ``batch_geodesic_columns`` and
-``grid_geodesic_columns`` are views of it, and a companion returns the
-endpoint's derivatives in the velocity blocks and in t for the minimizer
-search's refinement.  For k = 1 the kernel runs one closed form of the V_{n,1}
-column, the companion differentiates that closed form term by term, and the
-public closed forms ``geodesic_vn1_closed`` and ``geodesic_v21_closed``
-(V_{2,1} is its n = 2 case) are views of the same formula, so no k = 1 path
-calls an eigensolver.  k >= 2 goes through two batched eigh, split from the
-flows so a caller can keep the decompositions; the companion builds from them
-one Daleckii-Krein sensitivity array, the endpoint's derivative in every entry
-of its generator, and contracts it with the directions (or gathers from it,
-for directions with one or two generator entries).  Alongside them this
-module carries the square-block Grassmann geodesics used for V_{2k,k}, plus
-speed, length, the first time a V_{n,1} geodesic returns to the block-diagonal
-set, and the mirrored velocity that produces a second arrival at such points.
+``grid_geodesic_columns`` are views of it.  For k = 1 the kernel runs one
+closed form of the V_{n,1} column, and the public closed forms
+``geodesic_vn1_closed`` and ``geodesic_v21_closed`` (V_{2,1} is its n = 2
+case) are views of the same formula, so no k = 1 path calls an eigensolver.
+k >= 2 goes through two batched eigh, split from the flows so a caller can
+keep the decompositions.  The minimizer search's refinement takes the
+endpoint's derivatives along fixed unit directions of the velocity blocks
+and in t: at k = 1 from the V_{n,1} closed form differentiated term by term,
+at k >= 2 gathered from one Daleckii-Krein sensitivity array built from the
+kept decompositions, the endpoint's derivative in every entry of its
+generator.  Alongside them this module carries the square-block Grassmann
+geodesics used for V_{2k,k}, plus speed, length, the first time a V_{n,1}
+geodesic returns to the block-diagonal set, and the mirrored velocity that
+produces a second arrival at such points.
 
 Matrix functions of b b* are evaluated through the SVD of b, with the
 sin(x)/x limit handled spectrally so singular directions are fine.
@@ -262,14 +262,17 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, series, (np.sin(xd) - xd * np.cos(xd)) / xd**3)
 
 
-def _vn1_jacobian(a_blocks, b_blocks, ts, da, db):
-    """``_geodesic_jacobian`` at k = 1, eigensolver-free; complex mode.
+def _vn1_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
+    """The endpoint's derivatives at k = 1, eigensolver-free.
 
-    Differentiates ``_vn1_column`` term by term.  With g = omega d omega =
-    (lam d lam + 4 Re<b, db>) / 4 and S = sin(t omega) / omega, the terms move
-    by d cos(t omega) = -t S g, dS = -t^3 J(t omega) g and d phase =
-    -i t d lam / 2 . phase; in t by -omega^2 S, cos(t omega) and
-    -i lam / 2 . phase.  Nothing divides by the rate.
+    Blocks (c, 1, 1), (c, 1, n-1) at one time per velocity, ``ts`` (c,), and
+    stacked directions da (c, d, 1, 1), db (c, d, 1, n-1).  Returns the
+    derivatives of ``_vn1_column`` along (da, db) (c, d, n, 1) and in t
+    (c, n, 1), term by term.  With g = omega d omega = (lam d lam + 4 Re<b,
+    db>) / 4 and S = sin(t omega) / omega, the terms move by d cos(t omega) =
+    -t S g, dS = -t^3 J(t omega) g and d phase = -i t d lam / 2 . phase; in t
+    by -omega^2 S, cos(t omega) and -i lam / 2 . phase.  Nothing divides by
+    the rate.
     """
     lam, row = a_blocks[:, 0, 0].imag, b_blocks[:, 0]  # (c,), (c, m)
     omega, cosx, sincw, phase = _vn1_terms(lam, row, ts)
@@ -290,42 +293,19 @@ def _vn1_jacobian(a_blocks, b_blocks, ts, da, db):
         np.conj(row[:, None]) * (dphase * s + dsinc)[..., None] + s[..., None] * np.conj(drow_t)
     )
     dall = np.concatenate([dtop[..., None], dbottom], axis=-1)[..., None]  # (c, d + 1, n, 1)
-    return dall[:, :-1], dall[:, -1]
-
-
-def _geodesic_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
-    """The endpoint's first derivatives, the kernel's companion.
-
-    Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,), and
-    stacked block directions da (c, d, k, k), db (c, d, k, n-k).  With
-    L = first k columns of exp(t v) and R = exp(-t a) the endpoint is L R;
-    returns its derivatives along (da, db) (c, d, n, k) and
-    d/dt (L R) = (v L - L a) R (c, n, k).  The kernel's split: every k = 1
-    shape differentiates the V_{n,1} closed form, with no eigensolver; k >= 2
-    takes the kernel's two batched eigh and contracts ``_sensitivity`` with
-    each direction's generator.
-    """
-    a_blocks = np.asarray(a_blocks, dtype=np.complex128)
-    b_blocks = np.asarray(b_blocks, dtype=np.complex128)
-    ts = np.asarray(ts, dtype=np.float64)
-    c, d, k, m = np.shape(db)
-    if k == 1:
-        dcols, dcols_dt = _vn1_jacobian(a_blocks, b_blocks, ts, da, db)
-    else:
-        sens, dcols_dt = _sensitivity(a_blocks, b_blocks, ts, _decompose(a_blocks, b_blocks))
-        gens = 1j * _embed_velocities(np.asarray(da), np.asarray(db)).reshape(c, 1, d, -1)
-        dcols = (gens @ sens).swapaxes(1, 2)  # (c, n, d, k) -> (c, d, n, k)
-    return _field(dcols, mode), _field(dcols_dt, mode)
+    return _field(dall[:, :-1], mode), _field(dall[:, -1], mode)
 
 
 def _generator_jacobian(a_blocks, b_blocks, ts, spectra, index, value, mode: str):
-    """``_geodesic_jacobian`` at k >= 2 along d fixed directions, from ``spectra``.
+    """The endpoint's derivatives at k >= 2 along d fixed directions, from ``spectra``.
 
-    Each direction's generator i [[da, db], [-db*, 0]] has at most two
-    nonzero entries: ``value`` (d, 2) at the flat positions ``index`` (d, 2)
-    of an n x n matrix (a zero value pads a single entry).  The derivatives
-    are then gathered entries of ``_sensitivity``'s K, with no eigh and no
-    product per direction.
+    Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,), and
+    ``spectra`` their ``_decompose``.  Each direction's generator
+    i [[da, db], [-db*, 0]] has at most two nonzero entries: ``value`` (d, 2)
+    at the flat positions ``index`` (d, 2) of an n x n matrix (a zero value
+    pads a single entry).  The derivatives along them (c, d, n, k) are then
+    gathered entries of ``_sensitivity``'s K, with no eigh and no product
+    per direction; the time derivative (c, n, k) comes with them.
     """
     sens, dcols_dt = _sensitivity(a_blocks, b_blocks, ts, spectra)
     by_entry = sens.swapaxes(1, 2)  # (c, n n, n, k): the gathers give (c, d, n, k)

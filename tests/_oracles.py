@@ -9,10 +9,15 @@ original subtraction pass over the scan table, the hit oracle the
 original golden-section refinement of the first block-diagonal dip, the
 bracket-span oracles the rank tests' original one-bracket-at-a-time loops,
 the V_{2,1} column oracle the evaluator's original (2, 1)-only closed
-form, the refinement oracle the arrival refinement's original loop, which
-forms every active candidate's Jacobian on every iteration, the
-high-precision column oracle a 40-digit mpmath matrix exponential, and the
-high-precision Jacobian oracle its central differences at 40 digits.
+form, the tangent oracles the search families' original block tangents
+(the projection of a linear family's unit params through the normalization
+of b, and V_{2,1}'s phase tangent i e^{i phi}), the directional-Jacobian
+oracle the refinement's original contraction of the endpoint's
+sensitivities with each direction's generator, the refinement oracle the
+arrival refinement's original loop, which forms every active candidate's
+Jacobian on every iteration, the high-precision column oracle a 40-digit
+mpmath matrix exponential, and the high-precision Jacobian oracle its
+central differences at 40 digits.
 """
 
 import mpmath
@@ -20,8 +25,15 @@ import numpy as np
 
 from stiefel_sr import cutlocus, matcore, tolerances
 from stiefel_sr.distribution import horizontal_basis, stiefel_tangent_dim
-from stiefel_sr.geodesic import GeodesicSpec, sample_curve
-from stiefel_sr.homspace import BlockVelocity
+from stiefel_sr.geodesic import (
+    GeodesicSpec,
+    _decompose,
+    _field,
+    _sensitivity,
+    _vn1_jacobian,
+    sample_curve,
+)
+from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.matcore import COMPLEX
 
 
@@ -252,6 +264,31 @@ def unit_block_tangents(b, da, db):
     return np.broadcast_to(da, (len(b),) + da.shape), dunit
 
 
+def v21_phase_tangents(params):
+    """The former V_{2,1} family's tangents along (fibre rate, phase) of the
+    blocks (i lam, e^{i phi}): (c, 2, 1, 1) each, the phase's i e^{i phi}."""
+    da = np.zeros((len(params), 2, 1, 1), dtype=np.complex128)
+    db = np.zeros_like(da)
+    da[:, 0] = 1j
+    db[:, 1, 0, 0] = 1j * np.exp(1j * params[:, 1])
+    return da, db
+
+
+def jacobian_along(a, b, ts, da, db, mode: str):
+    """The endpoint's derivatives along arbitrary stacked block directions
+    da (c, d, k, k), db (c, d, k, n-k) and in t, as the refinement once took
+    them: the V_{n,1} closed form's at k = 1, and at k >= 2 the sensitivity
+    array contracted with each direction's generator i [[da, db], [-db*, 0]].
+    Returns (c, d, n, k) and (c, n, k)."""
+    if b.shape[1] == 1:
+        return _vn1_jacobian(a, b, ts, da, db, mode)
+    c, d = db.shape[:2]
+    sens, dcols_dt = _sensitivity(a, b, ts, _decompose(a, b))
+    gens = 1j * _embed_velocities(np.asarray(da), np.asarray(db)).reshape(c, 1, d, -1)
+    dcols = (gens @ sens).swapaxes(1, 2)  # (c, n, d, k) -> (c, d, n, k)
+    return _field(dcols, mode), _field(dcols_dt, mode)
+
+
 def _stacked_rank_loop(mats, k: int, mode: str) -> int:
     """Rank of matrices projected one at a time, each flattened to one real row."""
     rows = []
@@ -341,7 +378,8 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
         jtr = np.empty((len(ai), dim, 1))
         for lo in range(0, len(ai), chunk):
             part = slice(lo, lo + chunk)
-            jac = cutlocus._residual_jacobian(family, xa[part], target_cols)
+            spectra = _decompose(*family.blocks(xa[part, :-1]))
+            jac = cutlocus._residual_jacobian(family, xa[part], target_cols, spectra)
             jt = jac.swapaxes(1, 2)
             jtj[part] = jt @ jac
             jtr[part] = jt @ ra[part, :, None]

@@ -251,6 +251,13 @@ class TestCutlocusSearch:
         err = capsys.readouterr().err
         assert "t_count" in err and "Traceback" not in err
 
+    def test_square_shape_is_usage_error(self, capsys):
+        # V(2,2) has no transversal block to search over
+        target = json.dumps(StiefelPoint(np.eye(2, dtype=complex)).to_json_dict())
+        assert run("cutlocus-search", "--n", "2", "--k", "2", "--target", target) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "1 <= k < n" in err and "Traceback" not in err
+
     def test_inline_grid_record(self, tmp_path):
         out = tmp_path / "r.json"
         code = run(

@@ -11,6 +11,9 @@ from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint, identity_point
 from stiefel_sr.geodesic import (
     GeodesicSpec,
+    _decompose,
+    _generator_jacobian,
+    _vn1_jacobian,
     batch_geodesic_columns,
     first_vanishing_time,
     grassmann_geodesic_2kk,
@@ -50,11 +53,13 @@ from _oracles import (
     golden_section_hit,
     greedy_cluster_count_loop,
     greedy_dedup_loop,
+    jacobian_along,
     refine_every_iteration,
     scan_cols_subtraction,
     separate_family_params,
     separate_family_raw_blocks,
     unit_block_tangents,
+    v21_phase_tangents,
 )
 
 
@@ -283,12 +288,26 @@ LINEAR_FAMILY_CASES = [
 ]
 
 
+def unit_direction_jacobian(fam, params, ts):
+    """The endpoint's derivatives (c, d, n, k) along the family's unit param
+    images, by the refinement's two paths, before ``normalize``."""
+    a, b = fam.blocks(params)
+    mode = fam.grid.mode
+    if fam.grid.k == 1:
+        da, db = (np.broadcast_to(u, (len(params),) + u.shape) for u in (fam.da, fam.db))
+        return _vn1_jacobian(a, b, ts, da, db, mode)[0]
+    return _generator_jacobian(a, b, ts, _decompose(a, b), fam.gen_index, fam.gen_value, mode)[0]
+
+
 class TestLinearFamily:
     """The one linear family against the separate sphere and general families.
 
     The former sphere family divided b by ``np.linalg.norm``, which can round
     differently in the last bit in complex mode; the merged family divides by
-    the Frobenius norm the general family and both tangents already used.
+    the Frobenius norm the general family and the former block tangents
+    already used.  ``normalize`` of the derivatives along the unit params
+    must give the derivatives along those tangents, to 1e-15 of the largest
+    derivative (at least 1) for times up to 1.
     """
 
     @pytest.mark.parametrize("family, n, k, mode", LINEAR_FAMILY_CASES)
@@ -306,9 +325,22 @@ class TestLinearFamily:
         norms = np.sqrt(np.sum(np.abs(b_ref) ** 2, axis=(1, 2), keepdims=True))
         assert np.array_equal(b, b_ref / norms)
         basis = separate_family_raw_blocks(grid, np.eye(params.shape[1]))
-        for got, ref in zip(fam.tangents(params), unit_block_tangents(b_ref, *basis)):
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-15
+        ts = np.linspace(0.0, 1.0, len(params))
+        got = fam.normalize(params, unit_direction_jacobian(fam, params, ts))
+        ref, _ = jacobian_along(a, b, ts, *unit_block_tangents(b_ref, *basis), mode)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * max(1.0, float(np.max(np.abs(ref))))
+
+    def test_v21_normalize_matches_phase_tangent(self):
+        # (lam, Re b, Im b) -> (lam, phi) against the former tangent i e^{i phi}
+        fam = _make_family(VelocityGrid(2, 1, COMPLEX, lambda_count=8, phase_count=8))
+        params = fam.initial_params()
+        ts = np.linspace(0.0, 1.0, len(params))
+        a, b = fam.blocks(params)
+        got = fam.normalize(params, unit_direction_jacobian(fam, params, ts))
+        ref, _ = _vn1_jacobian(a, b, ts, *v21_phase_tangents(params), COMPLEX)
+        assert got.shape == ref.shape == (len(params), 2, 2, 1)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * max(1.0, float(np.max(np.abs(ref))))
 
 
 # how a row relates to an earlier one: a fresh point, an exact copy, or a
@@ -442,7 +474,7 @@ class TestResidualJacobian:
         params = params + 0.1 * rng.standard_normal(params.shape)
         x = np.column_stack([params, rng.uniform(0.3, 3.0, len(params))])
         target = identity_point(n, k, mode).cols
-        jac = _residual_jacobian(fam, x, target)
+        jac = _residual_jacobian(fam, x, target, _decompose(*fam.blocks(params)))
         assert jac.shape == (len(x), 2 * n * k, x.shape[1])
         h = 1e-5
         tol = 1e-7 * max(1.0, float(np.max(np.abs(jac))))
@@ -535,7 +567,8 @@ class TestRefine:
 
         def both(family, x, target_cols, spectra):
             stored = inner(family, x, target_cols, spectra)
-            same.append(np.array_equal(stored, inner(family, x, target_cols)))
+            fresh = _decompose(*family.blocks(x[:, :-1]))
+            same.append(np.array_equal(stored, inner(family, x, target_cols, fresh)))
             return stored
 
         monkeypatch.setattr(cutlocus, "_residual_jacobian", both)
@@ -1063,6 +1096,19 @@ class TestGridValidation:
     def test_degenerate_grid_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             VelocityGrid(2, 1, COMPLEX, **{field: value})
+
+    @pytest.mark.parametrize(
+        "n, k, mode, message",
+        [
+            (2, 1, "foo", "mode"),
+            (3, 0, COMPLEX, "1 <= k < n"),
+            (2, 2, COMPLEX, "1 <= k < n"),
+            (2, 3, REAL, "1 <= k < n"),
+        ],
+    )
+    def test_unknown_mode_or_shape_rejected(self, n, k, mode, message):
+        with pytest.raises(ValueError, match=message):
+            VelocityGrid(n, k, mode)
 
     def test_target_grid_mismatch(self):
         with pytest.raises(ValueError):

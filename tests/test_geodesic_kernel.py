@@ -7,15 +7,17 @@ at the k = 1 shapes, which take the V_{n,1} closed form, and at the spectral
 shapes (k >= 2), in both field modes, including degenerate velocities and
 t = 0.  The closed form is also checked against the spectral path at every
 k = 1 shape, bit for bit against the former V_{2,1}-only column, and its
-public views stacked against one call per input.  The kernel's Jacobian
-companion is checked against scipy's ``expm_frechet`` on the same inputs: its
-sensitivity path (k >= 2) and, at every k = 1 shape up to |t v| = 30, its
-differentiated V_{n,1} closed form.  The closed form's J(x) = (sin x - x cos
-x) / x^3 is checked against a 40-digit mpmath value.  Beyond |t v| = 30, where
-the double-precision expm reference no longer holds, the spectral path
-(k >= 2) is checked against a 40-digit mpmath matrix exponential up to
-|t v| = 1e3, and its Jacobian against 40-digit central differences of that
-exponential up to |t v| = 300.
+public views stacked against one call per input.  The endpoint's derivatives
+are checked against scipy's ``expm_frechet`` on the same inputs along every
+unit param of the search's linear family, as the refinement takes them
+(gathered from the sensitivities at k >= 2, the differentiated V_{n,1} closed
+form at k = 1), and the closed form's also along random directions at every
+k = 1 shape up to |t v| = 30.  The closed form's J(x) = (sin x - x cos x) /
+x^3 is checked against a 40-digit mpmath value.  Beyond |t v| = 30, where the
+double-precision expm reference no longer holds, the spectral path (k >= 2)
+is checked against a 40-digit mpmath matrix exponential up to |t v| = 1e3,
+and both Jacobians against 40-digit central differences of that exponential
+up to |t v| = 300.
 """
 
 import mpmath
@@ -27,14 +29,17 @@ from scipy.linalg import expm, expm_frechet
 
 from _oracles import first_column_2x2, geodesic_columns_mp, geodesic_jacobian_mp
 from stiefel_sr import matcore
+from stiefel_sr.cutlocus import VelocityGrid, _LinearFamily
 from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.geodesic import (
     GeodesicSpec,
     _J1_OVER_X_CUTOFF,
-    _geodesic_jacobian,
+    _decompose,
+    _generator_jacobian,
     _j1_over_x,
     _spectral_flow,
+    _vn1_jacobian,
     batch_geodesic_columns,
     geodesic_v21_closed,
     geodesic_vn1_closed,
@@ -47,7 +52,7 @@ KINDS = ["generic", "zero_a", "zero_b", "repeated"]
 ATOL = 1e-10  # kernel vs expm, |t v| up to about 30
 SHARED_ATOL = 1e-13  # the three entry points against each other
 MP_ERR = 32.0  # kernel vs 40-digit mpmath, in units of eps * (1 + |t v|)
-MP_JAC_ERR = 8.0  # k >= 2 Jacobian vs 40-digit differences, same units (see its test)
+MP_JAC_ERR = 8.0  # Jacobian vs 40-digit differences, same units (see its tests)
 
 
 def reference_columns(a, b, t, mode):
@@ -138,8 +143,29 @@ def reference_derivatives(a, b, t, da, db, mode):
     return d_dir, d_t
 
 
+def unit_param_jacobian(a, b, ts, mode):
+    """The endpoint's derivatives along every unit param of the search's linear
+    family on (n, k, mode), by the path the refinement runs: the V_{n,1}
+    closed form's at k = 1, gathered from the sensitivities at k >= 2.
+
+    Blocks (c, k, k), (c, k, n-k) and ``ts`` (c,); returns the derivatives
+    (c, d, n, k), the time derivative (c, n, k) and the family's unit images
+    da (d, k, k), db (d, k, n-k).
+    """
+    c, k, m = b.shape
+    fam = _LinearFamily(VelocityGrid(k + m, k, mode, family="general"))
+    if k == 1:
+        da, db = (np.broadcast_to(u, (c,) + u.shape) for u in (fam.da, fam.db))
+        dcols, dcols_dt = _vn1_jacobian(a, b, ts, da, db, mode)
+    else:
+        dcols, dcols_dt = _generator_jacobian(
+            a, b, ts, _decompose(a, b), fam.gen_index, fam.gen_value, mode
+        )
+    return dcols, dcols_dt, fam.da, fam.db
+
+
 class TestJacobianAgainstExpmFrechet:
-    """The kernel's Jacobian companion against scipy's Frechet derivative."""
+    """The endpoint's derivatives against scipy's Frechet derivative."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -150,20 +176,18 @@ class TestJacobianAgainstExpmFrechet:
         st.lists(st.floats(0.0, 6.0), min_size=2, max_size=2).map(lambda ts: [0.0] + ts),
     )
     def test_directional_and_time_derivatives(self, seed, shape, mode, kind, ts):
+        # along every unit param of the linear family, as the refinement takes them
         n, k = shape
         rng = np.random.default_rng(seed)
         pairs = [velocity_blocks(rng, n, k, mode, kind) for _ in ts]
-        a = np.stack([p[0] for p in pairs])
-        b = np.stack([p[1] for p in pairs])
-        d = 3
-        da = np.stack([[matcore.random_skew_hermitian(rng, k, mode) for _ in range(d)] for _ in ts])
-        db = np.stack([[matcore.random_matrix(rng, k, n - k, mode) for _ in range(d)] for _ in ts])
+        a = np.stack([p[0] for p in pairs]).astype(np.complex128)
+        b = np.stack([p[1] for p in pairs]).astype(np.complex128)
         ts = np.array(ts)
-        dcols, dcols_dt = _geodesic_jacobian(a, b, ts, da, db, mode)
-        assert dcols.shape == (len(ts), d, n, k)
+        dcols, dcols_dt, da, db = unit_param_jacobian(a, b, ts, mode)
+        assert dcols.shape == (len(ts), len(da), n, k)
         assert dcols_dt.shape == (len(ts), n, k)
         for i, t in enumerate(ts):
-            ref_dir, ref_t = reference_derivatives(a[i], b[i], t, da[i], db[i], mode)
+            ref_dir, ref_t = reference_derivatives(a[i], b[i], t, da, db, mode)
             assert np.max(np.abs(dcols[i] - ref_dir)) < ATOL
             assert np.max(np.abs(dcols_dt[i] - ref_t)) < ATOL
         assert not np.any(dcols[0])  # every velocity starts at the identity class
@@ -188,7 +212,7 @@ class TestJacobianAgainstExpmFrechet:
         d = 3
         da = np.stack([[matcore.random_skew_hermitian(rng, 1, mode) for _ in range(d)] for _ in ts])
         db = np.stack([[matcore.random_matrix(rng, 1, n - 1, mode) for _ in range(d)] for _ in ts])
-        dcols, dcols_dt = _geodesic_jacobian(a, b, ts, da, db, mode)
+        dcols, dcols_dt = _vn1_jacobian(a, b, ts, da, db, mode)
         assert dcols.shape == (len(ts), d, n, 1) and dcols_dt.shape == (len(ts), n, 1)
         for i, t in enumerate(ts):
             ref_dir, ref_t = reference_derivatives(a[i], b[i], t, da[i], db[i], mode)
@@ -236,21 +260,31 @@ class TestKernelAgainstMpmath:
             assert np.max(np.abs(got - ref)) <= MP_ERR * eps * (1.0 + tv), tv
 
 
+def unit_coordinates(da_units, db_units, da, db) -> np.ndarray:
+    """Real coordinates (d,) of the direction (da, db) in the unit images
+    (d, k, k), (d, k, n-k), which are orthogonal in Re tr(X* Y) of the embeds."""
+    gens = _embed_velocities(da_units, db_units).reshape(len(da_units), -1)
+    x = _embed_velocities(da[None], db[None]).reshape(-1)
+    return (np.conj(gens) @ x).real / np.sum(np.abs(gens) ** 2, axis=1)
+
+
 class TestJacobianAgainstMpmath:
     """The k >= 2 Jacobian against 40-digit central differences up to |t v| = 300.
 
-    Velocity and direction are scaled to unit Frobenius norm, so |t v| = t.
-    A directional derivative is t times the endpoint's sensitivity to its
-    generator, and each entry of that sensitivity carries the kernel's
-    phase error of order eps |t v|, so its error is bounded by
-    MP_JAC_ERR * eps * (1 + |t v|)^2, while the time derivative, which has
-    no factor t, meets MP_JAC_ERR * eps * (1 + |t v|).  Measured on
-    complex V(4,2) and V(6,3) (two seeds each, generic velocities) and on
-    nearly repeated spectra (a = 0 and b with equal singular values, so the
-    eigenvalues of i v agree in pairs up to rounding and those of i a are
-    all zero): the directional error stayed below 0.74 eps (1 + |t v|)^2
-    and the time derivative's below 0.76 eps (1 + |t v|), so the bound
-    leaves a factor of 10.
+    The derivatives along every unit param of the linear family are taken
+    as the refinement takes them, and combined along a random direction by
+    its coordinates in the unit images.  Velocity and direction are scaled
+    to unit Frobenius norm, so |t v| = t.  A directional derivative is t
+    times the endpoint's sensitivity to its generator, and each entry of
+    that sensitivity carries the kernel's phase error of order eps |t v|,
+    so its error is bounded by MP_JAC_ERR * eps * (1 + |t v|)^2, while the
+    time derivative, which has no factor t, meets MP_JAC_ERR * eps *
+    (1 + |t v|).  Measured on complex V(4,2) and V(6,3) (three seeds each,
+    generic velocities) and on nearly repeated spectra (a = 0 and b with
+    equal singular values, so the eigenvalues of i v agree in pairs up to
+    rounding and those of i a are all zero): the directional error stayed
+    below 0.74 eps (1 + |t v|)^2 and the time derivative's below 0.98 eps
+    (1 + |t v|), so the bound leaves a factor of 8.
     """
 
     @pytest.mark.parametrize(
@@ -272,10 +306,47 @@ class TestJacobianAgainstMpmath:
         da, db = da / scale, db / scale
         eps = np.finfo(np.float64).eps
         for tv in (1.0, 30.0, 300.0):
-            dcols, dcols_dt = _geodesic_jacobian(
-                a[None], b[None], np.array([tv]), da[None, None], db[None, None], COMPLEX
+            dcols, dcols_dt, da_units, db_units = unit_param_jacobian(
+                a[None], b[None], np.array([tv]), COMPLEX
             )
+            along = np.tensordot(unit_coordinates(da_units, db_units, da, db), dcols[0], axes=1)
             ref_dir, ref_t = geodesic_jacobian_mp(a, b, tv, da[None], db[None])
+            assert np.max(np.abs(along - ref_dir[0])) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2, tv
+            assert np.max(np.abs(dcols_dt[0] - ref_t)) <= MP_JAC_ERR * eps * (1.0 + tv), tv
+
+
+class TestVn1JacobianAgainstMpmath:
+    """The k = 1 Jacobian along every unit direction against 40-digit central
+    differences up to |t v| = 300.
+
+    This is the refinement's only k = 1 Jacobian: the V(2,1) family and the
+    sphere family both take it along the linear family's unit images.  The
+    velocity is scaled to unit Frobenius norm, so |t v| = t; the unit images
+    have norm 1 or sqrt 2.  The closed form takes t omega and t lam in double
+    precision, so its phases carry an error of order eps |t v|, and a
+    directional derivative, which has a factor t, carries that error times
+    |t v|: bounded by MP_JAC_ERR * eps * (1 + |t v|)^2, and the time
+    derivative by MP_JAC_ERR * eps * (1 + |t v|), as at k >= 2.  Measured
+    on three seeds each of complex V(2,1), V(3,1), V(4,1) and real V(3,1),
+    V(4,1): the directional error stayed below 0.40 eps (1 + |t v|)^2
+    (it does grow quadratically: up to 97 eps (1 + |t v|) at |t v| = 300)
+    and the time derivative's below 0.38 eps (1 + |t v|), so the bound
+    leaves a factor of 20.
+    """
+
+    @pytest.mark.parametrize("n, mode", [(2, COMPLEX), (3, COMPLEX), (3, REAL)])
+    def test_error_bounds(self, n, mode):
+        rng = np.random.default_rng(0)
+        a = matcore.random_skew_hermitian(rng, 1, mode).astype(np.complex128)
+        b = matcore.random_matrix(rng, 1, n - 1, mode).astype(np.complex128)
+        scale = np.linalg.norm(BlockVelocity(a, b, mode).embed())
+        a, b = a / scale, b / scale
+        eps = np.finfo(np.float64).eps
+        for tv in (1.0, 30.0, 300.0):
+            dcols, dcols_dt, da, db = unit_param_jacobian(a[None], b[None], np.array([tv]), mode)
+            ref_dir, ref_t = geodesic_jacobian_mp(a, b, tv, da, db)
+            if mode == REAL:
+                ref_dir, ref_t = ref_dir.real, ref_t.real
             assert np.max(np.abs(dcols[0] - ref_dir)) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2, tv
             assert np.max(np.abs(dcols_dt[0] - ref_t)) <= MP_JAC_ERR * eps * (1.0 + tv), tv
 
