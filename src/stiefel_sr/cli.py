@@ -6,8 +6,8 @@ sampling) and byte-identical across runs for a fixed configuration and seed.
 They are standard JSON: a bound that no sample reached (an infinite minimum)
 is written as null.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-invariant violation.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
+--out included), 3 numerical invariant violation.
 
 Option precedence, the same for every option: command-line flags > inline
 --grid record > config "grid" record > top-level config keys > built-in
@@ -278,6 +278,8 @@ def _cmd_geodesic_eval(args) -> int:
         )
     if args.samples < 1:
         raise _UsageError("--samples must be positive")
+    if not math.isfinite(args.t_max):
+        raise _UsageError(f"--t-max must be finite, got {args.t_max}")
     if args.out == "-":
         raise _UsageError("geodesic-eval writes a CSV file; give --out PATH")
     write_curve_csv(args.out, GeodesicSpec(vel), np.linspace(0.0, args.t_max, args.samples))
@@ -365,7 +367,7 @@ def main(argv=None) -> int:
     except InvariantViolation as err:
         sys.stderr.write(f"numerical invariant violation: {err}\n")
         return EXIT_INVARIANT
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # OSError: an unwritable --out
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
 

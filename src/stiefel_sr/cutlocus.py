@@ -25,9 +25,8 @@ from .homspace import BlockVelocity, StiefelPoint, _embed_velocities
 from .geodesic import (
     GeodesicSpec,
     _decompose,
-    _generator_jacobian,
+    _endpoint_jacobian,
     _speeds_squared,
-    _vn1_jacobian,
     batch_geodesic_columns,
     geodesic_vn1_closed,
     grassmann_geodesic_2kk,
@@ -116,8 +115,8 @@ class VelocityGrid:
     "auto" picks "v21" on complex V_{2,1}, "sphere" for any other k = 1 and
     "general" otherwise.  Construction resolves "auto" and ``t_max=None``
     (1.1 pi sqrt(k)), so ``family`` is one of the three names and ``t_max`` a
-    float, and rejects an unknown mode, a shape without 1 <= k < n and a
-    family that does not fit the shape.
+    float, and rejects an unknown mode, a shape without 1 <= k < n, a
+    non-finite lambda_range or t_max, lo > hi, t_max <= 0 and a misfit family.
     """
 
     n: int
@@ -140,15 +139,15 @@ class VelocityGrid:
         # a tuple keeps the grid hashable (the scan table is cached per grid)
         object.__setattr__(self, "lambda_range", tuple(self.lambda_range))
         lo, hi = self.lambda_range
-        if not lo <= hi:
-            raise ValueError(f"lambda_range {self.lambda_range} must have lo <= hi")
+        if not -np.inf < lo <= hi < np.inf:
+            raise ValueError(f"lambda_range {self.lambda_range} must be finite with lo <= hi")
         for name in ("lambda_count", "phase_count", "direction_count", "sample_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
         if self.t_count < 3:
             raise ValueError(f"t_count={self.t_count} must be >= 3")
-        if self.t_max is not None and not self.t_max > 0:
-            raise ValueError(f"t_max={self.t_max} must be > 0")
+        if self.t_max is not None and not 0 < self.t_max < np.inf:
+            raise ValueError(f"t_max={self.t_max} must be finite and > 0")
         t_max = 1.1 * np.pi * np.sqrt(self.k) if self.t_max is None else self.t_max
         object.__setattr__(self, "t_max", float(t_max))
         if self.family == "auto":
@@ -236,11 +235,6 @@ class _LinearFamily:
         self.da[: self.a_dim] = np.reshape(fibre, (-1, k, k))
         self.db = np.zeros((d, k, m), dtype=np.complex128)
         self.db[self.a_dim :] = (np.reshape(units, (-1, 1, 1)) * np.eye(k * m)).reshape(-1, k, m)
-        # the generator i [[da, db], [-db*, 0]] of each unit param has one or
-        # two nonzero entries: their flat positions in an n x n matrix and values
-        gens = 1j * _embed_velocities(self.da, self.db).reshape(d, -1)
-        self.gen_index = np.argsort(gens == 0, axis=1, kind="stable")[:, :2]
-        self.gen_value = np.take_along_axis(gens, self.gen_index, axis=1)
 
     def initial_params(self) -> np.ndarray:
         g = self.grid
@@ -430,26 +424,18 @@ def _best_hits(vix, tix, err) -> np.ndarray:
     return order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < 3]
 
 
-def _residual_jacobian(family, x: np.ndarray, target_cols, spectra) -> np.ndarray:
+def _residual_jacobian(family, x: np.ndarray, spectra) -> np.ndarray:
     """Jacobian (c, rows, dim) of ``_endpoint_residuals`` at finite rows with t >= 0.
 
     Analytic, the time derivative as the last column.  The endpoint is
-    differentiated along the family's fixed unit images (da, db): at k = 1
-    by the V_{n,1} closed form, at k >= 2 gathered from its sensitivities to
-    its generator, built from ``spectra`` (the kernel's decompositions at
-    these rows, as ``_endpoint_residuals`` returns them; () at k = 1).
-    ``family.normalize`` then takes the derivatives to the params.
+    differentiated along the family's fixed unit images (da, db) by
+    ``geodesic._endpoint_jacobian``, from ``spectra`` (the kernel's
+    decompositions at these rows, as ``_endpoint_residuals`` returns them),
+    and ``family.normalize`` takes the derivatives to the params.
     """
     params, ts = x[:, :-1], x[:, -1]
     a, b = family.blocks(params)
-    mode = family.grid.mode
-    if family.grid.k == 1:
-        da, db = (np.broadcast_to(u, (len(x),) + u.shape) for u in (family.da, family.db))
-        along, dcols_dt = _vn1_jacobian(a, b, ts, da, db, mode)
-    else:
-        along, dcols_dt = _generator_jacobian(
-            a, b, ts, spectra, family.gen_index, family.gen_value, mode
-        )
+    along, dcols_dt = _endpoint_jacobian(a, b, ts, spectra, family.da, family.db, family.grid.mode)
     dcols = family.normalize(params, along)
     d = np.concatenate([dcols, dcols_dt[:, None]], axis=1).reshape(len(x), x.shape[1], -1)
     return np.concatenate([d.real, d.imag], axis=2).swapaxes(1, 2)
@@ -508,7 +494,7 @@ def _refine(
         fresh = ai[moved[ai]]
         for lo in range(0, len(fresh), chunk):
             part = fresh[lo : lo + chunk]
-            jac = _residual_jacobian(family, x[part], target_cols, [h[part] for h in spectra])
+            jac = _residual_jacobian(family, x[part], [h[part] for h in spectra])
             jt = jac.swapaxes(1, 2)
             jtj[part] = jt @ jac
             jtr[part] = jt @ r[part, :, None]

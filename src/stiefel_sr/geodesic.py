@@ -12,15 +12,15 @@ closed form of the V_{n,1} column, and the public closed forms
 ``geodesic_vn1_closed`` and ``geodesic_v21_closed`` (V_{2,1} is its n = 2
 case) are views of the same formula, so no k = 1 path calls an eigensolver.
 k >= 2 goes through two batched eigh, split from the flows so a caller can
-keep the decompositions.  The minimizer search's refinement takes the
-endpoint's derivatives along fixed unit directions of the velocity blocks
-and in t: at k = 1 from the V_{n,1} closed form differentiated term by term,
-at k >= 2 gathered from one Daleckii-Krein sensitivity array built from the
-kept decompositions, the endpoint's derivative in every entry of its
-generator.  Alongside them this module carries the square-block Grassmann
-geodesics used for V_{2k,k}, plus speed, length, the first time a V_{n,1}
-geodesic returns to the block-diagonal set, and the mirrored velocity that
-produces a second arrival at such points.
+keep the decompositions.  One entry, ``_endpoint_jacobian``, gives the
+endpoint's derivatives along fixed directions of the velocity blocks and in
+t, and alone picks the path: at k = 1 the V_{n,1} closed form differentiated
+term by term, at k >= 2 a gather from one Daleckii-Krein sensitivity array
+built from the kept decompositions, the endpoint's derivative in every entry
+of its generator.  Alongside them this module carries the square-block
+Grassmann geodesics used for V_{2k,k}, plus speed, length, the first time a
+V_{n,1} geodesic returns to the block-diagonal set, and the mirrored velocity
+that produces a second arrival at such points.
 
 Matrix functions of b b* are evaluated through the SVD of b, with the
 sin(x)/x limit handled spectrally so singular directions are fine.
@@ -266,14 +266,15 @@ def _vn1_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
     """The endpoint's derivatives at k = 1, eigensolver-free.
 
     Blocks (c, 1, 1), (c, 1, n-1) at one time per velocity, ``ts`` (c,), and
-    stacked directions da (c, d, 1, 1), db (c, d, 1, n-1).  Returns the
-    derivatives of ``_vn1_column`` along (da, db) (c, d, n, 1) and in t
-    (c, n, 1), term by term.  With g = omega d omega = (lam d lam + 4 Re<b,
-    db>) / 4 and S = sin(t omega) / omega, the terms move by d cos(t omega) =
-    -t S g, dS = -t^3 J(t omega) g and d phase = -i t d lam / 2 . phase; in t
-    by -omega^2 S, cos(t omega) and -i lam / 2 . phase.  Nothing divides by
-    the rate.
+    directions da (d, 1, 1), db (d, 1, n-1), fixed or stacked per velocity
+    as (c, d, 1, 1), (c, d, 1, n-1).  Returns the derivatives of
+    ``_vn1_column`` along (da, db) (c, d, n, 1) and in t (c, n, 1), term by
+    term.  With g = omega d omega = (lam d lam + 4 Re<b, db>) / 4 and S =
+    sin(t omega) / omega, the terms move by d cos(t omega) = -t S g, dS =
+    -t^3 J(t omega) g and d phase = -i t d lam / 2 . phase; in t by -omega^2
+    S, cos(t omega) and -i lam / 2 . phase.  Nothing divides by the rate.
     """
+    da, db = (np.broadcast_to(u, (len(ts),) + np.shape(u)[-3:]) for u in (da, db))
     lam, row = a_blocks[:, 0, 0].imag, b_blocks[:, 0]  # (c,), (c, m)
     omega, cosx, sincw, phase = _vn1_terms(lam, row, ts)
     dlam = np.imag(da[:, :, 0, 0])  # (c, d)
@@ -296,17 +297,24 @@ def _vn1_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
     return _field(dall[:, :-1], mode), _field(dall[:, -1], mode)
 
 
-def _generator_jacobian(a_blocks, b_blocks, ts, spectra, index, value, mode: str):
-    """The endpoint's derivatives at k >= 2 along d fixed directions, from ``spectra``.
+def _endpoint_jacobian(a_blocks, b_blocks, ts, spectra, da, db, mode: str):
+    """The endpoint's derivatives along d fixed directions (c, d, n, k) and in t (c, n, k).
 
-    Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,), and
-    ``spectra`` their ``_decompose``.  Each direction's generator
-    i [[da, db], [-db*, 0]] has at most two nonzero entries: ``value`` (d, 2)
-    at the flat positions ``index`` (d, 2) of an n x n matrix (a zero value
-    pads a single entry).  The derivatives along them (c, d, n, k) are then
-    gathered entries of ``_sensitivity``'s K, with no eigh and no product
-    per direction; the time derivative (c, n, k) comes with them.
+    Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,),
+    ``spectra`` their ``_decompose``, directions da (d, k, k), db (d, k, n-k).
+    k = 1 takes the differentiated V_{n,1} closed form.  At k >= 2 a
+    direction's generator i [[da, db], [-db*, 0]] may have two nonzero
+    entries, ``value`` at the flat positions ``index`` of an n x n matrix (a
+    zero value pads one), whose gather from ``_sensitivity``'s K is its
+    derivative: no eigh and no product per direction.
     """
+    if b_blocks.shape[1] == 1:
+        return _vn1_jacobian(a_blocks, b_blocks, ts, da, db, mode)
+    gens = 1j * _embed_velocities(da, db).reshape(len(da), -1)
+    if np.any(np.count_nonzero(gens, axis=1) > 2):
+        raise ValueError("a k >= 2 direction may move at most two generator entries")
+    index = np.argsort(gens == 0, axis=1, kind="stable")[:, :2]
+    value = np.take_along_axis(gens, index, axis=1)
     sens, dcols_dt = _sensitivity(a_blocks, b_blocks, ts, spectra)
     by_entry = sens.swapaxes(1, 2)  # (c, n n, n, k): the gathers give (c, d, n, k)
     dcols = by_entry[:, index[:, 0]]

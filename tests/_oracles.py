@@ -379,7 +379,7 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
         for lo in range(0, len(ai), chunk):
             part = slice(lo, lo + chunk)
             spectra = _decompose(*family.blocks(xa[part, :-1]))
-            jac = cutlocus._residual_jacobian(family, xa[part], target_cols, spectra)
+            jac = cutlocus._residual_jacobian(family, xa[part], spectra)
             jt = jac.swapaxes(1, 2)
             jtj[part] = jt @ jac
             jtr[part] = jt @ ra[part, :, None]

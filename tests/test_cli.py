@@ -108,6 +108,28 @@ class TestGeodesicEval:
             == 2
         )
 
+    @pytest.mark.parametrize("t_max", ["inf", "nan", "-inf"])
+    def test_non_finite_t_max_is_usage_error(self, tmp_path, capsys, t_max):
+        out = tmp_path / "curve.csv"
+        code = run(
+            "geodesic-eval", "--n", "2", "--k", "1", "--velocity", velocity_json(0.0, 1.0),
+            f"--t-max={t_max}", "--out", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--t-max" in err and err.count("\n") == 1
+
+    def test_unwritable_csv_out_is_usage_error(self, tmp_path, capsys):
+        # --out names a directory
+        code = run(
+            "geodesic-eval", "--n", "2", "--k", "1", "--velocity", velocity_json(0.0, 1.0),
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerifyClosedForms:
     def test_small_run_passes(self, tmp_path, capsys):
@@ -142,6 +164,12 @@ class TestBracket:
         payload = json.loads(out.read_text())
         assert payload["generating"] is True
         assert payload["target_dim"] == 12
+
+    def test_unwritable_json_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "bracket.json"
+        assert run("bracket", "--n", "4", "--k", "2", "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_requires_arguments(self):
         assert run("bracket", "--n", "4") == 2
@@ -250,6 +278,20 @@ class TestCutlocusSearch:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "t_count" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--t-max=inf", "t_max"), ("--lambda-max=inf", "lambda_range"),
+         ("--lambda-min=-inf", "lambda_range")],
+    )
+    def test_non_finite_grid_is_usage_error(self, capsys, flag, field):
+        code = run(
+            "cutlocus-search", "--n", "2", "--k", "1", flag,
+            "--target", target_json([[-1.0], [0.0]]),
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
 
     def test_square_shape_is_usage_error(self, capsys):
         # V(2,2) has no transversal block to search over

@@ -12,7 +12,7 @@ from stiefel_sr.homspace import BlockVelocity, StiefelPoint, identity_point
 from stiefel_sr.geodesic import (
     GeodesicSpec,
     _decompose,
-    _generator_jacobian,
+    _endpoint_jacobian,
     _vn1_jacobian,
     batch_geodesic_columns,
     first_vanishing_time,
@@ -290,13 +290,9 @@ LINEAR_FAMILY_CASES = [
 
 def unit_direction_jacobian(fam, params, ts):
     """The endpoint's derivatives (c, d, n, k) along the family's unit param
-    images, by the refinement's two paths, before ``normalize``."""
+    images, by the refinement's path, before ``normalize``."""
     a, b = fam.blocks(params)
-    mode = fam.grid.mode
-    if fam.grid.k == 1:
-        da, db = (np.broadcast_to(u, (len(params),) + u.shape) for u in (fam.da, fam.db))
-        return _vn1_jacobian(a, b, ts, da, db, mode)[0]
-    return _generator_jacobian(a, b, ts, _decompose(a, b), fam.gen_index, fam.gen_value, mode)[0]
+    return _endpoint_jacobian(a, b, ts, _decompose(a, b), fam.da, fam.db, fam.grid.mode)[0]
 
 
 class TestLinearFamily:
@@ -474,7 +470,7 @@ class TestResidualJacobian:
         params = params + 0.1 * rng.standard_normal(params.shape)
         x = np.column_stack([params, rng.uniform(0.3, 3.0, len(params))])
         target = identity_point(n, k, mode).cols
-        jac = _residual_jacobian(fam, x, target, _decompose(*fam.blocks(params)))
+        jac = _residual_jacobian(fam, x, _decompose(*fam.blocks(params)))
         assert jac.shape == (len(x), 2 * n * k, x.shape[1])
         h = 1e-5
         tol = 1e-7 * max(1.0, float(np.max(np.abs(jac))))
@@ -517,9 +513,9 @@ def _record_jacobian_rows(monkeypatch) -> list:
     rows = []
     inner = cutlocus._residual_jacobian
 
-    def recording(family, x, target_cols, *rest):
+    def recording(family, x, *rest):
         rows.extend(x.copy())
-        return inner(family, x, target_cols, *rest)
+        return inner(family, x, *rest)
 
     monkeypatch.setattr(cutlocus, "_residual_jacobian", recording)
     return rows
@@ -565,10 +561,10 @@ class TestRefine:
         inner = cutlocus._residual_jacobian
         same = []
 
-        def both(family, x, target_cols, spectra):
-            stored = inner(family, x, target_cols, spectra)
+        def both(family, x, spectra):
+            stored = inner(family, x, spectra)
             fresh = _decompose(*family.blocks(x[:, :-1]))
-            same.append(np.array_equal(stored, inner(family, x, target_cols, fresh)))
+            same.append(np.array_equal(stored, inner(family, x, fresh)))
             return stored
 
         monkeypatch.setattr(cutlocus, "_residual_jacobian", both)
@@ -1091,6 +1087,9 @@ class TestGridValidation:
             ("t_max", -1.0),
             ("t_max", float("nan")),
             ("lambda_range", (1.0, -1.0)),
+            ("t_max", float("inf")),
+            ("lambda_range", (-3.0, float("inf"))),
+            ("lambda_range", (float("-inf"), 3.0)),
         ],
     )
     def test_degenerate_grid_rejected(self, field, value):

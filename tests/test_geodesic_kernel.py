@@ -10,10 +10,11 @@ k = 1 shape, bit for bit against the former V_{2,1}-only column, and its
 public views stacked against one call per input.  The endpoint's derivatives
 are checked against scipy's ``expm_frechet`` on the same inputs along every
 unit param of the search's linear family, as the refinement takes them
-(gathered from the sensitivities at k >= 2, the differentiated V_{n,1} closed
-form at k = 1), and the closed form's also along random directions at every
-k = 1 shape up to |t v| = 30.  The closed form's J(x) = (sin x - x cos x) /
-x^3 is checked against a 40-digit mpmath value.  Beyond |t v| = 30, where the
+through ``_endpoint_jacobian`` (gathered from the sensitivities at k >= 2,
+the differentiated V_{n,1} closed form at k = 1), and the closed form's also
+along random directions at every k = 1 shape up to |t v| = 30; at k >= 2 the
+entry rejects a direction the gather cannot take.  The closed form's J(x) =
+(sin x - x cos x) / x^3 is checked against a 40-digit mpmath value.  Beyond |t v| = 30, where the
 double-precision expm reference no longer holds, the spectral path (k >= 2)
 is checked against a 40-digit mpmath matrix exponential up to |t v| = 1e3,
 and both Jacobians against 40-digit central differences of that exponential
@@ -36,7 +37,7 @@ from stiefel_sr.geodesic import (
     GeodesicSpec,
     _J1_OVER_X_CUTOFF,
     _decompose,
-    _generator_jacobian,
+    _endpoint_jacobian,
     _j1_over_x,
     _spectral_flow,
     _vn1_jacobian,
@@ -145,22 +146,16 @@ def reference_derivatives(a, b, t, da, db, mode):
 
 def unit_param_jacobian(a, b, ts, mode):
     """The endpoint's derivatives along every unit param of the search's linear
-    family on (n, k, mode), by the path the refinement runs: the V_{n,1}
-    closed form's at k = 1, gathered from the sensitivities at k >= 2.
+    family on (n, k, mode), by the refinement's one entry: the V_{n,1} closed
+    form's at k = 1, gathered from the sensitivities at k >= 2.
 
     Blocks (c, k, k), (c, k, n-k) and ``ts`` (c,); returns the derivatives
     (c, d, n, k), the time derivative (c, n, k) and the family's unit images
     da (d, k, k), db (d, k, n-k).
     """
-    c, k, m = b.shape
+    _, k, m = b.shape
     fam = _LinearFamily(VelocityGrid(k + m, k, mode, family="general"))
-    if k == 1:
-        da, db = (np.broadcast_to(u, (c,) + u.shape) for u in (fam.da, fam.db))
-        dcols, dcols_dt = _vn1_jacobian(a, b, ts, da, db, mode)
-    else:
-        dcols, dcols_dt = _generator_jacobian(
-            a, b, ts, _decompose(a, b), fam.gen_index, fam.gen_value, mode
-        )
+    dcols, dcols_dt = _endpoint_jacobian(a, b, ts, _decompose(a, b), fam.da, fam.db, mode)
     return dcols, dcols_dt, fam.da, fam.db
 
 
@@ -193,6 +188,37 @@ class TestJacobianAgainstExpmFrechet:
         assert not np.any(dcols[0])  # every velocity starts at the identity class
         if mode == REAL:
             assert not np.any(dcols.imag) and not np.any(dcols_dt.imag)
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (6, 3)])
+    @pytest.mark.parametrize("moved", ["fibre", "transversal"])
+    def test_dense_direction_rejected_at_k_ge_2(self, n, k, moved):
+        # the gather reads two generator entries per direction; a direction
+        # that moves more must not be silently truncated
+        rng = np.random.default_rng(n + k)
+        a, b = stacked_blocks(rng, n, k, COMPLEX, ["generic"])
+        da = np.zeros((1, k, k), dtype=np.complex128)
+        db = np.zeros((1, k, n - k), dtype=np.complex128)
+        if moved == "fibre":
+            da[0] = matcore.random_skew_hermitian(rng, k, COMPLEX)
+        else:
+            db[0] = matcore.random_matrix(rng, k, n - k, COMPLEX)
+        with pytest.raises(ValueError, match="two generator entries"):
+            _endpoint_jacobian(a, b, np.ones(1), _decompose(a, b), da, db, COMPLEX)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_dense_direction_taken_at_k_1(self, n):
+        # the closed form has no such limit: fixed dense directions, broadcast
+        # over the velocities, against expm_frechet
+        rng = np.random.default_rng(n)
+        a, b = stacked_blocks(rng, n, 1, COMPLEX, KINDS)
+        da = np.stack([matcore.random_skew_hermitian(rng, 1, COMPLEX) for _ in range(2)])
+        db = np.stack([matcore.random_matrix(rng, 1, n - 1, COMPLEX) for _ in range(2)])
+        ts = np.linspace(0.5, 3.0, len(KINDS))
+        dcols, dcols_dt = _endpoint_jacobian(a, b, ts, (), da, db, COMPLEX)
+        for i, t in enumerate(ts):
+            ref_dir, ref_t = reference_derivatives(a[i], b[i], t, da, db, COMPLEX)
+            assert np.max(np.abs(dcols[i] - ref_dir)) < ATOL
+            assert np.max(np.abs(dcols_dt[i] - ref_t)) < ATOL
 
     # up to |t v| = 30, where the expm reference still holds to ATOL
     VN1_TIMES = np.array([0.0, 0.4, 1.3, 2.9, 6.0, 12.5, 21.0, 30.0])
