@@ -7,7 +7,9 @@ They are standard JSON: a bound that no sample reached (an infinite minimum)
 is written as null.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
---out included), 3 numerical invariant violation.
+--out included), 3 numerical invariant violation.  An --out whose directory
+does not exist, or that names a directory, is rejected before the command
+runs.
 
 Option precedence, the same for every option: command-line flags > inline
 --grid record > config "grid" record > top-level config keys > built-in
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -233,8 +236,25 @@ def _parse(argv) -> argparse.Namespace:
     for name in ("n", "k"):
         if name in options and getattr(args, name) is None:
             raise _UsageError(f"missing required option --{name}")
+    _check_out(args.out)
     tolerances.configure(**tol)
     return args
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out that cannot become a file before the command runs, not after.
+
+    Its directory must exist and the path must not be a directory.  Nothing
+    is opened here, so an existing file keeps its contents until the report
+    replaces it.
+    """
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise _UsageError(f"--out {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise _UsageError(f"--out {path!r}: no such directory {parent!r}")
 
 
 def _finite_json(value):

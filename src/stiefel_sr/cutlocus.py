@@ -26,6 +26,7 @@ from .geodesic import (
     GeodesicSpec,
     _decompose,
     _endpoint_jacobian,
+    _geodesic_columns,
     _speeds_squared,
     batch_geodesic_columns,
     geodesic_vn1_closed,
@@ -33,7 +34,6 @@ from .geodesic import (
     grid_geodesic_columns,
     length,
     mirror_velocity,
-    sample_curve,
 )
 
 _LENGTH_SLACK = 1e-6  # arrivals within (1 + slack) of the minimum count as minimal
@@ -685,11 +685,17 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     first dip by Gauss-Newton steps on the lower block r(t) = P(t)[k:] of the
     endpoint P, with dP/dt = v P - P a (exp(-t a) commutes with a), clamped to
     the dip's scan bracket.  A dip whose norm does not reach TOL.eq is no hit.
+    The velocity is decomposed once, for the scan and every step.
     """
-    k = spec.k
+    k, mode = spec.k, spec.mode
     a, b = spec.v.a_block, spec.v.b_block
+    spectra = _decompose(a[None], b[None])
+
+    def curve(ts):
+        return _geodesic_columns(a[None], b[None], ts[None], mode, spectra)[0]
+
     ts = np.linspace(0.0, t_upper, _HIT_SCAN_POINTS)
-    cols = sample_curve(spec, ts)
+    cols = curve(ts)
     g = np.sqrt(np.sum(np.abs(cols[:, k:, :]) ** 2, axis=(1, 2)))
     peak = float(g.max())
     if peak <= tolerances.TOL.eq:
@@ -705,7 +711,7 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     lo, hi = ts[idx - 1], ts[idx + 1]
     t = float(ts[idx])
     for _ in range(_HIT_GN_ITERS):
-        p = sample_curve(spec, [t])[0]
+        p = curve(np.array([t]))[0]
         r = p[k:]
         d = -adjoint(b) @ p[:k] - r @ a  # lower block of v P - P a
         dd = float(np.sum(np.abs(d) ** 2))
@@ -716,7 +722,7 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
             break
         t = t_next
     else:
-        p = sample_curve(spec, [t])[0]
+        p = curve(np.array([t]))[0]
     gap = float(np.sqrt(np.sum(np.abs(p[k:]) ** 2)))
     return t if gap <= tolerances.TOL.eq else None
 

@@ -11,8 +11,10 @@ stacked velocities and times; ``sample_curve``, ``batch_geodesic_columns`` and
 closed form of the V_{n,1} column, and the public closed forms
 ``geodesic_vn1_closed`` and ``geodesic_v21_closed`` (V_{2,1} is its n = 2
 case) are views of the same formula, so no k = 1 path calls an eigensolver.
-k >= 2 goes through two batched eigh, split from the flows so a caller can
-keep the decompositions.  One entry, ``_endpoint_jacobian``, gives the
+k >= 2 goes through two batched eigh, split from the evaluation so a caller
+can keep the decompositions, and then writes the columns as q (e^{-i t w_p}
+e^{i t wa_j} (q* qa)_pj) qa*: two products per velocity, whatever the number
+of times.  One entry, ``_endpoint_jacobian``, gives the
 endpoint's derivatives along fixed directions of the velocity blocks and in
 t, and alone picks the path: at k = 1 the V_{n,1} closed form differentiated
 term by term, at k >= 2 a gather from one Daleckii-Krein sensitivity array
@@ -155,7 +157,7 @@ def _spectral_flow(w, vecs, ts, k: int, rate: complex) -> np.ndarray:
     """First k columns of exp(rate t h) for stacked h = vecs diag(w) vecs* (c, n, n).
 
     ``ts`` broadcasts to (c, T); a single matmul per velocity over all T
-    times.  Returns (c, T, n, k).
+    times.  Returns (c, T, n, k).  ``_sensitivity`` takes its two flows.
     """
     c, n = w.shape
     phases = np.exp(rate * ts[:, None, :] * w[:, :, None])  # (c, n, T)
@@ -169,8 +171,8 @@ def _geodesic_columns(a_blocks, b_blocks, ts, mode: str, spectra=None) -> np.nda
 
     Stacked blocks (c, k, k) and (c, k, n-k); ``ts`` is 2-d and broadcasts to
     (c, T).  Returns (c, T, n, k).  Every k = 1 shape takes the V_{n,1}
-    closed form, with no eigensolver; k >= 2 takes the flows of the two
-    eigendecompositions ``_decompose`` gives, or of ``spectra`` if the caller
+    closed form, with no eigensolver; k >= 2 takes the two
+    eigendecompositions ``_decompose`` gives, or ``spectra`` if the caller
     already holds them.  No per-element validation (hot path for searches).
     """
     a_blocks = np.asarray(a_blocks, dtype=np.complex128)
@@ -183,8 +185,14 @@ def _geodesic_columns(a_blocks, b_blocks, ts, mode: str, spectra=None) -> np.nda
         cols = np.concatenate([top[..., None], bottom], axis=-1)[..., None]
     else:
         w, q, wa, qa = _decompose(a_blocks, b_blocks) if spectra is None else spectra
-        # exp(t v), then exp(-t a)
-        cols = _spectral_flow(w, q, ts, k, -1j) @ _spectral_flow(wa, qa, ts, k, 1j)
+        c, n = w.shape
+        # exp(t v)[:, :k] exp(-t a) = q (e^{-i t w_p} e^{i t wa_j} (q* qa)_pj) qa*:
+        # one (c, n, T, k) middle array, then two products per velocity
+        tt = ts[:, None, :, None]
+        mid = (adjoint(q)[:, :, :k] @ qa)[:, :, None, :] * np.exp(-1j * tt * w[:, :, None, None])
+        mid *= np.exp(1j * tt * wa[:, None, None, :])
+        cols = (q @ mid.reshape(c, n, -1)).reshape(c, -1, k) @ adjoint(qa)
+        cols = cols.reshape(c, n, -1, k).transpose(0, 2, 1, 3)
     if mode == REAL:
         cols = cols.real.astype(np.complex128)
     return cols
@@ -413,14 +421,15 @@ def grassmann_geodesic_2kk(b, t):
 
     Both blocks are k x k; singular b is fine (the sin(x)/x limit is taken
     spectrally).  Together they are the corner blocks of exp of the embedded
-    horizontal velocity in the 2k x 2k group.  An array of times gives blocks
-    stacked along its shape, from one SVD of b.
+    horizontal velocity in the 2k x 2k group.  ``b`` may be a stack
+    (..., k, k) whose times ``t`` broadcast with it, from one batched SVD: one
+    block and an array of times give blocks stacked along the times' shape.
     """
     b = np.asarray(b, dtype=np.complex128)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if b.ndim < 2 or b.shape[-2] != b.shape[-1]:
         raise ValueError(f"expected a square block, got {b.shape}")
     u, sig, wh = np.linalg.svd(b)
-    t = np.asarray(t, dtype=np.float64)[..., None, None]
+    t, sig = np.asarray(t, dtype=np.float64)[..., None, None], sig[..., None, :]
     g1 = (u * np.cos(t * sig)) @ adjoint(u)
     g3 = -adjoint(b) @ (u * _sin_over(t, sig)) @ adjoint(u)
     return g1, g3

@@ -50,9 +50,14 @@ def as_matrix(x, mode: str = COMPLEX) -> np.ndarray:
     Raises InvariantViolation on NaN/Inf entries or on a real-mode matrix whose
     imaginary residue exceeds the symmetry tolerance.
     """
+    return _as_matrices(x, mode, stacked=False)
+
+
+def _as_matrices(x, mode: str, stacked: bool) -> np.ndarray:
+    """``as_matrix``; with ``stacked``, also a stack (..., r, c) whose every member it checks."""
     check_mode(mode)
     a = np.array(x, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stacked and a.ndim > 2):
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise InvariantViolation("matrix has non-finite entries")
@@ -73,8 +78,13 @@ def adjoint(x: np.ndarray) -> np.ndarray:
 
 def check_skew_hermitian(x, mode: str = COMPLEX) -> np.ndarray:
     """Validate X = -X* (and a zero diagonal in real mode); return the array."""
-    a = as_matrix(x, mode)
-    n, m = a.shape
+    return _check_skew_hermitian(x, mode, stacked=False)
+
+
+def _check_skew_hermitian(x, mode: str, stacked: bool) -> np.ndarray:
+    """``check_skew_hermitian``; with ``stacked``, also of every member of a stack (..., n, n)."""
+    a = _as_matrices(x, mode, stacked)
+    n, m = a.shape[-2:]
     if n != m:
         raise ValueError(f"skew-Hermitian matrix must be square, got {a.shape}")
     dev = float(np.max(np.abs(a + adjoint(a)))) if a.size else 0.0
@@ -144,18 +154,24 @@ def eig_skew(x, mode: str = COMPLEX):
     return vals, v
 
 
-def expm_skew(x, t: float = 1.0, mode: str = COMPLEX) -> np.ndarray:
+def expm_skew(x, t=1.0, mode: str = COMPLEX) -> np.ndarray:
     """exp(tX) for skew-Hermitian X, computed spectrally.
 
-    exp(0*X) is the identity exactly.  In real mode the result is an SO(n)
+    X may be a stack (..., n, n), every member validated, with times ``t``
+    broadcasting over the stack; one batched eigh serves it all.  A member at
+    t = 0 gives the identity exactly.  In real mode the result is an SO(n)
     element stored with zero imaginary part.
     """
-    a = check_skew_hermitian(x, mode)
-    n = a.shape[0]
-    if t == 0.0:
-        return np.eye(n, dtype=np.complex128)
+    a = _check_skew_hermitian(x, mode, stacked=True)
+    t = np.asarray(t, dtype=np.float64)
+    eye = np.eye(a.shape[-1], dtype=np.complex128)
+    at_zero = t == 0.0
+    if np.all(at_zero):
+        return np.broadcast_to(eye, np.broadcast_shapes(a.shape, t.shape + (1, 1))).copy()
     w, v = np.linalg.eigh(1j * a)
-    out = (v * np.exp(-1j * t * w)) @ adjoint(v)
+    out = (v * np.exp(-1j * t[..., None] * w)[..., None, :]) @ adjoint(v)
+    if np.any(at_zero):
+        out = np.where(at_zero[..., None, None], eye, out)
     if mode == REAL:
         out = out.real.astype(np.complex128)
     return out

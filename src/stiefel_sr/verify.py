@@ -3,11 +3,12 @@
 Each suite draws random inputs, evaluates a closed-form geodesic and the
 matrix exponential of the embedded velocity (``matcore.expm_skew``; not the
 geodesic evaluator, whose k = 1 path is the V_{n,1} closed form itself) on the
-same data, and reports the worst discrepancy.  The exponentials are taken one
-trial at a time; the closed forms once per suite, over the stacked draws.  The
-v21 suite accepts a deliberate phase-misgrouping flag, which multiplies the
-closed form's first entry by e^{i lam t}, so the harness can demonstrate that
-the comparison actually bites.
+same data, and reports the worst discrepancy.  The draws are taken one trial
+at a time; the exponentials and the closed forms once per suite (once per
+block size k in the Grassmann suite), over the stacked draws.  The v21 suite
+accepts a deliberate phase-misgrouping flag, which multiplies the closed
+form's first entry by e^{i lam t}, so the harness can demonstrate that the
+comparison actually bites.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ def v21_suite(trials: int = 1000, seed: int = 0, sign_flip: bool = False) -> dic
     """All four closed-form V_{2,1} entries against exp(tv) . diag(e^{-i lam t}, 1)."""
     rng = np.random.default_rng(seed)
     lam, x2, t = np.zeros(trials), np.zeros(trials, complex), np.zeros(trials)
-    full = np.zeros((trials, 2, 2), complex)
     for i in range(trials):
         lam[i] = rng.uniform(-3.0, 3.0)
         x2[i] = rng.uniform(-2.0, 2.0) + 1j * rng.uniform(-2.0, 2.0)
         t[i] = rng.uniform(0.0, 2.0 * np.pi)
-        v = np.array([[1j * lam[i], x2[i]], [-np.conj(x2[i]), 0.0]])
-        full[i] = matcore.expm_skew(v, t[i]) @ np.diag([np.exp(-1j * lam[i] * t[i]), 1.0])
+    v = _embed_velocities(1j * lam[:, None, None], x2[:, None, None])
+    full = matcore.expm_skew(v, t)
+    full[:, :, 0] *= np.exp(-1j * lam * t)[:, None]
     closed = np.stack(geodesic_v21_closed(lam, x2, t), axis=-1)
     if sign_flip:
         closed[:, 0] *= np.exp(1j * lam * t)
@@ -56,21 +57,21 @@ def v21_suite(trials: int = 1000, seed: int = 0, sign_flip: bool = False) -> dic
 def vn1_suite(trials: int = 1000, seed: int = 1) -> dict:
     """Closed-form V_{n,1} first column against exp(tv) . blockdiag(e^{-i x t}, I).
 
-    The rows are zero-padded to length _VN1_MAX_N - 1, which leaves the closed
-    form exact, so one stacked call covers every drawn n.
+    The rows are zero-padded to length _VN1_MAX_N - 1, which leaves both the
+    closed form and the exponential's first column exact (the padding adds
+    fixed coordinates), so one stacked call of each covers every drawn n.
     """
     rng = np.random.default_rng(seed)
     xs, ts = np.zeros(trials), np.zeros(trials)
     rows = np.zeros((trials, _VN1_MAX_N - 1), complex)
-    cols = np.zeros((trials, _VN1_MAX_N), complex)
     for i in range(trials):
         n = int(rng.integers(2, _VN1_MAX_N + 1))
         xs[i] = rng.uniform(-3.0, 3.0)
         row = matcore.random_matrix(rng, 1, n - 1, COMPLEX)
         ts[i] = rng.uniform(0.0, 2.0 * np.pi)
-        v = _embed_velocities(np.array([[1j * xs[i]]]), row)
-        cols[i, :n] = matcore.expm_skew(v, ts[i])[:, 0] * np.exp(-1j * xs[i] * ts[i])
         rows[i, : n - 1] = row[0]
+    v = _embed_velocities(1j * xs[:, None, None], rows[:, None, :])
+    cols = matcore.expm_skew(v, ts)[:, :, 0] * np.exp(-1j * xs * ts)[:, None]
     g1, g3 = geodesic_vn1_closed(xs, rows, ts)
     return _suite_result("vn1", trials, np.abs(np.concatenate([g1[:, None], g3], axis=1) - cols))
 
@@ -78,13 +79,20 @@ def vn1_suite(trials: int = 1000, seed: int = 1) -> dict:
 def grassmann_2kk_suite(trials: int = 1000, seed: int = 2) -> dict:
     """Square-block Grassmann closed form against exp of the embedded velocity."""
     rng = np.random.default_rng(seed)
-    errors = []
+    draws = {}  # k -> (blocks, times)
     for _ in range(trials):
         k = int(rng.integers(1, _GRASSMANN_MAX_K + 1))
         b = matcore.random_matrix(rng, k, k, COMPLEX)
         t = rng.uniform(0.0, 2.0 * np.pi)
-        e = matcore.expm_skew(_embed_velocities(np.zeros((k, k)), b), t)
-        errors.append(np.max(np.abs(np.concatenate(grassmann_geodesic_2kk(b, t)) - e[:, :k])))
+        blocks, times = draws.setdefault(k, ([], []))
+        blocks.append(b)
+        times.append(t)
+    errors = []
+    for k, (blocks, times) in draws.items():
+        b, t = np.array(blocks), np.array(times)
+        e = matcore.expm_skew(_embed_velocities(np.zeros_like(b), b), t)
+        closed = np.concatenate(grassmann_geodesic_2kk(b, t), axis=-2)
+        errors.append(np.max(np.abs(closed - e[..., :k])))
     return _suite_result("grassmann_2kk", trials, errors)
 
 

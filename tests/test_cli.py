@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +265,33 @@ class TestCutlocusSearch:
 
     def test_missing_target(self):
         assert run("cutlocus-search", "--n", "2", "--k", "1") == 2
+
+    def test_bad_out_fails_before_the_search(self, tmp_path, capsys, monkeypatch):
+        searches = []
+        monkeypatch.setattr(cli, "search_minimizers", lambda *args: searches.append(args))
+        target = target_json([[-1.0], [0.0]])
+        for out in ("/no/such/dir/x.json", str(tmp_path)):
+            code = run("cutlocus-search", "--n", "2", "--k", "1", "--target", target, "--out", out)
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert searches == []
+
+    def test_existing_out_kept_until_the_report_is_ready(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.json"
+        out.write_text("previous report\n")
+        seen = []
+
+        def search(*args):
+            seen.append(out.read_text())
+            raise ValueError("search failed")
+
+        monkeypatch.setattr(cli, "search_minimizers", search)
+        target = target_json([[-1.0], [0.0]])
+        code = run("cutlocus-search", "--n", "2", "--k", "1", "--target", target, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert seen == ["previous report\n"]
+        assert out.read_text() == "previous report\n"
 
     def test_help_lists_no_tolerance_or_format_flags(self, capsys):
         assert run("cutlocus-search", "--help") == 0
@@ -593,3 +623,13 @@ def test_readme_library_quick_start_runs(capsys):
     exec(compile(block, "README.md (Library quick start)", "exec"), {})
     out = capsys.readouterr().out.split()
     assert out[0].startswith("[[") and float(out[-1]) > 0  # the columns, then the length
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is imported only where it is used (the Sobol sample); at module
+    # level scipy.linalg alone adds about 0.4 s to every start of the CLI
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, stiefel_sr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

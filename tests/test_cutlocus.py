@@ -642,22 +642,40 @@ class TestFirstBlockDiagonalHit:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_few_kernel_calls_per_hit(self, mode, monkeypatch):
-        calls = []  # points per sample_curve call
-        real = cutlocus.sample_curve
+        calls = []  # time points per kernel call
+        decompositions = []  # velocities per _decompose call
+        kernel, decompose = cutlocus._geodesic_columns, cutlocus._decompose
 
-        def counted(spec, ts):
-            calls.append(len(np.atleast_1d(ts)))
-            return real(spec, ts)
+        def counted(a, b, ts, *args, **kwargs):
+            calls.append(np.size(ts))
+            return kernel(a, b, ts, *args, **kwargs)
 
-        monkeypatch.setattr(cutlocus, "sample_curve", counted)
+        def counted_decompose(a, b):
+            decompositions.append(len(a))
+            return decompose(a, b)
+
+        eighs = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(h, *args, **kwargs):
+            eighs.append(h.shape)
+            return eigh(h, *args, **kwargs)
+
+        monkeypatch.setattr(cutlocus, "_geodesic_columns", counted)
+        monkeypatch.setattr(cutlocus, "_decompose", counted_decompose)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         rng = np.random.default_rng(7)
         for n, k in HIT_SHAPES:
             for _ in range(4):
                 vel, t_exp = sample_block_diagonal_hitting_velocity(rng, n, k, mode)
                 calls.clear()
+                decompositions.clear()
+                eighs.clear()
                 assert first_block_diagonal_hit(GeodesicSpec(vel), 1.15 * t_exp) is not None
                 assert calls[0] == 1200 and len(calls) <= 8
                 assert all(c == 1 for c in calls[1:])
+                assert decompositions in ([], [1])  # at most once, of the one velocity
+                assert len(eighs) <= 2
 
 
 class TestMirrorArrivals:

@@ -198,6 +198,21 @@ class TestGrassmann2kk:
             assert np.max(np.abs(g1 - e[:k, :k])) < 1e-9
             assert np.max(np.abs(g3 - e[k:, :k])) < 1e-9
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_stacked_blocks_match_one_call_per_block(self, k):
+        rng = np.random.default_rng(10 + k)
+        b = np.stack([matcore.random_matrix(rng, k, k) for _ in range(6)])
+        b[2] = 0.0
+        b[3, 0] = 0.0  # singular
+        ts = rng.uniform(0.0, 2.0 * np.pi, 6)
+        ts[1] = 0.0
+        g1, g3 = grassmann_geodesic_2kk(b, ts)
+        assert g1.shape == g3.shape == (6, k, k)
+        for i in range(6):
+            one1, one3 = grassmann_geodesic_2kk(b[i], ts[i])
+            assert np.max(np.abs(g1[i] - one1)) <= 1e-15
+            assert np.max(np.abs(g3[i] - one3)) <= 1e-15
+
 
 class TestSpeedAndLength:
     def test_unit_transversal_values(self):

@@ -5,7 +5,8 @@ share one kernel.  Each is checked against the definition -- the first k
 columns of expm(t v) . blockdiag(expm(-t a), I) -- and against the other two,
 at the k = 1 shapes, which take the V_{n,1} closed form, and at the spectral
 shapes (k >= 2), in both field modes, including degenerate velocities and
-t = 0.  The closed form is also checked against the spectral path at every
+t = 0; at k >= 2 also one velocity on 1200 times against one time at a
+time.  The closed form is also checked against the spectral path at every
 k = 1 shape, bit for bit against the former V_{2,1}-only column, and its
 public views stacked against one call per input.  The endpoint's derivatives
 are checked against scipy's ``expm_frechet`` on the same inputs along every
@@ -120,6 +121,18 @@ class TestKernelAgainstExpm:
             assert np.max(np.abs(batch - grid[rows, tix])) < SHARED_ATOL
         if mode == REAL:
             assert not np.any(grid.imag)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (6, 3)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_long_time_grid_matches_one_time_at_a_time(self, shape, mode):
+        # one velocity on 1200 times takes the same two products as on one time
+        n, k = shape
+        rng = np.random.default_rng(n + k)
+        a, b = velocity_blocks(rng, n, k, mode, "generic")
+        ts = np.linspace(0.0, 40.0, 1200)
+        curve = sample_curve(GeodesicSpec(BlockVelocity(a, b, mode)), ts)
+        rows = np.repeat(a[None], len(ts), axis=0), np.repeat(b[None], len(ts), axis=0)
+        assert np.max(np.abs(curve - batch_geodesic_columns(*rows, ts, mode))) < SHARED_ATOL
 
 
 def reference_derivatives(a, b, t, da, db, mode):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from stiefel_sr import matcore
 from stiefel_sr.matcore import (
@@ -134,6 +135,43 @@ class TestExpmSkew:
     def test_rejects_non_skew_input(self):
         with pytest.raises(InvariantViolation):
             expm_skew(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
+
+    @pytest.mark.parametrize("mode", [COMPLEX, REAL])
+    def test_stack_matches_one_call_per_member_and_scipy(self, mode):
+        rng = np.random.default_rng(21)
+        xs = np.stack([random_skew_hermitian(rng, 5, mode) for _ in range(12)])
+        ts = rng.uniform(-4.0, 4.0, 12)
+        got = expm_skew(xs, ts, mode)
+        assert got.shape == (12, 5, 5)
+        for x, t, member in zip(xs, ts, got):
+            assert np.max(np.abs(member - expm_skew(x, t, mode))) <= 1e-15
+            assert np.max(np.abs(member - expm(t * x))) <= 1e-12
+        # times broadcast over the stack, whatever its shape
+        shared = expm_skew(xs.reshape(3, 4, 5, 5), 0.7, mode)
+        for x, member in zip(xs, shared.reshape(12, 5, 5)):
+            assert np.max(np.abs(member - expm_skew(x, 0.7, mode))) <= 1e-15
+        if mode == REAL:
+            assert not np.any(got.imag) and not np.any(shared.imag)
+
+    def test_zero_time_member_is_exact_identity(self):
+        rng = np.random.default_rng(22)
+        xs = np.stack([random_skew_hermitian(rng, 4) for _ in range(5)])
+        ts = np.array([0.3, 0.0, -1.2, 0.0, 2.0])
+        got = expm_skew(xs, ts)
+        for i in (1, 3):
+            assert np.array_equal(got[i], np.eye(4, dtype=complex))
+        assert np.array_equal(expm_skew(xs, 0.0), np.broadcast_to(np.eye(4), (5, 4, 4)))
+
+    @pytest.mark.parametrize("mode", [COMPLEX, REAL])
+    def test_stack_with_one_bad_member_is_rejected(self, mode):
+        rng = np.random.default_rng(23)
+        xs = np.stack([random_skew_hermitian(rng, 3, mode) for _ in range(6)])
+        expm_skew(xs, 1.0, mode)
+        xs[4, 0, 1] += 1e-3  # breaks skew symmetry in one member only
+        with pytest.raises(InvariantViolation):
+            expm_skew(xs, 1.0, mode)
+        with pytest.raises(ValueError):
+            expm_skew(np.zeros((2, 3, 4)), 1.0)
 
 
 class TestEigSkew:

@@ -1,4 +1,4 @@
-"""The closed-form verification suites' injected phase fault."""
+"""The closed-form verification suites: their injected phase fault and their stacked references."""
 
 import numpy as np
 
@@ -29,3 +29,20 @@ class TestV21Suite:
         assert np.array_equal(errors[1][:, 1:], errors[0][:, 1:])
         assert np.max(errors[0]) < 1e-12
         assert np.allclose(errors[1][:, 0], np.abs(g1 * (np.exp(1j * lam * t) - 1.0)), atol=1e-12)
+
+
+def test_references_are_stacked_exponentials(monkeypatch):
+    # one exponential per suite, one per block size in the Grassmann suite:
+    # no per-trial call
+    stacks = []
+    expm_skew = verify.matcore.expm_skew
+
+    def counted(x, *args, **kwargs):
+        stacks.append(np.shape(x)[:-2])
+        return expm_skew(x, *args, **kwargs)
+
+    monkeypatch.setattr(verify.matcore, "expm_skew", counted)
+    suites = verify.closed_form_suites(60, seed=3)
+    assert all(s["pass"] for s in suites)
+    assert len(stacks) <= 2 + verify._GRASSMANN_MAX_K
+    assert sum(int(np.prod(shape)) for shape in stacks) == 3 * 60
