@@ -236,6 +236,8 @@ def _parse(argv) -> argparse.Namespace:
     for name in ("n", "k"):
         if name in options and getattr(args, name) is None:
             raise _UsageError(f"missing required option --{name}")
+    if getattr(args, "seed", 0) < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     _check_out(args.out)
     tolerances.configure(**tol)
     return args

@@ -26,7 +26,6 @@ from .geodesic import (
     GeodesicSpec,
     _decompose,
     _endpoint_jacobian,
-    _geodesic_columns,
     _speeds_squared,
     batch_geodesic_columns,
     geodesic_vn1_closed,
@@ -146,6 +145,8 @@ class VelocityGrid:
                 raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
         if self.t_count < 3:
             raise ValueError(f"t_count={self.t_count} must be >= 3")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed={self.seed!r} must be an integer >= 0")
         if self.t_max is not None and not 0 < self.t_max < np.inf:
             raise ValueError(f"t_max={self.t_max} must be finite and > 0")
         t_max = 1.1 * np.pi * np.sqrt(self.k) if self.t_max is None else self.t_max
@@ -471,12 +472,13 @@ def _refine(
     n_cand, dim = x.shape
     n, k = target_cols.shape
     # a Jacobian chunk's temporaries peak when the sensitivity K, (chunk, n,
-    # n, n, k) complex, meets the two (chunk, dim, n, k) arrays gathered from
-    # it: n k (n^2 + 2 dim) elements per candidate.  They come on top of the
-    # stored normal equations and spectra and the trial step's evaluation,
-    # and the peak RSS of a default-grid complex V(6,3) search grows with the
-    # chunk, so a chunk takes a quarter of the scan's element budget
-    chunk = max(1, _CHUNK_ELEMENTS // (4 * n * k * (n * n + 2 * dim)))
+    # n, n, k) complex, meets its transposed copy and their (chunk, dim, n, k)
+    # product: n k (2 n^2 + dim) elements per candidate.  They come on top of
+    # the stored normal equations and spectra and the trial step's
+    # evaluation, and the peak RSS of a default-grid complex V(6,3) search
+    # grows with the chunk, so a chunk takes a quarter of the scan's element
+    # budget
+    chunk = max(1, _CHUNK_ELEMENTS // (4 * n * k * (2 * n * n + dim)))
     r, spectra = _endpoint_residuals(family, x, target_cols)
     f = np.sum(r * r, axis=1)
     mu = np.full(n_cand, 1e-3)
@@ -686,13 +688,16 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     endpoint P, with dP/dt = v P - P a (exp(-t a) commutes with a), clamped to
     the dip's scan bracket.  A dip whose norm does not reach TOL.eq is no hit.
     The velocity is decomposed once, for the scan and every step.
+    ``t_upper`` must be positive and finite.
     """
+    if not 0.0 < t_upper < np.inf:
+        raise ValueError(f"t_upper must be positive and finite, got {t_upper}")
     k, mode = spec.k, spec.mode
     a, b = spec.v.a_block, spec.v.b_block
     spectra = _decompose(a[None], b[None])
 
     def curve(ts):
-        return _geodesic_columns(a[None], b[None], ts[None], mode, spectra)[0]
+        return grid_geodesic_columns(a[None], b[None], ts, mode, spectra)[0]
 
     ts = np.linspace(0.0, t_upper, _HIT_SCAN_POINTS)
     cols = curve(ts)
@@ -866,26 +871,18 @@ def verify_antidiagonal_arrivals(
     t0 = np.pi * np.sqrt(k) / 2.0
     sqrt_k = np.sqrt(k)
 
-    max_dir_err = 0.0
     directions = []
-    endpoints = []
-    max_roundtrip = 0.0
     for _ in range(samples):
         q = matcore.random_unitary(rng, k, mode)
         if mode == REAL and rng.uniform() < 0.5:
             q = np.array(q)
             q[:, 0] = -q[:, 0]  # reach both components of O(k)
-        b = q / sqrt_k  # trace-normalized: tr(bb*) = 1
-        g1, g3 = grassmann_geodesic_2kk(b, t0)
-        err = max(
-            float(np.max(np.abs(g1))),
-            float(np.max(np.abs(g3 - (-sqrt_k * adjoint(b))))),
-        )
-        max_dir_err = max(max_dir_err, err)
-        b_rec = -adjoint(g3) / sqrt_k
-        max_roundtrip = max(max_roundtrip, float(np.max(np.abs(b_rec - b))))
-        directions.append(b)
-        endpoints.append(g3)
+        directions.append(q / sqrt_k)  # trace-normalized: tr(bb*) = 1
+    directions = np.stack(directions)
+    g1, endpoints = grassmann_geodesic_2kk(directions, t0)
+    dir_err = np.abs(endpoints + sqrt_k * adjoint(directions))
+    max_dir_err = float(max(np.max(np.abs(g1)), np.max(dir_err)))
+    max_roundtrip = float(np.max(np.abs(-adjoint(endpoints) / sqrt_k - directions)))
 
     # injectivity across distinct directions only (small direction sets repeat)
     pairs = np.triu_indices(samples, 1)
@@ -900,18 +897,19 @@ def verify_antidiagonal_arrivals(
     min_margin = np.inf
     min_floor = np.inf
     if k >= 2:
-        done = 0
-        while done < samples:
+        blocks, smallest = [], []
+        while len(blocks) < samples:
             g = matcore.random_matrix(rng, k, k, mode)
             b = g / np.linalg.norm(g)
             sig = np.linalg.svd(b, compute_uv=False)
             if sig[-1] < 0.05 or sig[0] / sig[-1] < 1.05:
                 continue  # want invertible and genuinely non-unitary
-            done += 1
-            first_zero_bound = np.pi / (2.0 * sig[-1])
-            min_margin = min(min_margin, float(first_zero_bound - t0))
-            g1, _ = grassmann_geodesic_2kk(b, np.linspace(0.0, t0, 400))
-            min_floor = min(min_floor, float(np.linalg.norm(g1, axis=(1, 2)).min()))
+            blocks.append(b)
+            smallest.append(sig[-1])
+        first_zero_bound = np.pi / (2.0 * np.array(smallest))
+        min_margin = float(np.min(first_zero_bound - t0))
+        g1, _ = grassmann_geodesic_2kk(np.stack(blocks)[:, None], np.linspace(0.0, t0, 400))
+        min_floor = float(np.linalg.norm(g1, axis=(2, 3)).min())
     passed = (
         max_dir_err <= 1e-9
         and max_roundtrip <= 1e-10

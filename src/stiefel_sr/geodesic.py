@@ -14,15 +14,16 @@ case) are views of the same formula, so no k = 1 path calls an eigensolver.
 k >= 2 goes through two batched eigh, split from the evaluation so a caller
 can keep the decompositions, and then writes the columns as q (e^{-i t w_p}
 e^{i t wa_j} (q* qa)_pj) qa*: two products per velocity, whatever the number
-of times.  One entry, ``_endpoint_jacobian``, gives the
-endpoint's derivatives along fixed directions of the velocity blocks and in
-t, and alone picks the path: at k = 1 the V_{n,1} closed form differentiated
-term by term, at k >= 2 a gather from one Daleckii-Krein sensitivity array
-built from the kept decompositions, the endpoint's derivative in every entry
-of its generator.  Alongside them this module carries the square-block
-Grassmann geodesics used for V_{2k,k}, plus speed, length, the first time a
-V_{n,1} geodesic returns to the block-diagonal set, and the mirrored velocity
-that produces a second arrival at such points.
+of times.  One entry, ``_endpoint_jacobian``, gives the endpoint's
+derivatives along fixed directions of the velocity blocks and in t, and alone
+picks the path: at k = 1 the V_{n,1} closed form differentiated term by term,
+at k >= 2 one product of the directions' generators with one Daleckii-Krein
+sensitivity array built from the kept decompositions, the endpoint's
+derivative in every entry of its generator, so any direction is taken.
+Alongside them this module carries the square-block Grassmann geodesics used
+for V_{2k,k}, plus speed, length, the first time a V_{n,1} geodesic returns to
+the block-diagonal set, and the mirrored velocity that produces a second
+arrival at such points.
 
 Matrix functions of b b* are evaluated through the SVD of b, with the
 sin(x)/x limit handled spectrally so singular directions are fine.
@@ -310,27 +311,18 @@ def _endpoint_jacobian(a_blocks, b_blocks, ts, spectra, da, db, mode: str):
 
     Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,),
     ``spectra`` their ``_decompose``, directions da (d, k, k), db (d, k, n-k).
-    k = 1 takes the differentiated V_{n,1} closed form.  At k >= 2 a
-    direction's generator i [[da, db], [-db*, 0]] may have two nonzero
-    entries, ``value`` at the flat positions ``index`` of an n x n matrix (a
-    zero value pads one), whose gather from ``_sensitivity``'s K is its
-    derivative: no eigh and no product per direction.
+    k = 1 takes the differentiated V_{n,1} closed form.  At k >= 2 the
+    derivative is linear in a direction's generator i [[da, db], [-db*, 0]],
+    so every direction's derivative is one product of the generators (d, n n)
+    with ``_sensitivity``'s K: no eigh, and any direction, however dense.
     """
     if b_blocks.shape[1] == 1:
         return _vn1_jacobian(a_blocks, b_blocks, ts, da, db, mode)
     gens = 1j * _embed_velocities(da, db).reshape(len(da), -1)
-    if np.any(np.count_nonzero(gens, axis=1) > 2):
-        raise ValueError("a k >= 2 direction may move at most two generator entries")
-    index = np.argsort(gens == 0, axis=1, kind="stable")[:, :2]
-    value = np.take_along_axis(gens, index, axis=1)
     sens, dcols_dt = _sensitivity(a_blocks, b_blocks, ts, spectra)
-    by_entry = sens.swapaxes(1, 2)  # (c, n n, n, k): the gathers give (c, d, n, k)
-    dcols = by_entry[:, index[:, 0]]
-    dcols *= value[:, 0, None, None]
-    second = by_entry[:, index[:, 1]]
-    second *= value[:, 1, None, None]
-    dcols += second
-    return _field(dcols, mode), _field(dcols_dt, mode)
+    c, n, _, k = sens.shape
+    dcols = gens @ sens.swapaxes(1, 2).reshape(c, n * n, n * k)  # (c, d, n k)
+    return _field(dcols.reshape(c, -1, n, k), mode), _field(dcols_dt, mode)
 
 
 def _field(x: np.ndarray, mode: str) -> np.ndarray:
@@ -353,9 +345,9 @@ def batch_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX, spectra=
     return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[:, None], mode, spectra)[:, 0]
 
 
-def grid_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX) -> np.ndarray:
-    """c velocities on a shared time grid; shape (c, t, n, k)."""
-    return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[None], mode)
+def grid_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX, spectra=None) -> np.ndarray:
+    """c velocities on a shared time grid; shape (c, t, n, k); ``spectra`` as in the batch form."""
+    return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[None], mode, spectra)
 
 
 def normal_geodesic(spec: GeodesicSpec, t: float) -> StiefelPoint:

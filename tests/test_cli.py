@@ -246,6 +246,19 @@ class TestExperiments:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cutlocus-search", "--n", "2", "--k", "1", "--seed", "-1",
+             "--target", target_json([[-1.0], [0.0]])],
+            ["verify-closed-forms", "--seed", "-3"],
+        ],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        assert run(*argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seed" in err
+
 
 class TestCutlocusSearch:
     def test_reproducible_bytes(self, tmp_path):

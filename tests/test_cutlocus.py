@@ -640,11 +640,17 @@ class TestFirstBlockDiagonalHit:
             else:
                 assert hit == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("t_upper", [np.nan, np.inf, 0.0, -1.0])
+    def test_t_upper_must_be_positive_and_finite(self, t_upper):
+        vel = BlockVelocity(np.zeros((2, 2)), np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="t_upper"):
+            first_block_diagonal_hit(GeodesicSpec(vel), t_upper)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_few_kernel_calls_per_hit(self, mode, monkeypatch):
         calls = []  # time points per kernel call
         decompositions = []  # velocities per _decompose call
-        kernel, decompose = cutlocus._geodesic_columns, cutlocus._decompose
+        kernel, decompose = cutlocus.grid_geodesic_columns, cutlocus._decompose
 
         def counted(a, b, ts, *args, **kwargs):
             calls.append(np.size(ts))
@@ -661,7 +667,7 @@ class TestFirstBlockDiagonalHit:
             eighs.append(h.shape)
             return eigh(h, *args, **kwargs)
 
-        monkeypatch.setattr(cutlocus, "_geodesic_columns", counted)
+        monkeypatch.setattr(cutlocus, "grid_geodesic_columns", counted)
         monkeypatch.setattr(cutlocus, "_decompose", counted_decompose)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         rng = np.random.default_rng(7)
@@ -1108,6 +1114,8 @@ class TestGridValidation:
             ("t_max", float("inf")),
             ("lambda_range", (-3.0, float("inf"))),
             ("lambda_range", (float("-inf"), 3.0)),
+            ("seed", -1),
+            ("seed", 2.5),
         ],
     )
     def test_degenerate_grid_rejected(self, field, value):

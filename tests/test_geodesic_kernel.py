@@ -11,11 +11,12 @@ k = 1 shape, bit for bit against the former V_{2,1}-only column, and its
 public views stacked against one call per input.  The endpoint's derivatives
 are checked against scipy's ``expm_frechet`` on the same inputs along every
 unit param of the search's linear family, as the refinement takes them
-through ``_endpoint_jacobian`` (gathered from the sensitivities at k >= 2,
-the differentiated V_{n,1} closed form at k = 1), and the closed form's also
-along random directions at every k = 1 shape up to |t v| = 30; at k >= 2 the
-entry rejects a direction the gather cannot take.  The closed form's J(x) =
-(sin x - x cos x) / x^3 is checked against a 40-digit mpmath value.  Beyond |t v| = 30, where the
+through ``_endpoint_jacobian`` (the directions' generators times the
+sensitivities at k >= 2, the differentiated V_{n,1} closed form at k = 1), and
+along fixed dense directions at k = 1 and k >= 2 in both modes, and the
+closed form's also along random directions at every k = 1 shape up to
+|t v| = 30.  The closed form's J(x) = (sin x - x cos x) / x^3 is checked
+against a 40-digit mpmath value.  Beyond |t v| = 30, where the
 double-precision expm reference no longer holds, the spectral path (k >= 2)
 is checked against a 40-digit mpmath matrix exponential up to |t v| = 1e3,
 and both Jacobians against 40-digit central differences of that exponential
@@ -160,7 +161,7 @@ def reference_derivatives(a, b, t, da, db, mode):
 def unit_param_jacobian(a, b, ts, mode):
     """The endpoint's derivatives along every unit param of the search's linear
     family on (n, k, mode), by the refinement's one entry: the V_{n,1} closed
-    form's at k = 1, gathered from the sensitivities at k >= 2.
+    form's at k = 1, the generators times the sensitivities at k >= 2.
 
     Blocks (c, k, k), (c, k, n-k) and ``ts`` (c,); returns the derivatives
     (c, d, n, k), the time derivative (c, n, k) and the family's unit images
@@ -202,34 +203,21 @@ class TestJacobianAgainstExpmFrechet:
         if mode == REAL:
             assert not np.any(dcols.imag) and not np.any(dcols_dt.imag)
 
-    @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (6, 3)])
-    @pytest.mark.parametrize("moved", ["fibre", "transversal"])
-    def test_dense_direction_rejected_at_k_ge_2(self, n, k, moved):
-        # the gather reads two generator entries per direction; a direction
-        # that moves more must not be silently truncated
-        rng = np.random.default_rng(n + k)
-        a, b = stacked_blocks(rng, n, k, COMPLEX, ["generic"])
-        da = np.zeros((1, k, k), dtype=np.complex128)
-        db = np.zeros((1, k, n - k), dtype=np.complex128)
-        if moved == "fibre":
-            da[0] = matcore.random_skew_hermitian(rng, k, COMPLEX)
-        else:
-            db[0] = matcore.random_matrix(rng, k, n - k, COMPLEX)
-        with pytest.raises(ValueError, match="two generator entries"):
-            _endpoint_jacobian(a, b, np.ones(1), _decompose(a, b), da, db, COMPLEX)
-
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_dense_direction_taken_at_k_1(self, n):
-        # the closed form has no such limit: fixed dense directions, broadcast
-        # over the velocities, against expm_frechet
-        rng = np.random.default_rng(n)
-        a, b = stacked_blocks(rng, n, 1, COMPLEX, KINDS)
-        da = np.stack([matcore.random_skew_hermitian(rng, 1, COMPLEX) for _ in range(2)])
-        db = np.stack([matcore.random_matrix(rng, 1, n - 1, COMPLEX) for _ in range(2)])
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (5, 1), (3, 2), (4, 2), (5, 2), (6, 3)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dense_direction_taken(self, n, k, mode):
+        # fixed dense directions, broadcast over the velocities, against
+        # expm_frechet: the closed form at k = 1 and the sensitivity product
+        # at k >= 2 take any direction, not only the family's unit images
+        rng = np.random.default_rng(10 * n + k)
+        a, b = stacked_blocks(rng, n, k, mode, KINDS)
+        da = np.stack([matcore.random_skew_hermitian(rng, k, mode) for _ in range(2)])
+        db = np.stack([matcore.random_matrix(rng, k, n - k, mode) for _ in range(2)])
         ts = np.linspace(0.5, 3.0, len(KINDS))
-        dcols, dcols_dt = _endpoint_jacobian(a, b, ts, (), da, db, COMPLEX)
+        dcols, dcols_dt = _endpoint_jacobian(a, b, ts, _decompose(a, b), da, db, mode)
+        assert dcols.shape == (len(ts), 2, n, k)
         for i, t in enumerate(ts):
-            ref_dir, ref_t = reference_derivatives(a[i], b[i], t, da, db, COMPLEX)
+            ref_dir, ref_t = reference_derivatives(a[i], b[i], t, da, db, mode)
             assert np.max(np.abs(dcols[i] - ref_dir)) < ATOL
             assert np.max(np.abs(dcols_dt[i] - ref_t)) < ATOL
 
@@ -318,12 +306,13 @@ class TestJacobianAgainstMpmath:
     that sensitivity carries the kernel's phase error of order eps |t v|,
     so its error is bounded by MP_JAC_ERR * eps * (1 + |t v|)^2, while the
     time derivative, which has no factor t, meets MP_JAC_ERR * eps *
-    (1 + |t v|).  Measured on complex V(4,2) and V(6,3) (three seeds each,
-    generic velocities) and on nearly repeated spectra (a = 0 and b with
-    equal singular values, so the eigenvalues of i v agree in pairs up to
-    rounding and those of i a are all zero): the directional error stayed
-    below 0.74 eps (1 + |t v|)^2 and the time derivative's below 0.98 eps
-    (1 + |t v|), so the bound leaves a factor of 8.
+    (1 + |t v|).  The random direction is also passed to the entry as it
+    is, dense, under the same bound.  Measured on complex V(4,2) and V(6,3)
+    (three seeds each, generic velocities) and on nearly repeated spectra
+    (a = 0 and b with equal singular values, so the eigenvalues of i v agree
+    in pairs up to rounding and those of i a are all zero): the directional
+    error stayed below 0.74 eps (1 + |t v|)^2 and the time derivative's
+    below 0.98 eps (1 + |t v|), so the bound leaves a factor of 8.
     """
 
     @pytest.mark.parametrize(
@@ -344,6 +333,7 @@ class TestJacobianAgainstMpmath:
         scale = np.linalg.norm(BlockVelocity(da, db, COMPLEX).embed())
         da, db = da / scale, db / scale
         eps = np.finfo(np.float64).eps
+        spectra = _decompose(a[None], b[None])
         for tv in (1.0, 30.0, 300.0):
             dcols, dcols_dt, da_units, db_units = unit_param_jacobian(
                 a[None], b[None], np.array([tv]), COMPLEX
@@ -352,6 +342,11 @@ class TestJacobianAgainstMpmath:
             ref_dir, ref_t = geodesic_jacobian_mp(a, b, tv, da[None], db[None])
             assert np.max(np.abs(along - ref_dir[0])) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2, tv
             assert np.max(np.abs(dcols_dt[0] - ref_t)) <= MP_JAC_ERR * eps * (1.0 + tv), tv
+            # the dense direction itself, straight through the entry
+            dense, _ = _endpoint_jacobian(
+                a[None], b[None], np.array([tv]), spectra, da[None], db[None], COMPLEX
+            )
+            assert np.max(np.abs(dense[0, 0] - ref_dir[0])) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2
 
 
 class TestVn1JacobianAgainstMpmath:
