@@ -37,10 +37,11 @@ from .geodesic import (
 
 _LENGTH_SLACK = 1e-6  # arrivals within (1 + slack) of the minimum count as minimal
 _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
-# element budget of one batch of scan or Jacobian temporaries; a grid's scan
-# table (velocities x times x n x k) is cached only if it fits in one budget
+# element budget of the cached scan table and of one batch of Jacobian
+# temporaries: a grid's scan table (velocities x times x n x k) is cached only
+# if it fits, and a larger grid is scanned one kernel fill at a time
 _CHUNK_ELEMENTS = 2**22
-# velocities per kernel call when a scan table or chunk is filled
+# velocities per kernel fill of the scan
 _FILL_VELOCITIES = 16
 # Levenberg-Marquardt iterations of the arrival refinement
 _LM_ITERS = 60
@@ -79,7 +80,6 @@ GENERIC = "generic"
 class TargetClass:
     kind: str
     point: StiefelPoint
-    mode: str
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "point": self.point.to_json_dict()}
@@ -92,7 +92,7 @@ def classify_target(p: StiefelPoint) -> TargetClass:
         kind = ANTIDIAGONAL
     else:
         kind = GENERIC
-    return TargetClass(kind=kind, point=p, mode=p.mode)
+    return TargetClass(kind=kind, point=p)
 
 
 # -- search configuration and report ------------------------------------------
@@ -114,8 +114,9 @@ class VelocityGrid:
     "auto" picks "v21" on complex V_{2,1}, "sphere" for any other k = 1 and
     "general" otherwise.  Construction resolves "auto" and ``t_max=None``
     (1.1 pi sqrt(k)), so ``family`` is one of the three names and ``t_max`` a
-    float, and rejects an unknown mode, a shape without 1 <= k < n, a
-    non-finite lambda_range or t_max, lo > hi, t_max <= 0 and a misfit family.
+    float, and rejects an unknown mode, an n, k, count or seed that is not an
+    integer (a bool is not), a shape without 1 <= k < n, a non-finite
+    lambda_range or t_max, lo > hi, t_max <= 0 and a misfit family.
     """
 
     n: int
@@ -133,6 +134,12 @@ class VelocityGrid:
 
     def __post_init__(self):
         matcore.check_mode(self.mode)
+        counts = ("lambda_count", "phase_count", "direction_count", "sample_count")
+        for name in ("n", "k", *counts, "t_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name}={value!r} must be an integer")
+            object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
         if not 1 <= self.k < self.n:
             raise ValueError(f"need 1 <= k < n, got n={self.n}, k={self.k}")
         # a tuple keeps the grid hashable (the scan table is cached per grid)
@@ -140,13 +147,13 @@ class VelocityGrid:
         lo, hi = self.lambda_range
         if not -np.inf < lo <= hi < np.inf:
             raise ValueError(f"lambda_range {self.lambda_range} must be finite with lo <= hi")
-        for name in ("lambda_count", "phase_count", "direction_count", "sample_count"):
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
         if self.t_count < 3:
             raise ValueError(f"t_count={self.t_count} must be >= 3")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed={self.seed!r} must be an integer >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         if self.t_max is not None and not 0 < self.t_max < np.inf:
             raise ValueError(f"t_max={self.t_max} must be finite and > 0")
         t_max = 1.1 * np.pi * np.sqrt(self.k) if self.t_max is None else self.t_max
@@ -357,16 +364,15 @@ def _scan_times(grid: VelocityGrid) -> np.ndarray:
     return np.linspace(0.0, grid.t_max, grid.t_count)
 
 
-def _fill_scan(out: np.ndarray, family, params: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (c, T, n, k) with the endpoint columns of ``params`` at ``ts``.
+def _scan_fills(family, params: np.ndarray, ts: np.ndarray):
+    """Yield (first row, endpoint columns (c, T, n, k)) of ``params`` at ``ts``.
 
     One kernel call per ``_FILL_VELOCITIES`` velocities, so the kernel's
-    temporaries stay small whatever the size of ``out``.
+    temporaries stay small whatever the number of velocities.
     """
     for lo in range(0, len(params), _FILL_VELOCITIES):
         a, b = family.blocks(params[lo : lo + _FILL_VELOCITIES])
-        out[lo : lo + _FILL_VELOCITIES] = grid_geodesic_columns(a, b, ts, family.grid.mode)
-    return out
+        yield lo, grid_geodesic_columns(a, b, ts, family.grid.mode)
 
 
 @functools.lru_cache(maxsize=1)
@@ -379,7 +385,8 @@ def _scan_table(grid: VelocityGrid) -> np.ndarray:
     family = _make_family(grid)
     p0 = family.initial_params()
     table = np.empty((len(p0), grid.t_count, grid.n, grid.k), dtype=np.complex128)
-    _fill_scan(table, family, p0, _scan_times(grid))
+    for lo, cols in _scan_fills(family, p0, _scan_times(grid)):
+        table[lo : lo + len(cols)] = cols
     table.flags.writeable = False
     return table
 
@@ -563,7 +570,8 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     The grid's endpoint columns do not depend on the target or tolerances,
     so they are computed once per grid per process and reused; at most one
     such table is resident, and only a grid whose table fits the chunk
-    budget is cached (a larger grid is streamed in chunks on every call).
+    budget is cached.  A larger grid is scanned on every call, one kernel
+    fill of 16 velocities at a time, so no table-sized array is made.
     """
     tol = tolerances.TOL
     if tol.hit < 10 * tol.eq:
@@ -591,19 +599,14 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
 
     # every gated local minimum of the endpoint error along each velocity's
     # time grid; a table that fits the chunk budget is evaluated once per
-    # grid, a larger grid streams through one reused, memory-bounded chunk
-    row_elements = grid.t_count * grid.n * grid.k
-    if len(p0) * row_elements <= _CHUNK_ELEMENTS:
+    # grid, a larger grid is scanned one kernel fill at a time
+    if len(p0) * grid.t_count * grid.n * grid.k <= _CHUNK_ELEMENTS:
         vix, tix, err = _scan_cols(_scan_table(grid), target.cols, gate)
     else:
-        chunk_size = max(1, int(_CHUNK_ELEMENTS / row_elements))
-        chunk = np.empty((chunk_size, grid.t_count, grid.n, grid.k), dtype=np.complex128)
         hits = []
-        for start in range(0, len(p0), chunk_size):
-            part = p0[start : start + chunk_size]
-            cols = _fill_scan(chunk[: len(part)], family, part, ts)
+        for lo, cols in _scan_fills(family, p0, ts):
             v, t, e = _scan_cols(cols, target.cols, gate)
-            hits.append((v + start, t, e))
+            hits.append((v + lo, t, e))
         vix, tix, err = (np.concatenate(x) for x in zip(*hits))
 
     pick = _best_hits(vix, tix, err)

@@ -120,10 +120,13 @@ def strongly_bracket_check_vn1(n: int, samples: int = 100, seed: int = 0) -> boo
     For each nonzero horizontal row b, the span of the horizontal space and
     the brackets of the b-section with the horizontal basis must already be
     the whole (2n-1)-dimensional tangent space.  Near-zero draws are rejected
-    as zero sections and replaced, never counted.
+    as zero sections and replaced, never counted.  A count below 1 raises
+    rather than pass with nothing checked.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     basis = _horizontal_embeds(n, 1, COMPLEX)
     target = stiefel_tangent_dim(n, 1, COMPLEX)

@@ -154,19 +154,6 @@ def _decompose(a_blocks, b_blocks):
     return w, q, wa, qa
 
 
-def _spectral_flow(w, vecs, ts, k: int, rate: complex) -> np.ndarray:
-    """First k columns of exp(rate t h) for stacked h = vecs diag(w) vecs* (c, n, n).
-
-    ``ts`` broadcasts to (c, T); a single matmul per velocity over all T
-    times.  Returns (c, T, n, k).  ``_sensitivity`` takes its two flows.
-    """
-    c, n = w.shape
-    phases = np.exp(rate * ts[:, None, :] * w[:, :, None])  # (c, n, T)
-    scaled = phases[..., None] * adjoint(vecs)[:, :, None, :k]  # (c, n, T, k)
-    flow = vecs @ scaled.reshape(c, n, -1)
-    return flow.reshape(c, n, -1, k).transpose(0, 2, 1, 3)
-
-
 def _geodesic_columns(a_blocks, b_blocks, ts, mode: str, spectra=None) -> np.ndarray:
     """The evaluation kernel: first k columns of exp(t v) . blockdiag(exp(-t a), I).
 
@@ -194,9 +181,7 @@ def _geodesic_columns(a_blocks, b_blocks, ts, mode: str, spectra=None) -> np.nda
         mid *= np.exp(1j * tt * wa[:, None, None, :])
         cols = (q @ mid.reshape(c, n, -1)).reshape(c, -1, k) @ adjoint(qa)
         cols = cols.reshape(c, n, -1, k).transpose(0, 2, 1, 3)
-    if mode == REAL:
-        cols = cols.real.astype(np.complex128)
-    return cols
+    return _field(cols, mode)
 
 
 def _divided_differences(w, ts, rate: complex) -> np.ndarray:
@@ -228,11 +213,12 @@ def _sensitivity(a_blocks, b_blocks, ts, spectra):
     """The endpoint's derivatives in the entries of its generator, at k >= 2; complex mode.
 
     With h = i v = Q diag(w) Q* and i a = Qa diag(wa) Qa* (``spectra``), the
-    endpoint is L R with L = first k columns of exp(-i t h) and R =
-    exp(i t (i a)).  Daleckii-Krein (Higham, Functions of Matrices, 2008,
-    Thm 3.11) moves L by Q (F o Q* X Q) Q*[:, :k] when i v moves by X, and R
-    by Qa (Fa o Qa* X_a Qa) Qa* when i a moves by X_a, with F, Fa the divided
-    differences of the two flows.  Along a velocity direction (da, db) the
+    endpoint is L R with L = first k columns of exp(-i t h) = Q (e^{-i t w} o
+    Q*[:, :k]) and R = exp(i t (i a)) = Qa (e^{i t wa} o Qa*), one product
+    each at the one time per velocity.  Daleckii-Krein (Higham, Functions of
+    Matrices, 2008, Thm 3.11) moves L by Q (F o Q* X Q) Q*[:, :k] when i v
+    moves by X, and R by Qa (Fa o Qa* X_a Qa) Qa* when i a moves by X_a, with
+    F, Fa the divided differences of the two flows.  Along a velocity direction (da, db) the
     generator moves by X = i [[da, db], [-db*, 0]], and X_a is its top-left
     block, so one array K holds both: K[:, r, (i, j), s] is the derivative
     of endpoint entry (r, s) in generator entry (i, j).  It takes two stacked
@@ -242,8 +228,9 @@ def _sensitivity(a_blocks, b_blocks, ts, spectra):
     w, q, wa, qa = spectra
     c, n = w.shape
     k = wa.shape[1]
-    left = _spectral_flow(w, q, ts[:, None], k, -1j)[:, 0]
-    right = _spectral_flow(wa, qa, ts[:, None], k, 1j)[:, 0]
+    tt = ts[:, None, None]
+    left = q @ (np.exp(-1j * tt * w[:, :, None]) * adjoint(q)[:, :, :k])
+    right = qa @ (np.exp(1j * tt * wa[:, :, None]) * adjoint(qa))
     sens = _rotation_product(q, q, _divided_differences(w, ts, -1j), adjoint(q)[:, :, :k] @ right)
     fibre = _divided_differences(wa, ts, 1j)
     sens[:, :, :k, :k] += _rotation_product(left @ qa, qa, fibre, adjoint(qa))
@@ -369,14 +356,11 @@ def geodesic_v21_closed(lam, x2, t):
     The entries assemble to the SU(2) element exp(tv) . diag(e^{-i lam t}, 1)
     for v = [[i lam, x2], [-conj(x2), 0]]: the first column, the canonical
     Stiefel representative, and the second that follows from it.  Arguments
-    may be stacked arrays that broadcast together.
+    may be stacked arrays that broadcast together; this is the n = 2 case of
+    ``geodesic_vn1_closed``, scalar calls included.
     """
-    lam, x2, t = np.asarray(lam, float), np.asarray(x2, complex), np.asarray(t, float)
-    if lam.ndim + x2.ndim + t.ndim == 0:  # a stack of one, as in geodesic_vn1_closed
-        stacked = geodesic_v21_closed(lam[None], x2[None], t[None])
-        return tuple(g[0] for g in stacked)
-    g1, g3 = _vn1_column(lam, x2[..., None], t)
-    g3 = g3[..., 0]
+    g1, g3 = geodesic_vn1_closed(lam, np.asarray(x2, complex)[..., None], t)
+    g3 = np.take(g3, 0, axis=-1)  # a scalar call keeps numpy scalars
     g2, g4 = -np.conj(g3), np.conj(g1)
     return g1, g2, g3, g4
 

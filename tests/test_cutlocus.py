@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1036,7 +1037,7 @@ class TestScanByInnerProduct:
         monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
         monkeypatch.setattr(cutlocus, "_scan_cols", checked)
         assert search_minimizers(target, grid).clusters == 1
-        assert chunks == [20, 20, 20, 4]
+        assert chunks == [16] * 4
         assert _scan_table.cache_info().currsize == 0
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["shrunk", "stretched"])
@@ -1116,11 +1117,27 @@ class TestGridValidation:
             ("lambda_range", (float("-inf"), 3.0)),
             ("seed", -1),
             ("seed", 2.5),
+            ("seed", True),
+            ("lambda_count", 16.5),
+            ("t_count", 64.5),
+            ("sample_count", 32.7),
+            ("direction_count", True),
+            ("phase_count", np.float64(8.0)),
+            ("n", 2.0),
+            ("k", True),
         ],
     )
     def test_degenerate_grid_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            VelocityGrid(2, 1, COMPLEX, **{field: value})
+            VelocityGrid(**{"n": 2, "k": 1, "mode": COMPLEX, field: value})
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        grid = VelocityGrid(
+            np.int64(2), np.int32(1), COMPLEX, t_count=np.int64(32), seed=np.uint8(3)
+        )
+        assert grid == VelocityGrid(2, 1, COMPLEX, t_count=32, seed=3)
+        assert all(type(v) is int for v in (grid.n, grid.k, grid.t_count, grid.seed))
+        json.dumps(grid.to_json_dict())
 
     @pytest.mark.parametrize(
         "n, k, mode, message",
@@ -1198,7 +1215,7 @@ class TestGridResolution:
 
 
 class TestScanFill:
-    """Every scan kernel call, for the cached table or a streamed chunk, takes at
+    """Every scan kernel call, for the cached table or a streamed scan, takes at
     most 16 velocities, so the kernel's temporaries stay small."""
 
     @pytest.fixture
@@ -1226,8 +1243,23 @@ class TestScanFill:
             np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]])
         )), 0.8)
         _scan_table.cache_clear()
-        # a budget of 40 velocities: chunks of 40 and 24, each filled 16 at a time
+        # a budget of 40 velocities: the 64 are scanned one fill of 16 at a time
         monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 40 * grid.t_count * grid.n * grid.k)
         assert search_minimizers(target, grid).clusters == 1
         assert _scan_table.cache_info().currsize == 0
-        assert kernel_calls == [16, 16, 8, 16, 8]
+        assert kernel_calls == [16] * 4
+
+    @pytest.mark.parametrize("target", [_cut_v21(), _generic_v21()], ids=["cut", "generic"])
+    def test_streamed_search_holds_no_table(self, target):
+        """An over-budget grid's search peaks far below the table it does not build."""
+        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=129, phase_count=64, seed=3)
+        table_elements = grid.lambda_count * grid.phase_count * grid.t_count * grid.n * grid.k
+        assert table_elements > cutlocus._CHUNK_ELEMENTS
+        tracemalloc.start()
+        try:
+            rep = search_minimizers(target, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.arrivals
+        assert peak < cutlocus._CHUNK_ELEMENTS * np.dtype(np.complex128).itemsize / 4

@@ -146,6 +146,11 @@ class TestStronglyBracketGenerating:
         for seed in range(3):
             assert strongly_bracket_check_vn1(n, 20, seed) == strong_bracket_check_loop(n, 20, seed)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            strongly_bracket_check_vn1(3, samples=samples)
+
     def test_zero_section_is_rejected_not_counted(self, monkeypatch):
         rng = np.random.default_rng(8)
         sections = [np.full(2, 1e-14)]  # near-zero: must be skipped

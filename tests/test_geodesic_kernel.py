@@ -41,7 +41,6 @@ from stiefel_sr.geodesic import (
     _decompose,
     _endpoint_jacobian,
     _j1_over_x,
-    _spectral_flow,
     _vn1_jacobian,
     batch_geodesic_columns,
     geodesic_v21_closed,
@@ -465,9 +464,10 @@ class TestVn1ClosedFormKernel:
         rng = np.random.default_rng(100 * n + (mode == REAL))
         a, b = stacked_blocks(rng, n, 1, mode, KINDS * 3, scale)
         got = grid_geodesic_columns(a, b, self.TIMES, mode)
+        # exp(t v)[:, :1] exp(-t a) at every (velocity, time), from the spectral exponential
         ts = self.TIMES[None]
-        ref = _spectral_flow(*np.linalg.eigh(1j * _embed_velocities(a, b)), ts, 1, -1j)
-        ref = ref @ _spectral_flow(*np.linalg.eigh(1j * a), ts, 1, 1j)
+        ref = matcore.expm_skew(_embed_velocities(a, b)[:, None], ts)[..., :1]
+        ref = ref @ matcore.expm_skew(-a[:, None], ts)
         if mode == REAL:
             ref = ref.real.astype(np.complex128)
         assert np.max(np.abs(got - ref)) < 1e-13

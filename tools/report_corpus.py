@@ -10,6 +10,9 @@ per report into DIR:
   searches;
 - acceptance criterion 8: the 3 real antipode searches, 5 real mirrored-arrival
   summaries and 3 real antidiagonal summaries;
+- a block-diagonal and a generic search on a 129 x 64 complex V(2,1) grid,
+  whose scan table is over the search's chunk budget, so the scan streams
+  (no other report, and no benchmark workload, takes that path);
 - ops 0-7 of each benchmark workload at seeds 1 and 7, built and serialized
   by ``perfbench.workloads``.
 
@@ -95,6 +98,15 @@ def corpus_reports():
     for k in (1, 2, 3):
         summary = verify_antidiagonal_arrivals(k, samples=20, seed=828 + k, mode=REAL)
         yield f"c8_antidiagonal_k{k}.json", _dump(summary.to_json_dict())
+
+    streamed = VelocityGrid(2, 1, COMPLEX, lambda_count=129, phase_count=64, seed=515)
+    cut = StiefelPoint(np.array([[np.exp(0.8j * np.pi)], [0.0]]))
+    generic = normal_geodesic(
+        GeodesicSpec(BlockVelocity(np.array([[0.7j]]), np.array([[np.exp(0.4j)]]))), 0.45
+    )
+    for name, target in (("block_diagonal", cut), ("generic", generic)):
+        rep = search_minimizers(target, streamed)
+        yield f"streamed_v21_{name}.json", _dump(rep.to_json_dict())
 
     for name, workload in WORKLOADS.items():
         for seed in WORKLOAD_SEEDS:
