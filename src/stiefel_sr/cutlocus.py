@@ -45,6 +45,9 @@ _CHUNK_ELEMENTS = 2**22
 _FILL_VELOCITIES = 16
 # Levenberg-Marquardt iterations of the arrival refinement
 _LM_ITERS = 60
+# a refined candidate whose squared residual is above half of its value this
+# many iterations earlier has stopped converging and is frozen
+_STALL_WINDOW = 15
 # the first block-diagonal hit is looked for on a grid of this many times
 _HIT_SCAN_POINTS = 1200
 # Gauss-Newton refinement of a block-diagonal hit: at most this many steps,
@@ -192,12 +195,36 @@ class Arrival:
 
 
 @dataclass(frozen=True)
+class SearchDiagnostics:
+    """What a search did, as counts that a fixed grid and target determine.
+
+    ``scan_hits`` gated scan minima, of which ``candidates`` were refined;
+    each candidate was frozen as ``converged``, ``damped`` (damping above
+    1e8) or ``stalled`` (``_STALL_WINDOW``), or was still active at the
+    iteration cap (``capped``); ``lm_iterations`` lockstep iterations ran;
+    ``arrivals_before_dedup`` arrivals were in the minimal-length band
+    before deduplication.  The identity class is answered without a search:
+    only its one arrival is counted.
+    """
+
+    scan_hits: int = 0
+    candidates: int = 0
+    converged: int = 0
+    stalled: int = 0
+    damped: int = 0
+    capped: int = 0
+    lm_iterations: int = 0
+    arrivals_before_dedup: int = 0
+
+
+@dataclass(frozen=True)
 class MinimizerReport:
     target: TargetClass
     grid: VelocityGrid
     arrivals: tuple[Arrival, ...]
     clusters: int
     min_length: float | None
+    diagnostics: SearchDiagnostics
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,6 +233,7 @@ class MinimizerReport:
             "arrivals": [a.to_json_dict() for a in self.arrivals],
             "clusters": self.clusters,
             "min_length": self.min_length,
+            "diagnostics": asdict(self.diagnostics),
         }
 
 
@@ -466,14 +494,24 @@ def _refine(
     damping.  At k >= 2 each candidate also keeps the two eigendecompositions
     that the evaluation of its accepted point made, and its Jacobian is built
     from them (``_residual_jacobian``), so no Jacobian calls eigh.
-    Per-candidate damping adapts in the usual way; a candidate is frozen once
-    its residual is far below the hit radius or its damping exceeds 1e8.
-    The damping test catches few stalled candidates: in a 128-sample complex
-    V(6,3) search about half of the candidates never converge, and most of
-    them keep lowering their residual slowly and stay active until the
-    iteration cap.
+    Per-candidate damping adapts in the usual way.  A candidate is frozen
+    once its residual is far below the hit radius, once its damping exceeds
+    1e8, or once its squared residual is above half of its own value
+    ``_STALL_WINDOW`` iterations earlier: it has stopped converging (Nocedal
+    & Wright, *Numerical Optimization*, section 10.3).  Without that window
+    about half of the candidates of a 128-sample complex V(6,3) search keep
+    lowering their residual slowly, never arrive, and stay active until the
+    iteration cap.  A slow candidate can still arrive: one such search's
+    minimal-length candidate plateaus for 12 iterations, at residuals 0.38
+    and 0.29, and converges at iteration 27, so a window of 11 or less loses
+    it; 15 keeps a margin of 3.  A longer plateau does lose its candidate:
+    some arrivals that duplicate a shorter one are frozen before they
+    converge.
     Returns the params, the times and the residual norms, which are the
-    endpoints' Frobenius distances to the target.
+    endpoints' Frobenius distances to the target, and the counts of the
+    candidates frozen as ``converged``, ``damped`` and ``stalled`` and still
+    active at the cap (``capped``), with the iterations run
+    (``lm_iterations``).
     """
     x = np.column_stack([params, ts]).astype(np.float64)
     n_cand, dim = x.shape
@@ -492,14 +530,21 @@ def _refine(
     active = np.ones(n_cand, dtype=bool)
     # candidates whose point moved since their normal equations were formed
     moved = np.ones(n_cand, dtype=bool)
+    # why a candidate was frozen: 0 still active, 1 converged, 2 damped, 3 stalled
+    frozen = np.zeros(n_cand, dtype=np.intp)
+    # f at the start and after each iteration, the window's reference
+    history = np.empty((_LM_ITERS + 1, n_cand))
+    history[0] = f
     jtj = np.empty((n_cand, dim, dim))
     jtr = np.empty((n_cand, dim, 1))
     eye = np.eye(dim)
     diag = np.arange(dim)
-    for _ in range(_LM_ITERS):
+    iterations = 0
+    for it in range(1, _LM_ITERS + 1):
         ai = np.nonzero(active)[0]
         if len(ai) == 0:
             break
+        iterations = it
         fresh = ai[moved[ai]]
         for lo in range(0, len(fresh), chunk):
             part = fresh[lo : lo + chunk]
@@ -528,10 +573,19 @@ def _refine(
         moved[ai] = good
         mu[rows] = np.maximum(mu[rows] * 0.3, 1e-12)
         mu[ai[~good]] = mu[ai[~good]] * 10.0
-        converged = f[ai] < (0.01 * hit) ** 2
-        stuck = mu[ai] > 1e8
-        active[ai[converged | stuck]] = False
-    return x[:, :-1], x[:, -1], np.sqrt(f)
+        history[it] = f
+        earlier = history[it - _STALL_WINDOW, ai] if it >= _STALL_WINDOW else np.inf
+        why = np.select(
+            [f[ai] < (0.01 * hit) ** 2, mu[ai] > 1e8, f[ai] > 0.5 * earlier], [1, 2, 3], 0
+        )
+        frozen[ai] = why
+        active[ai[why > 0]] = False
+    capped, converged, damped, stalled = np.bincount(frozen, minlength=4).tolist()
+    stats = dict(
+        converged=converged, damped=damped, stalled=stalled, capped=capped,
+        lm_iterations=iterations,
+    )
+    return x[:, :-1], x[:, -1], np.sqrt(f), stats
 
 
 def _representatives(embeds: np.ndarray, ts, dup: float, cluster: float):
@@ -589,7 +643,8 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
         )
         err = float(np.linalg.norm(target.cols - np.eye(grid.n, grid.k)))
         arr = Arrival(velocity=zero, t=0.0, length=0.0, endpoint_error=err)
-        return MinimizerReport(tclass, grid, (arr,), 1, 0.0)
+        diagnostics = SearchDiagnostics(arrivals_before_dedup=1)
+        return MinimizerReport(tclass, grid, (arr,), 1, 0.0, diagnostics)
 
     p0 = family.initial_params()
     ts = _scan_times(grid)
@@ -611,12 +666,15 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
 
     pick = _best_hits(vix, tix, err)
     if len(pick) == 0:
-        return MinimizerReport(tclass, grid, (), 0, None)
+        return MinimizerReport(tclass, grid, (), 0, None, SearchDiagnostics(scan_hits=len(vix)))
 
-    params, t_ref, errs = _refine(family, p0[vix[pick]], ts[tix[pick]], target.cols, tol.hit)
+    params, t_ref, errs, stats = _refine(
+        family, p0[vix[pick]], ts[tix[pick]], target.cols, tol.hit
+    )
+    counts = dict(scan_hits=len(vix), candidates=len(pick), **stats)
     good = (errs <= tol.hit) & (t_ref > 10 * _REFINE_FLOOR)
     if not good.any():
-        return MinimizerReport(tclass, grid, (), 0, None)
+        return MinimizerReport(tclass, grid, (), 0, None, SearchDiagnostics(**counts))
 
     a_blk, b_blk = family.blocks(params[good])
     t_good, err_good = t_ref[good], errs[good]
@@ -640,7 +698,8 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
         )
         for i in kept[unique]
     )
-    return MinimizerReport(tclass, grid, final, clusters, min_len)
+    diagnostics = SearchDiagnostics(**counts, arrivals_before_dedup=len(kept))
+    return MinimizerReport(tclass, grid, final, clusters, min_len, diagnostics)
 
 
 # -- mirrored arrivals at block-diagonal targets ---------------------------------

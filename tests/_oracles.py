@@ -357,9 +357,11 @@ def scan_cols_subtraction(cols, target_cols, gate):
 def refine_every_iteration(family, params, ts, target_cols, hit: float):
     """The arrival refinement's original batched Levenberg-Marquardt loop: every
     iteration forms the Jacobian of every active candidate, also when the
-    candidate's last step was rejected and its point did not move.  Calls
-    ``cutlocus._residual_jacobian`` through the module, so a test can count
-    the rows it differentiates."""
+    candidate's last step was rejected and its point did not move.  It
+    freezes candidates by the refinement's rules, the stall window
+    ``cutlocus._STALL_WINDOW`` included, and returns the params, times and
+    residual norms.  Calls ``cutlocus._residual_jacobian`` through the
+    module, so a test can count the rows it differentiates."""
     x = np.column_stack([params, ts]).astype(np.float64)
     n_cand, dim = x.shape
     n = target_cols.shape[0]
@@ -369,6 +371,8 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
     mu = np.full(n_cand, 1e-3)
     active = np.ones(n_cand, dtype=bool)
     eye = np.eye(dim)
+    window = cutlocus._STALL_WINDOW
+    history = [f.copy()]  # f at the start and after each iteration
     for _ in range(cutlocus._LM_ITERS):
         ai = np.nonzero(active)[0]
         if len(ai) == 0:
@@ -399,9 +403,11 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
         f[rows] = ft[good]
         mu[ai[good]] = np.maximum(mu[ai[good]] * 0.3, 1e-12)
         mu[ai[~good]] = mu[ai[~good]] * 10.0
+        history.append(f.copy())
         converged = f[ai] < (0.01 * hit) ** 2
         stuck = mu[ai] > 1e8
-        active[ai[converged | stuck]] = False
+        stalled = len(history) > window and f[ai] > 0.5 * history[-1 - window][ai]
+        active[ai[converged | stuck | stalled]] = False
     return x[:, :-1], x[:, -1], np.sqrt(f)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from stiefel_sr import cutlocus, matcore, tolerances
 from stiefel_sr.matcore import COMPLEX, MODES, REAL
@@ -33,9 +35,11 @@ from stiefel_sr.cutlocus import (
     _scan_cols,
     _scan_table,
     _scan_times,
+    _speeds_squared,
     ANTIDIAGONAL,
     BLOCK_DIAGONAL,
     GENERIC,
+    SearchDiagnostics,
     VelocityGrid,
     classify_target,
     first_block_diagonal_hit,
@@ -596,6 +600,103 @@ class TestRefine:
         _refine(fam, params, ts, target, TOL.hit)
         assert outside[0] == 0
         assert inside[0] == 2 * evaluated[0] > 0
+
+
+def _disable_stall_window(monkeypatch):
+    monkeypatch.setattr(cutlocus, "_STALL_WINDOW", cutlocus._LM_ITERS + 1)
+
+
+def _late_converger_target() -> StiefelPoint:
+    """The target of the general_v63 benchmark's seed-1 op 5, by its recipe:
+    a random complex V(6,3) velocity at a time in [0.3, 0.6], its endpoint
+    taken with scipy's expm.  The search's minimal-length candidate there
+    plateaus at residuals 0.38 and 0.29 before it converges at iteration 27."""
+    rng = np.random.default_rng((1, 6))
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = (g - np.conj(g.T)) / 2.0
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b = b / np.linalg.norm(b)
+    t = rng.uniform(0.3, 0.6)
+    v = np.block([[a, b], [-np.conj(b.T), np.zeros((3, 3))]])
+    return StiefelPoint(expm(t * v)[:, :3] @ expm(-t * a), COMPLEX)
+
+
+class TestStallWindow:
+    """The refinement, which freezes a candidate whose squared residual has
+    not halved over the last ``_STALL_WINDOW`` iterations, against the same
+    refinement with the window disabled, which runs every candidate to
+    convergence, damping or the iteration cap.  Candidates march
+    independently, so every arrival of the windowed run is an arrival of the
+    full run, bit for bit.  The window does freeze a few slow arrivals (3 of
+    172 on v21 and 1 of 21 on v63, which would need windows of up to 26 and
+    29), but none of minimal length."""
+
+    @pytest.mark.parametrize("name", sorted(REFINE_GRIDS))
+    def test_arrivals_are_bit_identical_and_the_shortest_is_kept(self, name, monkeypatch):
+        fam, params, ts, target = _refine_case(name)
+        *shipped, stats = _refine(fam, params, ts, target, TOL.hit)
+        _disable_stall_window(monkeypatch)
+        *full, full_stats = _refine(fam, params, ts, target, TOL.hit)
+        assert full_stats["stalled"] == 0
+        arrived = shipped[2] <= TOL.hit
+        assert arrived.any()
+        for got, expected in zip(shipped, full):
+            assert np.array_equal(got[arrived], expected[arrived])
+        grid = REFINE_GRIDS[name]
+
+        def shortest(params, ts, errs):
+            b = fam.blocks(params[errs <= TOL.hit])[1]
+            return np.min(ts[errs <= TOL.hit] * np.sqrt(_speeds_squared(b, grid.n, grid.mode)))
+
+        assert shortest(*shipped) == shortest(*full)
+        if name == "v63":
+            assert stats["stalled"] > 0
+
+    def test_late_converger_keeps_the_report(self, monkeypatch):
+        target = _late_converger_target()
+        grid = VelocityGrid(6, 3, COMPLEX, family="general", sample_count=128)
+        shipped = search_minimizers(target, grid).to_json_dict()
+        _disable_stall_window(monkeypatch)
+        full = search_minimizers(target, grid).to_json_dict()
+        assert shipped.pop("diagnostics")["stalled"] > 0
+        assert full.pop("diagnostics")["stalled"] == 0
+        assert json.dumps(shipped) == json.dumps(full)
+        # the minimal-length candidate arrives only after iteration 20, so
+        # the window has run over its plateau and kept it
+        monkeypatch.setattr(cutlocus, "_LM_ITERS", 20)
+        early = search_minimizers(target, grid)
+        assert early.min_length > full["min_length"]
+
+
+class TestDiagnostics:
+    def test_every_candidate_is_counted_once(self, monkeypatch):
+        _, _, _, target = _refine_case("v63")
+        refined, inner = [], cutlocus._refine
+
+        def recording(*args):
+            refined.append(inner(*args))
+            return refined[-1]
+
+        monkeypatch.setattr(cutlocus, "_refine", recording)
+        rep = search_minimizers(StiefelPoint(target, COMPLEX), REFINE_GRIDS["v63"])
+        d = rep.diagnostics
+        ((_, _, errs, _),) = refined
+        assert d.candidates == len(errs) == d.converged + d.stalled + d.damped + d.capped
+        assert d.converged == np.count_nonzero(errs < 0.01 * TOL.hit)
+        assert d.stalled > 0
+        assert d.capped == 0 or d.lm_iterations == cutlocus._LM_ITERS
+        assert 0 < d.lm_iterations <= cutlocus._LM_ITERS
+        assert d.scan_hits >= d.candidates
+        assert d.arrivals_before_dedup >= len(rep.arrivals) > 0
+        assert rep.to_json_dict()["diagnostics"] == dataclasses.asdict(d)
+
+    def test_searches_without_refinement(self):
+        identity = search_minimizers(identity_point(2, 1), VelocityGrid(2, 1, COMPLEX))
+        assert identity.diagnostics == SearchDiagnostics(arrivals_before_dedup=1)
+        # a window that ends before the target: nothing arrives
+        target = StiefelPoint(np.array([[-1.0], [0.0]]))
+        empty = search_minimizers(target, VelocityGrid(2, 1, COMPLEX, t_max=0.5, t_count=64))
+        assert empty.diagnostics.arrivals_before_dedup == 0
 
 
 HIT_SHAPES = [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)]
