@@ -744,26 +744,24 @@ def sample_block_diagonal_hitting_velocity(
 def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None:
     """First strictly positive time the lower block vanishes, or None.
 
-    Scans the lower-block norm on a dense grid (skipping the initial rise out
-    of the identity class, where the norm is trivially small) and refines the
-    first dip by Gauss-Newton steps on the lower block r(t) = P(t)[k:] of the
-    endpoint P, with dP/dt = v P - P a (exp(-t a) commutes with a), clamped to
-    the dip's scan bracket.  A dip whose norm does not reach TOL.eq is no hit.
-    The velocity is decomposed once, for the scan and every step.
-    ``t_upper`` must be positive and finite.
+    The endpoint's lower block is exp(t v)[k:, :k] exp(-t a), and exp(-t a)
+    is unitary, so its norm is that of L(t) = Q[k:] diag(e^{-i t w}) Q[:k]*
+    for i v = Q diag(w) Q* (Higham's spectral form, as in
+    ``geodesic._sensitivity``): one eigh, whatever k, and no kernel call.
+    Scans |L| on a dense grid (skipping the initial rise out of the identity
+    class, where the norm is trivially small) and refines the first dip by
+    Gauss-Newton steps on L, with dL/dt = Q[k:] diag(-i w e^{-i t w}) Q[:k]*,
+    clamped to the dip's scan bracket.  A dip whose norm does not reach
+    TOL.eq is no hit.  ``t_upper`` must be positive and finite.
     """
     if not 0.0 < t_upper < np.inf:
         raise ValueError(f"t_upper must be positive and finite, got {t_upper}")
-    k, mode = spec.k, spec.mode
-    a, b = spec.v.a_block, spec.v.b_block
-    spectra = _decompose(a[None], b[None])
-
-    def curve(ts):
-        return grid_geodesic_columns(a[None], b[None], ts, mode, spectra)[0]
-
+    k, n = spec.k, spec.n
+    w, q = np.linalg.eigh(1j * spec.v.embed())
+    # L(t) flattened is the row e^{-i t w} times pairs[p, (i, j)] = q[k + i, p] conj(q[j, p])
+    pairs = (q[k:, None, :] * np.conj(q[:k, :])).reshape(-1, n).T
     ts = np.linspace(0.0, t_upper, _HIT_SCAN_POINTS)
-    cols = curve(ts)
-    g = np.sqrt(np.sum(np.abs(cols[:, k:, :]) ** 2, axis=(1, 2)))
+    g = np.linalg.norm(np.exp(-1j * ts[:, None] * w) @ pairs, axis=1)
     peak = float(g.max())
     if peak <= tolerances.TOL.eq:
         return None  # curve never leaves the block-diagonal set
@@ -778,9 +776,8 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     lo, hi = ts[idx - 1], ts[idx + 1]
     t = float(ts[idx])
     for _ in range(_HIT_GN_ITERS):
-        p = curve(np.array([t]))[0]
-        r = p[k:]
-        d = -adjoint(b) @ p[:k] - r @ a  # lower block of v P - P a
+        e = np.exp(-1j * t * w)
+        r, d = np.stack([e, -1j * w * e]) @ pairs  # L and dL/dt
         dd = float(np.sum(np.abs(d) ** 2))
         if dd == 0.0:
             break
@@ -789,9 +786,8 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
             break
         t = t_next
     else:
-        p = curve(np.array([t]))[0]
-    gap = float(np.sqrt(np.sum(np.abs(p[k:]) ** 2)))
-    return t if gap <= tolerances.TOL.eq else None
+        r = np.exp(-1j * t * w) @ pairs
+    return t if float(np.linalg.norm(r)) <= tolerances.TOL.eq else None
 
 
 @dataclass(frozen=True)

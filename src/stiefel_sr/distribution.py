@@ -80,14 +80,19 @@ def _span_rank(basis, left, right, k: int, mode: str) -> int:
     Brackets are taken pairwise along the leading axis (broadcast), the
     lower-right block of every matrix is zeroed (projection to the Stiefel
     tangent space) and each matrix is one real row (re parts, then im parts
-    in complex mode).
+    in complex mode).  Zero and exactly repeated rows add nothing to the
+    span, so they are dropped before the SVD.
     """
     mats = np.concatenate([basis, left @ right - right @ left])
     mats[:, k:, k:] = 0.0
     flat = mats.reshape(len(mats), -1)
     rows = np.concatenate([flat.real, flat.imag], axis=1) if mode == COMPLEX else flat.real
-    s = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(s > _RANK_RTOL * s[0])) if s[0] > 0.0 else 0
+    rows = rows[rows.any(axis=1)]
+    if len(rows) == 0:
+        return 0
+    distinct = np.array(list({row.tobytes(): row for row in rows}.values()))
+    s = np.linalg.svd(distinct, compute_uv=False)
+    return int(np.sum(s > _RANK_RTOL * s[0]))
 
 
 def bracket_generating_rank(n: int, k: int, mode: str = COMPLEX) -> BracketReport:

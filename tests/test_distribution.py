@@ -7,6 +7,8 @@ from stiefel_sr import matcore
 from stiefel_sr.matcore import COMPLEX, REAL, random_skew_hermitian
 from stiefel_sr.homspace import BlockVelocity
 from stiefel_sr.distribution import (
+    _horizontal_embeds,
+    _span_rank,
     bracket_generating_rank,
     horizontal_basis,
     lie_bracket,
@@ -130,10 +132,30 @@ class TestBracketGeneratingRank:
 
     @pytest.mark.parametrize("mode", [COMPLEX, REAL])
     def test_rank_matches_pairwise_loop(self, mode):
-        for n in range(2, 7):
+        # n <= 8 is the range the verification round runs
+        for n in range(2, 9):
             for k in range(1, n):
                 rank = bracket_generating_rank(n, k, mode).dim_h_plus_brackets
                 assert rank == bracket_rank_loop(n, k, mode), (n, k)
+
+
+class TestSpanRank:
+    @pytest.mark.parametrize("n,k,mode", [(3, 1, COMPLEX), (4, 2, COMPLEX), (5, 2, REAL), (6, 3, COMPLEX)])
+    def test_zero_repeated_and_negated_rows_leave_the_rank(self, n, k, mode):
+        basis = _horizontal_embeds(n, k, mode)
+        i, j = np.triu_indices(len(basis), 1)
+        rank = _span_rank(basis, basis[i], basis[j], k, mode)
+        # appended: zero basis matrices, zero brackets [x, x], repeated
+        # basis matrices and brackets, and negated ones ([y, x] = -[x, y])
+        padded = np.concatenate([basis, np.zeros_like(basis[:3]), basis[::2], -basis[1::3]])
+        left = np.concatenate([basis[i], basis, basis[i[::3]], basis[j[::2]]])
+        right = np.concatenate([basis[j], basis, basis[j[::3]], basis[i[::2]]])
+        assert _span_rank(padded, left, right, k, mode) == rank == bracket_rank_loop(n, k, mode)
+
+    @pytest.mark.parametrize("mode", [COMPLEX, REAL])
+    def test_all_zero_rows_have_rank_zero(self, mode):
+        zeros = np.zeros((4, 3, 3), dtype=complex)
+        assert _span_rank(zeros, zeros, zeros, 1, mode) == 0
 
 
 class TestStronglyBracketGenerating:

@@ -8,7 +8,8 @@ of its ``BENCHMARK.json`` at every seed with ``--trace 0`` and once at the
 first seed with ``--trace 1``, then a cold ``stiefel-sr bracket --n 4 --k 2``,
 the checkout's Tier-1 suite and its acceptance criteria 4, 5 and 8 each
 alone, each in a fresh process, one after another.  Writes
-``BENCH_<LABEL>.json`` into ``--out`` (default: this repository's root) with:
+``BENCH_<LABEL>.json`` into ``--out`` (default: this repository's root;
+created if missing, and checked for writing before the first run) with:
 
 - ``host``: the host record of the first benchmark run;
 - ``workloads``: per workload, each seed's run (correct, attempted, failed,
@@ -38,6 +39,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -180,6 +182,11 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--out", type=Path, default=ROOT)
     args = p.parse_args(argv)
+    try:  # a record takes minutes: make sure it can be written before any run
+        args.out.mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=args.out).close()
+    except OSError as err:
+        p.error(f"cannot write to --out {args.out}: {err}")
     checkout = args.checkout.resolve()
     try:
         host, workloads = bench_runs(checkout, args.seconds, args.seeds)
