@@ -21,12 +21,13 @@ import numpy as np
 
 from . import matcore, tolerances
 from .matcore import COMPLEX, REAL, adjoint
-from .homspace import BlockVelocity, StiefelPoint, _embed_velocities
+from .homspace import BlockVelocity, StiefelPoint, _block_velocities, _embed_velocities
 from .geodesic import (
     GeodesicSpec,
     _decompose,
     _endpoint_jacobian,
     _speeds_squared,
+    _vn1_unit_factors,
     batch_geodesic_columns,
     geodesic_vn1_closed,
     grassmann_geodesic_2kk,
@@ -38,11 +39,15 @@ from .geodesic import (
 _LENGTH_SLACK = 1e-6  # arrivals within (1 + slack) of the minimum count as minimal
 _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
 # element budget of the cached scan table and of one batch of Jacobian
-# temporaries: a grid's scan table (velocities x times x n x k) is cached only
-# if it fits, and a larger grid is scanned one kernel fill at a time
+# temporaries: a k >= 2 grid's scan table (velocities x times x n x k) is
+# cached only if it fits, and a larger grid is scanned one kernel fill at a
+# time; the k = 1 scan expands its surviving cells in chunks of a 64th of it
 _CHUNK_ELEMENTS = 2**22
-# velocities per kernel fill of the scan
+# velocities per kernel fill of the k >= 2 scan
 _FILL_VELOCITIES = 16
+# slack on the k = 1 scan's lower bound of a squared endpoint error (of order
+# 1), far above the few ulps by which the bound and the exact error round
+_BOUND_SLACK = 1e-9
 # Levenberg-Marquardt iterations of the arrival refinement
 _LM_ITERS = 60
 # a refined candidate whose squared residual is above half of its value this
@@ -393,7 +398,7 @@ def _scan_times(grid: VelocityGrid) -> np.ndarray:
 
 
 def _scan_fills(family, params: np.ndarray, ts: np.ndarray):
-    """Yield (first row, endpoint columns (c, T, n, k)) of ``params`` at ``ts``.
+    """Yield (first row, endpoint columns (c, T, n, k)) of ``params`` at ``ts``, at k >= 2.
 
     One kernel call per ``_FILL_VELOCITIES`` velocities, so the kernel's
     temporaries stay small whatever the number of velocities.
@@ -403,20 +408,115 @@ def _scan_fills(family, params: np.ndarray, ts: np.ndarray):
         yield lo, grid_geodesic_columns(a, b, ts, family.grid.mode)
 
 
-@functools.lru_cache(maxsize=1)
-def _scan_table(grid: VelocityGrid) -> np.ndarray:
-    """Read-only endpoint columns (c, T, n, k) of every grid velocity at every scan time.
+@dataclass(frozen=True, eq=False)
+class _Vn1Factors:
+    """A k = 1 grid's endpoint columns at the scan times, as rate x time and direction factors.
 
-    Target- and tolerance-independent, so every search on one grid shares
-    it; callers only pass grids whose table fits ``_CHUNK_ELEMENTS``.
+    Velocity v, with the r-th of the grid's distinct fibre rates (ascending)
+    and unit transversal row ``rows[v]``, reaches (top[r, t], -conj(rows[v])
+    side[r, t]) at scan time t (``geodesic._vn1_unit_factors``).
+    ``members[r]`` lists rate r's velocities in grid order, padded with -1
+    to the largest count.  Every array is read-only.
+    """
+
+    top: np.ndarray  # (R, T)
+    side: np.ndarray  # (R, T)
+    rows: np.ndarray  # (c, n-1)
+    members: np.ndarray  # (R, M)
+
+
+def _vn1_factors(family, p0: np.ndarray, ts: np.ndarray) -> _Vn1Factors:
+    """The ``_Vn1Factors`` of a k = 1 family's velocities ``p0`` at the scan times ``ts``."""
+    a, b = family.blocks(p0)
+    rates, rate_of = np.unique(a[:, 0, 0].imag, return_inverse=True)
+    top, side = _vn1_unit_factors(rates[:, None], ts)
+    order = np.argsort(rate_of, kind="stable")
+    counts = np.bincount(rate_of)
+    slot = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    members = np.full((len(rates), counts.max()), -1, dtype=np.intp)
+    members[rate_of[order], slot] = order
+    for x in (top, side, b, members):
+        x.flags.writeable = False
+    return _Vn1Factors(top, side, b[:, 0], members)
+
+
+@functools.lru_cache(maxsize=1)
+def _scan_table(grid: VelocityGrid):
+    """The grid's target- and tolerance-independent scan data, shared by every search on it.
+
+    At k = 1 the ``_Vn1Factors`` of its endpoint columns; at k >= 2 the
+    read-only endpoint columns (c, T, n, k) of every grid velocity at every
+    scan time, for which callers only pass grids whose table fits
+    ``_CHUNK_ELEMENTS``.
     """
     family = _make_family(grid)
     p0 = family.initial_params()
+    ts = _scan_times(grid)
+    if grid.k == 1:
+        return _vn1_factors(family, p0, ts)
     table = np.empty((len(p0), grid.t_count, grid.n, grid.k), dtype=np.complex128)
-    for lo, cols in _scan_fills(family, p0, _scan_times(grid)):
+    for lo, cols in _scan_fills(family, p0, ts):
         table[lo : lo + len(cols)] = cols
     table.flags.writeable = False
     return table
+
+
+def _scan_factors(factors: _Vn1Factors, target_cols, gate):
+    """``_scan_cols`` of a k = 1 grid, from its factors: the same hits, in the same order.
+
+    With beta_v = rows[v] . Q[1:], the squared error to the target Q is
+    1 + |Q|^2 - 2 Re(conj(Q[0]) top) + 2 Re(side conj(beta_v)): a rate x
+    time base plus one scalar per velocity.  Over a rate's velocities it is
+    at least base - 2 |side| max |beta_v| at a scan time, and it moves
+    between neighbouring times by at least the step of base less 2 |step of
+    side| max |beta_v|.  So a (rate, time) cell is expanded to its rate's
+    velocities only if that bound passes the gate and the error can fall
+    into the cell from both neighbours, every test with a slack far above
+    its rounding; one chunk of cells expands to at most
+    ``_CHUNK_ELEMENTS // 64`` (velocity, time) points.  There the exact gate
+    runs, and the points that pass it take the two-neighbour local-minimum
+    test of ``_scan_cols``.
+    """
+    q = np.asarray(target_cols, dtype=np.complex128)[:, 0]
+    members = factors.members
+    live = members >= 0
+    # 2 beta per (rate, member) slot, as real and imaginary parts: the
+    # direction term 2 Re(side conj(beta)) is then two real products
+    beta2 = 2.0 * np.where(live, (factors.rows @ q[1:])[members], 0.0)
+    beta2_re, beta2_im = beta2.real.copy(), beta2.imag.copy()
+    side_re, side_im = factors.side.real.copy(), factors.side.imag.copy()
+    base = 1.0 + float(np.vdot(q, q).real) - 2.0 * (np.conj(q[0]) * factors.top).real
+    # the most a rate's direction term is, and moves between neighbouring times
+    reach = np.max(np.abs(beta2), axis=1, keepdims=True)
+    base_step = np.diff(base, axis=1)
+    shift = np.abs(np.diff(factors.side, axis=1)) * reach
+    gate2 = gate * gate
+    cells = (
+        (base[:, 1:-1] - np.abs(factors.side[:, 1:-1]) * reach < gate2 + _BOUND_SLACK)
+        & (base_step[:, :-1] - shift[:, :-1] <= _BOUND_SLACK)  # err(t) <= err(t - 1) possible
+        & (-base_step[:, 1:] - shift[:, 1:] <= _BOUND_SLACK)  # err(t) <= err(t + 1) possible
+    )
+    rs, ts = np.nonzero(cells)
+    ts += 1
+    width, t_count = members.shape[1], base.shape[1]
+    step = max(1, _CHUNK_ELEMENTS // (64 * width))
+    hits = [(np.empty(0, np.intp),) * 2 + (np.empty(0),)]
+    for lo in range(0, len(rs), step):
+        r, t = rs[lo : lo + step], ts[lo : lo + step]
+        # (cells, M) squared errors of every member of each cell's rate
+        mid = base[r, t, None] + side_re[r, t, None] * beta2_re[r]
+        mid += side_im[r, t, None] * beta2_im[r]
+        ci, m = np.nonzero((mid < gate2) & live[r])
+        mid = mid[ci, m]
+        slot, cell = r[ci] * width + m, r[ci] * t_count + t[ci]
+        re, im = beta2_re.flat[slot], beta2_im.flat[slot]
+        low = np.ones(len(mid), dtype=bool)
+        for near in (cell - 1, cell + 1):
+            low &= mid <= base.flat[near] + side_re.flat[near] * re + side_im.flat[near] * im
+        hits.append((members.flat[slot[low]], t[ci[low]], np.sqrt(np.maximum(mid[low], 0.0))))
+    vix, tix, err = (np.concatenate(x) for x in zip(*hits))
+    order = np.lexsort((tix, vix))
+    return vix[order], tix[order], err[order]
 
 
 def _scan_cols(cols, target_cols, gate):
@@ -621,11 +721,16 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     fixed grid (seed included); an exhausted search returns an empty-arrival
     report rather than raising.
 
-    The grid's endpoint columns do not depend on the target or tolerances,
-    so they are computed once per grid per process and reused; at most one
-    such table is resident, and only a grid whose table fits the chunk
-    budget is cached.  A larger grid is scanned on every call, one kernel
-    fill of 16 velocities at a time, so no table-sized array is made.
+    The grid's scan data do not depend on the target or tolerances, so they
+    are computed once per grid per process and reused; at most one grid's
+    are resident.  At k = 1 they are the endpoint columns' factors, a rate x
+    time table and one unit row per velocity, whatever the grid's size: the
+    scan bounds the error over each rate's velocities and expands only the
+    (rate, time) cells that may hold a hit, so no table is made.  At k >= 2
+    they are the endpoint table, cached only if it fits the chunk budget; a
+    larger grid is scanned on every call, one kernel fill of 16 velocities
+    at a time, so no table-sized array is made.  The arrivals' velocities
+    are checked as one stack (``homspace._block_velocities``).
     """
     tol = tolerances.TOL
     if tol.hit < 10 * tol.eq:
@@ -653,9 +758,12 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     gate = max(8 * speed * dt, 0.25) + tol.hit
 
     # every gated local minimum of the endpoint error along each velocity's
-    # time grid; a table that fits the chunk budget is evaluated once per
-    # grid, a larger grid is scanned one kernel fill at a time
-    if len(p0) * grid.t_count * grid.n * grid.k <= _CHUNK_ELEMENTS:
+    # time grid; a k = 1 grid's factors and a k >= 2 table that fits the
+    # chunk budget are evaluated once per grid, a larger k >= 2 grid is
+    # scanned one kernel fill at a time
+    if grid.k == 1:
+        vix, tix, err = _scan_factors(_scan_table(grid), target.cols, gate)
+    elif len(p0) * grid.t_count * grid.n * grid.k <= _CHUNK_ELEMENTS:
         vix, tix, err = _scan_cols(_scan_table(grid), target.cols, gate)
     else:
         hits = []
@@ -689,14 +797,16 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     kept, embeds = kept[order], embeds[order]
 
     unique, clusters = _representatives(embeds, t_good[kept], 1e-6, tol.vel)
+    rows = kept[unique]
+    velocities = _block_velocities(a_blk[rows], b_blk[rows], grid.mode)
     final = tuple(
         Arrival(
-            velocity=BlockVelocity(a_blk[i], b_blk[i], grid.mode),
+            velocity=v,
             t=float(t_good[i]),
             length=float(lengths[i]),
             endpoint_error=float(err_good[i]),
         )
-        for i in kept[unique]
+        for v, i in zip(velocities, rows)
     )
     diagnostics = SearchDiagnostics(**counts, arrivals_before_dedup=len(kept))
     return MinimizerReport(tclass, grid, final, clusters, min_len, diagnostics)

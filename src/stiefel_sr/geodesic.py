@@ -138,6 +138,17 @@ def _vn1_column(lam, b, ts):
     return top, bottom
 
 
+def _vn1_unit_factors(lam, ts):
+    """(T, S) with the V_{n,1} column of (i lam, b) equal to (T, -conj(b) S) for every unit row b.
+
+    The column depends on b only through |b| and the factor conj(b) of its
+    bottom row, so at |b| = 1 it factors into these two terms of the rate and
+    the time; ``lam`` and ``ts`` broadcast as in ``_vn1_column``.
+    """
+    top, bottom = _vn1_column(lam, np.ones(1), ts)
+    return top, -bottom[..., 0]
+
+
 def _decompose(a_blocks, b_blocks):
     """The k >= 2 kernel's two batched eigh: (w, q) of i v and (wa, qa) of i a.
 

@@ -61,14 +61,7 @@ class BlockVelocity:
     mode: str = COMPLEX
 
     def __post_init__(self):
-        a = matcore.check_skew_hermitian(self.a_block, self.mode)
-        b = matcore.as_matrix(self.b_block, self.mode)
-        if b.shape[0] != a.shape[0]:
-            raise ValueError(
-                f"block row mismatch: a is {a.shape}, b is {b.shape}"
-            )
-        a.setflags(write=False)
-        b.setflags(write=False)
+        a, b = _checked_blocks(self.a_block, self.b_block, self.mode, stacked=False)
         object.__setattr__(self, "a_block", a)
         object.__setattr__(self, "b_block", b)
 
@@ -100,6 +93,41 @@ class BlockVelocity:
             raise ValueError(f"velocity block is {full.shape}, expected ({n}, {n})")
         vertical, horizontal = split_tangent(full, k, mode)  # checks the whole matrix
         return cls(vertical.a_block, horizontal.b_block, mode)
+
+
+def _checked_blocks(a_blocks, b_blocks, mode: str, stacked: bool):
+    """``BlockVelocity``'s checks of its blocks, or with ``stacked`` of stacks (c, k, k), (c, k, n-k).
+
+    The fibre blocks must be skew-Hermitian and the transversal blocks
+    finite, each real-mode block free of an imaginary residue, and a's and
+    b's rows (and stack lengths) must agree.  Returns both as read-only
+    complex arrays; a stack's worst member sets the message, so a stack with
+    one bad member raises what that member's ``BlockVelocity`` raises.
+    """
+    a = matcore._check_skew_hermitian(a_blocks, mode, stacked)
+    b = matcore._as_matrices(b_blocks, mode, stacked)
+    if b.shape[:-1] != a.shape[:-1]:
+        raise ValueError(f"block row mismatch: a is {a.shape[-2:]}, b is {b.shape[-2:]}")
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
+
+
+def _block_velocities(a_blocks, b_blocks, mode: str) -> list[BlockVelocity]:
+    """``BlockVelocity(a, b, mode)`` for each pair of stacked blocks, from one check of the stacks.
+
+    Each velocity holds read-only views of the checked stacks, equal byte for
+    byte to the blocks its own constructor would store.
+    """
+    a, b = _checked_blocks(a_blocks, b_blocks, mode, stacked=True)
+    out = []
+    for a_block, b_block in zip(a, b):
+        v = object.__new__(BlockVelocity)
+        object.__setattr__(v, "a_block", a_block)
+        object.__setattr__(v, "b_block", b_block)
+        object.__setattr__(v, "mode", mode)
+        out.append(v)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

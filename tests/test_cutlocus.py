@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from stiefel_sr import cutlocus, matcore, tolerances
 from stiefel_sr.matcore import COMPLEX, MODES, REAL
-from stiefel_sr.homspace import BlockVelocity, StiefelPoint, identity_point
+from stiefel_sr.homspace import BlockVelocity, StiefelPoint, _block_velocities, identity_point
 from stiefel_sr.geodesic import (
     GeodesicSpec,
     _decompose,
@@ -33,6 +33,7 @@ from stiefel_sr.cutlocus import (
     _representatives,
     _residual_jacobian,
     _scan_cols,
+    _scan_factors,
     _scan_table,
     _scan_times,
     _speeds_squared,
@@ -507,7 +508,8 @@ def _refine_case(name: str, seed: int = 5):
     rng = np.random.default_rng(seed)
     a, b = fam.blocks(rng.standard_normal((1, p0.shape[1])))
     target = batch_geodesic_columns(a, b, rng.uniform(0.3, 0.6, 1), grid.mode)[0]
-    vix, tix, err = _scan_cols(_scan_table(grid), target, 1.0)
+    scan = _scan_factors if grid.k == 1 else _scan_cols
+    vix, tix, err = scan(_scan_table(grid), target, 1.0)
     pick = _best_hits(vix, tix, err)
     assert len(pick) > 0
     return fam, p0[vix[pick]], _scan_times(grid)[tix[pick]], target
@@ -667,6 +669,66 @@ class TestStallWindow:
         monkeypatch.setattr(cutlocus, "_LM_ITERS", 20)
         early = search_minimizers(target, grid)
         assert early.min_length > full["min_length"]
+
+
+def _stack_with_defect(defect: str, mode: str):
+    """Five stacked V(4,2) blocks a (5, 2, 2) and b (5, 2, 2) in ``mode``; member 2 carries ``defect``."""
+    rng = np.random.default_rng(11)
+    a = np.stack([matcore.random_skew_hermitian(rng, 2, mode) for _ in range(5)])
+    b = np.stack([matcore.random_matrix(rng, 2, 2, mode) for _ in range(5)])
+    if defect == "not_skew":
+        a[2, 0, 1] += 0.25
+    elif defect == "nan":
+        b[2, 1, 0] = np.nan
+    elif defect == "imaginary_residue":
+        b[2, 0, 1] += 1e-3j
+    elif defect == "row_mismatch":
+        b = np.concatenate([b, b[:, :1]], axis=1)
+    return a, b
+
+
+class TestArrivalConstruction:
+    """``search_minimizers`` builds its arrivals' velocities from one stacked check."""
+
+    @pytest.mark.parametrize(
+        "mode, defect",
+        [
+            (COMPLEX, None),
+            (REAL, None),
+            (COMPLEX, "not_skew"),
+            (REAL, "not_skew"),
+            (COMPLEX, "nan"),
+            (REAL, "imaginary_residue"),
+            (COMPLEX, "row_mismatch"),
+        ],
+    )
+    def test_stacked_blocks_match_one_at_a_time(self, mode, defect):
+        a, b = _stack_with_defect(defect, mode)
+        if defect is not None:
+            with pytest.raises(ValueError) as one:
+                [BlockVelocity(a_block, b_block, mode) for a_block, b_block in zip(a, b)]
+            with pytest.raises(ValueError) as stacked:
+                _block_velocities(a, b, mode)
+            assert type(stacked.value) is type(one.value)
+            assert str(stacked.value) == str(one.value)
+            return
+        pairs = list(zip(_block_velocities(a, b, mode), a, b))
+        assert len(pairs) == len(a)
+        # and the arrivals of a search with a whole circle or sphere of them
+        if mode == COMPLEX:
+            target = StiefelPoint(np.array([[-1.0], [0.0]]))
+            grid = VelocityGrid(2, 1, COMPLEX, lambda_count=12, phase_count=12, t_count=96)
+        else:
+            target, grid = real_antipodal_cut_point(3), VelocityGrid(3, 1, REAL, t_count=96)
+        arrivals = search_minimizers(target, grid).arrivals
+        assert len(arrivals) > 1
+        pairs += [(arr.velocity, arr.velocity.a_block, arr.velocity.b_block) for arr in arrivals]
+        for v, a_block, b_block in pairs:
+            one = BlockVelocity(a_block, b_block, mode)
+            assert v.mode == one.mode
+            for got, want in ((v.a_block, one.a_block), (v.b_block, one.b_block)):
+                assert not got.flags.writeable
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestDiagnostics:
@@ -988,6 +1050,33 @@ def _generic_v21():
     return normal_geodesic(GeodesicSpec(v21(1.0, 1.0)), 0.3)
 
 
+_SMALL_V42 = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=32, t_count=64, seed=4)
+_V42 = BlockVelocity(np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]]))
+_GENERIC_V42 = normal_geodesic(GeodesicSpec(_V42), 0.8)
+
+
+def _block_diagonal_v42():
+    """The first block-diagonal hit of a sampled complex V(4,2) velocity."""
+    vel, t_exp = sample_block_diagonal_hitting_velocity(np.random.default_rng(3), 4, 2, COMPLEX)
+    spec = GeodesicSpec(vel)
+    target = normal_geodesic(spec, first_block_diagonal_hit(spec, 1.15 * t_exp))
+    assert in_block_diagonal_set(target)
+    return target
+
+
+def _real_v42():
+    v = BlockVelocity(np.array([[0.0, 0.3], [-0.3, 0.0]]), np.array([[0.6, 0.1], [0.2, 0.3]]), REAL)
+    return normal_geodesic(GeodesicSpec(v), 0.8)
+
+
+def _kernel_table(grid, rows=slice(None)) -> np.ndarray:
+    """Endpoint columns (c, T, n, k) of the grid's velocities ``rows`` at its scan
+    times, from one kernel call."""
+    family = _make_family(grid)
+    a, b = family.blocks(family.initial_params()[rows])
+    return grid_geodesic_columns(a, b, _scan_times(grid), grid.mode)
+
+
 class TestScanTable:
     @pytest.mark.parametrize(
         "target, grid",
@@ -1009,17 +1098,11 @@ class TestScanTable:
     @pytest.mark.parametrize(
         "target, grid",
         [
-            (_cut_v21(), _SMALL_V21),
-            (_generic_v21(), _SMALL_V21),
-            (real_antipodal_cut_point(3), VelocityGrid(3, 1, REAL, seed=2, t_count=96)),
-            (
-                normal_geodesic(GeodesicSpec(BlockVelocity(
-                    np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]])
-                )), 0.8),
-                VelocityGrid(4, 2, COMPLEX, family="general", sample_count=32, t_count=64, seed=4),
-            ),
+            (_GENERIC_V42, _SMALL_V42),
+            (_block_diagonal_v42(), _SMALL_V42),
+            (_real_v42(), dataclasses.replace(_SMALL_V42, mode=REAL)),
         ],
-        ids=["block_diagonal_v21", "generic_v21", "real_antipode", "general_v42"],
+        ids=["general_v42", "block_diagonal_v42", "real_v42"],
     )
     def test_cached_and_streamed_reports_identical(self, target, grid, monkeypatch):
         _scan_table.cache_clear()
@@ -1031,25 +1114,54 @@ class TestScanTable:
         streamed = _report_bytes(target, grid)
         assert _scan_table.cache_info().currsize == 0
         assert cached == streamed
+        assert json.loads(cached)["arrivals"]
 
-    def test_over_budget_grid_leaves_cache_empty(self):
+    def test_over_budget_grid_leaves_cache_empty(self, monkeypatch):
         _scan_table.cache_clear()
-        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=129, phase_count=64)
-        assert 129 * 64 * grid.t_count * 2 > cutlocus._CHUNK_ELEMENTS
-        rep = search_minimizers(_generic_v21(), grid)
+        grid = _SMALL_V42
+        monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
+        rep = search_minimizers(_GENERIC_V42, grid)
         assert rep.clusters == 1
         info = _scan_table.cache_info()
         assert info.currsize == 0 and info.misses == 0
 
     def test_table_is_read_only_and_matches_one_kernel_call(self):
-        grid = VelocityGrid(3, 1, COMPLEX, direction_count=16, lambda_count=8, t_count=32, seed=3)
+        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=32, t_count=32, seed=3)
         table = _scan_table(grid)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0, 0, 0] = 0.0
+        assert np.array_equal(table, _kernel_table(grid))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            VelocityGrid(3, 1, COMPLEX, direction_count=16, lambda_count=8, t_count=32, seed=3),
+            VelocityGrid(3, 1, COMPLEX, family="general", sample_count=64, t_count=32, seed=3),
+            VelocityGrid(2, 1, COMPLEX, lambda_count=8, phase_count=6, t_count=32),
+            VelocityGrid(4, 1, REAL, direction_count=16, t_count=32, seed=3),
+        ],
+        ids=["sphere_v31", "general_v31", "v21", "real_v41"],
+    )
+    def test_k1_factors_are_read_only_and_give_the_kernel_table(self, grid):
+        """At k = 1 the cache holds the rate x time and direction factors, not
+        a table: velocity v of rate r reaches (top[r], -conj(rows[v]) side[r])."""
+        factors = _scan_table(grid)
+        for part in (factors.top, factors.side, factors.rows, factors.members):
+            assert not part.flags.writeable
+        table = _kernel_table(grid)
+        members = factors.members
+        rate = np.nonzero(members >= 0)[0]
+        velocity = members[members >= 0]
+        assert np.array_equal(np.sort(velocity), np.arange(len(table)))
         family = _make_family(grid)
-        a, b = family.blocks(family.initial_params())
-        assert np.array_equal(table, grid_geodesic_columns(a, b, _scan_times(grid), grid.mode))
+        a, _ = family.blocks(family.initial_params())
+        assert len(np.unique(a[:, 0, 0].imag)) == len(members)
+        assert np.array_equal(a[velocity, 0, 0].imag, a[members[rate, 0], 0, 0].imag)
+        top = factors.top[rate]
+        bottom = -np.conj(factors.rows[velocity])[:, None, :] * factors.side[rate][:, :, None]
+        rebuilt = np.concatenate([top[:, :, None], bottom], axis=2)[..., None]
+        assert np.max(np.abs(rebuilt - table[velocity])) < 1e-14
 
     def test_list_and_tuple_range_share_one_entry(self):
         _scan_table.cache_clear()
@@ -1080,13 +1192,35 @@ class TestScanTable:
         assert (info.misses, info.hits) == (1, 2)
 
 
-def _assert_scan_matches_subtraction(cols, target_cols, gate):
-    vix, tix, err = _scan_cols(cols, target_cols, gate)
-    ref_v, ref_t, ref_e = scan_cols_subtraction(cols, target_cols, gate)
+def _assert_same_hits(hits, ref):
+    vix, tix, err = hits
+    ref_v, ref_t, ref_e = ref
     assert len(ref_v) > 0
     assert np.array_equal(vix, ref_v) and np.array_equal(tix, ref_t)
     assert np.max(np.abs(err - ref_e)) < 1e-7
-    return vix, tix, err
+
+
+def _assert_scan_matches_subtraction(cols, target_cols, gate):
+    hits = _scan_cols(cols, target_cols, gate)
+    _assert_same_hits(hits, scan_cols_subtraction(cols, target_cols, gate))
+    return hits
+
+
+def _assert_k1_scans_match_subtraction(grid, target_cols, gate):
+    """The factored scan of a k = 1 grid and, if the grid's table fits the chunk
+    budget, the inner-product pass over that table, against the subtraction
+    pass over the grid's whole kernel table, taken 1024 velocities at a time."""
+    c = len(_make_family(grid).initial_params())
+    parts = []
+    for lo in range(0, c, 1024):
+        v, t, e = scan_cols_subtraction(_kernel_table(grid, slice(lo, lo + 1024)), target_cols, gate)
+        parts.append((v + lo, t, e))
+    ref = tuple(np.concatenate(x) for x in zip(*parts))
+    hits = _scan_factors(_scan_table(grid), target_cols, gate)
+    _assert_same_hits(hits, ref)
+    if c * grid.t_count * grid.n <= cutlocus._CHUNK_ELEMENTS:
+        _assert_same_hits(_scan_cols(_kernel_table(grid), target_cols, gate), ref)
+    return hits
 
 
 def _search_gate(grid) -> float:
@@ -1096,12 +1230,25 @@ def _search_gate(grid) -> float:
     return max(8 * speed * (ts[1] - ts[0]), 0.25) + TOL.hit
 
 
-class TestScanByInnerProduct:
-    """The scan's inner-product error pass against the subtraction pass it replaced.
+def _k1_targets(n: int, mode: str):
+    """A cut point (the antipode in real mode) and a generic target of V(n,1)."""
+    cut = np.zeros((n, 1), dtype=complex)
+    cut[0, 0] = -1.0 if mode == REAL else np.exp(0.7j)
+    rng = np.random.default_rng(n)
+    b = matcore.random_matrix(rng, 1, n - 1, mode)
+    a = np.zeros((1, 1)) if mode == REAL else np.array([[0.4j]])
+    generic = normal_geodesic(GeodesicSpec(BlockVelocity(a, b / np.linalg.norm(b), mode)), 0.5)
+    return StiefelPoint(cut, mode), generic
 
-    Squared errors from k + |Q|^2 - 2 Re tr(Q* P) are exact to about 1e-16, so
-    errors near 0 are resolved to about 1e-8: the hits must be identical and
-    their errors within 1e-7.
+
+class TestScanByInnerProduct:
+    """The scan's error passes against the subtraction pass over the kernel table.
+
+    The inner-product pass over a k >= 2 table and the factored pass of a
+    k = 1 grid take squared errors exact to about 1e-16 (the factors to
+    1e-15 of the kernel's columns), so errors near 0 are resolved to about
+    1e-8: the hits must be identical and their errors within 1e-7.  At k = 1
+    the inner-product pass over the grid's kernel table is checked too.
     """
 
     @pytest.mark.parametrize(
@@ -1112,7 +1259,17 @@ class TestScanByInnerProduct:
     def test_default_complex_v21_table(self, target):
         grid = VelocityGrid(2, 1, COMPLEX, seed=1)
         for gate in (_search_gate(grid), 1.0):
-            _assert_scan_matches_subtraction(_scan_table(grid), target.cols, gate)
+            _assert_k1_scans_match_subtraction(grid, target.cols, gate)
+
+    @pytest.mark.parametrize(
+        "target",
+        [_cut_v21(), _generic_v21()],
+        ids=["block_diagonal", "generic"],
+    )
+    def test_over_budget_complex_v21_grid(self, target):
+        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=129, phase_count=64, seed=3)
+        assert 129 * 64 * grid.t_count * 2 > cutlocus._CHUNK_ELEMENTS
+        _assert_k1_scans_match_subtraction(grid, target.cols, _search_gate(grid))
 
     def test_real_v31_sphere_grid(self):
         grid = VelocityGrid(3, 1, REAL, seed=2)
@@ -1121,7 +1278,43 @@ class TestScanByInnerProduct:
             GeodesicSpec(BlockVelocity(np.zeros((1, 1)), np.array([[0.6, -0.8]]), REAL)), 1.7
         )
         for target in (real_antipodal_cut_point(3), generic):
-            _assert_scan_matches_subtraction(_scan_table(grid), target.cols, _search_gate(grid))
+            _assert_k1_scans_match_subtraction(grid, target.cols, _search_gate(grid))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            VelocityGrid(2, 1, REAL, seed=2),
+            VelocityGrid(4, 1, REAL, seed=2),
+            VelocityGrid(3, 1, COMPLEX, lambda_count=16, direction_count=32, seed=2),
+            VelocityGrid(3, 1, COMPLEX, family="general", sample_count=512, seed=2),
+            VelocityGrid(2, 1, REAL, family="general", sample_count=64, seed=2),
+        ],
+        ids=["real_v21", "real_v41", "complex_v31_sphere", "complex_v31_general", "real_v21_general"],
+    )
+    def test_k1_grid(self, grid):
+        for target in _k1_targets(grid.n, grid.mode):
+            for gate in (_search_gate(grid), 1.0):
+                _assert_k1_scans_match_subtraction(grid, target.cols, gate)
+
+    @pytest.mark.parametrize("target", [_cut_v21(), _generic_v21()], ids=["block_diagonal", "generic"])
+    def test_rates_with_unequal_velocity_counts(self, target):
+        """Factors of a velocity set whose rates have different counts pad their
+        member lists; the pads never hit."""
+        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=17, phase_count=16, seed=1)
+        family = _make_family(grid)
+        p0 = family.initial_params()
+        keep = np.nonzero(np.arange(len(p0)) % 7 != 3)[0]  # rates keep 13 to 15 of 16 phases
+        factors = cutlocus._vn1_factors(family, p0[keep], _scan_times(grid))
+        assert (factors.members < 0).any()
+        a, b = family.blocks(p0[keep])
+        table = grid_geodesic_columns(a, b, _scan_times(grid), COMPLEX)
+        for gate in (_search_gate(grid), 1.0):
+            hits = _scan_factors(factors, target.cols, gate)
+            _assert_same_hits(hits, scan_cols_subtraction(table, target.cols, gate))
+
+    def test_general_k1_grid_has_one_velocity_per_rate(self):
+        grid = VelocityGrid(3, 1, COMPLEX, family="general", sample_count=512, seed=2)
+        assert _scan_table(grid).members.shape == (512, 1)
 
     def test_streamed_complex_v42_general_grid(self, monkeypatch):
         grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=64, t_count=64, seed=4)
@@ -1144,14 +1337,13 @@ class TestScanByInnerProduct:
     @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["shrunk", "stretched"])
     def test_target_off_orthonormality(self, sign):
         grid = VelocityGrid(2, 1, COMPLEX, seed=1)
-        table = _scan_table(grid)
         v, t = 1234, 101
         # a grid point scaled so that |Q* Q - I| = 0.5 unit: accepted as a point
-        cols = table[v, t] * np.sqrt(1.0 + sign * 0.5 * TOL.unit)
+        cols = _kernel_table(grid, slice(v, v + 1))[0, t] * np.sqrt(1.0 + sign * 0.5 * TOL.unit)
         target = StiefelPoint(cols)
         dev = float(np.max(np.abs(np.conj(cols).T @ cols - np.eye(1))))
         assert dev == pytest.approx(0.5 * TOL.unit, rel=1e-5)
-        vix, tix, err = _assert_scan_matches_subtraction(table, target.cols, _search_gate(grid))
+        vix, tix, err = _assert_k1_scans_match_subtraction(grid, target.cols, _search_gate(grid))
         hit = np.nonzero((vix == v) & (tix == t))[0]
         assert len(hit) == 1 and err[hit[0]] < 1e-7
 
@@ -1317,7 +1509,8 @@ class TestGridResolution:
 
 class TestScanFill:
     """Every scan kernel call, for the cached table or a streamed scan, takes at
-    most 16 velocities, so the kernel's temporaries stay small."""
+    most 16 velocities, so the kernel's temporaries stay small; a k = 1 scan
+    makes none."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -1331,12 +1524,20 @@ class TestScanFill:
         monkeypatch.setattr(cutlocus, "grid_geodesic_columns", recording)
         return calls
 
+    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
     def test_cached_table(self, kernel_calls):
-        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=10, phase_count=10, t_count=32)
+        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=100, t_count=128, seed=4)
         _scan_table.cache_clear()
-        search_minimizers(_cut_v21(), grid)
+        search_minimizers(_GENERIC_V42, grid)
         assert _scan_table.cache_info().currsize == 1
         assert kernel_calls == [16] * 6 + [4]
+
+    def test_k1_search_makes_no_kernel_fill(self, kernel_calls):
+        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=10, phase_count=10, t_count=32)
+        _scan_table.cache_clear()
+        assert search_minimizers(_cut_v21(), grid).arrivals
+        assert _scan_table.cache_info().currsize == 1
+        assert kernel_calls == []
 
     def test_streamed_chunks(self, kernel_calls, monkeypatch):
         grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=64, t_count=64, seed=4)
@@ -1350,17 +1551,47 @@ class TestScanFill:
         assert _scan_table.cache_info().currsize == 0
         assert kernel_calls == [16] * 4
 
-    @pytest.mark.parametrize("target", [_cut_v21(), _generic_v21()], ids=["cut", "generic"])
+    @pytest.mark.parametrize("target", [_GENERIC_V42], ids=["generic"])
     def test_streamed_search_holds_no_table(self, target):
-        """An over-budget grid's search peaks far below the table it does not build."""
-        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=129, phase_count=64, seed=3)
-        table_elements = grid.lambda_count * grid.phase_count * grid.t_count * grid.n * grid.k
-        assert table_elements > cutlocus._CHUNK_ELEMENTS
-        tracemalloc.start()
-        try:
-            rep = search_minimizers(target, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        """An over-budget k >= 2 grid's search peaks far below the table it does not build."""
+        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=2048, t_count=320, seed=4)
+        table_bytes = _table_bytes(grid)
+        assert table_bytes > cutlocus._CHUNK_ELEMENTS * 16
+        _scan_table.cache_clear()
+        peak, rep = _traced_peak(search_minimizers, target, grid)
         assert rep.arrivals
-        assert peak < cutlocus._CHUNK_ELEMENTS * np.dtype(np.complex128).itemsize / 4
+        assert _scan_table.cache_info().currsize == 0
+        assert peak < table_bytes / 4
+
+    @pytest.mark.parametrize("target", [_cut_v21(), _generic_v21()], ids=["cut", "generic"])
+    def test_factored_search_holds_no_table(self, target):
+        """A k = 1 grid over the table budget is scanned from its factors: the
+        search peaks far below the table, and the cache holds the factors only."""
+        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=129, phase_count=64, seed=3)
+        table_bytes = _table_bytes(grid)
+        assert table_bytes > cutlocus._CHUNK_ELEMENTS * 16
+        _scan_table.cache_clear()
+        peak, rep = _traced_peak(search_minimizers, target, grid)
+        assert rep.arrivals
+        assert peak < table_bytes / 4
+        factors = _scan_table(grid)
+        assert _scan_table.cache_info().hits == 1
+        held = sum(x.nbytes for x in (factors.top, factors.side, factors.rows, factors.members))
+        assert held < table_bytes / 32
+
+
+def _table_bytes(grid) -> int:
+    """Bytes of the grid's endpoint table (velocities x times x n x k, complex)."""
+    count = len(_make_family(grid).initial_params())
+    return count * grid.t_count * grid.n * grid.k * np.dtype(np.complex128).itemsize
+
+
+def _traced_peak(fn, *args):
+    """(tracemalloc peak in bytes, result) of one call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out

@@ -19,8 +19,9 @@ closed form's also along random directions at every k = 1 shape up to
 against a 40-digit mpmath value.  Beyond |t v| = 30, where the
 double-precision expm reference no longer holds, the spectral path (k >= 2)
 is checked against a 40-digit mpmath matrix exponential up to |t v| = 1e3,
-and both Jacobians against 40-digit central differences of that exponential
-up to |t v| = 300.
+the V_{n,1} closed form and its unit-row factors against it up to |t v| =
+300, and both Jacobians against 40-digit central differences of that
+exponential up to |t v| = 300.
 """
 
 import mpmath
@@ -42,6 +43,7 @@ from stiefel_sr.geodesic import (
     _endpoint_jacobian,
     _j1_over_x,
     _vn1_jacobian,
+    _vn1_unit_factors,
     batch_geodesic_columns,
     geodesic_v21_closed,
     geodesic_vn1_closed,
@@ -55,6 +57,7 @@ ATOL = 1e-10  # kernel vs expm, |t v| up to about 30
 SHARED_ATOL = 1e-13  # the three entry points against each other
 MP_ERR = 32.0  # kernel vs 40-digit mpmath, in units of eps * (1 + |t v|)
 MP_JAC_ERR = 8.0  # Jacobian vs 40-digit differences, same units (see its tests)
+MP_VN1_ERR = 4.0  # V(n,1) closed form vs 40-digit mpmath, same units (see its test)
 
 
 def reference_columns(a, b, t, mode):
@@ -284,6 +287,43 @@ class TestKernelAgainstMpmath:
             got = batch_geodesic_columns(a[None], b[None], np.array([t]), COMPLEX)[0]
             ref = geodesic_columns_mp(a, b, t)
             assert np.max(np.abs(got - ref)) <= MP_ERR * eps * (1.0 + tv), tv
+
+
+class TestVn1ClosedFormAgainstMpmath:
+    """The k = 1 kernel, the V_{n,1} closed form, against 40-digit endpoints up to |t v| = 300.
+
+    Like the spectral path, the closed form takes t omega and t lam in double
+    precision, so its phases carry an absolute error of order eps |t v|, and
+    the entry error is bounded by MP_VN1_ERR * eps * (1 + |t v|) (Frobenius
+    |v|).  The k = 1 scan relies on the column's factoring at a unit
+    transversal row b: (T(lam, t), -conj(b) S(lam, t)) with T and S from
+    ``_vn1_unit_factors``; that form meets the same bound against the
+    40-digit endpoint of (i lam, b).  Measured on four seeds of n = 2..5
+    (the test's own inputs among them) in both modes at |t v| = 1, 30 and
+    300: the kernel's error stayed below 0.48 eps (1 + |t v|) and the
+    factored form's below 0.98 eps (1 + |t v|), so the bound leaves a factor
+    of 4.
+    """
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_kernel_and_unit_row_factors(self, n, mode):
+        rng = np.random.default_rng(n)
+        a = matcore.random_skew_hermitian(rng, 1, mode)
+        b = matcore.random_matrix(rng, 1, n - 1, mode)
+        unit = b / np.linalg.norm(b)
+        eps = np.finfo(np.float64).eps
+        tvs = np.array([1.0, 30.0, 300.0])
+        norm_v = float(np.linalg.norm(BlockVelocity(a, b, mode).embed()))
+        got = grid_geodesic_columns(a[None], b[None], tvs / norm_v, mode)[0]
+        norm_unit = float(np.linalg.norm(BlockVelocity(a, unit, mode).embed()))
+        top, side = _vn1_unit_factors(a[0, 0].imag, tvs / norm_unit)
+        for i, tv in enumerate(tvs):
+            ref = geodesic_columns_mp(a, b, tv / norm_v)
+            assert np.max(np.abs(got[i] - ref)) <= MP_VN1_ERR * eps * (1.0 + tv), tv
+            factored = np.concatenate([[top[i]], -np.conj(unit[0]) * side[i]])[:, None]
+            ref = geodesic_columns_mp(a, unit, tv / norm_unit)
+            assert np.max(np.abs(factored - ref)) <= MP_VN1_ERR * eps * (1.0 + tv), tv
 
 
 def unit_coordinates(da_units, db_units, da, db) -> np.ndarray:
