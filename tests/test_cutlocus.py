@@ -1098,21 +1098,25 @@ class TestScanTable:
     @pytest.mark.parametrize(
         "target, grid",
         [
+            (_cut_v21(), VelocityGrid(2, 1, COMPLEX, seed=1)),
+            (_generic_v21(), VelocityGrid(2, 1, COMPLEX, seed=1)),
             (_GENERIC_V42, _SMALL_V42),
             (_block_diagonal_v42(), _SMALL_V42),
             (_real_v42(), dataclasses.replace(_SMALL_V42, mode=REAL)),
         ],
-        ids=["general_v42", "block_diagonal_v42", "real_v42"],
+        ids=["block_diagonal_v21", "generic_v21", "general_v42", "block_diagonal_v42", "real_v42"],
     )
     def test_cached_and_streamed_reports_identical(self, target, grid, monkeypatch):
         _scan_table.cache_clear()
         cached = _report_bytes(target, grid)
         assert _scan_table.cache_info().currsize == 1
         _scan_table.cache_clear()
-        # a budget of 20 velocities: the same grid now streams in several chunks
+        # a budget of 20 velocities: a k >= 2 grid now streams its table in
+        # several chunks; a k = 1 grid still caches its factors and expands
+        # its candidate cells in several chunks
         monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
         streamed = _report_bytes(target, grid)
-        assert _scan_table.cache_info().currsize == 0
+        assert _scan_table.cache_info().currsize == (1 if grid.k == 1 else 0)
         assert cached == streamed
         assert json.loads(cached)["arrivals"]
 
