@@ -271,13 +271,15 @@ def _finite_json(value):
     return value
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload: dict, ok: bool) -> int:
+    """Write ``payload`` as the report; return the exit code of a check that passed if ``ok``."""
     text = json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
     else:
         with open(args.out, "w") as fh:
             fh.write(text)
+    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
 def _from_json(args, name: str, build):
@@ -315,14 +317,12 @@ def _cmd_verify_closed_forms(args) -> int:
         sys.stderr.write("warning: 0 trials requested; verification is vacuous\n")
     suites = closed_form_suites(args.trials, args.seed, sign_flip=args.inject_sign_flip)
     ok = all(s["pass"] for s in suites)
-    _emit(args, {"suites": suites, "pass": ok})
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return _emit(args, {"suites": suites, "pass": ok}, ok)
 
 
 def _cmd_bracket(args) -> int:
     report = bracket_generating_rank(args.n, args.k, args.mode)
-    _emit(args, report.to_json_dict())
-    return EXIT_OK if report.generating else EXIT_VERIFICATION_FAILED
+    return _emit(args, report.to_json_dict(), report.generating)
 
 
 def _cmd_cutlocus_search(args) -> int:
@@ -338,32 +338,27 @@ def _cmd_cutlocus_search(args) -> int:
         **{key: getattr(args, key) for key in _GRID_OPTIONS},
     )
     report = search_minimizers(target, grid)
-    payload = report.to_json_dict()
-    payload["pass"] = len(report.arrivals) > 0
-    _emit(args, payload)
-    return EXIT_OK if payload["pass"] else EXIT_VERIFICATION_FAILED
+    ok = len(report.arrivals) > 0
+    return _emit(args, {**report.to_json_dict(), "pass": ok}, ok)
 
 
 def _cmd_verify_l(args) -> int:
     summary = verify_mirror_arrivals(
         args.n, args.k, samples=args.samples, seed=args.seed, mode=args.mode
     )
-    _emit(args, summary.to_json_dict())
-    return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
+    return _emit(args, summary.to_json_dict(), summary.passed)
 
 
 def _cmd_verify_antidiagonal(args) -> int:
     summary = verify_antidiagonal_arrivals(
         args.k, samples=args.samples, seed=args.seed, mode=args.mode
     )
-    _emit(args, summary.to_json_dict())
-    return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
+    return _emit(args, summary.to_json_dict(), summary.passed)
 
 
 def _cmd_uniqueness(args) -> int:
     summary = uniqueness_case_checks(args.n, trials=args.trials, seed=args.seed)
-    _emit(args, summary.to_json_dict())
-    return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
+    return _emit(args, summary.to_json_dict(), summary.passed)
 
 
 _HANDLERS = {

@@ -15,13 +15,13 @@ All experiments are deterministic given their seed and grid.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore, tolerances
 from .matcore import COMPLEX, REAL, adjoint
-from .homspace import BlockVelocity, StiefelPoint, _block_velocities, _embed_velocities
+from .homspace import BlockVelocity, StiefelPoint, _block_velocities, _embed_velocities, _Record
 from .geodesic import (
     GeodesicSpec,
     _decompose,
@@ -85,12 +85,9 @@ GENERIC = "generic"
 
 
 @dataclass(frozen=True)
-class TargetClass:
+class TargetClass(_Record):
     kind: str
     point: StiefelPoint
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "point": self.point.to_json_dict()}
 
 
 def classify_target(p: StiefelPoint) -> TargetClass:
@@ -107,7 +104,7 @@ def classify_target(p: StiefelPoint) -> TargetClass:
 
 
 @dataclass(frozen=True)
-class VelocityGrid:
+class VelocityGrid(_Record):
     """Finite velocity/time grid driving ``search_minimizers``.
 
     Transversal blocks are normalized to unit Frobenius norm (any geodesic
@@ -179,28 +176,17 @@ class VelocityGrid:
         if self.family not in ("v21", "sphere", "general"):
             raise ValueError(f"unknown velocity family {self.family!r}")
 
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "lambda_range": list(self.lambda_range)}
-
 
 @dataclass(frozen=True)
-class Arrival:
+class Arrival(_Record):
     velocity: BlockVelocity
     t: float
     length: float
     endpoint_error: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "velocity": self.velocity.to_json_dict(),
-            "t": self.t,
-            "length": self.length,
-            "endpoint_error": self.endpoint_error,
-        }
-
 
 @dataclass(frozen=True)
-class SearchDiagnostics:
+class SearchDiagnostics(_Record):
     """What a search did, as counts that a fixed grid and target determine.
 
     ``scan_hits`` gated scan minima, of which ``candidates`` were refined;
@@ -223,23 +209,13 @@ class SearchDiagnostics:
 
 
 @dataclass(frozen=True)
-class MinimizerReport:
+class MinimizerReport(_Record):
     target: TargetClass
     grid: VelocityGrid
     arrivals: tuple[Arrival, ...]
     clusters: int
     min_length: float | None
     diagnostics: SearchDiagnostics
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": self.target.to_json_dict(),
-            "grid": self.grid.to_json_dict(),
-            "arrivals": [a.to_json_dict() for a in self.arrivals],
-            "clusters": self.clusters,
-            "min_length": self.min_length,
-            "diagnostics": asdict(self.diagnostics),
-        }
 
 
 # -- velocity families ---------------------------------------------------------
@@ -901,7 +877,7 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
 
 
 @dataclass(frozen=True)
-class MirrorCheckSummary:
+class MirrorCheckSummary(_Record):
     n: int
     k: int
     mode: str
@@ -912,9 +888,6 @@ class MirrorCheckSummary:
     min_velocity_separation: float
     failures: int
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def verify_mirror_arrivals(
@@ -999,7 +972,7 @@ def verify_mirror_arrivals(
 
 
 @dataclass(frozen=True)
-class AntidiagonalCheckSummary:
+class AntidiagonalCheckSummary(_Record):
     k: int
     mode: str
     samples: int
@@ -1010,9 +983,6 @@ class AntidiagonalCheckSummary:
     max_roundtrip_err: float
     min_endpoint_gap: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def verify_antidiagonal_arrivals(
@@ -1102,16 +1072,13 @@ def verify_antidiagonal_arrivals(
 
 
 @dataclass(frozen=True)
-class UniquenessCheckSummary:
+class UniquenessCheckSummary(_Record):
     n: int
     trials: int
     sin_ratio_strictly_decreasing: bool
     min_tan_ratio_gap: float
     max_reconstruction_err: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def uniqueness_case_checks(n: int, trials: int = 200, seed: int = 0) -> UniquenessCheckSummary:

@@ -10,19 +10,19 @@ equivalence, so it is projected out before counting dimensions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
 from .matcore import COMPLEX, REAL
-from .homspace import BlockVelocity, _embed_velocities
+from .homspace import BlockVelocity, _embed_velocities, _Record
 
 _RANK_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
-class BracketReport:
+class BracketReport(_Record):
     n: int
     k: int
     mode: str
@@ -30,9 +30,6 @@ class BracketReport:
     dim_h_plus_brackets: int
     target_dim: int
     generating: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def lie_bracket(x, y, mode: str = COMPLEX) -> np.ndarray:
@@ -149,13 +146,10 @@ def strongly_bracket_check_vn1(n: int, samples: int = 100, seed: int = 0) -> boo
 
 
 @dataclass(frozen=True)
-class MontgomeryReport:
+class MontgomeryReport(_Record):
     condition1: bool  # distribution dimension is a multiple of 4
     condition2: bool  # distribution dimension >= codimension + 1
     possible: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def montgomery_condition(m: int, l: int) -> MontgomeryReport:

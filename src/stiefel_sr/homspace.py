@@ -19,7 +19,7 @@ extra logic is needed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,19 +27,45 @@ from . import matcore, tolerances
 from .matcore import COMPLEX, REAL, InvariantViolation, adjoint
 
 
-def _matrix_json(a: np.ndarray) -> dict:
+class _Record:
+    """JSON for a dataclass report record: every field under its name, in field order.
+
+    A value with its own ``to_json_dict`` (a matrix value or a nested record)
+    is written through it, a tuple as a list of items written by this same
+    rule, and any other value unchanged.
+    """
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(value):
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def _matrix_json(value, matrix: np.ndarray) -> dict:
+    """A matrix value's record: its n, k and mode, then ``matrix`` as real and imaginary rows."""
     return {
-        "re": [[float(v) for v in row] for row in a.real],
-        "im": [[float(v) for v in row] for row in a.imag],
+        "n": value.n, "k": value.k, "mode": value.mode,
+        "re": [[float(v) for v in row] for row in matrix.real],
+        "im": [[float(v) for v in row] for row in matrix.imag],
     }
 
 
-def _matrix_from_json(d: dict) -> np.ndarray:
+def _matrix_from_json(d: dict, square: bool) -> tuple[np.ndarray, int, str]:
+    """A ``_matrix_json`` record's matrix, checked to be n x n (``square``) or n x k for the
+    record's n and k, with the record's k and mode."""
+    n, k, mode = int(d["n"]), int(d["k"]), str(d["mode"])
     re = np.array(d["re"], dtype=np.float64)
     im = np.array(d["im"], dtype=np.float64)
-    if re.shape != im.shape:
-        raise ValueError("re/im blocks have mismatched shapes")
-    return re + 1j * im
+    shape = (n, n) if square else (n, k)
+    if re.shape != shape or im.shape != shape:
+        raise ValueError(f"matrix blocks are {re.shape} and {im.shape}, expected {shape}")
+    return re + 1j * im, k, mode
 
 
 def _embed_velocities(a_blocks: np.ndarray, b_blocks: np.ndarray) -> np.ndarray:
@@ -81,16 +107,11 @@ class BlockVelocity:
         return float(np.max(np.abs(self.a_block))) <= tolerances.TOL.sym if self.k else True
 
     def to_json_dict(self) -> dict:
-        d = {"n": self.n, "k": self.k, "mode": self.mode}
-        d.update(_matrix_json(self.embed()))
-        return d
+        return _matrix_json(self, self.embed())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BlockVelocity":
-        full = _matrix_from_json(d)
-        n, k, mode = int(d["n"]), int(d["k"]), str(d["mode"])
-        if full.shape != (n, n):
-            raise ValueError(f"velocity block is {full.shape}, expected ({n}, {n})")
+        full, k, mode = _matrix_from_json(d, square=True)
         vertical, horizontal = split_tangent(full, k, mode)  # checks the whole matrix
         return cls(vertical.a_block, horizontal.b_block, mode)
 
@@ -178,17 +199,12 @@ class StiefelPoint:
         return StiefelPoint(self.cols @ u, self.mode)
 
     def to_json_dict(self) -> dict:
-        d = {"n": self.n, "k": self.k, "mode": self.mode}
-        d.update(_matrix_json(self.cols))
-        return d
+        return _matrix_json(self, self.cols)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StiefelPoint":
-        c = _matrix_from_json(d)
-        n, k = int(d["n"]), int(d["k"])
-        if c.shape != (n, k):
-            raise ValueError(f"column block is {c.shape}, expected ({n}, {k})")
-        return cls(c, str(d["mode"]))
+        cols, _, mode = _matrix_from_json(d, square=False)
+        return cls(cols, mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,14 +242,11 @@ class GrassmannPoint:
         return float(np.max(np.abs(self.projector - other.projector))) <= tolerances.TOL.eq
 
     def to_json_dict(self) -> dict:
-        d = {"n": self.n, "k": self.k, "mode": self.mode}
-        d.update(_matrix_json(self.projector))
-        return d
+        return _matrix_json(self, self.projector)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GrassmannPoint":
-        p = _matrix_from_json(d)
-        return cls(p, int(d["k"]), str(d["mode"]))
+        return cls(*_matrix_from_json(d, square=True))
 
 
 def identity_point(n: int, k: int, mode: str = COMPLEX) -> StiefelPoint:

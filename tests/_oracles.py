@@ -17,8 +17,13 @@ sensitivities with each direction's generator, the refinement oracle the
 arrival refinement's original loop, which forms every active candidate's
 Jacobian on every iteration, the high-precision column oracle a 40-digit
 mpmath matrix exponential, and the high-precision Jacobian oracle its
-central differences at 40 digits.
+central differences at 40 digits.  The report JSON oracles
+(``target_class_json``, ``velocity_grid_json``, ``arrival_json`` and
+``minimizer_report_json``) are the search report's original hand-written
+serializers, one per record type.
 """
+
+import dataclasses
 
 import mpmath
 import numpy as np
@@ -473,3 +478,32 @@ def geodesic_jacobian_mp(a, b, t: float, da, db, step: float = 1e-12, dps: int =
             )
         in_t = central(_columns_mp(a_mp, b_mp, t_mp + h), _columns_mp(a_mp, b_mp, t_mp - h))
         return np.array(along), in_t
+
+
+def target_class_json(target) -> dict:
+    """A ``TargetClass`` record as its serializer wrote it field by field."""
+    return {"kind": target.kind, "point": target.point.to_json_dict()}
+
+
+def velocity_grid_json(grid) -> dict:
+    return {**dataclasses.asdict(grid), "lambda_range": list(grid.lambda_range)}
+
+
+def arrival_json(arrival) -> dict:
+    return {
+        "velocity": arrival.velocity.to_json_dict(),
+        "t": arrival.t,
+        "length": arrival.length,
+        "endpoint_error": arrival.endpoint_error,
+    }
+
+
+def minimizer_report_json(report) -> dict:
+    return {
+        "target": target_class_json(report.target),
+        "grid": velocity_grid_json(report.grid),
+        "arrivals": [arrival_json(a) for a in report.arrivals],
+        "clusters": report.clusters,
+        "min_length": report.min_length,
+        "diagnostics": dataclasses.asdict(report.diagnostics),
+    }

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from stiefel_sr import cutlocus, matcore, tolerances
+from stiefel_sr.distribution import bracket_generating_rank, montgomery_condition
 from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint, _block_velocities, identity_point
 from stiefel_sr.geodesic import (
@@ -55,18 +56,22 @@ from stiefel_sr.cutlocus import (
 )
 
 from _oracles import (
+    arrival_json,
     best_hits_loop,
     geodesic_columns_mp,
     golden_section_hit,
     greedy_cluster_count_loop,
     greedy_dedup_loop,
     jacobian_along,
+    minimizer_report_json,
     refine_every_iteration,
     scan_cols_subtraction,
     separate_family_params,
     separate_family_raw_blocks,
+    target_class_json,
     unit_block_tangents,
     v21_phase_tangents,
+    velocity_grid_json,
 )
 
 
@@ -1599,3 +1604,59 @@ def _traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return peak, out
+
+
+class TestReportJson:
+    """Every report record serializes by ``homspace._Record``'s one rule, which
+    must write what the hand-written serializers of ``_oracles`` wrote."""
+
+    @pytest.mark.parametrize(
+        "search, arrives",
+        [
+            (lambda: search_minimizers(_cut_v21(), _SMALL_V21), True),
+            (
+                lambda: search_minimizers(
+                    real_antipodal_cut_point(3), VelocityGrid(3, 1, REAL, seed=2, t_count=96)
+                ),
+                True,
+            ),
+            (lambda: search_minimizers(_GENERIC_V42, _SMALL_V42), True),
+            (
+                lambda: search_minimizers(
+                    _cut_v21(), VelocityGrid(2, 1, COMPLEX, t_max=0.5, t_count=64)
+                ),
+                False,
+            ),
+            (lambda: search_minimizers(identity_point(2, 1), VelocityGrid(2, 1, COMPLEX)), True),
+        ],
+        ids=["cut_v21", "real_antipode", "general_v42", "empty", "identity"],
+    )
+    def test_search_report_matches_the_hand_written_serializers(self, search, arrives):
+        rep = search()
+        assert bool(rep.arrivals) == arrives
+        assert (rep.min_length is None) == (not arrives)
+        assert rep.to_json_dict() == minimizer_report_json(rep)
+        # the same keys in the same order, at every depth, and the same floats
+        pairs = [
+            (rep.to_json_dict(), minimizer_report_json(rep)),
+            (rep.target.to_json_dict(), target_class_json(rep.target)),
+            (rep.grid.to_json_dict(), velocity_grid_json(rep.grid)),
+        ] + [(a.to_json_dict(), arrival_json(a)) for a in rep.arrivals]
+        for record, reference in pairs:
+            assert json.dumps(record) == json.dumps(reference)
+
+    @pytest.mark.parametrize(
+        "summary",
+        [
+            lambda: verify_mirror_arrivals(3, 1, samples=4, seed=2, mode=REAL),
+            lambda: verify_antidiagonal_arrivals(2, samples=3, seed=2),
+            lambda: uniqueness_case_checks(3, trials=10, seed=2),
+            lambda: bracket_generating_rank(4, 2, COMPLEX),
+            lambda: montgomery_condition(8, 4),
+        ],
+        ids=["mirror", "antidiagonal", "uniqueness", "bracket", "montgomery"],
+    )
+    def test_summary_matches_asdict(self, summary):
+        s = summary()
+        assert s.to_json_dict() == dataclasses.asdict(s)
+        assert json.dumps(s.to_json_dict()) == json.dumps(dataclasses.asdict(s))

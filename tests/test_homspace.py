@@ -247,6 +247,32 @@ class TestJsonRoundTrip:
         assert back.mode == REAL
         assert v.b_block.tobytes() == back.b_block.tobytes()
 
+    @pytest.mark.parametrize(
+        "value, key, wrong",
+        [
+            (random_stiefel_tangent(np.random.default_rng(18), 3, 1), "n", 4),
+            (random_stiefel_tangent(np.random.default_rng(18), 3, 1), "n", 2),
+            (canonicalize(random_unitary(np.random.default_rng(19), 3), 2), "n", 4),
+            (canonicalize(random_unitary(np.random.default_rng(19), 3), 2), "k", 1),
+            (GrassmannPoint(np.diag([1.0, 0.0]), 1), "n", 3),
+            (GrassmannPoint(np.diag([1.0, 0.0]), 1), "n", 1),
+        ],
+        ids=[
+            "velocity-n-4",
+            "velocity-n-2",
+            "stiefel-n",
+            "stiefel-k",
+            "grassmann-n-3",
+            "grassmann-n-1",
+        ],
+    )
+    def test_record_must_match_its_n_and_k(self, value, key, wrong):
+        d = json.loads(json.dumps(value.to_json_dict()))
+        type(value).from_json_dict(d)  # the record as written loads
+        d[key] = wrong
+        with pytest.raises(ValueError):
+            type(value).from_json_dict(d)
+
 
 class TestInvariants:
     def test_stiefel_rejects_non_orthonormal(self):

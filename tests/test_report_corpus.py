@@ -118,3 +118,29 @@ def test_bytes_mode_reports_a_difference_json_does_not_see(tmp_path, capsys):
     assert report_corpus.main(["compare", str(a), str(b), "--mode", "bytes"]) == 1
     assert capsys.readouterr().out.splitlines()[0] == "r.json: bytes differ"
     assert report_corpus.main(["compare", str(a), str(b), "--mode", "equivalent"]) == 0
+
+
+@pytest.mark.parametrize("make", [lambda d: None, lambda d: d.mkdir()], ids=["missing", "empty"])
+@pytest.mark.parametrize("mode", ["bytes", "equivalent"])
+def test_a_corpus_without_reports_is_an_error(tmp_path, capsys, make, mode):
+    # a write that left nothing behind must not pass as "0 files, 0 differing"
+    a, b = tmp_path / "a", tmp_path / "b"
+    make(a)
+    make(b)
+    assert report_corpus.main(["compare", str(a), str(b), "--mode", mode]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {a} ")
+
+
+def test_file_only_in_one_corpus_differs(tmp_path, capsys):
+    a = _write(tmp_path / "a", REPORT)
+    b = tmp_path / "b"
+    b.mkdir()
+    (b / "s.json").write_text((a / "r.json").read_text())
+    assert report_corpus.main(["compare", str(a), str(b), "--mode", "equivalent"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"r.json: only in {a}",
+        f"s.json: only in {b}",
+        "2 files, 2 differing (equivalent)",
+    ]

@@ -22,7 +22,8 @@ benchmark.  ``stiefel_sr`` is imported from ``PYTHONPATH`` when it is there
 (so one checkout of this tool can write the corpus of another source tree)
 and from this repository's ``src`` otherwise.
 
-``compare`` exits 0 when the corpora agree and 1 otherwise.  In ``bytes``
+``compare`` exits 0 when the corpora agree and 1 otherwise; a directory that
+is missing or holds no ``*.json`` is an error (exit 1), not an empty corpus.  In ``bytes``
 mode the files must be identical; for a file that differs it names up to 5
 JSON paths whose values differ, with both values (compared exactly, signed
 zeros included, arrivals by position).  In ``equivalent`` mode every search
@@ -232,6 +233,12 @@ def compare_texts(a: str, b: str, mode: str) -> tuple[list, list]:
 def compare(dir_a: Path, dir_b: Path, mode: str) -> int:
     names_a = {p.name for p in dir_a.glob("*.json")}
     names_b = {p.name for p in dir_b.glob("*.json")}
+    # a write that left nothing behind must not compare as agreeing
+    for directory, names in ((dir_a, names_a), (dir_b, names_b)):
+        if not names:
+            what = "is not a directory" if not directory.is_dir() else "holds no *.json"
+            print(f"error: {directory} {what}", file=sys.stderr)
+            return 1
     differing = 0
     for name in sorted(names_a ^ names_b):
         print(f"{name}: only in {dir_a if name in names_a else dir_b}")
