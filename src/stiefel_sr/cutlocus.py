@@ -53,6 +53,10 @@ _LM_ITERS = 60
 # a refined candidate whose squared residual is above half of its value this
 # many iterations earlier has stopped converging and is frozen
 _STALL_WINDOW = 15
+# arrival dedup: a row whose window along the sorted coordinate holds at most
+# this many rows gets its neighbour pairs in one vectorized pass; a larger
+# window is measured from the row only if the row is kept
+_PAIR_WINDOW = 32
 # the first block-diagonal hit is looked for on a grid of this many times
 _HIT_SCAN_POINTS = 1200
 # Gauss-Newton refinement of a block-diagonal hit: at most this many steps,
@@ -664,26 +668,94 @@ def _refine(
     return x[:, :-1], x[:, -1], np.sqrt(f), stats
 
 
+def _report_order(lengths: np.ndarray, ts: np.ndarray, embeds: np.ndarray) -> np.ndarray:
+    """The order of a stable sort by the key (length, t, embed bytes).
+
+    One ``lexsort`` orders by (length, t); the embeds' bytes order only the
+    runs whose (length, t) tie exactly.
+    """
+    order = np.lexsort((ts, lengths))
+    tied = (np.diff(lengths[order]) == 0) & (np.diff(ts[order]) == 0)
+    if tied.any():
+        bounds = np.flatnonzero(np.concatenate(([True], ~tied, [True]))).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi - lo > 1:
+                order[lo:hi] = sorted(order[lo:hi], key=lambda i: embeds[i].tobytes())
+    return order
+
+
 def _representatives(embeds: np.ndarray, ts, dup: float, cluster: float):
     """One greedy pass over the sorted (N, n, n) embeds: (kept indices, cluster count).
 
     A row is dropped iff an earlier kept row lies within ``dup`` of it both
-    in embed (Frobenius) and in ``ts``.  Each kept row takes its distances to
-    the later rows once, with one vectorized norm, so memory stays linear in
-    the row count; if no earlier kept row has marked it, it opens a cluster
-    and marks the later rows within ``cluster``.
+    in embed (Frobenius) and in ``ts``; a kept row that no earlier kept row
+    has marked opens a cluster and marks the later rows within ``cluster``.
+
+    No pair beyond both radii matters, and one real coordinate of the embeds
+    bounds their distance from below.  So the rows are sorted once by the
+    coordinate of largest spread, and each row's window is the rows whose
+    coordinate lies within reach of its own: the larger radius, widened by
+    1e-6 of itself and a few ulps of the coordinate's scale so that no
+    rounded difference within a radius falls outside.  Rows with at most
+    ``_PAIR_WINDOW`` rows in their window take their distances to the later
+    rows of it in one vectorized pass; a larger window (a clique of
+    converged duplicates) is measured only from a kept row, once, so memory
+    stays within ``_PAIR_WINDOW`` times the row count.  The greedy walk
+    then reads these neighbour lists, with the same distances as a
+    row-by-row pass and no numpy round per row.
     """
-    dropped, marked = np.zeros((2, len(embeds)), dtype=bool)
+    count = len(embeds)
+    if count == 0:
+        return np.zeros(0, dtype=np.intp), 0
+    # one contiguous row per real coordinate, for a fast spread
+    coords = embeds.reshape(count, -1).view(np.float64).T.copy()
+    proj = coords[int(np.argmax(np.ptp(coords, axis=1)))]
+    by_proj = np.argsort(proj, kind="stable")
+    sorted_proj = proj[by_proj]
+    reach = max(dup, cluster) * (1 + 1e-6) + 4 * np.finfo(np.float64).eps * np.abs(proj).max()
+    lo = np.searchsorted(sorted_proj, proj - reach, "left")
+    hi = np.searchsorted(sorted_proj, proj + reach, "right")
+    small = hi - lo <= _PAIR_WINDOW
+
+    # every (row, later row of its window) pair of the small windows
+    rows = np.nonzero(small)[0]
+    sizes = (hi - lo)[rows]
+    starts = np.cumsum(sizes) - sizes
+    first = np.repeat(rows, sizes)
+    second = by_proj[np.arange(sizes.sum()) + np.repeat(lo[rows] - starts, sizes)]
+    later = second > first
+    first, second = first[later], second[later]
+    dist = np.linalg.norm(embeds[second] - embeds[first], axis=(1, 2))
+    drop_pairs = (dist <= dup) & (np.abs(ts[second] - ts[first]) <= dup)
+    mark_pairs = dist <= cluster
+
+    # each row's later neighbours: a slice of one list, at the row's offsets
+    drop_at = np.searchsorted(first[drop_pairs], np.arange(count + 1)).tolist()
+    drop_to = second[drop_pairs].tolist()
+    mark_at = np.searchsorted(first[mark_pairs], np.arange(count + 1)).tolist()
+    mark_to = second[mark_pairs].tolist()
+    paired = small.tolist()
+    dropped, marked = bytearray(count), bytearray(count)
     reps, clusters = [], 0
-    for i in range(len(embeds)):
-        if dropped[i]:
-            continue
+    i = dropped.find(0)
+    while i >= 0:
         reps.append(i)
-        dist = np.linalg.norm(embeds[i + 1 :] - embeds[i], axis=(1, 2))
-        dropped[i + 1 :] |= (dist <= dup) & (np.abs(ts[i + 1 :] - ts[i]) <= dup)
+        if paired[i]:
+            drops = drop_to[drop_at[i] : drop_at[i + 1]]
+            marks = mark_to[mark_at[i] : mark_at[i + 1]]
+        else:
+            window = by_proj[lo[i] : hi[i]]
+            window = window[window > i]
+            dist = np.linalg.norm(embeds[window] - embeds[i], axis=(1, 2))
+            drops = window[(dist <= dup) & (np.abs(ts[window] - ts[i]) <= dup)].tolist()
+            marks = window[dist <= cluster].tolist()
+        for j in drops:
+            dropped[j] = 1
         if not marked[i]:
             clusters += 1
-            marked[i + 1 :] |= dist <= cluster
+            for j in marks:
+                marked[j] = 1
+        i = dropped.find(0, i + 1)
     return np.array(reps, dtype=np.intp), clusters
 
 
@@ -705,8 +777,13 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     (rate, time) cells that may hold a hit, so no table is made.  At k >= 2
     they are the endpoint table, cached only if it fits the chunk budget; a
     larger grid is scanned on every call, one kernel fill of 16 velocities
-    at a time, so no table-sized array is made.  The arrivals' velocities
-    are checked as one stack (``homspace._block_velocities``).
+    at a time, so no table-sized array is made.  The minimal-length
+    arrivals are put in report order by one ``lexsort`` on (length, t), the
+    embeds' bytes ordering exact ties only, then deduplicated and clustered
+    from the neighbour pairs along one sorted coordinate
+    (``_representatives``), with no numpy round per arrival.  The kept
+    arrivals' velocities are checked as one stack
+    (``homspace._block_velocities``).
     """
     tol = tolerances.TOL
     if tol.hit < 10 * tol.eq:
@@ -766,10 +843,7 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     min_len = float(lengths.min())
     kept = np.nonzero(lengths <= min_len * (1 + _LENGTH_SLACK))[0]
     embeds = _embed_velocities(a_blk[kept], b_blk[kept])
-    order = sorted(
-        range(len(kept)),
-        key=lambda i: (lengths[kept[i]], t_good[kept[i]], embeds[i].tobytes()),
-    )
+    order = _report_order(lengths[kept], t_good[kept], embeds)
     kept, embeds = kept[order], embeds[order]
 
     unique, clusters = _representatives(embeds, t_good[kept], 1e-6, tol.vel)

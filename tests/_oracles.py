@@ -3,24 +3,24 @@
 These deliberately avoid the library's computational paths: the exponential
 oracle is a truncated power series, the trace oracle a double loop, the
 length oracle composite-Simpson quadrature of a finite-difference speed, and
-the dedup and cluster oracles the minimizer search's original pairwise loops,
-the candidate oracle its original per-hit loop, the scan oracle its
-original subtraction pass over the scan table, the hit oracle the
-original golden-section refinement of the first block-diagonal dip, the
-bracket-span oracles the rank tests' original one-bracket-at-a-time loops,
-the V_{2,1} column oracle the evaluator's original (2, 1)-only closed
-form, the tangent oracles the search families' original block tangents
-(the projection of a linear family's unit params through the normalization
-of b, and V_{2,1}'s phase tangent i e^{i phi}), the directional-Jacobian
-oracle the refinement's original contraction of the endpoint's
-sensitivities with each direction's generator, the refinement oracle the
-arrival refinement's original loop, which forms every active candidate's
-Jacobian on every iteration, the high-precision column oracle a 40-digit
-mpmath matrix exponential, and the high-precision Jacobian oracle its
-central differences at 40 digits.  The report JSON oracles
-(``target_class_json``, ``velocity_grid_json``, ``arrival_json`` and
-``minimizer_report_json``) are the search report's original hand-written
-serializers, one per record type.
+the dedup and cluster oracles the minimizer search's original pairwise
+loops, the report-order oracle its original Python key sort, the candidate
+oracle its original per-hit loop, the scan oracle its original subtraction
+pass over the scan table, the hit oracle the original golden-section
+refinement of the first block-diagonal dip, the bracket-span oracles the
+rank tests' original one-bracket-at-a-time loops, the V_{2,1} column oracle
+the evaluator's original (2, 1)-only closed form, the tangent oracles the
+search families' original block tangents (the projection of a linear
+family's unit params through the normalization of b, and V_{2,1}'s phase
+tangent i e^{i phi}), the directional-Jacobian oracle the refinement's
+original contraction of the endpoint's sensitivities with each direction's
+generator, the refinement oracle the arrival refinement's original loop,
+which forms every active candidate's Jacobian on every iteration, the
+high-precision column oracle a 40-digit mpmath matrix exponential, and the
+high-precision Jacobian oracle its central differences at 40 digits.  The
+report JSON oracles (``target_class_json``, ``velocity_grid_json``,
+``arrival_json`` and ``minimizer_report_json``) are the search report's
+original hand-written serializers, one per record type.
 """
 
 import dataclasses
@@ -132,6 +132,13 @@ def greedy_cluster_count_loop(embeds, radius: float) -> int:
         if all(np.linalg.norm(emb - r) > radius for r in reps):
             reps.append(emb)
     return len(reps)
+
+
+def report_key_order(lengths, ts, embeds) -> list[int]:
+    """Indices in report order: a stable sort by (length, t, embed bytes)."""
+    return sorted(
+        range(len(lengths)), key=lambda i: (lengths[i], ts[i], embeds[i].tobytes())
+    )
 
 
 def best_hits_loop(vix, tix, err) -> list[tuple[int, int]]:

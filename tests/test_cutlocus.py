@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import sys
 import tracemalloc
@@ -65,6 +66,7 @@ from _oracles import (
     jacobian_along,
     minimizer_report_json,
     refine_every_iteration,
+    report_key_order,
     scan_cols_subtraction,
     separate_family_params,
     separate_family_raw_blocks,
@@ -365,37 +367,117 @@ row_recipes = st.lists(
 )
 
 
-def _recipe_rows(recipes, radius, seed):
+def _recipe_rows(recipes, radius, seed, size=2):
     rng = np.random.default_rng(seed)
+
+    def fresh():
+        return rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+
     embeds, ts = [], []
     for kind, src, factor, t_factor in recipes:
         if kind == "fresh" or not embeds:
-            embeds.append(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            embeds.append(fresh())
             ts.append(rng.uniform(0.0, 4.0))
             continue
         j = src % len(embeds)
         emb, t = embeds[j], ts[j]
         if kind == "near":
-            step = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            step = fresh()
             emb = emb + factor * radius * step / np.linalg.norm(step)
             t = t + t_factor * radius * rng.choice([-1.0, 1.0])
         embeds.append(emb)
         ts.append(t)
-    return np.array(embeds, dtype=np.complex128).reshape(-1, 2, 2), np.array(ts)
+    return np.array(embeds, dtype=np.complex128).reshape(-1, size, size), np.array(ts)
+
+
+def _with_clique(embeds, ts, dup, radius, seed):
+    """The rows plus a clique of converged duplicates, more than a pair
+    window holds, and a continuum leaving it in steps of 0.7 ``radius``,
+    all interleaved in a seeded order: a large window and small ones."""
+    rng = np.random.default_rng(seed + 1)
+    size = embeds.shape[-1]
+    centre = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    step = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    step /= np.linalg.norm(step)
+    jitter = rng.standard_normal((2 * cutlocus._PAIR_WINDOW, size, size))
+    jitter *= 0.3 * dup / np.linalg.norm(jitter, axis=(1, 2))[:, None, None]
+    clique = centre + jitter
+    continuum = centre + 0.7 * radius * np.arange(1, 13)[:, None, None] * step
+    t0 = rng.uniform(0.0, 4.0)
+    rows = np.concatenate([embeds, clique, continuum])
+    times = np.concatenate(
+        [ts, t0 + rng.uniform(-0.3, 0.3, len(clique)) * dup, np.full(len(continuum), t0)]
+    )
+    order = rng.permutation(len(rows))
+    return rows[order], times[order]
+
+
+def _projection_edge(radius):
+    """Values (a, inside, outside) of one real coordinate: ``inside`` is the
+    largest float whose rounded difference from ``a`` is within ``radius``,
+    ``outside`` the next float.  ``a`` is below zero, so the difference
+    rounds, and ``inside`` lies above the rounded ``a + radius``: a window
+    of reach exactly ``radius`` around ``a`` misses it."""
+    for f in np.linspace(-0.95, -0.05, 19):
+        a = np.float64(f * radius)
+        b = a + radius
+        while b - a <= radius:
+            b = np.nextafter(b, np.inf)
+        while b - a > radius:
+            b = np.nextafter(b, -np.inf)
+        if b > a + radius:
+            return a, b, np.nextafter(b, np.inf)
+    raise AssertionError(f"no rounding edge at radius {radius}")
+
+
+def _with_projection_edges(embeds, ts, dup, cluster):
+    """The rows plus pairs whose whole distance lies along entry (0, 1)'s
+    real part, just inside and just outside ``dup`` and ``cluster``, in
+    both orders.  Two anchors far out along that coordinate make it the one
+    of largest spread; each pair sits in a separate place along entry
+    (1, 0)'s imaginary part."""
+    size = embeds.shape[-1]
+    rows = []
+    for radius in (dup, cluster):
+        a, inside, outside = _projection_edge(radius)
+        for b in (inside, outside):
+            for pair in ((a, b), (b, a)):
+                place = 10j * (len(rows) // 2 + 1)
+                for value in pair:
+                    row = np.zeros((size, size), dtype=np.complex128)
+                    row[0, 1], row[1, 0] = value, place
+                    rows.append(row)
+    anchors = np.zeros((2, size, size), dtype=np.complex128)
+    anchors[:, 0, 1] = (-1e3, 1e3)
+    times = np.concatenate([ts, np.ones(len(rows)), [2.0, 3.0]])
+    return np.concatenate([embeds, np.array(rows), anchors]), times
 
 
 class TestGreedyRepresentatives:
     """The search's one-pass dedup and clustering against the pairwise loops."""
 
     @settings(max_examples=150, deadline=None)
-    @given(row_recipes, st.sampled_from([1e-6, 1e-3]), st.integers(0, 2**32 - 1))
-    def test_matches_pairwise_loops(self, recipes, radius, seed):
-        embeds, ts = _recipe_rows(recipes, radius, seed)
-        # one radius for both, and the search's pairing (dedup at 1e-6)
-        for dup in (radius, 1e-6):
-            kept, clusters = _representatives(embeds, ts, dup, radius)
-            assert kept.tolist() == greedy_dedup_loop(list(embeds), list(ts), dup)
-            assert clusters == greedy_cluster_count_loop(list(embeds[kept]), radius)
+    @given(
+        row_recipes,
+        st.sampled_from([1e-6, 1e-3]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 4]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_pairwise_loops(self, recipes, radius, seed, size, clique, edges):
+        embeds, ts = _recipe_rows(recipes, radius, seed, size)
+        # one radius for both, the search's pairing (dedup at 1e-6), and a
+        # cluster radius below the dedup radius
+        for dup, cluster in ((radius, radius), (1e-6, radius), (radius, 0.1 * radius)):
+            rows, times = embeds, ts
+            if clique:
+                rows, times = _with_clique(rows, times, dup, max(dup, cluster), seed)
+            if edges:
+                rows, times = _with_projection_edges(rows, times, dup, cluster)
+            kept, clusters = _representatives(rows, times, dup, cluster)
+            assert kept.tolist() == greedy_dedup_loop(list(rows), list(times), dup)
+            assert clusters == greedy_cluster_count_loop(list(rows[kept]), cluster)
 
     def test_empty_and_single_row(self):
         none = np.zeros((0, 2, 2), dtype=np.complex128)
@@ -429,6 +511,100 @@ class TestGreedyRepresentatives:
         kept, clusters = _representatives(embeds, np.ones(3), 1e-6, 1e-3)
         assert kept.tolist() == [0, 1] and clusters == 1
         assert greedy_cluster_count_loop(list(embeds), 1e-3) == 2
+
+
+def _post_processing_cases():
+    """(target, grid) of three block-diagonal searches on criterion 5's
+    grid, the real V(3,1) and V(4,1) antipodes on criterion 8's grids, and
+    the general_v63 benchmark's seed-1 op 5."""
+    grid = VelocityGrid(2, 1, COMPLEX, seed=505)
+    cases = [
+        (StiefelPoint(np.array([[np.exp(1j * c)], [0.0]])), grid)
+        for c in np.linspace(0.3 * np.pi, 1.7 * np.pi, 50)[[15, 24, 39]]
+    ]
+    cases += [
+        (real_antipodal_cut_point(n), VelocityGrid(n, 1, REAL, seed=808 + n)) for n in (3, 4)
+    ]
+    v63 = VelocityGrid(6, 3, COMPLEX, family="general", sample_count=128)
+    return cases + [(_late_converger_target(), v63)]
+
+
+@functools.lru_cache(maxsize=1)
+def _search_post_processing_inputs():
+    """The arguments of ``_report_order`` and ``_representatives`` in each
+    search of ``_post_processing_cases``, in order."""
+    orders, reps = [], []
+    inner_order, inner_reps = cutlocus._report_order, cutlocus._representatives
+
+    def order(*args):
+        orders.append(args)
+        return inner_order(*args)
+
+    def representatives(*args):
+        reps.append(args)
+        return inner_reps(*args)
+
+    cutlocus._report_order, cutlocus._representatives = order, representatives
+    try:
+        for target, grid in _post_processing_cases():
+            search_minimizers(target, grid)
+    finally:
+        cutlocus._report_order, cutlocus._representatives = inner_order, inner_reps
+    return orders, reps
+
+
+class TestPostProcessingOnSearches:
+    """The report sort and the dedup of real searches' arrivals against the
+    search's original key sort and pairwise loops."""
+
+    def test_representatives_match_pairwise_loops(self):
+        _, reps = _search_post_processing_inputs()
+        assert len(reps) == 6
+        results = [_representatives(*args) for args in reps]
+        for (embeds, ts, dup, cluster), (kept, clusters) in zip(reps, results):
+            assert kept.tolist() == greedy_dedup_loop(list(embeds), list(ts), dup)
+            assert clusters == greedy_cluster_count_loop(list(embeds[kept]), cluster)
+        # five continua, and the V(6,3) arrivals: one clique, over a pair window
+        assert all(clusters >= 2 for _, clusters in results[:-1])
+        assert len(reps[-1][0]) > cutlocus._PAIR_WINDOW and len(results[-1][0]) == 1
+
+    def test_report_order_matches_the_key_sort(self):
+        orders, _ = _search_post_processing_inputs()
+        for lengths, ts, embeds in orders:
+            assert cutlocus._report_order(lengths, ts, embeds).tolist() == report_key_order(
+                lengths, ts, embeds
+            )
+
+    def test_exact_ties_are_ordered_by_embed_bytes(self):
+        rng = np.random.default_rng(8)
+        embeds = rng.standard_normal((12, 2, 2)) + 1j * rng.standard_normal((12, 2, 2))
+        # byte order is not numeric order: a positive and a negative entry
+        embeds[1, 0, 0], embeds[3, 0, 0] = 0.5, -0.5
+        embeds[7] = embeds[4]  # a full tie keeps its input order
+        lengths = np.array([2.0, 1.0, 2.0, 1.0, 1.0, 3.0, 2.0, 1.0, 1.0, 2.0, 3.0, 1.0])
+        ts = np.array([0.5, 0.7, 0.5, 0.7, 0.7, 0.1, 0.4, 0.7, 0.6, 0.5, 0.1, 0.7])
+        got = cutlocus._report_order(lengths, ts, embeds).tolist()
+        assert got == report_key_order(lengths, ts, embeds)
+        assert got != np.lexsort((ts, lengths)).tolist()
+
+    def test_cluster_radius_below_the_dedup_radius(self, monkeypatch, default_tolerances):
+        tolerances.configure(vel=1e-7)
+        recorded, inner = [], cutlocus._representatives
+
+        def recording(*args):
+            recorded.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(cutlocus, "_representatives", recording)
+        target = StiefelPoint(np.array([[np.exp(0.8j * np.pi)], [0.0]]))
+        rep = search_minimizers(target, VelocityGrid(2, 1, COMPLEX, seed=505))
+        ((embeds, ts, dup, cluster),) = recorded
+        assert (dup, cluster) == (1e-6, 1e-7)
+        kept = greedy_dedup_loop(list(embeds), list(ts), dup)
+        assert len(rep.arrivals) == len(kept) > 1
+        for arr, i in zip(rep.arrivals, kept):
+            assert np.array_equal(arr.velocity.embed(), embeds[i]) and arr.t == ts[i]
+        assert rep.clusters == greedy_cluster_count_loop(list(embeds[kept]), 1e-7)
 
 
 class TestBestHits:
