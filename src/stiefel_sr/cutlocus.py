@@ -2,10 +2,11 @@
 
 The operational notion of a cut point is multiplicity: a target reached at
 minimal length by more than one distinct velocity.  ``search_minimizers``
-makes that testable at desk scale — it scans a velocity grid, locally refines
-every near-arrival, keeps the arrivals of (numerically) minimal length and
-counts velocity clusters.  The verify_* experiments check the structural
-facts directly: mirrored second arrivals at block-diagonal targets, the
+makes that testable at desk scale — at k >= 2 it scans a velocity grid and
+locally refines every near-arrival, at k = 1 it solves in the (rate, time)
+plane; it keeps the arrivals of (numerically) minimal length and counts
+velocity clusters.  The verify_* experiments check the structural facts
+directly: mirrored second arrivals at block-diagonal targets, the
 unique-arrival picture at antidiagonal targets of V_{2k,k}, and the scalar
 analytic facts behind the V_{n,1} uniqueness argument.
 
@@ -27,6 +28,7 @@ from .geodesic import (
     _decompose,
     _endpoint_jacobian,
     _speeds_squared,
+    _vn1_jacobian,
     _vn1_unit_factors,
     batch_geodesic_columns,
     geodesic_vn1_closed,
@@ -41,13 +43,12 @@ _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
 # element budget of the cached scan table and of one batch of Jacobian
 # temporaries: a k >= 2 grid's scan table (velocities x times x n x k) is
 # cached only if it fits, and a larger grid is scanned one kernel fill at a
-# time; the k = 1 scan expands its surviving cells in chunks of a 64th of it
+# time
 _CHUNK_ELEMENTS = 2**22
 # velocities per kernel fill of the k >= 2 scan
 _FILL_VELOCITIES = 16
-# slack on the k = 1 scan's lower bound of a squared endpoint error (of order
-# 1), far above the few ulps by which the bound and the exact error round
-_BOUND_SLACK = 1e-9
+# Newton steps of one k = 1 solve in the (rate, time) plane
+_NEWTON_ITERS = 30
 # Levenberg-Marquardt iterations of the arrival refinement
 _LM_ITERS = 60
 # a refined candidate whose squared residual is above half of its value this
@@ -115,11 +116,12 @@ class VelocityGrid(_Record):
     with nonzero transversal block can be reparametrized to that family), so
     arrival length is speed * time with a family-wide constant speed.
 
-    family: "sphere" (k = 1) and "general" are one parametrization, both
-    blocks linear in the params, and differ only in the initial sample:
-    sphere directions (with a fibre-rate axis in complex mode), or a
-    low-discrepancy sample of every coordinate.  "v21", on complex V_{2,1},
-    takes a fibre-rate x phase grid and the params (fibre rate, phase).
+    family: "v21", "sphere" (k = 1) and "general" are one parametrization,
+    both blocks linear in the params, and differ only in the initial
+    sample: on complex V_{2,1} a fibre-rate x phase grid, the params (fibre
+    rate, cos phase, sin phase); sphere directions (with a fibre-rate axis
+    in complex mode); or a low-discrepancy sample of every coordinate.  A
+    k = 1 search takes the sample's distinct fibre rates and unit rows.
     "auto" picks "v21" on complex V_{2,1}, "sphere" for any other k = 1 and
     "general" otherwise.  Construction resolves "auto" and ``t_max=None``
     (1.1 pi sqrt(k)), so ``family`` is one of the three names and ``t_max`` a
@@ -198,8 +200,10 @@ class SearchDiagnostics(_Record):
     1e8) or ``stalled`` (``_STALL_WINDOW``), or was still active at the
     iteration cap (``capped``); ``lm_iterations`` lockstep iterations ran;
     ``arrivals_before_dedup`` arrivals were in the minimal-length band
-    before deduplication.  The identity class is answered without a search:
-    only its one arrival is counted.
+    before deduplication.  At k = 1 the candidates are the plane solve's
+    Newton starts (none for a closed-form root), and ``damped``, ``stalled``
+    and ``lm_iterations`` stay 0.  The identity class is answered without a
+    search: only its one arrival is counted.
     """
 
     scan_hits: int = 0
@@ -232,11 +236,11 @@ class _LinearFamily:
     imaginary part of each fibre entry above the diagonal; in real mode only
     those entries' real parts.  Then the real parts of the transversal
     entries (row-major), and in complex mode their imaginary parts.  The
-    sphere family (k = 1) and the general family share this map and differ
-    only in their initial samples.
+    v21 and sphere families (k = 1) and the general family share this map
+    and differ only in their initial samples.
 
-    Every family is differentiated along these fixed unit images ``da``,
-    ``db`` and then through its own chain rule ``normalize``.
+    The refinement differentiates along these fixed unit images ``da``,
+    ``db`` and then through the normalization of b, ``normalize``.
     """
 
     def __init__(self, grid: VelocityGrid):
@@ -260,6 +264,13 @@ class _LinearFamily:
     def initial_params(self) -> np.ndarray:
         g = self.grid
         lo, hi = g.lambda_range
+        if g.family == "v21":
+            lam, ph = np.meshgrid(
+                np.linspace(lo, hi, g.lambda_count),
+                np.linspace(0.0, 2 * np.pi, g.phase_count, endpoint=False),
+                indexing="ij",
+            )
+            return np.column_stack([lam.ravel(), np.cos(ph.ravel()), np.sin(ph.ravel())])
         if g.family == "general":
             u = _sobol(len(self.da), g.sample_count, g.seed)
             a_dim = self.a_dim
@@ -301,34 +312,6 @@ class _LinearFamily:
         return along
 
 
-class _V21Family(_LinearFamily):
-    """Unit transversal entry on complex V_{2,1}: blocks (i lam, e^{i phi}), params (lam, phi).
-
-    Differentiated along the inherited unit images of (lam, Re b, Im b).
-    """
-
-    def initial_params(self) -> np.ndarray:
-        g = self.grid
-        lam, ph = np.meshgrid(
-            np.linspace(*g.lambda_range, g.lambda_count),
-            np.linspace(0.0, 2 * np.pi, g.phase_count, endpoint=False),
-            indexing="ij",
-        )
-        return np.column_stack([lam.ravel(), ph.ravel()])
-
-    def blocks(self, params: np.ndarray):
-        return (1j * params[:, 0]).reshape(-1, 1, 1), np.exp(1j * params[:, 1]).reshape(-1, 1, 1)
-
-    def normalize(self, params: np.ndarray, along: np.ndarray) -> np.ndarray:
-        """Derivatives (c, 3, 2, 1) along (lam, Re b, Im b) -> (c, 2, 2, 1) along (lam, phi).
-
-        b moves by i e^{i phi} = -sin phi + i cos phi along phi.
-        """
-        ph = params[:, 1, None, None]
-        along[:, 1] = np.cos(ph) * along[:, 2] - np.sin(ph) * along[:, 1]
-        return along[:, :2]
-
-
 def _frobenius(b: np.ndarray) -> np.ndarray:
     """Frobenius norms (c, 1, 1) of stacked blocks (c, k, m), floored away from 0."""
     return np.maximum(np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2), keepdims=True)), 1e-30)
@@ -346,10 +329,6 @@ def _inverse_gauss(u: np.ndarray) -> np.ndarray:
     return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
 
 
-def _make_family(grid: VelocityGrid):
-    return _V21Family(grid) if grid.family == "v21" else _LinearFamily(grid)
-
-
 # -- search engine --------------------------------------------------------------
 
 
@@ -359,8 +338,8 @@ def _endpoint_residuals(family, x: np.ndarray, target_cols):
     Row i is the real/imaginary parts of (endpoint_i - target) flattened;
     rows with non-finite entries or negative time get a large constant
     residual so steps into them are always rejected.  The spectra are the
-    eigendecompositions the kernel evaluated the rows with (``_decompose``;
-    () at k = 1), which ``_residual_jacobian`` takes at the same rows.
+    eigendecompositions the kernel evaluated the rows with (``_decompose``),
+    which ``_residual_jacobian`` takes at the same rows.
     """
     params, ts = x[:, :-1], x[:, -1]
     bad = ~np.isfinite(x).all(axis=1) | (ts < 0)
@@ -389,114 +368,43 @@ def _scan_fills(family, params: np.ndarray, ts: np.ndarray):
 
 
 @dataclass(frozen=True, eq=False)
-class _Vn1Factors:
-    """A k = 1 grid's endpoint columns at the scan times, as rate x time and direction factors.
+class _Vn1Plane:
+    """A k = 1 grid's scan data: T at its distinct fibre rates and scan times, and its unit rows.
 
-    Velocity v, with the r-th of the grid's distinct fibre rates (ascending)
-    and unit transversal row ``rows[v]``, reaches (top[r, t], -conj(rows[v])
-    side[r, t]) at scan time t (``geodesic._vn1_unit_factors``).
-    ``members[r]`` lists rate r's velocities in grid order, padded with -1
-    to the largest count.  Every array is read-only.
+    Velocity (i lam, b) with a unit row b reaches (T(lam, t), -conj(b)
+    S(lam, t)) (``geodesic._vn1_unit_factors``).  ``rates`` ascend;
+    ``directions`` are the grid's distinct unit rows.  Read-only.
     """
 
+    rates: np.ndarray  # (R,)
     top: np.ndarray  # (R, T)
-    side: np.ndarray  # (R, T)
-    rows: np.ndarray  # (c, n-1)
-    members: np.ndarray  # (R, M)
-
-
-def _vn1_factors(family, p0: np.ndarray, ts: np.ndarray) -> _Vn1Factors:
-    """The ``_Vn1Factors`` of a k = 1 family's velocities ``p0`` at the scan times ``ts``."""
-    a, b = family.blocks(p0)
-    rates, rate_of = np.unique(a[:, 0, 0].imag, return_inverse=True)
-    top, side = _vn1_unit_factors(rates[:, None], ts)
-    order = np.argsort(rate_of, kind="stable")
-    counts = np.bincount(rate_of)
-    slot = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-    members = np.full((len(rates), counts.max()), -1, dtype=np.intp)
-    members[rate_of[order], slot] = order
-    for x in (top, side, b, members):
-        x.flags.writeable = False
-    return _Vn1Factors(top, side, b[:, 0], members)
+    directions: np.ndarray  # (D, n-1)
 
 
 @functools.lru_cache(maxsize=1)
 def _scan_table(grid: VelocityGrid):
     """The grid's target- and tolerance-independent scan data, shared by every search on it.
 
-    At k = 1 the ``_Vn1Factors`` of its endpoint columns; at k >= 2 the
-    read-only endpoint columns (c, T, n, k) of every grid velocity at every
-    scan time, for which callers only pass grids whose table fits
-    ``_CHUNK_ELEMENTS``.
+    At k = 1 its ``_Vn1Plane``; at k >= 2 the read-only endpoint columns
+    (c, T, n, k) of every grid velocity at every scan time, for which
+    callers only pass grids whose table fits ``_CHUNK_ELEMENTS``.
     """
-    family = _make_family(grid)
+    family = _LinearFamily(grid)
     p0 = family.initial_params()
     ts = _scan_times(grid)
     if grid.k == 1:
-        return _vn1_factors(family, p0, ts)
+        a, b = family.blocks(p0)
+        rates = np.unique(a[:, 0, 0].imag)
+        top = _vn1_unit_factors(rates[:, None], ts)[0]
+        plane = _Vn1Plane(rates, top, np.unique(b[:, 0], axis=0))
+        for x in (plane.rates, plane.top, plane.directions):
+            x.flags.writeable = False
+        return plane
     table = np.empty((len(p0), grid.t_count, grid.n, grid.k), dtype=np.complex128)
     for lo, cols in _scan_fills(family, p0, ts):
         table[lo : lo + len(cols)] = cols
     table.flags.writeable = False
     return table
-
-
-def _scan_factors(factors: _Vn1Factors, target_cols, gate):
-    """``_scan_cols`` of a k = 1 grid, from its factors: the same hits, in the same order.
-
-    With beta_v = rows[v] . Q[1:], the squared error to the target Q is
-    1 + |Q|^2 - 2 Re(conj(Q[0]) top) + 2 Re(side conj(beta_v)): a rate x
-    time base plus one scalar per velocity.  Over a rate's velocities it is
-    at least base - 2 |side| max |beta_v| at a scan time, and it moves
-    between neighbouring times by at least the step of base less 2 |step of
-    side| max |beta_v|.  So a (rate, time) cell is expanded to its rate's
-    velocities only if that bound passes the gate and the error can fall
-    into the cell from both neighbours, every test with a slack far above
-    its rounding; one chunk of cells expands to at most
-    ``_CHUNK_ELEMENTS // 64`` (velocity, time) points.  There the exact gate
-    runs, and the points that pass it take the two-neighbour local-minimum
-    test of ``_scan_cols``.
-    """
-    q = np.asarray(target_cols, dtype=np.complex128)[:, 0]
-    members = factors.members
-    live = members >= 0
-    # 2 beta per (rate, member) slot, as real and imaginary parts: the
-    # direction term 2 Re(side conj(beta)) is then two real products
-    beta2 = 2.0 * np.where(live, (factors.rows @ q[1:])[members], 0.0)
-    beta2_re, beta2_im = beta2.real.copy(), beta2.imag.copy()
-    side_re, side_im = factors.side.real.copy(), factors.side.imag.copy()
-    base = 1.0 + float(np.vdot(q, q).real) - 2.0 * (np.conj(q[0]) * factors.top).real
-    # the most a rate's direction term is, and moves between neighbouring times
-    reach = np.max(np.abs(beta2), axis=1, keepdims=True)
-    base_step = np.diff(base, axis=1)
-    shift = np.abs(np.diff(factors.side, axis=1)) * reach
-    gate2 = gate * gate
-    cells = (
-        (base[:, 1:-1] - np.abs(factors.side[:, 1:-1]) * reach < gate2 + _BOUND_SLACK)
-        & (base_step[:, :-1] - shift[:, :-1] <= _BOUND_SLACK)  # err(t) <= err(t - 1) possible
-        & (-base_step[:, 1:] - shift[:, 1:] <= _BOUND_SLACK)  # err(t) <= err(t + 1) possible
-    )
-    rs, ts = np.nonzero(cells)
-    ts += 1
-    width, t_count = members.shape[1], base.shape[1]
-    step = max(1, _CHUNK_ELEMENTS // (64 * width))
-    hits = [(np.empty(0, np.intp),) * 2 + (np.empty(0),)]
-    for lo in range(0, len(rs), step):
-        r, t = rs[lo : lo + step], ts[lo : lo + step]
-        # (cells, M) squared errors of every member of each cell's rate
-        mid = base[r, t, None] + side_re[r, t, None] * beta2_re[r]
-        mid += side_im[r, t, None] * beta2_im[r]
-        ci, m = np.nonzero((mid < gate2) & live[r])
-        mid = mid[ci, m]
-        slot, cell = r[ci] * width + m, r[ci] * t_count + t[ci]
-        re, im = beta2_re.flat[slot], beta2_im.flat[slot]
-        low = np.ones(len(mid), dtype=bool)
-        for near in (cell - 1, cell + 1):
-            low &= mid <= base.flat[near] + side_re.flat[near] * re + side_im.flat[near] * im
-        hits.append((members.flat[slot[low]], t[ci[low]], np.sqrt(np.maximum(mid[low], 0.0))))
-    vix, tix, err = (np.concatenate(x) for x in zip(*hits))
-    order = np.lexsort((tix, vix))
-    return vix[order], tix[order], err[order]
 
 
 def _scan_cols(cols, target_cols, gate):
@@ -538,6 +446,109 @@ def _best_hits(vix, tix, err) -> np.ndarray:
     order = np.lexsort((tix, err, vix))
     grouped = vix[order]
     return order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < 3]
+
+
+def _scan_plane(top: np.ndarray, q0: complex, gate: float):
+    """Rate and time indices of the gated local minima of |T - q0|^2 over a (R, T) table.
+
+    Interior in time; the first and last rates compare with their one
+    neighbour, so a root just outside the rate range still gets a start.
+    """
+    diff = top - q0
+    err2 = diff.real**2 + diff.imag**2
+    mid = err2[:, 1:-1]
+    low = (mid <= err2[:, :-2]) & (mid <= err2[:, 2:]) & (mid < gate * gate)
+    low[1:] &= mid[1:] <= mid[:-1]
+    low[:-1] &= mid[:-1] <= mid[1:]
+    r, j = np.nonzero(low)
+    return r, j + 1
+
+
+def _plane_newton(lam: np.ndarray, ts: np.ndarray, q0: complex):
+    """Batched Newton on T(lam, t) = q0 from stacked starts in the (rate, time) plane.
+
+    Each step solves the 2 x 2 real system of dT/dlam and dT/dt
+    (``geodesic._vn1_jacobian``) by Cramer's rule and is kept only if it
+    lowers |T - q0|; a start whose step no longer does has converged.
+    Returns the rates, the times and the counts of converged starts and of
+    those still descending after ``_NEWTON_ITERS`` steps.
+    """
+    lam, ts = lam.astype(np.float64), ts.astype(np.float64)
+    top, dlam, dt = _vn1_jacobian(lam, ts)
+    res = np.abs(top - q0)
+    active = np.ones(len(lam), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_ITERS):
+            ai = np.flatnonzero(active)
+            if len(ai) == 0:
+                break
+            r, jl, jt = top[ai] - q0, dlam[ai], dt[ai]
+            det = jl.real * jt.imag - jt.real * jl.imag
+            trial_lam = lam[ai] + (jt.real * r.imag - jt.imag * r.real) / det
+            trial_ts = ts[ai] + (jl.imag * r.real - jl.real * r.imag) / det
+            trial = _vn1_jacobian(trial_lam, trial_ts)
+            trial_res = np.abs(trial[0] - q0)
+            better = trial_res < res[ai]
+            rows = ai[better]
+            trials = (trial_lam, trial_ts, *trial, trial_res)
+            for held, new in zip((lam, ts, top, dlam, dt, res), trials):
+                held[rows] = new[better]
+            active[ai[~better]] = False
+    capped = int(np.count_nonzero(active))
+    return lam, ts, len(lam) - capped, capped
+
+
+def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
+    """Blocks, times and endpoint errors of a k = 1 search's arrivals, and its counts.
+
+    Every unit row reaches a block-diagonal target (q0, 0) where S = 0, at
+    t omega = m pi with T = (-1)^m e^{-i lam t / 2}; m = 1 is the shortest,
+    so for q0 = e^{ic}, c in (0, 2 pi) and x = c / pi: t = pi sqrt(x (2 -
+    x)), lam = 2 (1 - x) / sqrt(x (2 - x)) (the real antipode: lam = 0, t =
+    pi).  A real-mode target (lam = 0, T = cos t) is reached at t =
+    atan2(|q1|, q0).  Otherwise the minima of ``_scan_plane`` start
+    ``_plane_newton``; a geodesic stops being minimal at its first vanishing
+    time pi / omega, so a root past it starts one more solve from its mirror
+    t -> 2 pi / omega - t, where a target near the block-diagonal set has
+    its shorter root.  Each root's row is b = -conj(q1) / conj(S),
+    normalized.  Roots must lie in the grid's window ``lambda_range`` x (0,
+    ``t_max``] (in real mode (0, ``t_max``]) and reach within ``TOL.hit``.
+    """
+    plane = _scan_table(grid)
+    ts = _scan_times(grid)
+    speed = float(np.sqrt(_speeds_squared(plane.directions[:1, None], grid.n, grid.mode)[0]))
+    gate = max(8 * speed * (ts[1] - ts[0]), 0.25) + tolerances.TOL.hit
+    q0, q1 = target.cols[0, 0], target.cols[1:, 0]
+    counts = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == BLOCK_DIAGONAL:
+            x = (np.angle(q0) % (2 * np.pi)) / np.pi
+            rows = plane.directions
+            lam = np.full(len(rows), 2.0 * (1.0 - x) / np.sqrt(x * (2.0 - x)))
+            t = np.full(len(rows), np.pi * np.sqrt(x * (2.0 - x)))
+        elif grid.mode == REAL:
+            norm = np.linalg.norm(q1)
+            lam, t, rows = np.zeros(1), np.array([np.arctan2(norm, q0.real)]), (-q1 / norm)[None]
+        else:
+            r, j = _scan_plane(plane.top, q0, gate)
+            lam, t, converged, capped = _plane_newton(plane.rates[r], ts[j], q0)
+            omega = 0.5 * np.sqrt(lam * lam + 4.0)
+            past = t * omega > np.pi
+            folded = _plane_newton(lam[past], 2 * np.pi / omega[past] - t[past], q0)
+            lam, t = np.concatenate([lam, folded[0]]), np.concatenate([t, folded[1]])
+            rows = -np.conj(q1) / np.conj(_vn1_unit_factors(lam, t)[1])[:, None]
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            counts = dict(scan_hits=len(r), candidates=len(lam))
+            counts.update(converged=converged + folded[2], capped=capped + folded[3])
+    lo, hi = grid.lambda_range
+    inside = (t > 10 * _REFINE_FLOOR) & (t <= grid.t_max)
+    if grid.mode == COMPLEX:
+        inside &= (lo <= lam) & (lam <= hi)
+    a_blk, b_blk, t = (1j * lam[inside]).reshape(-1, 1, 1), rows[inside, None], t[inside]
+    cols = batch_geodesic_columns(a_blk, b_blk, t, grid.mode)
+    err = np.linalg.norm(cols - target.cols, axis=(1, 2))
+    good = err <= tolerances.TOL.hit
+    return a_blk[good], b_blk[good], t[good], err[good], counts
 
 
 def _residual_jacobian(family, x: np.ndarray, spectra) -> np.ndarray:
@@ -760,28 +771,22 @@ def _representatives(embeds: np.ndarray, ts, dup: float, cluster: float):
 
 
 def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerReport:
-    """Grid search + local refinement for minimizing arrivals at a target.
+    """Minimizing arrivals at a target: a grid search and refinement, or at k = 1 a plane solve.
 
-    Evaluates the geodesic flow over the velocity grid, refines every
-    near-arrival by damped least squares on the endpoint residual, keeps
-    arrivals whose length is within a 1e-6 relative band of the best, and
-    counts velocity clusters at separation ``TOL.vel``.  Deterministic for a
-    fixed grid (seed included); an exhausted search returns an empty-arrival
-    report rather than raising.
-
-    The grid's scan data do not depend on the target or tolerances, so they
-    are computed once per grid per process and reused; at most one grid's
-    are resident.  At k = 1 they are the endpoint columns' factors, a rate x
-    time table and one unit row per velocity, whatever the grid's size: the
-    scan bounds the error over each rate's velocities and expands only the
-    (rate, time) cells that may hold a hit, so no table is made.  At k >= 2
-    they are the endpoint table, cached only if it fits the chunk budget; a
-    larger grid is scanned on every call, one kernel fill of 16 velocities
-    at a time, so no table-sized array is made.  The minimal-length
-    arrivals are put in report order by one ``lexsort`` on (length, t), the
-    embeds' bytes ordering exact ties only, then deduplicated and clustered
-    from the neighbour pairs along one sorted coordinate
-    (``_representatives``), with no numpy round per arrival.  The kept
+    Keeps the arrivals within ``TOL.hit`` of the target whose length is
+    within a 1e-6 relative band of the best, and counts velocity clusters
+    at separation ``TOL.vel``.  Deterministic for a fixed grid (seed
+    included); an exhausted search returns an empty-arrival report rather
+    than raising.  The grid's scan data do not depend on the target or
+    tolerances, so they are computed once per grid per process and reused;
+    at most one grid's are resident.  At k >= 2 every near-arrival of the
+    grid's endpoint table is refined by damped least squares
+    (``_refined_arrivals``); at k = 1 a target's top entry fixes the rate
+    and the time, which the search solves for in the (rate, time) plane
+    (``_plane_arrivals``).  The minimal-length arrivals are put in report
+    order by one ``lexsort`` on (length, t), the embeds' bytes ordering
+    exact ties only, then deduplicated and clustered from the neighbour
+    pairs along one sorted coordinate (``_representatives``).  The kept
     arrivals' velocities are checked as one stack
     (``homspace._block_velocities``).
     """
@@ -793,7 +798,6 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     if (target.n, target.k) != (grid.n, grid.k) or target.mode != grid.mode:
         raise ValueError("target and grid disagree on (n, k, mode)")
 
-    family = _make_family(grid)
     tclass = classify_target(target)
     if target.is_identity_class():
         zero = BlockVelocity(
@@ -804,41 +808,13 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
         diagnostics = SearchDiagnostics(arrivals_before_dedup=1)
         return MinimizerReport(tclass, grid, (arr,), 1, 0.0, diagnostics)
 
-    p0 = family.initial_params()
-    ts = _scan_times(grid)
-    dt = ts[1] - ts[0]
-    speed = float(np.sqrt(_speeds_squared(family.blocks(p0[:1])[1], grid.n, grid.mode)[0]))
-    gate = max(8 * speed * dt, 0.25) + tol.hit
-
-    # every gated local minimum of the endpoint error along each velocity's
-    # time grid; a k = 1 grid's factors and a k >= 2 table that fits the
-    # chunk budget are evaluated once per grid, a larger k >= 2 grid is
-    # scanned one kernel fill at a time
     if grid.k == 1:
-        vix, tix, err = _scan_factors(_scan_table(grid), target.cols, gate)
-    elif len(p0) * grid.t_count * grid.n * grid.k <= _CHUNK_ELEMENTS:
-        vix, tix, err = _scan_cols(_scan_table(grid), target.cols, gate)
+        a_blk, b_blk, t_good, err_good, counts = _plane_arrivals(target, grid, tclass.kind)
     else:
-        hits = []
-        for lo, cols in _scan_fills(family, p0, ts):
-            v, t, e = _scan_cols(cols, target.cols, gate)
-            hits.append((v + lo, t, e))
-        vix, tix, err = (np.concatenate(x) for x in zip(*hits))
-
-    pick = _best_hits(vix, tix, err)
-    if len(pick) == 0:
-        return MinimizerReport(tclass, grid, (), 0, None, SearchDiagnostics(scan_hits=len(vix)))
-
-    params, t_ref, errs, stats = _refine(
-        family, p0[vix[pick]], ts[tix[pick]], target.cols, tol.hit
-    )
-    counts = dict(scan_hits=len(vix), candidates=len(pick), **stats)
-    good = (errs <= tol.hit) & (t_ref > 10 * _REFINE_FLOOR)
-    if not good.any():
+        a_blk, b_blk, t_good, err_good, counts = _refined_arrivals(target, grid)
+    if len(t_good) == 0:
         return MinimizerReport(tclass, grid, (), 0, None, SearchDiagnostics(**counts))
 
-    a_blk, b_blk = family.blocks(params[good])
-    t_good, err_good = t_ref[good], errs[good]
     lengths = t_good * np.sqrt(_speeds_squared(b_blk, grid.n, grid.mode))
     min_len = float(lengths.min())
     kept = np.nonzero(lengths <= min_len * (1 + _LENGTH_SLACK))[0]
@@ -860,6 +836,41 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     )
     diagnostics = SearchDiagnostics(**counts, arrivals_before_dedup=len(kept))
     return MinimizerReport(tclass, grid, final, clusters, min_len, diagnostics)
+
+
+def _refined_arrivals(target: StiefelPoint, grid: VelocityGrid):
+    """Blocks, times and residual norms of a k >= 2 search's arrivals, and its counts.
+
+    The gated local minima of the endpoint error along each velocity's time
+    grid (up to 3 per velocity, ``_best_hits``) are refined by ``_refine``.
+    A table over the chunk budget is never made: the grid is scanned one
+    kernel fill of 16 velocities at a time.
+    """
+    family = _LinearFamily(grid)
+    p0 = family.initial_params()
+    ts = _scan_times(grid)
+    speed = float(np.sqrt(_speeds_squared(family.blocks(p0[:1])[1], grid.n, grid.mode)[0]))
+    gate = max(8 * speed * (ts[1] - ts[0]), 0.25) + tolerances.TOL.hit
+    if len(p0) * grid.t_count * grid.n * grid.k <= _CHUNK_ELEMENTS:
+        vix, tix, err = _scan_cols(_scan_table(grid), target.cols, gate)
+    else:
+        hits = []
+        for lo, cols in _scan_fills(family, p0, ts):
+            v, t, e = _scan_cols(cols, target.cols, gate)
+            hits.append((v + lo, t, e))
+        vix, tix, err = (np.concatenate(x) for x in zip(*hits))
+
+    pick = _best_hits(vix, tix, err)
+    if len(pick) == 0:
+        none = np.zeros(0)
+        return none, none, none, none, dict(scan_hits=len(vix))
+    params, t_ref, errs, stats = _refine(
+        family, p0[vix[pick]], ts[tix[pick]], target.cols, tolerances.TOL.hit
+    )
+    counts = dict(scan_hits=len(vix), candidates=len(pick), **stats)
+    good = (errs <= tolerances.TOL.hit) & (t_ref > 10 * _REFINE_FLOOR)
+    a_blk, b_blk = family.blocks(params[good])
+    return a_blk, b_blk, t_ref[good], errs[good], counts
 
 
 # -- mirrored arrivals at block-diagonal targets ---------------------------------

@@ -14,12 +14,13 @@ case) are views of the same formula, so no k = 1 path calls an eigensolver.
 k >= 2 goes through two batched eigh, split from the evaluation so a caller
 can keep the decompositions, and then writes the columns as q (e^{-i t w_p}
 e^{i t wa_j} (q* qa)_pj) qa*: two products per velocity, whatever the number
-of times.  One entry, ``_endpoint_jacobian``, gives the endpoint's
-derivatives along fixed directions of the velocity blocks and in t, and alone
-picks the path: at k = 1 the V_{n,1} closed form differentiated term by term,
-at k >= 2 one product of the directions' generators with one Daleckii-Krein
-sensitivity array built from the kept decompositions, the endpoint's
-derivative in every entry of its generator, so any direction is taken.
+of times.  At a unit transversal row the V_{n,1} column is (T, -conj(b) S)
+with T and S functions of the rate and the time (``_vn1_unit_factors``,
+``_vn1_jacobian``), so a k = 1 search solves in the (rate, time) plane.
+``_endpoint_jacobian`` gives the k >= 2 refinement the endpoint's
+derivatives along fixed directions and in t: one product of the
+directions' generators with one Daleckii-Krein sensitivity array built from
+the kept decompositions, so any direction is taken.
 Alongside them this module carries the square-block Grassmann geodesics used
 for V_{2k,k}, plus speed, length, the first time a V_{n,1} geodesic returns to
 the block-diagonal set, and the mirrored velocity that produces a second
@@ -154,12 +155,10 @@ def _decompose(a_blocks, b_blocks):
 
     ``batch_geodesic_columns`` and the Jacobian take them as ``spectra``, so a
     caller that evaluates and later differentiates at the same velocities
-    decomposes once.  Returns () at k = 1, whose closed forms need none.
+    decomposes once.  The k = 1 kernel takes no spectra.
     """
     a_blocks = np.asarray(a_blocks, dtype=np.complex128)
     b_blocks = np.asarray(b_blocks, dtype=np.complex128)
-    if b_blocks.shape[1] == 1:
-        return ()
     w, q = np.linalg.eigh(1j * _embed_velocities(a_blocks, b_blocks))
     wa, qa = np.linalg.eigh(1j * a_blocks)
     return w, q, wa, qa
@@ -269,39 +268,24 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, series, (np.sin(xd) - xd * np.cos(xd)) / xd**3)
 
 
-def _vn1_jacobian(a_blocks, b_blocks, ts, da, db, mode: str):
-    """The endpoint's derivatives at k = 1, eigensolver-free.
+def _vn1_jacobian(lam, ts):
+    """T, dT/dlam and dT/dt for the top entry T of ``_vn1_unit_factors``, eigensolver-free.
 
-    Blocks (c, 1, 1), (c, 1, n-1) at one time per velocity, ``ts`` (c,), and
-    directions da (d, 1, 1), db (d, 1, n-1), fixed or stacked per velocity
-    as (c, d, 1, 1), (c, d, 1, n-1).  Returns the derivatives of
-    ``_vn1_column`` along (da, db) (c, d, n, 1) and in t (c, n, 1), term by
-    term.  With g = omega d omega = (lam d lam + 4 Re<b, db>) / 4 and S =
-    sin(t omega) / omega, the terms move by d cos(t omega) = -t S g, dS =
-    -t^3 J(t omega) g and d phase = -i t d lam / 2 . phase; in t by -omega^2
-    S, cos(t omega) and -i lam / 2 . phase.  Nothing divides by the rate.
+    At a unit transversal row the V_{n,1} column's top entry depends on the
+    rate and the time only, so a k = 1 target's top entry is two real
+    equations in (lam, t).  With g = omega d omega / d lam = lam / 4 and S =
+    sin(t omega) / omega, the terms move in lam by d cos(t omega) = -t S g,
+    dS = -t^3 J(t omega) g and d phase = -i t / 2 . phase; in t the top entry
+    moves by -phase S, since omega^2 = lam^2 / 4 + 1.  ``lam`` and ``ts``
+    broadcast together; nothing divides by the rate.
     """
-    da, db = (np.broadcast_to(u, (len(ts),) + np.shape(u)[-3:]) for u in (da, db))
-    lam, row = a_blocks[:, 0, 0].imag, b_blocks[:, 0]  # (c,), (c, m)
-    omega, cosx, sincw, phase = _vn1_terms(lam, row, ts)
-    dlam = np.imag(da[:, :, 0, 0])  # (c, d)
-    drow = np.asarray(db, dtype=np.complex128)[:, :, 0]  # (c, d, m)
-    g = 0.25 * lam[:, None] * dlam + np.sum((np.conj(row[:, None]) * drow).real, axis=-1)
-    tt = ts[:, None]
-    # rates of change of (log phase, cos, S, lam, b) along the d directions
-    # and then along t, stacked (c, d + 1)
-    dphase = np.concatenate([-0.5j * tt * dlam, -0.5j * lam[:, None]], axis=1)
-    dcos = np.concatenate([-tt * sincw[:, None] * g, -(omega * omega * sincw)[:, None]], axis=1)
-    dsinc = np.concatenate([-(tt**3) * _j1_over_x(ts * omega)[:, None] * g, cosx[:, None]], axis=1)
-    dlam_t = np.concatenate([dlam, np.zeros_like(tt)], axis=1)
-    drow_t = np.concatenate([drow, np.zeros_like(drow[:, :1])], axis=1)
-    ph, lm, s = phase[:, None], lam[:, None], sincw[:, None]
-    dtop = ph * (dphase * (cosx[:, None] + 0.5j * lm * s) + dcos + 0.5j * (dlam_t * s + lm * dsinc))
-    dbottom = -ph[..., None] * (
-        np.conj(row[:, None]) * (dphase * s + dsinc)[..., None] + s[..., None] * np.conj(drow_t)
-    )
-    dall = np.concatenate([dtop[..., None], dbottom], axis=-1)[..., None]  # (c, d + 1, n, 1)
-    return _field(dall[:, :-1], mode), _field(dall[:, -1], mode)
+    omega, cosw, sincw, phase = _vn1_terms(lam, np.ones(1), ts)
+    g = 0.25 * lam
+    inner = cosw + 0.5j * lam * sincw
+    dcos = -ts * sincw * g
+    dsinc = -(ts**3) * _j1_over_x(ts * omega) * g
+    dlam = phase * (-0.5j * ts * inner + dcos + 0.5j * (sincw + lam * dsinc))
+    return phase * inner, dlam, -phase * sincw
 
 
 def _endpoint_jacobian(a_blocks, b_blocks, ts, spectra, da, db, mode: str):
@@ -309,13 +293,12 @@ def _endpoint_jacobian(a_blocks, b_blocks, ts, spectra, da, db, mode: str):
 
     Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,),
     ``spectra`` their ``_decompose``, directions da (d, k, k), db (d, k, n-k).
-    k = 1 takes the differentiated V_{n,1} closed form.  At k >= 2 the
-    derivative is linear in a direction's generator i [[da, db], [-db*, 0]],
-    so every direction's derivative is one product of the generators (d, n n)
-    with ``_sensitivity``'s K: no eigh, and any direction, however dense.
+    The derivative is linear in a direction's generator i [[da, db], [-db*,
+    0]], so every direction's derivative is one product of the generators
+    (d, n n) with ``_sensitivity``'s K: no eigh, and any direction, however
+    dense.  The search differentiates only k >= 2 endpoints this way; every
+    shape is taken.
     """
-    if b_blocks.shape[1] == 1:
-        return _vn1_jacobian(a_blocks, b_blocks, ts, da, db, mode)
     gens = 1j * _embed_velocities(da, db).reshape(len(da), -1)
     sens, dcols_dt = _sensitivity(a_blocks, b_blocks, ts, spectra)
     c, n, _, k = sens.shape

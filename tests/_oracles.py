@@ -9,10 +9,12 @@ oracle its original per-hit loop, the scan oracle its original subtraction
 pass over the scan table, the hit oracle the original golden-section
 refinement of the first block-diagonal dip, the bracket-span oracles the
 rank tests' original one-bracket-at-a-time loops, the V_{2,1} column oracle
-the evaluator's original (2, 1)-only closed form, the tangent oracles the
+the evaluator's original (2, 1)-only closed form, the tangent oracle the
 search families' original block tangents (the projection of a linear
-family's unit params through the normalization of b, and V_{2,1}'s phase
-tangent i e^{i phi}), the directional-Jacobian oracle the refinement's
+family's unit params through the normalization of b), the plane-scan
+oracle a cell-by-cell pass over the (rate, time) table, the plane-root
+oracle a Lipschitz-pruned fine grid refined by scipy's ``least_squares``,
+the directional-Jacobian oracle the refinement's
 original contraction of the endpoint's sensitivities with each direction's
 generator, the refinement oracle the arrival refinement's original loop,
 which forms every active candidate's Jacobian on every iteration, the
@@ -30,14 +32,7 @@ import numpy as np
 
 from stiefel_sr import cutlocus, matcore, tolerances
 from stiefel_sr.distribution import horizontal_basis, stiefel_tangent_dim
-from stiefel_sr.geodesic import (
-    GeodesicSpec,
-    _decompose,
-    _field,
-    _sensitivity,
-    _vn1_jacobian,
-    sample_curve,
-)
+from stiefel_sr.geodesic import GeodesicSpec, _decompose, _field, _sensitivity, sample_curve
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.matcore import COMPLEX
 
@@ -276,24 +271,11 @@ def unit_block_tangents(b, da, db):
     return np.broadcast_to(da, (len(b),) + da.shape), dunit
 
 
-def v21_phase_tangents(params):
-    """The former V_{2,1} family's tangents along (fibre rate, phase) of the
-    blocks (i lam, e^{i phi}): (c, 2, 1, 1) each, the phase's i e^{i phi}."""
-    da = np.zeros((len(params), 2, 1, 1), dtype=np.complex128)
-    db = np.zeros_like(da)
-    da[:, 0] = 1j
-    db[:, 1, 0, 0] = 1j * np.exp(1j * params[:, 1])
-    return da, db
-
-
 def jacobian_along(a, b, ts, da, db, mode: str):
     """The endpoint's derivatives along arbitrary stacked block directions
     da (c, d, k, k), db (c, d, k, n-k) and in t, as the refinement once took
-    them: the V_{n,1} closed form's at k = 1, and at k >= 2 the sensitivity
-    array contracted with each direction's generator i [[da, db], [-db*, 0]].
-    Returns (c, d, n, k) and (c, n, k)."""
-    if b.shape[1] == 1:
-        return _vn1_jacobian(a, b, ts, da, db, mode)
+    them: the sensitivity array contracted with each direction's generator
+    i [[da, db], [-db*, 0]].  Returns (c, d, n, k) and (c, n, k)."""
     c, d = db.shape[:2]
     sens, dcols_dt = _sensitivity(a, b, ts, _decompose(a, b))
     gens = 1j * _embed_velocities(np.asarray(da), np.asarray(db)).reshape(c, 1, d, -1)
@@ -349,6 +331,67 @@ def first_column_2x2(lam, b, ts):
     top = phase * (cosw + 0.5j * lam * sincw)
     bottom = phase * (-np.conj(b) * sincw)
     return np.stack([top, bottom], axis=-1)
+
+
+def plane_minima_loop(top, q0, gate):
+    """(rate indices, time indices) of the gated local minima of |T - q0| over
+    a (R, T) table, cell by cell: interior in time, no larger than each
+    neighbour in time and in rate, and below ``gate``."""
+    err = np.abs(top - q0)
+    rates, times = [], []
+    for r in range(err.shape[0]):
+        for j in range(1, err.shape[1] - 1):
+            near = [err[r, j - 1], err[r, j + 1]]
+            near += [err[s, j] for s in (r - 1, r + 1) if 0 <= s < err.shape[0]]
+            if err[r, j] < gate and all(err[r, j] <= e for e in near):
+                rates.append(r)
+                times.append(j)
+    return np.array(rates, dtype=np.intp), np.array(times, dtype=np.intp)
+
+
+def plane_least_root(q, lambda_range, t_max: float, cells: int = 600):
+    """(t, lam) of the least-time root of T(lam, t) = q[0] in lambda_range x (0,
+    t_max], or None, for the top entry T of the unit-row V(n,1) column (the
+    original V(2,1) column at b = 1).  |T - q[0]| is taken at the centres of a
+    cells x cells grid; a cell is kept unless that value exceeds what T can
+    move within the cell (|dT/dt| <= 1, |dT/dlam| <= 3 t_max).  Kept cells
+    are joined into connected sets on each side of the fold t omega = pi, and
+    each set is refined from its best cell by scipy's least_squares in (lam,
+    t omega), bounded to its side of the fold, on T - q[0] and |S| - |q[1:]|
+    with |S| = |sin(t omega)| / omega: near the fold |T| is flat, and S pins
+    the root."""
+    from scipy.ndimage import label
+    from scipy.optimize import least_squares
+
+    q0, side_norm = q[0], np.linalg.norm(q[1:])
+    lo, hi = lambda_range
+    half_lam, half_t = (hi - lo) / (2 * cells), t_max / (2 * cells)
+    lams = lo + half_lam * (2 * np.arange(cells) + 1)
+    ts = half_t * (2 * np.arange(cells) + 1)
+
+    def top(lam, angle):  # T at t = angle / omega
+        return first_column_2x2(lam, 1.0, angle / np.hypot(lam / 2, 1.0))[..., 0]
+
+    def residual(x):
+        r = top(*x) - q0
+        return [r.real, r.imag, abs(np.sin(x[1])) / np.hypot(x[0] / 2, 1.0) - side_norm]
+
+    angles = ts[None] * np.hypot(lams[:, None] / 2, 1.0)
+    dist = np.abs(top(lams[:, None], angles) - q0)
+    kept = dist <= 3 * t_max * half_lam + half_t
+    roots = []
+    for side, bounds in ((angles <= np.pi, (0, np.pi)), (angles > np.pi, (np.pi, np.inf))):
+        sets, count = label(kept & side)
+        for c in range(1, count + 1):
+            i, j = np.unravel_index(np.argmin(np.where(sets == c, dist, np.inf)), dist.shape)
+            fit = least_squares(
+                residual, [lams[i], angles[i, j]], xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                bounds=([-np.inf, bounds[0]], [np.inf, bounds[1]]),
+            )
+            lam, t = fit.x[0], fit.x[1] / np.hypot(fit.x[0] / 2, 1.0)
+            if np.linalg.norm(residual(fit.x)) <= 1e-9 and lo <= lam <= hi and 0 < t <= t_max:
+                roots.append((t, lam))
+    return min(roots) if roots else None
 
 
 def scan_cols_subtraction(cols, target_cols, gate):

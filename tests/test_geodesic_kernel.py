@@ -12,16 +12,17 @@ public views stacked against one call per input.  The endpoint's derivatives
 are checked against scipy's ``expm_frechet`` on the same inputs along every
 unit param of the search's linear family, as the refinement takes them
 through ``_endpoint_jacobian`` (the directions' generators times the
-sensitivities at k >= 2, the differentiated V_{n,1} closed form at k = 1), and
-along fixed dense directions at k = 1 and k >= 2 in both modes, and the
-closed form's also along random directions at every k = 1 shape up to
+sensitivities, at every shape), and along fixed dense directions at k = 1
+and k >= 2 in both modes; the top entry of the unit-row V_{n,1} column, which
+the k = 1 search solves for in the (rate, time) plane, is checked with its
+rate and time derivatives (``_vn1_jacobian``) at every k = 1 shape up to
 |t v| = 30.  The closed form's J(x) = (sin x - x cos x) / x^3 is checked
 against a 40-digit mpmath value.  Beyond |t v| = 30, where the
 double-precision expm reference no longer holds, the spectral path (k >= 2)
 is checked against a 40-digit mpmath matrix exponential up to |t v| = 1e3,
 the V_{n,1} closed form and its unit-row factors against it up to |t v| =
-300, and both Jacobians against 40-digit central differences of that
-exponential up to |t v| = 300.
+300, and the k >= 2 Jacobian and the top entry's derivatives against
+40-digit central differences of that exponential up to |t v| = 300.
 """
 
 import mpmath
@@ -162,8 +163,8 @@ def reference_derivatives(a, b, t, da, db, mode):
 
 def unit_param_jacobian(a, b, ts, mode):
     """The endpoint's derivatives along every unit param of the search's linear
-    family on (n, k, mode), by the refinement's one entry: the V_{n,1} closed
-    form's at k = 1, the generators times the sensitivities at k >= 2.
+    family on (n, k, mode), by the refinement's one entry: the generators
+    times the sensitivities.
 
     Blocks (c, k, k), (c, k, n-k) and ``ts`` (c,); returns the derivatives
     (c, d, n, k), the time derivative (c, n, k) and the family's unit images
@@ -209,8 +210,8 @@ class TestJacobianAgainstExpmFrechet:
     @pytest.mark.parametrize("mode", MODES)
     def test_dense_direction_taken(self, n, k, mode):
         # fixed dense directions, broadcast over the velocities, against
-        # expm_frechet: the closed form at k = 1 and the sensitivity product
-        # at k >= 2 take any direction, not only the family's unit images
+        # expm_frechet: the sensitivity product takes any direction, not only
+        # the family's unit images
         rng = np.random.default_rng(10 * n + k)
         a, b = stacked_blocks(rng, n, k, mode, KINDS)
         da = np.stack([matcore.random_skew_hermitian(rng, k, mode) for _ in range(2)])
@@ -230,26 +231,25 @@ class TestJacobianAgainstExpmFrechet:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", range(2, 9))
     def test_vn1_closed_form_shapes(self, n, mode, scale):
-        # generic, lam = 0, b = 0 and repeated-spectrum velocities, scaled to
-        # |v| <= 1 and then by ``scale``
+        # the top entry T of a unit-row column and its derivatives in the
+        # rate and the time (``_vn1_jacobian``) against the first entry of
+        # expm and expm_frechet along a = i and along t, at a random unit row
+        # of each shape: T depends on the rate and the time only.  Rates up
+        # to 3 scaled by ``scale``; real mode has the one rate 0
         rng = np.random.default_rng(1000 + 10 * n + (mode == REAL))
-        a, b = stacked_blocks(rng, n, 1, mode, KINDS * 2)
-        norms = np.sqrt(np.abs(a[:, 0, 0]) ** 2 + 2.0 * np.sum(np.abs(b) ** 2, axis=(1, 2)))
-        shrink = scale / np.maximum(norms, 1.0)[:, None, None]
-        a, b = a * shrink, b * shrink
         ts = self.VN1_TIMES
-        d = 3
-        da = np.stack([[matcore.random_skew_hermitian(rng, 1, mode) for _ in range(d)] for _ in ts])
-        db = np.stack([[matcore.random_matrix(rng, 1, n - 1, mode) for _ in range(d)] for _ in ts])
-        dcols, dcols_dt = _vn1_jacobian(a, b, ts, da, db, mode)
-        assert dcols.shape == (len(ts), d, n, 1) and dcols_dt.shape == (len(ts), n, 1)
+        lam = scale * rng.uniform(-3.0, 3.0, len(ts)) if mode == COMPLEX else np.zeros(len(ts))
+        top, dlam, dt = _vn1_jacobian(lam, ts)
+        da, db = np.full((1, 1, 1), 1j), np.zeros((1, 1, n - 1))
         for i, t in enumerate(ts):
-            ref_dir, ref_t = reference_derivatives(a[i], b[i], t, da[i], db[i], mode)
-            assert np.max(np.abs(dcols[i] - ref_dir)) < ATOL
-            assert np.max(np.abs(dcols_dt[i] - ref_t)) < ATOL
-        assert not np.any(dcols[0])
+            row = matcore.random_matrix(rng, 1, n - 1, mode)
+            a, b = np.array([[1j * lam[i]]]), row / np.linalg.norm(row)
+            ref_dir, ref_t = reference_derivatives(a, b, t, da, db, COMPLEX)
+            assert abs(top[i] - reference_columns(a, b, t, COMPLEX)[0, 0]) < ATOL
+            assert abs(dlam[i] - ref_dir[0, 0, 0]) < ATOL
+            assert abs(dt[i] - ref_t[0, 0]) < ATOL
         if mode == REAL:
-            assert not np.any(dcols.imag) and not np.any(dcols_dt.imag)
+            assert not np.any(top.imag) and not np.any(dt.imag)
 
 
 def _j1_over_x_mpmath(x: float) -> mpmath.mpf:
@@ -389,39 +389,34 @@ class TestJacobianAgainstMpmath:
 
 
 class TestVn1JacobianAgainstMpmath:
-    """The k = 1 Jacobian along every unit direction against 40-digit central
+    """The top entry's rate and time derivatives against 40-digit central
     differences up to |t v| = 300.
 
-    This is the refinement's only k = 1 Jacobian: the V(2,1) family and the
-    sphere family both take it along the linear family's unit images.  The
-    velocity is scaled to unit Frobenius norm, so |t v| = t; the unit images
-    have norm 1 or sqrt 2.  The closed form takes t omega and t lam in double
-    precision, so its phases carry an error of order eps |t v|, and a
-    directional derivative, which has a factor t, carries that error times
-    |t v|: bounded by MP_JAC_ERR * eps * (1 + |t v|)^2, and the time
-    derivative by MP_JAC_ERR * eps * (1 + |t v|), as at k >= 2.  Measured
-    on three seeds each of complex V(2,1), V(3,1), V(4,1) and real V(3,1),
-    V(4,1): the directional error stayed below 0.40 eps (1 + |t v|)^2
-    (it does grow quadratically: up to 97 eps (1 + |t v|) at |t v| = 300)
-    and the time derivative's below 0.38 eps (1 + |t v|), so the bound
-    leaves a factor of 20.
+    These are the derivatives of the k = 1 search's plane Newton.  The
+    velocity (i lam, b) has a unit row b, so the rate direction a = i has
+    norm 1 and |t v| = t sqrt(lam^2 + 2).  As for the k >= 2 Jacobian, the
+    closed form takes t omega and t lam in double precision, so the rate
+    derivative, which has a factor t, carries an error of order eps |t v|
+    times |t v|, bounded by MP_JAC_ERR * eps * (1 + |t v|)^2, and the time
+    derivative by MP_JAC_ERR * eps * (1 + |t v|).  Real mode has the one
+    rate 0.
     """
 
     @pytest.mark.parametrize("n, mode", [(2, COMPLEX), (3, COMPLEX), (3, REAL)])
     def test_error_bounds(self, n, mode):
         rng = np.random.default_rng(0)
-        a = matcore.random_skew_hermitian(rng, 1, mode).astype(np.complex128)
+        lam = float(matcore.random_skew_hermitian(rng, 1, mode)[0, 0].imag)
         b = matcore.random_matrix(rng, 1, n - 1, mode).astype(np.complex128)
-        scale = np.linalg.norm(BlockVelocity(a, b, mode).embed())
-        a, b = a / scale, b / scale
+        a, b = np.array([[1j * lam]]), b / np.linalg.norm(b)
+        norm_v = float(np.linalg.norm(BlockVelocity(a, b, mode).embed()))
         eps = np.finfo(np.float64).eps
         for tv in (1.0, 30.0, 300.0):
-            dcols, dcols_dt, da, db = unit_param_jacobian(a[None], b[None], np.array([tv]), mode)
-            ref_dir, ref_t = geodesic_jacobian_mp(a, b, tv, da, db)
-            if mode == REAL:
-                ref_dir, ref_t = ref_dir.real, ref_t.real
-            assert np.max(np.abs(dcols[0] - ref_dir)) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2, tv
-            assert np.max(np.abs(dcols_dt[0] - ref_t)) <= MP_JAC_ERR * eps * (1.0 + tv), tv
+            t = tv / norm_v
+            _, dlam, dt = _vn1_jacobian(np.array([lam]), np.array([t]))
+            rate_direction = [np.full((1, 1), 1j)], [np.zeros((1, n - 1))]
+            ref_dir, ref_t = geodesic_jacobian_mp(a, b, t, *rate_direction)
+            assert abs(dlam[0] - ref_dir[0, 0, 0]) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2, tv
+            assert abs(dt[0] - ref_t[0, 0]) <= MP_JAC_ERR * eps * (1.0 + tv), tv
 
 
 class TestJ1OverX:
