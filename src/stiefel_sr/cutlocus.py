@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .geodesic import (
     _endpoint_jacobian,
     _speeds_squared,
     _vn1_jacobian,
+    _vn1_terms,
     _vn1_unit_factors,
     batch_geodesic_columns,
     geodesic_vn1_closed,
@@ -39,6 +41,7 @@ from .geodesic import (
 )
 
 _LENGTH_SLACK = 1e-6  # arrivals within (1 + slack) of the minimum count as minimal
+_PLANE_LENGTH_SLACK = 1e-12  # the same at k = 1, whose lengths are exact to rounding
 _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
 # element budget of the cached scan table and of one batch of Jacobian
 # temporaries: a k >= 2 grid's scan table (velocities x times x n x k) is
@@ -116,11 +119,10 @@ class VelocityGrid(_Record):
     with nonzero transversal block can be reparametrized to that family), so
     arrival length is speed * time with a family-wide constant speed.
 
-    family: "v21", "sphere" (k = 1) and "general" are one parametrization,
-    both blocks linear in the params, and differ only in the initial
-    sample: on complex V_{2,1} a fibre-rate x phase grid, the params (fibre
-    rate, cos phase, sin phase); sphere directions (with a fibre-rate axis
-    in complex mode); or a low-discrepancy sample of every coordinate.  A
+    family: the sample.  "v21" (complex V_{2,1}) crosses fibre rates with
+    the phases of the unit row, "sphere" (k = 1) crosses them (in complex
+    mode) with unit rows, and "general" is a low-discrepancy sample of
+    every coordinate of the linear params that a k >= 2 search refines.  A
     k = 1 search takes the sample's distinct fibre rates and unit rows.
     "auto" picks "v21" on complex V_{2,1}, "sphere" for any other k = 1 and
     "general" otherwise.  Construction resolves "auto" and ``t_max=None``
@@ -235,9 +237,8 @@ class _LinearFamily:
     Param layout: in complex mode the k diagonal fibre rates, then the real and
     imaginary part of each fibre entry above the diagonal; in real mode only
     those entries' real parts.  Then the real parts of the transversal
-    entries (row-major), and in complex mode their imaginary parts.  The
-    v21 and sphere families (k = 1) and the general family share this map
-    and differ only in their initial samples.
+    entries (row-major), and in complex mode their imaginary parts.  At
+    k = 1 the grid's plane samples its rates and rows itself (``_vn1_plane``).
 
     The refinement differentiates along these fixed unit images ``da``,
     ``db`` and then through the normalization of b, ``normalize``.
@@ -262,32 +263,12 @@ class _LinearFamily:
         self.db[self.a_dim :] = (np.reshape(units, (-1, 1, 1)) * np.eye(k * m)).reshape(-1, k, m)
 
     def initial_params(self) -> np.ndarray:
+        """The general family's Sobol sample: fibre params uniform, transversal Gaussian."""
         g = self.grid
         lo, hi = g.lambda_range
-        if g.family == "v21":
-            lam, ph = np.meshgrid(
-                np.linspace(lo, hi, g.lambda_count),
-                np.linspace(0.0, 2 * np.pi, g.phase_count, endpoint=False),
-                indexing="ij",
-            )
-            return np.column_stack([lam.ravel(), np.cos(ph.ravel()), np.sin(ph.ravel())])
-        if g.family == "general":
-            u = _sobol(len(self.da), g.sample_count, g.seed)
-            a_dim = self.a_dim
-            return np.column_stack([lo + (hi - lo) * u[:, :a_dim], _inverse_gauss(u[:, a_dim:])])
-        # sphere: transversal directions, crossed with a fibre-rate axis in complex mode
-        real = g.mode == REAL
-        if real and g.n == 2:
-            return np.array([[1.0], [-1.0]])
-        if real and g.n == 3:
-            ang = np.linspace(0.0, 2 * np.pi, g.direction_count, endpoint=False)
-            return np.column_stack([np.cos(ang), np.sin(ang)])
-        raw = _inverse_gauss(_sobol(len(self.da) - self.a_dim, g.direction_count, g.seed))
-        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        if real:
-            return dirs
-        lams = np.linspace(lo, hi, g.lambda_count)
-        return np.column_stack([np.repeat(lams, len(dirs)), np.tile(dirs, (len(lams), 1))])
+        u = _sobol(len(self.da), g.sample_count, g.seed)
+        a_dim = self.a_dim
+        return np.column_stack([lo + (hi - lo) * u[:, :a_dim], _inverse_gauss(u[:, a_dim:])])
 
     def blocks(self, params: np.ndarray):
         b = np.tensordot(params, self.db, axes=1)
@@ -357,18 +338,16 @@ def _scan_times(grid: VelocityGrid) -> np.ndarray:
 
 
 def _scan_fills(family, params: np.ndarray, ts: np.ndarray):
-    """Yield (first row, endpoint columns (c, T, n, k)) of ``params`` at ``ts``, at k >= 2.
+    """Yield the endpoint columns (c, T, n, k) of ``params`` at ``ts``, in row order, at k >= 2.
 
-    One kernel call per ``_FILL_VELOCITIES`` velocities, so the kernel's
-    temporaries stay small whatever the number of velocities.
+    One kernel call per ``_FILL_VELOCITIES`` velocities keeps its temporaries small.
     """
     for lo in range(0, len(params), _FILL_VELOCITIES):
         a, b = family.blocks(params[lo : lo + _FILL_VELOCITIES])
-        yield lo, grid_geodesic_columns(a, b, ts, family.grid.mode)
+        yield grid_geodesic_columns(a, b, ts, family.grid.mode)
 
 
-@dataclass(frozen=True, eq=False)
-class _Vn1Plane:
+class _Vn1Plane(NamedTuple):
     """A k = 1 grid's scan data: T at its distinct fibre rates and scan times, and its unit rows.
 
     Velocity (i lam, b) with a unit row b reaches (T(lam, t), -conj(b)
@@ -381,30 +360,51 @@ class _Vn1Plane:
     directions: np.ndarray  # (D, n-1)
 
 
+def _vn1_plane(grid: VelocityGrid) -> _Vn1Plane:
+    """A k = 1 grid's plane, sampled directly as its fibre rates and unit rows.
+
+    v21 and sphere grids take ``lambda_count`` rates (0 alone in real
+    mode); v21 rows are e^{i phi} at ``phase_count`` phases, sphere rows
+    ``direction_count`` Sobol directions (real V(3,1): equally spaced
+    angles; real V(2,1): +-1); general grids their Sobol sample's.  Rows
+    are normalized as ``_LinearFamily.blocks`` does.
+    """
+    m, real = grid.n - 1, grid.mode == REAL
+    rates = np.zeros(1) if real else np.linspace(*grid.lambda_range, grid.lambda_count)
+    if grid.family == "general":
+        params = _LinearFamily(grid).initial_params()
+        rates, raw = (rates, params) if real else (params[:, 0], params[:, 1:])
+    elif grid.family == "v21" or (real and m == 2):
+        count = grid.phase_count if grid.family == "v21" else grid.direction_count
+        ang = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
+        raw = np.column_stack([np.cos(ang), np.sin(ang)])
+    elif real and m == 1:
+        raw = np.array([[1.0], [-1.0]])
+    else:
+        raw = _inverse_gauss(_sobol((1 if real else 2) * m, grid.direction_count, grid.seed))
+        raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    rows = (raw if real else raw[:, :m] + 1j * raw[:, m:]).astype(np.complex128)[:, None]
+    rates = np.unique(rates)
+    top = _vn1_unit_factors(rates[:, None], _scan_times(grid))[0]
+    return _Vn1Plane(rates, top, np.unique((rows / _frobenius(rows))[:, 0], axis=0))
+
+
 @functools.lru_cache(maxsize=1)
 def _scan_table(grid: VelocityGrid):
     """The grid's target- and tolerance-independent scan data, shared by every search on it.
 
-    At k = 1 its ``_Vn1Plane``; at k >= 2 the read-only endpoint columns
-    (c, T, n, k) of every grid velocity at every scan time, for which
-    callers only pass grids whose table fits ``_CHUNK_ELEMENTS``.
+    At k = 1 its ``_Vn1Plane``; at k >= 2 the kernel fills (c, T, n, k) of
+    ``_scan_fills``, for which callers only pass grids whose fills together
+    fit ``_CHUNK_ELEMENTS``.  Either is a tuple of read-only arrays.
     """
-    family = _LinearFamily(grid)
-    p0 = family.initial_params()
-    ts = _scan_times(grid)
     if grid.k == 1:
-        a, b = family.blocks(p0)
-        rates = np.unique(a[:, 0, 0].imag)
-        top = _vn1_unit_factors(rates[:, None], ts)[0]
-        plane = _Vn1Plane(rates, top, np.unique(b[:, 0], axis=0))
-        for x in (plane.rates, plane.top, plane.directions):
-            x.flags.writeable = False
-        return plane
-    table = np.empty((len(p0), grid.t_count, grid.n, grid.k), dtype=np.complex128)
-    for lo, cols in _scan_fills(family, p0, ts):
-        table[lo : lo + len(cols)] = cols
-    table.flags.writeable = False
-    return table
+        data = _vn1_plane(grid)
+    else:
+        family = _LinearFamily(grid)
+        data = tuple(_scan_fills(family, family.initial_params(), _scan_times(grid)))
+    for x in data:
+        x.flags.writeable = False
+    return data
 
 
 def _scan_cols(cols, target_cols, gate):
@@ -464,38 +464,52 @@ def _scan_plane(top: np.ndarray, q0: complex, gate: float):
     return r, j + 1
 
 
-def _plane_newton(lam: np.ndarray, ts: np.ndarray, q0: complex):
-    """Batched Newton on T(lam, t) = q0 from stacked starts in the (rate, time) plane.
+def _plane_residual(lam, ts, q0: complex, r1):
+    """f = T - q0, or given r1 = |q1| f = (s - r1) + i Im(T conj(q0)), with df/dlam and df/dt.
 
-    Each step solves the 2 x 2 real system of dT/dlam and dT/dt
-    (``geodesic._vn1_jacobian``) by Cramer's rule and is kept only if it
-    lowers |T - q0|; a start whose step no longer does has converged.
-    Returns the rates, the times and the counts of converged starts and of
-    those still descending after ``_NEWTON_ITERS`` steps.
+    s = sin(t omega) / omega is |S| before the fold (t omega < pi), where the
+    second f vanishes iff T = q0 (|T|^2 + s^2 = 1); unlike T, s is not flat
+    across the fold.  ds/dlam is the dS of ``geodesic._vn1_jacobian``.
+    """
+    top, dlam, dt = _vn1_jacobian(lam, ts)
+    if r1 is None:
+        return top - q0, dlam, dt
+    omega, cosw, s, _ = _vn1_terms(lam, 1.0, ts)
+    ds = (ts * cosw - s) * 0.25 * lam / omega**2
+    u = np.conj(q0)
+    return s - r1 + 1j * (top * u).imag, ds + 1j * (dlam * u).imag, cosw + 1j * (dt * u).imag
+
+
+def _plane_newton(lam: np.ndarray, ts: np.ndarray, q0: complex, r1=None):
+    """Batched Newton on ``_plane_residual`` = 0 from stacked starts in the (rate, time) plane.
+
+    Each step solves the 2 x 2 real system of f's derivatives by Cramer's
+    rule and is kept only if it lowers |f|; a start whose step no longer
+    does has converged.  Returns the rates, the times and which starts are
+    still descending after ``_NEWTON_ITERS`` steps (capped).
     """
     lam, ts = lam.astype(np.float64), ts.astype(np.float64)
-    top, dlam, dt = _vn1_jacobian(lam, ts)
-    res = np.abs(top - q0)
+    f, dlam, dt = _plane_residual(lam, ts, q0, r1)
+    res = np.abs(f)
     active = np.ones(len(lam), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_ITERS):
             ai = np.flatnonzero(active)
             if len(ai) == 0:
                 break
-            r, jl, jt = top[ai] - q0, dlam[ai], dt[ai]
+            r, jl, jt = f[ai], dlam[ai], dt[ai]
             det = jl.real * jt.imag - jt.real * jl.imag
             trial_lam = lam[ai] + (jt.real * r.imag - jt.imag * r.real) / det
             trial_ts = ts[ai] + (jl.imag * r.real - jl.real * r.imag) / det
-            trial = _vn1_jacobian(trial_lam, trial_ts)
-            trial_res = np.abs(trial[0] - q0)
+            trial = _plane_residual(trial_lam, trial_ts, q0, r1)
+            trial_res = np.abs(trial[0])
             better = trial_res < res[ai]
             rows = ai[better]
             trials = (trial_lam, trial_ts, *trial, trial_res)
-            for held, new in zip((lam, ts, top, dlam, dt, res), trials):
+            for held, new in zip((lam, ts, f, dlam, dt, res), trials):
                 held[rows] = new[better]
             active[ai[~better]] = False
-    capped = int(np.count_nonzero(active))
-    return lam, ts, len(lam) - capped, capped
+    return lam, ts, active
 
 
 def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
@@ -507,12 +521,15 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
     x)), lam = 2 (1 - x) / sqrt(x (2 - x)) (the real antipode: lam = 0, t =
     pi).  A real-mode target (lam = 0, T = cos t) is reached at t =
     atan2(|q1|, q0).  Otherwise the minima of ``_scan_plane`` start
-    ``_plane_newton``; a geodesic stops being minimal at its first vanishing
-    time pi / omega, so a root past it starts one more solve from its mirror
-    t -> 2 pi / omega - t, where a target near the block-diagonal set has
-    its shorter root.  Each root's row is b = -conj(q1) / conj(S),
-    normalized.  Roots must lie in the grid's window ``lambda_range`` x (0,
-    ``t_max``] (in real mode (0, ``t_max``]) and reach within ``TOL.hit``.
+    ``_plane_newton`` on T = q0.  A geodesic stops being minimal at its
+    first vanishing time pi / omega, the fold of T, near which that solve
+    may land on either side and leaves |S| off |q1| by about eps / |q1|.
+    So a root before the fold is polished there, and a root past it
+    restarts from its mirror 2 pi / omega - t, where a target near the
+    block-diagonal set has its shorter root, both with r1 = |q1|.  Each
+    root's row is b = -conj(q1) / conj(S), normalized.  Roots must lie in
+    the window ``lambda_range`` x (0, ``t_max``] (real mode: (0, ``t_max``])
+    and reach within ``TOL.hit``.
     """
     plane = _scan_table(grid)
     ts = _scan_times(grid)
@@ -531,15 +548,16 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
             lam, t, rows = np.zeros(1), np.array([np.arctan2(norm, q0.real)]), (-q1 / norm)[None]
         else:
             r, j = _scan_plane(plane.top, q0, gate)
-            lam, t, converged, capped = _plane_newton(plane.rates[r], ts[j], q0)
-            omega = 0.5 * np.sqrt(lam * lam + 4.0)
-            past = t * omega > np.pi
-            folded = _plane_newton(lam[past], 2 * np.pi / omega[past] - t[past], q0)
-            lam, t = np.concatenate([lam, folded[0]]), np.concatenate([t, folded[1]])
+            lam, t, capped = _plane_newton(plane.rates[r], ts[j], q0)
+            period = 4 * np.pi / np.sqrt(lam * lam + 4.0)
+            past = 2 * t > period
+            near = _plane_newton(lam, np.where(past, period - t, t), q0, np.linalg.norm(q1))
+            capped = int(np.count_nonzero(capped) + np.count_nonzero(near[2][past]))
+            lam, t = np.concatenate([lam[past], near[0]]), np.concatenate([t[past], near[1]])
             rows = -np.conj(q1) / np.conj(_vn1_unit_factors(lam, t)[1])[:, None]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             counts = dict(scan_hits=len(r), candidates=len(lam))
-            counts.update(converged=converged + folded[2], capped=capped + folded[3])
+            counts.update(converged=len(lam) - capped, capped=capped)
     lo, hi = grid.lambda_range
     inside = (t > 10 * _REFINE_FLOOR) & (t <= grid.t_max)
     if grid.mode == COMPLEX:
@@ -774,13 +792,13 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     """Minimizing arrivals at a target: a grid search and refinement, or at k = 1 a plane solve.
 
     Keeps the arrivals within ``TOL.hit`` of the target whose length is
-    within a 1e-6 relative band of the best, and counts velocity clusters
-    at separation ``TOL.vel``.  Deterministic for a fixed grid (seed
-    included); an exhausted search returns an empty-arrival report rather
-    than raising.  The grid's scan data do not depend on the target or
-    tolerances, so they are computed once per grid per process and reused;
-    at most one grid's are resident.  At k >= 2 every near-arrival of the
-    grid's endpoint table is refined by damped least squares
+    within a 1e-6 relative band of the best (1e-12 at k = 1), and counts
+    velocity clusters at separation ``TOL.vel``.  Deterministic for a fixed
+    grid (seed included); an exhausted search returns an empty-arrival
+    report rather than raising.  The grid's scan data do not depend on the
+    target or tolerances, so they are computed once per grid per process and
+    reused; at most one grid's are resident.  At k >= 2 every near-arrival
+    of the grid's endpoint table is refined by damped least squares
     (``_refined_arrivals``); at k = 1 a target's top entry fixes the rate
     and the time, which the search solves for in the (rate, time) plane
     (``_plane_arrivals``).  The minimal-length arrivals are put in report
@@ -817,7 +835,8 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
 
     lengths = t_good * np.sqrt(_speeds_squared(b_blk, grid.n, grid.mode))
     min_len = float(lengths.min())
-    kept = np.nonzero(lengths <= min_len * (1 + _LENGTH_SLACK))[0]
+    slack = _PLANE_LENGTH_SLACK if grid.k == 1 else _LENGTH_SLACK
+    kept = np.nonzero(lengths <= min_len * (1 + slack))[0]
     embeds = _embed_velocities(a_blk[kept], b_blk[kept])
     order = _report_order(lengths[kept], t_good[kept], embeds)
     kept, embeds = kept[order], embeds[order]
@@ -843,22 +862,22 @@ def _refined_arrivals(target: StiefelPoint, grid: VelocityGrid):
 
     The gated local minima of the endpoint error along each velocity's time
     grid (up to 3 per velocity, ``_best_hits``) are refined by ``_refine``.
-    A table over the chunk budget is never made: the grid is scanned one
-    kernel fill of 16 velocities at a time.
+    One loop scans the grid's kernel fills of 16 velocities: cached if they
+    fit the chunk budget, and otherwise streamed, so no table is made.
     """
     family = _LinearFamily(grid)
     p0 = family.initial_params()
     ts = _scan_times(grid)
     speed = float(np.sqrt(_speeds_squared(family.blocks(p0[:1])[1], grid.n, grid.mode)[0]))
     gate = max(8 * speed * (ts[1] - ts[0]), 0.25) + tolerances.TOL.hit
-    if len(p0) * grid.t_count * grid.n * grid.k <= _CHUNK_ELEMENTS:
-        vix, tix, err = _scan_cols(_scan_table(grid), target.cols, gate)
-    else:
-        hits = []
-        for lo, cols in _scan_fills(family, p0, ts):
-            v, t, e = _scan_cols(cols, target.cols, gate)
-            hits.append((v + lo, t, e))
-        vix, tix, err = (np.concatenate(x) for x in zip(*hits))
+    fits = len(p0) * grid.t_count * grid.n * grid.k <= _CHUNK_ELEMENTS
+    fills = _scan_table(grid) if fits else _scan_fills(family, p0, ts)
+    hits, lo = [], 0
+    for cols in fills:
+        v, t, e = _scan_cols(cols, target.cols, gate)
+        hits.append((v + lo, t, e))
+        lo += len(cols)
+    vix, tix, err = (np.concatenate(x) for x in zip(*hits))
 
     pick = _best_hits(vix, tix, err)
     if len(pick) == 0:

@@ -33,7 +33,6 @@ sin(x)/x limit handled spectrally so singular directions are fine.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,13 +114,13 @@ def _sin_over(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return x * np.sinc(x * omega / np.pi)
 
 
-def _vn1_terms(lam, b, ts):
+def _vn1_terms(lam, bb, ts):
     """The scalars of the V_{n,1} column: omega, cos(t omega), sin(t omega) / omega, phase.
 
-    omega = sqrt(lam^2 + 4 |b|^2) / 2 is half the rate; the phase is
-    e^{i lam t / 2} from exp, times e^{-i lam t}.  Shapes as in ``_vn1_column``.
+    omega = sqrt(lam^2 + 4 bb) / 2 is half the rate, bb = |b|^2 (1 at a unit
+    row); the phase is e^{i lam t / 2} from exp, times e^{-i lam t}.
     """
-    omega = 0.5 * np.sqrt(lam * lam + 4.0 * np.sum(np.abs(b) ** 2, axis=-1))
+    omega = 0.5 * np.sqrt(lam * lam + 4.0 * bb)
     return omega, np.cos(ts * omega), _sin_over(ts, omega), np.exp(-0.5j * lam * ts)
 
 
@@ -133,7 +132,7 @@ def _vn1_column(lam, b, ts):
     a negative scalar, so exp is a cosine/sine combination; nothing divides by the
     rate, so tiny rates need no special case.
     """
-    _, cosw, sincw, phase = _vn1_terms(lam, b, ts)
+    _, cosw, sincw, phase = _vn1_terms(lam, np.sum(np.abs(b) ** 2, axis=-1), ts)
     top = phase * (cosw + 0.5j * lam * sincw)
     bottom = phase[..., None] * (-np.conj(b) * sincw[..., None])
     return top, bottom
@@ -248,26 +247,6 @@ def _sensitivity(a_blocks, b_blocks, ts, spectra):
     return sens.reshape(c, n, n * n, k), dcols_dt
 
 
-# Taylor coefficients of j1(x) / x in x^2, highest power first: the term of
-# x^(2j - 2) is (-1)^(j + 1) 2j / (2j + 1)! for j = 1..10.  Below the cutoff the
-# truncation is under 1e-19 relative, and above it the direct formula loses
-# at most a few ulps to cancellation.
-_J1_OVER_X_SERIES = [(-1) ** (j + 1) * 2 * j / math.factorial(2 * j + 1) for j in range(10, 0, -1)]
-_J1_OVER_X_CUTOFF = 1.0
-
-
-def _j1_over_x(x: np.ndarray) -> np.ndarray:
-    """J(x) = (sin x - x cos x) / x^3 = j1(x) / x, elementwise; J(0) = 1/3.
-
-    -t^3 J(t omega) is the derivative of sin(t omega) / omega in omega^2 / 2.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    small = np.abs(x) < _J1_OVER_X_CUTOFF
-    series = np.polyval(_J1_OVER_X_SERIES, x * x)
-    xd = np.where(small, 1.0, x)  # the direct formula never sees small arguments
-    return np.where(small, series, (np.sin(xd) - xd * np.cos(xd)) / xd**3)
-
-
 def _vn1_jacobian(lam, ts):
     """T, dT/dlam and dT/dt for the top entry T of ``_vn1_unit_factors``, eigensolver-free.
 
@@ -275,15 +254,16 @@ def _vn1_jacobian(lam, ts):
     rate and the time only, so a k = 1 target's top entry is two real
     equations in (lam, t).  With g = omega d omega / d lam = lam / 4 and S =
     sin(t omega) / omega, the terms move in lam by d cos(t omega) = -t S g,
-    dS = -t^3 J(t omega) g and d phase = -i t / 2 . phase; in t the top entry
-    moves by -phase S, since omega^2 = lam^2 / 4 + 1.  ``lam`` and ``ts``
-    broadcast together; nothing divides by the rate.
+    dS = (t cos(t omega) - S) g / omega^2 and d phase = -i t / 2 . phase; in
+    t the top entry moves by -phase S.  omega^2 = lam^2 / 4 + 1 >= 1, so the
+    cancellation in dS at small t omega costs only O(eps t) beside O(t)
+    terms.  ``lam`` and ``ts`` broadcast together.
     """
-    omega, cosw, sincw, phase = _vn1_terms(lam, np.ones(1), ts)
+    omega, cosw, sincw, phase = _vn1_terms(lam, 1.0, ts)
     g = 0.25 * lam
     inner = cosw + 0.5j * lam * sincw
     dcos = -ts * sincw * g
-    dsinc = -(ts**3) * _j1_over_x(ts * omega) * g
+    dsinc = (ts * cosw - sincw) * g / omega**2
     dlam = phase * (-0.5j * ts * inner + dcos + 0.5j * (sincw + lam * dsinc))
     return phase * inner, dlam, -phase * sincw
 
@@ -326,9 +306,9 @@ def batch_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX, spectra=
     return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[:, None], mode, spectra)[:, 0]
 
 
-def grid_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX, spectra=None) -> np.ndarray:
-    """c velocities on a shared time grid; shape (c, t, n, k); ``spectra`` as in the batch form."""
-    return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[None], mode, spectra)
+def grid_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX) -> np.ndarray:
+    """c velocities on a shared time grid; shape (c, t, n, k)."""
+    return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[None], mode)
 
 
 def normal_geodesic(spec: GeodesicSpec, t: float) -> StiefelPoint:

@@ -202,12 +202,20 @@ def _sobol_gauss(dim: int, count: int, seed: int) -> np.ndarray:
 
 
 def separate_family_params(grid) -> np.ndarray:
-    """Initial params of the search's former sphere (k = 1) and general
-    families, sampled separately: sphere directions (with a fibre-rate axis in
-    complex mode), or a Sobol sample of every block coordinate."""
+    """Initial params of the search's former v21 and sphere (k = 1) and general
+    families, sampled separately: every fibre rate crossed with every phase
+    (params lam, cos phi, sin phi), sphere directions (with a fibre-rate axis
+    in complex mode), or a Sobol sample of every block coordinate."""
     n, k = grid.n, grid.k
     complex_mode = grid.mode == COMPLEX
     lo, hi = grid.lambda_range
+    if grid.family == "v21":
+        lam, ph = np.meshgrid(
+            np.linspace(lo, hi, grid.lambda_count),
+            np.linspace(0.0, 2 * np.pi, grid.phase_count, endpoint=False),
+            indexing="ij",
+        )
+        return np.column_stack([lam.ravel(), np.cos(ph.ravel()), np.sin(ph.ravel())])
     if grid.family == "general":
         a_dim = k * k if complex_mode else k * (k - 1) // 2
         b_dim = (2 if complex_mode else 1) * k * (n - k)
@@ -232,8 +240,8 @@ def separate_family_params(grid) -> np.ndarray:
 
 def separate_family_raw_blocks(grid, params: np.ndarray):
     """Fibre block and unnormalized transversal block of each param row, by
-    the former general family's per-entry loops (at k = 1 the sphere family
-    gave the same blocks)."""
+    the former general family's per-entry loops (at k = 1 the v21 and sphere
+    families gave the same blocks)."""
     c = len(params)
     k, m = grid.k, grid.n - grid.k
     complex_mode = grid.mode == COMPLEX

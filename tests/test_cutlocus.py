@@ -317,7 +317,9 @@ class TestLinearFamily:
     the Frobenius norm the general family and the former block tangents
     already used.  ``normalize`` of the derivatives along the unit params
     must give the derivatives along those tangents, to 1e-15 of the largest
-    derivative (at least 1) for times up to 1.
+    derivative (at least 1) for times up to 1.  The family samples the
+    general family's params only; a sphere grid's sample is the plane's
+    (``TestScanTable``).
     """
 
     @pytest.mark.parametrize("family, n, k, mode", LINEAR_FAMILY_CASES)
@@ -328,7 +330,8 @@ class TestLinearFamily:
         )
         fam = _LinearFamily(grid)
         params = separate_family_params(grid)
-        assert np.array_equal(fam.initial_params(), params)
+        if family == "general":
+            assert np.array_equal(fam.initial_params(), params)
         a_ref, b_ref = separate_family_raw_blocks(grid, params)
         a, b = fam.blocks(params)
         assert np.array_equal(a, a_ref)
@@ -643,7 +646,7 @@ class TestResidualJacobian:
         )
         fam = _LinearFamily(grid)
         rng = np.random.default_rng(n + 10 * k)
-        params = fam.initial_params()[:6]
+        params = separate_family_params(grid)[:6]
         params = params + 0.1 * rng.standard_normal(params.shape)
         x = np.column_stack([params, rng.uniform(0.3, 3.0, len(params))])
         target = identity_point(n, k, mode).cols
@@ -661,11 +664,10 @@ class TestResidualJacobian:
             assert np.max(np.abs(jac[:, :, j] - central)) < tol
 
 
+# the refinement runs at k >= 2 only: a k = 1 search solves in its (rate, time) plane
 REFINE_GRIDS = {
     "v63": VelocityGrid(6, 3, COMPLEX, family="general", sample_count=32),
     "v52": VelocityGrid(5, 2, REAL, family="general", sample_count=32),
-    "v21": VelocityGrid(2, 1, COMPLEX, lambda_count=16, phase_count=16),
-    "sphere": VelocityGrid(3, 1, REAL, family="sphere", direction_count=32),
 }
 
 
@@ -798,9 +800,9 @@ class TestStallWindow:
     refinement with the window disabled, which runs every candidate to
     convergence, damping or the iteration cap.  Candidates march
     independently, so every arrival of the windowed run is an arrival of the
-    full run, bit for bit.  The window does freeze a few slow arrivals (3 of
-    172 on v21 and 1 of 21 on v63, which would need windows of up to 26 and
-    29), but none of minimal length."""
+    full run, bit for bit.  The window does freeze a few slow arrivals (1 of
+    21 on v63, which would need a window of 29), but none of minimal
+    length."""
 
     @pytest.mark.parametrize("name", sorted(REFINE_GRIDS))
     def test_arrivals_are_bit_identical_and_the_shortest_is_kept(self, name, monkeypatch):
@@ -1259,12 +1261,19 @@ def _real_v42():
     return normal_geodesic(GeodesicSpec(v), 0.8)
 
 
+def _grid_blocks(grid):
+    """The grid's velocity blocks (a, unit b), from the separately sampled
+    params of ``separate_family_params``; a v21 or sphere grid's are its
+    rates crossed with its rows."""
+    a, b = separate_family_raw_blocks(grid, separate_family_params(grid))
+    return a, b / np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2), keepdims=True))
+
+
 def _kernel_table(grid, rows=slice(None)) -> np.ndarray:
     """Endpoint columns (c, T, n, k) of the grid's velocities ``rows`` at its scan
     times, from one kernel call."""
-    family = _LinearFamily(grid)
-    a, b = family.blocks(family.initial_params()[rows])
-    return grid_geodesic_columns(a, b, _scan_times(grid), grid.mode)
+    a, b = _grid_blocks(grid)
+    return grid_geodesic_columns(a[rows], b[rows], _scan_times(grid), grid.mode)
 
 
 class TestScanTable:
@@ -1319,13 +1328,17 @@ class TestScanTable:
         info = _scan_table.cache_info()
         assert info.currsize == 0 and info.misses == 0
 
+    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
     def test_table_is_read_only_and_matches_one_kernel_call(self):
-        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=32, t_count=32, seed=3)
-        table = _scan_table(grid)
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0, 0, 0] = 0.0
-        assert np.array_equal(table, _kernel_table(grid))
+        # the cache holds the kernel's fills of 16 velocities themselves
+        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=40, t_count=32, seed=3)
+        fills = _scan_table(grid)
+        assert [len(cols) for cols in fills] == [16, 16, 8]
+        for cols in fills:
+            assert not cols.flags.writeable
+            with pytest.raises(ValueError):
+                cols[0, 0, 0, 0] = 0.0
+        assert np.array_equal(np.concatenate(fills), _kernel_table(grid))
 
     @pytest.mark.parametrize(
         "grid",
@@ -1334,19 +1347,29 @@ class TestScanTable:
             VelocityGrid(3, 1, COMPLEX, family="general", sample_count=64, t_count=32, seed=3),
             VelocityGrid(2, 1, COMPLEX, lambda_count=8, phase_count=6, t_count=32),
             VelocityGrid(4, 1, REAL, direction_count=16, t_count=32, seed=3),
+            VelocityGrid(2, 1, COMPLEX, lambda_range=(0.5, 0.5), phase_count=6, t_count=32),
+            VelocityGrid(2, 1, COMPLEX, family="sphere", lambda_count=8, direction_count=16,
+                         t_count=32, seed=3),
+            VelocityGrid(2, 1, COMPLEX, family="general", sample_count=64, t_count=32, seed=3),
+            VelocityGrid(2, 1, REAL, t_count=32),
+            VelocityGrid(3, 1, REAL, direction_count=12, t_count=32),
+            VelocityGrid(3, 1, REAL, family="general", sample_count=64, t_count=32, seed=3),
         ],
-        ids=["sphere_v31", "general_v31", "v21", "real_v41"],
+        ids=["sphere_v31", "general_v31", "v21", "real_v41", "v21_one_rate", "sphere_v21",
+             "general_v21", "real_v21", "real_v31", "real_general_v31"],
     )
     def test_k1_factors_are_read_only_and_give_the_kernel_table(self, grid):
         """At k = 1 the cache holds the (rate, time) plane, not a table: the
         distinct rates, T at each rate and scan time, and the distinct unit
-        rows; velocity (i lam, u) reaches (T, -conj(u) S) at its rate."""
+        rows; velocity (i lam, u) reaches (T, -conj(u) S) at its rate.  The
+        plane samples its rates and rows directly; they must be, bit for
+        bit, those of the grid's velocities as the separate families
+        sampled them (``separate_family_params``)."""
         plane = _scan_table(grid)
         for part in (plane.rates, plane.top, plane.directions):
             assert not part.flags.writeable
         table = _kernel_table(grid)
-        family = _LinearFamily(grid)
-        a, b = family.blocks(family.initial_params())
+        a, b = _grid_blocks(grid)
         assert np.array_equal(plane.rates, np.unique(a[:, 0, 0].imag))
         assert np.array_equal(plane.directions, np.unique(b[:, 0], axis=0))
         rate = np.searchsorted(plane.rates, a[:, 0, 0].imag)
@@ -1404,8 +1427,7 @@ def _assert_scan_matches_subtraction(cols, target_cols, gate):
 def _kernel_top(grid):
     """The grid's distinct fibre rates (ascending) and the top entries (R, T)
     of its kernel table at its scan times, one velocity per rate."""
-    family = _LinearFamily(grid)
-    a, _ = family.blocks(family.initial_params())
+    a, _ = _grid_blocks(grid)
     rates, first = np.unique(a[:, 0, 0].imag, return_index=True)
     return rates, _kernel_table(grid, first)[:, :, 0, 0]
 
@@ -1533,8 +1555,7 @@ class TestScanByInnerProduct:
         dev = float(np.max(np.abs(np.conj(cols).T @ cols - np.eye(1))))
         assert dev == pytest.approx(0.5 * TOL.unit, rel=1e-5)
         rix, tix = _assert_k1_scans_match_subtraction(grid, target.cols, _search_gate(grid))
-        family = _LinearFamily(grid)
-        rate = family.blocks(family.initial_params()[v : v + 1])[0][0, 0, 0].imag
+        rate = _grid_blocks(grid)[0][v, 0, 0].imag
         r = np.searchsorted(_scan_table(grid).rates, rate)
         assert len(np.nonzero((rix == r) & (tix == t))[0]) == 1
         rep = search_minimizers(target, grid)
@@ -1783,7 +1804,7 @@ class TestScanFill:
 
 def _table_bytes(grid) -> int:
     """Bytes of the grid's endpoint table (velocities x times x n x k, complex)."""
-    count = len(_LinearFamily(grid).initial_params())
+    count = len(separate_family_params(grid))
     return count * grid.t_count * grid.n * grid.k * np.dtype(np.complex128).itemsize
 
 

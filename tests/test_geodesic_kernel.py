@@ -16,8 +16,7 @@ sensitivities, at every shape), and along fixed dense directions at k = 1
 and k >= 2 in both modes; the top entry of the unit-row V_{n,1} column, which
 the k = 1 search solves for in the (rate, time) plane, is checked with its
 rate and time derivatives (``_vn1_jacobian``) at every k = 1 shape up to
-|t v| = 30.  The closed form's J(x) = (sin x - x cos x) / x^3 is checked
-against a 40-digit mpmath value.  Beyond |t v| = 30, where the
+|t v| = 30.  Beyond |t v| = 30, where the
 double-precision expm reference no longer holds, the spectral path (k >= 2)
 is checked against a 40-digit mpmath matrix exponential up to |t v| = 1e3,
 the V_{n,1} closed form and its unit-row factors against it up to |t v| =
@@ -39,10 +38,8 @@ from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.geodesic import (
     GeodesicSpec,
-    _J1_OVER_X_CUTOFF,
     _decompose,
     _endpoint_jacobian,
-    _j1_over_x,
     _vn1_jacobian,
     _vn1_unit_factors,
     batch_geodesic_columns,
@@ -252,15 +249,6 @@ class TestJacobianAgainstExpmFrechet:
             assert not np.any(top.imag) and not np.any(dt.imag)
 
 
-def _j1_over_x_mpmath(x: float) -> mpmath.mpf:
-    """(sin x - x cos x) / x^3 = sqrt(pi / 2x) J_{3/2}(x) / x at 40 digits."""
-    with mpmath.workdps(40):
-        if x == 0.0:
-            return mpmath.mpf(1) / 3
-        x = mpmath.mpf(x)
-        return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(1.5, x) / x
-
-
 class TestKernelAgainstMpmath:
     """The k >= 2 kernel against 40-digit endpoints up to |t v| = 1e3 (Frobenius |v|).
 
@@ -417,28 +405,6 @@ class TestVn1JacobianAgainstMpmath:
             ref_dir, ref_t = geodesic_jacobian_mp(a, b, t, *rate_direction)
             assert abs(dlam[0] - ref_dir[0, 0, 0]) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2, tv
             assert abs(dt[0] - ref_t[0, 0]) <= MP_JAC_ERR * eps * (1.0 + tv), tv
-
-
-class TestJ1OverX:
-    """J(x), the derivative of the closed form's sin(t omega) / omega, on both sides
-    of its series cutoff."""
-
-    POINTS = [
-        0.0, 1e-300, 1e-8, 0.5,
-        np.nextafter(_J1_OVER_X_CUTOFF, 0.0), _J1_OVER_X_CUTOFF,
-        np.nextafter(_J1_OVER_X_CUTOFF, 2.0), 1.0, 10.0, 1e3,
-    ]
-
-    def test_matches_mpmath(self):
-        xs = np.array(self.POINTS + [-x for x in self.POINTS])
-        got = _j1_over_x(xs)
-        for x, value in zip(xs, got):
-            ref = _j1_over_x_mpmath(abs(float(x)))
-            assert abs(value - float(ref)) <= 1e-14 * abs(float(ref)), x
-
-    def test_limit_is_exact(self):
-        assert _j1_over_x(np.array([0.0, 1e-300]))[0] == 1.0 / 3.0
-        assert _j1_over_x(np.array([0.0, 1e-300]))[1] == 1.0 / 3.0
 
 
 class TestClosedFormsAtTinyRates:

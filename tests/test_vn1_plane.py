@@ -7,7 +7,8 @@ generating or analytic length, and a 40-digit endpoint of every returned
 velocity), against an independent oracle (``plane_least_root``: a
 Lipschitz-pruned fine grid refined by scipy's least_squares) and at
 degenerate targets: near the fold of T, where two roots meet at the
-block-diagonal set; a block-diagonal root outside the grid's rate range;
+block-diagonal set (down to 5e-10 from it, with one cluster at the
+generating length); a block-diagonal root outside the grid's rate range;
 and the antidiagonal target q0 = 0.
 """
 
@@ -16,7 +17,13 @@ import pytest
 from scipy.linalg import expm
 
 from _oracles import geodesic_columns_mp, plane_least_root
-from stiefel_sr.cutlocus import VelocityGrid, real_antipodal_cut_point, search_minimizers
+from stiefel_sr.cutlocus import (
+    GENERIC,
+    VelocityGrid,
+    classify_target,
+    real_antipodal_cut_point,
+    search_minimizers,
+)
 from stiefel_sr.geodesic import GeodesicSpec, length, normal_geodesic
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint
 from stiefel_sr.matcore import COMPLEX, REAL
@@ -149,6 +156,14 @@ class TestAgainstOracle:
             _assert_matches_oracle(target, grid)
 
 
+def _near_fold_draw(rng, delta: float):
+    """(velocity, t, endpoint) of a unit-row V(2,1) velocity at t = (1 - delta) pi / omega."""
+    lam, phi = rng.uniform(-2.5, 2.5), rng.uniform(0, 2 * np.pi)
+    vel = BlockVelocity(np.array([[1j * lam]]), np.array([[np.exp(1j * phi)]]))
+    t = (1 - delta) * np.pi / np.hypot(lam / 2, 1.0)
+    return vel, t, normal_geodesic(GeodesicSpec(vel), t)
+
+
 class TestDegenerateTargets:
     @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
     def test_near_the_fold(self, delta):
@@ -157,13 +172,41 @@ class TestDegenerateTargets:
         the shorter one is the generating geodesic."""
         rng = np.random.default_rng(int(-np.log10(delta)))
         for _ in range(4):
-            lam, phi = rng.uniform(-2.5, 2.5), rng.uniform(0, 2 * np.pi)
-            vel = BlockVelocity(np.array([[1j * lam]]), np.array([[np.exp(1j * phi)]]))
-            t = (1 - delta) * np.pi / np.hypot(lam / 2, 1.0)
-            target = normal_geodesic(GeodesicSpec(vel), t)
+            vel, t, target = _near_fold_draw(rng, delta)
             rep = _assert_matches_oracle(target, CRITERION_5_GRID, rel=1e-9)
             assert rep.arrivals
             assert abs(rep.min_length - length(vel, t)) <= 1e-9 * length(vel, t)
+
+    @pytest.mark.parametrize("delta", [1e-7, 1e-8, 1e-9])
+    def test_one_cluster_at_the_fold(self, delta):
+        """Closer to the fold both roots reach the target to rounding and
+        their lengths are about 2 delta apart: the minimal-length band at
+        k = 1 is rounding wide, so it keeps only the shorter, generating
+        root, which the solve before the fold finds."""
+        rng = np.random.default_rng(int(round(-np.log10(delta))))
+        for _ in range(6):
+            vel, t, target = _near_fold_draw(rng, delta)
+            rep = search_minimizers(target, CRITERION_5_GRID)
+            assert rep.clusters == 1
+            assert abs(rep.min_length - length(vel, t)) <= 1e-9 * length(vel, t)
+
+    @pytest.mark.parametrize("delta", [3e-9, 1e-9, 5e-10])
+    def test_generic_targets_next_to_the_block_diagonal_set(self, delta):
+        """Within about 1e-8 of the block-diagonal set |q1| is about delta pi,
+        and a solve of T = q0 alone leaves |S| off |q1| by about eps / |q1|,
+        past ``TOL.hit``: without the polish 2, 7 and 11 of these draws get
+        empty reports."""
+        rng = np.random.default_rng(7)
+        generic = 0
+        for _ in range(40):
+            vel, t, target = _near_fold_draw(rng, delta)
+            if classify_target(target).kind != GENERIC:
+                continue
+            generic += 1
+            rep = search_minimizers(target, VelocityGrid(2, 1))
+            assert rep.clusters == 1
+            assert abs(rep.min_length - length(vel, t)) <= 1e-9 * length(vel, t)
+        assert generic >= 37
 
     def test_block_diagonal_root_outside_the_rate_range(self):
         # e^{0.3 i pi} e1 is reached at lam = 1.4 / sqrt(0.51), outside (-1, 1)
