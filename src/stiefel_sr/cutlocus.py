@@ -29,9 +29,8 @@ from .geodesic import (
     _decompose,
     _endpoint_jacobian,
     _speeds_squared,
+    _vn1_column,
     _vn1_jacobian,
-    _vn1_terms,
-    _vn1_unit_factors,
     batch_geodesic_columns,
     geodesic_vn1_closed,
     grassmann_geodesic_2kk,
@@ -119,17 +118,16 @@ class VelocityGrid(_Record):
     with nonzero transversal block can be reparametrized to that family), so
     arrival length is speed * time with a family-wide constant speed.
 
-    family: the sample.  "v21" (complex V_{2,1}) crosses fibre rates with
-    the phases of the unit row, "sphere" (k = 1) crosses them (in complex
-    mode) with unit rows, and "general" is a low-discrepancy sample of
-    every coordinate of the linear params that a k >= 2 search refines.  A
-    k = 1 search takes the sample's distinct fibre rates and unit rows.
-    "auto" picks "v21" on complex V_{2,1}, "sphere" for any other k = 1 and
-    "general" otherwise.  Construction resolves "auto" and ``t_max=None``
-    (1.1 pi sqrt(k)), so ``family`` is one of the three names and ``t_max`` a
-    float, and rejects an unknown mode, an n, k, count or seed that is not an
-    integer (a bool is not), a shape without 1 <= k < n, a non-finite
-    lambda_range or t_max, lo > hi, t_max <= 0 and a misfit family.
+    family: the sample, fixed by the shape.  "v21" (complex V_{2,1})
+    crosses fibre rates with the phases of the unit row, "sphere" (every
+    other k = 1 shape) crosses them (in complex mode) with unit rows, and
+    "general" (k >= 2) is a low-discrepancy sample of every coordinate of
+    the linear params that the search refines.  Construction resolves
+    "auto" to the shape's family and ``t_max=None`` to 1.1 pi sqrt(k), so
+    ``t_max`` is a float, and rejects an unknown mode, an n, k, count or seed
+    that is not an integer (a bool is not), a shape without 1 <= k < n, a
+    non-finite lambda_range or t_max, lo > hi, t_max <= 0 and a family other
+    than "auto" or the shape's.
     """
 
     n: int
@@ -171,18 +169,15 @@ class VelocityGrid(_Record):
             raise ValueError(f"t_max={self.t_max} must be finite and > 0")
         t_max = 1.1 * np.pi * np.sqrt(self.k) if self.t_max is None else self.t_max
         object.__setattr__(self, "t_max", float(t_max))
-        if self.family == "auto":
-            if self.k != 1:
-                family = "general"
-            else:
-                family = "v21" if (self.n, self.mode) == (2, COMPLEX) else "sphere"
-            object.__setattr__(self, "family", family)
-        if self.family == "v21" and (self.n, self.k, self.mode) != (2, 1, COMPLEX):
-            raise ValueError("v21 family requires n=2, k=1, complex mode")
-        if self.family == "sphere" and self.k != 1:
-            raise ValueError("sphere family requires k=1")
-        if self.family not in ("v21", "sphere", "general"):
-            raise ValueError(f"unknown velocity family {self.family!r}")
+        family = "sphere" if self.k == 1 else "general"
+        if (self.n, self.k, self.mode) == (2, 1, COMPLEX):
+            family = "v21"
+        if self.family not in ("auto", family):
+            raise ValueError(
+                f"{self.family} family does not fit n={self.n}, k={self.k}, {self.mode} mode:"
+                f" use 'auto' or '{family}'"
+            )
+        object.__setattr__(self, "family", family)
 
 
 @dataclass(frozen=True)
@@ -237,8 +232,9 @@ class _LinearFamily:
     Param layout: in complex mode the k diagonal fibre rates, then the real and
     imaginary part of each fibre entry above the diagonal; in real mode only
     those entries' real parts.  Then the real parts of the transversal
-    entries (row-major), and in complex mode their imaginary parts.  At
-    k = 1 the grid's plane samples its rates and rows itself (``_vn1_plane``).
+    entries (row-major), and in complex mode their imaginary parts.  The
+    search builds it at k >= 2 only: a k = 1 grid's plane samples its rates
+    and rows itself (``_vn1_plane``).
 
     The refinement differentiates along these fixed unit images ``da``,
     ``db`` and then through the normalization of b, ``normalize``.
@@ -351,7 +347,7 @@ class _Vn1Plane(NamedTuple):
     """A k = 1 grid's scan data: T at its distinct fibre rates and scan times, and its unit rows.
 
     Velocity (i lam, b) with a unit row b reaches (T(lam, t), -conj(b)
-    S(lam, t)) (``geodesic._vn1_unit_factors``).  ``rates`` ascend;
+    S(lam, t)) (``geodesic._vn1_jacobian``).  ``rates`` ascend;
     ``directions`` are the grid's distinct unit rows.  Read-only.
     """
 
@@ -363,18 +359,15 @@ class _Vn1Plane(NamedTuple):
 def _vn1_plane(grid: VelocityGrid) -> _Vn1Plane:
     """A k = 1 grid's plane, sampled directly as its fibre rates and unit rows.
 
-    v21 and sphere grids take ``lambda_count`` rates (0 alone in real
-    mode); v21 rows are e^{i phi} at ``phase_count`` phases, sphere rows
-    ``direction_count`` Sobol directions (real V(3,1): equally spaced
-    angles; real V(2,1): +-1); general grids their Sobol sample's.  Rows
-    are normalized as ``_LinearFamily.blocks`` does.
+    ``lambda_count`` rates (0 alone in real mode); v21 rows are e^{i phi}
+    at ``phase_count`` phases, sphere rows ``direction_count`` Sobol
+    directions (real V(3,1): equally spaced angles; real V(2,1): +-1).
+    Rows are normalized as ``_LinearFamily.blocks`` does, and T comes from
+    the kernel's ``_vn1_column`` at a unit row.
     """
     m, real = grid.n - 1, grid.mode == REAL
     rates = np.zeros(1) if real else np.linspace(*grid.lambda_range, grid.lambda_count)
-    if grid.family == "general":
-        params = _LinearFamily(grid).initial_params()
-        rates, raw = (rates, params) if real else (params[:, 0], params[:, 1:])
-    elif grid.family == "v21" or (real and m == 2):
+    if grid.family == "v21" or (real and m == 2):
         count = grid.phase_count if grid.family == "v21" else grid.direction_count
         ang = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
         raw = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -385,7 +378,7 @@ def _vn1_plane(grid: VelocityGrid) -> _Vn1Plane:
         raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     rows = (raw if real else raw[:, :m] + 1j * raw[:, m:]).astype(np.complex128)[:, None]
     rates = np.unique(rates)
-    top = _vn1_unit_factors(rates[:, None], _scan_times(grid))[0]
+    top = _vn1_column(rates[:, None], np.ones(1), _scan_times(grid))[0]
     return _Vn1Plane(rates, top, np.unique((rows / _frobenius(rows))[:, 0], axis=0))
 
 
@@ -469,13 +462,12 @@ def _plane_residual(lam, ts, q0: complex, r1):
 
     s = sin(t omega) / omega is |S| before the fold (t omega < pi), where the
     second f vanishes iff T = q0 (|T|^2 + s^2 = 1); unlike T, s is not flat
-    across the fold.  ds/dlam is the dS of ``geodesic._vn1_jacobian``.
+    across the fold.  One ``geodesic._vn1_jacobian`` call gives T, s, their
+    derivatives and ds/dt = cos(t omega).
     """
-    top, dlam, dt = _vn1_jacobian(lam, ts)
+    top, dlam, dt, s, ds, cosw = _vn1_jacobian(lam, ts)
     if r1 is None:
         return top - q0, dlam, dt
-    omega, cosw, s, _ = _vn1_terms(lam, 1.0, ts)
-    ds = (ts * cosw - s) * 0.25 * lam / omega**2
     u = np.conj(q0)
     return s - r1 + 1j * (top * u).imag, ds + 1j * (dlam * u).imag, cosw + 1j * (dt * u).imag
 
@@ -554,7 +546,8 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
             near = _plane_newton(lam, np.where(past, period - t, t), q0, np.linalg.norm(q1))
             capped = int(np.count_nonzero(capped) + np.count_nonzero(near[2][past]))
             lam, t = np.concatenate([lam[past], near[0]]), np.concatenate([t[past], near[1]])
-            rows = -np.conj(q1) / np.conj(_vn1_unit_factors(lam, t)[1])[:, None]
+            # S = -dT/dt
+            rows = -np.conj(q1) / np.conj(-_vn1_jacobian(lam, t)[2])[:, None]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             counts = dict(scan_hits=len(r), candidates=len(lam))
             counts.update(converged=len(lam) - capped, capped=capped)
@@ -600,9 +593,10 @@ def _refine(
     geodesic evaluation.  Each candidate keeps its normal equations J^T J and
     J^T r; the analytic Jacobian is formed again only for the candidates
     whose last step was accepted, since a rejected step changes only the
-    damping.  At k >= 2 each candidate also keeps the two eigendecompositions
-    that the evaluation of its accepted point made, and its Jacobian is built
-    from them (``_residual_jacobian``), so no Jacobian calls eigh.
+    damping.  Each candidate also keeps the two eigendecompositions that the
+    evaluation of its accepted point made, and its Jacobian is built from
+    them (``_residual_jacobian``), so no Jacobian calls eigh.  Only k >= 2
+    searches refine.
     Per-candidate damping adapts in the usual way.  A candidate is frozen
     once its residual is far below the hit radius, once its damping exceeds
     1e8, or once its squared residual is above half of its own value
@@ -1139,19 +1133,19 @@ def verify_antidiagonal_arrivals(
     min_margin = np.inf
     min_floor = np.inf
     if k >= 2:
-        blocks, smallest = [], []
-        while len(blocks) < samples:
+        sigmas = []
+        while len(sigmas) < samples:
             g = matcore.random_matrix(rng, k, k, mode)
-            b = g / np.linalg.norm(g)
-            sig = np.linalg.svd(b, compute_uv=False)
+            sig = np.linalg.svd(g / np.linalg.norm(g), compute_uv=False)
             if sig[-1] < 0.05 or sig[0] / sig[-1] < 1.05:
                 continue  # want invertible and genuinely non-unitary
-            blocks.append(b)
-            smallest.append(sig[-1])
-        first_zero_bound = np.pi / (2.0 * np.array(smallest))
+            sigmas.append(sig)
+        sigmas = np.array(sigmas)
+        first_zero_bound = np.pi / (2.0 * sigmas[:, -1])
         min_margin = float(np.min(first_zero_bound - t0))
-        g1, _ = grassmann_geodesic_2kk(np.stack(blocks)[:, None], np.linspace(0.0, t0, 400))
-        min_floor = float(np.linalg.norm(g1, axis=(2, 3)).min())
+        # the block cos(t r), r = sqrt(bb*), has Frobenius norm sqrt(sum_i cos^2(t sigma_i))
+        ts = np.linspace(0.0, t0, 400)[:, None, None]
+        min_floor = float(np.linalg.norm(np.cos(ts * sigmas), axis=-1).min())
     passed = (
         max_dir_err <= 1e-9
         and max_roundtrip <= 1e-10

@@ -15,8 +15,8 @@ k >= 2 goes through two batched eigh, split from the evaluation so a caller
 can keep the decompositions, and then writes the columns as q (e^{-i t w_p}
 e^{i t wa_j} (q* qa)_pj) qa*: two products per velocity, whatever the number
 of times.  At a unit transversal row the V_{n,1} column is (T, -conj(b) S)
-with T and S functions of the rate and the time (``_vn1_unit_factors``,
-``_vn1_jacobian``), so a k = 1 search solves in the (rate, time) plane.
+with T and S functions of the rate and the time (``_vn1_jacobian``), so a
+k = 1 search solves in the (rate, time) plane.
 ``_endpoint_jacobian`` gives the k >= 2 refinement the endpoint's
 derivatives along fixed directions and in t: one product of the
 directions' generators with one Daleckii-Krein sensitivity array built from
@@ -138,17 +138,6 @@ def _vn1_column(lam, b, ts):
     return top, bottom
 
 
-def _vn1_unit_factors(lam, ts):
-    """(T, S) with the V_{n,1} column of (i lam, b) equal to (T, -conj(b) S) for every unit row b.
-
-    The column depends on b only through |b| and the factor conj(b) of its
-    bottom row, so at |b| = 1 it factors into these two terms of the rate and
-    the time; ``lam`` and ``ts`` broadcast as in ``_vn1_column``.
-    """
-    top, bottom = _vn1_column(lam, np.ones(1), ts)
-    return top, -bottom[..., 0]
-
-
 def _decompose(a_blocks, b_blocks):
     """The k >= 2 kernel's two batched eigh: (w, q) of i v and (wa, qa) of i a.
 
@@ -248,16 +237,18 @@ def _sensitivity(a_blocks, b_blocks, ts, spectra):
 
 
 def _vn1_jacobian(lam, ts):
-    """T, dT/dlam and dT/dt for the top entry T of ``_vn1_unit_factors``, eigensolver-free.
+    """The unit-row V_{n,1} column's terms and their derivatives, eigensolver-free.
 
-    At a unit transversal row the V_{n,1} column's top entry depends on the
-    rate and the time only, so a k = 1 target's top entry is two real
-    equations in (lam, t).  With g = omega d omega / d lam = lam / 4 and S =
-    sin(t omega) / omega, the terms move in lam by d cos(t omega) = -t S g,
-    dS = (t cos(t omega) - S) g / omega^2 and d phase = -i t / 2 . phase; in
-    t the top entry moves by -phase S.  omega^2 = lam^2 / 4 + 1 >= 1, so the
-    cancellation in dS at small t omega costs only O(eps t) beside O(t)
-    terms.  ``lam`` and ``ts`` broadcast together.
+    At a unit transversal row b the column of (i lam, b) is (T, -conj(b) S)
+    with T and S functions of the rate and the time only, so a k = 1
+    target's top entry is two real equations in (lam, t).  Returns T,
+    dT/dlam, dT/dt, s = sin(t omega) / omega, ds/dlam and cos(t omega);
+    S = -dT/dt = phase s.  With g = omega d omega / d lam = lam / 4 the terms
+    move in lam by d cos(t omega) = -t s g, ds = (t cos(t omega) - s) g /
+    omega^2 and d phase = -i t / 2 . phase; in t, T moves by -phase s.
+    omega^2 = lam^2 / 4 + 1 >= 1, so the cancellation in ds at small t omega
+    costs only O(eps t) beside O(t) terms.  ``lam`` and ``ts`` broadcast
+    together.
     """
     omega, cosw, sincw, phase = _vn1_terms(lam, 1.0, ts)
     g = 0.25 * lam
@@ -265,7 +256,7 @@ def _vn1_jacobian(lam, ts):
     dcos = -ts * sincw * g
     dsinc = (ts * cosw - sincw) * g / omega**2
     dlam = phase * (-0.5j * ts * inner + dcos + 0.5j * (sincw + lam * dsinc))
-    return phase * inner, dlam, -phase * sincw
+    return phase * inner, dlam, -phase * sincw, sincw, dsinc, cosw
 
 
 def _endpoint_jacobian(a_blocks, b_blocks, ts, spectra, da, db, mode: str):

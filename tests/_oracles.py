@@ -202,10 +202,12 @@ def _sobol_gauss(dim: int, count: int, seed: int) -> np.ndarray:
 
 
 def separate_family_params(grid) -> np.ndarray:
-    """Initial params of the search's former v21 and sphere (k = 1) and general
-    families, sampled separately: every fibre rate crossed with every phase
-    (params lam, cos phi, sin phi), sphere directions (with a fibre-rate axis
-    in complex mode), or a Sobol sample of every block coordinate."""
+    """Initial params of the grid's family, sampled separately: on complex
+    V(2,1) (v21) every fibre rate crossed with every phase (params lam, cos
+    phi, sin phi), on the other k = 1 shapes (sphere) the unit directions
+    (with a fibre-rate axis in complex mode), as the search's former v21 and
+    sphere families sampled them, and at k >= 2 (general) a Sobol sample of
+    every block coordinate."""
     n, k = grid.n, grid.k
     complex_mode = grid.mode == COMPLEX
     lo, hi = grid.lambda_range

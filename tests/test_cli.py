@@ -343,6 +343,16 @@ class TestCutlocusSearch:
         err = capsys.readouterr().err
         assert "1 <= k < n" in err and "Traceback" not in err
 
+    def test_misfit_family_is_usage_error(self, capsys):
+        # complex V(2,1) is sampled as the v21 family only
+        code = run(
+            "cutlocus-search", "--n", "2", "--k", "1", "--family", "general",
+            "--target", target_json([[-1.0], [0.0]]),
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "use 'auto' or 'v21'" in err and "Traceback" not in err
+
     def test_inline_grid_record(self, tmp_path):
         out = tmp_path / "r.json"
         code = run(

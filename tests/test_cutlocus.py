@@ -18,7 +18,7 @@ from stiefel_sr.geodesic import (
     GeodesicSpec,
     _decompose,
     _endpoint_jacobian,
-    _vn1_unit_factors,
+    _vn1_jacobian,
     batch_geodesic_columns,
     first_vanishing_time,
     grassmann_geodesic_2kk,
@@ -163,9 +163,13 @@ class TestSearchV21:
             search_minimizers(target, VelocityGrid(2, 1, COMPLEX))
 
     def test_general_family_smoke(self):
-        # forcing the low-discrepancy family on V_{2,1} still finds the circle
+        # V_{2,1} cannot be forced onto the low-discrepancy family; a grid
+        # with that family's sample settings is a v21 grid and finds the circle
+        with pytest.raises(ValueError, match="use 'auto' or 'v21'"):
+            VelocityGrid(2, 1, COMPLEX, family="general")
         target = StiefelPoint(np.array([[-1.0], [0.0]]))
-        grid = VelocityGrid(2, 1, COMPLEX, family="general", sample_count=512, seed=3)
+        grid = VelocityGrid(2, 1, COMPLEX, sample_count=512, seed=3)
+        assert grid.family == "v21"
         rep = search_minimizers(target, grid)
         assert rep.clusters >= 2
         assert rep.min_length == pytest.approx(2 * np.sqrt(2) * np.pi, rel=1e-6)
@@ -193,7 +197,11 @@ class TestSearchRealSphere:
         b = np.array([[0.6, -0.8]])
         vel = BlockVelocity(np.zeros((1, 1)), b, REAL)
         target = normal_geodesic(GeodesicSpec(vel), 0.7)
-        grid = VelocityGrid(3, 1, REAL, family="general", sample_count=256, seed=9)
+        # as on V_{2,1}: the general family is refused, its settings are not
+        with pytest.raises(ValueError, match="use 'auto' or 'sphere'"):
+            VelocityGrid(3, 1, REAL, family="general")
+        grid = VelocityGrid(3, 1, REAL, sample_count=256, seed=9)
+        assert grid.family == "sphere"
         rep = search_minimizers(target, grid)
         assert rep.clusters >= 1
         assert rep.min_length == pytest.approx(length(vel, 0.7), rel=1e-6)
@@ -291,12 +299,9 @@ LINEAR_FAMILY_CASES = [
     ("sphere", 2, 1, REAL),
     ("sphere", 3, 1, REAL),
     ("sphere", 4, 1, REAL),
-    ("sphere", 2, 1, COMPLEX),
     ("sphere", 3, 1, COMPLEX),
-    ("general", 3, 1, REAL),
     ("general", 4, 2, REAL),
     ("general", 5, 2, REAL),
-    ("general", 2, 1, COMPLEX),
     ("general", 4, 2, COMPLEX),
     ("general", 6, 3, COMPLEX),
 ]
@@ -318,8 +323,8 @@ class TestLinearFamily:
     already used.  ``normalize`` of the derivatives along the unit params
     must give the derivatives along those tangents, to 1e-15 of the largest
     derivative (at least 1) for times up to 1.  The family samples the
-    general family's params only; a sphere grid's sample is the plane's
-    (``TestScanTable``).
+    general family's params only, which k >= 2 grids take; a sphere grid's
+    sample is the plane's (``TestScanTable``).
     """
 
     @pytest.mark.parametrize("family, n, k, mode", LINEAR_FAMILY_CASES)
@@ -733,6 +738,24 @@ class TestRefine:
         assert len({row.tobytes() for row in rows}) == len(rows)
         assert len(rows) < active_rows
 
+    def test_singular_system_is_solved_with_a_small_ridge(self, monkeypatch):
+        # the first solve fails as on a singular system; the retry solves
+        # lhs + 1e-8 I and the refinement runs to its end
+        fam, params, ts, target = _refine_case("v52")
+        solve, lhs_seen = np.linalg.solve, []
+
+        def failing_once(lhs, rhs):
+            lhs_seen.append(lhs.copy())
+            if len(lhs_seen) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(lhs, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_once)
+        _, t_ref, errs, stats = _refine(fam, params, ts, target, TOL.hit)
+        assert np.array_equal(lhs_seen[1], lhs_seen[0] + 1e-8 * np.eye(params.shape[1] + 1))
+        assert len(lhs_seen) == stats["lm_iterations"] + 1
+        assert stats["converged"] > 0 and np.all(np.isfinite(errs)) and np.all(np.isfinite(t_ref))
+        assert sum(stats[key] for key in ("converged", "damped", "stalled", "capped")) == len(ts)
 
     @pytest.mark.parametrize("name", ["v63", "v52"])
     def test_stored_spectra_give_the_fresh_jacobian(self, name, monkeypatch):
@@ -1276,6 +1299,16 @@ def _kernel_table(grid, rows=slice(None)) -> np.ndarray:
     return grid_geodesic_columns(a[rows], b[rows], _scan_times(grid), grid.mode)
 
 
+class TestSearchV42:
+    def test_empty_report_when_window_excludes_target(self):
+        # the target is reached at t = 0.8, far past t_max: no scan minimum
+        # passes the gate, so nothing is refined
+        grid = VelocityGrid(4, 2, COMPLEX, family="general", t_max=0.1, sample_count=32, t_count=16)
+        rep = search_minimizers(_GENERIC_V42, grid)
+        assert rep.arrivals == () and rep.clusters == 0 and rep.min_length is None
+        assert rep.diagnostics.scan_hits == 0 and rep.diagnostics.candidates == 0
+
+
 class TestScanTable:
     @pytest.mark.parametrize(
         "target, grid",
@@ -1344,17 +1377,20 @@ class TestScanTable:
         "grid",
         [
             VelocityGrid(3, 1, COMPLEX, direction_count=16, lambda_count=8, t_count=32, seed=3),
-            VelocityGrid(3, 1, COMPLEX, family="general", sample_count=64, t_count=32, seed=3),
+            VelocityGrid(3, 1, COMPLEX, sample_count=64, t_count=32, seed=3),
             VelocityGrid(2, 1, COMPLEX, lambda_count=8, phase_count=6, t_count=32),
             VelocityGrid(4, 1, REAL, direction_count=16, t_count=32, seed=3),
             VelocityGrid(2, 1, COMPLEX, lambda_range=(0.5, 0.5), phase_count=6, t_count=32),
-            VelocityGrid(2, 1, COMPLEX, family="sphere", lambda_count=8, direction_count=16,
-                         t_count=32, seed=3),
-            VelocityGrid(2, 1, COMPLEX, family="general", sample_count=64, t_count=32, seed=3),
+            VelocityGrid(2, 1, COMPLEX, lambda_count=8, direction_count=16, t_count=32, seed=3),
+            VelocityGrid(2, 1, COMPLEX, sample_count=64, t_count=32, seed=3),
             VelocityGrid(2, 1, REAL, t_count=32),
             VelocityGrid(3, 1, REAL, direction_count=12, t_count=32),
-            VelocityGrid(3, 1, REAL, family="general", sample_count=64, t_count=32, seed=3),
+            VelocityGrid(3, 1, REAL, sample_count=64, t_count=32, seed=3),
         ],
+        # the general_* and sphere_v21 cases keep the settings of the general
+        # and sphere families these shapes no longer take; they are sampled
+        # as the shape's family, which does not read sample_count (nor, at
+        # V(2,1), direction_count)
         ids=["sphere_v31", "general_v31", "v21", "real_v41", "v21_one_rate", "sphere_v21",
              "general_v21", "real_v21", "real_v31", "real_general_v31"],
     )
@@ -1373,7 +1409,7 @@ class TestScanTable:
         assert np.array_equal(plane.rates, np.unique(a[:, 0, 0].imag))
         assert np.array_equal(plane.directions, np.unique(b[:, 0], axis=0))
         rate = np.searchsorted(plane.rates, a[:, 0, 0].imag)
-        side = _vn1_unit_factors(plane.rates[:, None], _scan_times(grid))[1]
+        side = -_vn1_jacobian(plane.rates[:, None], _scan_times(grid))[2]
         bottom = -np.conj(b[:, 0])[:, None, :] * side[rate][:, :, None]
         rebuilt = np.concatenate([plane.top[rate][:, :, None], bottom], axis=2)[..., None]
         assert np.max(np.abs(rebuilt - table)) < 1e-14
@@ -1511,21 +1547,17 @@ class TestScanByInnerProduct:
             VelocityGrid(2, 1, REAL, seed=2),
             VelocityGrid(4, 1, REAL, seed=2),
             VelocityGrid(3, 1, COMPLEX, lambda_count=16, direction_count=32, seed=2),
-            VelocityGrid(3, 1, COMPLEX, family="general", sample_count=512, seed=2),
-            VelocityGrid(2, 1, REAL, family="general", sample_count=64, seed=2),
+            VelocityGrid(3, 1, COMPLEX, sample_count=512, seed=2),
+            VelocityGrid(2, 1, REAL, sample_count=64, seed=2),
         ],
+        # the *_general cases keep the general family's settings, which a
+        # k = 1 grid, sampled as its shape's family, does not read
         ids=["real_v21", "real_v41", "complex_v31_sphere", "complex_v31_general", "real_v21_general"],
     )
     def test_k1_grid(self, grid):
         for target in _k1_targets(grid.n, grid.mode):
             for gate in (_search_gate(grid), 1.0):
                 _assert_k1_scans_match_subtraction(grid, target.cols, gate)
-
-    def test_general_k1_grid_has_one_velocity_per_rate(self):
-        grid = VelocityGrid(3, 1, COMPLEX, family="general", sample_count=512, seed=2)
-        plane = _scan_table(grid)
-        assert plane.rates.shape == (512,) and plane.directions.shape == (512, 2)
-        assert plane.top.shape == (512, grid.t_count)
 
     def test_streamed_complex_v42_general_grid(self, monkeypatch):
         grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=64, t_count=64, seed=4)
@@ -1707,15 +1739,41 @@ class TestGridResolution:
     @pytest.mark.parametrize(
         "n, k, mode, family, message",
         [
-            (3, 1, COMPLEX, "v21", "v21 family requires n=2, k=1, complex mode"),
-            (2, 1, REAL, "v21", "v21 family requires n=2, k=1, complex mode"),
-            (3, 2, COMPLEX, "sphere", "sphere family requires k=1"),
-            (2, 1, COMPLEX, "circle", "unknown velocity family 'circle'"),
+            (3, 1, COMPLEX, "v21",
+             "v21 family does not fit n=3, k=1, complex mode: use 'auto' or 'sphere'"),
+            (2, 1, REAL, "v21",
+             "v21 family does not fit n=2, k=1, real mode: use 'auto' or 'sphere'"),
+            (3, 2, COMPLEX, "sphere",
+             "sphere family does not fit n=3, k=2, complex mode: use 'auto' or 'general'"),
+            (2, 1, COMPLEX, "circle",
+             "circle family does not fit n=2, k=1, complex mode: use 'auto' or 'v21'"),
+            (2, 1, COMPLEX, "general",
+             "general family does not fit n=2, k=1, complex mode: use 'auto' or 'v21'"),
+            (2, 1, COMPLEX, "sphere",
+             "sphere family does not fit n=2, k=1, complex mode: use 'auto' or 'v21'"),
+            (3, 1, REAL, "general",
+             "general family does not fit n=3, k=1, real mode: use 'auto' or 'sphere'"),
         ],
     )
     def test_unfit_family_raises_at_construction(self, n, k, mode, family, message):
-        with pytest.raises(ValueError, match=message):
+        # one message for every misfit, naming the shape's family
+        with pytest.raises(ValueError) as err:
             VelocityGrid(n, k, mode, family=family)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "n, k, mode, family",
+        [(3, 1, REAL, "sphere"), (3, 1, COMPLEX, "sphere"), (4, 2, COMPLEX, "general")],
+    )
+    def test_shape_family_name_shares_the_auto_cache_entry(self, n, k, mode, family):
+        _scan_table.cache_clear()
+        counts = {"lambda_count": 8, "direction_count": 16, "sample_count": 16, "t_count": 32}
+        auto = VelocityGrid(n, k, mode, **counts)
+        named = VelocityGrid(n, k, mode, family=family, **counts)
+        assert auto == named and hash(auto) == hash(named)
+        assert _scan_table(named) is _scan_table(auto)
+        info = _scan_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_auto_and_its_resolution_share_one_cache_entry(self):
         _scan_table.cache_clear()

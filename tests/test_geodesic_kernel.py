@@ -15,8 +15,8 @@ through ``_endpoint_jacobian`` (the directions' generators times the
 sensitivities, at every shape), and along fixed dense directions at k = 1
 and k >= 2 in both modes; the top entry of the unit-row V_{n,1} column, which
 the k = 1 search solves for in the (rate, time) plane, is checked with its
-rate and time derivatives (``_vn1_jacobian``) at every k = 1 shape up to
-|t v| = 30.  Beyond |t v| = 30, where the
+rate and time derivatives and the bottom entries' terms (``_vn1_jacobian``)
+at every k = 1 shape up to |t v| = 30.  Beyond |t v| = 30, where the
 double-precision expm reference no longer holds, the spectral path (k >= 2)
 is checked against a 40-digit mpmath matrix exponential up to |t v| = 1e3,
 the V_{n,1} closed form and its unit-row factors against it up to |t v| =
@@ -40,8 +40,8 @@ from stiefel_sr.geodesic import (
     GeodesicSpec,
     _decompose,
     _endpoint_jacobian,
+    _vn1_column,
     _vn1_jacobian,
-    _vn1_unit_factors,
     batch_geodesic_columns,
     geodesic_v21_closed,
     geodesic_vn1_closed,
@@ -168,7 +168,7 @@ def unit_param_jacobian(a, b, ts, mode):
     da (d, k, k), db (d, k, n-k).
     """
     _, k, m = b.shape
-    fam = _LinearFamily(VelocityGrid(k + m, k, mode, family="general"))
+    fam = _LinearFamily(VelocityGrid(k + m, k, mode))
     dcols, dcols_dt = _endpoint_jacobian(a, b, ts, _decompose(a, b), fam.da, fam.db, mode)
     return dcols, dcols_dt, fam.da, fam.db
 
@@ -231,20 +231,31 @@ class TestJacobianAgainstExpmFrechet:
         # the top entry T of a unit-row column and its derivatives in the
         # rate and the time (``_vn1_jacobian``) against the first entry of
         # expm and expm_frechet along a = i and along t, at a random unit row
-        # of each shape: T depends on the rate and the time only.  Rates up
-        # to 3 scaled by ``scale``; real mode has the one rate 0
+        # of each shape: T depends on the rate and the time only.  The
+        # bottom entries are -conj(b) S with S = -dT/dt = phase s, s = sin(t
+        # omega) / omega: s, ds/dlam and ds/dt = cos(t omega) against them
+        # and their derivatives.  Rates up to 3 scaled by ``scale``; real
+        # mode has the one rate 0
         rng = np.random.default_rng(1000 + 10 * n + (mode == REAL))
         ts = self.VN1_TIMES
         lam = scale * rng.uniform(-3.0, 3.0, len(ts)) if mode == COMPLEX else np.zeros(len(ts))
-        top, dlam, dt = _vn1_jacobian(lam, ts)
+        top, dlam, dt, s, ds, cosw = _vn1_jacobian(lam, ts)
         da, db = np.full((1, 1, 1), 1j), np.zeros((1, 1, n - 1))
         for i, t in enumerate(ts):
             row = matcore.random_matrix(rng, 1, n - 1, mode)
             a, b = np.array([[1j * lam[i]]]), row / np.linalg.norm(row)
             ref_dir, ref_t = reference_derivatives(a, b, t, da, db, COMPLEX)
-            assert abs(top[i] - reference_columns(a, b, t, COMPLEX)[0, 0]) < ATOL
+            cols = reference_columns(a, b, t, COMPLEX)[:, 0]
+            assert abs(top[i] - cols[0]) < ATOL
             assert abs(dlam[i] - ref_dir[0, 0, 0]) < ATOL
             assert abs(dt[i] - ref_t[0, 0]) < ATOL
+            side, phase = -np.conj(b[0]), np.exp(-0.5j * lam[i] * t)
+            assert np.max(np.abs(cols[1:] + side * dt[i])) < ATOL
+            assert np.max(np.abs(cols[1:] - side * phase * s[i])) < ATOL
+            d_lam = phase * (ds[i] - 0.5j * t * s[i])
+            assert np.max(np.abs(ref_dir[0, 1:, 0] - side * d_lam)) < ATOL
+            d_t = phase * (cosw[i] - 0.5j * lam[i] * s[i])
+            assert np.max(np.abs(ref_t[1:, 0] - side * d_t)) < ATOL
         if mode == REAL:
             assert not np.any(top.imag) and not np.any(dt.imag)
 
@@ -284,8 +295,9 @@ class TestVn1ClosedFormAgainstMpmath:
     precision, so its phases carry an absolute error of order eps |t v|, and
     the entry error is bounded by MP_VN1_ERR * eps * (1 + |t v|) (Frobenius
     |v|).  The k = 1 scan relies on the column's factoring at a unit
-    transversal row b: (T(lam, t), -conj(b) S(lam, t)) with T and S from
-    ``_vn1_unit_factors``; that form meets the same bound against the
+    transversal row b: (T(lam, t), -conj(b) S(lam, t)) with T from
+    ``_vn1_column`` at a unit row and S = -dT/dt from ``_vn1_jacobian``, as
+    the search takes them; that form meets the same bound against the
     40-digit endpoint of (i lam, b).  Measured on four seeds of n = 2..5
     (the test's own inputs among them) in both modes at |t v| = 1, 30 and
     300: the kernel's error stayed below 0.48 eps (1 + |t v|) and the
@@ -305,7 +317,8 @@ class TestVn1ClosedFormAgainstMpmath:
         norm_v = float(np.linalg.norm(BlockVelocity(a, b, mode).embed()))
         got = grid_geodesic_columns(a[None], b[None], tvs / norm_v, mode)[0]
         norm_unit = float(np.linalg.norm(BlockVelocity(a, unit, mode).embed()))
-        top, side = _vn1_unit_factors(a[0, 0].imag, tvs / norm_unit)
+        top = _vn1_column(a[0, 0].imag, np.ones(1), tvs / norm_unit)[0]
+        side = -_vn1_jacobian(a[0, 0].imag, tvs / norm_unit)[2]
         for i, tv in enumerate(tvs):
             ref = geodesic_columns_mp(a, b, tv / norm_v)
             assert np.max(np.abs(got[i] - ref)) <= MP_VN1_ERR * eps * (1.0 + tv), tv
@@ -400,7 +413,7 @@ class TestVn1JacobianAgainstMpmath:
         eps = np.finfo(np.float64).eps
         for tv in (1.0, 30.0, 300.0):
             t = tv / norm_v
-            _, dlam, dt = _vn1_jacobian(np.array([lam]), np.array([t]))
+            _, dlam, dt, *_ = _vn1_jacobian(np.array([lam]), np.array([t]))
             rate_direction = [np.full((1, 1), 1j)], [np.zeros((1, n - 1))]
             ref_dir, ref_t = geodesic_jacobian_mp(a, b, t, *rate_direction)
             assert abs(dlam[0] - ref_dir[0, 0, 0]) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2, tv

@@ -17,6 +17,7 @@ import pytest
 from scipy.linalg import expm
 
 from _oracles import geodesic_columns_mp, plane_least_root
+from stiefel_sr import cutlocus, geodesic
 from stiefel_sr.cutlocus import (
     GENERIC,
     VelocityGrid,
@@ -136,24 +137,57 @@ def _assert_matches_oracle(target, grid, rel: float = 1e-12):
 
 
 class TestAgainstOracle:
-    """The least root in the grid's window against ``plane_least_root``."""
+    """The least root in the grid's window against ``plane_least_root``;
+    ``draws`` seeds the targets."""
 
     @pytest.mark.parametrize(
-        "grid",
+        "grid, draws",
         [
-            CRITERION_5_GRID,
-            VelocityGrid(2, 1, COMPLEX, family="general", sample_count=512, seed=3),
-            VelocityGrid(3, 1, COMPLEX, family="general", sample_count=512, seed=4),
-            VelocityGrid(3, 1, COMPLEX, lambda_count=16, direction_count=32, seed=5),
+            (CRITERION_5_GRID, 4098),
+            (VelocityGrid(2, 1, COMPLEX, lambda_count=24, phase_count=20, seed=3), 514),
+            (VelocityGrid(3, 1, COMPLEX, lambda_count=40, direction_count=16, seed=4), 515),
+            (VelocityGrid(3, 1, COMPLEX, lambda_count=16, direction_count=32, seed=5), 4099),
         ],
-        ids=["v21", "general_v21", "general_v31", "sphere_v31"],
+        ids=["v21", "v21_24x20", "sphere_v31_40x16", "sphere_v31"],
     )
-    def test_random_generic_targets(self, grid):
+    def test_random_generic_targets(self, grid, draws):
         # before and past the first vanishing time, where a shorter root takes over
-        rng = np.random.default_rng(grid.n + grid.sample_count)
+        rng = np.random.default_rng(draws)
         for t_range in ((0.1, 0.95), (0.1, 0.95), (1.02, 1.3)):
             target = _generic_target(rng, grid.n, t_range)
             _assert_matches_oracle(target, grid)
+
+
+class TestPlaneResidual:
+    def test_each_residual_evaluates_the_terms_once(self, monkeypatch):
+        """T, s and their derivatives come from one evaluation of the
+        unit-row terms (``geodesic._vn1_terms``) per ``_plane_residual``
+        call, on T = q0 and on the fold residual alike."""
+        residual, terms = cutlocus._plane_residual, geodesic._vn1_terms
+        calls = []  # (r1, terms evaluations) per residual call
+        inside = [False]
+
+        def counted_terms(*args):
+            if inside[0]:
+                calls[-1][1] += 1
+            return terms(*args)
+
+        def counted_residual(lam, ts, q0, r1):
+            calls.append([r1, 0])
+            inside[0] = True
+            try:
+                return residual(lam, ts, q0, r1)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(geodesic, "_vn1_terms", counted_terms)
+        # and under the name a search module would import it by
+        monkeypatch.setattr(cutlocus, "_vn1_terms", counted_terms, raising=False)
+        monkeypatch.setattr(cutlocus, "_plane_residual", counted_residual)
+        target, _ = _criterion_5_generic(0)
+        assert search_minimizers(target, CRITERION_5_GRID).clusters == 1
+        assert {r1 is None for r1, _ in calls} == {True, False}
+        assert [count for _, count in calls] == [1] * len(calls)
 
 
 def _near_fold_draw(rng, delta: float):
