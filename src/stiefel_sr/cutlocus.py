@@ -259,7 +259,10 @@ class _LinearFamily:
         self.db[self.a_dim :] = (np.reshape(units, (-1, 1, 1)) * np.eye(k * m)).reshape(-1, k, m)
 
     def initial_params(self) -> np.ndarray:
-        """The general family's Sobol sample: fibre params uniform, transversal Gaussian."""
+        """The general family's Sobol sample: fibre params uniform, transversal Gaussian.
+
+        ``_sobol`` draws it (Joe-Kuo 2008 directions, Bratley-Fox 1988 recurrence).
+        """
         g = self.grid
         lo, hi = g.lambda_range
         u = _sobol(len(self.da), g.sample_count, g.seed)
@@ -294,10 +297,64 @@ def _frobenius(b: np.ndarray) -> np.ndarray:
     return np.maximum(np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2), keepdims=True)), 1e-30)
 
 
-def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
-    from scipy.stats import qmc  # scipy.stats dominates import time otherwise
+@functools.lru_cache(maxsize=1)
+def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
+    """Joe and Kuo's (2008) primitive polynomials and initial direction numbers.
 
-    return qmc.Sobol(dim, scramble=True, seed=seed).random(count)
+    Read from the data file scipy ships, located without importing
+    ``scipy.stats``, whose import would cost a search more time and memory
+    than drawing the sample.
+    """
+    import importlib.util
+    from pathlib import Path
+
+    where = importlib.util.find_spec("scipy.stats").submodule_search_locations[0]
+    with np.load(Path(where) / "_sobol_direction_numbers.npz") as table:
+        return table["poly"], table["vinit"]
+
+
+def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of a scrambled Sobol sequence in [0, 1)^dim.
+
+    Bit for bit ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed).random(count)``:
+    30-bit direction integers from Joe and Kuo's (2008) table by Bratley and
+    Fox's (1988) recurrence, m_j = m_{j-s} ^ XOR_{i<=s} c_i 2^i m_{j-i} for a
+    degree-s polynomial with coefficients c_i; then a linear matrix scramble
+    and a digital shift drawn from ``default_rng(seed)`` in scipy's order (the
+    shift's bits, then lower-triangular bit matrices with unit diagonals);
+    point i is the shift XOR the directions of the set bits of i's Gray code.
+    """
+    poly, vinit = _sobol_table()
+    if dim > len(poly):
+        raise ValueError(f"a Sobol sample has at most {len(poly)} dimensions, got {dim}")
+    bits, top = 30, vinit.shape[1]
+    poly, deg = poly[:dim], np.frexp(poly[:dim])[1] - 1
+    inner = np.arange(1, top + 1)
+    coef = (poly[:, None] >> np.maximum(deg[:, None] - inner, 0)) & (inner <= deg[:, None])
+    v = np.zeros((dim, bits), dtype=np.int64)
+    v[:, :top] = vinit[:dim]
+    for j in range(1, bits):
+        i = min(j, top)
+        new = v[np.arange(dim), j - deg]
+        new ^= np.bitwise_xor.reduce((v[:, j - i : j][:, ::-1] << inner[:i]) * coef[:, :i], axis=1)
+        v[:, j] = np.where(j >= deg, new, v[:, j])
+    v[:1] = 1  # the first dimension is van der Corput's
+    v <<= np.arange(bits)[::-1]
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ (1 << np.arange(bits))
+    ltm = rng.integers(2, size=(dim, bits, bits), dtype=np.uint32)
+    ltm[:, ~np.tri(bits, dtype=bool)] = 0
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    ltm <<= np.arange(bits, dtype=np.uint32)[::-1, None]
+    cols = np.bitwise_or.reduce(ltm, axis=1)  # column b of each matrix, row 0 the top bit
+    scrambled = np.zeros_like(v)
+    for b in range(bits):
+        scrambled ^= np.where((v >> (bits - 1 - b)) & 1 == 1, cols[:, b, None], 0)
+    gray = np.arange(count) ^ (np.arange(count) >> 1)
+    out = np.tile(shift, (count, 1))
+    for b in range(int(count).bit_length()):
+        out ^= np.where((gray[:, None] >> b) & 1 == 1, scrambled[:, b], 0)
+    return out * 2.0**-bits
 
 
 def _inverse_gauss(u: np.ndarray) -> np.ndarray:
@@ -361,7 +418,9 @@ def _vn1_plane(grid: VelocityGrid) -> _Vn1Plane:
 
     ``lambda_count`` rates (0 alone in real mode); v21 rows are e^{i phi}
     at ``phase_count`` phases, sphere rows ``direction_count`` Sobol
-    directions (real V(3,1): equally spaced angles; real V(2,1): +-1).
+    directions: the Gaussian coordinates of a ``_sobol`` sample (Joe-Kuo
+    2008 direction numbers, Bratley-Fox 1988 recurrence), normalized (real
+    V(3,1): equally spaced angles; real V(2,1): +-1).
     Rows are normalized as ``_LinearFamily.blocks`` does, and T comes from
     the kernel's ``_vn1_column`` at a unit row.
     """

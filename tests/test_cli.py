@@ -648,11 +648,37 @@ def test_readme_library_quick_start_runs(capsys):
     assert out[0].startswith("[[") and float(out[-1]) > 0  # the columns, then the length
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is imported only where it is used (the Sobol sample); at module
-    # level scipy.linalg alone adds about 0.4 s to every start of the CLI
+def _run_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this checkout's library."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, stiefel_sr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is imported only where it is used (scipy.special's ndtri for the
+    # Gaussian coordinates, and the Sobol direction-number file); at module
+    # level scipy.linalg alone adds about 0.4 s to every start of the CLI
+    code = "import sys, stiefel_sr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _run_python(code) == "[]"
+
+
+def test_search_does_not_load_scipy_stats():
+    # the Sobol sample is drawn in the library: scipy.stats, whose import
+    # took longer than a small search, must not load for a general-grid
+    # search (a Sobol sample of the velocity blocks) or a complex V(3,1)
+    # search (a Sobol sample of directions)
+    code = """
+import sys
+import numpy as np
+from stiefel_sr import BlockVelocity, COMPLEX, GeodesicSpec, normal_geodesic
+from stiefel_sr.cutlocus import VelocityGrid, search_minimizers
+v42 = BlockVelocity(np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]]))
+v31 = BlockVelocity(np.array([[0.4j]]), np.array([[0.6, 0.2j]]))
+grids = [VelocityGrid(4, 2, COMPLEX, sample_count=32, t_count=32), VelocityGrid(3, 1, COMPLEX)]
+for v, grid in zip([v42, v31], grids):
+    print(search_minimizers(normal_geodesic(GeodesicSpec(v), 0.8), grid).clusters)
+print("scipy.stats" in sys.modules)
+"""
+    assert _run_python(code).split() == ["1", "1", "False"]

@@ -37,6 +37,7 @@ from stiefel_sr.cutlocus import (
     _scan_cols,
     _scan_table,
     _scan_times,
+    _sobol,
     _speeds_squared,
     ANTIDIAGONAL,
     BLOCK_DIAGONAL,
@@ -70,6 +71,7 @@ from _oracles import (
     scan_cols_subtraction,
     separate_family_params,
     separate_family_raw_blocks,
+    _sobol_gauss,
     target_class_json,
     unit_block_tangents,
     velocity_grid_json,
@@ -348,6 +350,38 @@ class TestLinearFamily:
         ref, _ = jacobian_along(a, b, ts, *unit_block_tangents(b_ref, *basis), mode)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-15 * max(1.0, float(np.max(np.abs(ref))))
+
+
+class TestSobol:
+    """The library's Sobol sample against scipy's engine, bit for bit: dims
+    1-40 (the suite's grids draw at most 27: general complex V(6,3)) at the
+    suite's usual count, every count at a few dims, and the last dim of the
+    direction table (most of this class's time is scipy's engine there)."""
+
+    SEEDS = (0, 1, 505)
+
+    @pytest.mark.parametrize("dim", range(1, 41))
+    def test_matches_scipy(self, dim):
+        for seed in self.SEEDS:
+            u, _ = _sobol_gauss(dim, 128, seed)
+            assert np.array_equal(_sobol(dim, 128, seed), u), seed
+
+    # scipy's engine warns on counts that are not powers of 2
+    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
+    @pytest.mark.parametrize("count", [1, 2, 3, 100, 4096])
+    def test_matches_scipy_at_every_count(self, count):
+        for dim in (1, 2, 27, 40):
+            for seed in self.SEEDS:
+                u, _ = _sobol_gauss(dim, count, seed)
+                assert np.array_equal(_sobol(dim, count, seed), u), (dim, seed)
+
+    def test_matches_scipy_at_the_table_end(self):
+        u, _ = _sobol_gauss(21201, 2, 0)
+        assert np.array_equal(_sobol(21201, 2, 0), u)
+
+    def test_rejects_dims_beyond_the_table(self):
+        with pytest.raises(ValueError, match="at most 21201 dimensions"):
+            _sobol(21202, 1, 0)
 
 
 # how a row relates to an earlier one: a fresh point, an exact copy, or a
@@ -1361,6 +1395,7 @@ class TestScanTable:
         info = _scan_table.cache_info()
         assert info.currsize == 0 and info.misses == 0
 
+    # the oracle's scipy engine (_kernel_table) warns at 40 points
     @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
     def test_table_is_read_only_and_matches_one_kernel_call(self):
         # the cache holds the kernel's fills of 16 velocities themselves
@@ -1803,7 +1838,6 @@ class TestScanFill:
         monkeypatch.setattr(cutlocus, "grid_geodesic_columns", recording)
         return calls
 
-    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
     def test_cached_table(self, kernel_calls):
         grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=100, t_count=128, seed=4)
         _scan_table.cache_clear()

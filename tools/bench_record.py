@@ -5,9 +5,10 @@
 
 Runs the checkout's own, unmodified ``perfbench/run.py`` for every workload
 of its ``BENCHMARK.json`` at every seed with ``--trace 0`` and once at the
-first seed with ``--trace 1``, then a cold ``stiefel-sr bracket --n 4 --k 2``,
-the checkout's Tier-1 suite and its acceptance criteria 4, 5 and 8 each
-alone, each in a fresh process, one after another.  Writes
+first seed with ``--trace 1``, then a cold ``stiefel-sr bracket --n 4 --k 2``
+and a cold ``stiefel-sr cutlocus-search --n 4 --k 2``, the checkout's Tier-1
+suite and its acceptance criteria 4, 5 and 8 each alone, each in a fresh
+process, one after another.  Writes
 ``BENCH_<LABEL>.json`` into ``--out`` (default: this repository's root;
 created if missing, and checked for writing before the first run) with:
 
@@ -20,6 +21,10 @@ created if missing, and checked for writing before the first run) with:
   (the run leaves its span file in the checkout's ``perfbench/out/``);
 - ``cold_start``: the wall times of ``COLD_STARTS`` fresh
   ``stiefel-sr bracket --n 4 --k 2`` processes and their median;
+- ``cold_search``: the wall times and peak RSS of ``COLD_STARTS`` fresh
+  ``stiefel-sr cutlocus-search --n 4 --k 2 --sample-count 256`` processes
+  (a Sobol sample of 256 velocities) and their medians; the target is CI's
+  V(4,2) velocity at t = 0.8 (its Streamed default-grid search step's);
 - ``tier1``: the suite's wall time and its summary line;
 - ``criteria``: per criterion test, its wall time as pytest reports it, and
   the wall time of its whole process.
@@ -27,7 +32,8 @@ created if missing, and checked for writing before the first run) with:
 ``--checkout`` (default: this repository) names the source tree to measure,
 so one copy of this tool can record another commit exported beside it.  The
 file reports; it gates nothing.  Exits 1 if a benchmark run fails to produce
-its JSON line or a cold start its report, 0 otherwise.
+its JSON line, a cold start its report, or a cold search one cluster within
+(1 + 1e-6) of the generating length; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -51,6 +57,16 @@ CRITERIA = (
 )
 COLD_START = ("-m", "stiefel_sr.cli", "bracket", "--n", "4", "--k", "2")
 COLD_STARTS = 3
+COLD_SEARCH = (
+    "-m", "stiefel_sr.cli", "cutlocus-search", "--n", "4", "--k", "2", "--sample-count", "256",
+)
+# the cold search's target and generating length, printed by the checkout's library
+COLD_SEARCH_CASE = """
+import json, numpy as np
+from stiefel_sr import BlockVelocity, GeodesicSpec, length, normal_geodesic
+v = BlockVelocity(np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]]))
+print(json.dumps({"target": normal_geodesic(GeodesicSpec(v), 0.8).to_json_dict(), "length": length(v, 0.8)}))
+"""
 
 
 def _benchmark(checkout: Path) -> tuple[list[str], list[str]]:
@@ -67,12 +83,16 @@ def _spread(values: list[float]) -> dict:
     return {"median": q2, "iqr": q3 - q1}
 
 
-def _run(argv: list[str], checkout: Path) -> tuple[float, str]:
-    """Wall seconds and standard output of one process run in ``checkout``."""
+def _run(argv: list[str], checkout: Path) -> tuple[float, float, str]:
+    """Wall seconds, peak RSS (MB) and standard output of one process run in ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     t0 = time.perf_counter()
-    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
-    return time.perf_counter() - t0, proc.stdout
+    with subprocess.Popen(argv, cwd=checkout, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True) as proc:
+        stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return time.perf_counter() - t0, usage.ru_maxrss / 1024, stdout
 
 
 def _perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -81,7 +101,7 @@ def _perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: 
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace),
     ]
-    _, stdout = _run(argv, checkout)
+    _, _, stdout = _run(argv, checkout)
     lines = stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise RuntimeError(f"{workload} seed {seed} trace {trace}: no JSON line in the output")
@@ -140,7 +160,7 @@ def cold_start(checkout: Path) -> dict:
     """Wall seconds of fresh ``stiefel-sr bracket --n 4 --k 2`` processes."""
     walls = []
     for _ in range(COLD_STARTS):
-        wall, stdout = _run([sys.executable, *COLD_START], checkout)
+        wall, _, stdout = _run([sys.executable, *COLD_START], checkout)
         if not stdout.startswith("{") or not json.loads(stdout)["generating"]:
             raise RuntimeError("cold bracket start: no generating report in the output")
         walls.append(wall)
@@ -148,10 +168,32 @@ def cold_start(checkout: Path) -> dict:
             "median_s": statistics.median(walls)}
 
 
+def cold_search(checkout: Path) -> dict:
+    """Wall seconds and peak RSS of fresh ``COLD_SEARCH`` processes, each of
+    which must find one cluster within (1 + 1e-6) of the generating length."""
+    case = json.loads(_run([sys.executable, "-c", COLD_SEARCH_CASE], checkout)[2])
+    argv = [sys.executable, *COLD_SEARCH, "--target", json.dumps(case["target"])]
+    bound = (1 + 1e-6) * case["length"]
+    walls, peaks = [], []
+    for _ in range(COLD_STARTS):
+        wall, peak, stdout = _run(argv, checkout)
+        report = json.loads(stdout) if stdout.startswith("{") else {}
+        found = report.get("min_length")
+        if report.get("clusters") != 1 or found is None or found > bound:
+            raise RuntimeError(f"cold search: clusters {report.get('clusters')}, "
+                               f"min_length {found}, bound {bound}")
+        walls.append(wall)
+        peaks.append(peak)
+    return {"command": "stiefel-sr " + " ".join(COLD_SEARCH[2:]) + " --target <V(4,2) at t = 0.8>",
+            "runs_s": walls, "median_s": statistics.median(walls),
+            "peak_rss_mb": peaks, "median_peak_rss_mb": statistics.median(peaks),
+            "min_length": found, "generating_length": case["length"]}
+
+
 def tier1(checkout: Path) -> dict:
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
             "--continue-on-collection-errors"]
-    wall, stdout = _run(argv, checkout)
+    wall, _, stdout = _run(argv, checkout)
     lines = stdout.strip().splitlines()
     return {"wall_s": wall, "summary": lines[-1] if lines else ""}
 
@@ -163,7 +205,7 @@ def tests_alone(checkout: Path, test_ids) -> dict:
     for test_id in test_ids:
         argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                 "--durations=1", "--durations-min=0", test_id]
-        wall, stdout = _run(argv, checkout)
+        wall, _, stdout = _run(argv, checkout)
         match = re.search(r"^([0-9.]+)s call\s", stdout, re.MULTILINE)
         lines = stdout.strip().splitlines()
         out[test_id] = {
@@ -192,6 +234,7 @@ def main(argv=None) -> int:
         host, workloads = bench_runs(checkout, args.seconds, args.seeds)
         traced = traced_runs(checkout, args.seconds, args.seeds[0])
         cold = cold_start(checkout)
+        search = cold_search(checkout)
     except RuntimeError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -204,6 +247,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "traced": traced,
         "cold_start": cold,
+        "cold_search": search,
         "tier1": tier1(checkout),
         "criteria": tests_alone(checkout, CRITERIA),
     }
