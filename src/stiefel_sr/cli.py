@@ -48,6 +48,7 @@ from .geodesic import GeodesicSpec, write_curve_csv
 from .distribution import bracket_generating_rank
 from .cutlocus import (
     VelocityGrid,
+    _unread_grid_fields,
     search_minimizers,
     uniqueness_case_checks,
     verify_antidiagonal_arrivals,
@@ -337,6 +338,12 @@ def _cmd_cutlocus_search(args) -> int:
         seed=args.seed,
         **{key: getattr(args, key) for key in _GRID_OPTIONS},
     )
+    for name in _unread_grid_fields(grid):
+        if getattr(grid, name) != getattr(VelocityGrid, name):
+            sys.stderr.write(
+                f"warning: {name}={getattr(grid, name)!r} takes no effect on"
+                f" n={grid.n}, k={grid.k}, {grid.mode} mode; the search never reads it\n"
+            )
     report = search_minimizers(target, grid)
     ok = len(report.arrivals) > 0
     return _emit(args, {**report.to_json_dict(), "pass": ok}, ok)

@@ -62,6 +62,8 @@ _STALL_WINDOW = 15
 _PAIR_WINDOW = 32
 # the first block-diagonal hit is looked for on a grid of this many times
 _HIT_SCAN_POINTS = 1200
+# its phases are products of ceil(sqrt(points)) block-start and in-block exponentials
+_HIT_BLOCK = int(np.ceil(np.sqrt(_HIT_SCAN_POINTS)))
 # Gauss-Newton refinement of a block-diagonal hit: at most this many steps,
 # stopping early once a step moves t by at most the floor times t_upper
 _HIT_GN_ITERS = 6
@@ -439,6 +441,29 @@ def _vn1_plane(grid: VelocityGrid) -> _Vn1Plane:
     rates = np.unique(rates)
     top = _vn1_column(rates[:, None], np.ones(1), _scan_times(grid))[0]
     return _Vn1Plane(rates, top, np.unique((rows / _frobenius(rows))[:, 0], axis=0))
+
+
+def _unread_grid_fields(grid: VelocityGrid) -> tuple[str, ...]:
+    """The grid options that a search on ``grid`` never reads, whatever their values.
+
+    A k >= 2 grid reads its Sobol sample (``sample_count``, ``seed``,
+    ``lambda_range``) and its times.  A k = 1 grid reads what ``_vn1_plane``
+    and ``_plane_arrivals`` read: the rates and their window in complex mode
+    only, the phases on v21 only, and the Sobol directions and their seed
+    on every other shape but real V(2,1) (rows +-1) and real V(3,1) (angles,
+    which read ``direction_count`` but no seed).
+    """
+    if grid.k >= 2:
+        return ("lambda_count", "phase_count", "direction_count")
+    v21, real = grid.family == "v21", grid.mode == REAL
+    unread = ["sample_count"] + ([] if v21 else ["phase_count"])
+    if v21 or (real and grid.n == 2):
+        unread.append("direction_count")
+    if v21 or (real and grid.n <= 3):
+        unread.append("seed")
+    if real:
+        unread += ["lambda_range", "lambda_count"]
+    return tuple(unread)
 
 
 @functools.lru_cache(maxsize=1)
@@ -992,9 +1017,12 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     for i v = Q diag(w) Q* (Higham's spectral form, as in
     ``geodesic._sensitivity``): one eigh, whatever k, and no kernel call.
     Scans |L| on a dense grid (skipping the initial rise out of the identity
-    class, where the norm is trivially small) and refines the first dip by
-    Gauss-Newton steps on L, with dL/dt = Q[k:] diag(-i w e^{-i t w}) Q[:k]*,
-    clamped to the dip's scan bracket.  A dip whose norm does not reach
+    class, where the norm is trivially small), whose phases e^{-i t_j w} are
+    the products of ceil(sqrt(N)) block-start and as many in-block
+    exponentials (2 ceil(sqrt(N)) n exponentials for N scan times, not N n),
+    and refines the first dip by Gauss-Newton steps on L, with
+    dL/dt = Q[k:] diag(-i w e^{-i t w}) Q[:k]*, clamped to the dip's scan
+    bracket.  A dip whose norm does not reach
     TOL.eq is no hit.  ``t_upper`` must be positive and finite.
     """
     if not 0.0 < t_upper < np.inf:
@@ -1004,7 +1032,10 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     # L(t) flattened is the row e^{-i t w} times pairs[p, (i, j)] = q[k + i, p] conj(q[j, p])
     pairs = (q[k:, None, :] * np.conj(q[:k, :])).reshape(-1, n).T
     ts = np.linspace(0.0, t_upper, _HIT_SCAN_POINTS)
-    g = np.linalg.norm(np.exp(-1j * ts[:, None] * w) @ pairs, axis=1)
+    # e^{-i t_j w} for t_j = (B b + c) dt: block-start phases times in-block phases
+    steps = -1j * (t_upper / (_HIT_SCAN_POINTS - 1)) * np.arange(_HIT_BLOCK)[:, None] * w
+    phases = (np.exp(_HIT_BLOCK * steps)[:, None] * np.exp(steps)).reshape(-1, n)
+    g = np.linalg.norm(phases[:_HIT_SCAN_POINTS] @ pairs, axis=1)
     peak = float(g.max())
     if peak <= tolerances.TOL.eq:
         return None  # curve never leaves the block-diagonal set
@@ -1016,15 +1047,14 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     if len(found) == 0:
         return None
     idx = int(found[0]) + 1
-    lo, hi = ts[idx - 1], ts[idx + 1]
-    t = float(ts[idx])
+    lo, hi, t = float(ts[idx - 1]), float(ts[idx + 1]), float(ts[idx])
     for _ in range(_HIT_GN_ITERS):
         e = np.exp(-1j * t * w)
         r, d = np.stack([e, -1j * w * e]) @ pairs  # L and dL/dt
         dd = float(np.sum(np.abs(d) ** 2))
         if dd == 0.0:
             break
-        t_next = float(np.clip(t - np.sum(d.conj() * r).real / dd, lo, hi))
+        t_next = min(max(t - float(np.sum(d.conj() * r).real) / dd, lo), hi)
         if abs(t_next - t) <= _HIT_STEP_FLOOR * t_upper:
             break
         t = t_next
@@ -1257,20 +1287,21 @@ def uniqueness_case_checks(n: int, trials: int = 200, seed: int = 0) -> Uniquene
     ratios = np.sin(xs) / xs
     sin_monotone = bool(np.all(np.diff(ratios) < 0))
 
-    min_gap = np.inf
+    # (lam, |y|, t) triples, one batch per count still needed: the stream of
+    # a loop that draws one triple at a time until ``trials`` are kept
+    gaps = []
     done = 0
     while done < trials:
-        lam = rng.uniform(0.05, 2.0)
-        y_mag = rng.uniform(0.05, 2.0)
+        lam, y_mag, u = rng.uniform(0.05, (2.0, 2.0, 0.95), size=(trials - done, 3)).T
         s = np.sqrt(lam * lam + 4.0 * y_mag * y_mag)
-        t = rng.uniform(0.05, 0.95) * 2.0 * np.pi / s
+        t = u * 2.0 * np.pi / s
         a = t * lam / 2.0
         b = t * s / 2.0
-        if min(abs(a - np.pi / 2), abs(b - np.pi / 2)) < 1e-3 or b - a < 1e-6:
-            continue
-        done += 1
-        gap = abs(np.tan(a) / a - np.tan(b) / b)
-        min_gap = min(min_gap, float(gap))
+        keep = (np.minimum(abs(a - np.pi / 2), abs(b - np.pi / 2)) >= 1e-3) & (b - a >= 1e-6)
+        a, b = a[keep], b[keep]
+        gaps.append(abs(np.tan(a) / a - np.tan(b) / b))
+        done += len(a)
+    min_gap = float(np.concatenate(gaps).min())
 
     lam, t = np.zeros(trials), np.zeros(trials)
     rows = np.zeros((trials, n - 1), complex)

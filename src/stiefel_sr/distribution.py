@@ -71,25 +71,39 @@ def horizontal_basis(n: int, k: int, mode: str = COMPLEX) -> list[BlockVelocity]
     return [BlockVelocity(e[:k, :k], e[:k, k:], mode) for e in _horizontal_embeds(n, k, mode)]
 
 
-def _span_rank(basis, left, right, k: int, mode: str) -> int:
+def _span_rank(basis, left, right, k: int, mode: str):
     """Real rank of the span of ``basis`` and the brackets ``[left, right]``.
 
-    Brackets are taken pairwise along the leading axis (broadcast), the
-    lower-right block of every matrix is zeroed (projection to the Stiefel
-    tangent space) and each matrix is one real row (re parts, then im parts
-    in complex mode).  Zero and exactly repeated rows add nothing to the
+    Brackets are taken pairwise along the last stacking axis; axes before it
+    are sample axes, broadcast between the three arguments, and each sample's
+    span is ranked on its own (one batched SVD, the relative rule of
+    ``_RANK_RTOL`` per sample).  Each matrix is one real row of its entries
+    outside the lower-right block (the projection to the Stiefel tangent
+    space), row-major, re parts then im parts in complex mode.  Only those
+    entries of a bracket are formed: O(nk) per bracket, not n^2.  Rows that
+    are zero or repeat an earlier row in every sample add nothing to any
     span, so they are dropped before the SVD.
     """
-    mats = np.concatenate([basis, left @ right - right @ left])
-    mats[:, k:, k:] = 0.0
-    flat = mats.reshape(len(mats), -1)
-    rows = np.concatenate([flat.real, flat.imag], axis=1) if mode == COMPLEX else flat.real
-    rows = rows[rows.any(axis=1)]
-    if len(rows) == 0:
-        return 0
-    distinct = np.array(list({row.tobytes(): row for row in rows}.values()))
-    s = np.linalg.svd(distinct, compute_uv=False)
-    return int(np.sum(s > _RANK_RTOL * s[0]))
+
+    def entries(top, low):
+        flat = np.concatenate(
+            [x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1]) for x in (top, low)], axis=-1
+        )
+        return np.concatenate([flat.real, flat.imag], axis=-1) if mode == COMPLEX else flat.real
+
+    spans = entries(basis[..., :k, :], basis[..., k:, :k])
+    brackets = entries(
+        left[..., :k, :] @ right - right[..., :k, :] @ left,
+        left[..., k:, :] @ right[..., :k] - right[..., k:, :] @ left[..., :k],
+    )
+    batch = np.broadcast_shapes(spans.shape[:-2], brackets.shape[:-2])
+    rows = np.concatenate(
+        [np.broadcast_to(x, batch + x.shape[-2:]) for x in (spans, brackets)], axis=-2
+    )
+    nonzero = np.flatnonzero(rows.any(axis=-1).reshape(-1, rows.shape[-2]).any(axis=0))
+    distinct = list({rows[..., i, :].tobytes(): i for i in nonzero}.values())
+    s = np.linalg.svd(rows[..., distinct, :], compute_uv=False)
+    return np.sum(s > _RANK_RTOL * s[..., :1], axis=-1)
 
 
 def bracket_generating_rank(n: int, k: int, mode: str = COMPLEX) -> BracketReport:
@@ -103,7 +117,7 @@ def bracket_generating_rank(n: int, k: int, mode: str = COMPLEX) -> BracketRepor
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
     basis = _horizontal_embeds(n, k, mode)
     i, j = np.triu_indices(len(basis), 1)
-    rank = _span_rank(basis, basis[i], basis[j], k, mode)
+    rank = int(_span_rank(basis, basis[i], basis[j], k, mode))
     target = stiefel_tangent_dim(n, k, mode)
     return BracketReport(
         n=n,
@@ -124,6 +138,12 @@ def strongly_bracket_check_vn1(n: int, samples: int = 100, seed: int = 0) -> boo
     the whole (2n-1)-dimensional tangent space.  Near-zero draws are rejected
     as zero sections and replaced, never counted.  A count below 1 raises
     rather than pass with nothing checked.
+
+    The rows are drawn as ``matcore.random_matrix`` draws them one at a time
+    (real parts, then imaginary parts), one batch per count still needed, so
+    a passing check leaves the generator where a per-sample loop would.  One
+    ``_span_rank`` call ranks every sample's span with one batched SVD, in
+    O(samples * n^2) memory.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -131,18 +151,14 @@ def strongly_bracket_check_vn1(n: int, samples: int = 100, seed: int = 0) -> boo
         raise ValueError(f"need samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     basis = _horizontal_embeds(n, 1, COMPLEX)
-    target = stiefel_tangent_dim(n, 1, COMPLEX)
-
-    checked = 0
-    while checked < samples:
-        b = matcore.random_matrix(rng, 1, n - 1, COMPLEX)
-        if float(np.linalg.norm(b)) <= 1e-12:
-            continue  # zero section: rejected, not counted
-        z = _embed_velocities(np.zeros((1, 1)), b)
-        if _span_rank(basis, z, basis, 1, COMPLEX) != target:
-            return False
-        checked += 1
-    return True
+    rows = np.empty((0, n - 1), dtype=np.complex128)
+    while len(rows) < samples:
+        draws = rng.standard_normal((samples - len(rows), 2, n - 1))
+        kept = draws[np.linalg.norm(draws, axis=(1, 2)) > 1e-12]  # zero sections: not counted
+        rows = np.concatenate([rows, kept[:, 0] + 1j * kept[:, 1]])
+    sections = _embed_velocities(np.zeros((1, 1)), rows[:, None, :])[:, None]
+    ranks = _span_rank(basis, sections, basis, 1, COMPLEX)
+    return bool(np.all(ranks == stiefel_tangent_dim(n, 1, COMPLEX)))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ length oracle composite-Simpson quadrature of a finite-difference speed, and
 the dedup and cluster oracles the minimizer search's original pairwise
 loops, the report-order oracle its original Python key sort, the candidate
 oracle its original per-hit loop, the scan oracle its original subtraction
-pass over the scan table, the hit oracle the original golden-section
-refinement of the first block-diagonal dip, the bracket-span oracles the
-rank tests' original one-bracket-at-a-time loops, the V_{2,1} column oracle
+pass over the scan table, the hit oracles the original golden-section
+refinement of the first block-diagonal dip and the Gauss-Newton hit search's
+original scan by one exponential per time and eigenvalue, the bracket-span
+oracles the rank tests' original one-bracket-at-a-time loops, the draw
+oracles the V_{2,1} suite's and the uniqueness check's original per-trial
+scalar draws, the V_{2,1} column oracle
 the evaluator's original (2, 1)-only closed form, the tangent oracle the
 search families' original block tangents (the projection of a linear
 family's unit params through the normalization of b), the plane-scan
@@ -30,9 +33,17 @@ import dataclasses
 import mpmath
 import numpy as np
 
-from stiefel_sr import cutlocus, matcore, tolerances
+from stiefel_sr import cutlocus, matcore, tolerances, verify
 from stiefel_sr.distribution import horizontal_basis, stiefel_tangent_dim
-from stiefel_sr.geodesic import GeodesicSpec, _decompose, _field, _sensitivity, sample_curve
+from stiefel_sr.geodesic import (
+    GeodesicSpec,
+    _decompose,
+    _field,
+    _sensitivity,
+    geodesic_v21_closed,
+    geodesic_vn1_closed,
+    sample_curve,
+)
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.matcore import COMPLEX
 
@@ -191,6 +202,106 @@ def golden_section_hit(
             f2 = gval(c2)
     t_hit = float((lo + hi) / 2.0)
     return t_hit if gval(t_hit) <= tolerances.TOL.eq else None
+
+
+def first_block_diagonal_hit_direct(spec: GeodesicSpec, t_upper: float) -> float | None:
+    """``cutlocus.first_block_diagonal_hit`` with one complex exponential per
+    scan time and eigenvalue, and ``np.clip`` on the Gauss-Newton step."""
+    k, n = spec.k, spec.n
+    w, q = np.linalg.eigh(1j * spec.v.embed())
+    pairs = (q[k:, None, :] * np.conj(q[:k, :])).reshape(-1, n).T
+    ts = np.linspace(0.0, t_upper, cutlocus._HIT_SCAN_POINTS)
+    g = np.linalg.norm(np.exp(-1j * ts[:, None] * w) @ pairs, axis=1)
+    peak = float(g.max())
+    if peak <= tolerances.TOL.eq:
+        return None
+    risen = np.nonzero(g > 0.5 * peak)[0]
+    mid = g[1:-1]
+    dips = (mid <= g[:-2]) & (mid <= g[2:]) & (mid < 0.2 * peak)
+    dips[: risen[0]] = False
+    found = np.flatnonzero(dips)
+    if len(found) == 0:
+        return None
+    idx = int(found[0]) + 1
+    lo, hi = ts[idx - 1], ts[idx + 1]
+    t = float(ts[idx])
+    for _ in range(cutlocus._HIT_GN_ITERS):
+        e = np.exp(-1j * t * w)
+        r, d = np.stack([e, -1j * w * e]) @ pairs
+        dd = float(np.sum(np.abs(d) ** 2))
+        if dd == 0.0:
+            break
+        t_next = float(np.clip(t - np.sum(d.conj() * r).real / dd, lo, hi))
+        if abs(t_next - t) <= cutlocus._HIT_STEP_FLOOR * t_upper:
+            break
+        t = t_next
+    else:
+        r = np.exp(-1j * t * w) @ pairs
+    return t if float(np.linalg.norm(r)) <= tolerances.TOL.eq else None
+
+
+def v21_suite_loop(trials: int = 1000, seed: int = 0, sign_flip: bool = False) -> dict:
+    """``verify.v21_suite`` drawing its (lam, Re x2, Im x2, t) one scalar at a time."""
+    rng = np.random.default_rng(seed)
+    lam, x2, t = np.zeros(trials), np.zeros(trials, complex), np.zeros(trials)
+    for i in range(trials):
+        lam[i] = rng.uniform(-3.0, 3.0)
+        x2[i] = rng.uniform(-2.0, 2.0) + 1j * rng.uniform(-2.0, 2.0)
+        t[i] = rng.uniform(0.0, 2.0 * np.pi)
+    v = _embed_velocities(1j * lam[:, None, None], x2[:, None, None])
+    full = matcore.expm_skew(v, t)
+    full[:, :, 0] *= np.exp(-1j * lam * t)[:, None]
+    closed = np.stack(geodesic_v21_closed(lam, x2, t), axis=-1)
+    if sign_flip:
+        closed[:, 0] *= np.exp(1j * lam * t)
+    return verify._suite_result("v21", trials, np.abs(closed.reshape(-1, 2, 2) - full))
+
+
+def uniqueness_case_checks_loop(n: int, trials: int = 200, seed: int = 0):
+    """``cutlocus.uniqueness_case_checks`` with its rejection loop drawing
+    one (lam, |y|, t) triple at a time."""
+    rng = np.random.default_rng(seed)
+    xs = np.arange(0.01, 3.13 + 1e-12, 1e-4)
+    ratios = np.sin(xs) / xs
+    sin_monotone = bool(np.all(np.diff(ratios) < 0))
+
+    min_gap = np.inf
+    done = 0
+    while done < trials:
+        lam = rng.uniform(0.05, 2.0)
+        y_mag = rng.uniform(0.05, 2.0)
+        s = np.sqrt(lam * lam + 4.0 * y_mag * y_mag)
+        t = rng.uniform(0.05, 0.95) * 2.0 * np.pi / s
+        a = t * lam / 2.0
+        b = t * s / 2.0
+        if min(abs(a - np.pi / 2), abs(b - np.pi / 2)) < 1e-3 or b - a < 1e-6:
+            continue
+        done += 1
+        gap = abs(np.tan(a) / a - np.tan(b) / b)
+        min_gap = min(min_gap, float(gap))
+
+    lam, t = np.zeros(trials), np.zeros(trials)
+    rows = np.zeros((trials, n - 1), complex)
+    for i in range(trials):
+        lam[i] = rng.uniform(-2.0, 2.0)
+        row = matcore.random_matrix(rng, 1, n - 1, COMPLEX).reshape(-1)
+        rows[i] = row / np.linalg.norm(row) * rng.uniform(0.3, 1.5)
+        t[i] = rng.uniform(0.1, 0.9)
+    s = np.sqrt(lam * lam + 4.0 * np.sum(np.abs(rows) ** 2, axis=1))
+    t = t * 2.0 * np.pi / s
+    _, g3 = geodesic_vn1_closed(lam, rows, t)
+    factor = np.exp(-0.5j * t * (s + lam)) * (np.exp(1j * t * s) - 1.0) / (1j * s)
+    max_rec = float(np.max(np.abs(np.conj(-g3 / factor[:, None]) - rows)))
+
+    passed = sin_monotone and min_gap > 1e-9 and max_rec <= 1e-10
+    return cutlocus.UniquenessCheckSummary(
+        n=n,
+        trials=trials,
+        sin_ratio_strictly_decreasing=sin_monotone,
+        min_tan_ratio_gap=float(min_gap),
+        max_reconstruction_err=max_rec,
+        passed=passed,
+    )
 
 
 def _sobol_gauss(dim: int, count: int, seed: int) -> np.ndarray:

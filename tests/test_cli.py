@@ -11,6 +11,7 @@ import pytest
 
 from stiefel_sr import cli, cutlocus
 from stiefel_sr.cli import EXIT_USAGE, main
+from stiefel_sr.geodesic import GeodesicSpec, normal_geodesic
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -365,6 +366,32 @@ class TestCutlocusSearch:
         payload = json.loads(out.read_text())
         assert payload["grid"]["lambda_count"] == 8
         assert payload["grid"]["phase_count"] == 8
+
+    def test_unread_grid_option_warns_and_changes_nothing(self, tmp_path, capsys):
+        # a k = 1 plane never reads sample_count: the search runs as without it
+        args = ["cutlocus-search", "--n", "2", "--k", "1", "--target", target_json([[-1.0], [0.0]])]
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert run(*args, "--out", str(plain)) == 0
+        assert capsys.readouterr().err == ""
+        assert run(*args, "--sample-count", "64", "--out", str(flagged)) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: sample_count=64 ") and err.count("\n") == 1
+        report = json.loads(flagged.read_text())
+        assert report["grid"]["sample_count"] == 64
+        report["grid"]["sample_count"] = cutlocus.VelocityGrid.sample_count
+        assert report == json.loads(plain.read_text())
+
+    def test_read_grid_option_is_silent_at_k2(self, tmp_path, capsys):
+        v = BlockVelocity(
+            np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]])
+        )
+        target = normal_geodesic(GeodesicSpec(v), 0.8).to_json_dict()
+        code = run(
+            "cutlocus-search", "--n", "4", "--k", "2", "--sample-count", "32",
+            "--t-count", "32", "--target", json.dumps(target), "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_no_arrivals_is_verification_failure(self, tmp_path):
         out = tmp_path / "r.json"

@@ -59,6 +59,7 @@ from stiefel_sr.cutlocus import (
 from _oracles import (
     arrival_json,
     best_hits_loop,
+    first_block_diagonal_hit_direct,
     geodesic_columns_mp,
     golden_section_hit,
     greedy_cluster_count_loop,
@@ -73,6 +74,7 @@ from _oracles import (
     separate_family_raw_blocks,
     _sobol_gauss,
     target_class_json,
+    uniqueness_case_checks_loop,
     unit_block_tangents,
     velocity_grid_json,
 )
@@ -1032,6 +1034,20 @@ class TestFirstBlockDiagonalHit:
             assert abs(t_hit - t_ref) <= 1e-12
             assert abs(t_hit - t_exp) <= 1e-12 * t_exp
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n,k", HIT_SHAPES)
+    def test_matches_direct_exponentials_bit_for_bit(self, n, k, mode):
+        # the scan's phases are products of block-start and in-block
+        # exponentials; the first dip, and so every Gauss-Newton step, must be
+        # the one the direct exponentials give
+        rng = np.random.default_rng(1000 + 10 * n + k)
+        for _ in range(40):
+            vel, t_exp = sample_block_diagonal_hitting_velocity(rng, n, k, mode)
+            spec = GeodesicSpec(vel)
+            t_hit = first_block_diagonal_hit(spec, 1.15 * t_exp)
+            assert t_hit is not None
+            assert t_hit == first_block_diagonal_hit_direct(spec, 1.15 * t_exp)
+
     @pytest.mark.parametrize("n,k,mode", [(3, 1, COMPLEX), (4, 2, REAL), (6, 3, COMPLEX)])
     def test_first_of_several_hits(self, n, k, mode):
         # the common rate s brings every hit back at multiples of t_exp
@@ -1260,6 +1276,15 @@ class TestUniquenessChecks:
         summ = uniqueness_case_checks(4, trials=100, seed=5)
         assert summ.passed
         assert summ.sin_ratio_strictly_decreasing
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (4, 5), (7, 11)])
+    def test_report_matches_per_triple_loop(self, n, seed):
+        # the rejection loop's triples are drawn one batch per count still
+        # needed, so the second loop's draws do not move
+        for trials in (1, 200):
+            report = uniqueness_case_checks(n, trials=trials, seed=seed)
+            loop = uniqueness_case_checks_loop(n, trials=trials, seed=seed)
+            assert json.dumps(report.to_json_dict()) == json.dumps(loop.to_json_dict())
 
     def test_tan_ratio_example(self):
         assert np.tan(0.5) / 0.5 == pytest.approx(1.0926, abs=1e-4)
@@ -1809,6 +1834,40 @@ class TestGridResolution:
         assert _scan_table(named) is _scan_table(auto)
         info = _scan_table.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    # a base grid per shape, small enough to fill its k >= 2 table quickly
+    @pytest.mark.parametrize(
+        "n, k, mode, counts",
+        [
+            (2, 1, COMPLEX, {}),
+            (3, 1, COMPLEX, {}),
+            (2, 1, REAL, {}),
+            (3, 1, REAL, {}),
+            (4, 1, REAL, {}),
+            (4, 2, COMPLEX, {"sample_count": 16, "t_count": 8}),
+        ],
+    )
+    def test_unread_fields_leave_the_scan_table(self, n, k, mode, counts):
+        # every field the table lists must leave the scan data byte for byte,
+        # and every other grid option must change it
+        changed = {
+            "lambda_range": (-2.0, 2.5), "lambda_count": 65, "phase_count": 65,
+            "direction_count": 65, "sample_count": 17, "t_max": 2.0, "t_count": 9, "seed": 3,
+        }
+        base = VelocityGrid(n, k, mode, **counts)
+        unread = cutlocus._unread_grid_fields(base)
+        assert set(unread) <= changed.keys()
+
+        def table_bytes(grid):
+            return [(x.shape, x.tobytes()) for x in _scan_table(grid)]
+
+        reference = table_bytes(base)
+        for name, value in changed.items():
+            if name in counts:
+                value = counts[name] + 1
+            grid = dataclasses.replace(base, **{name: value})
+            assert cutlocus._unread_grid_fields(grid) == unread
+            assert (table_bytes(grid) == reference) == (name in unread), name
 
     def test_auto_and_its_resolution_share_one_cache_entry(self):
         _scan_table.cache_clear()

@@ -5,7 +5,7 @@ from _oracles import bracket_rank_loop, strong_bracket_check_loop
 
 from stiefel_sr import matcore
 from stiefel_sr.matcore import COMPLEX, REAL, random_skew_hermitian
-from stiefel_sr.homspace import BlockVelocity
+from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.distribution import (
     _horizontal_embeds,
     _span_rank,
@@ -157,32 +157,129 @@ class TestSpanRank:
         zeros = np.zeros((4, 3, 3), dtype=complex)
         assert _span_rank(zeros, zeros, zeros, 1, mode) == 0
 
+    def test_sample_axis_ranks_each_sample_alone(self):
+        # the third section is tiny, so its brackets miss the fibre direction;
+        # the fourth, (1 - i, 0, 0), makes two equal bracket rows in its own
+        # sample only, so the stack keeps both and its rank is still full
+        n = 4
+        basis = _horizontal_embeds(n, 1, COMPLEX)
+        rows = np.random.default_rng(3).standard_normal((5, n - 1)) + 0j
+        rows[2] *= 1e-12
+        rows[3] = [1 - 1j, 0, 0]
+        sections = _embed_velocities(np.zeros((1, 1)), rows[:, None, :])[:, None]
+        ranks = _span_rank(basis, sections, basis, 1, COMPLEX)
+        alone = [_span_rank(basis, z, basis, 1, COMPLEX) for z in sections]
+        assert ranks.tolist() == alone == [7, 7, 6, 7, 7]
+
+
+class ScriptedNormals:
+    """A generator stand-in whose ``standard_normal`` hands out a fixed stream in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float).ravel()
+        self.used = 0
+        self.sizes = []
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        assert self.used + count <= len(self.values), "script exhausted"
+        self.sizes.append(size)
+        self.used += count
+        return self.values[self.used - count : self.used].reshape(size)
+
+
+@pytest.fixture
+def scripted_rng(monkeypatch):
+    """Make every ``np.random.default_rng`` return the given ``ScriptedNormals``."""
+
+    def install(script):
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: script)
+        return script
+
+    return install
+
+
+@pytest.fixture
+def svd_inputs(monkeypatch):
+    """The shapes of every ``np.linalg.svd`` argument, in call order."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
 
 class TestStronglyBracketGenerating:
     @pytest.mark.parametrize("n", [2, 5])
     def test_holds_on_samples(self, n):
         assert strongly_bracket_check_vn1(n, samples=50, seed=n)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 16])
     def test_matches_per_bracket_loop(self, n):
         for seed in range(3):
             assert strongly_bracket_check_vn1(n, 20, seed) == strong_bracket_check_loop(n, 20, seed)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_consumes_the_loops_stream(self, n, monkeypatch):
+        # the same verdict, and on a pass the generator where the loop left it:
+        # the stacked check consumes the loop's stream
+        made = []
+        default_rng = np.random.default_rng
+
+        def recording(*args):
+            made.append(default_rng(*args))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        for samples in (1, 2, 30, 100):
+            for seed in range(5):
+                made.clear()
+                verdict = strongly_bracket_check_vn1(n, samples, seed)
+                assert verdict == strong_bracket_check_loop(n, samples, seed)
+                stacked, loop = made
+                if verdict:
+                    assert stacked.bit_generator.state == loop.bit_generator.state
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples"):
             strongly_bracket_check_vn1(3, samples=samples)
 
-    def test_zero_section_is_rejected_not_counted(self, monkeypatch):
+    def test_zero_section_is_rejected_not_counted(self, scripted_rng, svd_inputs):
         rng = np.random.default_rng(8)
-        sections = [np.full(2, 1e-14)]  # near-zero: must be skipped
-        sections += [matcore.random_matrix(rng, 1, 2).reshape(-1) for _ in range(10)]
-        draws = iter(sections)
-        monkeypatch.setattr(
-            matcore, "random_matrix", lambda *args: np.asarray(next(draws)).reshape(1, -1)
-        )
+        # sections of V(3,1), each its real parts then its imaginary parts
+        sections = [np.full(4, 1e-14)] + [rng.standard_normal(4) for _ in range(10)]
+        script = scripted_rng(ScriptedNormals(sections))
         assert strongly_bracket_check_vn1(3, samples=10)
-        assert next(draws, None) is None  # all 11 drawn: the zero one was not counted
+        # all 11 drawn: the near-zero one was replaced by one more draw
+        assert script.used == script.values.size
+        assert script.sizes == [(10, 2, 2), (1, 2, 2)]
+        # exactly the 10 kept sections are ranked
+        assert len(svd_inputs) == 1 and svd_inputs[0][0] == 10
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_tiny_kept_section_fails_on_its_brackets(self, n, scripted_rng):
+        # a section of norm 2e-12 is above the 1e-12 rejection bound, so it is
+        # kept; its brackets fall below the rank tolerance, so the span misses
+        # the fibre direction and the check fails, as the loop does
+        rng = np.random.default_rng(9)
+        section = np.zeros(2 * (n - 1))
+        section[0] = 2e-12
+        stream = [rng.standard_normal(2 * (n - 1)) for _ in range(3)]
+        stream.insert(1, section)
+        scripted_rng(ScriptedNormals(stream))
+        assert not strongly_bracket_check_vn1(n, samples=4)
+        scripted_rng(ScriptedNormals(stream))
+        assert not strong_bracket_check_loop(n, 4, 0)
+
+    @pytest.mark.parametrize("n,samples", [(2, 1), (3, 30), (8, 30), (5, 100)])
+    def test_one_svd_per_check(self, n, samples, svd_inputs):
+        assert strongly_bracket_check_vn1(n, samples, seed=n)
+        assert len(svd_inputs) == 1 and svd_inputs[0][0] == samples
 
 
 class TestMontgomeryCondition:

@@ -1,11 +1,25 @@
 """The closed-form verification suites: their injected phase fault and their stacked references."""
 
+import json
+
 import numpy as np
+import pytest
+
+from _oracles import v21_suite_loop
 
 from stiefel_sr import verify
 
 
 class TestV21Suite:
+    @pytest.mark.parametrize("seed", [0, 4, 17])
+    def test_report_matches_per_trial_scalar_draws(self, seed):
+        # one (trials, 4) uniform draw is the per-trial loop's stream
+        for trials in (1, 7, 300):
+            for sign_flip in (False, True):
+                report = verify.v21_suite(trials, seed, sign_flip=sign_flip)
+                loop = v21_suite_loop(trials, seed, sign_flip=sign_flip)
+                assert json.dumps(report) == json.dumps(loop)
+
     def test_sign_flip_is_the_phase_factor_on_the_first_entry(self, monkeypatch):
         calls, errors = [], []
         closed_form, suite_result = verify.geodesic_v21_closed, verify._suite_result

@@ -1,7 +1,7 @@
 """Record a checkout's benchmark numbers in one committed JSON file.
 
     python tools/bench_record.py LABEL [--checkout DIR] [--seconds 25] [--seeds 1 2 3]
-                                       [--out DIR]
+                                       [--parent DIR] [--out DIR]
 
 Runs the checkout's own, unmodified ``perfbench/run.py`` for every workload
 of its ``BENCHMARK.json`` at every seed with ``--trace 0`` and once at the
@@ -27,7 +27,16 @@ created if missing, and checked for writing before the first run) with:
   V(4,2) velocity at t = 0.8 (its Streamed default-grid search step's);
 - ``tier1``: the suite's wall time and its summary line;
 - ``criteria``: per criterion test, its wall time as pytest reports it, and
-  the wall time of its whole process.
+  the wall time of its whole process;
+- ``pairs`` (with ``--parent DIR``, another checkout, usually the parent
+  commit exported beside this one): one pair of runs of each workload per
+  ``--seeds`` value, the parent's own ``perfbench/run.py --trace 0`` and the
+  checkout's at that seed, the parent first at even positions of the seed
+  list and the checkout first at odd ones.  Per workload it holds every
+  pair's metrics and, per end-to-end metric, each side's median and
+  quartiles and the number of pairs in which the checkout reads better
+  (``change_wins``; ties count for neither).  The checkout's runs of these
+  pairs are also its ``workloads`` runs.
 
 ``--checkout`` (default: this repository) names the source tree to measure,
 so one copy of this tool can record another commit exported beside it.  The
@@ -69,18 +78,26 @@ print(json.dumps({"target": normal_geodesic(GeodesicSpec(v), 0.8).to_json_dict()
 """
 
 
-def _benchmark(checkout: Path) -> tuple[list[str], list[str]]:
-    """(workload names, end-to-end metric names) of the checkout's BENCHMARK.json."""
+def _benchmark(checkout: Path) -> tuple[list[str], dict]:
+    """(workload names, end-to-end metric name -> "higher"/"lower" better) of the
+    checkout's BENCHMARK.json."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return [w["name"] for w in spec["workloads"]], [m["name"] for m in spec["end_to_end"]]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return [w["name"] for w in spec["workloads"]], better
 
 
 def _spread(values: list[float]) -> dict:
     """Median and interquartile range (0 for a single value)."""
-    if len(values) < 2:
-        return {"median": values[0], "iqr": 0.0}
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, q2, q3 = _quartiles(values)
     return {"median": q2, "iqr": q3 - q1}
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile (all the value for a single one)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
 
 
 def _run(argv: list[str], checkout: Path) -> tuple[float, float, str]:
@@ -108,38 +125,89 @@ def _perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: 
     return lines, json.loads(lines[-1])
 
 
-def bench_runs(checkout: Path, seconds: float, seeds: list[int]) -> tuple[dict, dict]:
-    """(host record, per-workload runs and spreads) from perfbench/run.py."""
+def _host(lines: list[str]) -> dict:
+    return next((json.loads(x[len("host "):]) for x in lines if x.startswith("host ")), {})
+
+
+def _untraced(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """(host record, run record) of one ``--trace 0`` run."""
+    lines, result = _perfbench(checkout, workload, seed, seconds, 0)
+    run = {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "units": {k: v["unit"] for k, v in result["metrics"].items()},
+    }
+    print(f"{checkout.name} {workload} seed {seed}: op_p50_s "
+          f"{run['metrics'].get('op_p50_s', float('nan')):.4g}", file=sys.stderr)
+    return _host(lines), run
+
+
+def _workload_record(runs: list[dict], names) -> dict:
+    """The runs (units dropped) and, per end-to-end metric, their spread and unit."""
+    units = runs[-1]["units"]
+    return {
+        "runs": [{k: v for k, v in run.items() if k != "units"} for run in runs],
+        "metrics": {
+            name: {**_spread([r["metrics"][name] for r in runs]), "unit": units[name]}
+            for name in names
+            if name in units
+        },
+    }
+
+
+def bench_runs(checkout: Path, seconds: float, seeds: list[int], parent=None):
+    """(host record, the checkout's per-workload runs and spreads, the pairs record).
+
+    With a ``parent`` checkout each seed runs both sides, the parent first at
+    even positions and the checkout first at odd ones; the pairs record is
+    None without one.
+    """
     host = None
-    out = {}
-    workloads, names = _benchmark(checkout)
+    out, pairs = {}, {}
+    workloads, better = _benchmark(checkout)
+    sides = {"change": checkout} if parent is None else {"parent": parent, "change": checkout}
     for workload in workloads:
-        runs = []
-        for seed in seeds:
-            lines, result = _perfbench(checkout, workload, seed, seconds, 0)
-            if host is None:
-                host = next(
-                    (json.loads(x[len("host "):]) for x in lines if x.startswith("host ")), {}
-                )
-            runs.append({
-                "seed": seed,
-                "correct": result["correct"],
-                "attempted": result["attempted"],
-                "failed": result["failed"],
-                "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            })
-            print(f"{workload} seed {seed}: op_p50_s "
-                  f"{runs[-1]['metrics'].get('op_p50_s', float('nan')):.4g}", file=sys.stderr)
-        units = {k: v["unit"] for k, v in result["metrics"].items()}
-        out[workload] = {
-            "runs": runs,
-            "metrics": {
-                name: {**_spread([r["metrics"][name] for r in runs]), "unit": units[name]}
-                for name in names
-                if name in units
-            },
+        runs = {side: [] for side in sides}
+        for i, seed in enumerate(seeds):
+            for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+                run_host, run = _untraced(sides[side], workload, seed, seconds)
+                host = run_host if host is None and side == "change" else host
+                runs[side].append(run)
+        out[workload] = _workload_record(runs["change"], better)
+        if parent is not None:
+            pairs[workload] = _pairs_record(runs, seeds, better)
+    return host or {}, out, pairs if parent is not None else None
+
+
+def _pairs_record(runs: dict, seeds: list[int], better: dict) -> dict:
+    """Every pair's runs and, per end-to-end metric, each side's quartiles and the
+    checkout's wins (ties count for neither)."""
+    units = runs["change"][-1]["units"]
+    metrics = {}
+    for name, direction in better.items():
+        if name not in units:
+            continue
+        values = {side: [r["metrics"][name] for r in side_runs] for side, side_runs in runs.items()}
+        sign = 1.0 if direction == "higher" else -1.0
+        metrics[name] = {
+            "unit": units[name],
+            "better": direction,
+            **{side: dict(zip(("q1", "median", "q3"), _quartiles(v))) for side, v in values.items()},
+            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])),
+            "pairs": len(seeds),
         }
-    return host or {}, out
+    return {
+        "runs": [
+            {"seed": seed, "first": "parent" if i % 2 == 0 else "change",
+             **{side: {k: v for k, v in side_runs[i].items() if k not in ("seed", "units")}
+                for side, side_runs in runs.items()}}
+            for i, seed in enumerate(seeds)
+        ],
+        "metrics": metrics,
+    }
 
 
 def traced_runs(checkout: Path, seconds: float, seed: int) -> dict:
@@ -222,6 +290,7 @@ def main(argv=None) -> int:
     p.add_argument("--checkout", type=Path, default=ROOT)
     p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    p.add_argument("--parent", type=Path, default=None)
     p.add_argument("--out", type=Path, default=ROOT)
     args = p.parse_args(argv)
     try:  # a record takes minutes: make sure it can be written before any run
@@ -230,8 +299,9 @@ def main(argv=None) -> int:
     except OSError as err:
         p.error(f"cannot write to --out {args.out}: {err}")
     checkout = args.checkout.resolve()
+    parent = None if args.parent is None else args.parent.resolve()
     try:
-        host, workloads = bench_runs(checkout, args.seconds, args.seeds)
+        host, runs, pairs = bench_runs(checkout, args.seconds, args.seeds, parent)
         traced = traced_runs(checkout, args.seconds, args.seeds[0])
         cold = cold_start(checkout)
         search = cold_search(checkout)
@@ -244,13 +314,15 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "seeds": args.seeds,
         "host": host,
-        "workloads": workloads,
+        "workloads": runs,
         "traced": traced,
         "cold_start": cold,
         "cold_search": search,
         "tier1": tier1(checkout),
         "criteria": tests_alone(checkout, CRITERIA),
     }
+    if pairs is not None:
+        record["pairs"] = pairs
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(path)
