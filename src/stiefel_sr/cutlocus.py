@@ -1016,8 +1016,9 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     is unitary, so its norm is that of L(t) = Q[k:] diag(e^{-i t w}) Q[:k]*
     for i v = Q diag(w) Q* (Higham's spectral form, as in
     ``geodesic._sensitivity``): one eigh, whatever k, and no kernel call.
-    Scans |L| on a dense grid (skipping the initial rise out of the identity
-    class, where the norm is trivially small), whose phases e^{-i t_j w} are
+    Scans |L|^2, the real view's sum of squares, against squared bounds on a
+    dense grid (skipping the initial rise out of the identity class, where
+    the norm is trivially small), whose phases e^{-i t_j w} are
     the products of ceil(sqrt(N)) block-start and as many in-block
     exponentials (2 ceil(sqrt(N)) n exponentials for N scan times, not N n),
     and refines the first dip by Gauss-Newton steps on L, with
@@ -1035,13 +1036,14 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     # e^{-i t_j w} for t_j = (B b + c) dt: block-start phases times in-block phases
     steps = -1j * (t_upper / (_HIT_SCAN_POINTS - 1)) * np.arange(_HIT_BLOCK)[:, None] * w
     phases = (np.exp(_HIT_BLOCK * steps)[:, None] * np.exp(steps)).reshape(-1, n)
-    g = np.linalg.norm(phases[:_HIT_SCAN_POINTS] @ pairs, axis=1)
-    peak = float(g.max())
-    if peak <= tolerances.TOL.eq:
+    lows = (phases[:_HIT_SCAN_POINTS] @ pairs).view(np.float64)
+    g2 = np.einsum("ij,ij->i", lows, lows)  # |L|^2, compared against squared bounds
+    peak2 = float(g2.max())
+    if peak2 <= tolerances.TOL.eq**2:
         return None  # curve never leaves the block-diagonal set
-    risen = np.nonzero(g > 0.5 * peak)[0]
-    mid = g[1:-1]
-    dips = (mid <= g[:-2]) & (mid <= g[2:]) & (mid < 0.2 * peak)
+    risen = np.nonzero(g2 > 0.25 * peak2)[0]
+    mid = g2[1:-1]
+    dips = (mid <= g2[:-2]) & (mid <= g2[2:]) & (mid < 0.04 * peak2)
     dips[: risen[0]] = False  # mid[j] is g[j + 1]; dips must come after the rise
     found = np.flatnonzero(dips)
     if len(found) == 0:

@@ -1,15 +1,13 @@
 """Lie-bracket machinery for the horizontal distribution.
 
-Rank computations treat a complex matrix as a real vector (real and imaginary
-parts stacked), because the dimensions being compared are real dimensions.
-Brackets of horizontal vectors land in the block-diagonal part; the lower
-right block is tangent to the directions quotiented away by the Stiefel
-equivalence, so it is projected out before counting dimensions.
+V(n,k) is a principal U(k)-bundle (O(k) in real mode) over the Grassmannian:
+each tangent space splits into horizontal b blocks and vertical a blocks, and
+brackets of horizontal vectors are vertical.  Ranks count real dimensions in
+that splitting: a vector is a row of its ``stiefel_tangent_dim`` coordinates.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +53,16 @@ def horizontal_dim(n: int, k: int, mode: str = COMPLEX) -> int:
     return (2 if mode == COMPLEX else 1) * k * (n - k)
 
 
-def _horizontal_embeds(n: int, k: int, mode: str) -> np.ndarray:
-    """The horizontal basis embedded as (d, n, n) matrices, with no value objects built."""
+def _horizontal_blocks(n: int, k: int, mode: str) -> np.ndarray:
+    """The horizontal basis as (d, k, n-k) b blocks, with no value objects built."""
     matcore.check_mode(mode)
-    units = [1.0] if mode == REAL else [1.0, 1j]
-    entries = list(itertools.product(range(k), range(n - k), units))
-    b = np.zeros((len(entries), k, n - k), dtype=np.complex128)
-    for i, (p, q, unit) in enumerate(entries):
-        b[i, p, q] = unit
+    units = np.array([1.0] if mode == REAL else [1.0, 1j])
+    return (np.eye(k * (n - k))[:, None, :] * units[:, None]).reshape(-1, k, n - k)
+
+
+def _horizontal_embeds(n: int, k: int, mode: str) -> np.ndarray:
+    """The horizontal basis embedded as (d, n, n) matrices."""
+    b = _horizontal_blocks(n, k, mode)
     return _embed_velocities(np.zeros((len(b), k, k)), b)
 
 
@@ -72,34 +72,35 @@ def horizontal_basis(n: int, k: int, mode: str = COMPLEX) -> list[BlockVelocity]
 
 
 def _span_rank(basis, left, right, k: int, mode: str):
-    """Real rank of the span of ``basis`` and the brackets ``[left, right]``.
+    """Real rank of the span of horizontal vectors ``basis`` and the brackets ``[left, right]``.
 
-    Brackets are taken pairwise along the last stacking axis; axes before it
-    are sample axes, broadcast between the three arguments, and each sample's
-    span is ranked on its own (one batched SVD, the relative rule of
-    ``_RANK_RTOL`` per sample).  Each matrix is one real row of its entries
-    outside the lower-right block (the projection to the Stiefel tangent
-    space), row-major, re parts then im parts in complex mode.  Only those
-    entries of a bracket are formed: O(nk) per bracket, not n^2.  Rows that
-    are zero or repeat an earlier row in every sample add nothing to any
-    span, so they are dropped before the SVD.
+    Each argument stacks horizontal vectors as k x (n-k) b blocks or as n x n
+    embeds (whose b block is read).  Brackets pair up along the last stacking
+    axis; axes before it are sample axes, broadcast between the arguments,
+    and each sample's span is ranked on its own (one batched SVD, the
+    relative rule of ``_RANK_RTOL`` per sample).  A row holds a vector's
+    coordinates in the horizontal + vertical splitting, re parts then im
+    parts in complex mode: a basis vector's b block, or for B, C the b blocks
+    of left, right the bracket's vertical part C B* - B C*, as its strict
+    upper triangle and (complex mode) its diagonal's im parts over sqrt(2).
+    That frame is orthonormal for half the Frobenius product of the embeds'
+    entries outside the lower-right block, so the relative rule counts the
+    rank those entries give.  Rows that are zero or repeat an earlier row in
+    every sample add nothing to any span; they are dropped before the SVD.
     """
 
-    def entries(top, low):
-        flat = np.concatenate(
-            [x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1]) for x in (top, low)], axis=-1
-        )
-        return np.concatenate([flat.real, flat.imag], axis=-1) if mode == COMPLEX else flat.real
+    def real(x):
+        return np.concatenate([x.real, x.imag], axis=-1) if mode == COMPLEX else x.real
 
-    spans = entries(basis[..., :k, :], basis[..., k:, :k])
-    brackets = entries(
-        left[..., :k, :] @ right - right[..., :k, :] @ left,
-        left[..., k:, :] @ right[..., :k] - right[..., k:, :] @ left[..., :k],
-    )
-    batch = np.broadcast_shapes(spans.shape[:-2], brackets.shape[:-2])
-    rows = np.concatenate(
-        [np.broadcast_to(x, batch + x.shape[-2:]) for x in (spans, brackets)], axis=-2
-    )
+    b, lb, rb = (x if x.shape[-2] == k else x[..., :k, k:] for x in (basis, left, right))
+    cb = lb @ np.conj(np.swapaxes(rb, -1, -2))  # C B* - B C* is cb* - cb
+    p, q = np.triu_indices(k, 1)
+    blocks = [real(b.reshape(*b.shape[:-2], -1)), real(np.conj(cb[..., q, p]) - cb[..., p, q])]
+    if mode == COMPLEX:  # the diagonal of cb* - cb is -2i Im(cb)
+        blocks[1] = np.concatenate([blocks[1], -np.sqrt(2) * np.diagonal(cb, 0, -2, -1).imag], -1)
+    (h, dh), (v, dv) = (x.shape[-2:] for x in blocks)
+    rows = np.zeros(np.broadcast_shapes(*(x.shape[:-2] for x in blocks)) + (h + v, dh + dv))
+    rows[..., :h, :dh], rows[..., h:, dh:] = blocks
     nonzero = np.flatnonzero(rows.any(axis=-1).reshape(-1, rows.shape[-2]).any(axis=0))
     distinct = list({rows[..., i, :].tobytes(): i for i in nonzero}.values())
     s = np.linalg.svd(rows[..., distinct, :], compute_uv=False)
@@ -110,12 +111,12 @@ def bracket_generating_rank(n: int, k: int, mode: str = COMPLEX) -> BracketRepor
     """Rank test: do horizontal directions plus their first brackets span the tangent space?
 
     Builds the real span of all horizontal basis blocks together with the
-    brackets of every basis pair (projected to the Stiefel tangent space) and
-    compares its rank against the full tangent dimension.
+    vertical brackets of every basis pair, formed from the b blocks alone,
+    and compares its rank against the full tangent dimension.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
-    basis = _horizontal_embeds(n, k, mode)
+    basis = _horizontal_blocks(n, k, mode)
     i, j = np.triu_indices(len(basis), 1)
     rank = int(_span_rank(basis, basis[i], basis[j], k, mode))
     target = stiefel_tangent_dim(n, k, mode)
@@ -150,14 +151,13 @@ def strongly_bracket_check_vn1(n: int, samples: int = 100, seed: int = 0) -> boo
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    basis = _horizontal_embeds(n, 1, COMPLEX)
+    basis = _horizontal_blocks(n, 1, COMPLEX)
     rows = np.empty((0, n - 1), dtype=np.complex128)
     while len(rows) < samples:
         draws = rng.standard_normal((samples - len(rows), 2, n - 1))
         kept = draws[np.linalg.norm(draws, axis=(1, 2)) > 1e-12]  # zero sections: not counted
         rows = np.concatenate([rows, kept[:, 0] + 1j * kept[:, 1]])
-    sections = _embed_velocities(np.zeros((1, 1)), rows[:, None, :])[:, None]
-    ranks = _span_rank(basis, sections, basis, 1, COMPLEX)
+    ranks = _span_rank(basis, rows[:, None, None, :], basis, 1, COMPLEX)
     return bool(np.all(ranks == stiefel_tangent_dim(n, 1, COMPLEX)))
 
 

@@ -8,8 +8,10 @@ loops, the report-order oracle its original Python key sort, the candidate
 oracle its original per-hit loop, the scan oracle its original subtraction
 pass over the scan table, the hit oracles the original golden-section
 refinement of the first block-diagonal dip and the Gauss-Newton hit search's
-original scan by one exponential per time and eigenvalue, the bracket-span
-oracles the rank tests' original one-bracket-at-a-time loops, the draw
+original scans (one exponential per time and eigenvalue; the norm of the lower
+block rather than its square), the bracket-span oracles the rank tests'
+original one-bracket-at-a-time loops and the span rank's original rows of all
+entries outside the lower-right block, the draw
 oracles the V_{2,1} suite's and the uniqueness check's original per-trial
 scalar draws, the V_{2,1} column oracle
 the evaluator's original (2, 1)-only closed form, the tangent oracle the
@@ -33,7 +35,7 @@ import dataclasses
 import mpmath
 import numpy as np
 
-from stiefel_sr import cutlocus, matcore, tolerances, verify
+from stiefel_sr import cutlocus, distribution, matcore, tolerances, verify
 from stiefel_sr.distribution import horizontal_basis, stiefel_tangent_dim
 from stiefel_sr.geodesic import (
     GeodesicSpec,
@@ -240,6 +242,47 @@ def first_block_diagonal_hit_direct(spec: GeodesicSpec, t_upper: float) -> float
     return t if float(np.linalg.norm(r)) <= tolerances.TOL.eq else None
 
 
+def first_block_diagonal_hit_norm(spec: GeodesicSpec, t_upper: float) -> float | None:
+    """``cutlocus.first_block_diagonal_hit`` scanning the norm |L| itself,
+    against the unsquared bounds."""
+    if not 0.0 < t_upper < np.inf:
+        raise ValueError(f"t_upper must be positive and finite, got {t_upper}")
+    k, n = spec.k, spec.n
+    w, q = np.linalg.eigh(1j * spec.v.embed())
+    # L(t) flattened is the row e^{-i t w} times pairs[p, (i, j)] = q[k + i, p] conj(q[j, p])
+    pairs = (q[k:, None, :] * np.conj(q[:k, :])).reshape(-1, n).T
+    ts = np.linspace(0.0, t_upper, cutlocus._HIT_SCAN_POINTS)
+    # e^{-i t_j w} for t_j = (B b + c) dt: block-start phases times in-block phases
+    steps = -1j * (t_upper / (cutlocus._HIT_SCAN_POINTS - 1)) * np.arange(cutlocus._HIT_BLOCK)[:, None] * w
+    phases = (np.exp(cutlocus._HIT_BLOCK * steps)[:, None] * np.exp(steps)).reshape(-1, n)
+    g = np.linalg.norm(phases[:cutlocus._HIT_SCAN_POINTS] @ pairs, axis=1)
+    peak = float(g.max())
+    if peak <= tolerances.TOL.eq:
+        return None  # curve never leaves the block-diagonal set
+    risen = np.nonzero(g > 0.5 * peak)[0]
+    mid = g[1:-1]
+    dips = (mid <= g[:-2]) & (mid <= g[2:]) & (mid < 0.2 * peak)
+    dips[: risen[0]] = False  # mid[j] is g[j + 1]; dips must come after the rise
+    found = np.flatnonzero(dips)
+    if len(found) == 0:
+        return None
+    idx = int(found[0]) + 1
+    lo, hi, t = float(ts[idx - 1]), float(ts[idx + 1]), float(ts[idx])
+    for _ in range(cutlocus._HIT_GN_ITERS):
+        e = np.exp(-1j * t * w)
+        r, d = np.stack([e, -1j * w * e]) @ pairs  # L and dL/dt
+        dd = float(np.sum(np.abs(d) ** 2))
+        if dd == 0.0:
+            break
+        t_next = min(max(t - float(np.sum(d.conj() * r).real) / dd, lo), hi)
+        if abs(t_next - t) <= cutlocus._HIT_STEP_FLOOR * t_upper:
+            break
+        t = t_next
+    else:
+        r = np.exp(-1j * t * w) @ pairs
+    return t if float(np.linalg.norm(r)) <= tolerances.TOL.eq else None
+
+
 def v21_suite_loop(trials: int = 1000, seed: int = 0, sign_flip: bool = False) -> dict:
     """``verify.v21_suite`` drawing its (lam, Re x2, Im x2, t) one scalar at a time."""
     rng = np.random.default_rng(seed)
@@ -414,6 +457,33 @@ def _stacked_rank_loop(mats, k: int, mode: str) -> int:
         rows.append(np.concatenate(parts))
     s = np.linalg.svd(np.array(rows), compute_uv=False)
     return int(np.sum(s > 1e-8 * s[0])) if s[0] > 0.0 else 0
+
+
+def span_rank_entries(basis, left, right, k: int, mode: str):
+    """``distribution._span_rank`` on n x n matrices: each row holds a
+    matrix's entries outside the lower-right block, re parts then im parts in
+    complex mode, twice the tangent dimension in real numbers, and a bracket's
+    are the entries of the full commutator's top rows and lower-left block."""
+
+    def entries(top, low):
+        flat = np.concatenate(
+            [x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1]) for x in (top, low)], axis=-1
+        )
+        return np.concatenate([flat.real, flat.imag], axis=-1) if mode == COMPLEX else flat.real
+
+    spans = entries(basis[..., :k, :], basis[..., k:, :k])
+    brackets = entries(
+        left[..., :k, :] @ right - right[..., :k, :] @ left,
+        left[..., k:, :] @ right[..., :k] - right[..., k:, :] @ left[..., :k],
+    )
+    batch = np.broadcast_shapes(spans.shape[:-2], brackets.shape[:-2])
+    rows = np.concatenate(
+        [np.broadcast_to(x, batch + x.shape[-2:]) for x in (spans, brackets)], axis=-2
+    )
+    nonzero = np.flatnonzero(rows.any(axis=-1).reshape(-1, rows.shape[-2]).any(axis=0))
+    distinct = list({rows[..., i, :].tobytes(): i for i in nonzero}.values())
+    s = np.linalg.svd(rows[..., distinct, :], compute_uv=False)
+    return np.sum(s > distribution._RANK_RTOL * s[..., :1], axis=-1)
 
 
 def bracket_rank_loop(n: int, k: int, mode: str) -> int:

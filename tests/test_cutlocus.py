@@ -60,6 +60,7 @@ from _oracles import (
     arrival_json,
     best_hits_loop,
     first_block_diagonal_hit_direct,
+    first_block_diagonal_hit_norm,
     geodesic_columns_mp,
     golden_section_hit,
     greedy_cluster_count_loop,
@@ -1047,6 +1048,19 @@ class TestFirstBlockDiagonalHit:
             t_hit = first_block_diagonal_hit(spec, 1.15 * t_exp)
             assert t_hit is not None
             assert t_hit == first_block_diagonal_hit_direct(spec, 1.15 * t_exp)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n,k", HIT_SHAPES)
+    def test_squared_scan_matches_the_norm_scan_bit_for_bit(self, n, k, mode):
+        # |L|^2 against squared bounds must pick the dip that |L| against the
+        # bounds themselves picks, so every Gauss-Newton step is the same
+        rng = np.random.default_rng(2000 + 10 * n + k)
+        for _ in range(200):
+            vel, t_exp = sample_block_diagonal_hitting_velocity(rng, n, k, mode)
+            spec = GeodesicSpec(vel)
+            t_hit = first_block_diagonal_hit(spec, 1.15 * t_exp)
+            assert t_hit is not None
+            assert t_hit == first_block_diagonal_hit_norm(spec, 1.15 * t_exp)
 
     @pytest.mark.parametrize("n,k,mode", [(3, 1, COMPLEX), (4, 2, REAL), (6, 3, COMPLEX)])
     def test_first_of_several_hits(self, n, k, mode):

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from _oracles import bracket_rank_loop, strong_bracket_check_loop
+from _oracles import bracket_rank_loop, span_rank_entries, strong_bracket_check_loop
 
 from stiefel_sr import matcore
 from stiefel_sr.matcore import COMPLEX, REAL, random_skew_hermitian
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.distribution import (
+    _horizontal_blocks,
     _horizontal_embeds,
     _span_rank,
     bracket_generating_rank,
     horizontal_basis,
     lie_bracket,
     montgomery_condition,
+    stiefel_tangent_dim,
     strongly_bracket_check_vn1,
 )
 
@@ -280,6 +282,129 @@ class TestStronglyBracketGenerating:
     def test_one_svd_per_check(self, n, samples, svd_inputs):
         assert strongly_bracket_check_vn1(n, samples, seed=n)
         assert len(svd_inputs) == 1 and svd_inputs[0][0] == samples
+
+
+def small_shapes(max_n):
+    return [(n, k) for n in range(2, max_n + 1) for k in range(1, n)]
+
+
+def pair_inputs(n, k, mode, embedded):
+    """The bracket sweep's (basis, left, right): b blocks, or n x n embeds."""
+    basis = (_horizontal_embeds if embedded else _horizontal_blocks)(n, k, mode)
+    i, j = np.triu_indices(len(basis), 1)
+    return basis, basis[i], basis[j]
+
+
+def section_inputs(n, rows):
+    """The strong check's (basis, sections, basis) for complex V(n,1) rows:
+    b blocks, and the same as n x n embeds."""
+    rows = np.asarray(rows, dtype=complex)
+    blocks, embeds = _horizontal_blocks(n, 1, COMPLEX), _horizontal_embeds(n, 1, COMPLEX)
+    sections = _embed_velocities(np.zeros((1, 1)), rows[:, None, :])[:, None]
+    return (blocks, rows[:, None, None, :], blocks), (embeds, sections, embeds)
+
+
+def assert_root_two_apart(entries, coords):
+    """Spectra equal up to a factor sqrt(2), up to rounding; the wider rows may
+    add values at rounding level (their SVD has more columns)."""
+    size = min(entries.shape[-1], coords.shape[-1])
+    np.testing.assert_allclose(np.sqrt(2) * coords[..., :size], entries[..., :size], atol=1e-13)
+    assert np.all(entries[..., size:] <= 1e-13) and np.all(coords[..., size:] <= 1e-13)
+
+
+@pytest.fixture
+def svd_values(monkeypatch):
+    """The singular values of every ``np.linalg.svd`` call, in call order."""
+    values = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        values.append(svd(a, *args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return values
+
+
+class TestCoordinateRows:
+    @pytest.mark.parametrize("mode", [COMPLEX, REAL])
+    def test_one_svd_as_wide_as_the_tangent_space(self, mode, svd_inputs):
+        for n, k in small_shapes(8):
+            svd_inputs.clear()
+            bracket_generating_rank(n, k, mode)
+            assert [x[-1] for x in svd_inputs] == [stiefel_tangent_dim(n, k, mode)], (n, k)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_strong_check_svd_as_wide_as_the_tangent_space(self, n, svd_inputs):
+        assert strongly_bracket_check_vn1(n, samples=10, seed=n)
+        assert [x[::2] for x in svd_inputs] == [(10, stiefel_tangent_dim(n, 1, COMPLEX))]
+
+    def test_verification_rounds_widest_svd(self, svd_inputs):
+        # the round ranks complex V(n,k) for 3 <= n <= 8, 2 <= k < n
+        for n, k in small_shapes(8):
+            if k >= 2:
+                bracket_generating_rank(n, k, COMPLEX)
+        assert max(svd_inputs, key=lambda x: x[0] * x[1]) == (84, 63)
+
+    @pytest.mark.parametrize("mode", [COMPLEX, REAL])
+    def test_agrees_with_the_entry_rows_on_every_small_shape(self, mode):
+        for n, k in small_shapes(9):
+            rank = span_rank_entries(*pair_inputs(n, k, mode, True), k, mode)
+            assert _span_rank(*pair_inputs(n, k, mode, False), k, mode) == rank, (n, k)
+            assert _span_rank(*pair_inputs(n, k, mode, True), k, mode) == rank, (n, k)
+
+    @pytest.mark.parametrize("mode", [COMPLEX, REAL])
+    @pytest.mark.parametrize("embedded", [False, True])
+    def test_agrees_on_zero_repeated_and_negated_rows(self, mode, embedded):
+        for n, k in [(3, 1), (4, 2), (5, 2), (6, 3)]:
+            basis, left, right = pair_inputs(n, k, mode, embedded)
+            e_basis, e_left, e_right = pair_inputs(n, k, mode, True)
+            i, j = np.triu_indices(len(basis), 1)
+
+            def padded(b, lt, rt):
+                return (
+                    np.concatenate([b, np.zeros_like(b[:3]), b[::2], -b[1::3]]),
+                    np.concatenate([lt, b, b[i[::3]], b[j[::2]]]),
+                    np.concatenate([rt, b, b[j[::3]], b[i[::2]]]),
+                )
+
+            rank = span_rank_entries(*padded(e_basis, e_left, e_right), k, mode)
+            assert _span_rank(*padded(basis, left, right), k, mode) == rank, (n, k)
+            zeros = np.zeros_like(basis[:4])
+            assert _span_rank(zeros, zeros, zeros, k, mode) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_agrees_on_tiny_sections(self, n):
+        # sections of norm 2e-12 (kept by the strong check, whose brackets
+        # then fall below the rank tolerance) and 1e-12 times a random row
+        rng = np.random.default_rng(20 + n)
+        rows = rng.standard_normal((6, n - 1)) + 1j * rng.standard_normal((6, n - 1))
+        rows[1] = 0
+        rows[1, 0] = 2e-12
+        rows[3] *= 1e-12
+        rows[4] = 0
+        rows[4, -1] = 2e-12j
+        blocks, embeds = section_inputs(n, rows)
+        ranks = _span_rank(*blocks, 1, COMPLEX)
+        assert ranks.tolist() == span_rank_entries(*embeds, 1, COMPLEX).tolist()
+        assert ranks.tolist() == _span_rank(*embeds, 1, COMPLEX).tolist()
+        assert ranks.tolist() == [2 * n - 1, 2 * n - 2, 2 * n - 1, 2 * n - 2, 2 * n - 2, 2 * n - 1]
+
+    @pytest.mark.parametrize("mode", [COMPLEX, REAL])
+    def test_singular_values_are_the_entry_rows_over_root_two(self, mode, svd_values):
+        # the coordinate frame is orthonormal for half the Frobenius product
+        # of the entries the oracle ranks, so the spectra agree up to sqrt(2)
+        for n, k in small_shapes(6):
+            svd_values.clear()
+            span_rank_entries(*pair_inputs(n, k, mode, True), k, mode)
+            _span_rank(*pair_inputs(n, k, mode, False), k, mode)
+            assert_root_two_apart(*svd_values)
+        rows = np.random.default_rng(5).standard_normal((20, 4)) * np.exp(1j * np.arange(4))
+        blocks, embeds = section_inputs(5, rows)
+        svd_values.clear()
+        span_rank_entries(*embeds, 1, COMPLEX)
+        _span_rank(*blocks, 1, COMPLEX)
+        assert_root_two_apart(*svd_values)
 
 
 class TestMontgomeryCondition:

@@ -5,10 +5,10 @@
 
 Runs the checkout's own, unmodified ``perfbench/run.py`` for every workload
 of its ``BENCHMARK.json`` at every seed with ``--trace 0`` and once at the
-first seed with ``--trace 1``, then a cold ``stiefel-sr bracket --n 4 --k 2``
-and a cold ``stiefel-sr cutlocus-search --n 4 --k 2``, the checkout's Tier-1
-suite and its acceptance criteria 4, 5 and 8 each alone, each in a fresh
-process, one after another.  Writes
+first seed with ``--trace 1``, then a cold ``stiefel-sr bracket --n 4 --k 2``,
+a cold ``stiefel-sr cutlocus-search --n 4 --k 2``, a bracket sweep, the
+checkout's Tier-1 suite and its acceptance criteria 4, 5 and 8 each alone,
+each in a fresh process, one after another.  Writes
 ``BENCH_<LABEL>.json`` into ``--out`` (default: this repository's root;
 created if missing, and checked for writing before the first run) with:
 
@@ -25,6 +25,12 @@ created if missing, and checked for writing before the first run) with:
   ``stiefel-sr cutlocus-search --n 4 --k 2 --sample-count 256`` processes
   (a Sobol sample of 256 velocities) and their medians; the target is CI's
   V(4,2) velocity at t = 0.8 (its Streamed default-grid search step's);
+- ``bracket_sweep``: the wall and CPU seconds, timed inside one fresh
+  process after one untimed pass and a 0.5 s pause, of ``SWEEP_REPEATS``
+  passes over the verification round's 21 bracket reports (complex V(n,k),
+  3 <= n <= 8, 2 <= k < n) and 7 strong checks of V(n,1) (2 <= n <= 8,
+  30 samples), and their ratio; a library that keeps to one core reads a
+  ratio near 1;
 - ``tier1``: the suite's wall time and its summary line;
 - ``criteria``: per criterion test, its wall time as pytest reports it, and
   the wall time of its whole process;
@@ -41,8 +47,9 @@ created if missing, and checked for writing before the first run) with:
 ``--checkout`` (default: this repository) names the source tree to measure,
 so one copy of this tool can record another commit exported beside it.  The
 file reports; it gates nothing.  Exits 1 if a benchmark run fails to produce
-its JSON line, a cold start its report, or a cold search one cluster within
-(1 + 1e-6) of the generating length; 0 otherwise.
+its JSON line, a cold start its report, a cold search one cluster within
+(1 + 1e-6) of the generating length, or the bracket sweep a pass of every
+report and check; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -75,6 +82,28 @@ import json, numpy as np
 from stiefel_sr import BlockVelocity, GeodesicSpec, length, normal_geodesic
 v = BlockVelocity(np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]]))
 print(json.dumps({"target": normal_geodesic(GeodesicSpec(v), 0.8).to_json_dict(), "length": length(v, 0.8)}))
+"""
+
+SWEEP_REPEATS = 20
+# the verification round's bracket reports and strong checks, timed over SWEEP_REPEATS
+# passes after one untimed pass (first-call costs) and a pause: numpy's import leaves
+# its BLAS threads spinning for about 0.1 s, which is no cost of the sweep
+BRACKET_SWEEP = """
+import json, sys, time
+from stiefel_sr import distribution
+
+def sweep(rep):
+    return all(distribution.bracket_generating_rank(n, k).generating
+               for n in range(3, 9) for k in range(2, n)) and all(
+        distribution.strongly_bracket_check_vn1(n, samples=30, seed=rep + 200 + n)
+        for n in range(2, 9))
+
+passed = sweep(-1)
+time.sleep(0.5)
+wall, cpu = time.perf_counter(), time.process_time()
+passed &= all([sweep(rep) for rep in range(int(sys.argv[1]))])
+print(json.dumps({"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu,
+                  "passed": passed}))
 """
 
 
@@ -258,6 +287,16 @@ def cold_search(checkout: Path) -> dict:
             "min_length": found, "generating_length": case["length"]}
 
 
+def bracket_sweep(checkout: Path) -> dict:
+    """Wall and CPU seconds of ``SWEEP_REPEATS`` bracket sweeps in one fresh process."""
+    _, _, stdout = _run([sys.executable, "-c", BRACKET_SWEEP, str(SWEEP_REPEATS)], checkout)
+    result = json.loads(stdout) if stdout.startswith("{") else {}
+    if not result.get("passed"):
+        raise RuntimeError("bracket sweep: a report or check failed, or no result in the output")
+    return {"repeats": SWEEP_REPEATS, "wall_s": result["wall_s"], "cpu_s": result["cpu_s"],
+            "cpu_per_wall": result["cpu_s"] / result["wall_s"]}
+
+
 def tier1(checkout: Path) -> dict:
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
             "--continue-on-collection-errors"]
@@ -305,6 +344,7 @@ def main(argv=None) -> int:
         traced = traced_runs(checkout, args.seconds, args.seeds[0])
         cold = cold_start(checkout)
         search = cold_search(checkout)
+        sweep = bracket_sweep(checkout)
     except RuntimeError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -318,6 +358,7 @@ def main(argv=None) -> int:
         "traced": traced,
         "cold_start": cold,
         "cold_search": search,
+        "bracket_sweep": sweep,
         "tier1": tier1(checkout),
         "criteria": tests_alone(checkout, CRITERIA),
     }
