@@ -3,10 +3,10 @@
 The operational notion of a cut point is multiplicity: a target reached at
 minimal length by more than one distinct velocity.  ``search_minimizers``
 makes that testable at desk scale — at k >= 2 it scans a velocity grid and
-locally refines every near-arrival, at k = 1 it solves in the (rate, time)
-plane; it keeps the arrivals of (numerically) minimal length and counts
-velocity clusters.  The verify_* experiments check the structural facts
-directly: mirrored second arrivals at block-diagonal targets, the
+locally refines every near-arrival, at k = 1 it solves one real equation
+along each fold branch; it keeps the arrivals of (numerically) minimal
+length and counts velocity clusters.  The verify_* experiments check the
+structural facts directly: mirrored second arrivals at block-diagonal targets, the
 unique-arrival picture at antidiagonal targets of V_{2k,k}, and the scalar
 analytic facts behind the V_{n,1} uniqueness argument.
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .geodesic import (
     _decompose,
     _endpoint_jacobian,
     _speeds_squared,
-    _vn1_column,
     _vn1_jacobian,
     batch_geodesic_columns,
     geodesic_vn1_closed,
@@ -49,8 +47,10 @@ _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
 _CHUNK_ELEMENTS = 2**22
 # velocities per kernel fill of the k >= 2 scan
 _FILL_VELOCITIES = 16
-# Newton steps of one k = 1 solve in the (rate, time) plane
+# Newton steps of one k = 1 solve on a fold branch (``_plane_newton``)
 _NEWTON_ITERS = 30
+# rates per side of a fold branch's loop: its brackets start the k = 1 solve
+_BRANCH_RATES = 64
 # Levenberg-Marquardt iterations of the arrival refinement
 _LM_ITERS = 60
 # a refined candidate whose squared residual is above half of its value this
@@ -121,15 +121,15 @@ class VelocityGrid(_Record):
     arrival length is speed * time with a family-wide constant speed.
 
     family: the sample, fixed by the shape.  "v21" (complex V_{2,1})
-    crosses fibre rates with the phases of the unit row, "sphere" (every
-    other k = 1 shape) crosses them (in complex mode) with unit rows, and
-    "general" (k >= 2) is a low-discrepancy sample of every coordinate of
-    the linear params that the search refines.  Construction resolves
+    takes phases of the unit row, "sphere" (every other k = 1 shape) unit
+    rows, and "general" (k >= 2) is a low-discrepancy sample of every
+    coordinate of the linear params that the search refines.  Construction resolves
     "auto" to the shape's family and ``t_max=None`` to 1.1 pi sqrt(k), so
     ``t_max`` is a float, and rejects an unknown mode, an n, k, count or seed
     that is not an integer (a bool is not), a shape without 1 <= k < n, a
     non-finite lambda_range or t_max, lo > hi, t_max <= 0 and a family other
-    than "auto" or the shape's.
+    than "auto" or the shape's.  At k = 1 ``lambda_range`` and ``t_max`` bound
+    the roots' window, and ``lambda_count`` and ``t_count`` are never read.
     """
 
     n: int
@@ -199,9 +199,9 @@ class SearchDiagnostics(_Record):
     1e8) or ``stalled`` (``_STALL_WINDOW``), or was still active at the
     iteration cap (``capped``); ``lm_iterations`` lockstep iterations ran;
     ``arrivals_before_dedup`` arrivals were in the minimal-length band
-    before deduplication.  At k = 1 the candidates are the plane solve's
-    Newton starts (none for a closed-form root), and ``damped``, ``stalled``
-    and ``lm_iterations`` stay 0.  The identity class is answered without a
+    before deduplication.  At k = 1 each fold-branch bracket (a scan hit)
+    is one Newton start (a candidate; none for a closed-form root), and
+    ``damped``, ``stalled`` and ``lm_iterations`` stay 0.  The identity class is answered without a
     search: only its one arrival is counted.
     """
 
@@ -235,8 +235,8 @@ class _LinearFamily:
     imaginary part of each fibre entry above the diagonal; in real mode only
     those entries' real parts.  Then the real parts of the transversal
     entries (row-major), and in complex mode their imaginary parts.  The
-    search builds it at k >= 2 only: a k = 1 grid's plane samples its rates
-    and rows itself (``_vn1_plane``).
+    search builds it at k >= 2 only: a k = 1 grid samples its unit rows
+    itself (``_unit_rows``).
 
     The refinement differentiates along these fixed unit images ``da``,
     ``db`` and then through the normalization of b, ``normalize``.
@@ -402,32 +402,17 @@ def _scan_fills(family, params: np.ndarray, ts: np.ndarray):
         yield grid_geodesic_columns(a, b, ts, family.grid.mode)
 
 
-class _Vn1Plane(NamedTuple):
-    """A k = 1 grid's scan data: T at its distinct fibre rates and scan times, and its unit rows.
+def _unit_rows(grid: VelocityGrid) -> np.ndarray:
+    """A k = 1 grid's distinct unit rows (D, n-1), the only scan data it holds.
 
-    Velocity (i lam, b) with a unit row b reaches (T(lam, t), -conj(b)
-    S(lam, t)) (``geodesic._vn1_jacobian``).  ``rates`` ascend;
-    ``directions`` are the grid's distinct unit rows.  Read-only.
-    """
-
-    rates: np.ndarray  # (R,)
-    top: np.ndarray  # (R, T)
-    directions: np.ndarray  # (D, n-1)
-
-
-def _vn1_plane(grid: VelocityGrid) -> _Vn1Plane:
-    """A k = 1 grid's plane, sampled directly as its fibre rates and unit rows.
-
-    ``lambda_count`` rates (0 alone in real mode); v21 rows are e^{i phi}
-    at ``phase_count`` phases, sphere rows ``direction_count`` Sobol
-    directions: the Gaussian coordinates of a ``_sobol`` sample (Joe-Kuo
-    2008 direction numbers, Bratley-Fox 1988 recurrence), normalized (real
-    V(3,1): equally spaced angles; real V(2,1): +-1).
-    Rows are normalized as ``_LinearFamily.blocks`` does, and T comes from
-    the kernel's ``_vn1_column`` at a unit row.
+    v21 rows are e^{i phi} at ``phase_count`` phases, sphere rows
+    ``direction_count`` Sobol directions: the Gaussian coordinates of a
+    ``_sobol`` sample (Joe-Kuo 2008 direction numbers, Bratley-Fox 1988
+    recurrence), normalized (real V(3,1): equally spaced angles; real V(2,1):
+    +-1).  Rows are normalized as ``_LinearFamily.blocks`` does.  Only
+    block-diagonal targets use them: every other k = 1 target fixes its row.
     """
     m, real = grid.n - 1, grid.mode == REAL
-    rates = np.zeros(1) if real else np.linspace(*grid.lambda_range, grid.lambda_count)
     if grid.family == "v21" or (real and m == 2):
         count = grid.phase_count if grid.family == "v21" else grid.direction_count
         ang = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
@@ -438,31 +423,28 @@ def _vn1_plane(grid: VelocityGrid) -> _Vn1Plane:
         raw = _inverse_gauss(_sobol((1 if real else 2) * m, grid.direction_count, grid.seed))
         raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     rows = (raw if real else raw[:, :m] + 1j * raw[:, m:]).astype(np.complex128)[:, None]
-    rates = np.unique(rates)
-    top = _vn1_column(rates[:, None], np.ones(1), _scan_times(grid))[0]
-    return _Vn1Plane(rates, top, np.unique((rows / _frobenius(rows))[:, 0], axis=0))
+    return np.unique((rows / _frobenius(rows))[:, 0], axis=0)
 
 
 def _unread_grid_fields(grid: VelocityGrid) -> tuple[str, ...]:
     """The grid options that a search on ``grid`` never reads, whatever their values.
 
     A k >= 2 grid reads its Sobol sample (``sample_count``, ``seed``,
-    ``lambda_range``) and its times.  A k = 1 grid reads what ``_vn1_plane``
-    and ``_plane_arrivals`` read: the rates and their window in complex mode
-    only, the phases on v21 only, and the Sobol directions and their seed
-    on every other shape but real V(2,1) (rows +-1) and real V(3,1) (angles,
-    which read ``direction_count`` but no seed).
+    ``lambda_range``) and its times.  A k = 1 grid reads no rates or times,
+    only its window (``lambda_range`` in complex mode only) and its rows: the
+    phases on v21 only, the Sobol directions and their seed on every other
+    shape but real V(2,1) (rows +-1) and real V(3,1) (angles, no seed).
     """
     if grid.k >= 2:
         return ("lambda_count", "phase_count", "direction_count")
     v21, real = grid.family == "v21", grid.mode == REAL
-    unread = ["sample_count"] + ([] if v21 else ["phase_count"])
+    unread = ["lambda_count", "sample_count", "t_count"] + ([] if v21 else ["phase_count"])
     if v21 or (real and grid.n == 2):
         unread.append("direction_count")
     if v21 or (real and grid.n <= 3):
         unread.append("seed")
     if real:
-        unread += ["lambda_range", "lambda_count"]
+        unread.append("lambda_range")
     return tuple(unread)
 
 
@@ -470,12 +452,12 @@ def _unread_grid_fields(grid: VelocityGrid) -> tuple[str, ...]:
 def _scan_table(grid: VelocityGrid):
     """The grid's target- and tolerance-independent scan data, shared by every search on it.
 
-    At k = 1 its ``_Vn1Plane``; at k >= 2 the kernel fills (c, T, n, k) of
-    ``_scan_fills``, for which callers only pass grids whose fills together
-    fit ``_CHUNK_ELEMENTS``.  Either is a tuple of read-only arrays.
+    At k = 1 its ``_unit_rows`` alone; at k >= 2 the kernel fills (c, T, n,
+    k) of ``_scan_fills``, for which callers only pass grids whose fills
+    together fit ``_CHUNK_ELEMENTS``.  Either is a tuple of read-only arrays.
     """
     if grid.k == 1:
-        data = _vn1_plane(grid)
+        data = (_unit_rows(grid),)
     else:
         family = _LinearFamily(grid)
         data = tuple(_scan_fills(family, family.initial_params(), _scan_times(grid)))
@@ -525,39 +507,23 @@ def _best_hits(vix, tix, err) -> np.ndarray:
     return order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < 3]
 
 
-def _scan_plane(top: np.ndarray, q0: complex, gate: float):
-    """Rate and time indices of the gated local minima of |T - q0|^2 over a (R, T) table.
-
-    Interior in time; the first and last rates compare with their one
-    neighbour, so a root just outside the rate range still gets a start.
-    """
-    diff = top - q0
-    err2 = diff.real**2 + diff.imag**2
-    mid = err2[:, 1:-1]
-    low = (mid <= err2[:, :-2]) & (mid <= err2[:, 2:]) & (mid < gate * gate)
-    low[1:] &= mid[1:] <= mid[:-1]
-    low[:-1] &= mid[:-1] <= mid[1:]
-    r, j = np.nonzero(low)
-    return r, j + 1
-
-
 def _plane_residual(lam, ts, q0: complex, r1):
-    """f = T - q0, or given r1 = |q1| f = (s - r1) + i Im(T conj(q0)), with df/dlam and df/dt.
+    """f = (s - r1) + i Im(T conj(q0)) at a unit row, with df/dlam and df/dt.
 
-    s = sin(t omega) / omega is |S| before the fold (t omega < pi), where the
-    second f vanishes iff T = q0 (|T|^2 + s^2 = 1); unlike T, s is not flat
-    across the fold.  One ``geodesic._vn1_jacobian`` call gives T, s, their
-    derivatives and ds/dt = cos(t omega).
+    s = sin(t omega) / omega is |S| with the sign (-1)^m on fold branch m,
+    m pi <= t omega <= (m + 1) pi, where r1 = (-1)^m r (``_branch_starts``)
+    makes f vanish at T = q0 / |q| (and at -q0 / |q|, which no start
+    brackets).  Unlike T, s is not flat across the fold.  One
+    ``geodesic._vn1_jacobian`` call gives T, s, their derivatives and
+    ds/dt = cos(t omega).
     """
     top, dlam, dt, s, ds, cosw = _vn1_jacobian(lam, ts)
-    if r1 is None:
-        return top - q0, dlam, dt
     u = np.conj(q0)
     return s - r1 + 1j * (top * u).imag, ds + 1j * (dlam * u).imag, cosw + 1j * (dt * u).imag
 
 
-def _plane_newton(lam: np.ndarray, ts: np.ndarray, q0: complex, r1=None):
-    """Batched Newton on ``_plane_residual`` = 0 from stacked starts in the (rate, time) plane.
+def _plane_newton(lam: np.ndarray, ts: np.ndarray, q0: complex, r1: np.ndarray):
+    """Batched Newton on ``_plane_residual`` = 0 from stacked starts, each with its own r1.
 
     Each step solves the 2 x 2 real system of f's derivatives by Cramer's
     rule and is kept only if it lowers |f|; a start whose step no longer
@@ -577,7 +543,7 @@ def _plane_newton(lam: np.ndarray, ts: np.ndarray, q0: complex, r1=None):
             det = jl.real * jt.imag - jt.real * jl.imag
             trial_lam = lam[ai] + (jt.real * r.imag - jt.imag * r.real) / det
             trial_ts = ts[ai] + (jl.imag * r.real - jl.real * r.imag) / det
-            trial = _plane_residual(trial_lam, trial_ts, q0, r1)
+            trial = _plane_residual(trial_lam, trial_ts, q0, r1[ai])
             trial_res = np.abs(trial[0])
             better = trial_res < res[ai]
             rows = ai[better]
@@ -588,6 +554,45 @@ def _plane_newton(lam: np.ndarray, ts: np.ndarray, q0: complex, r1=None):
     return lam, ts, active
 
 
+def _branch_starts(q0: complex, q1: np.ndarray, grid: VelocityGrid):
+    """Newton starts (rates, times, r1) of a complex generic k = 1 target, one per bracket.
+
+    A unit row reaches |S| = r = |q1| / |q| (q the target column) only where
+    |sin(t omega)| = r omega, so at |lam| <= L = 2 |q0| / |q1| = 2 sqrt(1 /
+    r^2 - 1).  Branch m is the closed loop t omega = m pi + u out and m pi +
+    pi - u back, u = arcsin(r omega) = atan2(2 omega, sqrt(L^2 - lam^2)),
+    whose sides meet at lam = +-L; on it s = (-1)^m r and |T| = |q0| / |q|.
+    Each side takes ``_BRANCH_RATES`` rates over that interval cut to
+    ``lambda_range``, on every branch whose time m pi / omega can be at most
+    ``t_max``.  A bracket is a sign change of Im(T conj(q0)) between
+    neighbouring rates whose chord crosses the positive real axis, with
+    either end at most ``t_max``; its start is the chord's crossing.
+    """
+    side = np.linalg.norm(q1)
+    r, bound = side / np.hypot(abs(q0), side), 2.0 * abs(q0) / side
+    lo, hi = max(grid.lambda_range[0], -bound), min(grid.lambda_range[1], bound)
+    if lo > hi:
+        return np.zeros(0), np.zeros(0), np.zeros(0)
+    lam = np.linspace(lo, hi, _BRANCH_RATES)
+    omega = np.hypot(0.5 * lam, 1.0)
+    u = np.arctan2(2.0 * omega, np.sqrt(np.maximum((bound - lam) * (bound + lam), 0.0)))
+    folds = np.arange(int(grid.t_max * omega.max() / np.pi) + 1)[:, None, None]
+    ts = (folds * np.pi + np.stack([u, np.pi - u])) / omega  # (fold, side, rate)
+    z = _vn1_jacobian(lam, ts)[0] * np.conj(q0)
+    a, b = z[..., :-1], z[..., 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = a.imag / (a.imag - b.imag)  # the chord's crossing, as a fraction of the step
+    take = (
+        ((a.imag < 0) != (b.imag < 0))
+        & (a.real + w * (b.real - a.real) > 0)
+        & (np.minimum(ts[..., :-1], ts[..., 1:]) <= grid.t_max)
+    )
+    cell = np.nonzero(take)
+    m, i, w = cell[0], cell[2], w[cell]
+    t0, t1 = ts[..., :-1][cell], ts[..., 1:][cell]
+    return lam[i] + w * (lam[i + 1] - lam[i]), t0 + w * (t1 - t0), np.where(m % 2 == 0, r, -r)
+
+
 def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
     """Blocks, times and endpoint errors of a k = 1 search's arrivals, and its counts.
 
@@ -596,44 +601,35 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
     so for q0 = e^{ic}, c in (0, 2 pi) and x = c / pi: t = pi sqrt(x (2 -
     x)), lam = 2 (1 - x) / sqrt(x (2 - x)) (the real antipode: lam = 0, t =
     pi).  A real-mode target (lam = 0, T = cos t) is reached at t =
-    atan2(|q1|, q0).  Otherwise the minima of ``_scan_plane`` start
-    ``_plane_newton`` on T = q0.  A geodesic stops being minimal at its
-    first vanishing time pi / omega, the fold of T, near which that solve
-    may land on either side and leaves |S| off |q1| by about eps / |q1|.
-    So a root before the fold is polished there, and a root past it
-    restarts from its mirror 2 pi / omega - t, where a target near the
-    block-diagonal set has its shorter root, both with r1 = |q1|.  Each
-    root's row is b = -conj(q1) / conj(S), normalized.  Roots must lie in
-    the window ``lambda_range`` x (0, ``t_max``] (real mode: (0, ``t_max``])
-    and reach within ``TOL.hit``.
+    atan2(|q1|, q0), and so is q0 = 0.  Any other target's roots are solved
+    along its fold branches: each bracket of ``_branch_starts`` starts
+    ``_plane_newton``, and neither ``lambda_count`` nor ``t_count`` is read:
+    no rate or time grid is sampled.  Each root's row is
+    b = -conj(q1) / conj(S), normalized.  Roots must lie in the window
+    ``lambda_range`` x (0, ``t_max``] (real mode: (0, ``t_max``]) and reach
+    within ``TOL.hit``.
     """
-    plane = _scan_table(grid)
-    ts = _scan_times(grid)
-    speed = float(np.sqrt(_speeds_squared(plane.directions[:1, None], grid.n, grid.mode)[0]))
-    gate = max(8 * speed * (ts[1] - ts[0]), 0.25) + tolerances.TOL.hit
+    (rows,) = _scan_table(grid)  # only a block-diagonal target keeps them
     q0, q1 = target.cols[0, 0], target.cols[1:, 0]
     counts = {}
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == BLOCK_DIAGONAL:
             x = (np.angle(q0) % (2 * np.pi)) / np.pi
-            rows = plane.directions
             lam = np.full(len(rows), 2.0 * (1.0 - x) / np.sqrt(x * (2.0 - x)))
             t = np.full(len(rows), np.pi * np.sqrt(x * (2.0 - x)))
-        elif grid.mode == REAL:
+        elif grid.mode == REAL or q0 == 0:
+            # lam = 0: T = cos t and S = sin t
             norm = np.linalg.norm(q1)
-            lam, t, rows = np.zeros(1), np.array([np.arctan2(norm, q0.real)]), (-q1 / norm)[None]
+            lam, t = np.zeros(1), np.array([np.arctan2(norm, q0.real)])
+            rows = (-np.conj(q1) / norm)[None]
         else:
-            r, j = _scan_plane(plane.top, q0, gate)
-            lam, t, capped = _plane_newton(plane.rates[r], ts[j], q0)
-            period = 4 * np.pi / np.sqrt(lam * lam + 4.0)
-            past = 2 * t > period
-            near = _plane_newton(lam, np.where(past, period - t, t), q0, np.linalg.norm(q1))
-            capped = int(np.count_nonzero(capped) + np.count_nonzero(near[2][past]))
-            lam, t = np.concatenate([lam[past], near[0]]), np.concatenate([t[past], near[1]])
+            lam, t, r1 = _branch_starts(q0, q1, grid)
+            lam, t, capped = _plane_newton(lam, t, q0, r1)
             # S = -dT/dt
             rows = -np.conj(q1) / np.conj(-_vn1_jacobian(lam, t)[2])[:, None]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-            counts = dict(scan_hits=len(r), candidates=len(lam))
+            capped = int(np.count_nonzero(capped))
+            counts = dict(scan_hits=len(lam), candidates=len(lam))
             counts.update(converged=len(lam) - capped, capped=capped)
     lo, hi = grid.lambda_range
     inside = (t > 10 * _REFINE_FLOOR) & (t <= grid.t_max)
@@ -867,7 +863,7 @@ def _representatives(embeds: np.ndarray, ts, dup: float, cluster: float):
 
 
 def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerReport:
-    """Minimizing arrivals at a target: a grid search and refinement, or at k = 1 a plane solve.
+    """Minimizing arrivals at a target: a grid search and refinement, or at k = 1 a branch solve.
 
     Keeps the arrivals within ``TOL.hit`` of the target whose length is
     within a 1e-6 relative band of the best (1e-12 at k = 1), and counts
@@ -877,10 +873,11 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     target or tolerances, so they are computed once per grid per process and
     reused; at most one grid's are resident.  At k >= 2 every near-arrival
     of the grid's endpoint table is refined by damped least squares
-    (``_refined_arrivals``); at k = 1 a target's top entry fixes the rate
-    and the time, which the search solves for in the (rate, time) plane
-    (``_plane_arrivals``).  The minimal-length arrivals are put in report
-    order by one ``lexsort`` on (length, t), the embeds' bytes ordering
+    (``_refined_arrivals``); at k = 1 the target's |q1| fixes a closed loop
+    in (rate, time) per fold branch, and the search solves for the phase of
+    the top entry along each (``_plane_arrivals``), reading no
+    ``lambda_count`` or ``t_count``.  The minimal-length arrivals are put in
+    report order by one ``lexsort`` on (length, t), the embeds' bytes ordering
     exact ties only, then deduplicated and clustered from the neighbour
     pairs along one sorted coordinate (``_representatives``).  The kept
     arrivals' velocities are checked as one stack

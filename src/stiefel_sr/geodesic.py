@@ -16,7 +16,7 @@ can keep the decompositions, and then writes the columns as q (e^{-i t w_p}
 e^{i t wa_j} (q* qa)_pj) qa*: two products per velocity, whatever the number
 of times.  At a unit transversal row the V_{n,1} column is (T, -conj(b) S)
 with T and S functions of the rate and the time (``_vn1_jacobian``), so a
-k = 1 search solves in the (rate, time) plane.
+k = 1 search solves along the fold branches where |S| = |q1|.
 ``_endpoint_jacobian`` gives the k >= 2 refinement the endpoint's
 derivatives along fixed directions and in t: one product of the
 directions' generators with one Daleckii-Krein sensitivity array built from

@@ -16,9 +16,9 @@ oracles the V_{2,1} suite's and the uniqueness check's original per-trial
 scalar draws, the V_{2,1} column oracle
 the evaluator's original (2, 1)-only closed form, the tangent oracle the
 search families' original block tangents (the projection of a linear
-family's unit params through the normalization of b), the plane-scan
-oracle a cell-by-cell pass over the (rate, time) table, the plane-root
-oracle a Lipschitz-pruned fine grid refined by scipy's ``least_squares``,
+family's unit params through the normalization of b), the plane-root
+oracle a Lipschitz-pruned fine grid in the (rate, time) plane refined by
+scipy's ``least_squares``,
 the directional-Jacobian oracle the refinement's
 original contraction of the endpoint's sensitivities with each direction's
 generator, the refinement oracle the arrival refinement's original loop,
@@ -522,22 +522,6 @@ def first_column_2x2(lam, b, ts):
     top = phase * (cosw + 0.5j * lam * sincw)
     bottom = phase * (-np.conj(b) * sincw)
     return np.stack([top, bottom], axis=-1)
-
-
-def plane_minima_loop(top, q0, gate):
-    """(rate indices, time indices) of the gated local minima of |T - q0| over
-    a (R, T) table, cell by cell: interior in time, no larger than each
-    neighbour in time and in rate, and below ``gate``."""
-    err = np.abs(top - q0)
-    rates, times = [], []
-    for r in range(err.shape[0]):
-        for j in range(1, err.shape[1] - 1):
-            near = [err[r, j - 1], err[r, j + 1]]
-            near += [err[s, j] for s in (r - 1, r + 1) if 0 <= s < err.shape[0]]
-            if err[r, j] < gate and all(err[r, j] <= e for e in near):
-                rates.append(r)
-                times.append(j)
-    return np.array(rates, dtype=np.intp), np.array(times, dtype=np.intp)
 
 
 def plane_least_root(q, lambda_range, t_max: float, cells: int = 600):

@@ -368,7 +368,7 @@ class TestCutlocusSearch:
         assert payload["grid"]["phase_count"] == 8
 
     def test_unread_grid_option_warns_and_changes_nothing(self, tmp_path, capsys):
-        # a k = 1 plane never reads sample_count: the search runs as without it
+        # a k = 1 search never reads sample_count: it runs as without it
         args = ["cutlocus-search", "--n", "2", "--k", "1", "--target", target_json([[-1.0], [0.0]])]
         plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
         assert run(*args, "--out", str(plain)) == 0

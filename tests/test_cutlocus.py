@@ -69,7 +69,6 @@ from _oracles import (
     minimizer_report_json,
     refine_every_iteration,
     report_key_order,
-    plane_minima_loop,
     scan_cols_subtraction,
     separate_family_params,
     separate_family_raw_blocks,
@@ -329,7 +328,7 @@ class TestLinearFamily:
     must give the derivatives along those tangents, to 1e-15 of the largest
     derivative (at least 1) for times up to 1.  The family samples the
     general family's params only, which k >= 2 grids take; a sphere grid's
-    sample is the plane's (``TestScanTable``).
+    unit rows are its own (``TestScanTable``).
     """
 
     @pytest.mark.parametrize("family, n, k, mode", LINEAR_FAMILY_CASES)
@@ -706,7 +705,7 @@ class TestResidualJacobian:
             assert np.max(np.abs(jac[:, :, j] - central)) < tol
 
 
-# the refinement runs at k >= 2 only: a k = 1 search solves in its (rate, time) plane
+# the refinement runs at k >= 2 only: a k = 1 search solves along its fold branches
 REFINE_GRIDS = {
     "v63": VelocityGrid(6, 3, COMPLEX, family="general", sample_count=32),
     "v52": VelocityGrid(5, 2, REAL, family="general", sample_count=32),
@@ -1417,8 +1416,8 @@ class TestScanTable:
         assert _scan_table.cache_info().currsize == 1
         _scan_table.cache_clear()
         # a budget of 20 velocities: a k >= 2 grid now streams its table in
-        # several chunks; a k = 1 grid's plane does not depend on the budget
-        # and is still cached
+        # several chunks; a k = 1 grid's unit rows do not depend on the budget
+        # and are still cached
         monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
         streamed = _report_bytes(target, grid)
         assert _scan_table.cache_info().currsize == (1 if grid.k == 1 else 0)
@@ -1469,24 +1468,23 @@ class TestScanTable:
              "general_v21", "real_v21", "real_v31", "real_general_v31"],
     )
     def test_k1_factors_are_read_only_and_give_the_kernel_table(self, grid):
-        """At k = 1 the cache holds the (rate, time) plane, not a table: the
-        distinct rates, T at each rate and scan time, and the distinct unit
-        rows; velocity (i lam, u) reaches (T, -conj(u) S) at its rate.  The
-        plane samples its rates and rows directly; they must be, bit for
-        bit, those of the grid's velocities as the separate families
-        sampled them (``separate_family_params``)."""
-        plane = _scan_table(grid)
-        for part in (plane.rates, plane.top, plane.directions):
-            assert not part.flags.writeable
-        table = _kernel_table(grid)
+        """At k = 1 the cache holds the grid's distinct unit rows only, no
+        rates and no times.  They are sampled directly and must be, bit for
+        bit, those of the grid's velocities as the separate families sampled
+        them (``separate_family_params``); with the unit-row terms of
+        ``_vn1_jacobian`` at each velocity's rate, velocity (i lam, u)
+        reaches (T, -conj(u) S), the kernel's table."""
+        (rows,) = _scan_table(grid)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
         a, b = _grid_blocks(grid)
-        assert np.array_equal(plane.rates, np.unique(a[:, 0, 0].imag))
-        assert np.array_equal(plane.directions, np.unique(b[:, 0], axis=0))
-        rate = np.searchsorted(plane.rates, a[:, 0, 0].imag)
-        side = -_vn1_jacobian(plane.rates[:, None], _scan_times(grid))[2]
-        bottom = -np.conj(b[:, 0])[:, None, :] * side[rate][:, :, None]
-        rebuilt = np.concatenate([plane.top[rate][:, :, None], bottom], axis=2)[..., None]
-        assert np.max(np.abs(rebuilt - table)) < 1e-14
+        assert np.array_equal(rows, np.unique(b[:, 0], axis=0))
+        row = np.array([np.flatnonzero((rows == u).all(axis=1))[0] for u in b[:, 0]])
+        top, _, dt = _vn1_jacobian(a[:, 0, 0].imag[:, None], _scan_times(grid))[:3]
+        bottom = np.conj(rows[row])[:, None, :] * dt[:, :, None]
+        rebuilt = np.concatenate([top[:, :, None], bottom], axis=2)[..., None]
+        assert np.max(np.abs(rebuilt - _kernel_table(grid))) < 1e-14
 
     def test_list_and_tuple_range_share_one_entry(self):
         _scan_table.cache_clear()
@@ -1506,7 +1504,7 @@ class TestScanTable:
         _scan_table.cache_clear()
         default = search_minimizers(near, grid)
         assert default.clusters == 1
-        # the plane solve lands on the target's one root, so a wider hit
+        # the branch solve lands on the target's one root, so a wider hit
         # radius admits no other arrival; a wider eq makes the target
         # block-diagonal, reached by every unit row
         tolerances.configure(hit=5e-3)
@@ -1534,36 +1532,6 @@ def _assert_scan_matches_subtraction(cols, target_cols, gate):
     return hits
 
 
-def _kernel_top(grid):
-    """The grid's distinct fibre rates (ascending) and the top entries (R, T)
-    of its kernel table at its scan times, one velocity per rate."""
-    a, _ = _grid_blocks(grid)
-    rates, first = np.unique(a[:, 0, 0].imag, return_index=True)
-    return rates, _kernel_table(grid, first)[:, :, 0, 0]
-
-
-def _assert_k1_scans_match_subtraction(grid, target_cols, gate):
-    """The plane scan of a k = 1 grid against the cell-by-cell subtraction
-    pass over the top entries of the grid's kernel table, one velocity per
-    distinct rate; the plane's T must be those entries."""
-    rates, top = _kernel_top(grid)
-    plane = _scan_table(grid)
-    assert np.array_equal(plane.rates, rates)
-    assert np.max(np.abs(plane.top - top)) < 1e-14
-    hits = cutlocus._scan_plane(plane.top, target_cols[0, 0], gate)
-    ref = plane_minima_loop(top, target_cols[0, 0], gate)
-    assert len(ref[0]) > 0
-    assert np.array_equal(hits[0], ref[0]) and np.array_equal(hits[1], ref[1])
-    return hits
-
-
-def _search_gate(grid) -> float:
-    """The gate ``search_minimizers`` uses on a grid of unit transversal blocks."""
-    ts = _scan_times(grid)
-    speed = np.sqrt((2 * grid.n if grid.mode == COMPLEX else 1) * 2.0)
-    return max(8 * speed * (ts[1] - ts[0]), 0.25) + TOL.hit
-
-
 def _k1_targets(n: int, mode: str):
     """A cut point (the antipode in real mode) and a generic target of V(n,1)."""
     cut = np.zeros((n, 1), dtype=complex)
@@ -1576,62 +1544,13 @@ def _k1_targets(n: int, mode: str):
 
 
 class TestScanByInnerProduct:
-    """The scan's error passes against the subtraction pass over the kernel table.
+    """The scan's error pass against the subtraction pass over the kernel table.
 
     The inner-product pass over a k >= 2 table takes squared errors exact to
     about 1e-16, so errors near 0 are resolved to about 1e-8: the hits must
-    be identical and their errors within 1e-7.  A k = 1 grid is scanned in
-    the (rate, time) plane, over |T - q0|^2 for the top entry T of its
-    unit-row columns (within 1e-14 of the kernel's): its gated local minima
-    in both axes must be those of the subtraction pass.
+    be identical and their errors within 1e-7.  A k = 1 grid makes no scan:
+    its target's own orthonormality enters the branch solve instead.
     """
-
-    @pytest.mark.parametrize(
-        "target",
-        [_cut_v21(), _generic_v21()],
-        ids=["block_diagonal", "generic"],
-    )
-    def test_default_complex_v21_table(self, target):
-        grid = VelocityGrid(2, 1, COMPLEX, seed=1)
-        for gate in (_search_gate(grid), 1.0):
-            _assert_k1_scans_match_subtraction(grid, target.cols, gate)
-
-    @pytest.mark.parametrize(
-        "target",
-        [_cut_v21(), _generic_v21()],
-        ids=["block_diagonal", "generic"],
-    )
-    def test_over_budget_complex_v21_grid(self, target):
-        grid = VelocityGrid(2, 1, COMPLEX, lambda_count=129, phase_count=64, seed=3)
-        assert 129 * 64 * grid.t_count * 2 > cutlocus._CHUNK_ELEMENTS
-        _assert_k1_scans_match_subtraction(grid, target.cols, _search_gate(grid))
-
-    def test_real_v31_sphere_grid(self):
-        grid = VelocityGrid(3, 1, REAL, seed=2)
-        assert grid.family == "sphere"
-        generic = normal_geodesic(
-            GeodesicSpec(BlockVelocity(np.zeros((1, 1)), np.array([[0.6, -0.8]]), REAL)), 1.7
-        )
-        for target in (real_antipodal_cut_point(3), generic):
-            _assert_k1_scans_match_subtraction(grid, target.cols, _search_gate(grid))
-
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            VelocityGrid(2, 1, REAL, seed=2),
-            VelocityGrid(4, 1, REAL, seed=2),
-            VelocityGrid(3, 1, COMPLEX, lambda_count=16, direction_count=32, seed=2),
-            VelocityGrid(3, 1, COMPLEX, sample_count=512, seed=2),
-            VelocityGrid(2, 1, REAL, sample_count=64, seed=2),
-        ],
-        # the *_general cases keep the general family's settings, which a
-        # k = 1 grid, sampled as its shape's family, does not read
-        ids=["real_v21", "real_v41", "complex_v31_sphere", "complex_v31_general", "real_v21_general"],
-    )
-    def test_k1_grid(self, grid):
-        for target in _k1_targets(grid.n, grid.mode):
-            for gate in (_search_gate(grid), 1.0):
-                _assert_k1_scans_match_subtraction(grid, target.cols, gate)
 
     def test_streamed_complex_v42_general_grid(self, monkeypatch):
         grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=64, t_count=64, seed=4)
@@ -1653,23 +1572,20 @@ class TestScanByInnerProduct:
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["shrunk", "stretched"])
     def test_target_off_orthonormality(self, sign):
+        # a point of the grid's kernel table scaled so that |Q* Q - I| = 0.5
+        # unit: accepted as a point, and still reached by one cluster
         grid = VelocityGrid(2, 1, COMPLEX, seed=1)
-        v, t = 1234, 101
-        # a grid point scaled so that |Q* Q - I| = 0.5 unit: accepted as a point
-        cols = _kernel_table(grid, slice(v, v + 1))[0, t] * np.sqrt(1.0 + sign * 0.5 * TOL.unit)
+        cols = _kernel_table(grid, slice(1234, 1235))[0, 101] * np.sqrt(1.0 + sign * 0.5 * TOL.unit)
         target = StiefelPoint(cols)
         dev = float(np.max(np.abs(np.conj(cols).T @ cols - np.eye(1))))
         assert dev == pytest.approx(0.5 * TOL.unit, rel=1e-5)
-        rix, tix = _assert_k1_scans_match_subtraction(grid, target.cols, _search_gate(grid))
-        rate = _grid_blocks(grid)[0][v, 0, 0].imag
-        r = np.searchsorted(_scan_table(grid).rates, rate)
-        assert len(np.nonzero((rix == r) & (tix == t))[0]) == 1
+        assert classify_target(target).kind == GENERIC
         rep = search_minimizers(target, grid)
         assert rep.clusters == 1 and rep.arrivals[0].endpoint_error < 1e-9
 
 
 class TestEigensolverFreeSearch:
-    """No k = 1 search -- scan data, scan, plane solve -- calls an eigensolver."""
+    """No k = 1 search -- unit rows, branch brackets, Newton solve -- calls an eigensolver."""
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
@@ -1702,11 +1618,11 @@ class TestEigensolverFreeSearch:
              "generic_v31", "block_diagonal_v31"],
     )
     def test_k1_search_makes_no_eigh_call(self, target, grid, eigh_calls, monkeypatch):
-        # a k = 1 search is a plane solve: no LM refinement, no endpoint
+        # a k = 1 search is a branch solve: no LM refinement, no endpoint
         # residual and no kernel fill of a scan table either
         for name in ("_refine", "_endpoint_residuals", "_scan_fills", "grid_geodesic_columns"):
             monkeypatch.setattr(cutlocus, name, lambda *args, name=name: pytest.fail(name))
-        _scan_table.cache_clear()  # the plane is built inside the counted search
+        _scan_table.cache_clear()  # the unit rows are drawn inside the counted search
         rep = search_minimizers(target, grid)
         assert rep.arrivals
         assert eigh_calls == []
@@ -1862,8 +1778,9 @@ class TestGridResolution:
         ],
     )
     def test_unread_fields_leave_the_scan_table(self, n, k, mode, counts):
-        # every field the table lists must leave the scan data byte for byte,
-        # and every other grid option must change it
+        # every field the table lists must leave the scan data and the
+        # reports byte for byte, apart from the grid record, and every other
+        # grid option must change one of them
         changed = {
             "lambda_range": (-2.0, 2.5), "lambda_count": 65, "phase_count": 65,
             "direction_count": 65, "sample_count": 17, "t_max": 2.0, "t_count": 9, "seed": 3,
@@ -1871,17 +1788,26 @@ class TestGridResolution:
         base = VelocityGrid(n, k, mode, **counts)
         unread = cutlocus._unread_grid_fields(base)
         assert set(unread) <= changed.keys()
+        if k == 1:
+            assert {"lambda_count", "t_count"} <= set(unread)
+        targets = _unread_field_targets(n, k, mode)
 
-        def table_bytes(grid):
-            return [(x.shape, x.tobytes()) for x in _scan_table(grid)]
+        def outputs(grid):
+            table = [(x.shape, x.tobytes()) for x in _scan_table(grid)]
+            reports = []
+            for target in targets:
+                report = search_minimizers(target, grid).to_json_dict()
+                del report["grid"]
+                reports.append(json.dumps(report))
+            return table, reports
 
-        reference = table_bytes(base)
+        reference = outputs(base)
         for name, value in changed.items():
             if name in counts:
                 value = counts[name] + 1
             grid = dataclasses.replace(base, **{name: value})
             assert cutlocus._unread_grid_fields(grid) == unread
-            assert (table_bytes(grid) == reference) == (name in unread), name
+            assert (outputs(grid) == reference) == (name in unread), name
 
     def test_auto_and_its_resolution_share_one_cache_entry(self):
         _scan_table.cache_clear()
@@ -1892,6 +1818,25 @@ class TestGridResolution:
         assert _report_bytes(_cut_v21(), auto) == _report_bytes(_cut_v21(), explicit)
         info = _scan_table.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def _unread_field_targets(n: int, k: int, mode: str):
+    """A generic and a block-diagonal target of the shape whose reports the
+    k = 1 window options move: a complex generic root at rate 2.7, outside
+    the changed rates (-2, 2.5); a real generic root and both block-diagonal
+    ones past the changed t_max = 2."""
+    if k >= 2:
+        return _GENERIC_V42, _block_diagonal_v42()
+    rng = np.random.default_rng(n)
+    b = matcore.random_matrix(rng, 1, n - 1, mode)
+    if mode == REAL:
+        vel = BlockVelocity(np.zeros((1, 1)), b / np.linalg.norm(b), REAL)
+        return normal_geodesic(GeodesicSpec(vel), 2.5), real_antipodal_cut_point(n)
+    vel = BlockVelocity(np.array([[2.7j]]), b / np.linalg.norm(b))
+    generic = normal_geodesic(GeodesicSpec(vel), 0.5)
+    cut = np.zeros((n, 1), dtype=complex)
+    cut[0, 0] = np.exp(0.8j * np.pi)
+    return generic, StiefelPoint(cut)
 
 
 class TestScanFill:
@@ -1951,9 +1896,9 @@ class TestScanFill:
 
     @pytest.mark.parametrize("target", [_cut_v21(), _generic_v21()], ids=["cut", "generic"])
     def test_factored_search_holds_no_table(self, target):
-        """A k = 1 grid over the table budget is solved in its (rate, time)
-        plane: the search peaks far below the table, and the cache holds the
-        plane only."""
+        """A k = 1 grid over the table budget samples no rates and no times:
+        the search peaks far below the table, and the cache holds the
+        grid's unit rows only."""
         grid = VelocityGrid(2, 1, COMPLEX, lambda_count=129, phase_count=64, seed=3)
         table_bytes = _table_bytes(grid)
         assert table_bytes > cutlocus._CHUNK_ELEMENTS * 16
@@ -1961,10 +1906,9 @@ class TestScanFill:
         peak, rep = _traced_peak(search_minimizers, target, grid)
         assert rep.arrivals
         assert peak < table_bytes / 4
-        plane = _scan_table(grid)
+        held = _scan_table(grid)
         assert _scan_table.cache_info().hits == 1
-        held = sum(x.nbytes for x in (plane.rates, plane.top, plane.directions))
-        assert held < table_bytes / 32
+        assert [x.shape for x in held] == [(grid.phase_count, 1)]
 
 
 def _table_bytes(grid) -> int:

@@ -13,8 +13,8 @@ are checked against scipy's ``expm_frechet`` on the same inputs along every
 unit param of the search's linear family, as the refinement takes them
 through ``_endpoint_jacobian`` (the directions' generators times the
 sensitivities, at every shape), and along fixed dense directions at k = 1
-and k >= 2 in both modes; the top entry of the unit-row V_{n,1} column, which
-the k = 1 search solves for in the (rate, time) plane, is checked with its
+and k >= 2 in both modes; the top entry of the unit-row V_{n,1} column, whose
+phase the k = 1 search solves for along its fold branches, is checked with its
 rate and time derivatives and the bottom entries' terms (``_vn1_jacobian``)
 at every k = 1 shape up to |t v| = 30.  Beyond |t v| = 30, where the
 double-precision expm reference no longer holds, the spectral path (k >= 2)
@@ -294,7 +294,7 @@ class TestVn1ClosedFormAgainstMpmath:
     Like the spectral path, the closed form takes t omega and t lam in double
     precision, so its phases carry an absolute error of order eps |t v|, and
     the entry error is bounded by MP_VN1_ERR * eps * (1 + |t v|) (Frobenius
-    |v|).  The k = 1 scan relies on the column's factoring at a unit
+    |v|).  The k = 1 search relies on the column's factoring at a unit
     transversal row b: (T(lam, t), -conj(b) S(lam, t)) with T from
     ``_vn1_column`` at a unit row and S = -dT/dt from ``_vn1_jacobian``, as
     the search takes them; that form meets the same bound against the
@@ -393,7 +393,7 @@ class TestVn1JacobianAgainstMpmath:
     """The top entry's rate and time derivatives against 40-digit central
     differences up to |t v| = 300.
 
-    These are the derivatives of the k = 1 search's plane Newton.  The
+    These are the derivatives of the k = 1 search's branch Newton.  The
     velocity (i lam, b) has a unit row b, so the rate direction a = i has
     norm 1 and |t v| = t sqrt(lam^2 + 2).  As for the k >= 2 Jacobian, the
     closed form takes t omega and t lam in double precision, so the rate

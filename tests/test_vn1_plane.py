@@ -1,15 +1,16 @@
-"""The k = 1 minimizer search, solved in the (rate, time) plane.
+"""The k = 1 minimizer search, solved in one dimension along the fold branches.
 
 A velocity (i lam, b) with a unit row b reaches (T(lam, t), -conj(b) S(lam,
-t)), so a k = 1 search solves T = q0 for the rate and the time and takes b
-from the bottom entry.  Its reports are checked against the truth (the
-generating or analytic length, and a 40-digit endpoint of every returned
-velocity), against an independent oracle (``plane_least_root``: a
-Lipschitz-pruned fine grid refined by scipy's least_squares) and at
-degenerate targets: near the fold of T, where two roots meet at the
-block-diagonal set (down to 5e-10 from it, with one cluster at the
-generating length); a block-diagonal root outside the grid's rate range;
-and the antidiagonal target q0 = 0.
+t)).  A target (q0, q1) fixes |S| = |q1|, which leaves one closed loop in
+(lam, t omega) per fold branch m pi <= t omega <= (m + 1) pi, and on it one
+real equation, arg(T conj(q0)) = 0; b comes from the bottom entry.  Its
+reports are checked against the truth (the generating or analytic length,
+and a 40-digit endpoint of every returned velocity), against an independent
+oracle (``plane_least_root``: a Lipschitz-pruned fine grid in the (rate,
+time) plane refined by scipy's least_squares) and at degenerate targets: near
+the fold of T, where two roots meet at the block-diagonal set (down to 5e-10
+from it, with one cluster at the generating length); a block-diagonal root
+outside the grid's rate range; and q0 = 0, reached at lam = 0, t = pi / 2.
 """
 
 import numpy as np
@@ -123,6 +124,14 @@ def _generic_target(rng, n: int, t_range: tuple[float, float]):
     return normal_geodesic(GeodesicSpec(vel), t)
 
 
+def _unit_row_target(rng, n: int, lam: float, fraction: float):
+    """The endpoint of (i lam, b) with a random unit row b at ``fraction`` of
+    its first vanishing time."""
+    row = rng.standard_normal((1, n - 1)) + 1j * rng.standard_normal((1, n - 1))
+    vel = BlockVelocity(np.array([[1j * lam]]), row / np.linalg.norm(row))
+    return normal_geodesic(GeodesicSpec(vel), fraction * np.pi / np.hypot(lam / 2, 1.0))
+
+
 def _assert_matches_oracle(target, grid, rel: float = 1e-12):
     """The search's least root against the oracle's: both none, or lengths within ``rel``."""
     rep = search_minimizers(target, grid)
@@ -158,22 +167,100 @@ class TestAgainstOracle:
             _assert_matches_oracle(target, grid)
 
 
+class TestBranchSolve:
+    """The solve along the fold branches against ``plane_least_root``."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_roots_near_the_window_edge(self, n):
+        # rates up to the default window's edge 3, where the loop of a
+        # target with |q1| = r reaches past it when 2 sqrt(1 / r^2 - 1) > 3
+        grid = VelocityGrid(n, 1)
+        rng = np.random.default_rng(40 + n)
+        for _ in range(12):
+            lam = rng.choice([-1.0, 1.0]) * rng.uniform(2.6, 3.0)
+            target = _unit_row_target(rng, n, lam, rng.uniform(0.1, 0.95))
+            rep = _assert_matches_oracle(target, grid)
+            assert rep.clusters == 1
+
+    def test_window_cuts_the_loop(self):
+        grid = VelocityGrid(3, 1, COMPLEX, lambda_range=(-1.5, 1.5))
+        rng = np.random.default_rng(43)
+        cut = found = 0
+        for _ in range(24):
+            target = _unit_row_target(rng, 3, rng.uniform(-2.5, 2.5), rng.uniform(0.1, 0.95))
+            q0, q1 = target.cols[0, 0], target.cols[1:, 0]
+            cut += 2 * abs(q0) / np.linalg.norm(q1) > 1.5
+            found += bool(_assert_matches_oracle(target, grid).arrivals)
+        assert cut >= 12 and 0 < found < 24
+
+    def test_roots_past_the_fold(self):
+        # a window around the generating rate leaves out the shorter root
+        # before the fold of most of these targets: the least root left is
+        # the generating one, on branch m = 1
+        rng = np.random.default_rng(44)
+        past = 0
+        for _ in range(12):
+            lam = rng.uniform(-2.5, 2.5)
+            grid = VelocityGrid(2, 1, COMPLEX, lambda_range=(lam - 0.05, lam + 0.05))
+            target = _unit_row_target(rng, 2, lam, rng.uniform(1.02, 1.3))
+            root = plane_least_root(target.cols[:, 0], grid.lambda_range, grid.t_max)
+            rep = _assert_matches_oracle(target, grid)
+            if root is not None and root[0] * np.hypot(root[1] / 2, 1.0) > np.pi:
+                (arr,) = rep.arrivals
+                assert arr.t * np.hypot(arr.velocity.a_block[0, 0].imag / 2, 1.0) > np.pi
+                past += 1
+        assert past >= 6
+
+    def test_one_bracket_per_root(self):
+        # criterion 5's generic targets have one root in the window each: one
+        # bracket, hence one Newton start, which converges
+        for i in range(10):
+            target, _ = _criterion_5_generic(i)
+            d = search_minimizers(target, CRITERION_5_GRID).diagnostics
+            assert (d.scan_hits, d.candidates, d.converged, d.capped) == (1, 1, 1, 0)
+
+    @pytest.mark.parametrize("q0_norm", [1e-3, 1e-4])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["shrunk", "stretched"])
+    def test_small_q0_off_orthonormality(self, q0_norm, sign):
+        # a column off unit norm by 0.5 unit: the branch solve takes r from
+        # the normalized column, so |T| = |q0| / |q| and the endpoint misses
+        # only by about 0.25 unit, however small q0 is (|q1| alone as r puts
+        # |T| off |q0| by 0.25 unit / |q0|, past TOL.hit below |q0| = 3e-3)
+        rng = np.random.default_rng(7)
+        q1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        q1 *= np.sqrt(1 - q0_norm**2) / np.linalg.norm(q1)
+        col = np.concatenate([[q0_norm * np.exp(2.0j)], q1]) * np.sqrt(1 + sign * 0.5e-10)
+        rep = search_minimizers(StiefelPoint(col[:, None]), VelocityGrid(3, 1))
+        assert rep.clusters == 1 and rep.arrivals[0].endpoint_error < 1e-10
+
+    def test_q0_zero_is_a_closed_form(self):
+        # a generic target of V(3,1) with q0 = 0: lam = 0, t = pi / 2, length pi sqrt(3)
+        q1 = np.array([0.6, 0.48j + 0.64]) / np.sqrt(0.36 + 0.48**2 + 0.64**2)
+        target = StiefelPoint(np.concatenate([[0.0], q1])[:, None])
+        assert classify_target(target).kind == GENERIC
+        rep = search_minimizers(target, VelocityGrid(3, 1))
+        (arr,) = rep.arrivals
+        assert arr.velocity.a_block[0, 0] == 0 and arr.t == np.pi / 2
+        assert abs(rep.min_length - np.pi * np.sqrt(3)) <= 1e-15 * np.pi * np.sqrt(3)
+        _assert_true_endpoints(rep)
+
+
 class TestPlaneResidual:
     def test_each_residual_evaluates_the_terms_once(self, monkeypatch):
         """T, s and their derivatives come from one evaluation of the
         unit-row terms (``geodesic._vn1_terms``) per ``_plane_residual``
-        call, on T = q0 and on the fold residual alike."""
+        call."""
         residual, terms = cutlocus._plane_residual, geodesic._vn1_terms
-        calls = []  # (r1, terms evaluations) per residual call
+        calls = []  # terms evaluations per residual call
         inside = [False]
 
         def counted_terms(*args):
             if inside[0]:
-                calls[-1][1] += 1
+                calls[-1] += 1
             return terms(*args)
 
         def counted_residual(lam, ts, q0, r1):
-            calls.append([r1, 0])
+            calls.append(0)
             inside[0] = True
             try:
                 return residual(lam, ts, q0, r1)
@@ -186,8 +273,7 @@ class TestPlaneResidual:
         monkeypatch.setattr(cutlocus, "_plane_residual", counted_residual)
         target, _ = _criterion_5_generic(0)
         assert search_minimizers(target, CRITERION_5_GRID).clusters == 1
-        assert {r1 is None for r1, _ in calls} == {True, False}
-        assert [count for _, count in calls] == [1] * len(calls)
+        assert len(calls) >= 2 and calls == [1] * len(calls)
 
 
 def _near_fold_draw(rng, delta: float):
