@@ -10,13 +10,18 @@ structural facts directly: mirrored second arrivals at block-diagonal targets, t
 unique-arrival picture at antidiagonal targets of V_{2k,k}, and the scalar
 analytic facts behind the V_{n,1} uniqueness argument.
 
-All experiments are deterministic given their seed and grid.
+All experiments are deterministic given their seed and grid.  They need
+numpy alone: a grid's scrambled Sobol sample is drawn here, bit for bit as
+scipy draws it, from Joe and Kuo's direction numbers shipped beside this
+module and a port of Cephes' ndtri for its Gaussian coordinates.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -68,6 +73,72 @@ _HIT_BLOCK = int(np.ceil(np.sqrt(_HIT_SCAN_POINTS)))
 # stopping early once a step moves t by at most the floor times t_upper
 _HIT_GN_ITERS = 6
 _HIT_STEP_FLOOR = 1e-15
+# bits of a Sobol point (``_sobol``), as scipy's engine draws them
+_SOBOL_BITS = 30
+# Cephes' ndtri (``_ndtri``): e^-2, sqrt(2 pi) and the coefficients of its
+# rational approximations, on the centre (P0/Q0) and on the tails for
+# sqrt(-2 log y) in [2, 8) (P1/Q1) and in [8, 64) (P2/Q2); Q's leading 1 is left out
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242e0
+_NDTRI_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
 
 
 # -- target classification ----------------------------------------------------
@@ -299,42 +370,29 @@ def _frobenius(b: np.ndarray) -> np.ndarray:
     return np.maximum(np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2), keepdims=True)), 1e-30)
 
 
-@functools.lru_cache(maxsize=1)
-def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
-    """Joe and Kuo's (2008) primitive polynomials and initial direction numbers.
+@functools.lru_cache(maxsize=8)
+def _sobol_table(dim: int) -> np.ndarray:
+    """Read-only direction integers (dim, 30) of a Sobol sequence's first ``dim`` dimensions.
 
-    Read from the data file scipy ships, located without importing
-    ``scipy.stats``, whose import would cost a search more time and memory
-    than drawing the sample.
+    Joe and Kuo's (2008) primitive polynomials and initial direction numbers
+    come from the data file scipy ships, ``_sobol_direction_numbers.npz``
+    (all 21201 dimensions), kept unchanged beside this module; only the rows
+    of the requested dimensions stay resident.  Bratley and Fox's (1988)
+    recurrence extends them to 30 bits: m_j = m_{j-s} ^ XOR_{i<=s} c_i 2^i
+    m_{j-i} for a degree-s polynomial with coefficients c_i.  Each integer
+    is returned shifted to the top of 30 bits.
     """
-    import importlib.util
-    from pathlib import Path
-
-    where = importlib.util.find_spec("scipy.stats").submodule_search_locations[0]
-    with np.load(Path(where) / "_sobol_direction_numbers.npz") as table:
-        return table["poly"], table["vinit"]
-
-
-def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
-    """The first ``count`` points of a scrambled Sobol sequence in [0, 1)^dim.
-
-    Bit for bit ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed).random(count)``:
-    30-bit direction integers from Joe and Kuo's (2008) table by Bratley and
-    Fox's (1988) recurrence, m_j = m_{j-s} ^ XOR_{i<=s} c_i 2^i m_{j-i} for a
-    degree-s polynomial with coefficients c_i; then a linear matrix scramble
-    and a digital shift drawn from ``default_rng(seed)`` in scipy's order (the
-    shift's bits, then lower-triangular bit matrices with unit diagonals);
-    point i is the shift XOR the directions of the set bits of i's Gray code.
-    """
-    poly, vinit = _sobol_table()
-    if dim > len(poly):
-        raise ValueError(f"a Sobol sample has at most {len(poly)} dimensions, got {dim}")
-    bits, top = 30, vinit.shape[1]
-    poly, deg = poly[:dim], np.frexp(poly[:dim])[1] - 1
+    with np.load(Path(__file__).with_name("_sobol_direction_numbers.npz")) as table:
+        poly = table["poly"]
+        if dim > len(poly):
+            raise ValueError(f"a Sobol sample has at most {len(poly)} dimensions, got {dim}")
+        poly, vinit = poly[:dim].copy(), table["vinit"][:dim].copy()
+    bits, top = _SOBOL_BITS, vinit.shape[1]
+    deg = np.frexp(poly)[1] - 1
     inner = np.arange(1, top + 1)
     coef = (poly[:, None] >> np.maximum(deg[:, None] - inner, 0)) & (inner <= deg[:, None])
     v = np.zeros((dim, bits), dtype=np.int64)
-    v[:, :top] = vinit[:dim]
+    v[:, :top] = vinit
     for j in range(1, bits):
         i = min(j, top)
         new = v[np.arange(dim), j - deg]
@@ -342,6 +400,20 @@ def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
         v[:, j] = np.where(j >= deg, new, v[:, j])
     v[:1] = 1  # the first dimension is van der Corput's
     v <<= np.arange(bits)[::-1]
+    v.flags.writeable = False
+    return v
+
+
+def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of a scrambled Sobol sequence in [0, 1)^dim.
+
+    Bit for bit ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed).random(count)``:
+    the direction integers of ``_sobol_table``, then a linear matrix scramble
+    and a digital shift drawn from ``default_rng(seed)`` in scipy's order (the
+    shift's bits, then lower-triangular bit matrices with unit diagonals);
+    point i is the shift XOR the directions of the set bits of i's Gray code.
+    """
+    v, bits = _sobol_table(dim), _SOBOL_BITS
     rng = np.random.default_rng(seed)
     shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ (1 << np.arange(bits))
     ltm = rng.integers(2, size=(dim, bits, bits), dtype=np.uint32)
@@ -359,10 +431,59 @@ def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
     return out * 2.0**-bits
 
 
-def _inverse_gauss(u: np.ndarray) -> np.ndarray:
-    from scipy.special import ndtri
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes' polevl: coef[0] x^N + ... + coef[N] by Horner's rule, in its order."""
+    out = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        out = out * x + c
+    return out
 
-    return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes' p1evl: ``_polevl`` with a leading coefficient 1 that ``coef`` leaves out."""
+    out = x + coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Natural logarithm through ``math.log``, the C library's, which ndtri's tails round by."""
+    return np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """The standard normal quantile at each y in (0, 1): Cephes' ndtri, bit for bit.
+
+    Moshier's (1989) algorithm, as ``scipy.special.ndtri`` computes it: on
+    e^-2 < y <= 1 - e^-2 x = h + h h^2 P0(h^2) / Q0(h^2) times sqrt(2 pi),
+    h = y - 1/2; below e^-2 (above 1 - e^-2, by symmetry on 1 - y) x = z0 -
+    log(z0) / z0 - P(1/z0) / (z0 Q(1/z0)), z0 = sqrt(-2 log y), with P1/Q1
+    for z0 < 8 and P2/Q2 beyond.  Both logarithms are taken by ``_log``:
+    numpy's own log differs from the C library's in the last bit on about
+    one value in 15 000.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    upper = y > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y, y)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    h = y[mid] - 0.5
+    h2 = h * h
+    out[mid] = (h + h * (h2 * _polevl(h2, _NDTRI_P0) / _p1evl(h2, _NDTRI_Q0))) * _SQRT_2PI
+    z0 = np.sqrt(-2.0 * _log(y[~mid]))
+    z = 1.0 / z0
+    tail = np.empty_like(z)
+    for part, p, q in ((z0 < 8.0, _NDTRI_P1, _NDTRI_Q1), (z0 >= 8.0, _NDTRI_P2, _NDTRI_Q2)):
+        tail[part] = z[part] * _polevl(z[part], p) / _p1evl(z[part], q)
+    x = z0 - _log(z0) / z0 - tail
+    out[~mid] = np.where(upper[~mid], x, -x)
+    return out
+
+
+def _inverse_gauss(u: np.ndarray) -> np.ndarray:
+    """Gaussian coordinates of a uniform sample: ``_ndtri`` of u clipped to [1e-12, 1 - 1e-12]."""
+    return _ndtri(np.clip(u, 1e-12, 1 - 1e-12))
 
 
 # -- search engine --------------------------------------------------------------
@@ -522,16 +643,24 @@ def _plane_residual(lam, ts, q0: complex, r1):
     return s - r1 + 1j * (top * u).imag, ds + 1j * (dlam * u).imag, cosw + 1j * (dt * u).imag
 
 
-def _plane_newton(lam: np.ndarray, ts: np.ndarray, q0: complex, r1: np.ndarray):
-    """Batched Newton on ``_plane_residual`` = 0 from stacked starts, each with its own r1.
+def _top_residual(lam, ts, q0: complex):
+    """f = T - q0 at a unit row, with df/dlam and df/dt (``geodesic._vn1_jacobian``)."""
+    top, dlam, dt = _vn1_jacobian(lam, ts)[:3]
+    return top - q0, dlam, dt
 
-    Each step solves the 2 x 2 real system of f's derivatives by Cramer's
-    rule and is kept only if it lowers |f|; a start whose step no longer
-    does has converged.  Returns the rates, the times and which starts are
-    still descending after ``_NEWTON_ITERS`` steps (capped).
+
+def _plane_newton(lam: np.ndarray, ts: np.ndarray, residual):
+    """Batched Newton on a complex residual in (lam, t) = 0 from stacked starts.
+
+    ``residual(lam, ts, rows)`` gives f, df/dlam and df/dt at the rates and
+    times of the starts ``rows`` (an index array or a slice).  Each step
+    solves the 2 x 2 real system of f's derivatives by Cramer's rule and is
+    kept only if it lowers |f|; a start whose step no longer does has
+    converged.  Returns the rates, the times, df/dt there and which starts
+    are still descending after ``_NEWTON_ITERS`` steps (capped).
     """
     lam, ts = lam.astype(np.float64), ts.astype(np.float64)
-    f, dlam, dt = _plane_residual(lam, ts, q0, r1)
+    f, dlam, dt = residual(lam, ts, slice(None))
     res = np.abs(f)
     active = np.ones(len(lam), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -543,7 +672,7 @@ def _plane_newton(lam: np.ndarray, ts: np.ndarray, q0: complex, r1: np.ndarray):
             det = jl.real * jt.imag - jt.real * jl.imag
             trial_lam = lam[ai] + (jt.real * r.imag - jt.imag * r.real) / det
             trial_ts = ts[ai] + (jl.imag * r.real - jl.real * r.imag) / det
-            trial = _plane_residual(trial_lam, trial_ts, q0, r1[ai])
+            trial = residual(trial_lam, trial_ts, ai)
             trial_res = np.abs(trial[0])
             better = trial_res < res[ai]
             rows = ai[better]
@@ -551,7 +680,7 @@ def _plane_newton(lam: np.ndarray, ts: np.ndarray, q0: complex, r1: np.ndarray):
             for held, new in zip((lam, ts, f, dlam, dt, res), trials):
                 held[rows] = new[better]
             active[ai[~better]] = False
-    return lam, ts, active
+    return lam, ts, dt, active
 
 
 def _branch_starts(q0: complex, q1: np.ndarray, grid: VelocityGrid):
@@ -604,7 +733,10 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
     atan2(|q1|, q0), and so is q0 = 0.  Any other target's roots are solved
     along its fold branches: each bracket of ``_branch_starts`` starts
     ``_plane_newton``, and neither ``lambda_count`` nor ``t_count`` is read:
-    no rate or time grid is sampled.  Each root's row is
+    no rate or time grid is sampled.  A root where the fold residual's
+    t-derivative is smaller than T's (near the loop's turning point t omega
+    = pi / 2, where small-|q0| targets' roots sit) is finished by
+    ``_plane_newton`` on T = q0.  Each root's row is
     b = -conj(q1) / conj(S), normalized.  Roots must lie in the window
     ``lambda_range`` x (0, ``t_max``] (real mode: (0, ``t_max``]) and reach
     within ``TOL.hit``.
@@ -624,9 +756,19 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
             rows = (-np.conj(q1) / norm)[None]
         else:
             lam, t, r1 = _branch_starts(q0, q1, grid)
-            lam, t, capped = _plane_newton(lam, t, q0, r1)
+            fold = lambda lam, ts, rows: _plane_residual(lam, ts, q0, r1[rows])  # noqa: E731
+            lam, t, fold_dt, capped = _plane_newton(lam, t, fold)
+            dtop = _vn1_jacobian(lam, t)[2]
+            # near the loop's turning point s is stationary in t, so the fold
+            # residual pins a root's time only to about eps / |q0|, while T
+            # moves at full speed there: finish such roots on T = q0
+            turning = np.abs(fold_dt) < np.abs(dtop)
+            if turning.any():
+                top = lambda lam, ts, rows: _top_residual(lam, ts, q0)  # noqa: E731
+                finished = _plane_newton(lam[turning], t[turning], top)
+                lam[turning], t[turning], dtop[turning], capped[turning] = finished
             # S = -dT/dt
-            rows = -np.conj(q1) / np.conj(-_vn1_jacobian(lam, t)[2])[:, None]
+            rows = -np.conj(q1) / np.conj(-dtop)[:, None]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             capped = int(np.count_nonzero(capped))
             counts = dict(scan_hits=len(lam), candidates=len(lam))

@@ -683,29 +683,76 @@ def _run_python(code: str) -> str:
     return out.stdout.strip()
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is imported only where it is used (scipy.special's ndtri for the
-    # Gaussian coordinates, and the Sobol direction-number file); at module
-    # level scipy.linalg alone adds about 0.4 s to every start of the CLI
-    code = "import sys, stiefel_sr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert _run_python(code) == "[]"
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # scipy is a test-only dependency: importing the CLI and running each of
+    # its subcommands loads no scipy module (the Sobol sample's Gaussian
+    # coordinates come from the library's own ndtri, its direction numbers
+    # from the package's data file)
+    v42 = BlockVelocity(np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]]))
+    target = json.dumps(normal_geodesic(GeodesicSpec(v42), 0.8).to_json_dict())
+    commands = [
+        ["geodesic-eval", "--n", "2", "--k", "1", "--velocity", velocity_json(0.5, 1.0), "--samples", "4"],
+        ["verify-closed-forms", "--trials", "4"],
+        ["bracket", "--n", "4", "--k", "2"],
+        ["cutlocus-search", "--n", "4", "--k", "2", "--target", target, "--sample-count", "32"],
+        ["verify-L", "--n", "4", "--k", "1", "--samples", "2", "--mode", "real"],
+        ["verify-L", "--n", "3", "--k", "1", "--samples", "2"],
+        ["verify-antidiagonal", "--k", "2", "--samples", "2"],
+        ["uniqueness", "--n", "3", "--trials", "4"],
+    ]
+    code = f"""
+import sys, stiefel_sr.cli
+from stiefel_sr.cli import main
+def loaded():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+print(loaded())
+for i, argv in enumerate({commands!r}):
+    code = main([*argv, "--out", {str(tmp_path)!r} + f"/out{{i}}"])
+    print(argv[0], code in (0, 1), loaded())
+"""
+    lines = _run_python(code).splitlines()
+    assert lines[0] == "[]"
+    assert lines[1:] == [f"{argv[0]} True []" for argv in commands]
 
 
 def test_search_does_not_load_scipy_stats():
-    # the Sobol sample is drawn in the library: scipy.stats, whose import
-    # took longer than a small search, must not load for a general-grid
-    # search (a Sobol sample of the velocity blocks) or a complex V(3,1)
-    # search (a Sobol sample of directions)
+    # no search loads any scipy module: a general-grid search (a Sobol
+    # sample of the velocity blocks), sphere searches on real V(4,1) (the
+    # antipode, which reads the grid's Sobol directions) and complex V(3,1),
+    # and a v21 search
     code = """
 import sys
 import numpy as np
-from stiefel_sr import BlockVelocity, COMPLEX, GeodesicSpec, normal_geodesic
-from stiefel_sr.cutlocus import VelocityGrid, search_minimizers
+from stiefel_sr import BlockVelocity, COMPLEX, REAL, GeodesicSpec, normal_geodesic
+from stiefel_sr.cutlocus import VelocityGrid, real_antipodal_cut_point, search_minimizers
 v42 = BlockVelocity(np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]]))
 v31 = BlockVelocity(np.array([[0.4j]]), np.array([[0.6, 0.2j]]))
-grids = [VelocityGrid(4, 2, COMPLEX, sample_count=32, t_count=32), VelocityGrid(3, 1, COMPLEX)]
-for v, grid in zip([v42, v31], grids):
-    print(search_minimizers(normal_geodesic(GeodesicSpec(v), 0.8), grid).clusters)
-print("scipy.stats" in sys.modules)
+v21 = BlockVelocity(np.array([[0.4j]]), np.array([[0.6j]]))
+searches = [
+    (normal_geodesic(GeodesicSpec(v42), 0.8), VelocityGrid(4, 2, COMPLEX, sample_count=32, t_count=32)),
+    (real_antipodal_cut_point(4), VelocityGrid(4, 1, REAL)),
+    (normal_geodesic(GeodesicSpec(v31), 0.8), VelocityGrid(3, 1, COMPLEX)),
+    (normal_geodesic(GeodesicSpec(v21), 0.8), VelocityGrid(2, 1, COMPLEX)),
+]
+for target, grid in searches:
+    print(search_minimizers(target, grid).clusters > 0)
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
-    assert _run_python(code).split() == ["1", "1", "False"]
+    assert _run_python(code).split() == ["True"] * 4 + ["[]"]
+
+
+def test_search_runs_with_scipy_blocked():
+    # with scipy made unimportable, a general-grid search and a sphere
+    # search still run and find their clusters
+    code = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+import numpy as np
+from stiefel_sr import BlockVelocity, COMPLEX, REAL, GeodesicSpec, normal_geodesic
+from stiefel_sr.cutlocus import VelocityGrid, real_antipodal_cut_point, search_minimizers
+v42 = BlockVelocity(np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]]))
+grid = VelocityGrid(4, 2, COMPLEX, sample_count=32, t_count=32)
+print(search_minimizers(normal_geodesic(GeodesicSpec(v42), 0.8), grid).clusters)
+print(search_minimizers(real_antipodal_cut_point(4), VelocityGrid(4, 1, REAL)).clusters >= 2)
+"""
+    assert _run_python(code).split() == ["1", "True"]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import ndtri
 
 from stiefel_sr import cutlocus, matcore, tolerances
 from stiefel_sr.distribution import bracket_generating_rank, montgomery_condition
@@ -37,7 +38,10 @@ from stiefel_sr.cutlocus import (
     _scan_cols,
     _scan_table,
     _scan_times,
+    _inverse_gauss,
+    _ndtri,
     _sobol,
+    _sobol_table,
     _speeds_squared,
     ANTIDIAGONAL,
     BLOCK_DIAGONAL,
@@ -384,6 +388,77 @@ class TestSobol:
     def test_rejects_dims_beyond_the_table(self):
         with pytest.raises(ValueError, match="at most 21201 dimensions"):
             _sobol(21202, 1, 0)
+
+
+class TestInverseGauss:
+    """The library's port of Cephes' ndtri against scipy's, bit for bit."""
+
+    def test_matches_scipy_on_uniforms(self):
+        u = np.random.default_rng(0).random(2_000_000)
+        assert np.array_equal(_inverse_gauss(u), ndtri(np.clip(u, 1e-12, 1 - 1e-12)))
+
+    def test_matches_scipy_on_sobol_samples(self):
+        for seed in range(10):
+            u = _sobol(64, 4096, seed)
+            assert np.array_equal(_inverse_gauss(u), ndtri(np.clip(u, 1e-12, 1 - 1e-12))), seed
+
+    def test_matches_scipy_on_the_tails(self):
+        # below e^-2, both logarithms of the tail formula decide the last bit
+        rng = np.random.default_rng(1)
+        y = np.exp(rng.uniform(np.log(1e-12), -2.0, 200_000))
+        y = np.concatenate([y, 1 - y])
+        assert np.array_equal(_inverse_gauss(y), ndtri(y))
+
+    def test_matches_scipy_at_the_branch_edges(self):
+        edges = [1e-12, 1 - 1e-12, 0.5, np.exp(-2.0), 1 - np.exp(-2.0)]
+        y = np.concatenate([self._neighbours(e) for e in edges])
+        y = y[(y >= 1e-12) & (y <= 1 - 1e-12)]
+        assert np.array_equal(_inverse_gauss(y), ndtri(y))
+
+    def test_matches_scipy_beyond_the_clip(self):
+        # the far tail (sqrt(-2 log y) >= 8, y below e^-32) that the clip of
+        # _inverse_gauss never reaches, and its edge
+        y = np.exp(np.random.default_rng(2).uniform(np.log(1e-300), np.log(1e-12), 100_000))
+        y = np.concatenate([y, self._neighbours(np.exp(-32.0)), [5e-324, 1e-320]])
+        assert np.array_equal(_ndtri(y), ndtri(y))
+        assert np.array_equal(_ndtri(1 - y[y > 1e-16]), ndtri(1 - y[y > 1e-16]))
+
+    def test_clips_to_the_unit_interval(self):
+        u = np.array([0.0, 1e-13, 1 - 1e-13, 1.0])
+        assert np.array_equal(_inverse_gauss(u), ndtri(np.clip(u, 1e-12, 1 - 1e-12)))
+
+    @staticmethod
+    def _neighbours(x: float, steps: int = 8) -> np.ndarray:
+        """x and its ``steps`` nearest floats on each side."""
+        out = [x]
+        for toward in (0.0, 2.0):
+            y = x
+            for _ in range(steps):
+                y = np.nextafter(y, toward)
+                out.append(y)
+        return np.array(out)
+
+
+class TestSobolTable:
+    def test_shipped_arrays_match_scipy(self):
+        import importlib.util
+        from pathlib import Path
+
+        where = Path(importlib.util.find_spec("scipy.stats").submodule_search_locations[0])
+        shipped = Path(cutlocus.__file__).with_name("_sobol_direction_numbers.npz")
+        with np.load(shipped) as ours, np.load(where / "_sobol_direction_numbers.npz") as theirs:
+            assert sorted(ours.files) == sorted(theirs.files) == ["poly", "vinit"]
+            for name in ours.files:
+                assert ours[name].dtype == theirs[name].dtype
+                assert np.array_equal(ours[name], theirs[name]), name
+            assert len(ours["poly"]) == 21201
+
+    def test_holds_only_the_requested_rows(self):
+        _sobol_table.cache_clear()
+        v = _sobol_table(27)
+        assert v.shape == (27, 30) and not v.flags.writeable
+        assert _sobol_table(27) is v
+        assert np.array_equal(_sobol_table(40)[:27], v)
 
 
 # how a row relates to an earlier one: a fresh point, an exact copy, or a

@@ -233,6 +233,36 @@ class TestBranchSolve:
         rep = search_minimizers(StiefelPoint(col[:, None]), VelocityGrid(3, 1))
         assert rep.clusters == 1 and rep.arrivals[0].endpoint_error < 1e-10
 
+    @pytest.mark.parametrize("q0_norm", [1e-6, 1e-7, 1e-8])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_q0_roots_reach_the_target(self, n, q0_norm):
+        # these roots sit near the loop's turning point t omega = pi / 2, where
+        # s is stationary in t and the fold residual pins the time only to
+        # about eps / |q0|; T = q0 pins it to rounding, so such roots are
+        # finished on T
+        grid = VelocityGrid(n, 1, seed=3)
+        rng = np.random.default_rng(int(1 / q0_norm) + n)
+        for _ in range(6):
+            q1 = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            q1 *= np.sqrt(1 - q0_norm**2) / np.linalg.norm(q1)
+            q0 = q0_norm * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            target = StiefelPoint(np.concatenate([[q0], q1])[:, None])
+            rep = _assert_matches_oracle(target, grid)
+            assert rep.clusters == 1
+            assert max(arr.endpoint_error for arr in rep.arrivals) <= 1e-12
+
+    def test_targets_off_the_turning_point_are_not_finished_on_t(self, monkeypatch):
+        # criterion 5's and the v21_dichotomy benchmark's generic targets
+        # (|q0| near 1) keep their fold-residual roots: no T = q0 step is taken
+        calls = []
+        top = cutlocus._top_residual
+        monkeypatch.setattr(cutlocus, "_top_residual", lambda *args: calls.append(1) or top(*args))
+        for name, case in GENERIC_CASES:
+            target, _, grid = case()
+            if grid.mode == COMPLEX:
+                assert search_minimizers(target, grid).clusters == 1, name
+        assert calls == []
+
     def test_q0_zero_is_a_closed_form(self):
         # a generic target of V(3,1) with q0 = 0: lam = 0, t = pi / 2, length pi sqrt(3)
         q1 = np.array([0.6, 0.48j + 0.64]) / np.sqrt(0.36 + 0.48**2 + 0.64**2)
