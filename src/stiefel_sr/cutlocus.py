@@ -370,17 +370,20 @@ def _frobenius(b: np.ndarray) -> np.ndarray:
     return np.maximum(np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2), keepdims=True)), 1e-30)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _sobol_table(dim: int) -> np.ndarray:
     """Read-only direction integers (dim, 30) of a Sobol sequence's first ``dim`` dimensions.
 
     Joe and Kuo's (2008) primitive polynomials and initial direction numbers
     come from the data file scipy ships, ``_sobol_direction_numbers.npz``
     (all 21201 dimensions), kept unchanged beside this module; only the rows
-    of the requested dimensions stay resident.  Bratley and Fox's (1988)
-    recurrence extends them to 30 bits: m_j = m_{j-s} ^ XOR_{i<=s} c_i 2^i
-    m_{j-i} for a degree-s polynomial with coefficients c_i.  Each integer
-    is returned shifted to the top of 30 bits.
+    of the requested dimensions stay resident, since the whole table would
+    add its 3.1 MB to a search's peak memory.  One dimension is cached, as
+    ``_scan_table`` caches one grid: a search draws its whole sample in its
+    grid's one dimension, and a new dimension reads the file again.  Bratley
+    and Fox's (1988) recurrence extends them to 30 bits: m_j = m_{j-s} ^
+    XOR_{i<=s} c_i 2^i m_{j-i} for a degree-s polynomial with coefficients
+    c_i.  Each integer is returned shifted to the top of 30 bits.
     """
     with np.load(Path(__file__).with_name("_sobol_direction_numbers.npz")) as table:
         poly = table["poly"]
@@ -734,9 +737,13 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
     along its fold branches: each bracket of ``_branch_starts`` starts
     ``_plane_newton``, and neither ``lambda_count`` nor ``t_count`` is read:
     no rate or time grid is sampled.  A root where the fold residual's
-    t-derivative is smaller than T's (near the loop's turning point t omega
-    = pi / 2, where small-|q0| targets' roots sit) is finished by
-    ``_plane_newton`` on T = q0.  Each root's row is
+    t-derivative is smaller than T's is finished by ``_plane_newton`` on T =
+    q0.  At a root |cos(t omega)| <= |T| = |q0| and |dT/dt| = |S| = r, so
+    this holds at every root of a target with |q0|^2 < (3 - sqrt 5) / 2,
+    |q0| < 0.618 (there the fold derivative is at most |q0| sqrt(1 + r^2) <
+    r), and at none where |q0| is near 1.  For small |q0| the roots sit
+    near the loop's turning point t omega = pi / 2, where the fold residual
+    alone pins the time only to about eps / |q0|.  Each root's row is
     b = -conj(q1) / conj(S), normalized.  Roots must lie in the window
     ``lambda_range`` x (0, ``t_max``] (real mode: (0, ``t_max``]) and reach
     within ``TOL.hit``.
@@ -759,9 +766,10 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
             fold = lambda lam, ts, rows: _plane_residual(lam, ts, q0, r1[rows])  # noqa: E731
             lam, t, fold_dt, capped = _plane_newton(lam, t, fold)
             dtop = _vn1_jacobian(lam, t)[2]
-            # near the loop's turning point s is stationary in t, so the fold
-            # residual pins a root's time only to about eps / |q0|, while T
-            # moves at full speed there: finish such roots on T = q0
+            # where T moves faster in t than the fold residual (every root
+            # once |q0| < 0.618), T = q0 pins the time better: near the loop's
+            # turning point s is stationary in t, and the fold residual pins
+            # a small-|q0| root's time only to about eps / |q0|
             turning = np.abs(fold_dt) < np.abs(dtop)
             if turning.any():
                 top = lambda lam, ts, rows: _top_residual(lam, ts, q0)  # noqa: E731

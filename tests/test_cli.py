@@ -735,10 +735,11 @@ searches = [
     (normal_geodesic(GeodesicSpec(v21), 0.8), VelocityGrid(2, 1, COMPLEX)),
 ]
 for target, grid in searches:
-    print(search_minimizers(target, grid).clusters > 0)
+    print(search_minimizers(target, grid).clusters)
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
-    assert _run_python(code).split() == ["True"] * 4 + ["[]"]
+    # one cluster each, and the antipode reached along all 64 grid directions
+    assert _run_python(code).split() == ["1", "64", "1", "1", "[]"]
 
 
 def test_search_runs_with_scipy_blocked():
@@ -753,6 +754,6 @@ from stiefel_sr.cutlocus import VelocityGrid, real_antipodal_cut_point, search_m
 v42 = BlockVelocity(np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]]))
 grid = VelocityGrid(4, 2, COMPLEX, sample_count=32, t_count=32)
 print(search_minimizers(normal_geodesic(GeodesicSpec(v42), 0.8), grid).clusters)
-print(search_minimizers(real_antipodal_cut_point(4), VelocityGrid(4, 1, REAL)).clusters >= 2)
+print(search_minimizers(real_antipodal_cut_point(4), VelocityGrid(4, 1, REAL)).clusters)
 """
-    assert _run_python(code).split() == ["1", "True"]
+    assert _run_python(code).split() == ["1", "64"]

@@ -459,6 +459,7 @@ class TestSobolTable:
         assert v.shape == (27, 30) and not v.flags.writeable
         assert _sobol_table(27) is v
         assert np.array_equal(_sobol_table(40)[:27], v)
+        assert _sobol_table.cache_info().currsize == 1  # one dimension's rows at a time
 
 
 # how a row relates to an earlier one: a fresh point, an exact copy, or a

@@ -251,17 +251,39 @@ class TestBranchSolve:
             assert rep.clusters == 1
             assert max(arr.endpoint_error for arr in rep.arrivals) <= 1e-12
 
-    def test_targets_off_the_turning_point_are_not_finished_on_t(self, monkeypatch):
-        # criterion 5's and the v21_dichotomy benchmark's generic targets
-        # (|q0| near 1) keep their fold-residual roots: no T = q0 step is taken
+    @pytest.fixture
+    def top_calls(self, monkeypatch):
+        """A list that gains one entry per evaluation of the T = q0 residual."""
         calls = []
         top = cutlocus._top_residual
         monkeypatch.setattr(cutlocus, "_top_residual", lambda *args: calls.append(1) or top(*args))
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_moderate_q0_roots_are_finished_on_t(self, n, top_calls):
+        # at |q0| = 0.5 < 0.618, T moves faster in t than the fold residual
+        # at every root, so every search takes the T = q0 pass, and its root
+        # is still the oracle's
+        grid = VelocityGrid(n, 1, seed=3)
+        rng = np.random.default_rng(50 + n)
+        for _ in range(6):
+            q1 = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            q1 *= np.sqrt(1 - 0.5**2) / np.linalg.norm(q1)
+            q0 = 0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            target = StiefelPoint(np.concatenate([[q0], q1])[:, None])
+            top_calls.clear()
+            rep = _assert_matches_oracle(target, grid)
+            assert top_calls and rep.clusters == 1
+            assert max(arr.endpoint_error for arr in rep.arrivals) <= 1e-12
+
+    def test_targets_off_the_turning_point_are_not_finished_on_t(self, top_calls):
+        # criterion 5's and the v21_dichotomy benchmark's generic targets
+        # (|q0| near 1) keep their fold-residual roots: no T = q0 step is taken
         for name, case in GENERIC_CASES:
             target, _, grid = case()
             if grid.mode == COMPLEX:
                 assert search_minimizers(target, grid).clusters == 1, name
-        assert calls == []
+        assert top_calls == []
 
     def test_q0_zero_is_a_closed_form(self):
         # a generic target of V(3,1) with q0 = 0: lam = 0, t = pi / 2, length pi sqrt(3)
