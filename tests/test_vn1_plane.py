@@ -233,24 +233,6 @@ class TestBranchSolve:
         rep = search_minimizers(StiefelPoint(col[:, None]), VelocityGrid(3, 1))
         assert rep.clusters == 1 and rep.arrivals[0].endpoint_error < 1e-10
 
-    @pytest.mark.parametrize("q0_norm", [1e-6, 1e-7, 1e-8])
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_small_q0_roots_reach_the_target(self, n, q0_norm):
-        # these roots sit near the loop's turning point t omega = pi / 2, where
-        # s is stationary in t and the fold residual pins the time only to
-        # about eps / |q0|; T = q0 pins it to rounding, so such roots are
-        # finished on T
-        grid = VelocityGrid(n, 1, seed=3)
-        rng = np.random.default_rng(int(1 / q0_norm) + n)
-        for _ in range(6):
-            q1 = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-            q1 *= np.sqrt(1 - q0_norm**2) / np.linalg.norm(q1)
-            q0 = q0_norm * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            target = StiefelPoint(np.concatenate([[q0], q1])[:, None])
-            rep = _assert_matches_oracle(target, grid)
-            assert rep.clusters == 1
-            assert max(arr.endpoint_error for arr in rep.arrivals) <= 1e-12
-
     @pytest.fixture
     def top_calls(self, monkeypatch):
         """A list that gains one entry per evaluation of the T = q0 residual."""
@@ -259,24 +241,27 @@ class TestBranchSolve:
         monkeypatch.setattr(cutlocus, "_top_residual", lambda *args: calls.append(1) or top(*args))
         return calls
 
+    @pytest.mark.parametrize("q0_norm", [0.5, 1e-6, 1e-7, 1e-8])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_moderate_q0_roots_are_finished_on_t(self, n, top_calls):
-        # at |q0| = 0.5 < 0.618, T moves faster in t than the fold residual
-        # at every root, so every search takes the T = q0 pass, and its root
-        # is still the oracle's
+    def test_roots_finished_on_t_reach_the_target(self, n, q0_norm, top_calls):
+        # below |q0| = 0.618 T moves faster in t than the fold residual at
+        # every root, so each search takes the T = q0 pass.  Small-|q0| roots
+        # sit near the loop's turning point t omega = pi / 2, where s is
+        # stationary in t and the fold residual pins the time only to about
+        # eps / |q0|; T = q0 pins it to rounding
         grid = VelocityGrid(n, 1, seed=3)
-        rng = np.random.default_rng(50 + n)
+        rng = np.random.default_rng(int(1 / q0_norm) + n)
         for _ in range(6):
             q1 = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-            q1 *= np.sqrt(1 - 0.5**2) / np.linalg.norm(q1)
-            q0 = 0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            q1 *= np.sqrt(1 - q0_norm**2) / np.linalg.norm(q1)
+            q0 = q0_norm * np.exp(1j * rng.uniform(0, 2 * np.pi))
             target = StiefelPoint(np.concatenate([[q0], q1])[:, None])
             top_calls.clear()
             rep = _assert_matches_oracle(target, grid)
             assert top_calls and rep.clusters == 1
             assert max(arr.endpoint_error for arr in rep.arrivals) <= 1e-12
 
-    def test_targets_off_the_turning_point_are_not_finished_on_t(self, top_calls):
+    def test_targets_with_q0_near_one_are_not_finished_on_t(self, top_calls):
         # criterion 5's and the v21_dichotomy benchmark's generic targets
         # (|q0| near 1) keep their fold-residual roots: no T = q0 step is taken
         for name, case in GENERIC_CASES:
