@@ -77,7 +77,7 @@ _HIT_STEP_FLOOR = 1e-15
 _SOBOL_BITS = 30
 # Cephes' ndtri (``_ndtri``): e^-2, sqrt(2 pi) and the coefficients of its
 # rational approximations, on the centre (P0/Q0) and on the tails for
-# sqrt(-2 log y) in [2, 8) (P1/Q1) and in [8, 64) (P2/Q2); Q's leading 1 is left out
+# sqrt(-2 log y) in [2, 8) (P1/Q1) and in [8, 64) (P2/Q2), highest power first
 _EXP_M2 = 0.13533528323661269189
 _SQRT_2PI = 2.50662827463100050242e0
 _NDTRI_P0 = (
@@ -88,6 +88,7 @@ _NDTRI_P0 = (
     -1.23916583867381258016e0,
 )
 _NDTRI_Q0 = (
+    1.0,
     1.95448858338141759834e0,
     4.67627912898881538453e0,
     8.63602421390890590575e1,
@@ -109,6 +110,7 @@ _NDTRI_P1 = (
     -8.57456785154685413611e-4,
 )
 _NDTRI_Q1 = (
+    1.0,
     1.57799883256466749731e1,
     4.53907635128879210584e1,
     4.13172038254672030440e1,
@@ -130,6 +132,7 @@ _NDTRI_P2 = (
     6.23974539184983293730e-9,
 )
 _NDTRI_Q2 = (
+    1.0,
     6.02427039364742014255e0,
     3.67983563856160859403e0,
     1.37702099489081330271e0,
@@ -434,22 +437,6 @@ def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
     return out * 2.0**-bits
 
 
-def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """Cephes' polevl: coef[0] x^N + ... + coef[N] by Horner's rule, in its order."""
-    out = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        out = out * x + c
-    return out
-
-
-def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """Cephes' p1evl: ``_polevl`` with a leading coefficient 1 that ``coef`` leaves out."""
-    out = x + coef[0]
-    for c in coef[1:]:
-        out = out * x + c
-    return out
-
-
 def _log(x: np.ndarray) -> np.ndarray:
     """Natural logarithm through ``math.log``, the C library's, which ndtri's tails round by."""
     return np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
@@ -473,12 +460,12 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
     mid = y > _EXP_M2
     h = y[mid] - 0.5
     h2 = h * h
-    out[mid] = (h + h * (h2 * _polevl(h2, _NDTRI_P0) / _p1evl(h2, _NDTRI_Q0))) * _SQRT_2PI
+    out[mid] = (h + h * (h2 * np.polyval(_NDTRI_P0, h2) / np.polyval(_NDTRI_Q0, h2))) * _SQRT_2PI
     z0 = np.sqrt(-2.0 * _log(y[~mid]))
     z = 1.0 / z0
     tail = np.empty_like(z)
     for part, p, q in ((z0 < 8.0, _NDTRI_P1, _NDTRI_Q1), (z0 >= 8.0, _NDTRI_P2, _NDTRI_Q2)):
-        tail[part] = z[part] * _polevl(z[part], p) / _p1evl(z[part], q)
+        tail[part] = z[part] * np.polyval(p, z[part]) / np.polyval(q, z[part])
     x = z0 - _log(z0) / z0 - tail
     out[~mid] = np.where(upper[~mid], x, -x)
     return out
@@ -921,22 +908,6 @@ def _refine(
     return x[:, :-1], x[:, -1], np.sqrt(f), stats
 
 
-def _report_order(lengths: np.ndarray, ts: np.ndarray, embeds: np.ndarray) -> np.ndarray:
-    """The order of a stable sort by the key (length, t, embed bytes).
-
-    One ``lexsort`` orders by (length, t); the embeds' bytes order only the
-    runs whose (length, t) tie exactly.
-    """
-    order = np.lexsort((ts, lengths))
-    tied = (np.diff(lengths[order]) == 0) & (np.diff(ts[order]) == 0)
-    if tied.any():
-        bounds = np.flatnonzero(np.concatenate(([True], ~tied, [True]))).tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi - lo > 1:
-                order[lo:hi] = sorted(order[lo:hi], key=lambda i: embeds[i].tobytes())
-    return order
-
-
 def _representatives(embeds: np.ndarray, ts, dup: float, cluster: float):
     """One greedy pass over the sorted (N, n, n) embeds: (kept indices, cluster count).
 
@@ -1027,11 +998,12 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     in (rate, time) per fold branch, and the search solves for the phase of
     the top entry along each (``_plane_arrivals``), reading no
     ``lambda_count`` or ``t_count``.  The minimal-length arrivals are put in
-    report order by one ``lexsort`` on (length, t), the embeds' bytes ordering
-    exact ties only, then deduplicated and clustered from the neighbour
-    pairs along one sorted coordinate (``_representatives``).  The kept
-    arrivals' velocities are checked as one stack
-    (``homspace._block_velocities``).
+    report order by time, which at the one speed of a search is length
+    order, exact ties keeping the search's own order (unit-row order at
+    k = 1, candidate order at k >= 2); they are then deduplicated and
+    clustered from the neighbour pairs along one sorted coordinate
+    (``_representatives``).  The kept arrivals' velocities are checked as
+    one stack (``homspace._block_velocities``).
     """
     tol = tolerances.TOL
     if tol.hit < 10 * tol.eq:
@@ -1062,9 +1034,10 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     min_len = float(lengths.min())
     slack = _PLANE_LENGTH_SLACK if grid.k == 1 else _LENGTH_SLACK
     kept = np.nonzero(lengths <= min_len * (1 + slack))[0]
+    # every arrival's b block has the one speed of its search, so time order is
+    # length order without the per-row speeds' rounding; ties keep search order
+    kept = kept[np.argsort(t_good[kept], kind="stable")]
     embeds = _embed_velocities(a_blk[kept], b_blk[kept])
-    order = _report_order(lengths[kept], t_good[kept], embeds)
-    kept, embeds = kept[order], embeds[order]
 
     unique, clusters = _representatives(embeds, t_good[kept], 1e-6, tol.vel)
     rows = kept[unique]

@@ -1,8 +1,13 @@
 """Shared numerical tolerances.
 
-A single read-only record is the only tolerance input of the library: every
-structural check, class comparison and search radius reads ``TOL`` when it
-runs, and no function takes a tolerance argument.  The defaults are tuned for
+A single read-only record is the only configurable tolerance of the library:
+every structural check, class comparison, search acceptance radius and
+velocity clustering radius reads ``TOL`` when it runs, and no function takes
+a tolerance argument.  A search's dedup radius (1e-6 in
+``cutlocus.search_minimizers``) and its minimal-length bands
+(``cutlocus._LENGTH_SLACK``, ``cutlocus._PLANE_LENGTH_SLACK``) are fixed
+module constants instead, not fields of the record, as are the separation
+floors of ``cutlocus.uniqueness_case_checks``.  The defaults are tuned for
 double precision at matrix sizes up to ~32; the CLI may install a modified
 record once at startup via :func:`configure` (its config ``tolerances``
 record), after which the record is treated as immutable.

@@ -142,13 +142,6 @@ def greedy_cluster_count_loop(embeds, radius: float) -> int:
     return len(reps)
 
 
-def report_key_order(lengths, ts, embeds) -> list[int]:
-    """Indices in report order: a stable sort by (length, t, embed bytes)."""
-    return sorted(
-        range(len(lengths)), key=lambda i: (lengths[i], ts[i], embeds[i].tobytes())
-    )
-
-
 def best_hits_loop(vix, tix, err) -> list[tuple[int, int]]:
     """(velocity, time index) of the candidates: per velocity in ascending
     order, its hits sorted by (error, time index), the first three."""

@@ -72,7 +72,6 @@ from _oracles import (
     jacobian_along,
     minimizer_report_json,
     refine_every_iteration,
-    report_key_order,
     scan_cols_subtraction,
     separate_family_params,
     separate_family_raw_blocks,
@@ -640,34 +639,29 @@ def _post_processing_cases():
 
 @functools.lru_cache(maxsize=1)
 def _search_post_processing_inputs():
-    """The arguments of ``_report_order`` and ``_representatives`` in each
-    search of ``_post_processing_cases``, in order."""
-    orders, reps = [], []
-    inner_order, inner_reps = cutlocus._report_order, cutlocus._representatives
-
-    def order(*args):
-        orders.append(args)
-        return inner_order(*args)
+    """The arguments of ``_representatives`` in each search of
+    ``_post_processing_cases``, in order."""
+    reps, inner = [], cutlocus._representatives
 
     def representatives(*args):
         reps.append(args)
-        return inner_reps(*args)
+        return inner(*args)
 
-    cutlocus._report_order, cutlocus._representatives = order, representatives
+    cutlocus._representatives = representatives
     try:
         for target, grid in _post_processing_cases():
             search_minimizers(target, grid)
     finally:
-        cutlocus._report_order, cutlocus._representatives = inner_order, inner_reps
-    return orders, reps
+        cutlocus._representatives = inner
+    return reps
 
 
 class TestPostProcessingOnSearches:
-    """The report sort and the dedup of real searches' arrivals against the
-    search's original key sort and pairwise loops."""
+    """The dedup of real searches' arrivals against pairwise loops, and their
+    report order."""
 
     def test_representatives_match_pairwise_loops(self):
-        _, reps = _search_post_processing_inputs()
+        reps = _search_post_processing_inputs()
         assert len(reps) == 6
         results = [_representatives(*args) for args in reps]
         for (embeds, ts, dup, cluster), (kept, clusters) in zip(reps, results):
@@ -677,24 +671,39 @@ class TestPostProcessingOnSearches:
         assert all(clusters >= 2 for _, clusters in results[:-1])
         assert len(reps[-1][0]) > cutlocus._PAIR_WINDOW and len(results[-1][0]) == 1
 
-    def test_report_order_matches_the_key_sort(self):
-        orders, _ = _search_post_processing_inputs()
-        for lengths, ts, embeds in orders:
-            assert cutlocus._report_order(lengths, ts, embeds).tolist() == report_key_order(
-                lengths, ts, embeds
-            )
+    def test_continua_are_listed_in_unit_row_order_whatever_the_rounding(self, monkeypatch):
+        # every arrival of a continuum has one time and, up to rounding, one
+        # length; the report lists them in the grid's row order, and a
+        # last-bit change to each row's speed moves neither order nor clusters
+        cases = [
+            (StiefelPoint(np.array([[np.exp(0.8j * np.pi)], [0.0]])),
+             VelocityGrid(2, 1, COMPLEX, seed=505)),
+            (real_antipodal_cut_point(3), VelocityGrid(3, 1, REAL, seed=811)),
+            (real_antipodal_cut_point(4), VelocityGrid(4, 1, REAL, seed=812)),
+            (StiefelPoint(np.array([[np.exp(0.6j * np.pi)], [0.0], [0.0]])),
+             VelocityGrid(3, 1, COMPLEX)),
+        ]
+        inner = cutlocus._speeds_squared
 
-    def test_exact_ties_are_ordered_by_embed_bytes(self):
-        rng = np.random.default_rng(8)
-        embeds = rng.standard_normal((12, 2, 2)) + 1j * rng.standard_normal((12, 2, 2))
-        # byte order is not numeric order: a positive and a negative entry
-        embeds[1, 0, 0], embeds[3, 0, 0] = 0.5, -0.5
-        embeds[7] = embeds[4]  # a full tie keeps its input order
-        lengths = np.array([2.0, 1.0, 2.0, 1.0, 1.0, 3.0, 2.0, 1.0, 1.0, 2.0, 3.0, 1.0])
-        ts = np.array([0.5, 0.7, 0.5, 0.7, 0.7, 0.1, 0.4, 0.7, 0.6, 0.5, 0.1, 0.7])
-        got = cutlocus._report_order(lengths, ts, embeds).tolist()
-        assert got == report_key_order(lengths, ts, embeds)
-        assert got != np.lexsort((ts, lengths)).tolist()
+        def perturbed(b_blocks, n, mode):
+            wobble = 1 + (np.arange(len(b_blocks)) % 3) * 2.0**-52
+            return inner(b_blocks, n, mode) * wobble
+
+        for target, grid in cases:
+            rep = search_minimizers(target, grid)
+            rows = cutlocus._unit_rows(grid)
+            at = [
+                int(np.argmin(np.linalg.norm(rows - arr.velocity.b_block[0], axis=1)))
+                for arr in rep.arrivals
+            ]
+            assert len(at) > 2 and at == sorted(set(at)), (grid, at)
+            with monkeypatch.context() as m:
+                m.setattr(cutlocus, "_speeds_squared", perturbed)
+                moved = search_minimizers(target, grid)
+            assert moved.clusters == rep.clusters
+            assert [arr.velocity.embed().tobytes() for arr in moved.arrivals] == [
+                arr.velocity.embed().tobytes() for arr in rep.arrivals
+            ]
 
     def test_cluster_radius_below_the_dedup_radius(self, monkeypatch, default_tolerances):
         tolerances.configure(vel=1e-7)
