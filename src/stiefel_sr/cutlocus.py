@@ -45,10 +45,9 @@ from .geodesic import (
 _LENGTH_SLACK = 1e-6  # arrivals within (1 + slack) of the minimum count as minimal
 _PLANE_LENGTH_SLACK = 1e-12  # the same at k = 1, whose lengths are exact to rounding
 _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
-# element budget of the cached scan table and of one batch of Jacobian
-# temporaries: a k >= 2 grid's scan table (velocities x times x n x k) is
-# cached only if it fits, and a larger grid is scanned one kernel fill at a
-# time
+# element budget of one batch of Jacobian temporaries and of a k >= 2 grid's
+# cached kernel fills (velocities x times x n x k): a larger grid's fills are
+# made one at a time as they are scanned (``_scan_table``)
 _CHUNK_ELEMENTS = 2**22
 # velocities per kernel fill of the k >= 2 scan
 _FILL_VELOCITIES = 16
@@ -186,6 +185,11 @@ def classify_target(p: StiefelPoint) -> TargetClass:
 # -- search configuration and report ------------------------------------------
 
 
+def _is_real(x) -> bool:
+    """A Python or numpy real number that is not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class VelocityGrid(_Record):
     """Finite velocity/time grid driving ``search_minimizers``.
@@ -198,12 +202,13 @@ class VelocityGrid(_Record):
     takes phases of the unit row, "sphere" (every other k = 1 shape) unit
     rows, and "general" (k >= 2) is a low-discrepancy sample of every
     coordinate of the linear params that the search refines.  Construction resolves
-    "auto" to the shape's family and ``t_max=None`` to 1.1 pi sqrt(k), so
-    ``t_max`` is a float, and rejects an unknown mode, an n, k, count or seed
-    that is not an integer (a bool is not), a shape without 1 <= k < n, a
-    non-finite lambda_range or t_max, lo > hi, t_max <= 0 and a family other
-    than "auto" or the shape's.  At k = 1 ``lambda_range`` and ``t_max`` bound
-    the roots' window, and ``lambda_count`` and ``t_count`` are never read.
+    "auto" to the shape's family and ``t_max=None`` to 1.1 pi sqrt(k), stores
+    t_max and the two lambda_range bounds as floats, and rejects an unknown
+    mode, an n, k, count or seed that is not an integer, a lambda_range not
+    of two real bounds, a t_max not real (a bool is neither), a shape without
+    1 <= k < n, a non-finite bound or t_max, lo > hi, t_max <= 0 and a family
+    other than "auto" or the shape's.  At k = 1 ``lambda_range`` and ``t_max``
+    bound the roots' window, and ``lambda_count`` and ``t_count`` are never read.
     """
 
     n: int
@@ -229,9 +234,12 @@ class VelocityGrid(_Record):
             object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
         if not 1 <= self.k < self.n:
             raise ValueError(f"need 1 <= k < n, got n={self.n}, k={self.k}")
-        # a tuple keeps the grid hashable (the scan table is cached per grid)
-        object.__setattr__(self, "lambda_range", tuple(self.lambda_range))
-        lo, hi = self.lambda_range
+        bounds = tuple(self.lambda_range) if np.iterable(self.lambda_range) else ()
+        if len(bounds) != 2 or not all(map(_is_real, bounds)):
+            raise ValueError(f"lambda_range={self.lambda_range!r} must be two real bounds")
+        # float bounds keep the record JSON, a tuple the grid hashable (a cache key)
+        lo, hi = bounds = tuple(map(float, bounds))
+        object.__setattr__(self, "lambda_range", bounds)
         if not -np.inf < lo <= hi < np.inf:
             raise ValueError(f"lambda_range {self.lambda_range} must be finite with lo <= hi")
         for name in counts:
@@ -241,8 +249,8 @@ class VelocityGrid(_Record):
             raise ValueError(f"t_count={self.t_count} must be >= 3")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be >= 0")
-        if self.t_max is not None and not 0 < self.t_max < np.inf:
-            raise ValueError(f"t_max={self.t_max} must be finite and > 0")
+        if self.t_max is not None and not (_is_real(self.t_max) and 0 < self.t_max < np.inf):
+            raise ValueError(f"t_max={self.t_max!r} must be a finite real > 0")
         t_max = 1.1 * np.pi * np.sqrt(self.k) if self.t_max is None else self.t_max
         object.__setattr__(self, "t_max", float(t_max))
         family = "sphere" if self.k == 1 else "general"
@@ -514,14 +522,14 @@ def _scan_fills(family, params: np.ndarray, ts: np.ndarray):
 
 
 def _unit_rows(grid: VelocityGrid) -> np.ndarray:
-    """A k = 1 grid's distinct unit rows (D, n-1), the only scan data it holds.
+    """A k = 1 grid's unit rows (D, n-1), distinct by construction, in grid order.
 
-    v21 rows are e^{i phi} at ``phase_count`` phases, sphere rows
+    v21 rows are e^{i phi} at ``phase_count`` phases from 0, sphere rows
     ``direction_count`` Sobol directions: the Gaussian coordinates of a
     ``_sobol`` sample (Joe-Kuo 2008 direction numbers, Bratley-Fox 1988
-    recurrence), normalized (real V(3,1): equally spaced angles; real V(2,1):
-    +-1).  Rows are normalized as ``_LinearFamily.blocks`` does.  Only
-    block-diagonal targets use them: every other k = 1 target fixes its row.
+    recurrence), normalized (real V(3,1): equally spaced angles from 0; real
+    V(2,1): 1, -1).  Rows are normalized as ``_LinearFamily.blocks`` does.
+    Only block-diagonal targets use them: every other k = 1 target fixes its row.
     """
     m, real = grid.n - 1, grid.mode == REAL
     if grid.family == "v21" or (real and m == 2):
@@ -534,7 +542,7 @@ def _unit_rows(grid: VelocityGrid) -> np.ndarray:
         raw = _inverse_gauss(_sobol((1 if real else 2) * m, grid.direction_count, grid.seed))
         raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     rows = (raw if real else raw[:, :m] + 1j * raw[:, m:]).astype(np.complex128)[:, None]
-    return np.unique((rows / _frobenius(rows))[:, 0], axis=0)
+    return (rows / _frobenius(rows))[:, 0]
 
 
 def _unread_grid_fields(grid: VelocityGrid) -> tuple[str, ...]:
@@ -561,20 +569,20 @@ def _unread_grid_fields(grid: VelocityGrid) -> tuple[str, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _scan_table(grid: VelocityGrid):
-    """The grid's target- and tolerance-independent scan data, shared by every search on it.
+    """(sample, fills): all that the grid's searches read of it, made once per process.
 
-    At k = 1 its ``_unit_rows`` alone; at k >= 2 the kernel fills (c, T, n,
-    k) of ``_scan_fills``, for which callers only pass grids whose fills
-    together fit ``_CHUNK_ELEMENTS``.  Either is a tuple of read-only arrays.
+    At k = 1 ``_unit_rows`` and None; at k >= 2 the Sobol params (c, d) of
+    ``_LinearFamily.initial_params`` and, if they fit ``_CHUNK_ELEMENTS``,
+    their ``_scan_fills`` (c, T, n, k), else None (a search streams them).
+    Neither depends on the target or the tolerances; every array is read-only.
     """
-    if grid.k == 1:
-        data = (_unit_rows(grid),)
-    else:
-        family = _LinearFamily(grid)
-        data = tuple(_scan_fills(family, family.initial_params(), _scan_times(grid)))
-    for x in data:
+    family = _LinearFamily(grid) if grid.k >= 2 else None
+    sample = _unit_rows(grid) if family is None else family.initial_params()
+    fits = family is not None and len(sample) * grid.t_count * grid.n * grid.k <= _CHUNK_ELEMENTS
+    fills = tuple(_scan_fills(family, sample, _scan_times(grid))) if fits else None
+    for x in (sample, *(fills or ())):
         x.flags.writeable = False
-    return data
+    return sample, fills
 
 
 def _scan_cols(cols, target_cols, gate):
@@ -733,13 +741,14 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
     alone pins the time only to about eps / |q0|.  Each root's row is
     b = -conj(q1) / conj(S), normalized.  Roots must lie in the window
     ``lambda_range`` x (0, ``t_max``] (real mode: (0, ``t_max``]) and reach
-    within ``TOL.hit``.
+    within ``TOL.hit``.  Only the block-diagonal branch reads ``_scan_table``
+    (the unit rows, in grid order): a generic search draws and caches nothing.
     """
-    (rows,) = _scan_table(grid)  # only a block-diagonal target keeps them
     q0, q1 = target.cols[0, 0], target.cols[1:, 0]
     counts = {}
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == BLOCK_DIAGONAL:
+            rows, _ = _scan_table(grid)
             x = (np.angle(q0) % (2 * np.pi)) / np.pi
             lam = np.full(len(rows), 2.0 * (1.0 - x) / np.sqrt(x * (2.0 - x)))
             t = np.full(len(rows), np.pi * np.sqrt(x * (2.0 - x)))
@@ -990,16 +999,16 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     within a 1e-6 relative band of the best (1e-12 at k = 1), and counts
     velocity clusters at separation ``TOL.vel``.  Deterministic for a fixed
     grid (seed included); an exhausted search returns an empty-arrival
-    report rather than raising.  The grid's scan data do not depend on the
-    target or tolerances, so they are computed once per grid per process and
-    reused; at most one grid's are resident.  At k >= 2 every near-arrival
+    report rather than raising.  What searches read of a grid (``_scan_table``)
+    depends on neither target nor tolerances, so it is made once per grid per
+    process, for one grid at a time.  At k >= 2 every near-arrival
     of the grid's endpoint table is refined by damped least squares
     (``_refined_arrivals``); at k = 1 the target's |q1| fixes a closed loop
     in (rate, time) per fold branch, and the search solves for the phase of
     the top entry along each (``_plane_arrivals``), reading no
     ``lambda_count`` or ``t_count``.  The minimal-length arrivals are put in
     report order by time, which at the one speed of a search is length
-    order, exact ties keeping the search's own order (unit-row order at
+    order, exact ties keeping the search's own order (grid order at
     k = 1, candidate order at k >= 2); they are then deduplicated and
     clustered from the neighbour pairs along one sorted coordinate
     (``_representatives``).  The kept arrivals' velocities are checked as
@@ -1060,18 +1069,16 @@ def _refined_arrivals(target: StiefelPoint, grid: VelocityGrid):
 
     The gated local minima of the endpoint error along each velocity's time
     grid (up to 3 per velocity, ``_best_hits``) are refined by ``_refine``.
-    One loop scans the grid's kernel fills of 16 velocities: cached if they
-    fit the chunk budget, and otherwise streamed, so no table is made.
+    One loop scans the 16-velocity kernel fills that ``_scan_table`` holds or,
+    for a grid over the chunk budget, makes each from its sample in turn.
     """
     family = _LinearFamily(grid)
-    p0 = family.initial_params()
+    p0, fills = _scan_table(grid)
     ts = _scan_times(grid)
     speed = float(np.sqrt(_speeds_squared(family.blocks(p0[:1])[1], grid.n, grid.mode)[0]))
     gate = max(8 * speed * (ts[1] - ts[0]), 0.25) + tolerances.TOL.hit
-    fits = len(p0) * grid.t_count * grid.n * grid.k <= _CHUNK_ELEMENTS
-    fills = _scan_table(grid) if fits else _scan_fills(family, p0, ts)
     hits, lo = [], 0
-    for cols in fills:
+    for cols in fills or _scan_fills(family, p0, ts):
         v, t, e = _scan_cols(cols, target.cols, gate)
         hits.append((v + lo, t, e))
         lo += len(cols)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matcore
 from .matcore import COMPLEX, REAL
-from .homspace import BlockVelocity, _embed_velocities, _Record
+from .homspace import BlockVelocity, _Record
 
 _RANK_RTOL = 1e-8
 
@@ -60,42 +60,35 @@ def _horizontal_blocks(n: int, k: int, mode: str) -> np.ndarray:
     return (np.eye(k * (n - k))[:, None, :] * units[:, None]).reshape(-1, k, n - k)
 
 
-def _horizontal_embeds(n: int, k: int, mode: str) -> np.ndarray:
-    """The horizontal basis embedded as (d, n, n) matrices."""
-    b = _horizontal_blocks(n, k, mode)
-    return _embed_velocities(np.zeros((len(b), k, k)), b)
-
-
 def horizontal_basis(n: int, k: int, mode: str = COMPLEX) -> list[BlockVelocity]:
     """Real basis of the horizontal space: one b-block entry at a time (and i times it)."""
-    return [BlockVelocity(e[:k, :k], e[:k, k:], mode) for e in _horizontal_embeds(n, k, mode)]
+    return [BlockVelocity(np.zeros((k, k)), b, mode) for b in _horizontal_blocks(n, k, mode)]
 
 
 def _span_rank(basis, left, right, k: int, mode: str):
     """Real rank of the span of horizontal vectors ``basis`` and the brackets ``[left, right]``.
 
-    Each argument stacks horizontal vectors as k x (n-k) b blocks or as n x n
-    embeds (whose b block is read).  Brackets pair up along the last stacking
-    axis; axes before it are sample axes, broadcast between the arguments,
-    and each sample's span is ranked on its own (one batched SVD, the
-    relative rule of ``_RANK_RTOL`` per sample).  A row holds a vector's
-    coordinates in the horizontal + vertical splitting, re parts then im
-    parts in complex mode: a basis vector's b block, or for B, C the b blocks
-    of left, right the bracket's vertical part C B* - B C*, as its strict
-    upper triangle and (complex mode) its diagonal's im parts over sqrt(2).
-    That frame is orthonormal for half the Frobenius product of the embeds'
-    entries outside the lower-right block, so the relative rule counts the
-    rank those entries give.  Rows that are zero or repeat an earlier row in
-    every sample add nothing to any span; they are dropped before the SVD.
+    Each argument stacks horizontal vectors as k x (n-k) b blocks.  Brackets
+    pair up along the last stacking axis; axes before it are sample axes,
+    broadcast between the arguments, and each sample's span is ranked on its
+    own (one batched SVD, the relative rule of ``_RANK_RTOL`` per sample).
+    A row holds a vector's coordinates in the horizontal + vertical
+    splitting, re parts then im parts in complex mode: a basis vector's b
+    block, or for B, C the b blocks of left, right the bracket's vertical
+    part C B* - B C*, as its strict upper triangle and (complex mode) its
+    diagonal's im parts over sqrt(2).  That frame is orthonormal for half
+    the Frobenius product of the embeds' entries outside the lower-right
+    block, so the relative rule counts the rank those entries give.  Zero
+    rows and rows repeating an earlier one in every sample go before the SVD.
     """
 
     def real(x):
         return np.concatenate([x.real, x.imag], axis=-1) if mode == COMPLEX else x.real
 
-    b, lb, rb = (x if x.shape[-2] == k else x[..., :k, k:] for x in (basis, left, right))
-    cb = lb @ np.conj(np.swapaxes(rb, -1, -2))  # C B* - B C* is cb* - cb
+    cb = left @ np.conj(np.swapaxes(right, -1, -2))  # C B* - B C* is cb* - cb
     p, q = np.triu_indices(k, 1)
-    blocks = [real(b.reshape(*b.shape[:-2], -1)), real(np.conj(cb[..., q, p]) - cb[..., p, q])]
+    flat = basis.reshape(*basis.shape[:-2], -1)
+    blocks = [real(flat), real(np.conj(cb[..., q, p]) - cb[..., p, q])]
     if mode == COMPLEX:  # the diagonal of cb* - cb is -2i Im(cb)
         blocks[1] = np.concatenate([blocks[1], -np.sqrt(2) * np.diagonal(cb, 0, -2, -1).imag], -1)
     (h, dh), (v, dv) = (x.shape[-2:] for x in blocks)

@@ -705,6 +705,22 @@ class TestPostProcessingOnSearches:
                 arr.velocity.embed().tobytes() for arr in rep.arrivals
             ]
 
+    def test_continua_step_through_the_grid_directions(self):
+        # a block-diagonal continuum lists one arrival per grid direction, in
+        # the order the grid generates them: phases (complex V(2,1)) and
+        # angles (real V(3,1)) from 0 in steps of 2 pi / 64
+        v21 = search_minimizers(
+            StiefelPoint(np.array([[np.exp(0.8j * np.pi)], [0.0]])), VelocityGrid(2, 1, COMPLEX)
+        )
+        v31 = search_minimizers(real_antipodal_cut_point(3), VelocityGrid(3, 1, REAL))
+        for rep in (v21, v31):
+            b = np.array([arr.velocity.b_block[0] for arr in rep.arrivals])
+            # a real V(3,1) row (cos, sin) read as one complex number
+            phases = np.angle(b[:, 0] if b.shape[1] == 1 else b[:, 0].real + 1j * b[:, 1].real)
+            assert len(phases) == 64 and phases[0] == 0.0
+            steps = np.diff(np.unwrap(phases))
+            assert np.max(np.abs(steps - 2 * np.pi / 64)) < 1e-14
+
     def test_cluster_radius_below_the_dedup_radius(self, monkeypatch, default_tolerances):
         tolerances.configure(vel=1e-7)
         recorded, inner = [], cutlocus._representatives
@@ -1477,11 +1493,14 @@ class TestScanTable:
         ids=["block_diagonal_v21", "generic_v21", "real_antipode"],
     )
     def test_cold_and_warm_reports_identical(self, target, grid):
+        # a block-diagonal target reads the grid's unit rows; a generic one
+        # fixes its own row and reads no entry
+        reads = int(classify_target(target).kind == BLOCK_DIAGONAL)
         _scan_table.cache_clear()
         cold = _report_bytes(target, grid)
-        assert _scan_table.cache_info().misses == 1
+        assert _scan_table.cache_info().misses == reads
         warm = _report_bytes(target, grid)
-        assert _scan_table.cache_info().hits == 1
+        assert _scan_table.cache_info().hits == reads
         assert cold == warm
 
     @pytest.mark.parametrize(
@@ -1496,39 +1515,49 @@ class TestScanTable:
         ids=["block_diagonal_v21", "generic_v21", "general_v42", "block_diagonal_v42", "real_v42"],
     )
     def test_cached_and_streamed_reports_identical(self, target, grid, monkeypatch):
+        # a generic k = 1 target reads no entry
+        reads = int(grid.k >= 2 or classify_target(target).kind == BLOCK_DIAGONAL)
         _scan_table.cache_clear()
         cached = _report_bytes(target, grid)
-        assert _scan_table.cache_info().currsize == 1
+        assert _scan_table.cache_info().currsize == reads
+        assert (_scan_table(grid)[1] is None) == (grid.k == 1)
         _scan_table.cache_clear()
-        # a budget of 20 velocities: a k >= 2 grid now streams its table in
-        # several chunks; a k = 1 grid's unit rows do not depend on the budget
-        # and are still cached
+        # a budget of 20 velocities: a k >= 2 grid's sample is cached but its
+        # fills are not, so its search streams them in several chunks; a k = 1
+        # grid's unit rows do not depend on the budget
         monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
         streamed = _report_bytes(target, grid)
-        assert _scan_table.cache_info().currsize == (1 if grid.k == 1 else 0)
+        assert _scan_table.cache_info().currsize == reads
+        assert _scan_table(grid)[1] is None
         assert cached == streamed
         assert json.loads(cached)["arrivals"]
 
-    def test_over_budget_grid_leaves_cache_empty(self, monkeypatch):
+    def test_over_budget_grid_caches_no_fills(self, monkeypatch):
+        # the search caches the grid's sample, and no fill of it
         _scan_table.cache_clear()
         grid = _SMALL_V42
         monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
         rep = search_minimizers(_GENERIC_V42, grid)
         assert rep.clusters == 1
+        sample, fills = _scan_table(grid)
         info = _scan_table.cache_info()
-        assert info.currsize == 0 and info.misses == 0
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert fills is None and not sample.flags.writeable
+        assert np.array_equal(sample, _LinearFamily(grid).initial_params())
 
     # the oracle's scipy engine (_kernel_table) warns at 40 points
     @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
     def test_table_is_read_only_and_matches_one_kernel_call(self):
-        # the cache holds the kernel's fills of 16 velocities themselves
+        # the cache holds the grid's sample and the kernel's fills of 16
+        # velocities themselves
         grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=40, t_count=32, seed=3)
-        fills = _scan_table(grid)
+        sample, fills = _scan_table(grid)
         assert [len(cols) for cols in fills] == [16, 16, 8]
-        for cols in fills:
-            assert not cols.flags.writeable
+        for x in (sample, *fills):
+            assert not x.flags.writeable
             with pytest.raises(ValueError):
-                cols[0, 0, 0, 0] = 0.0
+                x[(0,) * x.ndim] = 0.0
+        assert np.array_equal(sample, separate_family_params(grid))
         assert np.array_equal(np.concatenate(fills), _kernel_table(grid))
 
     @pytest.mark.parametrize(
@@ -1553,23 +1582,64 @@ class TestScanTable:
              "general_v21", "real_v21", "real_v31", "real_general_v31"],
     )
     def test_k1_factors_are_read_only_and_give_the_kernel_table(self, grid):
-        """At k = 1 the cache holds the grid's distinct unit rows only, no
-        rates and no times.  They are sampled directly and must be, bit for
-        bit, those of the grid's velocities as the separate families sampled
-        them (``separate_family_params``); with the unit-row terms of
-        ``_vn1_jacobian`` at each velocity's rate, velocity (i lam, u)
-        reaches (T, -conj(u) S), the kernel's table."""
-        (rows,) = _scan_table(grid)
-        assert not rows.flags.writeable
+        """At k = 1 the cache holds the grid's unit rows only, no rates, no
+        times and no fills.  They are sampled directly and must be, bit for
+        bit, the distinct rows of the grid's velocities as the separate
+        families sampled them (``separate_family_params``), in the order
+        those generate them; with the unit-row terms of ``_vn1_jacobian`` at
+        each velocity's rate, velocity (i lam, u) reaches (T, -conj(u) S),
+        the kernel's table."""
+        rows, fills = _scan_table(grid)
+        assert fills is None and not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 0.0
         a, b = _grid_blocks(grid)
-        assert np.array_equal(rows, np.unique(b[:, 0], axis=0))
+        _, first = np.unique(b[:, 0], axis=0, return_index=True)
+        assert np.array_equal(rows, b[np.sort(first), 0])
         row = np.array([np.flatnonzero((rows == u).all(axis=1))[0] for u in b[:, 0]])
         top, _, dt = _vn1_jacobian(a[:, 0, 0].imag[:, None], _scan_times(grid))[:3]
         bottom = np.conj(rows[row])[:, None, :] * dt[:, :, None]
         rebuilt = np.concatenate([top[:, :, None], bottom], axis=2)[..., None]
         assert np.max(np.abs(rebuilt - _kernel_table(grid))) < 1e-14
+
+    @pytest.mark.parametrize("budget", [None, 20], ids=["cached", "over_budget"])
+    def test_three_searches_draw_the_sample_once(self, budget, monkeypatch):
+        # the Sobol sample is drawn by the cache entry alone, whether or not
+        # the grid's fills fit the budget (a budget of 20 velocities streams)
+        draws = []
+        draw = _LinearFamily.initial_params
+        monkeypatch.setattr(_LinearFamily, "initial_params", lambda f: draws.append(1) or draw(f))
+        grid = _SMALL_V42
+        if budget is not None:
+            budget *= grid.t_count * grid.n * grid.k
+            monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", budget)
+        _scan_table.cache_clear()
+        reports = {_report_bytes(_GENERIC_V42, grid) for _ in range(3)}
+        assert len(draws) == 1 and len(reports) == 1
+        assert (_scan_table(grid)[1] is None) == (budget is not None)
+
+    @pytest.mark.parametrize(
+        "target, grid",
+        [
+            (_generic_v21(), _SMALL_V21),
+            (
+                normal_geodesic(GeodesicSpec(BlockVelocity(
+                    np.zeros((1, 1)), np.array([[0.6, -0.8]]), REAL
+                )), 1.7),
+                VelocityGrid(3, 1, REAL, seed=2),
+            ),
+        ],
+        ids=["generic_v21", "generic_real_v31"],
+    )
+    def test_generic_k1_search_reads_no_entry(self, target, grid):
+        # a generic k = 1 target fixes its own row: its search neither reads
+        # nor evicts the one resident entry, here a k >= 2 grid's
+        _scan_table.cache_clear()
+        held = _scan_table(_SMALL_V42)
+        assert search_minimizers(target, grid).arrivals
+        info = _scan_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+        assert _scan_table(_SMALL_V42) is held
 
     def test_list_and_tuple_range_share_one_entry(self):
         _scan_table.cache_clear()
@@ -1587,6 +1657,8 @@ class TestScanTable:
         near = StiefelPoint(np.array([[1j], [1e-5]]) / np.sqrt(1 + 1e-10))
         grid = VelocityGrid(2, 1, COMPLEX, lambda_count=12, phase_count=12, t_count=96)
         _scan_table.cache_clear()
+        # the cut point's own search leaves the grid's unit rows cached
+        assert search_minimizers(StiefelPoint(np.array([[1j], [0.0]])), grid).clusters >= 2
         default = search_minimizers(near, grid)
         assert default.clusters == 1
         # the branch solve lands on the target's one root, so a wider hit
@@ -1599,8 +1671,9 @@ class TestScanTable:
         assert configured.clusters >= 2
         assert configured.target.kind == BLOCK_DIAGONAL
         assert max(a.endpoint_error for a in configured.arrivals) > 1e-8
+        # the generic searches read no entry; the block-diagonal one, the warm rows
         info = _scan_table.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def _assert_same_hits(hits, ref):
@@ -1653,7 +1726,7 @@ class TestScanByInnerProduct:
         monkeypatch.setattr(cutlocus, "_scan_cols", checked)
         assert search_minimizers(target, grid).clusters == 1
         assert chunks == [16] * 4
-        assert _scan_table.cache_info().currsize == 0
+        assert _scan_table(grid)[1] is None
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["shrunk", "stretched"])
     def test_target_off_orthonormality(self, sign):
@@ -1751,6 +1824,38 @@ class TestGridValidation:
     def test_degenerate_grid_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             VelocityGrid(**{"n": 2, "k": 1, "mode": COMPLEX, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lambda_range", (False, True)),
+            ("lambda_range", (np.True_, 1.0)),
+            ("lambda_range", (-1.0, 0.0, 1.0)),
+            ("lambda_range", (1.0,)),
+            ("lambda_range", 3.0),
+            ("lambda_range", ("-1", "1")),
+            ("t_max", True),
+            ("t_max", "2.0"),
+        ],
+        ids=["bools", "numpy_bool", "three", "one", "scalar", "strings", "t_max_bool",
+             "t_max_string"],
+    )
+    def test_non_real_or_miscounted_bounds_rejected(self, field, value):
+        # a bool is not a bound (the counts reject bools too), and a grid
+        # record holding one would not be accepted back by the CLI
+        with pytest.raises(ValueError, match=field):
+            VelocityGrid(**{"n": 2, "k": 1, "mode": COMPLEX, field: value})
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(-2, 2), (np.float32(-2.0), np.float32(2.0)), np.array([-2.0, 2.0]), (np.int8(-2), 2.0)],
+        ids=["ints", "float32", "array", "numpy_int"],
+    )
+    def test_lambda_range_is_stored_as_floats(self, bounds):
+        grid = VelocityGrid(2, 1, COMPLEX, lambda_range=bounds)
+        assert all(type(x) is float for x in grid.lambda_range)
+        assert grid == VelocityGrid(2, 1, COMPLEX, lambda_range=(-2.0, 2.0))
+        assert json.dumps(grid.to_json_dict()["lambda_range"]) == "[-2.0, 2.0]"
 
     def test_numpy_integers_are_stored_as_ints(self):
         grid = VelocityGrid(
@@ -1878,7 +1983,8 @@ class TestGridResolution:
         targets = _unread_field_targets(n, k, mode)
 
         def outputs(grid):
-            table = [(x.shape, x.tobytes()) for x in _scan_table(grid)]
+            sample, fills = _scan_table(grid)
+            table = [(x.shape, x.tobytes()) for x in (sample, *(fills or ()))]
             reports = []
             for target in targets:
                 report = search_minimizers(target, grid).to_json_dict()
@@ -1964,8 +2070,8 @@ class TestScanFill:
         # a budget of 40 velocities: the 64 are scanned one fill of 16 at a time
         monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 40 * grid.t_count * grid.n * grid.k)
         assert search_minimizers(target, grid).clusters == 1
-        assert _scan_table.cache_info().currsize == 0
         assert kernel_calls == [16] * 4
+        assert _scan_table(grid)[1] is None
 
     @pytest.mark.parametrize("target", [_GENERIC_V42], ids=["generic"])
     def test_streamed_search_holds_no_table(self, target):
@@ -1976,14 +2082,15 @@ class TestScanFill:
         _scan_table.cache_clear()
         peak, rep = _traced_peak(search_minimizers, target, grid)
         assert rep.arrivals
-        assert _scan_table.cache_info().currsize == 0
         assert peak < table_bytes / 4
+        assert _scan_table(grid)[1] is None
+        assert _scan_table.cache_info().hits == 1
 
     @pytest.mark.parametrize("target", [_cut_v21(), _generic_v21()], ids=["cut", "generic"])
     def test_factored_search_holds_no_table(self, target):
         """A k = 1 grid over the table budget samples no rates and no times:
-        the search peaks far below the table, and the cache holds the
-        grid's unit rows only."""
+        the search peaks far below the table, and the cache holds at most the
+        grid's unit rows (the cut search's), never fills."""
         grid = VelocityGrid(2, 1, COMPLEX, lambda_count=129, phase_count=64, seed=3)
         table_bytes = _table_bytes(grid)
         assert table_bytes > cutlocus._CHUNK_ELEMENTS * 16
@@ -1991,9 +2098,10 @@ class TestScanFill:
         peak, rep = _traced_peak(search_minimizers, target, grid)
         assert rep.arrivals
         assert peak < table_bytes / 4
-        held = _scan_table(grid)
-        assert _scan_table.cache_info().hits == 1
-        assert [x.shape for x in held] == [(grid.phase_count, 1)]
+        reads = int(classify_target(target).kind == BLOCK_DIAGONAL)
+        assert _scan_table.cache_info().currsize == reads
+        rows, fills = _scan_table(grid)
+        assert rows.shape == (grid.phase_count, 1) and fills is None
 
 
 def _table_bytes(grid) -> int:

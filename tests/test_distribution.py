@@ -8,7 +8,6 @@ from stiefel_sr.matcore import COMPLEX, REAL, random_skew_hermitian
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.distribution import (
     _horizontal_blocks,
-    _horizontal_embeds,
     _span_rank,
     bracket_generating_rank,
     horizontal_basis,
@@ -144,11 +143,11 @@ class TestBracketGeneratingRank:
 class TestSpanRank:
     @pytest.mark.parametrize("n,k,mode", [(3, 1, COMPLEX), (4, 2, COMPLEX), (5, 2, REAL), (6, 3, COMPLEX)])
     def test_zero_repeated_and_negated_rows_leave_the_rank(self, n, k, mode):
-        basis = _horizontal_embeds(n, k, mode)
+        basis = _horizontal_blocks(n, k, mode)
         i, j = np.triu_indices(len(basis), 1)
         rank = _span_rank(basis, basis[i], basis[j], k, mode)
-        # appended: zero basis matrices, zero brackets [x, x], repeated
-        # basis matrices and brackets, and negated ones ([y, x] = -[x, y])
+        # appended: zero basis blocks, zero brackets [x, x], repeated basis
+        # blocks and brackets, and negated ones ([y, x] = -[x, y])
         padded = np.concatenate([basis, np.zeros_like(basis[:3]), basis[::2], -basis[1::3]])
         left = np.concatenate([basis[i], basis, basis[i[::3]], basis[j[::2]]])
         right = np.concatenate([basis[j], basis, basis[j[::3]], basis[i[::2]]])
@@ -156,7 +155,7 @@ class TestSpanRank:
 
     @pytest.mark.parametrize("mode", [COMPLEX, REAL])
     def test_all_zero_rows_have_rank_zero(self, mode):
-        zeros = np.zeros((4, 3, 3), dtype=complex)
+        zeros = np.zeros((4, 1, 2), dtype=complex)
         assert _span_rank(zeros, zeros, zeros, 1, mode) == 0
 
     def test_sample_axis_ranks_each_sample_alone(self):
@@ -164,11 +163,11 @@ class TestSpanRank:
         # the fourth, (1 - i, 0, 0), makes two equal bracket rows in its own
         # sample only, so the stack keeps both and its rank is still full
         n = 4
-        basis = _horizontal_embeds(n, 1, COMPLEX)
+        basis = _horizontal_blocks(n, 1, COMPLEX)
         rows = np.random.default_rng(3).standard_normal((5, n - 1)) + 0j
         rows[2] *= 1e-12
         rows[3] = [1 - 1j, 0, 0]
-        sections = _embed_velocities(np.zeros((1, 1)), rows[:, None, :])[:, None]
+        sections = rows[:, None, None, :]
         ranks = _span_rank(basis, sections, basis, 1, COMPLEX)
         alone = [_span_rank(basis, z, basis, 1, COMPLEX) for z in sections]
         assert ranks.tolist() == alone == [7, 7, 6, 7, 7]
@@ -288,20 +287,22 @@ def small_shapes(max_n):
     return [(n, k) for n in range(2, max_n + 1) for k in range(1, n)]
 
 
-def pair_inputs(n, k, mode, embedded):
-    """The bracket sweep's (basis, left, right): b blocks, or n x n embeds."""
-    basis = (_horizontal_embeds if embedded else _horizontal_blocks)(n, k, mode)
+def pair_inputs(n, k, mode):
+    """The bracket sweep's (basis, left, right) b blocks."""
+    basis = _horizontal_blocks(n, k, mode)
     i, j = np.triu_indices(len(basis), 1)
     return basis, basis[i], basis[j]
 
 
 def section_inputs(n, rows):
-    """The strong check's (basis, sections, basis) for complex V(n,1) rows:
-    b blocks, and the same as n x n embeds."""
-    rows = np.asarray(rows, dtype=complex)
-    blocks, embeds = _horizontal_blocks(n, 1, COMPLEX), _horizontal_embeds(n, 1, COMPLEX)
-    sections = _embed_velocities(np.zeros((1, 1)), rows[:, None, :])[:, None]
-    return (blocks, rows[:, None, None, :], blocks), (embeds, sections, embeds)
+    """The strong check's (basis, sections, basis) b blocks for complex V(n,1) rows."""
+    blocks = _horizontal_blocks(n, 1, COMPLEX)
+    return blocks, np.asarray(rows, dtype=complex)[:, None, None, :], blocks
+
+
+def embeds(*blocks):
+    """The n x n embeds of stacked horizontal b blocks, which ``span_rank_entries`` ranks."""
+    return tuple(_embed_velocities(np.zeros(b.shape[:-1] + b.shape[-2:-1]), b) for b in blocks)
 
 
 def assert_root_two_apart(entries, coords):
@@ -349,16 +350,14 @@ class TestCoordinateRows:
     @pytest.mark.parametrize("mode", [COMPLEX, REAL])
     def test_agrees_with_the_entry_rows_on_every_small_shape(self, mode):
         for n, k in small_shapes(9):
-            rank = span_rank_entries(*pair_inputs(n, k, mode, True), k, mode)
-            assert _span_rank(*pair_inputs(n, k, mode, False), k, mode) == rank, (n, k)
-            assert _span_rank(*pair_inputs(n, k, mode, True), k, mode) == rank, (n, k)
+            inputs = pair_inputs(n, k, mode)
+            rank = span_rank_entries(*embeds(*inputs), k, mode)
+            assert _span_rank(*inputs, k, mode) == rank, (n, k)
 
     @pytest.mark.parametrize("mode", [COMPLEX, REAL])
-    @pytest.mark.parametrize("embedded", [False, True])
-    def test_agrees_on_zero_repeated_and_negated_rows(self, mode, embedded):
+    def test_agrees_on_zero_repeated_and_negated_rows(self, mode):
         for n, k in [(3, 1), (4, 2), (5, 2), (6, 3)]:
-            basis, left, right = pair_inputs(n, k, mode, embedded)
-            e_basis, e_left, e_right = pair_inputs(n, k, mode, True)
+            basis, left, right = pair_inputs(n, k, mode)
             i, j = np.triu_indices(len(basis), 1)
 
             def padded(b, lt, rt):
@@ -368,7 +367,7 @@ class TestCoordinateRows:
                     np.concatenate([rt, b, b[j[::3]], b[i[::2]]]),
                 )
 
-            rank = span_rank_entries(*padded(e_basis, e_left, e_right), k, mode)
+            rank = span_rank_entries(*embeds(*padded(basis, left, right)), k, mode)
             assert _span_rank(*padded(basis, left, right), k, mode) == rank, (n, k)
             zeros = np.zeros_like(basis[:4])
             assert _span_rank(zeros, zeros, zeros, k, mode) == 0
@@ -384,10 +383,9 @@ class TestCoordinateRows:
         rows[3] *= 1e-12
         rows[4] = 0
         rows[4, -1] = 2e-12j
-        blocks, embeds = section_inputs(n, rows)
-        ranks = _span_rank(*blocks, 1, COMPLEX)
-        assert ranks.tolist() == span_rank_entries(*embeds, 1, COMPLEX).tolist()
-        assert ranks.tolist() == _span_rank(*embeds, 1, COMPLEX).tolist()
+        inputs = section_inputs(n, rows)
+        ranks = _span_rank(*inputs, 1, COMPLEX)
+        assert ranks.tolist() == span_rank_entries(*embeds(*inputs), 1, COMPLEX).tolist()
         assert ranks.tolist() == [2 * n - 1, 2 * n - 2, 2 * n - 1, 2 * n - 2, 2 * n - 2, 2 * n - 1]
 
     @pytest.mark.parametrize("mode", [COMPLEX, REAL])
@@ -396,14 +394,15 @@ class TestCoordinateRows:
         # of the entries the oracle ranks, so the spectra agree up to sqrt(2)
         for n, k in small_shapes(6):
             svd_values.clear()
-            span_rank_entries(*pair_inputs(n, k, mode, True), k, mode)
-            _span_rank(*pair_inputs(n, k, mode, False), k, mode)
+            inputs = pair_inputs(n, k, mode)
+            span_rank_entries(*embeds(*inputs), k, mode)
+            _span_rank(*inputs, k, mode)
             assert_root_two_apart(*svd_values)
         rows = np.random.default_rng(5).standard_normal((20, 4)) * np.exp(1j * np.arange(4))
-        blocks, embeds = section_inputs(5, rows)
+        inputs = section_inputs(5, rows)
         svd_values.clear()
-        span_rank_entries(*embeds, 1, COMPLEX)
-        _span_rank(*blocks, 1, COMPLEX)
+        span_rank_entries(*embeds(*inputs), 1, COMPLEX)
+        _span_rank(*inputs, 1, COMPLEX)
         assert_root_two_apart(*svd_values)
 
 

@@ -12,9 +12,10 @@ per report into DIR:
   summaries and 3 real antidiagonal summaries;
 - a block-diagonal and a generic search on a 129 x 64 complex V(2,1) grid,
   whose endpoint table would be over the search's chunk budget; like every
-  k = 1 search they solve along the target's fold branches and hold only the
-  grid's unit rows, reading neither ``lambda_count`` nor ``t_count`` (no
-  report streams a k >= 2 scan);
+  k = 1 search they solve along the target's fold branches, reading neither
+  ``lambda_count`` nor ``t_count``; the block-diagonal one holds only the
+  grid's unit rows, and the generic one no scan data (no report streams a
+  k >= 2 scan);
 - ops 0-7 of each benchmark workload at seeds 1 and 7, built and serialized
   by ``perfbench.workloads``.
 
