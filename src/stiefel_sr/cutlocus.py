@@ -51,7 +51,8 @@ _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
 _CHUNK_ELEMENTS = 2**22
 # velocities per kernel fill of the k >= 2 scan
 _FILL_VELOCITIES = 16
-# Newton steps of one k = 1 solve on a fold branch (``_plane_newton``)
+# Newton steps of a k = 1 root's solve from its bracket (``_plane_newton``);
+# a solve ends earlier once a step no longer lowers |f|
 _NEWTON_ITERS = 30
 # rates per side of a fold branch's loop: its brackets start the k = 1 solve
 _BRANCH_RATES = 64
@@ -282,9 +283,10 @@ class SearchDiagnostics(_Record):
     iteration cap (``capped``); ``lm_iterations`` lockstep iterations ran;
     ``arrivals_before_dedup`` arrivals were in the minimal-length band
     before deduplication.  At k = 1 each fold-branch bracket (a scan hit)
-    is one Newton start (a candidate; none for a closed-form root), and
-    ``damped``, ``stalled`` and ``lm_iterations`` stay 0.  The identity class is answered without a
-    search: only its one arrival is counted.
+    is one Newton start (a candidate; none for a closed-form root), which
+    has converged once a step no longer lowers its residual's modulus, and
+    ``damped``, ``stalled`` and ``lm_iterations`` stay 0.  The identity
+    class is answered without a search: only its one arrival is counted.
     """
 
     scan_hits: int = 0
@@ -626,25 +628,29 @@ def _best_hits(vix, tix, err) -> np.ndarray:
     return order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < 3]
 
 
-def _plane_residual(lam, ts, q0: complex, r1):
-    """f = (s - r1) + i Im(T conj(q0)) at a unit row, with df/dlam and df/dt.
+def _plane_residual(lam, ts, u: complex, qhat: float, r1):
+    """f = qhat s - r1 Re(T u) + i Im(T u) at a unit row, with df/dlam and df/dt, stacked.
 
-    s = sin(t omega) / omega is |S| with the sign (-1)^m on fold branch m,
-    m pi <= t omega <= (m + 1) pi, where r1 = (-1)^m r (``_branch_starts``)
-    makes f vanish at T = q0 / |q| (and at -q0 / |q|, which no start
-    brackets).  Unlike T, s is not flat across the fold.  One
-    ``geodesic._vn1_jacobian`` call gives T, s, their derivatives and
-    ds/dt = cos(t omega).
+    For a target column q = (q0, q1): qhat = |q0| / |q| and u = conj(q0) /
+    |q0|.  s = sin(t omega) / omega is |S| with the sign (-1)^m on fold
+    branch m, m pi <= t omega <= (m + 1) pi, and r1 = (-1)^m |q1| / |q|
+    (``_branch_starts``).  As (Re(T u), s) and (qhat, r1) are unit vectors
+    when Im(T u) = 0 (|T|^2 + s^2 = 1), f vanishes at T = q0 / |q| and s =
+    r1 (and at -q0 / |q|, s = -r1, on the other branches).  The real part
+    is qhat (s - r1) - r1 (Re(T u) - qhat), the radial condition twice: s -
+    r1 alone resolves a root only to about eps / |q0| (small-|q0| roots sit
+    near the loop's turning point t omega = pi / 2, where s is stationary
+    in t), and Re(T u) - qhat alone only to about eps / |q1| (near the
+    identity).  To first order the two terms are proportional with the same
+    sign and round alike (about eps qhat |r1|), while their derivatives are
+    in the ratio qhat^2 : r1^2, so their sum resolves the root to rounding
+    at every |q0|.  Unlike T, s is not flat across the fold.  One
+    ``geodesic._vn1_jacobian`` call gives T, s, their derivatives and ds/dt
+    = cos(t omega).
     """
     top, dlam, dt, s, ds, cosw = _vn1_jacobian(lam, ts)
-    u = np.conj(q0)
-    return s - r1 + 1j * (top * u).imag, ds + 1j * (dlam * u).imag, cosw + 1j * (dt * u).imag
-
-
-def _top_residual(lam, ts, q0: complex):
-    """f = T - q0 at a unit row, with df/dlam and df/dt (``geodesic._vn1_jacobian``)."""
-    top, dlam, dt = _vn1_jacobian(lam, ts)[:3]
-    return top - q0, dlam, dt
+    w = np.array((top, dlam, dt)) * u
+    return qhat * np.array((s, ds, cosw)) - r1 * w.real + 1j * w.imag
 
 
 def _plane_newton(lam: np.ndarray, ts: np.ndarray, residual):
@@ -654,8 +660,8 @@ def _plane_newton(lam: np.ndarray, ts: np.ndarray, residual):
     times of the starts ``rows`` (an index array or a slice).  Each step
     solves the 2 x 2 real system of f's derivatives by Cramer's rule and is
     kept only if it lowers |f|; a start whose step no longer does has
-    converged.  Returns the rates, the times, df/dt there and which starts
-    are still descending after ``_NEWTON_ITERS`` steps (capped).
+    converged.  Returns the rates, the times and which starts are still
+    descending after ``_NEWTON_ITERS`` steps (capped).
     """
     lam, ts = lam.astype(np.float64), ts.astype(np.float64)
     f, dlam, dt = residual(lam, ts, slice(None))
@@ -678,7 +684,7 @@ def _plane_newton(lam: np.ndarray, ts: np.ndarray, residual):
             for held, new in zip((lam, ts, f, dlam, dt, res), trials):
                 held[rows] = new[better]
             active[ai[~better]] = False
-    return lam, ts, dt, active
+    return lam, ts, active
 
 
 def _branch_starts(q0: complex, q1: np.ndarray, grid: VelocityGrid):
@@ -729,17 +735,11 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
     x)), lam = 2 (1 - x) / sqrt(x (2 - x)) (the real antipode: lam = 0, t =
     pi).  A real-mode target (lam = 0, T = cos t) is reached at t =
     atan2(|q1|, q0), and so is q0 = 0.  Any other target's roots are solved
-    along its fold branches: each bracket of ``_branch_starts`` starts
-    ``_plane_newton``, and neither ``lambda_count`` nor ``t_count`` is read:
-    no rate or time grid is sampled.  A root where the fold residual's
-    t-derivative is smaller than T's is finished by ``_plane_newton`` on T =
-    q0.  At a root |cos(t omega)| <= |T| = |q0| and |dT/dt| = |S| = r, so
-    this holds at every root of a target with |q0|^2 < (3 - sqrt 5) / 2,
-    |q0| < 0.618 (there the fold derivative is at most |q0| sqrt(1 + r^2) <
-    r), and at none where |q0| is near 1.  For small |q0| the roots sit
-    near the loop's turning point t omega = pi / 2, where the fold residual
-    alone pins the time only to about eps / |q0|.  Each root's row is
-    b = -conj(q1) / conj(S), normalized.  Roots must lie in the window
+    along its fold branches: each bracket of ``_branch_starts`` starts one
+    ``_plane_newton`` pass on ``_plane_residual``, which pins a root to
+    rounding at every |q0|, and neither ``lambda_count`` nor ``t_count`` is
+    read: no rate or time grid is sampled.  Each root's row is b =
+    -conj(q1) / conj(S), normalized.  Roots must lie in the window
     ``lambda_range`` x (0, ``t_max``] (real mode: (0, ``t_max``]) and reach
     within ``TOL.hit``.  Only the block-diagonal branch reads ``_scan_table``
     (the unit rows, in grid order): a generic search draws and caches nothing.
@@ -759,18 +759,13 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
             rows = (-np.conj(q1) / norm)[None]
         else:
             lam, t, r1 = _branch_starts(q0, q1, grid)
-            fold = lambda lam, ts, rows: _plane_residual(lam, ts, q0, r1[rows])  # noqa: E731
-            lam, t, fold_dt, capped = _plane_newton(lam, t, fold)
+            u, qhat = np.conj(q0) / abs(q0), abs(q0) / np.linalg.norm(target.cols)
+
+            def residual(lam, ts, rows):
+                return _plane_residual(lam, ts, u, qhat, r1[rows])
+
+            lam, t, capped = _plane_newton(lam, t, residual)
             dtop = _vn1_jacobian(lam, t)[2]
-            # where T moves faster in t than the fold residual (every root
-            # once |q0| < 0.618), T = q0 pins the time better: near the loop's
-            # turning point s is stationary in t, and the fold residual pins
-            # a small-|q0| root's time only to about eps / |q0|
-            turning = np.abs(fold_dt) < np.abs(dtop)
-            if turning.any():
-                top = lambda lam, ts, rows: _top_residual(lam, ts, q0)  # noqa: E731
-                finished = _plane_newton(lam[turning], t[turning], top)
-                lam[turning], t[turning], dtop[turning], capped[turning] = finished
             # S = -dT/dt
             rows = -np.conj(q1) / np.conj(-dtop)[:, None]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -1004,9 +999,10 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     process, for one grid at a time.  At k >= 2 every near-arrival
     of the grid's endpoint table is refined by damped least squares
     (``_refined_arrivals``); at k = 1 the target's |q1| fixes a closed loop
-    in (rate, time) per fold branch, and the search solves for the phase of
-    the top entry along each (``_plane_arrivals``), reading no
-    ``lambda_count`` or ``t_count``.  The minimal-length arrivals are put in
+    in (rate, time) per fold branch, the search brackets the phase of the
+    top entry along each and solves every bracket by one Newton pass on one
+    residual (``_plane_arrivals``), reading no ``lambda_count`` or
+    ``t_count``.  The minimal-length arrivals are put in
     report order by time, which at the one speed of a search is length
     order, exact ties keeping the search's own order (grid order at
     k = 1, candidate order at k >= 2); they are then deduplicated and

@@ -59,6 +59,17 @@ def test_rounding_change_is_equivalent_but_not_identical(tmp_path, mode, expecte
     assert _compare(tmp_path, changed, mode) == expected
 
 
+def test_equivalent_mode_logs_the_largest_accepted_differences(tmp_path, capsys):
+    changed = copy.deepcopy(REPORT)
+    changed["min_length"] *= 1 + 1e-13
+    changed["arrivals"][1]["velocity"]["re"][0][1] += 1e-13
+    assert _compare(tmp_path, changed, "equivalent") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "largest accepted over 1 search reports: min_length 1e-13 relative, arrival embed 1e-13",
+        "1 files, 0 differing (equivalent)",
+    ]
+
+
 @pytest.mark.parametrize("mode", ["bytes", "equivalent"])
 def test_dropped_arrival_fails_both_modes(tmp_path, mode):
     changed = copy.deepcopy(REPORT)

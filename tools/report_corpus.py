@@ -36,7 +36,9 @@ report (a JSON object with ``arrivals`` and ``clusters``) must have
 - arrivals matched one to one by velocity embed within 1e-9 (Frobenius);
 
 every other value must be equal, numbers to within 1e-12 relative or
-absolute.  Keys present only in B are listed and ignored.
+absolute.  Keys present only in B are listed and ignored.  For the log, it
+also prints the largest ``min_length`` difference (relative) and the largest
+matched-arrival embed distance that it accepted; these gate nothing.
 """
 
 from __future__ import annotations
@@ -141,11 +143,16 @@ def _embed(velocity: dict) -> np.ndarray:
     return np.asarray(velocity["re"], dtype=float) + 1j * np.asarray(velocity["im"], dtype=float)
 
 
-def _compare_search(a: dict, b: dict, path: str, diffs: list) -> None:
-    """The search-report rules: clusters, min_length and matched arrivals."""
+def _compare_search(a: dict, b: dict, path: str, diffs: list, accepted: dict) -> None:
+    """The search-report rules: clusters, min_length and matched arrivals.
+
+    ``accepted`` keeps the count of search reports compared and the largest
+    relative ``min_length`` difference and matched embed distance that passed.
+    """
     if any(key not in b for key in SEARCH_KEYS):
         diffs.append(f"{path}: not a search report")
         return
+    accepted["searches"] += 1
     if a["clusters"] != b["clusters"]:
         diffs.append(f"{path}.clusters: {a['clusters']} vs {b['clusters']}")
     la, lb = a["min_length"], b["min_length"]
@@ -153,6 +160,9 @@ def _compare_search(a: dict, b: dict, path: str, diffs: list) -> None:
         la is not None and not math.isclose(la, lb, rel_tol=LENGTH_RTOL, abs_tol=0.0)
     ):
         diffs.append(f"{path}.min_length: {la!r} vs {lb!r}")
+    elif la is not None and la != lb:
+        rel = abs(la - lb) / max(abs(la), abs(lb))
+        accepted["min_length"] = max(accepted["min_length"], rel)
     if len(a["arrivals"]) != len(b["arrivals"]):
         diffs.append(f"{path}.arrivals: {len(a['arrivals'])} vs {len(b['arrivals'])}")
         return
@@ -171,27 +181,29 @@ def _compare_search(a: dict, b: dict, path: str, diffs: list) -> None:
         if len(near) == 0:
             diffs.append(f"{path}.arrivals[{i}]: no unmatched arrival within {EMBED_TOL}")
             return
-        free[near[np.argmin(row[near])]] = False
+        j = near[np.argmin(row[near])]
+        free[j] = False
+        accepted["embed"] = max(accepted["embed"], float(row[j]))
 
 
-def _compare_values(a, b, path: str, diffs: list, new_keys: list) -> None:
+def _compare_values(a, b, path: str, diffs: list, new_keys: list, accepted: dict) -> None:
     if isinstance(a, dict) and isinstance(b, dict):
         new_keys += [f"{path}.{key}" for key in sorted(set(b) - set(a))]
         keys = sorted(a)
         if "arrivals" in a and "clusters" in a:
-            _compare_search(a, b, path, diffs)
+            _compare_search(a, b, path, diffs, accepted)
             keys = [key for key in keys if key not in SEARCH_KEYS]
         for key in keys:
             if key not in b:
                 diffs.append(f"{path}.{key}: missing")
             else:
-                _compare_values(a[key], b[key], f"{path}.{key}", diffs, new_keys)
+                _compare_values(a[key], b[key], f"{path}.{key}", diffs, new_keys, accepted)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             diffs.append(f"{path}: length {len(a)} vs {len(b)}")
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            _compare_values(x, y, f"{path}[{i}]", diffs, new_keys)
+            _compare_values(x, y, f"{path}[{i}]", diffs, new_keys, accepted)
     elif isinstance(a, float) and isinstance(b, (int, float)) and not isinstance(b, bool):
         if not math.isclose(a, b, rel_tol=VALUE_TOL, abs_tol=VALUE_TOL):
             diffs.append(f"{path}: {a!r} vs {b!r}")
@@ -216,8 +228,11 @@ def _exact_diffs(a, b, path: str, diffs: list) -> None:
         diffs.append(f"{path}: {a!r} vs {b!r}")
 
 
-def compare_texts(a: str, b: str, mode: str) -> tuple[list, list]:
-    """Differences and new keys between two report texts under ``mode``."""
+def compare_texts(a: str, b: str, mode: str, accepted: dict) -> tuple[list, list]:
+    """Differences and new keys between two report texts under ``mode``.
+
+    In ``equivalent`` mode ``accepted`` (see ``_compare_search``) is updated.
+    """
     if mode == "bytes":
         if a == b:
             return [], []
@@ -228,7 +243,7 @@ def compare_texts(a: str, b: str, mode: str) -> tuple[list, list]:
             pass
         return diffs or ["bytes differ"], []
     diffs, new_keys = [], []
-    _compare_values(json.loads(a), json.loads(b), "$", diffs, new_keys)
+    _compare_values(json.loads(a), json.loads(b), "$", diffs, new_keys, accepted)
     return diffs, new_keys
 
 
@@ -242,12 +257,13 @@ def compare(dir_a: Path, dir_b: Path, mode: str) -> int:
             print(f"error: {directory} {what}", file=sys.stderr)
             return 1
     differing = 0
+    accepted = {"searches": 0, "min_length": 0.0, "embed": 0.0}
     for name in sorted(names_a ^ names_b):
         print(f"{name}: only in {dir_a if name in names_a else dir_b}")
         differing += 1
     for name in sorted(names_a & names_b):
         diffs, new_keys = compare_texts(
-            (dir_a / name).read_text(), (dir_b / name).read_text(), mode
+            (dir_a / name).read_text(), (dir_b / name).read_text(), mode, accepted
         )
         for key in new_keys:
             print(f"{name}: new key {key} (ignored)")
@@ -255,6 +271,11 @@ def compare(dir_a: Path, dir_b: Path, mode: str) -> int:
             differing += 1
             for line in diffs[:5]:
                 print(f"{name}: {line}")
+    if accepted["searches"]:
+        print(
+            f"largest accepted over {accepted['searches']} search reports: min_length "
+            f"{accepted['min_length']:.2g} relative, arrival embed {accepted['embed']:.2g}"
+        )
     print(f"{len(names_a | names_b)} files, {differing} differing ({mode})")
     return 0 if differing == 0 else 1
 
