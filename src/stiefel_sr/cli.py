@@ -240,7 +240,8 @@ def _parse(argv) -> argparse.Namespace:
     if getattr(args, "seed", 0) < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     _check_out(args.out)
-    tolerances.configure(**tol)
+    # the defaults overridden by the record, whatever an earlier call installed
+    tolerances.configure(**{**vars(tolerances.Tolerances()), **tol})
     return args
 
 

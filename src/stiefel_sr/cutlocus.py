@@ -503,7 +503,7 @@ def _endpoint_residuals(family, x: np.ndarray, target_cols):
     a, b = family.blocks(np.where(bad[:, None], 0.0, params))
     spectra = _decompose(a, b)
     cols = batch_geodesic_columns(a, b, np.where(bad, 0.0, ts), family.grid.mode, spectra)
-    diff = (cols - target_cols[None]).reshape(len(x), -1)
+    diff = (cols - target_cols[None]).reshape(len(x), target_cols.size)
     out = np.concatenate([diff.real, diff.imag], axis=1)
     out[bad] = 1e6
     return out, spectra
@@ -628,6 +628,28 @@ def _best_hits(vix, tix, err) -> np.ndarray:
     return order[np.arange(len(order)) - np.searchsorted(grouped, grouped) < 3]
 
 
+def _scan_hits(family, target_cols):
+    """The k >= 2 scan and candidate stages: ``_refine``'s starts (params, times), scan-hit count.
+
+    Up to 3 gated local minima of the endpoint error per velocity (``_scan_cols``,
+    ``_best_hits``), from the 16-velocity kernel fills that ``_scan_table``
+    holds or, for a grid over the chunk budget, makes from its sample in turn.
+    """
+    grid = family.grid
+    p0, fills = _scan_table(grid)
+    ts = _scan_times(grid)
+    speed = float(np.sqrt(_speeds_squared(family.blocks(p0[:1])[1], grid.n, grid.mode)[0]))
+    gate = max(8 * speed * (ts[1] - ts[0]), 0.25) + tolerances.TOL.hit
+    hits, lo = [], 0
+    for cols in fills or _scan_fills(family, p0, ts):
+        v, t, e = _scan_cols(cols, target_cols, gate)
+        hits.append((v + lo, t, e))
+        lo += len(cols)
+    vix, tix, err = (np.concatenate(x) for x in zip(*hits))
+    pick = _best_hits(vix, tix, err)
+    return p0[vix[pick]], ts[tix[pick]], len(vix)
+
+
 def _plane_residual(lam, ts, u: complex, qhat: float, r1):
     """f = qhat s - r1 Re(T u) + i Im(T u) at a unit row, with df/dlam and df/dt, stacked.
 
@@ -727,7 +749,7 @@ def _branch_starts(q0: complex, q1: np.ndarray, grid: VelocityGrid):
 
 
 def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
-    """Blocks, times and endpoint errors of a k = 1 search's arrivals, and its counts.
+    """Blocks, times and kernel endpoint errors of a k = 1 search's roots, and its counts.
 
     Every unit row reaches a block-diagonal target (q0, 0) where S = 0, at
     t omega = m pi with T = (-1)^m e^{-i lam t / 2}; m = 1 is the shortest,
@@ -739,10 +761,10 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
     ``_plane_newton`` pass on ``_plane_residual``, which pins a root to
     rounding at every |q0|, and neither ``lambda_count`` nor ``t_count`` is
     read: no rate or time grid is sampled.  Each root's row is b =
-    -conj(q1) / conj(S), normalized.  Roots must lie in the window
-    ``lambda_range`` x (0, ``t_max``] (real mode: (0, ``t_max``]) and reach
-    within ``TOL.hit``.  Only the block-diagonal branch reads ``_scan_table``
-    (the unit rows, in grid order): a generic search draws and caches nothing.
+    -conj(q1) / conj(S), normalized.  Every root with rate in
+    ``lambda_range`` (complex mode) and time up to ``t_max`` is returned,
+    for ``search_minimizers``' one acceptance rule.  Only the block-diagonal
+    branch reads ``_scan_table`` (the unit rows, in grid order).
     """
     q0, q1 = target.cols[0, 0], target.cols[1:, 0]
     counts = {}
@@ -773,14 +795,12 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
             counts = dict(scan_hits=len(lam), candidates=len(lam))
             counts.update(converged=len(lam) - capped, capped=capped)
     lo, hi = grid.lambda_range
-    inside = (t > 10 * _REFINE_FLOOR) & (t <= grid.t_max)
+    inside = t <= grid.t_max
     if grid.mode == COMPLEX:
         inside &= (lo <= lam) & (lam <= hi)
     a_blk, b_blk, t = (1j * lam[inside]).reshape(-1, 1, 1), rows[inside, None], t[inside]
     cols = batch_geodesic_columns(a_blk, b_blk, t, grid.mode)
-    err = np.linalg.norm(cols - target.cols, axis=(1, 2))
-    good = err <= tolerances.TOL.hit
-    return a_blk[good], b_blk[good], t[good], err[good], counts
+    return a_blk, b_blk, t, np.linalg.norm(cols - target.cols, axis=(1, 2)), counts
 
 
 def _residual_jacobian(family, x: np.ndarray, spectra) -> np.ndarray:
@@ -817,7 +837,7 @@ def _refine(
     damping.  Each candidate also keeps the two eigendecompositions that the
     evaluation of its accepted point made, and its Jacobian is built from
     them (``_residual_jacobian``), so no Jacobian calls eigh.  Only k >= 2
-    searches refine.
+    searches refine, from the starts of ``_scan_hits`` (an empty stack too).
     Per-candidate damping adapts in the usual way.  A candidate is frozen
     once its residual is far below the hit radius, once its damping exceeds
     1e8, or once its squared residual is above half of its own value
@@ -996,13 +1016,16 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     grid (seed included); an exhausted search returns an empty-arrival
     report rather than raising.  What searches read of a grid (``_scan_table``)
     depends on neither target nor tolerances, so it is made once per grid per
-    process, for one grid at a time.  At k >= 2 every near-arrival
-    of the grid's endpoint table is refined by damped least squares
-    (``_refined_arrivals``); at k = 1 the target's |q1| fixes a closed loop
-    in (rate, time) per fold branch, the search brackets the phase of the
-    top entry along each and solves every bracket by one Newton pass on one
-    residual (``_plane_arrivals``), reading no ``lambda_count`` or
-    ``t_count``.  The minimal-length arrivals are put in
+    process, for one grid at a time.  Stages: scan -> candidates -> refine
+    -> select.  At k >= 2 ``_scan_hits`` gives the gated near-arrivals of
+    the grid's endpoint table and ``_refine`` refines them by damped least
+    squares; at k = 1 the target's |q1| fixes a closed loop in (rate, time)
+    per fold branch, the search brackets the phase of the top entry along
+    each and solves every bracket by one Newton pass on one residual
+    (``_plane_arrivals``), reading no ``lambda_count`` or ``t_count``.
+    Each producer gives its own endpoint errors, and one rule accepts for
+    both k: t > 10 ``_REFINE_FLOOR`` and error within ``TOL.hit``.  The
+    selection puts the minimal-length arrivals in
     report order by time, which at the one speed of a search is length
     order, exact ties keeping the search's own order (grid order at
     k = 1, candidate order at k >= 2); they are then deduplicated and
@@ -1029,14 +1052,19 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
         return MinimizerReport(tclass, grid, (arr,), 1, 0.0, diagnostics)
 
     if grid.k == 1:
-        a_blk, b_blk, t_good, err_good, counts = _plane_arrivals(target, grid, tclass.kind)
+        a_blk, b_blk, t, err, counts = _plane_arrivals(target, grid, tclass.kind)
     else:
-        a_blk, b_blk, t_good, err_good, counts = _refined_arrivals(target, grid)
-    if len(t_good) == 0:
-        return MinimizerReport(tclass, grid, (), 0, None, SearchDiagnostics(**counts))
+        family = _LinearFamily(grid)
+        params, starts, scan_hits = _scan_hits(family, target.cols)
+        params, t, err, stats = _refine(family, params, starts, target.cols, tol.hit)
+        counts = dict(scan_hits=scan_hits, candidates=len(starts), **stats)
+        a_blk, b_blk = family.blocks(params)
+    # the one acceptance rule of both k
+    good = (t > 10 * _REFINE_FLOOR) & (err <= tol.hit)
+    a_blk, b_blk, t_good, err_good = a_blk[good], b_blk[good], t[good], err[good]
 
     lengths = t_good * np.sqrt(_speeds_squared(b_blk, grid.n, grid.mode))
-    min_len = float(lengths.min())
+    min_len = lengths.min(initial=np.inf)
     slack = _PLANE_LENGTH_SLACK if grid.k == 1 else _LENGTH_SLACK
     kept = np.nonzero(lengths <= min_len * (1 + slack))[0]
     # every arrival's b block has the one speed of its search, so time order is
@@ -1057,40 +1085,8 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
         for v, i in zip(velocities, rows)
     )
     diagnostics = SearchDiagnostics(**counts, arrivals_before_dedup=len(kept))
+    min_len = float(min_len) if len(kept) else None
     return MinimizerReport(tclass, grid, final, clusters, min_len, diagnostics)
-
-
-def _refined_arrivals(target: StiefelPoint, grid: VelocityGrid):
-    """Blocks, times and residual norms of a k >= 2 search's arrivals, and its counts.
-
-    The gated local minima of the endpoint error along each velocity's time
-    grid (up to 3 per velocity, ``_best_hits``) are refined by ``_refine``.
-    One loop scans the 16-velocity kernel fills that ``_scan_table`` holds or,
-    for a grid over the chunk budget, makes each from its sample in turn.
-    """
-    family = _LinearFamily(grid)
-    p0, fills = _scan_table(grid)
-    ts = _scan_times(grid)
-    speed = float(np.sqrt(_speeds_squared(family.blocks(p0[:1])[1], grid.n, grid.mode)[0]))
-    gate = max(8 * speed * (ts[1] - ts[0]), 0.25) + tolerances.TOL.hit
-    hits, lo = [], 0
-    for cols in fills or _scan_fills(family, p0, ts):
-        v, t, e = _scan_cols(cols, target.cols, gate)
-        hits.append((v + lo, t, e))
-        lo += len(cols)
-    vix, tix, err = (np.concatenate(x) for x in zip(*hits))
-
-    pick = _best_hits(vix, tix, err)
-    if len(pick) == 0:
-        none = np.zeros(0)
-        return none, none, none, none, dict(scan_hits=len(vix))
-    params, t_ref, errs, stats = _refine(
-        family, p0[vix[pick]], ts[tix[pick]], target.cols, tolerances.TOL.hit
-    )
-    counts = dict(scan_hits=len(vix), candidates=len(pick), **stats)
-    good = (errs <= tolerances.TOL.hit) & (t_ref > 10 * _REFINE_FLOOR)
-    a_blk, b_blk = family.blocks(params[good])
-    return a_blk, b_blk, t_ref[good], errs[good], counts
 
 
 # -- mirrored arrivals at block-diagonal targets ---------------------------------

@@ -74,7 +74,8 @@ def speed_squared(v: BlockVelocity) -> float:
 
 def _speeds_squared(b_blocks: np.ndarray, n: int, mode: str) -> np.ndarray:
     """``speed_squared`` for stacked transversal blocks (c, k, n-k)."""
-    bb = np.sum(np.abs(b_blocks.reshape(len(b_blocks), -1)) ** 2, axis=1)
+    c, k, m = b_blocks.shape
+    bb = np.sum(np.abs(b_blocks.reshape(c, k * m)) ** 2, axis=1)
     scale = 2 * n if mode == COMPLEX else 1
     return 2.0 * scale * bb
 
@@ -177,8 +178,9 @@ def _geodesic_columns(a_blocks, b_blocks, ts, mode: str, spectra=None) -> np.nda
         tt = ts[:, None, :, None]
         mid = (adjoint(q)[:, :, :k] @ qa)[:, :, None, :] * np.exp(-1j * tt * w[:, :, None, None])
         mid *= np.exp(1j * tt * wa[:, None, None, :])
-        cols = (q @ mid.reshape(c, n, -1)).reshape(c, -1, k) @ adjoint(qa)
-        cols = cols.reshape(c, n, -1, k).transpose(0, 2, 1, 3)
+        t_count = mid.shape[2]  # explicit sizes: numpy resolves no -1 on an empty stack
+        cols = (q @ mid.reshape(c, n, t_count * k)).reshape(c, n * t_count, k) @ adjoint(qa)
+        cols = cols.reshape(c, n, t_count, k).transpose(0, 2, 1, 3)
     return _field(cols, mode)
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stiefel_sr import cli, cutlocus
+from stiefel_sr import cli, cutlocus, tolerances
+from stiefel_sr.tolerances import Tolerances
 from stiefel_sr.cli import EXIT_USAGE, main
 from stiefel_sr.geodesic import GeodesicSpec, normal_geodesic
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint
@@ -446,6 +447,25 @@ class TestConfigPrecedence:
         assert payload["clusters"] >= 2
         assert payload["target"]["kind"] == "block_diagonal"
         assert max(a["endpoint_error"] for a in payload["arrivals"]) > 1e-8
+
+    def test_configured_tolerances_do_not_outlive_their_call(self, tmp_path, default_tolerances):
+        # the near-miss target of test_config_tolerances_record: its report
+        # changes with the tolerances, so a leaked record would show in it
+        near = np.array([[1j], [1e-5]]) / np.sqrt(1 + 1e-10)
+        args = [
+            "cutlocus-search", "--n", "2", "--k", "1", "--target", target_json(near),
+            "--grid", json.dumps({"phase_count": 12}),
+        ]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"hit": 5e-3, "eq": 1e-4}}))
+        first, configured, plain = (tmp_path / f"{name}.json" for name in ("a", "b", "c"))
+        assert run(*args, "--out", str(first)) == 0
+        assert run(*args, "--config", str(cfg), "--out", str(configured)) == 0
+        assert tolerances.TOL == Tolerances(hit=5e-3, eq=1e-4)
+        assert run(*args, "--out", str(plain)) == 0
+        assert tolerances.TOL == Tolerances()
+        assert configured.read_bytes() != first.read_bytes()
+        assert plain.read_bytes() == first.read_bytes()
 
     def test_infinite_tolerances_are_usage_error(self, tmp_path, capsys, default_tolerances):
         # Python's json reads Infinity; an infinite hit radius would accept

@@ -20,7 +20,7 @@ from stiefel_sr.geodesic import (
     write_curve_csv,
 )
 
-from _oracles import fd_velocity, simpson_curve_length
+from _oracles import fd_velocity, geodesic_columns_mp, simpson_curve_length
 
 
 def v21(lam, x2):
@@ -212,6 +212,47 @@ class TestGrassmann2kk:
             one1, one3 = grassmann_geodesic_2kk(b[i], ts[i])
             assert np.max(np.abs(g1[i] - one1)) <= 1e-15
             assert np.max(np.abs(g3[i] - one3)) <= 1e-15
+
+
+class TestGrassmannLift:
+    """The a = 0 lift of a minimizing Grassmann geodesic reaches P = [X; Y] at t = 1.
+
+    With X = W cos(Theta) W* and Y = -V sin(Theta) W* (W unitary, V with
+    orthonormal columns, the principal angles Theta in (0, pi/2]), the
+    velocity a = 0, b = -W diag(theta / sin theta) W* Y* = W Theta V* has
+    length sqrt(c sum theta_i^2), the Grassmann distance d_Gr of the
+    target's top block (c = 4n complex, 2 real): the bound that no curve to
+    the target undercuts.  At X = 0 (every theta = pi/2, the V(2k,k)
+    antidiagonal point) its trace-normalized time |b| is t0 = pi sqrt(k) / 2.
+    """
+
+    @pytest.mark.parametrize(
+        "n, k, mode",
+        [(4, 2, COMPLEX), (4, 2, REAL), (6, 3, COMPLEX), (5, 2, COMPLEX), (5, 2, REAL)],
+    )
+    @pytest.mark.parametrize("antidiagonal", [False, True], ids=["interior", "x_zero"])
+    def test_reaches_the_target_at_the_grassmann_length(self, n, k, mode, antidiagonal):
+        rng = np.random.default_rng(n + 10 * k + (mode == REAL))
+        theta = np.full(k, np.pi / 2) if antidiagonal else rng.uniform(0.05, 1.5, k)
+        w = matcore.random_unitary(rng, k, mode)
+        v = matcore.random_unitary(rng, n - k, mode)[:, :k]
+        x = w @ np.diag(np.cos(theta)) @ adjoint(w)
+        y = -v @ np.diag(np.sin(theta)) @ adjoint(w)
+        b = -w @ np.diag(theta / np.sin(theta)) @ adjoint(w) @ adjoint(y)
+        vel = BlockVelocity(np.zeros((k, k)), b, mode)
+        target = np.vstack([x, y])
+
+        for endpoint in (
+            normal_geodesic(GeodesicSpec(vel), 1.0).cols,
+            geodesic_columns_mp(vel.a_block, vel.b_block, 1.0),
+        ):
+            assert np.max(np.abs(endpoint - target)) <= 1e-13
+        c = 4 * n if mode == COMPLEX else 2
+        d_gr = np.sqrt(c * np.sum(theta**2))
+        assert abs(length(vel, 1.0) - d_gr) <= 1e-14 * d_gr
+        if antidiagonal:
+            t0 = np.pi * np.sqrt(k) / 2
+            assert abs(np.linalg.norm(b) - t0) <= 1e-14 * t0
 
 
 class TestSpeedAndLength:

@@ -135,6 +135,17 @@ class TestKernelAgainstExpm:
         rows = np.repeat(a[None], len(ts), axis=0), np.repeat(b[None], len(ts), axis=0)
         assert np.max(np.abs(curve - batch_geodesic_columns(*rows, ts, mode))) < SHARED_ATOL
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_stack(self, k, mode):
+        # a search with no candidate evaluates zero velocities; every k returns
+        # an empty stack of the right shape
+        n = 2 * k
+        a, b = np.zeros((0, k, k), dtype=complex), np.zeros((0, k, n - k), dtype=complex)
+        assert batch_geodesic_columns(a, b, np.zeros(0), mode).shape == (0, n, k)
+        ts = np.linspace(0.0, 1.0, 5)
+        assert grid_geodesic_columns(a, b, ts, mode).shape == (0, len(ts), n, k)
+
 
 def reference_derivatives(a, b, t, da, db, mode):
     """Derivatives of expm(t v)[:, :k] . expm(-t a) along each (da[j], db[j]) and along t.
