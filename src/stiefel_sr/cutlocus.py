@@ -37,7 +37,6 @@ from .geodesic import (
     batch_geodesic_columns,
     geodesic_vn1_closed,
     grassmann_geodesic_2kk,
-    grid_geodesic_columns,
     length,
     mirror_velocity,
 )
@@ -45,12 +44,10 @@ from .geodesic import (
 _LENGTH_SLACK = 1e-6  # arrivals within (1 + slack) of the minimum count as minimal
 _PLANE_LENGTH_SLACK = 1e-12  # the same at k = 1, whose lengths are exact to rounding
 _REFINE_FLOOR = 1e-10  # resolution of refined times and velocities
-# element budget of one batch of Jacobian temporaries and of a k >= 2 grid's
-# cached kernel fills (velocities x times x n x k): a larger grid's fills are
-# made one at a time as they are scanned (``_scan_table``)
+# element budget of one batch of Jacobian temporaries; a k >= 2 scan chunk
+# spans a quarter of it in endpoint entries (velocities x times x n x k),
+# which ``_scan_hits`` sums from phase factors without forming them
 _CHUNK_ELEMENTS = 2**22
-# velocities per kernel fill of the k >= 2 scan
-_FILL_VELOCITIES = 16
 # Newton steps of a k = 1 root's solve from its bracket (``_plane_newton``);
 # a solve ends earlier once a step no longer lowers |f|
 _NEWTON_ITERS = 30
@@ -67,8 +64,6 @@ _STALL_WINDOW = 15
 _PAIR_WINDOW = 32
 # the first block-diagonal hit is looked for on a grid of this many times
 _HIT_SCAN_POINTS = 1200
-# its phases are products of ceil(sqrt(points)) block-start and in-block exponentials
-_HIT_BLOCK = int(np.ceil(np.sqrt(_HIT_SCAN_POINTS)))
 # Gauss-Newton refinement of a block-diagonal hit: at most this many steps,
 # stopping early once a step moves t by at most the floor times t_upper
 _HIT_GN_ITERS = 6
@@ -513,14 +508,16 @@ def _scan_times(grid: VelocityGrid) -> np.ndarray:
     return np.linspace(0.0, grid.t_max, grid.t_count)
 
 
-def _scan_fills(family, params: np.ndarray, ts: np.ndarray):
-    """Yield the endpoint columns (c, T, n, k) of ``params`` at ``ts``, in row order, at k >= 2.
+def _phase_blocks(x: np.ndarray, dt: float, count: int):
+    """Block-start and in-block factors of the phases e^{-i m dt x}, m = 0 .. count - 1.
 
-    One kernel call per ``_FILL_VELOCITIES`` velocities keeps its temporaries small.
+    With B = ceil(sqrt(count)) and m = B b + r, the phase is starts[b] *
+    steps[r]: both are (B, *x.shape), the time axis first, so each entry of
+    x takes 2 B exponentials, not count.
     """
-    for lo in range(0, len(params), _FILL_VELOCITIES):
-        a, b = family.blocks(params[lo : lo + _FILL_VELOCITIES])
-        yield grid_geodesic_columns(a, b, ts, family.grid.mode)
+    block = int(np.ceil(np.sqrt(count)))
+    steps = -1j * dt * np.arange(block).reshape(-1, *(1,) * x.ndim) * x
+    return np.exp(block * steps), np.exp(steps)
 
 
 def _unit_rows(grid: VelocityGrid) -> np.ndarray:
@@ -571,50 +568,25 @@ def _unread_grid_fields(grid: VelocityGrid) -> tuple[str, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _scan_table(grid: VelocityGrid):
-    """(sample, fills): all that the grid's searches read of it, made once per process.
+    """(sample, spectra): all that the grid's searches read of it, made once per process.
 
-    At k = 1 ``_unit_rows`` and None; at k >= 2 the Sobol params (c, d) of
-    ``_LinearFamily.initial_params`` and, if they fit ``_CHUNK_ELEMENTS``,
-    their ``_scan_fills`` (c, T, n, k), else None (a search streams them).
-    Neither depends on the target or the tolerances; every array is read-only.
+    At k = 1 ``_unit_rows`` and None.  At k >= 2 the Sobol params (c, d) of
+    ``_LinearFamily.initial_params`` and their velocities' spectra: w, q, wa
+    and qa of ``_decompose`` and C = q*[:, :k] qa (c, n, k), so that the
+    endpoint at time t is q (C o e^{-i t w_p} e^{i t wa_j}) qa* (``_scan_hits``).
+    Neither depends on the target, the times or the tolerances; every array
+    is read-only.
     """
-    family = _LinearFamily(grid) if grid.k >= 2 else None
-    sample = _unit_rows(grid) if family is None else family.initial_params()
-    fits = family is not None and len(sample) * grid.t_count * grid.n * grid.k <= _CHUNK_ELEMENTS
-    fills = tuple(_scan_fills(family, sample, _scan_times(grid))) if fits else None
-    for x in (sample, *(fills or ())):
+    if grid.k == 1:
+        sample, spectra = _unit_rows(grid), None
+    else:
+        family = _LinearFamily(grid)
+        sample = family.initial_params()
+        w, q, wa, qa = _decompose(*family.blocks(sample))
+        spectra = (w, q, wa, qa, adjoint(q)[:, :, : grid.k] @ qa)
+    for x in (sample, *(spectra or ())):
         x.flags.writeable = False
-    return sample, fills
-
-
-def _scan_cols(cols, target_cols, gate):
-    """Gated interior local minima of the endpoint error along each row's time grid.
-
-    ``cols`` (c, T, n, k); returns the row indices, time indices and errors
-    of the hits, in row-major order.  Every point of the table has
-    orthonormal columns, so the squared error to the target Q is
-    k + |Q|^2 - 2 Re tr(Q* P): one inner product per point over the table's
-    float rows, with no table-sized temporary.  The target's own |Q|^2 keeps
-    a target that is slightly off orthonormality free of an offset.  The
-    gate and the local-minimum tests compare squared errors; the square root
-    is taken at the hits only.  ``np.einsum`` runs numpy's single-threaded
-    loop: a BLAS product over the table spends far more CPU than wall time
-    in its threads' spin-wait.
-    """
-    c, t_count, n, k = cols.shape
-    rows = np.ascontiguousarray(cols).reshape(c * t_count, n * k).view(np.float64)
-    target = np.ascontiguousarray(target_cols, dtype=np.complex128).reshape(-1)
-    err2 = np.einsum("ij,j->i", rows, target.view(np.float64)).reshape(c, t_count)
-    err2 *= -2.0
-    err2 += k + float(np.vdot(target, target).real)
-    interior = (
-        (err2[:, 1:-1] <= err2[:, :-2])
-        & (err2[:, 1:-1] <= err2[:, 2:])
-        & (err2[:, 1:-1] < gate * gate)
-    )
-    vix, tix = np.nonzero(interior)
-    tix += 1
-    return vix, tix, np.sqrt(np.maximum(err2[vix, tix], 0.0))
+    return sample, spectra
 
 
 def _best_hits(vix, tix, err) -> np.ndarray:
@@ -631,20 +603,47 @@ def _best_hits(vix, tix, err) -> np.ndarray:
 def _scan_hits(family, target_cols):
     """The k >= 2 scan and candidate stages: ``_refine``'s starts (params, times), scan-hit count.
 
-    Up to 3 gated local minima of the endpoint error per velocity (``_scan_cols``,
-    ``_best_hits``), from the 16-velocity kernel fills that ``_scan_table``
-    holds or, for a grid over the chunk budget, makes from its sample in turn.
+    Every point of the scan has orthonormal columns, so the squared error to
+    the target Q is k + |Q|^2 - 2 Re tr(Q* P), and from the spectra that
+    ``_scan_table`` holds tr(Q* P(t)) = sum_pj E_pj e^{-i t (w_p - wa_j)}
+    with E_pj = (qa* Q* q)_jp C_pj: n k exponential terms per velocity and
+    time, and no endpoint table.  At t = (B b + r) dt the phase factors into
+    a block start and an in-block step (``_phase_blocks``), so a velocity's
+    real parts over all times are one real product of its B x 2 n k block
+    starts, weighted by E, with its 2 n k x B in-block steps, run a chunk of
+    velocities at a time within ``_CHUNK_ELEMENTS``.  The products are
+    small, and BLAS runs them on one thread.  The target's own |Q|^2 keeps a
+    target that is slightly off orthonormality free of an offset.  The gate
+    and the local-minimum tests compare squared errors; the square root is
+    taken at the hits only.  Up to 3 gated interior local minima per
+    velocity become candidates (``_best_hits``).
     """
     grid = family.grid
-    p0, fills = _scan_table(grid)
+    p0, (w, q, wa, qa, c_mat) = _scan_table(grid)
     ts = _scan_times(grid)
     speed = float(np.sqrt(_speeds_squared(family.blocks(p0[:1])[1], grid.n, grid.mode)[0]))
-    gate = max(8 * speed * (ts[1] - ts[0]), 0.25) + tolerances.TOL.hit
-    hits, lo = [], 0
-    for cols in fills or _scan_fills(family, p0, ts):
-        v, t, e = _scan_cols(cols, target_cols, gate)
-        hits.append((v + lo, t, e))
-        lo += len(cols)
+    dt = ts[1] - ts[0]
+    gate = max(8 * speed * dt, 0.25) + tolerances.TOL.hit
+    n, k = target_cols.shape
+    conj_e = ((adjoint(q) @ target_cols @ qa) * np.conj(c_mat)).reshape(-1, n * k)
+    rates = (w[:, :, None] - wa[:, None, :]).reshape(-1, n * k)
+    base = k + float(np.vdot(target_cols, target_cols).real)
+    chunk = max(1, _CHUNK_ELEMENTS // (4 * len(ts) * n * k))
+    hits = []
+    for lo in range(0, len(p0), chunk):
+        starts, steps = _phase_blocks(rates[lo : lo + chunk], dt, len(ts))
+        # Re(E s i) = conj(E s) . i over the real views
+        left = (np.conj(starts) * conj_e[lo : lo + chunk]).view(np.float64).transpose(1, 0, 2)
+        re = left @ steps.view(np.float64).transpose(1, 2, 0)
+        err2 = base - 2.0 * re.reshape(len(re), -1)[:, : len(ts)]
+        interior = (
+            (err2[:, 1:-1] <= err2[:, :-2])
+            & (err2[:, 1:-1] <= err2[:, 2:])
+            & (err2[:, 1:-1] < gate * gate)
+        )
+        vix, tix = np.nonzero(interior)
+        tix += 1
+        hits.append((vix + lo, tix, np.sqrt(np.maximum(err2[vix, tix], 0.0))))
     vix, tix, err = (np.concatenate(x) for x in zip(*hits))
     pick = _best_hits(vix, tix, err)
     return p0[vix[pick]], ts[tix[pick]], len(vix)
@@ -675,18 +674,17 @@ def _plane_residual(lam, ts, u: complex, qhat: float, r1):
     return qhat * np.array((s, ds, cosw)) - r1 * w.real + 1j * w.imag
 
 
-def _plane_newton(lam: np.ndarray, ts: np.ndarray, residual):
-    """Batched Newton on a complex residual in (lam, t) = 0 from stacked starts.
+def _plane_newton(lam: np.ndarray, ts: np.ndarray, u: complex, qhat: float, r1: np.ndarray):
+    """Batched Newton on ``_plane_residual`` in (lam, t) = 0 from stacked starts.
 
-    ``residual(lam, ts, rows)`` gives f, df/dlam and df/dt at the rates and
-    times of the starts ``rows`` (an index array or a slice).  Each step
-    solves the 2 x 2 real system of f's derivatives by Cramer's rule and is
-    kept only if it lowers |f|; a start whose step no longer does has
-    converged.  Returns the rates, the times and which starts are still
-    descending after ``_NEWTON_ITERS`` steps (capped).
+    Start i solves with its own r1[i].  Each step solves the 2 x 2 real
+    system of f's derivatives by Cramer's rule and is kept only if it lowers
+    |f|; a start whose step no longer does has converged.  Returns the
+    rates, the times and which starts are still descending after
+    ``_NEWTON_ITERS`` steps (capped).
     """
     lam, ts = lam.astype(np.float64), ts.astype(np.float64)
-    f, dlam, dt = residual(lam, ts, slice(None))
+    f, dlam, dt = _plane_residual(lam, ts, u, qhat, r1)
     res = np.abs(f)
     active = np.ones(len(lam), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -698,7 +696,7 @@ def _plane_newton(lam: np.ndarray, ts: np.ndarray, residual):
             det = jl.real * jt.imag - jt.real * jl.imag
             trial_lam = lam[ai] + (jt.real * r.imag - jt.imag * r.real) / det
             trial_ts = ts[ai] + (jl.imag * r.real - jl.real * r.imag) / det
-            trial = residual(trial_lam, trial_ts, ai)
+            trial = _plane_residual(trial_lam, trial_ts, u, qhat, r1[ai])
             trial_res = np.abs(trial[0])
             better = trial_res < res[ai]
             rows = ai[better]
@@ -782,11 +780,7 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
         else:
             lam, t, r1 = _branch_starts(q0, q1, grid)
             u, qhat = np.conj(q0) / abs(q0), abs(q0) / np.linalg.norm(target.cols)
-
-            def residual(lam, ts, rows):
-                return _plane_residual(lam, ts, u, qhat, r1[rows])
-
-            lam, t, capped = _plane_newton(lam, t, residual)
+            lam, t, capped = _plane_newton(lam, t, u, qhat, r1)
             dtop = _vn1_jacobian(lam, t)[2]
             # S = -dT/dt
             rows = -np.conj(q1) / np.conj(-dtop)[:, None]
@@ -865,8 +859,7 @@ def _refine(
     # product: n k (2 n^2 + dim) elements per candidate.  They come on top of
     # the stored normal equations and spectra and the trial step's
     # evaluation, and the peak RSS of a default-grid complex V(6,3) search
-    # grows with the chunk, so a chunk takes a quarter of the scan's element
-    # budget
+    # grows with the chunk, so a chunk takes a quarter of the element budget
     chunk = max(1, _CHUNK_ELEMENTS // (4 * n * k * (2 * n * n + dim)))
     r, spectra = _endpoint_residuals(family, x, target_cols)
     f = np.sum(r * r, axis=1)
@@ -1018,11 +1011,12 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     depends on neither target nor tolerances, so it is made once per grid per
     process, for one grid at a time.  Stages: scan -> candidates -> refine
     -> select.  At k >= 2 ``_scan_hits`` gives the gated near-arrivals of
-    the grid's endpoint table and ``_refine`` refines them by damped least
-    squares; at k = 1 the target's |q1| fixes a closed loop in (rate, time)
-    per fold branch, the search brackets the phase of the top entry along
-    each and solves every bracket by one Newton pass on one residual
-    (``_plane_arrivals``), reading no ``lambda_count`` or ``t_count``.
+    the grid's sample along its scan times and ``_refine`` refines them by
+    damped least squares; at k = 1 the target's |q1| fixes a closed loop in
+    (rate, time) per fold branch, the search brackets the phase of the top
+    entry along each and solves every bracket by one Newton pass on one
+    residual (``_plane_arrivals``), reading no ``lambda_count`` or
+    ``t_count``.
     Each producer gives its own endpoint errors, and one rule accepts for
     both k: t > 10 ``_REFINE_FLOOR`` and error within ``TOL.hit``.  The
     selection puts the minimal-length arrivals in
@@ -1137,10 +1131,9 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     ``geodesic._sensitivity``): one eigh, whatever k, and no kernel call.
     Scans |L|^2, the real view's sum of squares, against squared bounds on a
     dense grid (skipping the initial rise out of the identity class, where
-    the norm is trivially small), whose phases e^{-i t_j w} are
-    the products of ceil(sqrt(N)) block-start and as many in-block
-    exponentials (2 ceil(sqrt(N)) n exponentials for N scan times, not N n),
-    and refines the first dip by Gauss-Newton steps on L, with
+    the norm is trivially small), whose phases e^{-i t_j w} are the products
+    of ``_phase_blocks``' factors (2 ceil(sqrt(N)) n exponentials for N scan
+    times, not N n), and refines the first dip by Gauss-Newton steps on L, with
     dL/dt = Q[k:] diag(-i w e^{-i t w}) Q[:k]*, clamped to the dip's scan
     bracket.  A dip whose norm does not reach
     TOL.eq is no hit.  ``t_upper`` must be positive and finite.
@@ -1152,10 +1145,9 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     # L(t) flattened is the row e^{-i t w} times pairs[p, (i, j)] = q[k + i, p] conj(q[j, p])
     pairs = (q[k:, None, :] * np.conj(q[:k, :])).reshape(-1, n).T
     ts = np.linspace(0.0, t_upper, _HIT_SCAN_POINTS)
-    # e^{-i t_j w} for t_j = (B b + c) dt: block-start phases times in-block phases
-    steps = -1j * (t_upper / (_HIT_SCAN_POINTS - 1)) * np.arange(_HIT_BLOCK)[:, None] * w
-    phases = (np.exp(_HIT_BLOCK * steps)[:, None] * np.exp(steps)).reshape(-1, n)
-    lows = (phases[:_HIT_SCAN_POINTS] @ pairs).view(np.float64)
+    starts, steps = _phase_blocks(w, t_upper / (_HIT_SCAN_POINTS - 1), _HIT_SCAN_POINTS)
+    phases = (starts[:, None] * steps).reshape(-1, n)[:_HIT_SCAN_POINTS]
+    lows = (phases @ pairs).view(np.float64)
     g2 = np.einsum("ij,ij->i", lows, lows)  # |L|^2, compared against squared bounds
     peak2 = float(g2.max())
     if peak2 <= tolerances.TOL.eq**2:

@@ -5,9 +5,11 @@ oracle is a truncated power series, the trace oracle a double loop, the
 length oracle composite-Simpson quadrature of a finite-difference speed, and
 the dedup and cluster oracles the minimizer search's original pairwise
 loops, the report-order oracle its original Python key sort, the candidate
-oracle its original per-hit loop, the scan oracle its original subtraction
-pass over the scan table, the hit oracles the original golden-section
-refinement of the first block-diagonal dip and the Gauss-Newton hit search's
+oracle its original per-hit loop, the scan oracles the k >= 2 scan's
+original table of kernel fills, scanned by the inner product it used
+(``scan_hits_table``) and by its earlier subtraction pass, the hit oracles
+the original golden-section refinement of the first block-diagonal dip and
+the Gauss-Newton hit search's
 original scans (one exponential per time and eigenvalue; the norm of the lower
 block rather than its square), the bracket-span oracles the rank tests'
 original one-bracket-at-a-time loops and the span rank's original rows of all
@@ -44,6 +46,7 @@ from stiefel_sr.geodesic import (
     _sensitivity,
     geodesic_v21_closed,
     geodesic_vn1_closed,
+    grid_geodesic_columns,
     sample_curve,
 )
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
@@ -244,11 +247,13 @@ def first_block_diagonal_hit_norm(spec: GeodesicSpec, t_upper: float) -> float |
     w, q = np.linalg.eigh(1j * spec.v.embed())
     # L(t) flattened is the row e^{-i t w} times pairs[p, (i, j)] = q[k + i, p] conj(q[j, p])
     pairs = (q[k:, None, :] * np.conj(q[:k, :])).reshape(-1, n).T
-    ts = np.linspace(0.0, t_upper, cutlocus._HIT_SCAN_POINTS)
+    points = cutlocus._HIT_SCAN_POINTS
+    ts = np.linspace(0.0, t_upper, points)
     # e^{-i t_j w} for t_j = (B b + c) dt: block-start phases times in-block phases
-    steps = -1j * (t_upper / (cutlocus._HIT_SCAN_POINTS - 1)) * np.arange(cutlocus._HIT_BLOCK)[:, None] * w
-    phases = (np.exp(cutlocus._HIT_BLOCK * steps)[:, None] * np.exp(steps)).reshape(-1, n)
-    g = np.linalg.norm(phases[:cutlocus._HIT_SCAN_POINTS] @ pairs, axis=1)
+    block = int(np.ceil(np.sqrt(points)))
+    steps = -1j * (t_upper / (points - 1)) * np.arange(block)[:, None] * w
+    phases = (np.exp(block * steps)[:, None] * np.exp(steps)).reshape(-1, n)
+    g = np.linalg.norm(phases[:points] @ pairs, axis=1)
     peak = float(g.max())
     if peak <= tolerances.TOL.eq:
         return None  # curve never leaves the block-diagonal set
@@ -560,6 +565,46 @@ def plane_least_root(q, lambda_range, t_max: float, cells: int = 600):
             if np.linalg.norm(residual(fit.x)) <= 1e-9 and lo <= lam <= hi and 0 < t <= t_max:
                 roots.append((t, lam))
     return min(roots) if roots else None
+
+
+def scan_cols_inner_product(cols, target_cols, gate):
+    """The k >= 2 scan's table pass: gated interior local minima of the
+    endpoint error along each row's time grid of ``cols`` (c, T, n, k), from
+    the squared error k + |Q|^2 - 2 Re tr(Q* P) as one inner product per
+    table point; returns row indices, time indices and errors."""
+    c, t_count, n, k = cols.shape
+    rows = np.ascontiguousarray(cols).reshape(c * t_count, n * k).view(np.float64)
+    target = np.ascontiguousarray(target_cols, dtype=np.complex128).reshape(-1)
+    err2 = np.einsum("ij,j->i", rows, target.view(np.float64)).reshape(c, t_count)
+    err2 *= -2.0
+    err2 += k + float(np.vdot(target, target).real)
+    interior = (
+        (err2[:, 1:-1] <= err2[:, :-2])
+        & (err2[:, 1:-1] <= err2[:, 2:])
+        & (err2[:, 1:-1] < gate * gate)
+    )
+    vix, tix = np.nonzero(interior)
+    tix += 1
+    return vix, tix, np.sqrt(np.maximum(err2[vix, tix], 0.0))
+
+
+def scan_hits_table(family, target_cols):
+    """The k >= 2 scan's hits (velocity indices, time indices, errors) as
+    its table pass found them: the grid's Sobol sample filled at its scan
+    times by ``grid_geodesic_columns``, 16 velocities per fill, each fill
+    scanned by ``scan_cols_inner_product`` against the search's gate."""
+    grid = family.grid
+    p0 = family.initial_params()
+    ts = cutlocus._scan_times(grid)
+    speed = float(np.sqrt(cutlocus._speeds_squared(family.blocks(p0[:1])[1], grid.n, grid.mode)[0]))
+    gate = max(8 * speed * (ts[1] - ts[0]), 0.25) + tolerances.TOL.hit
+    hits = []
+    for lo in range(0, len(p0), 16):
+        a, b = family.blocks(p0[lo : lo + 16])
+        cols = grid_geodesic_columns(a, b, ts, grid.mode)
+        vix, tix, err = scan_cols_inner_product(cols, target_cols, gate)
+        hits.append((vix + lo, tix, err))
+    return tuple(np.concatenate(x) for x in zip(*hits))
 
 
 def scan_cols_subtraction(cols, target_cols, gate):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import ndtri
 
-from stiefel_sr import cutlocus, matcore, tolerances
+from stiefel_sr import cutlocus, geodesic, matcore, tolerances
 from stiefel_sr.distribution import bracket_generating_rank, montgomery_condition
 from stiefel_sr.matcore import COMPLEX, MODES, REAL
 from stiefel_sr.homspace import BlockVelocity, StiefelPoint, _block_velocities, identity_point
@@ -35,7 +35,6 @@ from stiefel_sr.cutlocus import (
     _refine,
     _representatives,
     _residual_jacobian,
-    _scan_cols,
     _scan_table,
     _scan_times,
     _inverse_gauss,
@@ -72,7 +71,9 @@ from _oracles import (
     jacobian_along,
     minimizer_report_json,
     refine_every_iteration,
+    scan_cols_inner_product,
     scan_cols_subtraction,
+    scan_hits_table,
     separate_family_params,
     separate_family_raw_blocks,
     _sobol_gauss,
@@ -822,7 +823,7 @@ def _refine_case(name: str, seed: int = 5):
     rng = np.random.default_rng(seed)
     a, b = fam.blocks(rng.standard_normal((1, p0.shape[1])))
     target = batch_geodesic_columns(a, b, rng.uniform(0.3, 0.6, 1), grid.mode)[0]
-    vix, tix, err = _scan_cols(_kernel_table(grid), target, 1.0)
+    vix, tix, err = scan_cols_inner_product(_kernel_table(grid), target, 1.0)
     pick = _best_hits(vix, tix, err)
     assert len(pick) > 0
     return fam, p0[vix[pick]], _scan_times(grid)[tix[pick]], target
@@ -1204,8 +1205,11 @@ class TestFirstBlockDiagonalHit:
             eighs.append(h.shape)
             return eigh(h, *args, **kwargs)
 
+        # cutlocus binds no grid kernel; one bound there later fails here too
         for name in ("grid_geodesic_columns", "batch_geodesic_columns", "_decompose"):
-            monkeypatch.setattr(cutlocus, name, lambda *args, name=name: pytest.fail(name))
+            monkeypatch.setattr(
+                cutlocus, name, lambda *args, name=name: pytest.fail(name), raising=False
+            )
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         rng = np.random.default_rng(7)
         for n, k in HIT_SHAPES:
@@ -1452,11 +1456,6 @@ def _block_diagonal_v42():
     return target
 
 
-def _real_v42():
-    v = BlockVelocity(np.array([[0.0, 0.3], [-0.3, 0.0]]), np.array([[0.6, 0.1], [0.2, 0.3]]), REAL)
-    return normal_geodesic(GeodesicSpec(v), 0.8)
-
-
 def _grid_blocks(grid):
     """The grid's velocity blocks (a, unit b), from the separately sampled
     params of ``separate_family_params``; a v21 or sphere grid's are its
@@ -1504,61 +1503,36 @@ class TestScanTable:
         assert cold == warm
 
     @pytest.mark.parametrize(
-        "target, grid",
-        [
-            (_cut_v21(), VelocityGrid(2, 1, COMPLEX, seed=1)),
-            (_generic_v21(), VelocityGrid(2, 1, COMPLEX, seed=1)),
-            (_GENERIC_V42, _SMALL_V42),
-            (_block_diagonal_v42(), _SMALL_V42),
-            (_real_v42(), dataclasses.replace(_SMALL_V42, mode=REAL)),
-        ],
-        ids=["block_diagonal_v21", "generic_v21", "general_v42", "block_diagonal_v42", "real_v42"],
+        "grid",
+        [VelocityGrid(6, 3, COMPLEX, sample_count=128, seed=1), VelocityGrid(4, 2, COMPLEX)],
+        ids=["general_v63", "default_v42"],
     )
-    def test_cached_and_streamed_reports_identical(self, target, grid, monkeypatch):
-        # a generic k = 1 target reads no entry
-        reads = int(grid.k >= 2 or classify_target(target).kind == BLOCK_DIAGONAL)
+    def test_k2_entry_holds_the_sample_and_its_spectra(self, grid):
+        """At k >= 2 the cache holds the grid's Sobol sample and its
+        velocities' spectra (w, q, wa, qa, C = q*[:, :k] qa), read-only, and
+        nothing that depends on the times: the endpoint at any time is
+        q (C o e^{-i t w_p} e^{i t wa_j}) qa*, the kernel's."""
         _scan_table.cache_clear()
-        cached = _report_bytes(target, grid)
-        assert _scan_table.cache_info().currsize == reads
-        assert (_scan_table(grid)[1] is None) == (grid.k == 1)
-        _scan_table.cache_clear()
-        # a budget of 20 velocities: a k >= 2 grid's sample is cached but its
-        # fills are not, so its search streams them in several chunks; a k = 1
-        # grid's unit rows do not depend on the budget
-        monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
-        streamed = _report_bytes(target, grid)
-        assert _scan_table.cache_info().currsize == reads
-        assert _scan_table(grid)[1] is None
-        assert cached == streamed
-        assert json.loads(cached)["arrivals"]
-
-    def test_over_budget_grid_caches_no_fills(self, monkeypatch):
-        # the search caches the grid's sample, and no fill of it
-        _scan_table.cache_clear()
-        grid = _SMALL_V42
-        monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
-        rep = search_minimizers(_GENERIC_V42, grid)
-        assert rep.clusters == 1
-        sample, fills = _scan_table(grid)
-        info = _scan_table.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        assert fills is None and not sample.flags.writeable
-        assert np.array_equal(sample, _LinearFamily(grid).initial_params())
-
-    # the oracle's scipy engine (_kernel_table) warns at 40 points
-    @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
-    def test_table_is_read_only_and_matches_one_kernel_call(self):
-        # the cache holds the grid's sample and the kernel's fills of 16
-        # velocities themselves
-        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=40, t_count=32, seed=3)
-        sample, fills = _scan_table(grid)
-        assert [len(cols) for cols in fills] == [16, 16, 8]
-        for x in (sample, *fills):
+        sample, spectra = _scan_table(grid)
+        for x in (sample, *spectra):
             assert not x.flags.writeable
             with pytest.raises(ValueError):
                 x[(0,) * x.ndim] = 0.0
         assert np.array_equal(sample, separate_family_params(grid))
-        assert np.array_equal(np.concatenate(fills), _kernel_table(grid))
+        family = _LinearFamily(grid)
+        a, b = family.blocks(sample)
+        w, q, wa, qa, c_mat = spectra
+        assert all(np.array_equal(x, y) for x, y in zip((w, q, wa, qa), _decompose(a, b)))
+        assert np.array_equal(c_mat, np.conj(q[:, : grid.k]).swapaxes(1, 2) @ qa)
+        c, n, k = len(sample), grid.n, grid.k
+        held = sum(x.nbytes for x in (sample, *spectra))
+        # float params and eigenvalues, complex eigenvectors and C
+        assert held == 8 * c * (len(family.da) + n + k) + 16 * c * (n * n + k * k + n * k)
+        rows = np.arange(0, c, 37)
+        t = np.linspace(0.1, grid.t_max, len(rows))
+        mid = c_mat[rows] * np.exp(-1j * t[:, None, None] * (w[rows, :, None] - wa[rows, None, :]))
+        ends = q[rows] @ mid @ np.conj(qa[rows]).swapaxes(1, 2)
+        assert np.max(np.abs(ends - batch_geodesic_columns(a[rows], b[rows], t))) < 1e-13
 
     @pytest.mark.parametrize(
         "grid",
@@ -1604,19 +1578,20 @@ class TestScanTable:
 
     @pytest.mark.parametrize("budget", [None, 20], ids=["cached", "over_budget"])
     def test_three_searches_draw_the_sample_once(self, budget, monkeypatch):
-        # the Sobol sample is drawn by the cache entry alone, whether or not
-        # the grid's fills fit the budget (a budget of 20 velocities streams)
+        # the Sobol sample and its spectra are made by the cache entry alone,
+        # whether the grid's scan runs in one chunk or, over a budget of 20
+        # velocities, in several
         draws = []
         draw = _LinearFamily.initial_params
         monkeypatch.setattr(_LinearFamily, "initial_params", lambda f: draws.append(1) or draw(f))
         grid = _SMALL_V42
         if budget is not None:
-            budget *= grid.t_count * grid.n * grid.k
+            budget *= 4 * grid.t_count * grid.n * grid.k
             monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", budget)
         _scan_table.cache_clear()
         reports = {_report_bytes(_GENERIC_V42, grid) for _ in range(3)}
         assert len(draws) == 1 and len(reports) == 1
-        assert (_scan_table(grid)[1] is None) == (budget is not None)
+        assert len(_scan_table(grid)[1]) == 5
 
     @pytest.mark.parametrize(
         "target, grid",
@@ -1676,18 +1651,26 @@ class TestScanTable:
         assert (info.misses, info.hits) == (1, 1)
 
 
-def _assert_same_hits(hits, ref):
+def _assert_same_hits(hits, ref, tol):
     vix, tix, err = hits
     ref_v, ref_t, ref_e = ref
     assert len(ref_v) > 0
     assert np.array_equal(vix, ref_v) and np.array_equal(tix, ref_t)
-    assert np.max(np.abs(err - ref_e)) < 1e-7
+    assert np.max(np.abs(err - ref_e)) < tol
 
 
-def _assert_scan_matches_subtraction(cols, target_cols, gate):
-    hits = _scan_cols(cols, target_cols, gate)
-    _assert_same_hits(hits, scan_cols_subtraction(cols, target_cols, gate))
-    return hits
+def _scan_case(n: int, k: int, mode: str, seed: int, sign: float = 0.0):
+    """A 128-sample general grid of the shape and the endpoint of a seeded
+    random velocity near one of its sample's at a time in [0.5, 2], scaled
+    by sqrt(1 + sign 0.5 TOL.unit) off orthonormality."""
+    grid = VelocityGrid(n, k, mode, sample_count=128, seed=seed)
+    family = _LinearFamily(grid)
+    rng = np.random.default_rng(100 * n + 10 * k + seed)
+    p0 = family.initial_params()
+    near = p0[rng.integers(len(p0))] + 0.1 * rng.standard_normal(p0.shape[1])
+    a, b = family.blocks(near[None])
+    target = batch_geodesic_columns(a, b, rng.uniform(0.5, 2.0, 1), mode)[0]
+    return grid, target * np.sqrt(1.0 + sign * 0.5 * TOL.unit)
 
 
 def _k1_targets(n: int, mode: str):
@@ -1702,31 +1685,62 @@ def _k1_targets(n: int, mode: str):
 
 
 class TestScanByInnerProduct:
-    """The scan's error pass against the subtraction pass over the kernel table.
+    """The k >= 2 scan from its grid's spectra against the table scan.
 
-    The inner-product pass over a k >= 2 table takes squared errors exact to
-    about 1e-16, so errors near 0 are resolved to about 1e-8: the hits must
-    be identical and their errors within 1e-7.  A k = 1 grid makes no scan:
-    its target's own orthonormality enters the branch solve instead.
+    The table scan (``scan_hits_table``) fills the grid's endpoint table with
+    the kernel and takes each point's squared error as one inner product;
+    the spectral scan sums the same error's n k exponential terms.  Both
+    round the squared errors to about 1e-15, so the hits must be identical
+    and, away from an exact arrival, their errors within 1e-12.  A k = 1
+    grid makes no scan: its target's own orthonormality enters the branch
+    solve instead.
     """
 
-    def test_streamed_complex_v42_general_grid(self, monkeypatch):
-        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=64, t_count=64, seed=4)
-        target = normal_geodesic(GeodesicSpec(BlockVelocity(
-            np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]])
-        )), 0.8)
-        chunks = []
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (4, 2, COMPLEX, 1), (4, 2, REAL, 1), (5, 3, COMPLEX, 2), (5, 3, REAL, 2),
+            (6, 3, COMPLEX, 1), (4, 2, COMPLEX, 3, -1.0), (4, 2, COMPLEX, 3, 1.0),
+        ],
+        ids=["v42", "real_v42", "v53", "real_v53", "v63", "v42_shrunk", "v42_stretched"],
+    )
+    def test_spectral_scan_matches_the_table_scan(self, case, monkeypatch):
+        grid, target = _scan_case(*case)
+        self._assert_scan_matches_table(grid, target, monkeypatch)
 
-        def checked(cols, target_cols, gate):
-            chunks.append(len(cols))
-            return _assert_scan_matches_subtraction(cols, target_cols, gate)
+    def test_default_grid(self, monkeypatch):
+        # CI's complex V(4,2) velocity at t = 0.8, on the default grid
+        self._assert_scan_matches_table(VelocityGrid(4, 2), _GENERIC_V42.cols, monkeypatch)
 
+    @staticmethod
+    def _assert_scan_matches_table(grid, target, monkeypatch):
+        """The hits that the spectral scan hands ``_best_hits`` are the table
+        scan's, and so are its starts.  On the grid's first 64 velocities,
+        ungated, the table scan's hits are also its earlier subtraction
+        pass's, with errors within 1e-7 (the subtraction resolves errors near
+        0 to about 1e-8 only).  A scan in chunks of 7 velocities gives the
+        same starts."""
+        family = _LinearFamily(grid)
+        seen = []
+        best = cutlocus._best_hits
+        monkeypatch.setattr(cutlocus, "_best_hits", lambda *hits: seen.append(hits) or best(*hits))
         _scan_table.cache_clear()
-        monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 20 * grid.t_count * grid.n * grid.k)
-        monkeypatch.setattr(cutlocus, "_scan_cols", checked)
-        assert search_minimizers(target, grid).clusters == 1
-        assert chunks == [16] * 4
-        assert _scan_table(grid)[1] is None
+        params, ts, count = cutlocus._scan_hits(family, target)
+        ref = scan_hits_table(family, target)
+        _assert_same_hits(seen[0], ref, 1e-12)
+        pick = best(*ref)
+        assert count == len(ref[0])
+        assert np.array_equal(params, family.initial_params()[ref[0][pick]])
+        assert np.array_equal(ts, _scan_times(grid)[ref[1][pick]])
+        cols = _kernel_table(grid, slice(0, 64))
+        _assert_same_hits(
+            scan_cols_subtraction(cols, target, np.inf),
+            scan_cols_inner_product(cols, target, np.inf),
+            1e-7,
+        )
+        monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 7 * 4 * grid.t_count * grid.n * grid.k)
+        chunked = cutlocus._scan_hits(family, target)
+        assert all(np.array_equal(x, y) for x, y in zip(chunked, (params, ts, count)))
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["shrunk", "stretched"])
     def test_target_off_orthonormality(self, sign):
@@ -1777,8 +1791,8 @@ class TestEigensolverFreeSearch:
     )
     def test_k1_search_makes_no_eigh_call(self, target, grid, eigh_calls, monkeypatch):
         # a k = 1 search is a branch solve: no LM refinement, no endpoint
-        # residual and no kernel fill of a scan table either
-        for name in ("_refine", "_endpoint_residuals", "_scan_fills", "grid_geodesic_columns"):
+        # residual, no scan and no decomposition of a sample either
+        for name in ("_refine", "_endpoint_residuals", "_scan_hits", "_decompose"):
             monkeypatch.setattr(cutlocus, name, lambda *args, name=name: pytest.fail(name))
         _scan_table.cache_clear()  # the unit rows are drawn inside the counted search
         rep = search_minimizers(target, grid)
@@ -2031,28 +2045,31 @@ def _unread_field_targets(n: int, k: int, mode: str):
 
 
 class TestScanFill:
-    """Every scan kernel call, for the cached table or a streamed scan, takes at
-    most 16 velocities, so the kernel's temporaries stay small; a k = 1 scan
-    makes none."""
+    """No search fills an endpoint table: a k >= 2 scan sums its grid's
+    spectra, and a k = 1 search solves along its fold branches."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         calls = []
-        kernel = cutlocus.grid_geodesic_columns
+        kernel = geodesic.grid_geodesic_columns
 
         def recording(a_blocks, b_blocks, ts, mode=COMPLEX):
             calls.append(len(b_blocks))
             return kernel(a_blocks, b_blocks, ts, mode)
 
-        monkeypatch.setattr(cutlocus, "grid_geodesic_columns", recording)
+        monkeypatch.setattr(geodesic, "grid_geodesic_columns", recording)
+        # and under the name a search module would import it by
+        monkeypatch.setattr(cutlocus, "grid_geodesic_columns", recording, raising=False)
         return calls
 
     def test_cached_table(self, kernel_calls):
+        # the search decomposes the grid's sample into its cache entry and
+        # scans from that entry: it fills no table
         grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=100, t_count=128, seed=4)
         _scan_table.cache_clear()
-        search_minimizers(_GENERIC_V42, grid)
+        assert search_minimizers(_GENERIC_V42, grid).clusters == 1
         assert _scan_table.cache_info().currsize == 1
-        assert kernel_calls == [16] * 6 + [4]
+        assert kernel_calls == []
 
     def test_k1_search_makes_no_kernel_fill(self, kernel_calls):
         grid = VelocityGrid(2, 1, COMPLEX, lambda_count=10, phase_count=10, t_count=32)
@@ -2061,21 +2078,10 @@ class TestScanFill:
         assert _scan_table.cache_info().currsize == 1
         assert kernel_calls == []
 
-    def test_streamed_chunks(self, kernel_calls, monkeypatch):
-        grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=64, t_count=64, seed=4)
-        target = normal_geodesic(GeodesicSpec(BlockVelocity(
-            np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]])
-        )), 0.8)
-        _scan_table.cache_clear()
-        # a budget of 40 velocities: the 64 are scanned one fill of 16 at a time
-        monkeypatch.setattr(cutlocus, "_CHUNK_ELEMENTS", 40 * grid.t_count * grid.n * grid.k)
-        assert search_minimizers(target, grid).clusters == 1
-        assert kernel_calls == [16] * 4
-        assert _scan_table(grid)[1] is None
-
     @pytest.mark.parametrize("target", [_GENERIC_V42], ids=["generic"])
-    def test_streamed_search_holds_no_table(self, target):
-        """An over-budget k >= 2 grid's search peaks far below the table it does not build."""
+    def test_k2_search_holds_no_table(self, target):
+        """A k >= 2 search peaks far below the endpoint table that it does
+        not build, its cache entry's sample and spectra included."""
         grid = VelocityGrid(4, 2, COMPLEX, family="general", sample_count=2048, t_count=320, seed=4)
         table_bytes = _table_bytes(grid)
         assert table_bytes > cutlocus._CHUNK_ELEMENTS * 16
@@ -2083,8 +2089,7 @@ class TestScanFill:
         peak, rep = _traced_peak(search_minimizers, target, grid)
         assert rep.arrivals
         assert peak < table_bytes / 4
-        assert _scan_table(grid)[1] is None
-        assert _scan_table.cache_info().hits == 1
+        assert _scan_table.cache_info().currsize == 1
 
     @pytest.mark.parametrize("target", [_cut_v21(), _generic_v21()], ids=["cut", "generic"])
     def test_factored_search_holds_no_table(self, target):

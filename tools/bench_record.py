@@ -24,7 +24,7 @@ created if missing, and checked for writing before the first run) with:
 - ``cold_search``: the wall times and peak RSS of ``COLD_STARTS`` fresh
   ``stiefel-sr cutlocus-search --n 4 --k 2 --sample-count 256`` processes
   (a Sobol sample of 256 velocities) and their medians; the target is CI's
-  V(4,2) velocity at t = 0.8 (its Streamed default-grid search step's);
+  V(4,2) velocity at t = 0.8 (its Default-grid search step's);
 - ``bracket_sweep``: the wall and CPU seconds, timed inside one fresh
   process after one untimed pass and a 0.5 s pause, of ``SWEEP_REPEATS``
   passes over the verification round's 21 bracket reports (complex V(n,k),
