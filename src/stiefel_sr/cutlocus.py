@@ -11,17 +11,14 @@ unique-arrival picture at antidiagonal targets of V_{2k,k}, and the scalar
 analytic facts behind the V_{n,1} uniqueness argument.
 
 All experiments are deterministic given their seed and grid.  They need
-numpy alone: a grid's scrambled Sobol sample is drawn here, bit for bit as
-scipy draws it, from Joe and Kuo's direction numbers shipped beside this
-module and a port of Cephes' ndtri for its Gaussian coordinates.
+numpy alone: a grid's sample is drawn from numpy's generator seeded with
+the grid's seed.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -68,75 +65,6 @@ _HIT_SCAN_POINTS = 1200
 # stopping early once a step moves t by at most the floor times t_upper
 _HIT_GN_ITERS = 6
 _HIT_STEP_FLOOR = 1e-15
-# bits of a Sobol point (``_sobol``), as scipy's engine draws them
-_SOBOL_BITS = 30
-# Cephes' ndtri (``_ndtri``): e^-2, sqrt(2 pi) and the coefficients of its
-# rational approximations, on the centre (P0/Q0) and on the tails for
-# sqrt(-2 log y) in [2, 8) (P1/Q1) and in [8, 64) (P2/Q2), highest power first
-_EXP_M2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242e0
-_NDTRI_P0 = (
-    -5.99633501014107895267e1,
-    9.80010754185999661536e1,
-    -5.66762857469070293439e1,
-    1.39312609387279679503e1,
-    -1.23916583867381258016e0,
-)
-_NDTRI_Q0 = (
-    1.0,
-    1.95448858338141759834e0,
-    4.67627912898881538453e0,
-    8.63602421390890590575e1,
-    -2.25462687854119370527e2,
-    2.00260212380060660359e2,
-    -8.20372256168333339912e1,
-    1.59056225126211695515e1,
-    -1.18331621121330003142e0,
-)
-_NDTRI_P1 = (
-    4.05544892305962419923e0,
-    3.15251094599893866154e1,
-    5.71628192246421288162e1,
-    4.40805073893200834700e1,
-    1.46849561928858024014e1,
-    2.18663306850790267539e0,
-    -1.40256079171354495875e-1,
-    -3.50424626827848203418e-2,
-    -8.57456785154685413611e-4,
-)
-_NDTRI_Q1 = (
-    1.0,
-    1.57799883256466749731e1,
-    4.53907635128879210584e1,
-    4.13172038254672030440e1,
-    1.50425385692907503408e1,
-    2.50464946208309415979e0,
-    -1.42182922854787788574e-1,
-    -3.80806407691578277194e-2,
-    -9.33259480895457427372e-4,
-)
-_NDTRI_P2 = (
-    3.23774891776946035970e0,
-    6.91522889068984211695e0,
-    3.93881025292474443415e0,
-    1.33303460815807542389e0,
-    2.01485389549179081538e-1,
-    1.23716634817820021358e-2,
-    3.01581553508235416007e-4,
-    2.65806974686737550832e-6,
-    6.23974539184983293730e-9,
-)
-_NDTRI_Q2 = (
-    1.0,
-    6.02427039364742014255e0,
-    3.67983563856160859403e0,
-    1.37702099489081330271e0,
-    2.16236993594496635890e-1,
-    1.34204006088543189037e-2,
-    3.28014464682127739104e-4,
-    2.89247864745380683936e-6,
-    6.79019408009981274425e-9,
-)
 
 
 # -- target classification ----------------------------------------------------
@@ -196,10 +124,11 @@ class VelocityGrid(_Record):
 
     family: the sample, fixed by the shape.  "v21" (complex V_{2,1})
     takes phases of the unit row, "sphere" (every other k = 1 shape) unit
-    rows, and "general" (k >= 2) is a low-discrepancy sample of every
-    coordinate of the linear params that the search refines.  Construction resolves
-    "auto" to the shape's family and ``t_max=None`` to 1.1 pi sqrt(k), stores
-    t_max and the two lambda_range bounds as floats, and rejects an unknown
+    rows, and "general" (k >= 2) is a random sample of every coordinate of
+    the linear params that the search refines, drawn from
+    ``default_rng(seed)``.  Construction resolves "auto" to the shape's
+    family and ``t_max=None`` to 1.1 pi sqrt(k), stores t_max and the two
+    lambda_range bounds as floats, and rejects an unknown
     mode, an n, k, count or seed that is not an integer, a lambda_range not
     of two real bounds, a t_max not real (a bool is neither), a shape without
     1 <= k < n, a non-finite bound or t_max, lo > hi, t_max <= 0 and a family
@@ -340,15 +269,15 @@ class _LinearFamily:
         self.db[self.a_dim :] = (np.reshape(units, (-1, 1, 1)) * np.eye(k * m)).reshape(-1, k, m)
 
     def initial_params(self) -> np.ndarray:
-        """The general family's Sobol sample: fibre params uniform, transversal Gaussian.
+        """The general family's sample (c, d): fibre params uniform, transversal Gaussian.
 
-        ``_sobol`` draws it (Joe-Kuo 2008 directions, Bratley-Fox 1988 recurrence).
+        Drawn from ``default_rng(seed)``: the fibre params uniform on
+        ``lambda_range``, then the transversal params standard normal.
         """
-        g = self.grid
-        lo, hi = g.lambda_range
-        u = _sobol(len(self.da), g.sample_count, g.seed)
-        a_dim = self.a_dim
-        return np.column_stack([lo + (hi - lo) * u[:, :a_dim], _inverse_gauss(u[:, a_dim:])])
+        c, a_dim = self.grid.sample_count, self.a_dim
+        rng = np.random.default_rng(self.grid.seed)
+        fibre = rng.uniform(*self.grid.lambda_range, (c, a_dim))
+        return np.column_stack([fibre, rng.standard_normal((c, len(self.da) - a_dim))])
 
     def blocks(self, params: np.ndarray):
         b = np.tensordot(params, self.db, axes=1)
@@ -376,109 +305,6 @@ class _LinearFamily:
 def _frobenius(b: np.ndarray) -> np.ndarray:
     """Frobenius norms (c, 1, 1) of stacked blocks (c, k, m), floored away from 0."""
     return np.maximum(np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2), keepdims=True)), 1e-30)
-
-
-@functools.lru_cache(maxsize=1)
-def _sobol_table(dim: int) -> np.ndarray:
-    """Read-only direction integers (dim, 30) of a Sobol sequence's first ``dim`` dimensions.
-
-    Joe and Kuo's (2008) primitive polynomials and initial direction numbers
-    come from the data file scipy ships, ``_sobol_direction_numbers.npz``
-    (all 21201 dimensions), kept unchanged beside this module; only the rows
-    of the requested dimensions stay resident, since the whole table would
-    add its 3.1 MB to a search's peak memory.  One dimension is cached, as
-    ``_scan_table`` caches one grid: a search draws its whole sample in its
-    grid's one dimension, and a new dimension reads the file again.  Bratley
-    and Fox's (1988) recurrence extends them to 30 bits: m_j = m_{j-s} ^
-    XOR_{i<=s} c_i 2^i m_{j-i} for a degree-s polynomial with coefficients
-    c_i.  Each integer is returned shifted to the top of 30 bits.
-    """
-    with np.load(Path(__file__).with_name("_sobol_direction_numbers.npz")) as table:
-        poly = table["poly"]
-        if dim > len(poly):
-            raise ValueError(f"a Sobol sample has at most {len(poly)} dimensions, got {dim}")
-        poly, vinit = poly[:dim].copy(), table["vinit"][:dim].copy()
-    bits, top = _SOBOL_BITS, vinit.shape[1]
-    deg = np.frexp(poly)[1] - 1
-    inner = np.arange(1, top + 1)
-    coef = (poly[:, None] >> np.maximum(deg[:, None] - inner, 0)) & (inner <= deg[:, None])
-    v = np.zeros((dim, bits), dtype=np.int64)
-    v[:, :top] = vinit
-    for j in range(1, bits):
-        i = min(j, top)
-        new = v[np.arange(dim), j - deg]
-        new ^= np.bitwise_xor.reduce((v[:, j - i : j][:, ::-1] << inner[:i]) * coef[:, :i], axis=1)
-        v[:, j] = np.where(j >= deg, new, v[:, j])
-    v[:1] = 1  # the first dimension is van der Corput's
-    v <<= np.arange(bits)[::-1]
-    v.flags.writeable = False
-    return v
-
-
-def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
-    """The first ``count`` points of a scrambled Sobol sequence in [0, 1)^dim.
-
-    Bit for bit ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed).random(count)``:
-    the direction integers of ``_sobol_table``, then a linear matrix scramble
-    and a digital shift drawn from ``default_rng(seed)`` in scipy's order (the
-    shift's bits, then lower-triangular bit matrices with unit diagonals);
-    point i is the shift XOR the directions of the set bits of i's Gray code.
-    """
-    v, bits = _sobol_table(dim), _SOBOL_BITS
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ (1 << np.arange(bits))
-    ltm = rng.integers(2, size=(dim, bits, bits), dtype=np.uint32)
-    ltm[:, ~np.tri(bits, dtype=bool)] = 0
-    ltm[:, np.arange(bits), np.arange(bits)] = 1
-    ltm <<= np.arange(bits, dtype=np.uint32)[::-1, None]
-    cols = np.bitwise_or.reduce(ltm, axis=1)  # column b of each matrix, row 0 the top bit
-    scrambled = np.zeros_like(v)
-    for b in range(bits):
-        scrambled ^= np.where((v >> (bits - 1 - b)) & 1 == 1, cols[:, b, None], 0)
-    gray = np.arange(count) ^ (np.arange(count) >> 1)
-    out = np.tile(shift, (count, 1))
-    for b in range(int(count).bit_length()):
-        out ^= np.where((gray[:, None] >> b) & 1 == 1, scrambled[:, b], 0)
-    return out * 2.0**-bits
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    """Natural logarithm through ``math.log``, the C library's, which ndtri's tails round by."""
-    return np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
-
-
-def _ndtri(y: np.ndarray) -> np.ndarray:
-    """The standard normal quantile at each y in (0, 1): Cephes' ndtri, bit for bit.
-
-    Moshier's (1989) algorithm, as ``scipy.special.ndtri`` computes it: on
-    e^-2 < y <= 1 - e^-2 x = h + h h^2 P0(h^2) / Q0(h^2) times sqrt(2 pi),
-    h = y - 1/2; below e^-2 (above 1 - e^-2, by symmetry on 1 - y) x = z0 -
-    log(z0) / z0 - P(1/z0) / (z0 Q(1/z0)), z0 = sqrt(-2 log y), with P1/Q1
-    for z0 < 8 and P2/Q2 beyond.  Both logarithms are taken by ``_log``:
-    numpy's own log differs from the C library's in the last bit on about
-    one value in 15 000.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    upper = y > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - y, y)
-    out = np.empty_like(y)
-    mid = y > _EXP_M2
-    h = y[mid] - 0.5
-    h2 = h * h
-    out[mid] = (h + h * (h2 * np.polyval(_NDTRI_P0, h2) / np.polyval(_NDTRI_Q0, h2))) * _SQRT_2PI
-    z0 = np.sqrt(-2.0 * _log(y[~mid]))
-    z = 1.0 / z0
-    tail = np.empty_like(z)
-    for part, p, q in ((z0 < 8.0, _NDTRI_P1, _NDTRI_Q1), (z0 >= 8.0, _NDTRI_P2, _NDTRI_Q2)):
-        tail[part] = z[part] * np.polyval(p, z[part]) / np.polyval(q, z[part])
-    x = z0 - _log(z0) / z0 - tail
-    out[~mid] = np.where(upper[~mid], x, -x)
-    return out
-
-
-def _inverse_gauss(u: np.ndarray) -> np.ndarray:
-    """Gaussian coordinates of a uniform sample: ``_ndtri`` of u clipped to [1e-12, 1 - 1e-12]."""
-    return _ndtri(np.clip(u, 1e-12, 1 - 1e-12))
 
 
 # -- search engine --------------------------------------------------------------
@@ -524,11 +350,10 @@ def _unit_rows(grid: VelocityGrid) -> np.ndarray:
     """A k = 1 grid's unit rows (D, n-1), distinct by construction, in grid order.
 
     v21 rows are e^{i phi} at ``phase_count`` phases from 0, sphere rows
-    ``direction_count`` Sobol directions: the Gaussian coordinates of a
-    ``_sobol`` sample (Joe-Kuo 2008 direction numbers, Bratley-Fox 1988
-    recurrence), normalized (real V(3,1): equally spaced angles from 0; real
-    V(2,1): 1, -1).  Rows are normalized as ``_LinearFamily.blocks`` does.
-    Only block-diagonal targets use them: every other k = 1 target fixes its row.
+    ``direction_count`` standard normal rows of ``default_rng(seed)``,
+    normalized (real V(3,1): equally spaced angles from 0; real V(2,1): 1,
+    -1).  Rows are normalized as ``_LinearFamily.blocks`` does.  Only
+    block-diagonal targets use them: every other k = 1 target fixes its row.
     """
     m, real = grid.n - 1, grid.mode == REAL
     if grid.family == "v21" or (real and m == 2):
@@ -538,7 +363,8 @@ def _unit_rows(grid: VelocityGrid) -> np.ndarray:
     elif real and m == 1:
         raw = np.array([[1.0], [-1.0]])
     else:
-        raw = _inverse_gauss(_sobol((1 if real else 2) * m, grid.direction_count, grid.seed))
+        shape = (grid.direction_count, (1 if real else 2) * m)
+        raw = np.random.default_rng(grid.seed).standard_normal(shape)
         raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     rows = (raw if real else raw[:, :m] + 1j * raw[:, m:]).astype(np.complex128)[:, None]
     return (rows / _frobenius(rows))[:, 0]
@@ -547,10 +373,10 @@ def _unit_rows(grid: VelocityGrid) -> np.ndarray:
 def _unread_grid_fields(grid: VelocityGrid) -> tuple[str, ...]:
     """The grid options that a search on ``grid`` never reads, whatever their values.
 
-    A k >= 2 grid reads its Sobol sample (``sample_count``, ``seed``,
+    A k >= 2 grid reads its sample (``sample_count``, ``seed``,
     ``lambda_range``) and its times.  A k = 1 grid reads no rates or times,
     only its window (``lambda_range`` in complex mode only) and its rows: the
-    phases on v21 only, the Sobol directions and their seed on every other
+    phases on v21 only, the random directions and their seed on every other
     shape but real V(2,1) (rows +-1) and real V(3,1) (angles, no seed).
     """
     if grid.k >= 2:
@@ -570,7 +396,7 @@ def _unread_grid_fields(grid: VelocityGrid) -> tuple[str, ...]:
 def _scan_table(grid: VelocityGrid):
     """(sample, spectra): all that the grid's searches read of it, made once per process.
 
-    At k = 1 ``_unit_rows`` and None.  At k >= 2 the Sobol params (c, d) of
+    At k = 1 ``_unit_rows`` and None.  At k >= 2 the seeded params (c, d) of
     ``_LinearFamily.initial_params`` and their velocities' spectra: w, q, wa
     and qa of ``_decompose`` and C = q*[:, :k] qa (c, n, k), so that the
     endpoint at time t is q (C o e^{-i t w_p} e^{i t wa_j}) qa* (``_scan_hits``).
@@ -840,11 +666,11 @@ def _refine(
     about half of the candidates of a 128-sample complex V(6,3) search keep
     lowering their residual slowly, never arrive, and stay active until the
     iteration cap.  A slow candidate can still arrive: one such search's
-    minimal-length candidate plateaus for 12 iterations, at residuals 0.38
-    and 0.29, and converges at iteration 27, so a window of 11 or less loses
-    it; 15 keeps a margin of 3.  A longer plateau does lose its candidate:
-    some arrivals that duplicate a shorter one are frozen before they
-    converge.
+    minimal-length candidate plateaus at residuals 0.40 to 0.36 over
+    iterations 2-9 and at 0.32 over iterations 11-12, and converges at
+    iteration 30, so a window of 11 or less loses it; 15 keeps a margin of
+    3.  A longer plateau does lose its candidate: some arrivals that
+    duplicate a shorter one are frozen before they converge.
     Returns the params, the times and the residual norms, which are the
     endpoints' Frobenius distances to the target, and the counts of the
     candidates frozen as ``converged``, ``damped`` and ``stalled`` and still

@@ -6,8 +6,8 @@ The generic curve through the identity class with initial block velocity
     t  ->  first k columns of  exp(t v) . blockdiag(exp(-t a), I)
 
 and is horizontal with constant speed.  One batched kernel evaluates it for
-stacked velocities and times; ``sample_curve``, ``batch_geodesic_columns`` and
-``grid_geodesic_columns`` are views of it.  For k = 1 the kernel runs one
+stacked velocities and times; ``sample_curve`` and ``batch_geodesic_columns``
+are views of it.  For k = 1 the kernel runs one
 closed form of the V_{n,1} column, and the public closed forms
 ``geodesic_vn1_closed`` and ``geodesic_v21_closed`` (V_{2,1} is its n = 2
 case) are views of the same formula, so no k = 1 path calls an eigensolver.
@@ -297,11 +297,6 @@ def batch_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX, spectra=
     the caller already holds them (k >= 2).
     """
     return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[:, None], mode, spectra)[:, 0]
-
-
-def grid_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX) -> np.ndarray:
-    """c velocities on a shared time grid; shape (c, t, n, k)."""
-    return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[None], mode)
 
 
 def normal_geodesic(spec: GeodesicSpec, t: float) -> StiefelPoint:

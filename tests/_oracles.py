@@ -43,10 +43,10 @@ from stiefel_sr.geodesic import (
     GeodesicSpec,
     _decompose,
     _field,
+    _geodesic_columns,
     _sensitivity,
     geodesic_v21_closed,
     geodesic_vn1_closed,
-    grid_geodesic_columns,
     sample_curve,
 )
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
@@ -345,21 +345,14 @@ def uniqueness_case_checks_loop(n: int, trials: int = 200, seed: int = 0):
     )
 
 
-def _sobol_gauss(dim: int, count: int, seed: int) -> np.ndarray:
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    u = qmc.Sobol(dim, scramble=True, seed=seed).random(count)
-    return u, ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-
-
 def separate_family_params(grid) -> np.ndarray:
     """Initial params of the grid's family, sampled separately: on complex
     V(2,1) (v21) every fibre rate crossed with every phase (params lam, cos
     phi, sin phi), on the other k = 1 shapes (sphere) the unit directions
     (with a fibre-rate axis in complex mode), as the search's former v21 and
-    sphere families sampled them, and at k >= 2 (general) a Sobol sample of
-    every block coordinate."""
+    sphere families sampled them, and at k >= 2 (general) a sample of every
+    block coordinate from ``default_rng(seed)``: the fibre coordinates
+    uniform on ``lambda_range``, then the transversal ones standard normal."""
     n, k = grid.n, grid.k
     complex_mode = grid.mode == COMPLEX
     lo, hi = grid.lambda_range
@@ -373,10 +366,10 @@ def separate_family_params(grid) -> np.ndarray:
     if grid.family == "general":
         a_dim = k * k if complex_mode else k * (k - 1) // 2
         b_dim = (2 if complex_mode else 1) * k * (n - k)
-        u, gauss = _sobol_gauss(a_dim + b_dim, grid.sample_count, grid.seed)
-        out = np.empty_like(u)
-        out[:, :a_dim] = lo + (hi - lo) * u[:, :a_dim]
-        out[:, a_dim:] = gauss[:, a_dim:]
+        rng = np.random.default_rng(grid.seed)
+        out = np.empty((grid.sample_count, a_dim + b_dim))
+        out[:, :a_dim] = rng.uniform(lo, hi, (grid.sample_count, a_dim))
+        out[:, a_dim:] = rng.standard_normal((grid.sample_count, b_dim))
         return out
     m = n - 1
     if not complex_mode and m == 1:
@@ -384,7 +377,8 @@ def separate_family_params(grid) -> np.ndarray:
     if not complex_mode and m == 2:
         ang = np.linspace(0.0, 2 * np.pi, grid.direction_count, endpoint=False)
         return np.column_stack([np.cos(ang), np.sin(ang)])
-    _, raw = _sobol_gauss((2 if complex_mode else 1) * m, grid.direction_count, grid.seed)
+    rng = np.random.default_rng(grid.seed)
+    raw = rng.standard_normal((grid.direction_count, (2 if complex_mode else 1) * m))
     dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     if not complex_mode:
         return dirs
@@ -590,8 +584,8 @@ def scan_cols_inner_product(cols, target_cols, gate):
 
 def scan_hits_table(family, target_cols):
     """The k >= 2 scan's hits (velocity indices, time indices, errors) as
-    its table pass found them: the grid's Sobol sample filled at its scan
-    times by ``grid_geodesic_columns``, 16 velocities per fill, each fill
+    its table pass found them: the grid's sample filled at its shared scan
+    times by the kernel ``_geodesic_columns``, 16 velocities per fill, each fill
     scanned by ``scan_cols_inner_product`` against the search's gate."""
     grid = family.grid
     p0 = family.initial_params()
@@ -601,7 +595,7 @@ def scan_hits_table(family, target_cols):
     hits = []
     for lo in range(0, len(p0), 16):
         a, b = family.blocks(p0[lo : lo + 16])
-        cols = grid_geodesic_columns(a, b, ts, grid.mode)
+        cols = _geodesic_columns(a, b, ts[None], grid.mode)
         vix, tix, err = scan_cols_inner_product(cols, target_cols, gate)
         hits.append((vix + lo, tix, err))
     return tuple(np.concatenate(x) for x in zip(*hits))

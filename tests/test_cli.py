@@ -705,9 +705,8 @@ def _run_python(code: str) -> str:
 
 def test_cli_import_does_not_load_scipy(tmp_path):
     # scipy is a test-only dependency: importing the CLI and running each of
-    # its subcommands loads no scipy module (the Sobol sample's Gaussian
-    # coordinates come from the library's own ndtri, its direction numbers
-    # from the package's data file)
+    # its subcommands loads no scipy module (every sample comes from numpy's
+    # seeded generator)
     v42 = BlockVelocity(np.array([[0.5j, 0.2], [-0.2, -0.3j]]), np.array([[0.6, 0.1j], [0.2, 0.3]]))
     target = json.dumps(normal_geodesic(GeodesicSpec(v42), 0.8).to_json_dict())
     commands = [
@@ -736,9 +735,9 @@ for i, argv in enumerate({commands!r}):
 
 
 def test_search_does_not_load_scipy_stats():
-    # no search loads any scipy module: a general-grid search (a Sobol
-    # sample of the velocity blocks), sphere searches on real V(4,1) (the
-    # antipode, which reads the grid's Sobol directions) and complex V(3,1),
+    # no search loads any scipy module: a general-grid search (a sample of
+    # the velocity blocks), sphere searches on real V(4,1) (the antipode,
+    # which reads the grid's random directions) and complex V(3,1),
     # and a v21 search
     code = """
 import sys

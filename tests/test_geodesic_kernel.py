@@ -1,8 +1,9 @@
 """Differential tests of the geodesic evaluation kernel against scipy's expm.
 
-``batch_geodesic_columns``, ``grid_geodesic_columns`` and ``sample_curve``
-share one kernel.  Each is checked against the definition -- the first k
-columns of expm(t v) . blockdiag(expm(-t a), I) -- and against the other two,
+``batch_geodesic_columns`` and ``sample_curve`` are views of one kernel,
+``_geodesic_columns``, which also evaluates stacked velocities on a shared
+time grid.  Each is checked against the definition -- the first k columns
+of expm(t v) . blockdiag(expm(-t a), I) -- and against the other two,
 at the k = 1 shapes, which take the V_{n,1} closed form, and at the spectral
 shapes (k >= 2), in both field modes, including degenerate velocities and
 t = 0; at k >= 2 also one velocity on 1200 times against one time at a
@@ -40,12 +41,12 @@ from stiefel_sr.geodesic import (
     GeodesicSpec,
     _decompose,
     _endpoint_jacobian,
+    _geodesic_columns,
     _vn1_column,
     _vn1_jacobian,
     batch_geodesic_columns,
     geodesic_v21_closed,
     geodesic_vn1_closed,
-    grid_geodesic_columns,
     sample_curve,
 )
 
@@ -105,7 +106,7 @@ class TestKernelAgainstExpm:
         b = np.stack([p[1] for p in pairs])
         ts = np.array(ts)
 
-        grid = grid_geodesic_columns(a, b, ts, mode)
+        grid = _geodesic_columns(a, b, ts[None], mode)
         assert grid.shape == (3, len(ts), n, k)
         for i, (ai, bi) in enumerate(pairs):
             ref = np.stack([reference_columns(ai, bi, t, mode) for t in ts])
@@ -144,7 +145,7 @@ class TestKernelAgainstExpm:
         a, b = np.zeros((0, k, k), dtype=complex), np.zeros((0, k, n - k), dtype=complex)
         assert batch_geodesic_columns(a, b, np.zeros(0), mode).shape == (0, n, k)
         ts = np.linspace(0.0, 1.0, 5)
-        assert grid_geodesic_columns(a, b, ts, mode).shape == (0, len(ts), n, k)
+        assert _geodesic_columns(a, b, ts[None], mode).shape == (0, len(ts), n, k)
 
 
 def reference_derivatives(a, b, t, da, db, mode):
@@ -326,7 +327,7 @@ class TestVn1ClosedFormAgainstMpmath:
         eps = np.finfo(np.float64).eps
         tvs = np.array([1.0, 30.0, 300.0])
         norm_v = float(np.linalg.norm(BlockVelocity(a, b, mode).embed()))
-        got = grid_geodesic_columns(a[None], b[None], tvs / norm_v, mode)[0]
+        got = _geodesic_columns(a[None], b[None], (tvs / norm_v)[None], mode)[0]
         norm_unit = float(np.linalg.norm(BlockVelocity(a, unit, mode).embed()))
         top = _vn1_column(a[0, 0].imag, np.ones(1), tvs / norm_unit)[0]
         side = -_vn1_jacobian(a[0, 0].imag, tvs / norm_unit)[2]
@@ -488,7 +489,7 @@ class TestVn1ClosedFormKernel:
     def test_matches_spectral_composition(self, n, mode, scale):
         rng = np.random.default_rng(100 * n + (mode == REAL))
         a, b = stacked_blocks(rng, n, 1, mode, KINDS * 3, scale)
-        got = grid_geodesic_columns(a, b, self.TIMES, mode)
+        got = _geodesic_columns(a, b, self.TIMES[None], mode)
         # exp(t v)[:, :1] exp(-t a) at every (velocity, time), from the spectral exponential
         ts = self.TIMES[None]
         ref = matcore.expm_skew(_embed_velocities(a, b)[:, None], ts)[..., :1]
@@ -505,7 +506,7 @@ class TestVn1ClosedFormKernel:
     def test_v21_bit_identical_to_former_column(self, mode, scale):
         rng = np.random.default_rng(7 + (mode == REAL))
         a, b = stacked_blocks(rng, 2, 1, mode, KINDS * 4, scale)
-        got = grid_geodesic_columns(a, b, self.TIMES, mode)
+        got = _geodesic_columns(a, b, self.TIMES[None], mode)
         old = first_column_2x2(a[:, 0, :].imag, b[:, 0, :], self.TIMES[None])[..., None]
         if mode == REAL:
             old = old.real.astype(np.complex128)
