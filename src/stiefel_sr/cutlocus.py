@@ -28,7 +28,8 @@ from .homspace import BlockVelocity, StiefelPoint, _block_velocities, _embed_vel
 from .geodesic import (
     GeodesicSpec,
     _decompose,
-    _endpoint_jacobian,
+    _eigenbasis_jacobian,
+    _generator_entries,
     _speeds_squared,
     _vn1_jacobian,
     batch_geodesic_columns,
@@ -247,7 +248,8 @@ class _LinearFamily:
     itself (``_unit_rows``).
 
     The refinement differentiates along these fixed unit images ``da``,
-    ``db`` and then through the normalization of b, ``normalize``.
+    ``db``, each one or two generator entries (``entries``, taken once
+    here), and then through the normalization of b, ``normalize``.
     """
 
     def __init__(self, grid: VelocityGrid):
@@ -267,6 +269,7 @@ class _LinearFamily:
         self.da[: self.a_dim] = np.reshape(fibre, (-1, k, k))
         self.db = np.zeros((d, k, m), dtype=np.complex128)
         self.db[self.a_dim :] = (np.reshape(units, (-1, 1, 1)) * np.eye(k * m)).reshape(-1, k, m)
+        self.entries = _generator_entries(self.da, self.db)
 
     def initial_params(self) -> np.ndarray:
         """The general family's sample (c, d): fibre params uniform, transversal Gaussian.
@@ -280,25 +283,27 @@ class _LinearFamily:
         return np.column_stack([fibre, rng.standard_normal((c, len(self.da) - a_dim))])
 
     def blocks(self, params: np.ndarray):
-        b = np.tensordot(params, self.db, axes=1)
-        return np.tensordot(params, self.da, axes=1), b / _frobenius(b)
+        c, d = len(params), len(self.da)
+        a = (params @ self.da.reshape(d, -1)).reshape((c,) + self.da.shape[1:])
+        b = (params @ self.db.reshape(d, -1)).reshape((c,) + self.db.shape[1:])
+        return a, b / _frobenius(b)
 
     def normalize(self, params: np.ndarray, along: np.ndarray) -> np.ndarray:
-        """Derivatives (c, d, n, k) along the unit param images (da, db) -> along the params.
+        """Derivatives (c, d, ...) along the unit param images (da, db) -> along the params.
 
         The normalization's projection d(b/|b|) = (db - u Re<u, db>) / |b|,
-        u = b / |b|, applied in place to the derivatives.  The transversal
-        params are the coordinates of b in the orthonormal basis db, so
-        Re<u, db_j> = params_j / |b|, the derivative along u is sum_l
-        Re<u, db_l> along_l, and a transversal param's derivative is
-        (along_j - Re<u, db_j> along_u) / |b|.
+        u = b / |b|, applied in place to the derivatives, whatever their
+        layout or field.  The transversal params are the coordinates of b
+        in the orthonormal basis db, so Re<u, db_j> = params_j / |b| and
+        the transversal derivatives move by one product with the real
+        matrix (I - r r^T) / |b|, r = params / |b|.
         """
-        coords = params[:, self.a_dim :, None, None]
-        norm = np.maximum(np.sqrt(np.sum(coords * coords, axis=1, keepdims=True)), 1e-30)
-        radial = coords / norm
+        coords = params[:, self.a_dim :]
+        norm = np.maximum(np.sqrt(np.sum(coords * coords, axis=1)), 1e-30)[:, None, None]
+        radial = coords[:, :, None] / norm
+        proj = (np.eye(coords.shape[1]) - radial * np.swapaxes(radial, 1, 2)) / norm
         moving = along[:, self.a_dim :]
-        moving -= radial * np.sum(radial * moving, axis=1, keepdims=True)
-        moving /= norm
+        moving[...] = (proj @ moving.reshape(proj.shape[:2] + (-1,))).reshape(moving.shape)
         return along
 
 
@@ -317,7 +322,7 @@ def _endpoint_residuals(family, x: np.ndarray, target_cols):
     rows with non-finite entries or negative time get a large constant
     residual so steps into them are always rejected.  The spectra are the
     eigendecompositions the kernel evaluated the rows with (``_decompose``),
-    which ``_residual_jacobian`` takes at the same rows.
+    which ``_normal_equations`` takes at the same rows.
     """
     params, ts = x[:, :-1], x[:, -1]
     bad = ~np.isfinite(x).all(axis=1) | (ts < 0)
@@ -623,21 +628,29 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
     return a_blk, b_blk, t, np.linalg.norm(cols - target.cols, axis=(1, 2)), counts
 
 
-def _residual_jacobian(family, x: np.ndarray, spectra) -> np.ndarray:
-    """Jacobian (c, rows, dim) of ``_endpoint_residuals`` at finite rows with t >= 0.
+def _normal_equations(family, x: np.ndarray, r: np.ndarray, spectra):
+    """J^T J (c, dim, dim) and J^T r (c, dim, 1) of ``_endpoint_residuals`` at finite rows with t >= 0.
 
-    Analytic, the time derivative as the last column.  The endpoint is
-    differentiated along the family's fixed unit images (da, db) by
-    ``geodesic._endpoint_jacobian``, from ``spectra`` (the kernel's
-    decompositions at these rows, as ``_endpoint_residuals`` returns them),
-    and ``family.normalize`` takes the derivatives to the params.
+    J is the analytic Jacobian of the residuals ``r`` (c, rows), the time
+    derivative its last column.  ``geodesic._eigenbasis_jacobian`` gives
+    the endpoint's derivatives along the family's unit images (da, db) and
+    in t in the eigenbasis of i v, from ``spectra`` (the kernel's
+    decompositions at these rows, as ``_endpoint_residuals`` returns
+    them).  J^T J and J^T r are Frobenius inner products, which the
+    unitary Q* keeps, so both are taken on the real view of those
+    derivatives, against the residual rotated by Q*, and
+    ``family.normalize`` takes the view to the params.
     """
     params, ts = x[:, :-1], x[:, -1]
-    a, b = family.blocks(params)
-    along, dcols_dt = _endpoint_jacobian(a, b, ts, spectra, family.da, family.db, family.grid.mode)
-    dcols = family.normalize(params, along)
-    d = np.concatenate([dcols, dcols_dt[:, None]], axis=1).reshape(len(x), x.shape[1], -1)
-    return np.concatenate([d.real, d.imag], axis=2).swapaxes(1, 2)
+    c, dim = x.shape
+    n, k = family.grid.n, family.grid.k
+    # J^T (c, dim, 2 n k), one real row per param
+    jt = _eigenbasis_jacobian(ts, spectra, family.entries).reshape(c, dim, -1).view(np.float64)
+    family.normalize(params, jt[:, :-1])
+    diff = (r[:, : n * k] + 1j * r[:, n * k :]).reshape(c, n, k)
+    # (Q* diff)^T, the derivatives' layout
+    rotated = (np.swapaxes(diff, 1, 2) @ np.conj(spectra[1])).reshape(c, -1).view(np.float64)
+    return jt @ np.swapaxes(jt, 1, 2), jt @ rotated[:, :, None]
 
 
 def _refine(
@@ -655,8 +668,8 @@ def _refine(
     J^T r; the analytic Jacobian is formed again only for the candidates
     whose last step was accepted, since a rejected step changes only the
     damping.  Each candidate also keeps the two eigendecompositions that the
-    evaluation of its accepted point made, and its Jacobian is built from
-    them (``_residual_jacobian``), so no Jacobian calls eigh.  Only k >= 2
+    evaluation of its accepted point made, and its normal equations are
+    built from them (``_normal_equations``), so no Jacobian calls eigh.  Only k >= 2
     searches refine, from the starts of ``_scan_hits`` (an empty stack too).
     Per-candidate damping adapts in the usual way.  A candidate is frozen
     once its residual is far below the hit radius, once its damping exceeds
@@ -680,13 +693,15 @@ def _refine(
     x = np.column_stack([params, ts]).astype(np.float64)
     n_cand, dim = x.shape
     n, k = target_cols.shape
-    # a Jacobian chunk's temporaries peak when the sensitivity K, (chunk, n,
-    # n, n, k) complex, meets its transposed copy and their (chunk, dim, n, k)
-    # product: n k (2 n^2 + dim) elements per candidate.  They come on top of
-    # the stored normal equations and spectra and the trial step's
-    # evaluation, and the peak RSS of a default-grid complex V(6,3) search
-    # grows with the chunk, so a chunk takes a quarter of the element budget
-    chunk = max(1, _CHUNK_ELEMENTS // (4 * n * k * (2 * n * n + dim)))
+    # a chunk's normal equations peak in ``_entry_sum``: the (chunk, dim, k,
+    # n) complex derivatives meet two (chunk, dim - 1, k, n) gathers of the
+    # (chunk, n, k, n) Daleckii-Krein product, and that product's (chunk, n,
+    # k, n) factor comes before it: at most n k (3 dim + 2 n) elements per
+    # candidate.  They come on top of the stored normal equations and
+    # spectra and the trial step's evaluation, and the peak RSS of a
+    # default-grid complex V(6,3) search grows with the chunk, so a chunk
+    # takes a quarter of the element budget
+    chunk = max(1, _CHUNK_ELEMENTS // (4 * n * k * (3 * dim + 2 * n)))
     r, spectra = _endpoint_residuals(family, x, target_cols)
     f = np.sum(r * r, axis=1)
     mu = np.full(n_cand, 1e-3)
@@ -711,10 +726,9 @@ def _refine(
         fresh = ai[moved[ai]]
         for lo in range(0, len(fresh), chunk):
             part = fresh[lo : lo + chunk]
-            jac = _residual_jacobian(family, x[part], [h[part] for h in spectra])
-            jt = jac.swapaxes(1, 2)
-            jtj[part] = jt @ jac
-            jtr[part] = jt @ r[part, :, None]
+            jtj[part], jtr[part] = _normal_equations(
+                family, x[part], r[part], [h[part] for h in spectra]
+            )
         lhs = jtj[ai]  # a copy; the damping goes onto its diagonal in place
         lhs[:, diag, diag] += mu[ai, None]
         rhs = -jtr[ai]
@@ -954,7 +968,7 @@ def first_block_diagonal_hit(spec: GeodesicSpec, t_upper: float) -> float | None
     The endpoint's lower block is exp(t v)[k:, :k] exp(-t a), and exp(-t a)
     is unitary, so its norm is that of L(t) = Q[k:] diag(e^{-i t w}) Q[:k]*
     for i v = Q diag(w) Q* (Higham's spectral form, as in
-    ``geodesic._sensitivity``): one eigh, whatever k, and no kernel call.
+    ``geodesic._eigenbasis_jacobian``): one eigh, whatever k, and no kernel call.
     Scans |L|^2, the real view's sum of squares, against squared bounds on a
     dense grid (skipping the initial rise out of the identity class, where
     the norm is trivially small), whose phases e^{-i t_j w} are the products

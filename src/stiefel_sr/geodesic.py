@@ -17,10 +17,11 @@ e^{i t wa_j} (q* qa)_pj) qa*: two products per velocity, whatever the number
 of times.  At a unit transversal row the V_{n,1} column is (T, -conj(b) S)
 with T and S functions of the rate and the time (``_vn1_jacobian``), so a
 k = 1 search solves along the fold branches where |S| = |q1|.
-``_endpoint_jacobian`` gives the k >= 2 refinement the endpoint's
-derivatives along fixed directions and in t: one product of the
-directions' generators with one Daleckii-Krein sensitivity array built from
-the kept decompositions, so any direction is taken.
+``_eigenbasis_jacobian`` gives the k >= 2 refinement the endpoint's
+derivatives along fixed directions and in t from the kept decompositions,
+written in the eigenbasis of i v: one Daleckii-Krein product per velocity,
+and one or two of its terms per direction, one for each nonzero entry of the
+direction's generator (``_generator_entries``).
 Alongside them this module carries the square-block Grassmann geodesics used
 for V_{2k,k}, plus speed, length, the first time a V_{n,1} geodesic returns to
 the block-diagonal set, and the mirrored velocity that produces a second
@@ -184,58 +185,103 @@ def _geodesic_columns(a_blocks, b_blocks, ts, mode: str, spectra=None) -> np.nda
     return _field(cols, mode)
 
 
-def _divided_differences(w, ts, rate: complex) -> np.ndarray:
-    """First divided differences (c, n, n) of x -> exp(rate t x) on stacked eigenvalues w.
+def _generator_entries(da, db):
+    """Each direction's generator i [[da, db], [-db*, 0]] as its one or two nonzero entries.
 
-    Written as rate t exp(rate t (w_p + w_q) / 2) sinc(t (w_p - w_q) / 2 pi),
-    so equal or close eigenvalues need no branch; ts (c,).
+    Directions da (d, k, k), db (d, k, n-k).  Returns the entries' rows and
+    columns (d, 2), their coefficients (d, 2) (a one-entry direction repeats
+    its entry with coefficient 0) and the number f of leading directions
+    whose entries lie in the fibre block; no later direction has an entry
+    there.  Every unit param of the search's linear family has this form,
+    with coefficients +-1 or +-i.
     """
-    tt = ts[:, None, None]
-    mid = 0.5 * (w[:, :, None] + w[:, None, :])
-    gap = w[:, :, None] - w[:, None, :]
-    return rate * tt * np.exp(rate * tt * mid) * np.sinc(tt * gap / (2.0 * np.pi))
+    gens = (1j * _embed_velocities(da, db)).reshape(len(da), -1)
+    n, k = da.shape[-1] + db.shape[-1], da.shape[-1]
+    counts = np.count_nonzero(gens, axis=1)
+    if np.any((counts < 1) | (counts > 2)):
+        raise ValueError("each direction's generator needs one or two nonzero entries")
+    nonzero = gens != 0
+    first = np.argmax(nonzero, axis=1)
+    pos = np.stack([first, gens.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)], axis=1)
+    coefs = np.take_along_axis(gens, pos, axis=1)
+    coefs[pos[:, 0] == pos[:, 1], 1] = 0.0
+    rows, cols = np.divmod(pos, n)
+    inner = (rows < k) & (cols < k)
+    fibre = int(np.count_nonzero(inner.any(axis=1)))
+    if not inner[:fibre].all() or inner[fibre:].any():
+        raise ValueError("fibre directions must come first, with both entries in the fibre block")
+    return rows, cols, coefs, fibre
 
 
-def _rotation_product(left, q, divided, right_rows):
-    """K[r, i, j, s] = sum_pq left_rp conj(q_ip) divided_pq q_jq right_rows_qs; (c, r, i, j, s).
+def _sinc_product(q, w, ts, right, rate: complex):
+    """One Daleckii-Krein product, transposed: G (c, j, s, p) and its scale (c, p).
 
-    Two stacked products per velocity: G = divided . W with W[q, (j, s)] =
-    q_jq right_rows_qs, then K = U . G with U[(r, i), p] = left_rp conj(q_ip).
+    G[j, s, p] = sum_r S_pr e_r q_jr right_rs with S_pr = sinc(t (w_p - w_r)
+    / 2 pi) and e = exp(rate t w / 2), and the scale is rate t e.  So G
+    times the scale along p is F . (q^T o right) with F the first divided
+    differences of x -> exp(rate t x) at w, written as rate t e_p e_r S_pr:
+    equal or close eigenvalues need no branch.  Stacked q (c, n, n), w
+    (c, n), ts (c,), right (c, n, s).
     """
-    c, r, p = left.shape
-    s = right_rows.shape[-1]
-    u = (left[:, :, None, :] * np.conj(q)[:, None, :, :]).reshape(c, r * p, p)
-    w = (np.swapaxes(q, 1, 2)[:, :, :, None] * right_rows[:, :, None, :]).reshape(c, p, p * s)
-    return (u @ (divided @ w)).reshape(c, r, p, p, s)
+    c, n = w.shape
+    half = np.exp((0.5 * rate) * ts[:, None] * w)
+    factor = q[:, :, None, :] * np.swapaxes(half[:, :, None] * right, 1, 2)[:, None]
+    sinc = np.sinc((0.5 / np.pi) * ts[:, None, None] * (w[:, :, None] - w[:, None, :]))
+    g = factor.reshape(c, -1, n) @ sinc.astype(np.complex128)  # S is symmetric
+    return g.reshape(factor.shape), (rate * ts[:, None]) * half
 
 
-def _sensitivity(a_blocks, b_blocks, ts, spectra):
-    """The endpoint's derivatives in the entries of its generator, at k >= 2; complex mode.
+def _entry_sum(v, g, scale, rows, cols, coefs, out) -> None:
+    """out[c, l, s, p] = sum_e coefs[l, e] conj(v[c, rows[l, e], p]) scale[c, p] g[c, cols[l, e], s, p]."""
+    weights = coefs[:, :, None] * np.take(np.conj(v) * scale[:, None, :], rows, axis=1)
+    np.multiply(weights[:, :, None, 0], np.take(g, cols[:, 0], axis=1), out=out)
+    out += weights[:, :, None, 1] * np.take(g, cols[:, 1], axis=1)
 
-    With h = i v = Q diag(w) Q* and i a = Qa diag(wa) Qa* (``spectra``), the
-    endpoint is L R with L = first k columns of exp(-i t h) = Q (e^{-i t w} o
-    Q*[:, :k]) and R = exp(i t (i a)) = Qa (e^{i t wa} o Qa*), one product
-    each at the one time per velocity.  Daleckii-Krein (Higham, Functions of
-    Matrices, 2008, Thm 3.11) moves L by Q (F o Q* X Q) Q*[:, :k] when i v
-    moves by X, and R by Qa (Fa o Qa* X_a Qa) Qa* when i a moves by X_a, with
-    F, Fa the divided differences of the two flows.  Along a velocity direction (da, db) the
-    generator moves by X = i [[da, db], [-db*, 0]], and X_a is its top-left
-    block, so one array K holds both: K[:, r, (i, j), s] is the derivative
-    of endpoint entry (r, s) in generator entry (i, j).  It takes two stacked
-    products per velocity on each side, whatever the number of directions.
-    Returns K (c, n, n n, k) and the time derivative (v L - L a) R (c, n, k).
+
+def _eigenbasis_jacobian(ts, spectra, entries) -> np.ndarray:
+    """The endpoint's derivatives along d fixed directions and in t, in the eigenbasis of i v.
+
+    ``spectra`` are the velocities' ``_decompose`` (k >= 1), ``ts`` (c,)
+    one time per velocity and ``entries`` the directions'
+    ``_generator_entries``.  Returns D (c, d + 1, k, n) with D[:, l] the
+    transpose of Q* dP along direction l, the last l being d/dt: the
+    refinement's J^T J and J^T r are Frobenius inner products, which the
+    unitary Q* keeps, so nothing rotates back.
+
+    With h = i v = Q diag(w) Q* and i a = Qa diag(wa) Qa*, the endpoint is
+    P = L R with Q* L = e^{-i t w} o Q*[:, :k] and R = Qa (e^{i t wa} o
+    Qa*).  Daleckii-Krein (Higham, Functions of Matrices, 2008, Thm 3.11):
+    when h moves by a generator X, Q* dL R = (F o Q* X Q) W with W =
+    Q*[:, :k] R and F the divided differences of exp(-i t x) at w.  Entry
+    (p, s) of that is sum_ij X_ij conj(Q_ip) G[p, j, s] with one product G
+    = F (Q^T o W) for every direction, so a direction takes one or two
+    terms conj(Q[i, :]) o G[:, j], one per nonzero entry (i, j) of its
+    generator.  R moves by Qa (Fa o Qa* X_a Qa) Qa* when i a moves by the
+    top-left block X_a, which adds M Y with M = (Q* L) Qa = e^{-i t w} o C,
+    C = Q*[:, :k] Qa, and Y = (Fa o Qa* X_a Qa) Qa*: the same sum in the
+    fibre's eigenbasis, then one small product with M.  In t, Q* dP/dt =
+    -i ((w_p - wa_j) M_pj e^{i t wa_j}) Qa*.  No n^2-entry sensitivity
+    array and no eigh.
     """
     w, q, wa, qa = spectra
+    rows, cols, coefs, fibre = entries
     c, n = w.shape
     k = wa.shape[1]
-    tt = ts[:, None, None]
-    left = q @ (np.exp(-1j * tt * w[:, :, None]) * adjoint(q)[:, :, :k])
-    right = qa @ (np.exp(1j * tt * wa[:, :, None]) * adjoint(qa))
-    sens = _rotation_product(q, q, _divided_differences(w, ts, -1j), adjoint(q)[:, :, :k] @ right)
-    fibre = _divided_differences(wa, ts, 1j)
-    sens[:, :, :k, :k] += _rotation_product(left @ qa, qa, fibre, adjoint(qa))
-    dcols_dt = (_embed_velocities(a_blocks, b_blocks) @ left - left @ a_blocks) @ right
-    return sens.reshape(c, n, n * n, k), dcols_dt
+    qa_h = adjoint(qa)
+    c_mat = adjoint(q)[:, :, :k] @ qa
+    m = np.exp(-1j * ts[:, None, None] * w[:, :, None]) * c_mat
+    phase_a = np.exp(1j * ts[:, None, None] * wa[:, None, :])
+    out = np.empty((c, len(rows) + 1, k, n), dtype=np.complex128)
+    g, scale = _sinc_product(q, w, ts, (c_mat * phase_a) @ qa_h, -1j)
+    _entry_sum(q, g, scale, rows, cols, coefs, out[:, :-1])
+    if fibre:
+        g, scale = _sinc_product(qa, wa, ts, qa_h, 1j)
+        y = np.empty((c, fibre, k, k), dtype=np.complex128)
+        _entry_sum(qa, g, scale, rows[:fibre], cols[:fibre], coefs[:fibre], y)
+        out[:, :fibre] += (y.reshape(c, fibre * k, k) @ np.swapaxes(m, 1, 2)).reshape(c, fibre, k, n)
+    in_t = -1j * (w[:, :, None] - wa[:, None, :]) * m * phase_a
+    np.matmul(np.conj(qa), np.swapaxes(in_t, 1, 2), out=out[:, -1])
+    return out
 
 
 def _vn1_jacobian(lam, ts):
@@ -259,24 +305,6 @@ def _vn1_jacobian(lam, ts):
     dsinc = (ts * cosw - sincw) * g / omega**2
     dlam = phase * (-0.5j * ts * inner + dcos + 0.5j * (sincw + lam * dsinc))
     return phase * inner, dlam, -phase * sincw, sincw, dsinc, cosw
-
-
-def _endpoint_jacobian(a_blocks, b_blocks, ts, spectra, da, db, mode: str):
-    """The endpoint's derivatives along d fixed directions (c, d, n, k) and in t (c, n, k).
-
-    Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,),
-    ``spectra`` their ``_decompose``, directions da (d, k, k), db (d, k, n-k).
-    The derivative is linear in a direction's generator i [[da, db], [-db*,
-    0]], so every direction's derivative is one product of the generators
-    (d, n n) with ``_sensitivity``'s K: no eigh, and any direction, however
-    dense.  The search differentiates only k >= 2 endpoints this way; every
-    shape is taken.
-    """
-    gens = 1j * _embed_velocities(da, db).reshape(len(da), -1)
-    sens, dcols_dt = _sensitivity(a_blocks, b_blocks, ts, spectra)
-    c, n, _, k = sens.shape
-    dcols = gens @ sens.swapaxes(1, 2).reshape(c, n * n, n * k)  # (c, d, n k)
-    return _field(dcols.reshape(c, -1, n, k), mode), _field(dcols_dt, mode)
 
 
 def _field(x: np.ndarray, mode: str) -> np.ndarray:

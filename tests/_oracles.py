@@ -21,9 +21,11 @@ search families' original block tangents (the projection of a linear
 family's unit params through the normalization of b), the plane-root
 oracle a Lipschitz-pruned fine grid in the (rate, time) plane refined by
 scipy's ``least_squares``,
-the directional-Jacobian oracle the refinement's
+the directional-Jacobian oracles the refinement's
 original contraction of the endpoint's sensitivities with each direction's
-generator, the refinement oracle the arrival refinement's original loop,
+dense generator (``endpoint_jacobian_dense``, with the Daleckii-Krein
+sensitivity array it was built from) and the residual Jacobian and normal
+equations it gave, the refinement oracle the arrival refinement's original loop,
 which forms every active candidate's Jacobian on every iteration, the
 high-precision column oracle a 40-digit mpmath matrix exponential, and the
 high-precision Jacobian oracle its central differences at 40 digits.  The
@@ -44,13 +46,12 @@ from stiefel_sr.geodesic import (
     _decompose,
     _field,
     _geodesic_columns,
-    _sensitivity,
     geodesic_v21_closed,
     geodesic_vn1_closed,
     sample_curve,
 )
 from stiefel_sr.homspace import BlockVelocity, _embed_velocities
-from stiefel_sr.matcore import COMPLEX
+from stiefel_sr.matcore import COMPLEX, adjoint
 
 
 def expm_series(x: np.ndarray, t: float, terms: int = 40) -> np.ndarray:
@@ -427,6 +428,103 @@ def unit_block_tangents(b, da, db):
     return np.broadcast_to(da, (len(b),) + da.shape), dunit
 
 
+def _divided_differences(w, ts, rate: complex) -> np.ndarray:
+    """First divided differences (c, n, n) of x -> exp(rate t x) on stacked eigenvalues w.
+
+    Written as rate t exp(rate t (w_p + w_q) / 2) sinc(t (w_p - w_q) / 2 pi),
+    so equal or close eigenvalues need no branch; ts (c,).
+    """
+    tt = ts[:, None, None]
+    mid = 0.5 * (w[:, :, None] + w[:, None, :])
+    gap = w[:, :, None] - w[:, None, :]
+    return rate * tt * np.exp(rate * tt * mid) * np.sinc(tt * gap / (2.0 * np.pi))
+
+
+def _rotation_product(left, q, divided, right_rows):
+    """K[r, i, j, s] = sum_pq left_rp conj(q_ip) divided_pq q_jq right_rows_qs; (c, r, i, j, s).
+
+    Two stacked products per velocity: G = divided . W with W[q, (j, s)] =
+    q_jq right_rows_qs, then K = U . G with U[(r, i), p] = left_rp conj(q_ip).
+    """
+    c, r, p = left.shape
+    s = right_rows.shape[-1]
+    u = (left[:, :, None, :] * np.conj(q)[:, None, :, :]).reshape(c, r * p, p)
+    w = (np.swapaxes(q, 1, 2)[:, :, :, None] * right_rows[:, :, None, :]).reshape(c, p, p * s)
+    return (u @ (divided @ w)).reshape(c, r, p, p, s)
+
+
+def _sensitivity(a_blocks, b_blocks, ts, spectra):
+    """The endpoint's derivatives in the entries of its generator, at k >= 2; complex mode.
+
+    With h = i v = Q diag(w) Q* and i a = Qa diag(wa) Qa* (``spectra``), the
+    endpoint is L R with L = first k columns of exp(-i t h) = Q (e^{-i t w} o
+    Q*[:, :k]) and R = exp(i t (i a)) = Qa (e^{i t wa} o Qa*), one product
+    each at the one time per velocity.  Daleckii-Krein (Higham, Functions of
+    Matrices, 2008, Thm 3.11) moves L by Q (F o Q* X Q) Q*[:, :k] when i v
+    moves by X, and R by Qa (Fa o Qa* X_a Qa) Qa* when i a moves by X_a, with
+    F, Fa the divided differences of the two flows.  Along a velocity direction (da, db) the
+    generator moves by X = i [[da, db], [-db*, 0]], and X_a is its top-left
+    block, so one array K holds both: K[:, r, (i, j), s] is the derivative
+    of endpoint entry (r, s) in generator entry (i, j).  It takes two stacked
+    products per velocity on each side, whatever the number of directions.
+    Returns K (c, n, n n, k) and the time derivative (v L - L a) R (c, n, k).
+    """
+    w, q, wa, qa = spectra
+    c, n = w.shape
+    k = wa.shape[1]
+    tt = ts[:, None, None]
+    left = q @ (np.exp(-1j * tt * w[:, :, None]) * adjoint(q)[:, :, :k])
+    right = qa @ (np.exp(1j * tt * wa[:, :, None]) * adjoint(qa))
+    sens = _rotation_product(q, q, _divided_differences(w, ts, -1j), adjoint(q)[:, :, :k] @ right)
+    fibre = _divided_differences(wa, ts, 1j)
+    sens[:, :, :k, :k] += _rotation_product(left @ qa, qa, fibre, adjoint(qa))
+    dcols_dt = (_embed_velocities(a_blocks, b_blocks) @ left - left @ a_blocks) @ right
+    return sens.reshape(c, n, n * n, k), dcols_dt
+
+
+def endpoint_jacobian_dense(a_blocks, b_blocks, ts, spectra, da, db, mode: str):
+    """The refinement's original directional Jacobian: the endpoint's derivatives
+    along d fixed directions (c, d, n, k) and in t (c, n, k), as one product of
+    the directions' dense generators (d, n n) with ``_sensitivity``'s K.
+    Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,),
+    ``spectra`` their ``_decompose``, directions da (d, k, k), db (d, k, n-k);
+    any direction, however dense."""
+    gens = 1j * _embed_velocities(da, db).reshape(len(da), -1)
+    sens, dcols_dt = _sensitivity(a_blocks, b_blocks, ts, spectra)
+    c, n, _, k = sens.shape
+    dcols = gens @ sens.swapaxes(1, 2).reshape(c, n * n, n * k)  # (c, d, n k)
+    return _field(dcols.reshape(c, -1, n, k), mode), _field(dcols_dt, mode)
+
+
+def residual_jacobian_dense(family, x, spectra) -> np.ndarray:
+    """The refinement's original residual Jacobian (c, rows, dim) at finite rows
+    with t >= 0: ``endpoint_jacobian_dense`` along the family's unit images,
+    the normalization of b applied entry by entry (d(b/|b|) = (db - u Re<u,
+    db>) / |b|, u = b / |b|), then the real parts of every derivative and
+    after them the imaginary parts, as ``cutlocus._endpoint_residuals``
+    orders a residual."""
+    params, ts = x[:, :-1], x[:, -1]
+    a, b = family.blocks(params)
+    along, dcols_dt = endpoint_jacobian_dense(
+        a, b, ts, spectra, family.da, family.db, family.grid.mode
+    )
+    coords = params[:, family.a_dim :, None, None]
+    norm = np.maximum(np.sqrt(np.sum(coords * coords, axis=1, keepdims=True)), 1e-30)
+    radial = coords / norm
+    moving = along[:, family.a_dim :]
+    moving -= radial * np.sum(radial * moving, axis=1, keepdims=True)
+    moving /= norm
+    d = np.concatenate([along, dcols_dt[:, None]], axis=1).reshape(len(x), x.shape[1], -1)
+    return np.concatenate([d.real, d.imag], axis=2).swapaxes(1, 2)
+
+
+def normal_equations_dense(family, x, r, spectra):
+    """J^T J and J^T r of ``residual_jacobian_dense``'s J against residuals r (c, rows)."""
+    jac = residual_jacobian_dense(family, x, spectra)
+    jt = jac.swapaxes(1, 2)
+    return jt @ jac, jt @ r[:, :, None]
+
+
 def jacobian_along(a, b, ts, da, db, mode: str):
     """The endpoint's derivatives along arbitrary stacked block directions
     da (c, d, k, k), db (c, d, k, n-k) and in t, as the refinement once took
@@ -622,7 +720,7 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
     candidate's last step was rejected and its point did not move.  It
     freezes candidates by the refinement's rules, the stall window
     ``cutlocus._STALL_WINDOW`` included, and returns the params, times and
-    residual norms.  Calls ``cutlocus._residual_jacobian`` through the
+    residual norms.  Calls ``cutlocus._normal_equations`` through the
     module, so a test can count the rows it differentiates."""
     x = np.column_stack([params, ts]).astype(np.float64)
     n_cand, dim = x.shape
@@ -645,10 +743,7 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
         for lo in range(0, len(ai), chunk):
             part = slice(lo, lo + chunk)
             spectra = _decompose(*family.blocks(xa[part, :-1]))
-            jac = cutlocus._residual_jacobian(family, xa[part], spectra)
-            jt = jac.swapaxes(1, 2)
-            jtj[part] = jt @ jac
-            jtr[part] = jt @ ra[part, :, None]
+            jtj[part], jtr[part] = cutlocus._normal_equations(family, xa[part], ra[part], spectra)
         lhs = jtj + mu[ai, None, None] * eye[None]
         try:
             step = np.linalg.solve(lhs, -jtr)[..., 0]

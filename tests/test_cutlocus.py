@@ -17,7 +17,6 @@ from stiefel_sr.homspace import BlockVelocity, StiefelPoint, _block_velocities, 
 from stiefel_sr.geodesic import (
     GeodesicSpec,
     _decompose,
-    _endpoint_jacobian,
     _geodesic_columns,
     _vn1_jacobian,
     batch_geodesic_columns,
@@ -32,8 +31,8 @@ from stiefel_sr.cutlocus import (
     _best_hits,
     _endpoint_residuals,
     _refine,
+    _normal_equations,
     _representatives,
-    _residual_jacobian,
     _scan_table,
     _scan_times,
     _speeds_squared,
@@ -63,8 +62,10 @@ from _oracles import (
     golden_section_hit,
     greedy_cluster_count_loop,
     greedy_dedup_loop,
+    endpoint_jacobian_dense,
     jacobian_along,
     minimizer_report_json,
+    normal_equations_dense,
     refine_every_iteration,
     scan_cols_inner_product,
     scan_cols_subtraction,
@@ -311,9 +312,9 @@ LINEAR_FAMILY_CASES = [
 
 def unit_direction_jacobian(fam, params, ts):
     """The endpoint's derivatives (c, d, n, k) along the family's unit param
-    images, by the refinement's path, before ``normalize``."""
+    images, before ``normalize``, by the dense sensitivity oracle."""
     a, b = fam.blocks(params)
-    return _endpoint_jacobian(a, b, ts, _decompose(a, b), fam.da, fam.db, fam.grid.mode)[0]
+    return endpoint_jacobian_dense(a, b, ts, _decompose(a, b), fam.da, fam.db, fam.grid.mode)[0]
 
 
 class TestLinearFamily:
@@ -706,10 +707,14 @@ class TestBestHits:
 class TestResidualJacobian:
     """Each family's analytic residual Jacobian against central differences.
 
-    With step h a central difference is off by h^2 / 6 times the third
-    derivative, plus rounding of order 1e-16 / h; at h = 1e-5 both stay near
-    1e-10 for these velocity scales, so 1e-7 (relative to the largest entry)
-    leaves a wide margin while a wrong tangent is off at order one.
+    The refinement forms no Jacobian, only J^T J and J^T r
+    (``_normal_equations``); J^T r at the unit residual e_i is row i of J,
+    so the rows are read out one residual at a time, and J^T J must be the
+    Gram matrix of the J so read.  With step h a central difference is off
+    by h^2 / 6 times the third derivative, plus rounding of order 1e-16 /
+    h; at h = 1e-5 both stay near 1e-10 for these velocity scales, so 1e-7
+    (relative to the largest entry) leaves a wide margin while a wrong
+    tangent is off at order one.
     """
 
     @pytest.mark.parametrize(
@@ -733,8 +738,16 @@ class TestResidualJacobian:
         params = params + 0.1 * rng.standard_normal(params.shape)
         x = np.column_stack([params, rng.uniform(0.3, 3.0, len(params))])
         target = identity_point(n, k, mode).cols
-        jac = _residual_jacobian(fam, x, _decompose(*fam.blocks(params)))
-        assert jac.shape == (len(x), 2 * n * k, x.shape[1])
+        spectra = _decompose(*fam.blocks(params))
+        rows = 2 * n * k
+        jac = np.empty((len(x), rows, x.shape[1]))
+        for i in range(rows):
+            unit = np.zeros((len(x), rows))
+            unit[:, i] = 1.0
+            jtj, jtr = _normal_equations(fam, x, unit, spectra)
+            jac[:, i] = jtr[..., 0]
+        gram = jac.swapaxes(1, 2) @ jac
+        assert np.max(np.abs(jtj - gram)) <= 1e-12 * float(np.max(np.abs(gram)))
         h = 1e-5
         tol = 1e-7 * max(1.0, float(np.max(np.abs(jac))))
         for j in range(x.shape[1]):
@@ -745,6 +758,47 @@ class TestResidualJacobian:
                 - _endpoint_residuals(fam, x - step, target)[0]
             ) / (2 * h)
             assert np.max(np.abs(jac[:, :, j] - central)) < tol
+
+
+class TestNormalEquations:
+    """The refinement's normal equations, taken in the eigenbasis of i v,
+    against the dense contraction they replaced (``normal_equations_dense``:
+    the directions' generators times the Daleckii-Krein sensitivity array,
+    then the Jacobian's real and imaginary parts).
+
+    Rows are the scan starts of a search for a seeded random velocity's
+    endpoint and random rows of the family.  The two are rounding apart:
+    J^T J within 1e-13 of its largest entry and J^T r within 1e-13 of
+    sqrt(max diag J^T J) |r|, the Cauchy-Schwarz bound of its entries; the
+    measured gaps stay below 4e-15 of those scales at every shape.
+    """
+
+    @pytest.mark.parametrize(
+        "n, k, mode",
+        [(4, 2, COMPLEX), (5, 2, COMPLEX), (6, 3, COMPLEX),
+         (4, 2, REAL), (5, 2, REAL), (5, 3, REAL), (6, 3, REAL)],
+    )
+    def test_matches_dense_contraction(self, n, k, mode):
+        grid = VelocityGrid(n, k, mode, family="general", sample_count=256, seed=2)
+        fam = _LinearFamily(grid)
+        rng = np.random.default_rng(10 * n + k + (mode == REAL))
+        a, b = fam.blocks(rng.standard_normal((1, len(fam.da))))
+        target = batch_geodesic_columns(a, b, rng.uniform(0.3, 0.6, 1), mode)[0]
+        starts, times, _ = cutlocus._scan_hits(fam, target)
+        assert len(starts) > 0
+        random_rows = rng.standard_normal((16, len(fam.da)))
+        x = np.vstack([
+            np.column_stack([starts, times]),
+            np.column_stack([random_rows, rng.uniform(0.1, grid.t_max, 16)]),
+        ])
+        r, spectra = _endpoint_residuals(fam, x, target)
+        jtj, jtr = _normal_equations(fam, x, r, spectra)
+        ref_jtj, ref_jtr = normal_equations_dense(fam, x, r, spectra)
+        assert jtj.shape == ref_jtj.shape and jtr.shape == ref_jtr.shape
+        scale = np.max(np.abs(ref_jtj), axis=(1, 2))
+        assert np.all(np.max(np.abs(jtj - ref_jtj), axis=(1, 2)) <= 1e-13 * scale)
+        bound = np.sqrt(np.max(np.diagonal(ref_jtj, 0, 1, 2), axis=1)) * np.linalg.norm(r, axis=1)
+        assert np.all(np.max(np.abs(jtr - ref_jtr), axis=(1, 2)) <= 1e-13 * bound)
 
 
 # the refinement runs at k >= 2 only: a k = 1 search solves along its fold branches
@@ -770,16 +824,17 @@ def _refine_case(name: str, seed: int = 5):
 
 
 def _record_jacobian_rows(monkeypatch) -> list:
-    """Make ``cutlocus._residual_jacobian`` append each (params, t) row it gets;
-    any further arguments (the refinement's stored spectra) pass through."""
+    """Make ``cutlocus._normal_equations`` append each (params, t) row it gets;
+    any further arguments (the residuals and the refinement's stored spectra)
+    pass through."""
     rows = []
-    inner = cutlocus._residual_jacobian
+    inner = cutlocus._normal_equations
 
     def recording(family, x, *rest):
         rows.extend(x.copy())
         return inner(family, x, *rest)
 
-    monkeypatch.setattr(cutlocus, "_residual_jacobian", recording)
+    monkeypatch.setattr(cutlocus, "_normal_equations", recording)
     return rows
 
 
@@ -838,16 +893,16 @@ class TestRefine:
     @pytest.mark.parametrize("name", ["v63", "v52"])
     def test_stored_spectra_give_the_fresh_jacobian(self, name, monkeypatch):
         fam, params, ts, target = _refine_case(name)
-        inner = cutlocus._residual_jacobian
+        inner = cutlocus._normal_equations
         same = []
 
-        def both(family, x, spectra):
-            stored = inner(family, x, spectra)
-            fresh = _decompose(*family.blocks(x[:, :-1]))
-            same.append(np.array_equal(stored, inner(family, x, fresh)))
+        def both(family, x, r, spectra):
+            stored = inner(family, x, r, spectra)
+            fresh = inner(family, x, r, _decompose(*family.blocks(x[:, :-1])))
+            same.append(all(np.array_equal(s, f) for s, f in zip(stored, fresh)))
             return stored
 
-        monkeypatch.setattr(cutlocus, "_residual_jacobian", both)
+        monkeypatch.setattr(cutlocus, "_normal_equations", both)
         _refine(fam, params, ts, target, TOL.hit)
         assert len(same) > 1 and all(same)
 

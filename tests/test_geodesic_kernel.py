@@ -12,9 +12,9 @@ k = 1 shape, bit for bit against the former V_{2,1}-only column, and its
 public views stacked against one call per input.  The endpoint's derivatives
 are checked against scipy's ``expm_frechet`` on the same inputs along every
 unit param of the search's linear family, as the refinement takes them
-through ``_endpoint_jacobian`` (the directions' generators times the
-sensitivities, at every shape), and along fixed dense directions at k = 1
-and k >= 2 in both modes; the top entry of the unit-row V_{n,1} column, whose
+(``_eigenbasis_jacobian``, at every shape, rotated back by Q), and along
+fixed dense directions, combined from those, at k = 1 and k >= 2 in both
+modes; the top entry of the unit-row V_{n,1} column, whose
 phase the k = 1 search solves for along its fold branches, is checked with its
 rate and time derivatives and the bottom entries' terms (``_vn1_jacobian``)
 at every k = 1 shape up to |t v| = 30.  Beyond |t v| = 30, where the
@@ -40,7 +40,8 @@ from stiefel_sr.homspace import BlockVelocity, _embed_velocities
 from stiefel_sr.geodesic import (
     GeodesicSpec,
     _decompose,
-    _endpoint_jacobian,
+    _eigenbasis_jacobian,
+    _field,
     _geodesic_columns,
     _vn1_column,
     _vn1_jacobian,
@@ -172,8 +173,9 @@ def reference_derivatives(a, b, t, da, db, mode):
 
 def unit_param_jacobian(a, b, ts, mode):
     """The endpoint's derivatives along every unit param of the search's linear
-    family on (n, k, mode), by the refinement's one entry: the generators
-    times the sensitivities.
+    family on (n, k, mode), as the refinement takes them
+    (``_eigenbasis_jacobian``: Q* dP in the eigenbasis of i v), rotated back
+    by Q.
 
     Blocks (c, k, k), (c, k, n-k) and ``ts`` (c,); returns the derivatives
     (c, d, n, k), the time derivative (c, n, k) and the family's unit images
@@ -181,8 +183,10 @@ def unit_param_jacobian(a, b, ts, mode):
     """
     _, k, m = b.shape
     fam = _LinearFamily(VelocityGrid(k + m, k, mode))
-    dcols, dcols_dt = _endpoint_jacobian(a, b, ts, _decompose(a, b), fam.da, fam.db, mode)
-    return dcols, dcols_dt, fam.da, fam.db
+    spectra = _decompose(a, b)
+    rotated = _eigenbasis_jacobian(ts, spectra, fam.entries)
+    derivs = _field(spectra[1][:, None] @ np.swapaxes(rotated, 2, 3), mode)
+    return derivs[:, :-1], derivs[:, -1], fam.da, fam.db
 
 
 class TestJacobianAgainstExpmFrechet:
@@ -219,14 +223,16 @@ class TestJacobianAgainstExpmFrechet:
     @pytest.mark.parametrize("mode", MODES)
     def test_dense_direction_taken(self, n, k, mode):
         # fixed dense directions, broadcast over the velocities, against
-        # expm_frechet: the sensitivity product takes any direction, not only
-        # the family's unit images
+        # expm_frechet: the unit params' derivatives, combined by each
+        # direction's coordinates in the unit images, take any direction
         rng = np.random.default_rng(10 * n + k)
         a, b = stacked_blocks(rng, n, k, mode, KINDS)
         da = np.stack([matcore.random_skew_hermitian(rng, k, mode) for _ in range(2)])
         db = np.stack([matcore.random_matrix(rng, k, n - k, mode) for _ in range(2)])
         ts = np.linspace(0.5, 3.0, len(KINDS))
-        dcols, dcols_dt = _endpoint_jacobian(a, b, ts, _decompose(a, b), da, db, mode)
+        units, dcols_dt, da_units, db_units = unit_param_jacobian(a, b, ts, mode)
+        coords = np.stack([unit_coordinates(da_units, db_units, x, y) for x, y in zip(da, db)])
+        dcols = np.tensordot(coords, units, axes=(1, 1)).swapaxes(0, 1)
         assert dcols.shape == (len(ts), 2, n, k)
         for i, t in enumerate(ts):
             ref_dir, ref_t = reference_derivatives(a[i], b[i], t, da, db, mode)
@@ -358,8 +364,7 @@ class TestJacobianAgainstMpmath:
     that sensitivity carries the kernel's phase error of order eps |t v|,
     so its error is bounded by MP_JAC_ERR * eps * (1 + |t v|)^2, while the
     time derivative, which has no factor t, meets MP_JAC_ERR * eps *
-    (1 + |t v|).  The random direction is also passed to the entry as it
-    is, dense, under the same bound.  Measured on complex V(4,2) and V(6,3)
+    (1 + |t v|).  Measured on complex V(4,2) and V(6,3)
     (three seeds each, generic velocities) and on nearly repeated spectra
     (a = 0 and b with equal singular values, so the eigenvalues of i v agree
     in pairs up to rounding and those of i a are all zero): the directional
@@ -385,7 +390,6 @@ class TestJacobianAgainstMpmath:
         scale = np.linalg.norm(BlockVelocity(da, db, COMPLEX).embed())
         da, db = da / scale, db / scale
         eps = np.finfo(np.float64).eps
-        spectra = _decompose(a[None], b[None])
         for tv in (1.0, 30.0, 300.0):
             dcols, dcols_dt, da_units, db_units = unit_param_jacobian(
                 a[None], b[None], np.array([tv]), COMPLEX
@@ -394,11 +398,6 @@ class TestJacobianAgainstMpmath:
             ref_dir, ref_t = geodesic_jacobian_mp(a, b, tv, da[None], db[None])
             assert np.max(np.abs(along - ref_dir[0])) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2, tv
             assert np.max(np.abs(dcols_dt[0] - ref_t)) <= MP_JAC_ERR * eps * (1.0 + tv), tv
-            # the dense direction itself, straight through the entry
-            dense, _ = _endpoint_jacobian(
-                a[None], b[None], np.array([tv]), spectra, da[None], db[None], COMPLEX
-            )
-            assert np.max(np.abs(dense[0, 0] - ref_dir[0])) <= MP_JAC_ERR * eps * (1.0 + tv) ** 2
 
 
 class TestVn1JacobianAgainstMpmath:
