@@ -29,7 +29,6 @@ from .geodesic import (
     GeodesicSpec,
     _decompose,
     _eigenbasis_jacobian,
-    _generator_entries,
     _speeds_squared,
     _vn1_jacobian,
     batch_geodesic_columns,
@@ -240,36 +239,44 @@ class MinimizerReport(_Record):
 class _LinearFamily:
     """Blocks linear in the params; transversal block normalized to unit Frobenius norm.
 
-    Param layout: in complex mode the k diagonal fibre rates, then the real and
-    imaginary part of each fibre entry above the diagonal; in real mode only
-    those entries' real parts.  Then the real parts of the transversal
-    entries (row-major), and in complex mode their imaginary parts.  The
-    search builds it at k >= 2 only: a k = 1 grid samples its unit rows
-    itself (``_unit_rows``).
+    Each unit param is declared once, as one entry (row, col, value) of the
+    velocity v = [[a, b], [-b*, 0]] whose mirror (col, row, -conj(value))
+    keeps v skew-Hermitian.  Layout: in complex mode the k diagonal fibre
+    rates (value i), then the real and imaginary part (value 1, i) of each
+    fibre entry above the diagonal; in real mode only those entries' real
+    parts.  Then the real parts of the transversal entries (row-major), and
+    in complex mode their imaginary parts.  The search builds it at k >= 2
+    only: a k = 1 grid samples its unit rows itself (``_unit_rows``).
 
-    The refinement differentiates along these fixed unit images ``da``,
-    ``db``, each one or two generator entries (``entries``, taken once
-    here), and then through the normalization of b, ``normalize``.
+    From that one list come both views of the params: the dense unit images
+    ``da``, ``db``, which ``blocks`` multiplies, and ``entries``, the
+    generators i [[da, db], [-db*, 0]] by their nonzero entries, (row, col,
+    i value) and the mirror's, which ``_eigenbasis_jacobian`` reads (a
+    diagonal rate repeats its entry with coefficient 0).  The refinement
+    differentiates along them and then through the normalization of b,
+    ``normalize``.
     """
 
     def __init__(self, grid: VelocityGrid):
         self.grid = grid
-        k, m = grid.k, grid.n - grid.k
+        k, n = grid.k, grid.n
         units = (1.0, 1j) if grid.mode == COMPLEX else (1.0,)
-        fibre = [1j * np.outer(e, e) for e in np.eye(k)] if grid.mode == COMPLEX else []
-        for p, q in zip(*np.triu_indices(k, 1)):
-            for u in units:
-                e = np.zeros((k, k), dtype=np.complex128)
-                e[p, q], e[q, p] = u, -np.conj(u)
-                fibre.append(e)
-        self.a_dim = len(fibre)
-        d = self.a_dim + len(units) * k * m
-        # images of the d unit params: da (d, k, k), db (d, k, m)
-        self.da = np.zeros((d, k, k), dtype=np.complex128)
-        self.da[: self.a_dim] = np.reshape(fibre, (-1, k, k))
-        self.db = np.zeros((d, k, m), dtype=np.complex128)
-        self.db[self.a_dim :] = (np.reshape(units, (-1, 1, 1)) * np.eye(k * m)).reshape(-1, k, m)
-        self.entries = _generator_entries(self.da, self.db)
+        declared = [(p, p, 1j) for p in range(k)] if grid.mode == COMPLEX else []
+        declared += [(p, q, u) for p, q in zip(*np.triu_indices(k, 1)) for u in units]
+        self.a_dim = len(declared)
+        declared += [(i, j, u) for u in units for i in range(k) for j in range(k, n)]
+        rows, cols, values = (np.array(x) for x in zip(*declared))
+        mirrors = -np.conj(values)
+        # the mirror first, so that a diagonal rate keeps its own value
+        v = np.zeros((len(values), n, n), dtype=np.complex128)
+        v[np.arange(len(v)), cols, rows] = mirrors
+        v[np.arange(len(v)), rows, cols] = values
+        # images of the d unit params: da (d, k, k), db (d, k, n-k)
+        self.da, self.db = v[:, :k, :k].copy(), v[:, :k, k:].copy()
+        coefs = 1j * np.column_stack([values, np.where(rows == cols, 0.0, mirrors)])
+        self.entries = (
+            np.column_stack([rows, cols]), np.column_stack([cols, rows]), coefs, self.a_dim
+        )
 
     def initial_params(self) -> np.ndarray:
         """The general family's sample (c, d): fibre params uniform, transversal Gaussian.
@@ -321,7 +328,7 @@ def _endpoint_residuals(family, x: np.ndarray, target_cols):
     Row i is the real/imaginary parts of (endpoint_i - target) flattened;
     rows with non-finite entries or negative time get a large constant
     residual so steps into them are always rejected.  The spectra are the
-    eigendecompositions the kernel evaluated the rows with (``_decompose``),
+    spectral record the kernel evaluated the rows with (``_decompose``),
     which ``_normal_equations`` takes at the same rows.
     """
     params, ts = x[:, :-1], x[:, -1]
@@ -402,19 +409,18 @@ def _scan_table(grid: VelocityGrid):
     """(sample, spectra): all that the grid's searches read of it, made once per process.
 
     At k = 1 ``_unit_rows`` and None.  At k >= 2 the seeded params (c, d) of
-    ``_LinearFamily.initial_params`` and their velocities' spectra: w, q, wa
-    and qa of ``_decompose`` and C = q*[:, :k] qa (c, n, k), so that the
-    endpoint at time t is q (C o e^{-i t w_p} e^{i t wa_j}) qa* (``_scan_hits``).
-    Neither depends on the target, the times or the tolerances; every array
-    is read-only.
+    ``_LinearFamily.initial_params`` and their velocities' spectral record
+    (w, q, wa, qa, C) from ``_decompose``, as it is: the endpoint at time t
+    is q (C o e^{-i t w_p} e^{i t wa_j}) qa* (``_scan_hits``).  Neither
+    depends on the target, the times or the tolerances; every array is
+    read-only.
     """
     if grid.k == 1:
         sample, spectra = _unit_rows(grid), None
     else:
         family = _LinearFamily(grid)
         sample = family.initial_params()
-        w, q, wa, qa = _decompose(*family.blocks(sample))
-        spectra = (w, q, wa, qa, adjoint(q)[:, :, : grid.k] @ qa)
+        spectra = _decompose(*family.blocks(sample))
     for x in (sample, *(spectra or ())):
         x.flags.writeable = False
     return sample, spectra
@@ -635,8 +641,8 @@ def _normal_equations(family, x: np.ndarray, r: np.ndarray, spectra):
     derivative its last column.  ``geodesic._eigenbasis_jacobian`` gives
     the endpoint's derivatives along the family's unit images (da, db) and
     in t in the eigenbasis of i v, from ``spectra`` (the kernel's
-    decompositions at these rows, as ``_endpoint_residuals`` returns
-    them).  J^T J and J^T r are Frobenius inner products, which the
+    spectral record at these rows, as ``_endpoint_residuals`` returns
+    it).  J^T J and J^T r are Frobenius inner products, which the
     unitary Q* keeps, so both are taken on the real view of those
     derivatives, against the residual rotated by Q*, and
     ``family.normalize`` takes the view to the params.
@@ -667,7 +673,7 @@ def _refine(
     geodesic evaluation.  Each candidate keeps its normal equations J^T J and
     J^T r; the analytic Jacobian is formed again only for the candidates
     whose last step was accepted, since a rejected step changes only the
-    damping.  Each candidate also keeps the two eigendecompositions that the
+    damping.  Each candidate also keeps the spectral record that the
     evaluation of its accepted point made, and its normal equations are
     built from them (``_normal_equations``), so no Jacobian calls eigh.  Only k >= 2
     searches refine, from the starts of ``_scan_hits`` (an empty stack too).

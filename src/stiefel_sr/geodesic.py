@@ -12,16 +12,17 @@ closed form of the V_{n,1} column, and the public closed forms
 ``geodesic_vn1_closed`` and ``geodesic_v21_closed`` (V_{2,1} is its n = 2
 case) are views of the same formula, so no k = 1 path calls an eigensolver.
 k >= 2 goes through two batched eigh, split from the evaluation so a caller
-can keep the decompositions, and then writes the columns as q (e^{-i t w_p}
-e^{i t wa_j} (q* qa)_pj) qa*: two products per velocity, whatever the number
-of times.  At a unit transversal row the V_{n,1} column is (T, -conj(b) S)
-with T and S functions of the rate and the time (``_vn1_jacobian``), so a
-k = 1 search solves along the fold branches where |S| = |q1|.
-``_eigenbasis_jacobian`` gives the k >= 2 refinement the endpoint's
-derivatives along fixed directions and in t from the kept decompositions,
-written in the eigenbasis of i v: one Daleckii-Krein product per velocity,
-and one or two of its terms per direction, one for each nonzero entry of the
-direction's generator (``_generator_entries``).
+can keep them as one spectral record (w, q, wa, qa, C), and then writes the
+columns as q (e^{-i t w_p} e^{i t wa_j} C_pj) qa* with C = q*[:, :k] qa: two
+products per velocity, whatever the number of times.  At a unit transversal
+row the V_{n,1} column is (T, -conj(b) S) with T and S functions of the rate
+and the time (``_vn1_jacobian``), so a k = 1 search solves along the fold
+branches where |S| = |q1|.  ``_eigenbasis_jacobian`` gives the k >= 2
+refinement the endpoint's derivatives along fixed directions and in t from
+the kept record, written in the eigenbasis of i v: one Daleckii-Krein
+product per velocity, and one or two of its terms per direction, one for
+each nonzero entry of the direction's generator, which the caller lists
+(``_LinearFamily`` declares each unit param as one velocity entry).
 Alongside them this module carries the square-block Grassmann geodesics used
 for V_{2k,k}, plus speed, length, the first time a V_{n,1} geodesic returns to
 the block-diagonal set, and the mirrored velocity that produces a second
@@ -141,17 +142,19 @@ def _vn1_column(lam, b, ts):
 
 
 def _decompose(a_blocks, b_blocks):
-    """The k >= 2 kernel's two batched eigh: (w, q) of i v and (wa, qa) of i a.
+    """The k >= 2 spectral record (w, q, wa, qa, C) of stacked velocities.
 
-    ``batch_geodesic_columns`` and the Jacobian take them as ``spectra``, so a
-    caller that evaluates and later differentiates at the same velocities
-    decomposes once.  The k = 1 kernel takes no spectra.
+    (w, q) is the batched eigh of i v, (wa, qa) that of i a, and C (c, n, k)
+    = q*[:, :k] qa, which the kernel, the Jacobian and the scan all read.
+    ``batch_geodesic_columns`` and the Jacobian take the record as
+    ``spectra``, so a caller that evaluates and later differentiates at the
+    same velocities decomposes once.  The k = 1 kernel takes no spectra.
     """
     a_blocks = np.asarray(a_blocks, dtype=np.complex128)
     b_blocks = np.asarray(b_blocks, dtype=np.complex128)
     w, q = np.linalg.eigh(1j * _embed_velocities(a_blocks, b_blocks))
     wa, qa = np.linalg.eigh(1j * a_blocks)
-    return w, q, wa, qa
+    return w, q, wa, qa, adjoint(q)[:, :, : a_blocks.shape[-1]] @ qa
 
 
 def _geodesic_columns(a_blocks, b_blocks, ts, mode: str, spectra=None) -> np.ndarray:
@@ -159,9 +162,9 @@ def _geodesic_columns(a_blocks, b_blocks, ts, mode: str, spectra=None) -> np.nda
 
     Stacked blocks (c, k, k) and (c, k, n-k); ``ts`` is 2-d and broadcasts to
     (c, T).  Returns (c, T, n, k).  Every k = 1 shape takes the V_{n,1}
-    closed form, with no eigensolver; k >= 2 takes the two
-    eigendecompositions ``_decompose`` gives, or ``spectra`` if the caller
-    already holds them.  No per-element validation (hot path for searches).
+    closed form, with no eigensolver; k >= 2 takes the spectral record
+    ``_decompose`` gives, or ``spectra`` if the caller already holds it.
+    No per-element validation (hot path for searches).
     """
     a_blocks = np.asarray(a_blocks, dtype=np.complex128)
     b_blocks = np.asarray(b_blocks, dtype=np.complex128)
@@ -172,45 +175,17 @@ def _geodesic_columns(a_blocks, b_blocks, ts, mode: str, spectra=None) -> np.nda
         top, bottom = _vn1_column(a_blocks[:, :, 0].imag, b_blocks, ts)
         cols = np.concatenate([top[..., None], bottom], axis=-1)[..., None]
     else:
-        w, q, wa, qa = _decompose(a_blocks, b_blocks) if spectra is None else spectra
+        w, q, wa, qa, c_mat = _decompose(a_blocks, b_blocks) if spectra is None else spectra
         c, n = w.shape
-        # exp(t v)[:, :k] exp(-t a) = q (e^{-i t w_p} e^{i t wa_j} (q* qa)_pj) qa*:
+        # exp(t v)[:, :k] exp(-t a) = q (e^{-i t w_p} e^{i t wa_j} C_pj) qa*:
         # one (c, n, T, k) middle array, then two products per velocity
         tt = ts[:, None, :, None]
-        mid = (adjoint(q)[:, :, :k] @ qa)[:, :, None, :] * np.exp(-1j * tt * w[:, :, None, None])
+        mid = c_mat[:, :, None, :] * np.exp(-1j * tt * w[:, :, None, None])
         mid *= np.exp(1j * tt * wa[:, None, None, :])
         t_count = mid.shape[2]  # explicit sizes: numpy resolves no -1 on an empty stack
         cols = (q @ mid.reshape(c, n, t_count * k)).reshape(c, n * t_count, k) @ adjoint(qa)
         cols = cols.reshape(c, n, t_count, k).transpose(0, 2, 1, 3)
     return _field(cols, mode)
-
-
-def _generator_entries(da, db):
-    """Each direction's generator i [[da, db], [-db*, 0]] as its one or two nonzero entries.
-
-    Directions da (d, k, k), db (d, k, n-k).  Returns the entries' rows and
-    columns (d, 2), their coefficients (d, 2) (a one-entry direction repeats
-    its entry with coefficient 0) and the number f of leading directions
-    whose entries lie in the fibre block; no later direction has an entry
-    there.  Every unit param of the search's linear family has this form,
-    with coefficients +-1 or +-i.
-    """
-    gens = (1j * _embed_velocities(da, db)).reshape(len(da), -1)
-    n, k = da.shape[-1] + db.shape[-1], da.shape[-1]
-    counts = np.count_nonzero(gens, axis=1)
-    if np.any((counts < 1) | (counts > 2)):
-        raise ValueError("each direction's generator needs one or two nonzero entries")
-    nonzero = gens != 0
-    first = np.argmax(nonzero, axis=1)
-    pos = np.stack([first, gens.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)], axis=1)
-    coefs = np.take_along_axis(gens, pos, axis=1)
-    coefs[pos[:, 0] == pos[:, 1], 1] = 0.0
-    rows, cols = np.divmod(pos, n)
-    inner = (rows < k) & (cols < k)
-    fibre = int(np.count_nonzero(inner.any(axis=1)))
-    if not inner[:fibre].all() or inner[fibre:].any():
-        raise ValueError("fibre directions must come first, with both entries in the fibre block")
-    return rows, cols, coefs, fibre
 
 
 def _sinc_product(q, w, ts, right, rate: complex):
@@ -241,12 +216,16 @@ def _entry_sum(v, g, scale, rows, cols, coefs, out) -> None:
 def _eigenbasis_jacobian(ts, spectra, entries) -> np.ndarray:
     """The endpoint's derivatives along d fixed directions and in t, in the eigenbasis of i v.
 
-    ``spectra`` are the velocities' ``_decompose`` (k >= 1), ``ts`` (c,)
-    one time per velocity and ``entries`` the directions'
-    ``_generator_entries``.  Returns D (c, d + 1, k, n) with D[:, l] the
-    transpose of Q* dP along direction l, the last l being d/dt: the
-    refinement's J^T J and J^T r are Frobenius inner products, which the
-    unitary Q* keeps, so nothing rotates back.
+    ``spectra`` is the velocities' spectral record from ``_decompose`` (k >=
+    1) and ``ts`` (c,) one time per velocity.  ``entries`` (rows, cols,
+    coefs, f) lists each direction's generator i [[da, db], [-db*, 0]] by
+    its nonzero entries: rows, columns and coefficients (d, 2), a one-entry
+    direction repeating its entry with coefficient 0, and the number f of
+    leading directions whose entries lie in the fibre block; no later
+    direction has an entry there (``_LinearFamily.entries``).  Returns D (c,
+    d + 1, k, n) with D[:, l] the transpose of Q* dP along direction l, the
+    last l being d/dt: the refinement's J^T J and J^T r are Frobenius inner
+    products, which the unitary Q* keeps, so nothing rotates back.
 
     With h = i v = Q diag(w) Q* and i a = Qa diag(wa) Qa*, the endpoint is
     P = L R with Q* L = e^{-i t w} o Q*[:, :k] and R = Qa (e^{i t wa} o
@@ -263,12 +242,11 @@ def _eigenbasis_jacobian(ts, spectra, entries) -> np.ndarray:
     -i ((w_p - wa_j) M_pj e^{i t wa_j}) Qa*.  No n^2-entry sensitivity
     array and no eigh.
     """
-    w, q, wa, qa = spectra
+    w, q, wa, qa, c_mat = spectra
     rows, cols, coefs, fibre = entries
     c, n = w.shape
     k = wa.shape[1]
     qa_h = adjoint(qa)
-    c_mat = adjoint(q)[:, :, :k] @ qa
     m = np.exp(-1j * ts[:, None, None] * w[:, :, None]) * c_mat
     phase_a = np.exp(1j * ts[:, None, None] * wa[:, None, :])
     out = np.empty((c, len(rows) + 1, k, n), dtype=np.complex128)
@@ -321,8 +299,8 @@ def sample_curve(spec: GeodesicSpec, ts) -> np.ndarray:
 def batch_geodesic_columns(a_blocks, b_blocks, ts, mode: str = COMPLEX, spectra=None) -> np.ndarray:
     """Velocity i at time ts[i] for stacked blocks (c, k, k), (c, k, n-k); (c, n, k).
 
-    ``spectra``: the velocities' eigendecompositions from ``_decompose``, if
-    the caller already holds them (k >= 2).
+    ``spectra``: the velocities' spectral record from ``_decompose``, if
+    the caller already holds it (k >= 2).
     """
     return _geodesic_columns(a_blocks, b_blocks, np.asarray(ts)[:, None], mode, spectra)[:, 0]
 

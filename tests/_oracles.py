@@ -469,7 +469,7 @@ def _sensitivity(a_blocks, b_blocks, ts, spectra):
     products per velocity on each side, whatever the number of directions.
     Returns K (c, n, n n, k) and the time derivative (v L - L a) R (c, n, k).
     """
-    w, q, wa, qa = spectra
+    w, q, wa, qa, _ = spectra  # the oracle forms its own products, not C
     c, n = w.shape
     k = wa.shape[1]
     tt = ts[:, None, None]
