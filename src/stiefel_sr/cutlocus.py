@@ -118,15 +118,16 @@ def _is_real(x) -> bool:
 class VelocityGrid(_Record):
     """Finite velocity/time grid driving ``search_minimizers``.
 
-    Transversal blocks are normalized to unit Frobenius norm (any geodesic
-    with nonzero transversal block can be reparametrized to that family), so
-    arrival length is speed * time with a family-wide constant speed.
+    Sampled transversal blocks have unit Frobenius norm (any geodesic with
+    nonzero transversal block can be reparametrized to that family), and
+    every arrival is reported so, with its time: arrival length is speed *
+    time with a family-wide constant speed.
 
     family: the sample, fixed by the shape.  "v21" (complex V_{2,1})
     takes phases of the unit row, "sphere" (every other k = 1 shape) unit
-    rows, and "general" (k >= 2) is a random sample of every coordinate of
-    the linear params that the search refines, drawn from
-    ``default_rng(seed)``.  Construction resolves "auto" to the shape's
+    rows, and "general" (k >= 2) is a random sample of the linear params
+    that the search refines, drawn from ``default_rng(seed)``, with unit
+    transversal coordinates.  Construction resolves "auto" to the shape's
     family and ``t_max=None`` to 1.1 pi sqrt(k), stores t_max and the two
     lambda_range bounds as floats, and rejects an unknown
     mode, an n, k, count or seed that is not an integer, a lambda_range not
@@ -202,15 +203,17 @@ class SearchDiagnostics(_Record):
     """What a search did, as counts that a fixed grid and target determine.
 
     ``scan_hits`` gated scan minima, of which ``candidates`` were refined;
-    each candidate was frozen as ``converged``, ``damped`` (damping above
-    1e8) or ``stalled`` (``_STALL_WINDOW``), or was still active at the
-    iteration cap (``capped``); ``lm_iterations`` lockstep iterations ran;
-    ``arrivals_before_dedup`` arrivals were in the minimal-length band
-    before deduplication.  At k = 1 each fold-branch bracket (a scan hit)
-    is one Newton start (a candidate; none for a closed-form root), which
-    has converged once a step no longer lowers its residual's modulus, and
-    ``damped``, ``stalled`` and ``lm_iterations`` stay 0.  The identity
-    class is answered without a search: only its one arrival is counted.
+    each candidate was frozen as ``converged`` (residual below 1e-2
+    ``TOL.hit`` and its last step rejected, so at its rounding floor),
+    ``damped`` (damping above 1e8) or ``stalled`` (``_STALL_WINDOW``), or
+    was still active at the iteration cap (``capped``); ``lm_iterations``
+    lockstep iterations ran; ``arrivals_before_dedup`` arrivals were in the
+    minimal-length band before deduplication.  At k = 1 each fold-branch
+    bracket (a scan hit) is one Newton start (a candidate; none for a
+    closed-form root), which has converged once a step no longer lowers its
+    residual's modulus, and ``damped``, ``stalled`` and ``lm_iterations``
+    stay 0.  The identity class is answered without a search: only its one
+    arrival is counted.
     """
 
     scan_hits: int = 0
@@ -237,7 +240,7 @@ class MinimizerReport(_Record):
 
 
 class _LinearFamily:
-    """Blocks linear in the params; transversal block normalized to unit Frobenius norm.
+    """Velocity blocks linear in the params: the refinement's coordinates.
 
     Each unit param is declared once, as one entry (row, col, value) of the
     velocity v = [[a, b], [-b*, 0]] whose mirror (col, row, -conj(value))
@@ -253,8 +256,9 @@ class _LinearFamily:
     generators i [[da, db], [-db*, 0]] by their nonzero entries, (row, col,
     i value) and the mirror's, which ``_eigenbasis_jacobian`` reads (a
     diagonal rate repeats its entry with coefficient 0).  The refinement
-    differentiates along them and then through the normalization of b,
-    ``normalize``.
+    differentiates along them: its unknowns are the coordinates x of a
+    velocity whose geodesic it takes at time 1, which is the geodesic of
+    x / |b| at time |b|, so no time and no norm constraint is solved for.
     """
 
     def __init__(self, grid: VelocityGrid):
@@ -279,39 +283,25 @@ class _LinearFamily:
         )
 
     def initial_params(self) -> np.ndarray:
-        """The general family's sample (c, d): fibre params uniform, transversal Gaussian.
+        """The general family's sample (c, d): fibre params uniform, transversal on the unit sphere.
 
         Drawn from ``default_rng(seed)``: the fibre params uniform on
-        ``lambda_range``, then the transversal params standard normal.
+        ``lambda_range``, then the transversal params standard normal,
+        scaled to unit norm (the coordinates of a unit b in the orthonormal
+        images db).
         """
         c, a_dim = self.grid.sample_count, self.a_dim
         rng = np.random.default_rng(self.grid.seed)
         fibre = rng.uniform(*self.grid.lambda_range, (c, a_dim))
-        return np.column_stack([fibre, rng.standard_normal((c, len(self.da) - a_dim))])
+        transversal = rng.standard_normal((c, len(self.da) - a_dim))
+        transversal /= np.linalg.norm(transversal, axis=1, keepdims=True)
+        return np.column_stack([fibre, transversal])
 
     def blocks(self, params: np.ndarray):
         c, d = len(params), len(self.da)
         a = (params @ self.da.reshape(d, -1)).reshape((c,) + self.da.shape[1:])
         b = (params @ self.db.reshape(d, -1)).reshape((c,) + self.db.shape[1:])
-        return a, b / _frobenius(b)
-
-    def normalize(self, params: np.ndarray, along: np.ndarray) -> np.ndarray:
-        """Derivatives (c, d, ...) along the unit param images (da, db) -> along the params.
-
-        The normalization's projection d(b/|b|) = (db - u Re<u, db>) / |b|,
-        u = b / |b|, applied in place to the derivatives, whatever their
-        layout or field.  The transversal params are the coordinates of b
-        in the orthonormal basis db, so Re<u, db_j> = params_j / |b| and
-        the transversal derivatives move by one product with the real
-        matrix (I - r r^T) / |b|, r = params / |b|.
-        """
-        coords = params[:, self.a_dim :]
-        norm = np.maximum(np.sqrt(np.sum(coords * coords, axis=1)), 1e-30)[:, None, None]
-        radial = coords[:, :, None] / norm
-        proj = (np.eye(coords.shape[1]) - radial * np.swapaxes(radial, 1, 2)) / norm
-        moving = along[:, self.a_dim :]
-        moving[...] = (proj @ moving.reshape(proj.shape[:2] + (-1,))).reshape(moving.shape)
-        return along
+        return a, b
 
 
 def _frobenius(b: np.ndarray) -> np.ndarray:
@@ -323,19 +313,19 @@ def _frobenius(b: np.ndarray) -> np.ndarray:
 
 
 def _endpoint_residuals(family, x: np.ndarray, target_cols):
-    """Batched endpoint residual vectors for stacked (params, t) rows, and the kernel's spectra.
+    """Batched endpoint residual vectors at time 1 for stacked param rows, and the kernel's spectra.
 
-    Row i is the real/imaginary parts of (endpoint_i - target) flattened;
-    rows with non-finite entries or negative time get a large constant
-    residual so steps into them are always rejected.  The spectra are the
-    spectral record the kernel evaluated the rows with (``_decompose``),
-    which ``_normal_equations`` takes at the same rows.
+    Row i is the real/imaginary parts of (endpoint_i - target) flattened,
+    the endpoint of the velocity ``family.blocks(x_i)`` at t = 1; rows with
+    non-finite entries get a large constant residual so steps into them are
+    always rejected.  The spectra are the spectral record the kernel
+    evaluated the rows with (``_decompose``), which ``_normal_equations``
+    takes at the same rows.
     """
-    params, ts = x[:, :-1], x[:, -1]
-    bad = ~np.isfinite(x).all(axis=1) | (ts < 0)
-    a, b = family.blocks(np.where(bad[:, None], 0.0, params))
+    bad = ~np.isfinite(x).all(axis=1)
+    a, b = family.blocks(np.where(bad[:, None], 0.0, x))
     spectra = _decompose(a, b)
-    cols = batch_geodesic_columns(a, b, np.where(bad, 0.0, ts), family.grid.mode, spectra)
+    cols = batch_geodesic_columns(a, b, np.ones(len(x)), family.grid.mode, spectra)
     diff = (cols - target_cols[None]).reshape(len(x), target_cols.size)
     out = np.concatenate([diff.real, diff.imag], axis=1)
     out[bad] = 1e6
@@ -364,7 +354,7 @@ def _unit_rows(grid: VelocityGrid) -> np.ndarray:
     v21 rows are e^{i phi} at ``phase_count`` phases from 0, sphere rows
     ``direction_count`` standard normal rows of ``default_rng(seed)``,
     normalized (real V(3,1): equally spaced angles from 0; real V(2,1): 1,
-    -1).  Rows are normalized as ``_LinearFamily.blocks`` does.  Only
+    -1).  Rows are normalized to unit Frobenius norm.  Only
     block-diagonal targets use them: every other k = 1 target fixes its row.
     """
     m, real = grid.n - 1, grid.mode == REAL
@@ -635,24 +625,22 @@ def _plane_arrivals(target: StiefelPoint, grid: VelocityGrid, kind: str):
 
 
 def _normal_equations(family, x: np.ndarray, r: np.ndarray, spectra):
-    """J^T J (c, dim, dim) and J^T r (c, dim, 1) of ``_endpoint_residuals`` at finite rows with t >= 0.
+    """J^T J (c, d, d) and J^T r (c, d, 1) of ``_endpoint_residuals`` at finite param rows.
 
-    J is the analytic Jacobian of the residuals ``r`` (c, rows), the time
-    derivative its last column.  ``geodesic._eigenbasis_jacobian`` gives
-    the endpoint's derivatives along the family's unit images (da, db) and
-    in t in the eigenbasis of i v, from ``spectra`` (the kernel's
-    spectral record at these rows, as ``_endpoint_residuals`` returns
-    it).  J^T J and J^T r are Frobenius inner products, which the
-    unitary Q* keeps, so both are taken on the real view of those
-    derivatives, against the residual rotated by Q*, and
-    ``family.normalize`` takes the view to the params.
+    J is the analytic Jacobian of the residuals ``r`` (c, rows) in the
+    params.  The blocks are linear in them, so column j is the endpoint's
+    derivative along the unit image (da_j, db_j) at t = 1, which
+    ``geodesic._eigenbasis_jacobian`` gives in the eigenbasis of i v from
+    ``spectra`` (the kernel's spectral record at these rows, as
+    ``_endpoint_residuals`` returns it).  J^T J and J^T r are Frobenius
+    inner products, which the unitary Q* keeps, so both are taken on the
+    real view of those derivatives, against the residual rotated by Q*.
     """
-    params, ts = x[:, :-1], x[:, -1]
     c, dim = x.shape
     n, k = family.grid.n, family.grid.k
-    # J^T (c, dim, 2 n k), one real row per param
-    jt = _eigenbasis_jacobian(ts, spectra, family.entries).reshape(c, dim, -1).view(np.float64)
-    family.normalize(params, jt[:, :-1])
+    # J^T (c, d, 2 n k), one real row per param
+    jt = _eigenbasis_jacobian(np.ones(c), spectra, family.entries)
+    jt = jt.reshape(c, dim, -1).view(np.float64)
     diff = (r[:, : n * k] + 1j * r[:, n * k :]).reshape(c, n, k)
     # (Q* diff)^T, the derivatives' layout
     rotated = (np.swapaxes(diff, 1, 2) @ np.conj(spectra[1])).reshape(c, -1).view(np.float64)
@@ -666,41 +654,45 @@ def _refine(
     target_cols,
     hit: float,
 ):
-    """Batched Levenberg-Marquardt on the endpoint residuals over (params, t).
+    """Batched Levenberg-Marquardt on the endpoint residuals over the velocity coordinates.
 
-    Candidates march in lockstep: each iteration solves every active
-    candidate's damped normal equations and tries one step, a single batched
-    geodesic evaluation.  Each candidate keeps its normal equations J^T J and
-    J^T r; the analytic Jacobian is formed again only for the candidates
-    whose last step was accepted, since a rejected step changes only the
-    damping.  Each candidate also keeps the spectral record that the
-    evaluation of its accepted point made, and its normal equations are
-    built from them (``_normal_equations``), so no Jacobian calls eigh.  Only k >= 2
+    The scan hit (p, t) starts at x = t p: the geodesic of p at time t is
+    the geodesic of t p at time 1, and the refinement moves x alone, with
+    the endpoint taken at t = 1 (``_endpoint_residuals``), so it has d
+    unknowns and no direction that the endpoint ignores.  Candidates march
+    in lockstep: each iteration solves every active candidate's damped
+    normal equations and tries one step, a single batched geodesic
+    evaluation.  Each candidate keeps its normal equations J^T J and J^T r;
+    the analytic Jacobian is formed again only for the candidates whose
+    last step was accepted, since a rejected step changes only the damping.
+    Each candidate also keeps the spectral record that the evaluation of its
+    accepted point made, and its normal equations are built from them
+    (``_normal_equations``), so no Jacobian calls eigh.  Only k >= 2
     searches refine, from the starts of ``_scan_hits`` (an empty stack too).
     Per-candidate damping adapts in the usual way.  A candidate is frozen
-    once its residual is far below the hit radius, once its damping exceeds
-    1e8, or once its squared residual is above half of its own value
-    ``_STALL_WINDOW`` iterations earlier: it has stopped converging (Nocedal
-    & Wright, *Numerical Optimization*, section 10.3).  Without that window
-    about half of the candidates of a 128-sample complex V(6,3) search keep
-    lowering their residual slowly, never arrive, and stay active until the
+    once its residual is far below the hit radius and a step no longer
+    lowers it (its rounding floor), once its damping exceeds 1e8, or once
+    its squared residual is above half of its own value ``_STALL_WINDOW``
+    iterations earlier: it has stopped converging (Nocedal & Wright,
+    *Numerical Optimization*, section 10.3).  Without that window about half
+    of the candidates of a 128-sample complex V(6,3) search keep lowering
+    their residual slowly, never arrive, and stay active until the
     iteration cap.  A slow candidate can still arrive: one such search's
-    minimal-length candidate plateaus at residuals 0.40 to 0.36 over
-    iterations 2-9 and at 0.32 over iterations 11-12, and converges at
-    iteration 30, so a window of 11 or less loses it; 15 keeps a margin of
-    3.  A longer plateau does lose its candidate: some arrivals that
-    duplicate a shorter one are frozen before they converge.
-    Returns the params, the times and the residual norms, which are the
+    minimal-length candidates plateau and converge from iteration 19, and
+    a window of 2 loses them all (``TestStallWindow``).  A plateau longer
+    than the window would lose its candidate; on the 16 corpus searches the
+    slowest arrival needs a window of 9.
+    Returns the refined coordinates x, the residual norms, which are the
     endpoints' Frobenius distances to the target, and the counts of the
     candidates frozen as ``converged``, ``damped`` and ``stalled`` and still
     active at the cap (``capped``), with the iterations run
     (``lm_iterations``).
     """
-    x = np.column_stack([params, ts]).astype(np.float64)
+    x = (ts[:, None] * params).astype(np.float64)
     n_cand, dim = x.shape
     n, k = target_cols.shape
     # a chunk's normal equations peak in ``_entry_sum``: the (chunk, dim, k,
-    # n) complex derivatives meet two (chunk, dim - 1, k, n) gathers of the
+    # n) complex derivatives meet two (chunk, dim, k, n) gathers of the
     # (chunk, n, k, n) Daleckii-Krein product, and that product's (chunk, n,
     # k, n) factor comes before it: at most n k (3 dim + 2 n) elements per
     # candidate.  They come on top of the stored normal equations and
@@ -758,9 +750,8 @@ def _refine(
         mu[ai[~good]] = mu[ai[~good]] * 10.0
         history[it] = f
         earlier = history[it - _STALL_WINDOW, ai] if it >= _STALL_WINDOW else np.inf
-        why = np.select(
-            [f[ai] < (0.01 * hit) ** 2, mu[ai] > 1e8, f[ai] > 0.5 * earlier], [1, 2, 3], 0
-        )
+        floor = (f[ai] < (0.01 * hit) ** 2) & ~good
+        why = np.select([floor, mu[ai] > 1e8, f[ai] > 0.5 * earlier], [1, 2, 3], 0)
         frozen[ai] = why
         active[ai[why > 0]] = False
     capped, converged, damped, stalled = np.bincount(frozen, minlength=4).tolist()
@@ -768,7 +759,7 @@ def _refine(
         converged=converged, damped=damped, stalled=stalled, capped=capped,
         lm_iterations=iterations,
     )
-    return x[:, :-1], x[:, -1], np.sqrt(f), stats
+    return x, np.sqrt(f), stats
 
 
 def _representatives(embeds: np.ndarray, ts, dup: float, cluster: float):
@@ -858,8 +849,9 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     process, for one grid at a time.  Stages: scan -> candidates -> refine
     -> select.  At k >= 2 ``_scan_hits`` gives the gated near-arrivals of
     the grid's sample along its scan times and ``_refine`` refines them by
-    damped least squares; at k = 1 the target's |q1| fixes a closed loop in
-    (rate, time) per fold branch, the search brackets the phase of the top
+    damped least squares on the velocity at time 1, reported as the
+    unit-b velocity and its time; at k = 1 the target's |q1| fixes a closed
+    loop in (rate, time) per fold branch, the search brackets the phase of the top
     entry along each and solves every bracket by one Newton pass on one
     residual (``_plane_arrivals``), reading no ``lambda_count`` or
     ``t_count``.
@@ -896,9 +888,12 @@ def search_minimizers(target: StiefelPoint, grid: VelocityGrid) -> MinimizerRepo
     else:
         family = _LinearFamily(grid)
         params, starts, scan_hits = _scan_hits(family, target.cols)
-        params, t, err, stats = _refine(family, params, starts, target.cols, tol.hit)
+        x, err, stats = _refine(family, params, starts, target.cols, tol.hit)
         counts = dict(scan_hits=scan_hits, candidates=len(starts), **stats)
-        a_blk, b_blk = family.blocks(params)
+        # the geodesic of x at time 1 is that of x / |b| at time |b|
+        a_blk, b_blk = family.blocks(x)
+        norms = _frobenius(b_blk)
+        a_blk, b_blk, t = a_blk / norms, b_blk / norms, norms[:, 0, 0]
     # the one acceptance rule of both k
     good = (t > 10 * _REFINE_FLOOR) & (err <= tol.hit)
     a_blk, b_blk, t_good, err_good = a_blk[good], b_blk[good], t[good], err[good]

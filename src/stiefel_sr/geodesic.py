@@ -18,11 +18,13 @@ products per velocity, whatever the number of times.  At a unit transversal
 row the V_{n,1} column is (T, -conj(b) S) with T and S functions of the rate
 and the time (``_vn1_jacobian``), so a k = 1 search solves along the fold
 branches where |S| = |q1|.  ``_eigenbasis_jacobian`` gives the k >= 2
-refinement the endpoint's derivatives along fixed directions and in t from
-the kept record, written in the eigenbasis of i v: one Daleckii-Krein
-product per velocity, and one or two of its terms per direction, one for
-each nonzero entry of the direction's generator, which the caller lists
-(``_LinearFamily`` declares each unit param as one velocity entry).
+refinement the endpoint's derivatives along fixed directions from the kept
+record, written in the eigenbasis of i v: one Daleckii-Krein product per
+velocity, and one or two of its terms per direction, one for each nonzero
+entry of the direction's generator, which the caller lists
+(``_LinearFamily`` declares each unit param as one velocity entry).  No
+derivative in t is needed: the geodesic of v at time t is that of t v at
+time 1, so the refinement moves the velocity alone.
 Alongside them this module carries the square-block Grassmann geodesics used
 for V_{2k,k}, plus speed, length, the first time a V_{n,1} geodesic returns to
 the block-diagonal set, and the mirrored velocity that produces a second
@@ -214,7 +216,7 @@ def _entry_sum(v, g, scale, rows, cols, coefs, out) -> None:
 
 
 def _eigenbasis_jacobian(ts, spectra, entries) -> np.ndarray:
-    """The endpoint's derivatives along d fixed directions and in t, in the eigenbasis of i v.
+    """The endpoint's derivatives along d fixed directions, in the eigenbasis of i v.
 
     ``spectra`` is the velocities' spectral record from ``_decompose`` (k >=
     1) and ``ts`` (c,) one time per velocity.  ``entries`` (rows, cols,
@@ -223,9 +225,10 @@ def _eigenbasis_jacobian(ts, spectra, entries) -> np.ndarray:
     direction repeating its entry with coefficient 0, and the number f of
     leading directions whose entries lie in the fibre block; no later
     direction has an entry there (``_LinearFamily.entries``).  Returns D (c,
-    d + 1, k, n) with D[:, l] the transpose of Q* dP along direction l, the
-    last l being d/dt: the refinement's J^T J and J^T r are Frobenius inner
-    products, which the unitary Q* keeps, so nothing rotates back.
+    d, k, n) with D[:, l] the transpose of Q* dP along direction l: the
+    refinement's J^T J and J^T r are Frobenius inner products, which the
+    unitary Q* keeps, so nothing rotates back.  The refinement takes t = 1,
+    where the velocity's own scale carries the time.
 
     With h = i v = Q diag(w) Q* and i a = Qa diag(wa) Qa*, the endpoint is
     P = L R with Q* L = e^{-i t w} o Q*[:, :k] and R = Qa (e^{i t wa} o
@@ -238,27 +241,24 @@ def _eigenbasis_jacobian(ts, spectra, entries) -> np.ndarray:
     generator.  R moves by Qa (Fa o Qa* X_a Qa) Qa* when i a moves by the
     top-left block X_a, which adds M Y with M = (Q* L) Qa = e^{-i t w} o C,
     C = Q*[:, :k] Qa, and Y = (Fa o Qa* X_a Qa) Qa*: the same sum in the
-    fibre's eigenbasis, then one small product with M.  In t, Q* dP/dt =
-    -i ((w_p - wa_j) M_pj e^{i t wa_j}) Qa*.  No n^2-entry sensitivity
-    array and no eigh.
+    fibre's eigenbasis, then one small product with M.  No n^2-entry
+    sensitivity array and no eigh.
     """
     w, q, wa, qa, c_mat = spectra
     rows, cols, coefs, fibre = entries
     c, n = w.shape
     k = wa.shape[1]
     qa_h = adjoint(qa)
-    m = np.exp(-1j * ts[:, None, None] * w[:, :, None]) * c_mat
+    out = np.empty((c, len(rows), k, n), dtype=np.complex128)
     phase_a = np.exp(1j * ts[:, None, None] * wa[:, None, :])
-    out = np.empty((c, len(rows) + 1, k, n), dtype=np.complex128)
     g, scale = _sinc_product(q, w, ts, (c_mat * phase_a) @ qa_h, -1j)
-    _entry_sum(q, g, scale, rows, cols, coefs, out[:, :-1])
+    _entry_sum(q, g, scale, rows, cols, coefs, out)
     if fibre:
+        m = np.exp(-1j * ts[:, None, None] * w[:, :, None]) * c_mat
         g, scale = _sinc_product(qa, wa, ts, qa_h, 1j)
         y = np.empty((c, fibre, k, k), dtype=np.complex128)
         _entry_sum(qa, g, scale, rows[:fibre], cols[:fibre], coefs[:fibre], y)
         out[:, :fibre] += (y.reshape(c, fibre * k, k) @ np.swapaxes(m, 1, 2)).reshape(c, fibre, k, n)
-    in_t = -1j * (w[:, :, None] - wa[:, None, :]) * m * phase_a
-    np.matmul(np.conj(qa), np.swapaxes(in_t, 1, 2), out=out[:, -1])
     return out
 
 

@@ -16,9 +16,7 @@ original one-bracket-at-a-time loops and the span rank's original rows of all
 entries outside the lower-right block, the draw
 oracles the V_{2,1} suite's and the uniqueness check's original per-trial
 scalar draws, the V_{2,1} column oracle
-the evaluator's original (2, 1)-only closed form, the tangent oracle the
-search families' original block tangents (the projection of a linear
-family's unit params through the normalization of b), the plane-root
+the evaluator's original (2, 1)-only closed form, the plane-root
 oracle a Lipschitz-pruned fine grid in the (rate, time) plane refined by
 scipy's ``least_squares``,
 the directional-Jacobian oracles the refinement's
@@ -353,7 +351,8 @@ def separate_family_params(grid) -> np.ndarray:
     (with a fibre-rate axis in complex mode), as the search's former v21 and
     sphere families sampled them, and at k >= 2 (general) a sample of every
     block coordinate from ``default_rng(seed)``: the fibre coordinates
-    uniform on ``lambda_range``, then the transversal ones standard normal."""
+    uniform on ``lambda_range``, then the transversal ones standard normal,
+    each row of them divided by its Euclidean norm."""
     n, k = grid.n, grid.k
     complex_mode = grid.mode == COMPLEX
     lo, hi = grid.lambda_range
@@ -370,7 +369,8 @@ def separate_family_params(grid) -> np.ndarray:
         rng = np.random.default_rng(grid.seed)
         out = np.empty((grid.sample_count, a_dim + b_dim))
         out[:, :a_dim] = rng.uniform(lo, hi, (grid.sample_count, a_dim))
-        out[:, a_dim:] = rng.standard_normal((grid.sample_count, b_dim))
+        raw = rng.standard_normal((grid.sample_count, b_dim))
+        out[:, a_dim:] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         return out
     m = n - 1
     if not complex_mode and m == 1:
@@ -417,17 +417,6 @@ def separate_family_raw_blocks(grid, params: np.ndarray):
     return a, b.reshape(c, k, m)
 
 
-def unit_block_tangents(b, da, db):
-    """Tangents of (a, b / |b|) for a linear parameter map: ``b`` (c, k, m)
-    unnormalized, da (d, k, k) and db (d, k, m) the images of the unit
-    params; d(b/|b|) = (db - u Re<u, db>) / |b| with u = b / |b|."""
-    norms = np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2)))
-    unit = (b / norms[:, None, None])[:, None]
-    radial = np.sum((np.conj(unit) * db).real, axis=(2, 3), keepdims=True)
-    dunit = (db - radial * unit) / norms[:, None, None, None]
-    return np.broadcast_to(da, (len(b),) + da.shape), dunit
-
-
 def _divided_differences(w, ts, rate: complex) -> np.ndarray:
     """First divided differences (c, n, n) of x -> exp(rate t x) on stacked eigenvalues w.
 
@@ -453,7 +442,7 @@ def _rotation_product(left, q, divided, right_rows):
     return (u @ (divided @ w)).reshape(c, r, p, p, s)
 
 
-def _sensitivity(a_blocks, b_blocks, ts, spectra):
+def _sensitivity(ts, spectra):
     """The endpoint's derivatives in the entries of its generator, at k >= 2; complex mode.
 
     With h = i v = Q diag(w) Q* and i a = Qa diag(wa) Qa* (``spectra``), the
@@ -467,7 +456,7 @@ def _sensitivity(a_blocks, b_blocks, ts, spectra):
     block, so one array K holds both: K[:, r, (i, j), s] is the derivative
     of endpoint entry (r, s) in generator entry (i, j).  It takes two stacked
     products per velocity on each side, whatever the number of directions.
-    Returns K (c, n, n n, k) and the time derivative (v L - L a) R (c, n, k).
+    Returns K (c, n, n n, k).
     """
     w, q, wa, qa, _ = spectra  # the oracle forms its own products, not C
     c, n = w.shape
@@ -478,43 +467,32 @@ def _sensitivity(a_blocks, b_blocks, ts, spectra):
     sens = _rotation_product(q, q, _divided_differences(w, ts, -1j), adjoint(q)[:, :, :k] @ right)
     fibre = _divided_differences(wa, ts, 1j)
     sens[:, :, :k, :k] += _rotation_product(left @ qa, qa, fibre, adjoint(qa))
-    dcols_dt = (_embed_velocities(a_blocks, b_blocks) @ left - left @ a_blocks) @ right
-    return sens.reshape(c, n, n * n, k), dcols_dt
+    return sens.reshape(c, n, n * n, k)
 
 
-def endpoint_jacobian_dense(a_blocks, b_blocks, ts, spectra, da, db, mode: str):
+def endpoint_jacobian_dense(ts, spectra, da, db, mode: str):
     """The refinement's original directional Jacobian: the endpoint's derivatives
-    along d fixed directions (c, d, n, k) and in t (c, n, k), as one product of
-    the directions' dense generators (d, n n) with ``_sensitivity``'s K.
-    Blocks (c, k, k), (c, k, n-k) at one time per velocity, ``ts`` (c,),
-    ``spectra`` their ``_decompose``, directions da (d, k, k), db (d, k, n-k);
-    any direction, however dense."""
+    along d fixed directions (c, d, n, k), as one product of the directions'
+    dense generators (d, n n) with ``_sensitivity``'s K.  Velocities at one
+    time each, ``ts`` (c,), given by their ``_decompose`` ``spectra``,
+    directions da (d, k, k), db (d, k, n-k); any direction, however dense."""
     gens = 1j * _embed_velocities(da, db).reshape(len(da), -1)
-    sens, dcols_dt = _sensitivity(a_blocks, b_blocks, ts, spectra)
+    sens = _sensitivity(ts, spectra)
     c, n, _, k = sens.shape
     dcols = gens @ sens.swapaxes(1, 2).reshape(c, n * n, n * k)  # (c, d, n k)
-    return _field(dcols.reshape(c, -1, n, k), mode), _field(dcols_dt, mode)
+    return _field(dcols.reshape(c, -1, n, k), mode)
 
 
 def residual_jacobian_dense(family, x, spectra) -> np.ndarray:
-    """The refinement's original residual Jacobian (c, rows, dim) at finite rows
-    with t >= 0: ``endpoint_jacobian_dense`` along the family's unit images,
-    the normalization of b applied entry by entry (d(b/|b|) = (db - u Re<u,
-    db>) / |b|, u = b / |b|), then the real parts of every derivative and
-    after them the imaginary parts, as ``cutlocus._endpoint_residuals``
-    orders a residual."""
-    params, ts = x[:, :-1], x[:, -1]
-    a, b = family.blocks(params)
-    along, dcols_dt = endpoint_jacobian_dense(
-        a, b, ts, spectra, family.da, family.db, family.grid.mode
+    """The refinement's residual Jacobian (c, rows, d) at finite param rows,
+    by the original dense contraction: ``endpoint_jacobian_dense`` along the
+    family's unit images at t = 1 (the blocks are linear in the params), then
+    the real parts of every derivative and after them the imaginary parts, as
+    ``cutlocus._endpoint_residuals`` orders a residual."""
+    along = endpoint_jacobian_dense(
+        np.ones(len(x)), spectra, family.da, family.db, family.grid.mode
     )
-    coords = params[:, family.a_dim :, None, None]
-    norm = np.maximum(np.sqrt(np.sum(coords * coords, axis=1, keepdims=True)), 1e-30)
-    radial = coords / norm
-    moving = along[:, family.a_dim :]
-    moving -= radial * np.sum(radial * moving, axis=1, keepdims=True)
-    moving /= norm
-    d = np.concatenate([along, dcols_dt[:, None]], axis=1).reshape(len(x), x.shape[1], -1)
+    d = along.reshape(len(x), x.shape[1], -1)
     return np.concatenate([d.real, d.imag], axis=2).swapaxes(1, 2)
 
 
@@ -527,14 +505,14 @@ def normal_equations_dense(family, x, r, spectra):
 
 def jacobian_along(a, b, ts, da, db, mode: str):
     """The endpoint's derivatives along arbitrary stacked block directions
-    da (c, d, k, k), db (c, d, k, n-k) and in t, as the refinement once took
-    them: the sensitivity array contracted with each direction's generator
-    i [[da, db], [-db*, 0]].  Returns (c, d, n, k) and (c, n, k)."""
+    da (c, d, k, k), db (c, d, k, n-k), as the refinement once took them: the
+    sensitivity array contracted with each direction's generator i [[da,
+    db], [-db*, 0]].  Returns (c, d, n, k)."""
     c, d = db.shape[:2]
-    sens, dcols_dt = _sensitivity(a, b, ts, _decompose(a, b))
+    sens = _sensitivity(ts, _decompose(a, b))
     gens = 1j * _embed_velocities(np.asarray(da), np.asarray(db)).reshape(c, 1, d, -1)
     dcols = (gens @ sens).swapaxes(1, 2)  # (c, n, d, k) -> (c, d, n, k)
-    return _field(dcols, mode), _field(dcols_dt, mode)
+    return _field(dcols, mode)
 
 
 def _stacked_rank_loop(mats, k: int, mode: str) -> int:
@@ -718,11 +696,12 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
     """The arrival refinement's original batched Levenberg-Marquardt loop: every
     iteration forms the Jacobian of every active candidate, also when the
     candidate's last step was rejected and its point did not move.  It
-    freezes candidates by the refinement's rules, the stall window
-    ``cutlocus._STALL_WINDOW`` included, and returns the params, times and
-    residual norms.  Calls ``cutlocus._normal_equations`` through the
-    module, so a test can count the rows it differentiates."""
-    x = np.column_stack([params, ts]).astype(np.float64)
+    starts at x = t p and freezes candidates by the refinement's rules: a
+    residual below 1e-2 ``hit`` whose step was rejected, damping above 1e8,
+    and the stall window ``cutlocus._STALL_WINDOW``.  Returns the refined
+    coordinates and residual norms.  Calls ``cutlocus._normal_equations``
+    through the module, so a test can count the rows it differentiates."""
+    x = (ts[:, None] * params).astype(np.float64)
     n_cand, dim = x.shape
     n = target_cols.shape[0]
     chunk = max(1, cutlocus._CHUNK_ELEMENTS // (4 * dim * n * n))
@@ -742,7 +721,7 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
         jtr = np.empty((len(ai), dim, 1))
         for lo in range(0, len(ai), chunk):
             part = slice(lo, lo + chunk)
-            spectra = _decompose(*family.blocks(xa[part, :-1]))
+            spectra = _decompose(*family.blocks(xa[part]))
             jtj[part], jtr[part] = cutlocus._normal_equations(family, xa[part], ra[part], spectra)
         lhs = jtj + mu[ai, None, None] * eye[None]
         try:
@@ -761,11 +740,11 @@ def refine_every_iteration(family, params, ts, target_cols, hit: float):
         mu[ai[good]] = np.maximum(mu[ai[good]] * 0.3, 1e-12)
         mu[ai[~good]] = mu[ai[~good]] * 10.0
         history.append(f.copy())
-        converged = f[ai] < (0.01 * hit) ** 2
+        converged = (f[ai] < (0.01 * hit) ** 2) & ~good
         stuck = mu[ai] > 1e8
         stalled = len(history) > window and f[ai] > 0.5 * history[-1 - window][ai]
         active[ai[converged | stuck | stalled]] = False
-    return x[:, :-1], x[:, -1], np.sqrt(f)
+    return x, np.sqrt(f)
 
 
 def _columns_mp(a, b, t):
